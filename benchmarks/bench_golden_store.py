@@ -1,4 +1,4 @@
-"""Persistent golden-artifact store: cold vs warm starts, stealing vs static.
+"""Persistent golden-artifact store: cold vs warm starts, serial vs parallel.
 
 Two row groups, both on the mcf workload (7.4k golden cycles on the
 InO-core), persisted to ``BENCH_golden_store.json``.
@@ -18,12 +18,12 @@ changes.  The warm start must be >= 3x faster than the cold start with zero
 golden recordings, and all three rows must report bit-identical statistics
 (both asserted).
 
-**Execution schedule** (batched campaign, N=120, width 16): serial vs
-``workers=2`` with static up-front sharding vs the work-stealing guided
-chunk queue.  All three must be bit-identical (asserted); on multi-core
-hosts work stealing must be >= serial (asserted when ``os.cpu_count() >=
-2`` -- a single-core container cannot speed anything up by adding
-processes, but the schedule comparison rows are still recorded there).
+**Execution schedule** (batched campaign, N=120, width 16, best of
+``SCHEDULE_ROUNDS``): serial vs ``workers=2`` pulling guided chunks from one
+shared queue.  Both must be
+bit-identical (asserted); on multi-core hosts the pool must be >= serial
+(asserted when ``os.cpu_count() >= 2`` -- a single-core host cannot speed
+anything up by adding processes, but the rows are still recorded there).
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ STORE_INJECTIONS = 3
 quote the regime where acquisition dominates (repeat campaigns, sweep
 workers, CI smoke runs -- all small-N, many-process shapes)."""
 SCHEDULE_INJECTIONS = 120
+SCHEDULE_ROUNDS = 3
+"""Each schedule row is the faster of this many campaigns: on a shared
+2-CPU host the first pooled campaign in a process intermittently measured
+~2x slower, its workers getting half a CPU each."""
 BATCH_WIDTH = 16
 WORKERS = 2
 MIN_WARM_SPEEDUP = 3.0
@@ -116,19 +120,20 @@ def bench_golden_store(benchmark):
             # --------------------------------------------- execution schedule
             schedules = [
                 ("serial", EngineConfig(batch_width=BATCH_WIDTH)),
-                (f"parallel x{WORKERS}, static shards",
+                (f"parallel x{WORKERS}",
                  EngineConfig(batch_width=BATCH_WIDTH, workers=WORKERS,
-                              parallel_threshold=0, work_stealing=False)),
-                (f"parallel x{WORKERS}, work stealing",
-                 EngineConfig(batch_width=BATCH_WIDTH, workers=WORKERS,
-                              parallel_threshold=0, work_stealing=True)),
+                              parallel_threshold=0)),
             ]
-            serial_rate = stealing_rate = None
+            serial_rate = parallel_rate = None
             schedule_ref = None
             for label, config in schedules:
-                cache = GoldenRunCache(store=GoldenArtifactStore(store_dir))
-                result, elapsed, stats = _campaign(config, cache,
-                                                   SCHEDULE_INJECTIONS)
+                result, elapsed, stats = min(
+                    (_campaign(config,
+                               GoldenRunCache(
+                                   store=GoldenArtifactStore(store_dir)),
+                               SCHEDULE_INJECTIONS)
+                     for _ in range(SCHEDULE_ROUNDS)),
+                    key=lambda run: run[1])
                 assert stats.recorded == 0, \
                     "every schedule row must start warm from the store"
                 if schedule_ref is None:
@@ -139,18 +144,18 @@ def bench_golden_store(benchmark):
                 rate = SCHEDULE_INJECTIONS / elapsed
                 if label == "serial":
                     serial_rate = rate
-                if "work stealing" in label:
-                    stealing_rate = rate
+                else:
+                    parallel_rate = rate
                 rows.append(["execution schedule", label,
                              SCHEDULE_INJECTIONS, stats.artifacts_loaded,
                              stats.recorded, f"{elapsed:.2f}s",
                              f"{rate:.1f}"])
             if (os.cpu_count() or 1) >= 2:
-                assert stealing_rate >= serial_rate, (
-                    f"work stealing ({stealing_rate:.1f} inj/s) lost to "
-                    f"serial ({serial_rate:.1f} inj/s) on a multi-core host")
-            rows.append(["execution schedule", "stealing vs serial", "-", "-",
-                         "-", "-", f"{stealing_rate / serial_rate:.2f}x"])
+                assert parallel_rate >= serial_rate, (
+                    f"parallel ({parallel_rate:.1f} inj/s) lost to serial "
+                    f"({serial_rate:.1f} inj/s) on a multi-core host")
+            rows.append(["execution schedule", "parallel vs serial", "-", "-",
+                         "-", "-", f"{parallel_rate / serial_rate:.2f}x"])
         finally:
             shutil.rmtree(store_dir, ignore_errors=True)
         return rows
@@ -162,6 +167,7 @@ def bench_golden_store(benchmark):
                   context={"workload": WORKLOAD,
                            "store_injections": STORE_INJECTIONS,
                            "schedule_injections": SCHEDULE_INJECTIONS,
+                           "schedule_rounds": SCHEDULE_ROUNDS,
                            "batch_width": BATCH_WIDTH,
                            "workers": WORKERS,
                            "min_warm_speedup": MIN_WARM_SPEEDUP},

@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``bench_*.py`` file regenerates one or more of the paper's tables or
-figures (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-paper-vs-measured numbers).  All benchmarks run one round so the harness
-completes in minutes; they print the regenerated table to stdout (run pytest
-with ``-s`` to see them).
+figures, or measures this reproduction's own engine (EXPERIMENTS.md indexes
+every target and what it reports).  All benchmarks run one round so the
+harness completes in minutes; they print the regenerated table to stdout
+(run pytest with ``-s`` to see them).  The framework fixtures below are
+seeded with 2016, so every regenerated table is deterministic.
 """
 
 from __future__ import annotations

@@ -19,17 +19,6 @@ subscript-assigned, or hit with a known mutator method anywhere outside
 ``__init__`` creates and nothing mutates is configuration, not state.
 Deliberate exclusions (e.g. ``BaseCore._program``: snapshots intentionally
 do not embed the program) carry a reasoned suppression at the declaration.
-
-The rolling-fingerprint contract (``rolling_fingerprint()`` byte-identical
-to ``state_fingerprint()`` at every cycle) gets its own static check: for
-any class that defines both a full-digest and a rolling-digest method in
-its own body, every attribute the full path reads must also be read by the
-rolling path (shared helpers such as ``_fingerprint_header`` count for
-both).  Attributes the full path alone consults -- typically a new state
-component wired into ``_fingerprint_microarchitecture`` but forgotten in
-``_rolling_microarchitecture`` -- would leave the rolling digest stale when
-they change; write-invalidated caches that legitimately exist only on one
-side carry a reasoned suppression at their declaration.
 """
 
 from __future__ import annotations
@@ -47,18 +36,10 @@ CAPTURE_METHODS = frozenset({
 RESTORE_METHODS = frozenset({
     "restore", "_restore_microarchitecture", "deserialize", "restore_words",
 })
-FULL_FINGERPRINT_METHODS = frozenset({
-    "state_fingerprint", "_fingerprint_microarchitecture", "fingerprint_key",
-    "fingerprint_digest_full",
+FINGERPRINT_METHODS = frozenset({
+    "state_fingerprint", "_fingerprint_microarchitecture",
+    "fingerprint_digest",
 })
-ROLLING_FINGERPRINT_METHODS = frozenset({
-    "rolling_fingerprint", "_rolling_microarchitecture", "fingerprint_digest",
-})
-SHARED_FINGERPRINT_HELPERS = frozenset({
-    "_fingerprint_header", "_bank_payload",
-})
-FINGERPRINT_METHODS = (FULL_FINGERPRINT_METHODS | ROLLING_FINGERPRINT_METHODS
-                       | SHARED_FINGERPRINT_HELPERS)
 _TRIO_METHODS = CAPTURE_METHODS | RESTORE_METHODS | FINGERPRINT_METHODS
 _DECL_METHODS = frozenset({"__init__", "__post_init__"})
 _ROOT_BASE_NAMES = frozenset({"BaseCore"})
@@ -215,48 +196,6 @@ class StateCoverageRule(Rule):
                 f"{'/'.join(missing)} side of the snapshot/restore/"
                 "fingerprint contract; divergence will survive restore "
                 "undetected (see BaseCore.snapshot docs)")
-        yield from self._check_rolling(info, by_name)
-
-    def _check_rolling(self, info: _ClassInfo,
-                       by_name: dict[str, _ClassInfo]) -> Iterable[Finding]:
-        """Full-digest reads must be covered by the rolling-digest path.
-
-        Only classes that define *both* sides in their own body are held to
-        this: a class inheriting one side unchanged cannot introduce an
-        asymmetry of its own.  Method names are excluded from the read sets
-        (``self._helper()`` parses as an attribute load of ``_helper``).
-        """
-        own = set(info.method_attrs)
-        full_methods = own & FULL_FINGERPRINT_METHODS
-        rolling_methods = own & ROLLING_FINGERPRINT_METHODS
-        if not full_methods or not rolling_methods:
-            return
-        method_names: set[str] = set()
-        for ancestor in self._hierarchy(info, by_name):
-            method_names.update(ancestor.method_attrs)
-
-        def reads(methods: set[str]) -> set[str]:
-            touched: set[str] = set()
-            for method in methods:
-                touched.update(info.method_attrs[method])
-            return touched
-
-        shared_reads = reads(own & SHARED_FINGERPRINT_HELPERS)
-        full_reads = reads(full_methods) | shared_reads
-        rolling_reads = reads(rolling_methods) | shared_reads
-        for attr in sorted(full_reads - rolling_reads - method_names):
-            first_read = min(
-                info.method_attr_lines[method][attr]
-                for method in full_methods
-                if attr in info.method_attr_lines.get(method, {}))
-            anchor = info.declared.get(attr, first_read)
-            yield info.module.finding(
-                anchor, self.rule_id,
-                f"{info.name}.{attr} feeds the full fingerprint path "
-                f"({'/'.join(sorted(full_methods))}) but not the rolling "
-                f"path ({'/'.join(sorted(rolling_methods))}); the rolling "
-                "digest would go stale when it changes, breaking the "
-                "rolling == full bit-identity contract")
 
     def _merged_trio(self, hierarchy: list[_ClassInfo]
                      ) -> tuple[set[str], set[str], set[str]]:

@@ -273,8 +273,7 @@ class _StreamingWavefront:
     def __init__(self, core: BaseCore, program: Program,
                  checkpointed: CheckpointedGoldenRun, convergence: bool,
                  width: int, pool: _CorePool,
-                 obs: Instrumentation | None = None, rolling: bool = False,
-                 audit_interval: int = 0, schedule_plans=None):
+                 obs: Instrumentation | None = None, schedule_plans=None):
         self._obs = Instrumentation.off() if obs is None else obs
         self._tracing = self._obs.tracer.enabled
         self._program = program
@@ -306,8 +305,6 @@ class _StreamingWavefront:
             for name in _DELTA_COLUMNS}
         self._fingerprints = checkpointed.fingerprints
         self._fp_interval = checkpointed.fingerprint_interval
-        self._rolling = rolling
-        self._audit_interval = audit_interval
         self._schedule_plans = schedule_plans or {}
         self._gate = (convergence and self._fp_interval > 0
                       and bool(self._fingerprints))
@@ -734,7 +731,6 @@ class _StreamingWavefront:
             hook = _convergence_hook(
                 _noop_hook, record.planned.injection.cycle,
                 self._checkpointed, metrics=probe_metrics,
-                rolling=self._rolling, audit_interval=self._audit_interval,
                 plan=self._schedule_plans.get(
                     record.planned.injection.flat_index))
         try:
@@ -1263,8 +1259,6 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
                 wavefront = _StreamingWavefront(
                     spec.core, spec.program, spec.checkpointed,
                     spec.convergence, width, pool, obs=obs,
-                    rolling=spec.rolling,
-                    audit_interval=spec.audit_interval,
                     schedule_plans=spec.schedule_plans)
                 with obs.tracer.span(PHASE_LOCKSTEP,
                                      args={"riders": len(pending)}) as span:
@@ -1294,8 +1288,6 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
                     spec.core, spec.program, planned, spec.checkpointed,
                     convergence=spec.convergence,
                     obs=obs if obs.tracer.enabled or obs.detailed else None,
-                    rolling=spec.rolling,
-                    audit_interval=spec.audit_interval,
                     plan=(plans.get(planned.injection.flat_index)
                           if plans else None))
             fold_scalar_replay(result, planned, replay, obs)

@@ -123,24 +123,6 @@ class EngineConfig:
             small campaigns -- a measured regression at 30 injections).
             ``0`` disables the fallback; an explicitly passed executor is
             always honoured as given.
-        work_stealing: dispatch parallel shards pull-style over a shared
-            queue with guided decreasing chunk sizes (each worker takes the
-            next chunk the moment it finishes one).  ``False`` restores
-            static up-front sharding, kept for benchmarking.  Either way
-            chunk results merge in chunk-index order, so outcomes are
-            bit-identical.
-        rolling_fingerprints: serve convergence probes from
-            :meth:`~repro.microarch.core.BaseCore.rolling_fingerprint` --
-            the tree digest with write-invalidated component caches, costing
-            O(state touched since the previous probe) instead of O(total
-            state).  Rolling and full digests are byte-identical at every
-            grid cycle by construction, so outcomes are bit-identical
-            either way; ``False`` (default) keeps the full digest.
-        fingerprint_audit_interval: with rolling fingerprints on, cross-check
-            every N-th rolling probe against the freshly-computed full
-            digest and fail loudly (RuntimeError) on disagreement -- the
-            runtime leg of the rolling == full contract, next to the static
-            ``state-coverage`` audit.  ``0`` disables the audit.
         adaptive_check_spacing: learn a per-site convergence probe schedule
             (:mod:`repro.engine.schedule`) across this engine's campaigns:
             fast-reconverging sites keep dense early probes then back off
@@ -164,9 +146,6 @@ class EngineConfig:
     trace: bool | str | Path = False
     artifact_dir: str | Path | None = None
     parallel_threshold: int = 64
-    work_stealing: bool = True
-    rolling_fingerprints: bool = False
-    fingerprint_audit_interval: int = 64
     adaptive_check_spacing: bool = False
 
     @property
@@ -208,9 +187,7 @@ class InjectionEngine:
         if executor is not None:
             self._executor = executor
         elif self.config.workers > 1:
-            self._executor = ParallelExecutor(
-                workers=self.config.workers,
-                work_stealing=self.config.work_stealing)
+            self._executor = ParallelExecutor(workers=self.config.workers)
         else:
             self._executor = SerialExecutor()
         # Per-site probe-schedule learner; lives as long as the engine so
@@ -234,8 +211,7 @@ class InjectionEngine:
             max_cycles=self.config.max_cycles,
             fingerprint_interval=(self.config.convergence_interval
                                   if self.config.convergence_enabled else 0),
-            max_fingerprints=self.config.max_fingerprints,
-            rolling=self.config.rolling_fingerprints, obs=obs)
+            max_fingerprints=self.config.max_fingerprints, obs=obs)
 
     # ------------------------------------------------------------------ planning
     def resolve_plan(self, plan: list[Injection]) -> list[PlannedInjection]:
@@ -272,15 +248,15 @@ class InjectionEngine:
                executor: CampaignExecutor) -> list:
         """Shard a resolved plan for ``executor``.
 
-        Work-stealing pools get guided decreasing-size chunks (unless an
-        explicit ``chunk_size`` pins the static schedule); everything else
+        Process pools get guided decreasing-size chunks (unless an explicit
+        ``chunk_size`` pins fixed-size chunks); everything else
         keeps contiguous fixed-size chunks.  Both partitions preserve the
         bit-exactness contract: results merge in chunk-index order and each
         planned injection carries its pre-resolved lottery draw.
         """
         if (self.config.chunk_size is None
                 and isinstance(executor, ParallelExecutor)
-                and executor.work_stealing and executor.workers > 1):
+                and executor.workers > 1):
             # Late chunks never shrink below a lockstep wavefront's width.
             return shard_plan_guided(planned, self.seed, executor.workers,
                                      min_chunk=max(4, self.config.batch_width))
@@ -347,10 +323,6 @@ class InjectionEngine:
                                 batch_width=config.batch_width,
                                 metrics=config.metrics,
                                 trace=config.trace_enabled,
-                                rolling=config.rolling_fingerprints,
-                                audit_interval=(
-                                    config.fingerprint_audit_interval
-                                    if config.rolling_fingerprints else 0),
                                 schedule_plans=schedule_plans)
             outcomes = OutcomeCounts()
             per_site: dict[int, OutcomeCounts] = {}

@@ -18,9 +18,10 @@ Two executors ship here:
   pickled copy of the payload via the pool initializer and then only shard
   objects per task.  Shards carry deterministic derived seeds and
   pre-resolved stochastic draws, so results are independent of sharding,
-  scheduling and completion order.  If process pools are unavailable (import
-  restrictions, sandboxes), execution transparently falls back to serial for
-  the shards that have not completed.
+  scheduling and completion order.  If the pool cannot start (OS limits in
+  sandboxes), loses a worker, or cannot pickle a task, execution falls back
+  to serial for the shards that have not completed; an exception raised
+  *by* a shard propagates unchanged.
 
 The campaign-specific ``run_chunks`` entry points remain as thin wrappers
 binding the generic layer to :func:`execute_chunk`.
@@ -28,6 +29,7 @@ binding the generic layer to :func:`execute_chunk`.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Protocol, TypeVar
@@ -49,9 +51,7 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
     COUNT_CONVERGED,
     COUNT_FINGERPRINT_CHECKS,
-    COUNT_FINGERPRINT_COMPONENTS,
     COUNT_FINGERPRINT_FULL,
-    COUNT_FINGERPRINT_ROLLING,
     COUNT_REPLAYS,
     CYCLES_FASTFORWARD,
     CYCLES_LOCKSTEP,
@@ -105,14 +105,10 @@ class CampaignSpec:
     and both flags off is the pre-observability fast path (no clock reads,
     no span objects).
 
-    ``rolling`` switches convergence probes (and the batched engine's
-    eviction probes) to :meth:`~repro.microarch.core.BaseCore.
-    rolling_fingerprint`; ``audit_interval`` cross-checks every N-th
-    rolling probe against the full digest (0 disables the audit).
     ``schedule_plans`` carries the engine's adaptive per-site probe
     schedules, keyed by flat fault-site index; None probes every grid
-    cycle.  All three only shape *when and how* probes run -- outcomes are
-    bit-identical regardless (see :mod:`repro.engine.schedule`).
+    cycle.  Plans only shape *when* probes run -- outcomes are bit-identical
+    regardless (see :mod:`repro.engine.schedule`).
     """
 
     core: BaseCore
@@ -122,8 +118,6 @@ class CampaignSpec:
     batch_width: int = 0
     metrics: bool = False
     trace: bool = False
-    rolling: bool = False
-    audit_interval: int = 0
     schedule_plans: dict[int, SitePlan] | None = None
 
 
@@ -231,7 +225,7 @@ def shard_plan(planned: list[PlannedInjection], seed: int,
 
 def shard_plan_guided(planned: list[PlannedInjection], seed: int,
                       workers: int, min_chunk: int = 4) -> list[ChunkSpec]:
-    """Split a plan into *guided* decreasing-size chunks for work stealing.
+    """Split a plan into *guided* decreasing-size chunks for pull dispatch.
 
     Each chunk takes ``max(min_chunk, ceil(remaining / (workers * 2)))``
     injections: early chunks are large (low dispatch overhead while every
@@ -271,7 +265,6 @@ class _ConvergedEarly(Exception):
 def _convergence_hook(inner: CycleHook, injection_cycle: int,
                       checkpointed: CheckpointedGoldenRun,
                       metrics: MetricsRegistry = NULL_METRICS,
-                      rolling: bool = False, audit_interval: int = 0,
                       plan: SitePlan | None = None) -> CycleHook:
     """Wrap the injection hook with the fingerprint convergence check.
 
@@ -284,26 +277,20 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
     scheduled a recovery, or diverged in output can never match) and
     simulation can stop on the spot.
 
-    ``rolling`` probes with :meth:`~repro.microarch.core.BaseCore.
-    rolling_fingerprint` (O(dirty state) per probe); ``audit_interval`` > 0
-    additionally recomputes the full digest on every N-th rolling probe and
-    raises ``RuntimeError`` on disagreement -- the runtime leg of the
-    rolling == full contract.  ``plan`` (a :class:`~repro.engine.schedule.
-    SitePlan`) thins the probe grid adaptively; grid points it skips can
-    only delay the early-out, never change the outcome.
+    ``plan`` (a :class:`~repro.engine.schedule.SitePlan`) thins the probe
+    grid adaptively; grid points it skips can only delay the early-out,
+    never change the outcome.
 
     ``metrics`` counts the grid probes and, when timing is enabled, the
     per-probe latency (detailed instrumentation only; the default is the
-    shared disabled registry, so the unmetered hook pays one no-op call per
-    probe next to a state digest).
+    shared disabled registry, so the unmetered hook pays two no-op calls
+    per probe next to a state digest).
     """
     fingerprints = checkpointed.fingerprints
     interval = checkpointed.fingerprint_interval
     base_point = injection_cycle // interval
-    rolling_probes = 0
 
     def hook(core: BaseCore, cycle: int) -> None:
-        nonlocal rolling_probes
         inner(core, cycle)
         if cycle <= injection_cycle or cycle % interval:
             return
@@ -314,37 +301,16 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
                 and not plan.should_check(cycle // interval - base_point):
             return
         metrics.inc(COUNT_FINGERPRINT_CHECKS)
-        detailed = metrics.enabled
-        if detailed:
-            rehashed_before = core.fingerprint_rehash_count()
+        metrics.inc(COUNT_FINGERPRINT_FULL)
         timed = metrics.timing
         if timed:
             start = time.perf_counter()
-        if rolling:
-            digest = core.rolling_fingerprint()
-        else:
-            digest = core.state_fingerprint()
+        digest = core.state_fingerprint()
         if timed:
             elapsed = time.perf_counter() - start
             metrics.add_time(PHASE_CONVERGENCE, elapsed)
             metrics.observe_wall(HISTOGRAM_CHECK_LATENCY_US,
                                  int(elapsed * 1e6))
-        if detailed:
-            metrics.inc(COUNT_FINGERPRINT_ROLLING if rolling
-                        else COUNT_FINGERPRINT_FULL)
-            metrics.inc(COUNT_FINGERPRINT_COMPONENTS,
-                        core.fingerprint_rehash_count() - rehashed_before)
-        if rolling:
-            rolling_probes += 1
-            if audit_interval and rolling_probes % audit_interval == 0:
-                if detailed:
-                    metrics.inc(COUNT_FINGERPRINT_FULL)
-                if digest != core.state_fingerprint():
-                    raise RuntimeError(
-                        f"rolling fingerprint diverged from the full digest "
-                        f"at cycle {cycle}: a component cache went stale "
-                        f"(state mutated outside the dirty-tracking path; "
-                        f"see the state-coverage audit rule)")
         if digest == expected:
             raise _ConvergedEarly(cycle)
 
@@ -385,7 +351,6 @@ def replay_planned_injection(core: BaseCore, program: Program,
                              checkpointed: CheckpointedGoldenRun,
                              convergence: bool = True,
                              obs: Instrumentation | None = None,
-                             rolling: bool = False, audit_interval: int = 0,
                              plan: SitePlan | None = None) -> Replay:
     """Run one injection, fast-forwarding from the nearest golden snapshot
     and early-terminating once the run provably re-converges.
@@ -418,8 +383,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
         probe_metrics = (obs.metrics if obs is not None and obs.detailed
                          else NULL_METRICS)
         hook = _convergence_hook(hook, planned.injection.cycle, checkpointed,
-                                 metrics=probe_metrics, rolling=rolling,
-                                 audit_interval=audit_interval, plan=plan)
+                                 metrics=probe_metrics, plan=plan)
     snapshot = checkpointed.nearest(planned.injection.cycle)
     resumed_from = 0 if snapshot is None else snapshot.cycle
     tracing = obs is not None and obs.tracer.enabled
@@ -508,8 +472,6 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
                         spec.core, spec.program, planned, spec.checkpointed,
                         convergence=spec.convergence,
                         obs=obs if tracing or obs.detailed else None,
-                        rolling=spec.rolling,
-                        audit_interval=spec.audit_interval,
                         plan=(plans.get(planned.injection.flat_index)
                               if plans else None))
                 span.note(outcome=replay.outcome.name,
@@ -582,42 +544,44 @@ def _run_shard_in_worker(shard: Any) -> Any:
 class ParallelExecutor:
     """Fans shards out over a process pool, streaming results as they finish.
 
+    Shards are dispatched pull-style: the pool holds at most ``workers + 1``
+    in-flight shards and each worker takes the next shard the moment it
+    finishes one, so a slow shard never strands pre-assigned work on its
+    worker.  Results stream back in completion order; consumers that need
+    determinism fold them by shard index.
+
     Attributes:
         workers: process count.  Defaults to ``os.cpu_count()`` capped at 8
             (shards are CPU-bound, so more processes than cores only add
             pickling overhead); an explicit count is honoured as given,
             which also lets tests exercise the pool on single-core machines.
-        work_stealing: with True (the default) shards are dispatched
-            pull-style -- the pool holds at most ``workers + 1`` in-flight
-            shards and each worker takes the next shard the moment it
-            finishes one, so a slow shard never strands pre-assigned work on
-            its worker.  False submits every shard up front (the static
-            schedule, kept for benchmarking the difference).  Either way
-            results stream back in completion order; consumers that need
-            determinism fold them by shard index.
     """
 
-    def __init__(self, workers: int | None = None,
-                 work_stealing: bool = True):
+    def __init__(self, workers: int | None = None):
         import os
 
         if workers is None:
             workers = min(os.cpu_count() or 1, 8)
         self.workers = max(1, workers)
-        self.work_stealing = work_stealing
 
     def stream(self, payload: Any, shards: list, fn: ShardFunction) -> Iterator:
         if self.workers == 1 or len(shards) <= 1:
             yield from SerialExecutor().stream(payload, shards, fn)
             return
+        # Deferred like the pool itself: serial-only processes never import
+        # the multiprocessing machinery.
+        from concurrent.futures.process import BrokenProcessPool
+
         done: set[int] = set()
         try:
             yield from self._stream_pooled(payload, shards, fn, done)
-        except Exception as error:
+        except (BrokenProcessPool, OSError, pickle.PicklingError) as error:
             # Process pools can be unavailable (restricted environments) or
             # die mid-run; replay the shards that never completed serially so
             # the run still finishes with exact results.  Warn so benchmark/
             # throughput readings are not misattributed to parallel execution.
+            # Any other exception was raised by a shard itself: deterministic,
+            # so re-running it serially would only fail twice.
             import warnings
 
             warnings.warn(
@@ -637,19 +601,11 @@ class ParallelExecutor:
     def _stream_pooled(self, payload: Any, shards: list, fn: ShardFunction,
                        done: set[int]) -> Iterator:
         from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                        as_completed, wait)
+                                        wait)
 
         with ProcessPoolExecutor(max_workers=min(self.workers, len(shards)),
                                  initializer=_init_worker,
                                  initargs=(payload, fn)) as pool:
-            if not self.work_stealing:
-                futures = [pool.submit(_run_shard_in_worker, shard)
-                           for shard in shards]
-                for future in as_completed(futures):
-                    result = future.result()
-                    done.add(result.index)
-                    yield result
-                return
             # Pull-based dispatch: keep just enough shards in flight that no
             # worker idles between completions (one spare beyond the worker
             # count), and hand out the next queued shard per completion --

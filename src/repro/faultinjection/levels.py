@@ -133,7 +133,7 @@ class HighLevelInjector:
     def run_with_injection(self, program: Program, injection: HighLevelInjection,
                            golden: RunResult,
                            checkpointed: CheckpointedGoldenRun | None = None,
-                           convergence: bool = True, rolling: bool = False,
+                           convergence: bool = True,
                            ) -> tuple[RunResult, OutcomeCategory]:
         """Run one injected replay; returns ``(result, outcome)``.
 
@@ -143,13 +143,13 @@ class HighLevelInjector:
         """
         injected, outcome, _, _ = self._gated_replay(
             program, injection, golden, checkpointed,
-            convergence=convergence, rolling=rolling)
+            convergence=convergence)
         return injected, outcome
 
     def _gated_replay(self, program: Program, injection: HighLevelInjection,
                       golden: RunResult,
                       checkpointed: CheckpointedGoldenRun | None,
-                      convergence: bool, rolling: bool,
+                      convergence: bool,
                       ) -> tuple[RunResult, OutcomeCategory, int | None, int]:
         """One replay plus its convergence telemetry:
         ``(result, outcome, converged_at, simulated_cycles)``."""
@@ -181,8 +181,7 @@ class HighLevelInjector:
                 and checkpointed.fingerprint_interval > 0
                 and checkpointed.fingerprints
                 and golden.reason is not TerminationReason.HANG):
-            run_hook = _convergence_hook(hook, injection.cycle, checkpointed,
-                                         rolling=rolling)
+            run_hook = _convergence_hook(hook, injection.cycle, checkpointed)
         snapshot = (checkpointed.nearest(injection.cycle)
                     if checkpointed is not None else None)
         resumed_from = snapshot.cycle if snapshot is not None else 0
@@ -203,12 +202,12 @@ class HighLevelInjector:
                 injected.cycles - resumed_from)
 
     def campaign(self, level: InjectionLevel, program: Program,
-                 count: int = 100, convergence: bool = True,
-                 rolling: bool = False) -> HighLevelCampaignResult:
+                 count: int = 100,
+                 convergence: bool = True) -> HighLevelCampaignResult:
         """Run a campaign at one injection level.
 
         Returns a :class:`HighLevelCampaignResult`; its ``counts`` are
-        bit-identical whatever ``convergence``/``rolling`` are set to.
+        bit-identical whatever ``convergence`` is set to.
         """
         checkpointed = GOLDEN_RUN_CACHE.get(self.core, program)
         golden = checkpointed.golden
@@ -219,7 +218,7 @@ class HighLevelInjector:
         for injection in self.plan(level, program, golden, count):
             _, outcome, converged_at, simulated = self._gated_replay(
                 program, injection, golden, checkpointed,
-                convergence=convergence, rolling=rolling)
+                convergence=convergence)
             counts.record(outcome)
             replayed_cycles += simulated
             if converged_at is not None:

@@ -205,18 +205,8 @@ class InOrderCore(BaseCore):
         self._redirect_target = micro["redirect_target"]
 
     def _fingerprint_microarchitecture(self) -> tuple:
-        return (tuple(self.registers), self.memory.fingerprint_digest_full(),
-                self._redirect_target)
-
-    def _rolling_microarchitecture(self) -> tuple:
-        # Must stay field-for-field parallel with the full key above; memory
-        # is the only component with a rolling cache (the register file is
-        # 32 words -- re-tupling it is cheaper than journaling writes).
         return (tuple(self.registers), self.memory.fingerprint_digest(),
                 self._redirect_target)
-
-    def fingerprint_rehash_count(self) -> int:
-        return super().fingerprint_rehash_count() + self.memory.rehashed_pages
 
     # ------------------------------------------------------------------ helpers
     def _bubble(self, prefix: str) -> None:

@@ -62,10 +62,9 @@ _PAGE_SHIFT = 10
 
 The memory contribution to a state fingerprint is, per non-empty page, an
 8-byte little-endian page id followed by the pickled sorted nonzero
-``(address, word)`` items of that page, pages in ascending id order.  Pages
-bound the cost of a rolling re-hash to the pages a write touched; the full
-and rolling digest paths byte-compare equal because they serialise the
-exact same per-page payloads.
+``(address, word)`` items of that page, pages in ascending id order.  The
+layout is part of the persisted fingerprint format: changing it invalidates
+every stored golden grid (bump ``ARTIFACT_VERSION``).
 """
 
 
@@ -75,22 +74,13 @@ class MemorySystem:
     def __init__(self, regions: tuple[MemoryRegion, ...] = DEFAULT_REGIONS):
         self._regions = regions
         self._words: dict[int, int] = {}
-        # audit: allow[state-coverage] memoised view of _words, invalidated on every write; carries no state of its own
-        self._fingerprint_cache: tuple[tuple[int, int], ...] | None = None
-        # audit: allow[state-coverage] memoised full digest of _words, invalidated on every write; carries no state of its own
+        # audit: allow[state-coverage] memoised digest of _words, invalidated on every write; carries no state of its own
         self._digest_cache: bytes | None = None
-        # audit: allow[state-coverage] per-word dirty journal; consumed (and cleared) by fingerprint_digest, carries no state of its own
-        self._dirty_words: set[int] = set()
-        # audit: allow[state-coverage] rolling mirror of _words grouped by page; rebuilt from _words and the journal, carries no state of its own
-        self._page_words: dict[int, dict[int, int]] | None = None
-        # audit: allow[state-coverage] memoised per-page pickle payloads; rebuilt from _page_words whenever a page is dirty
-        self._page_bytes: dict[int, bytes] = {}
-        self.rehashed_pages = 0
 
     def reset(self, program: Program) -> None:
         """Clear memory and load the program's data segment."""
         self._words = dict(program.data.as_memory_image())
-        self._drop_fingerprint_caches()
+        self._digest_cache = None
 
     # ------------------------------------------------------------------ checks
     def _check(self, address: int, *, aligned_to: int) -> None:
@@ -111,9 +101,7 @@ class MemorySystem:
     def store_word(self, address: int, value: int) -> None:
         self._check(address, aligned_to=WORD_BYTES)
         self._words[address] = value & 0xFFFFFFFF
-        self._fingerprint_cache = None
         self._digest_cache = None
-        self._dirty_words.add(address)
 
     def load_byte(self, address: int) -> int:
         self._check(address, aligned_to=1)
@@ -134,9 +122,7 @@ class MemorySystem:
         word &= ~(0xFF << shift)
         word |= (value & 0xFF) << shift
         self._words[word_address] = word
-        self._fingerprint_cache = None
         self._digest_cache = None
-        self._dirty_words.add(word_address)
 
     # ------------------------------------------------------------------ checkpointing
     def snapshot_words(self) -> dict[int, int]:
@@ -146,45 +132,18 @@ class MemorySystem:
     def restore_words(self, words: dict[int, int]) -> None:
         """Replace memory contents with a copy captured by :meth:`snapshot_words`."""
         self._words = dict(words)
-        self._drop_fingerprint_caches()
-
-    def _drop_fingerprint_caches(self) -> None:
-        """Invalidate every fingerprint cache after a wholesale replacement."""
-        self._fingerprint_cache = None
         self._digest_cache = None
-        self._dirty_words.clear()
-        self._page_words = None
-        self._page_bytes.clear()
 
-    def fingerprint_key(self) -> tuple[tuple[int, int], ...]:
-        """Canonical hashable key over memory contents (sorted nonzero words).
+    # ------------------------------------------------------------------ digests
+    def fingerprint_digest(self) -> bytes:
+        """Canonical page-wise digest of memory contents.
 
         Zero-valued words are normalised away: an explicitly stored zero and
         a never-touched word are architecturally indistinguishable (loads of
         both return 0 and region checks ignore contents), so two memories
-        with equal keys behave identically from here on.  The sorted tuple is
-        cached and invalidated on writes, so back-to-back fingerprints of an
-        unchanged memory cost one dict lookup.
-        """
-        if self._fingerprint_cache is None:
-            self._fingerprint_cache = tuple(sorted(
-                item for item in self._words.items() if item[1]))
-        return self._fingerprint_cache
-
-    # ------------------------------------------------------------------ digests
-    @staticmethod
-    def _combined_page_digest(page_bytes: dict[int, bytes]) -> bytes:
-        """Concatenate per-page payloads in ascending page-id order."""
-        return b"".join(page.to_bytes(8, "little") + page_bytes[page]
-                        for page in sorted(page_bytes))
-
-    def fingerprint_digest_full(self) -> bytes:
-        """Canonical page-wise digest of memory contents, from scratch.
-
-        Same zero-normalisation as :meth:`fingerprint_key` (an explicitly
-        stored zero and a never-touched word are indistinguishable).  The
-        result is cached and write-invalidated, so back-to-back digests of
-        a quiet memory are a cache hit.
+        with equal digests behave identically from here on.  The result is
+        cached and write-invalidated, so back-to-back digests of a quiet
+        memory are a cache hit.
         """
         if self._digest_cache is None:
             pages: dict[int, list[tuple[int, int]]] = {}
@@ -192,53 +151,11 @@ class MemorySystem:
                 if value:
                     pages.setdefault(address >> _PAGE_SHIFT, []).append(
                         (address, value))
-            self._digest_cache = self._combined_page_digest(
-                {page: pickle.dumps(tuple(sorted(items)), protocol=4)
-                 for page, items in pages.items()})
+            self._digest_cache = b"".join(
+                page.to_bytes(8, "little")
+                + pickle.dumps(tuple(sorted(pages[page])), protocol=4)
+                for page in sorted(pages))
         return self._digest_cache
-
-    def fingerprint_digest(self) -> bytes:
-        """Rolling variant of :meth:`fingerprint_digest_full`.
-
-        Maintains a page-grouped mirror of the nonzero words plus per-page
-        payload caches, consuming the per-word dirty journal so only pages
-        written since the previous call are re-serialised.  Byte-identical
-        to the full digest at every call, by construction.
-        """
-        page_words = self._page_words
-        if page_words is None:
-            page_words = self._page_words = {}
-            for address, value in self._words.items():
-                if value:
-                    page_words.setdefault(address >> _PAGE_SHIFT, {})[address] = value
-            dirty_pages = set(page_words)
-            self._page_bytes.clear()
-        else:
-            dirty_pages = set()
-            for address in self._dirty_words:
-                page = address >> _PAGE_SHIFT
-                value = self._words.get(address, 0)
-                members = page_words.get(page)
-                if value:
-                    if members is None:
-                        members = page_words[page] = {}
-                    members[address] = value
-                    dirty_pages.add(page)
-                elif members is not None and address in members:
-                    del members[address]
-                    if not members:
-                        del page_words[page]
-                        self._page_bytes.pop(page, None)
-                    dirty_pages.add(page)
-        self._dirty_words.clear()
-        for page in dirty_pages:
-            members = page_words.get(page)
-            if members is None:
-                continue  # page went all-zero; payload already dropped
-            self._page_bytes[page] = pickle.dumps(
-                tuple(sorted(members.items())), protocol=4)
-            self.rehashed_pages += 1
-        return self._combined_page_digest(self._page_bytes)
 
     # ------------------------------------------------------------------ export
     def dump_region(self, name: str) -> dict[int, int]:
@@ -265,7 +182,7 @@ class BatchedWordStore:
     The store tracks, incrementally, how many overlay words differ from a
     reference lane (lane 0), so "is this lane's memory bit-identical to the
     golden run's" is an O(1) counter read at convergence-check time.  The
-    comparison matches :meth:`MemorySystem.fingerprint_key` semantics: lanes
+    comparison matches :meth:`MemorySystem.fingerprint_digest` semantics: lanes
     share the written-address set (uniform addresses), so per-address value
     equality is exactly zero-normalised image equality.
     """

@@ -31,9 +31,8 @@ _BANK_SIZE = 32
 
 The latch contribution to a state fingerprint is the concatenation of one
 pickled tuple per bank of ``_BANK_SIZE`` consecutive ``_data`` slots, in
-bank order.  Banking bounds the cost of a rolling re-hash to the banks a
-write touched; the full and rolling digest paths byte-compare equal because
-they serialise the exact same per-bank payloads.
+bank order.  The layout is part of the persisted fingerprint format: changing
+it invalidates every stored golden grid (bump ``ARTIFACT_VERSION``).
 """
 
 
@@ -49,11 +48,6 @@ class LatchState:
         self._data: list[int] = [0] * len(structures)
         # audit: allow[state-coverage] lazily-built index over the frozen registry layout; derived from structure, not run state
         self._unit_indices: dict[str, list[int]] | None = None
-        # audit: allow[state-coverage] memoised per-bank pickle payloads of _data; rebuilt from _data whenever a bank is dirty, carries no state of its own
-        self._bank_cache: list[bytes | None] | None = None
-        # audit: allow[state-coverage] write journal over _data banks; consumed (and cleared) by fingerprint_digest, carries no state of its own
-        self._dirty_banks: list[bool] | None = None
-        self.rehashed_banks = 0
 
     @property
     def registry(self) -> FlipFlopRegistry:
@@ -106,7 +100,6 @@ class LatchState:
     def clear(self) -> None:
         """Reset every structure to zero (power-on state)."""
         self._data = [0] * len(self._data)
-        self._mark_all_banks_dirty()
 
     def clear_unit(self, unit: str) -> None:
         """Reset every structure belonging to ``unit`` (used by pipeline flushes)."""
@@ -114,11 +107,8 @@ class LatchState:
             self._unit_indices = {}
             for position, structure in enumerate(self._registry.structures):
                 self._unit_indices.setdefault(structure.unit, []).append(position)
-        dirty = self._dirty_banks
         for position in self._unit_indices.get(unit, ()):
             self._data[position] = 0
-            if dirty is not None:
-                dirty[position // _BANK_SIZE] = True
 
     def snapshot(self) -> dict[str, int]:
         """Copy of all structure values (used by recovery checkpoints)."""
@@ -141,7 +131,6 @@ class LatchState:
                     f"(registry {self._registry.core_name!r})")
         for name, value in snapshot.items():
             self._data[index[name]] = value
-        self._mark_all_banks_dirty()
 
     # ------------------------------------------------------------------ serialization
     def serialize(self) -> tuple[int, ...]:
@@ -154,87 +143,17 @@ class LatchState:
         """
         return tuple(self._data)
 
-    def fingerprint_key(self) -> tuple[int, ...]:
-        """Canonical hashable key over every latch value (registry order).
-
-        Two cores with equal keys hold bit-identical flip-flop state, because
-        the frozen registry fixes both the structure set and its order.
-        """
-        return tuple(self._data)
-
     # ------------------------------------------------------------------ digests
-    def _bank_count(self) -> int:
-        return (len(self._data) + _BANK_SIZE - 1) // _BANK_SIZE
-
-    def _bank_payload(self, bank: int) -> bytes:
-        """Canonical byte payload of one bank of latch values."""
-        start = bank * _BANK_SIZE
-        return pickle.dumps(tuple(self._data[start:start + _BANK_SIZE]),
-                            protocol=4)
-
-    def fingerprint_digest_full(self) -> bytes:
-        """Concatenated bank payloads, recomputed from scratch.
-
-        This is the latch contribution to
-        :meth:`BaseCore.state_fingerprint`.  The rolling variant
-        (:meth:`fingerprint_digest`) produces byte-identical output because
-        both serialise the same per-bank payloads in the same order.
-        """
-        return b"".join(self._bank_payload(bank)
-                        for bank in range(self._bank_count()))
-
     def fingerprint_digest(self) -> bytes:
-        """Concatenated bank payloads, reusing cached banks where clean.
+        """Latch contribution to :meth:`BaseCore.state_fingerprint`.
 
-        Only meaningful after :meth:`enable_write_tracking`; without the
-        write journal every bank is conservatively treated as dirty and this
-        degrades to :meth:`fingerprint_digest_full`.
+        One pickled tuple per bank of ``_BANK_SIZE`` consecutive values,
+        concatenated in bank order.
         """
-        cache = self._bank_cache
-        if cache is None:
-            return self.fingerprint_digest_full()
-        dirty = self._dirty_banks
-        for bank, payload in enumerate(cache):
-            if payload is None or dirty[bank]:
-                cache[bank] = self._bank_payload(bank)
-                dirty[bank] = False
-                self.rehashed_banks += 1
-        return b"".join(cache)
-
-    # ------------------------------------------------------------------ tracking
-    @property
-    def write_tracking(self) -> bool:
-        """Whether per-bank write tracking is active on this instance."""
-        return self._bank_cache is not None
-
-    def enable_write_tracking(self) -> None:
-        """Switch on per-bank dirty tracking for rolling fingerprints.
-
-        Swaps the instance onto :class:`TrackedLatchState`, whose ``set`` /
-        ``flip_bit`` overrides journal the touched bank.  The hot write path
-        pays for the journal (one extra list store per write), so tracking
-        is strictly opt-in -- values and digests are unaffected either way.
-        """
-        if self.write_tracking:
-            return
-        banks = self._bank_count()
-        self._bank_cache = [None] * banks
-        self._dirty_banks = [True] * banks
-        # audit: allow[state-coverage] class swap toggles write instrumentation only; latch values and digests are unchanged
-        self.__class__ = TrackedLatchState
-
-    def disable_write_tracking(self) -> None:
-        """Undo :meth:`enable_write_tracking` (drops the journal and cache)."""
-        if not self.write_tracking:
-            return
-        self._bank_cache = None
-        self._dirty_banks = None
-        # audit: allow[state-coverage] class swap toggles write instrumentation only; latch values and digests are unchanged
-        self.__class__ = LatchState
-
-    def _mark_all_banks_dirty(self) -> None:
-        if self._dirty_banks is not None:
-            self._dirty_banks = [True] * self._bank_count()
+        data = self._data
+        return b"".join(pickle.dumps(tuple(data[start:start + _BANK_SIZE]),
+                                     protocol=4)
+                        for start in range(0, len(data), _BANK_SIZE))
 
     def deserialize(self, values: "tuple[int, ...] | list[int]") -> None:
         """Restore values captured by :meth:`serialize`.
@@ -247,29 +166,9 @@ class LatchState:
                 f"serialized latch state has {len(values)} values, registry "
                 f"expects {len(self._data)}")
         self._data = list(values)
-        self._mark_all_banks_dirty()
 
     def structures(self) -> tuple[FlipFlopStructure, ...]:
         return self._registry.structures
-
-
-class TrackedLatchState(LatchState):
-    """A :class:`LatchState` whose writes journal the touched digest bank.
-
-    Instances are produced exclusively by
-    :meth:`LatchState.enable_write_tracking` swapping ``__class__``; the
-    subclass only re-routes the two hot single-slot writes, so values and
-    serialisation behave exactly like the base class.
-    """
-
-    def set(self, name: str, value: int) -> None:
-        position = self._index[name]
-        self._data[position] = value & self._masks[position]
-        self._dirty_banks[position // _BANK_SIZE] = True
-
-    def flip_bit(self, name: str, bit: int) -> None:
-        LatchState.flip_bit(self, name, bit)
-        self._dirty_banks[self._index[name] // _BANK_SIZE] = True
 
 
 class BatchedLatchState:

@@ -85,15 +85,8 @@ COUNT_SNAPSHOTS = "count.golden.snapshots"
 COUNT_FINGERPRINTS = "count.golden.fingerprints"
 
 COUNT_FINGERPRINT_FULL = "count.fingerprint.full"
-"""Convergence probes that computed the full state digest (also counts the
-sparse full-digest audits of the rolling path)."""
-
-COUNT_FINGERPRINT_ROLLING = "count.fingerprint.rolling"
-"""Convergence probes served by the rolling (cached-component) digest."""
-
-COUNT_FINGERPRINT_COMPONENTS = "count.fingerprint.components_rehashed"
-"""Component payloads (latch banks / memory pages) the rolling digest had
-to re-serialise across all probes -- the measured "dirty state" cost."""
+"""State digests computed by convergence probes (recorded only under
+``EngineConfig(metrics=True)``)."""
 
 HISTOGRAM_REPLAY_CYCLES = "histogram.replay.cycles"
 """Distribution of per-replay simulated cycle counts (power-of-two buckets;

@@ -4,8 +4,9 @@ Covers the store's robustness contract (truncated / corrupted / foreign /
 future-versioned / mis-keyed blobs and racing writers all degrade to a clean
 re-record -- never a crash, never stale state), the two-tier
 :class:`GoldenRunCache`, the warm-vs-cold bit-exactness property on both
-cores, and the executor-layer additions riding this PR: guided work-stealing
-sharding and the small-plan serial fallback.
+cores, and the executor layer: guided sharding, the small-plan serial
+fallback, and the split between pool failures (finished serially) and shard
+exceptions (raised unchanged).  It also pins the on-disk fingerprint format.
 """
 
 from __future__ import annotations
@@ -308,25 +309,87 @@ class TestSerialFallbackAndStealing:
                                  executor=executor)
         assert engine._select_executor(2) is executor
 
-    def test_work_stealing_stream_matches_serial(self):
+    def test_pooled_stream_matches_serial(self):
         """The pull-based dispatcher yields every shard result exactly once
         (order-insensitively), including with more shards than workers."""
         from repro.engine import ChunkSpec
 
         payload = {"scale": 10}
         shards = [ChunkSpec(index=i, planned=[], seed=i) for i in range(9)]
-        stealing = ParallelExecutor(workers=2, work_stealing=True)
-        static = ParallelExecutor(workers=2, work_stealing=False)
-        expected = {shard.index for shard in shards}
-        got_stealing = {r.index for r in
-                        stealing.stream(payload, shards, _echo_shard)}
-        got_static = {r.index for r in
-                      static.stream(payload, shards, _echo_shard)}
-        assert got_stealing == got_static == expected
+        pooled = ParallelExecutor(workers=2).stream(payload, shards,
+                                                    _echo_shard)
+        serial = SerialExecutor().stream(payload, shards, _echo_shard)
+        assert sorted(r.index for r in pooled) == \
+            [r.index for r in serial] == list(range(9))
+
+    def test_shard_exception_propagates_without_serial_rerun(self):
+        """A deterministic shard failure is raised as-is, not mistaken for
+        an unavailable pool and replayed serially."""
+        import warnings
+
+        from repro.engine import ChunkSpec
+
+        shards = [ChunkSpec(index=i, planned=[], seed=i) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="shard 2"):
+                list(ParallelExecutor(workers=2).stream(None, shards,
+                                                        _failing_shard))
+
+    def test_killed_worker_finishes_the_remaining_shards_serially(self):
+        from repro.engine import ChunkSpec
+
+        shards = [ChunkSpec(index=i, planned=[], seed=i) for i in range(4)]
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
+            results = list(ParallelExecutor(workers=2).stream(
+                None, shards, _exit_in_worker))
+        assert sorted(r.index for r in results) == [0, 1, 2, 3]
 
 
 def _echo_shard(payload, shard):
     return shard
+
+
+def _failing_shard(payload, shard):
+    if shard.index == 2:
+        raise ValueError(f"shard {shard.index} is broken")
+    return shard
+
+
+def _exit_in_worker(payload, shard):
+    """Kill the pool worker running shard 1; run normally in the parent."""
+    import multiprocessing
+    import os
+
+    if shard.index == 1 and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return shard
+
+
+# ------------------------------------------------------------ digest format
+class TestDigestFormat:
+    """Persisted golden grids store ``state_fingerprint()`` digests, so the
+    digest layout (pickled header, 32-slot latch banks, 1 KiB memory pages,
+    microarchitecture key) is part of the artifact format: changing any
+    digest below requires bumping ``ARTIFACT_VERSION`` together with it."""
+
+    PINNED = {
+        InOrderCore: "ea15f31127ceff1baec7e8a3c30341d8",
+        OutOfOrderCore: "d145d025a588df99a6f70c056c005d76",
+    }
+
+    @pytest.mark.parametrize("core_class", CORE_CLASSES)
+    def test_fingerprint_bytes_are_pinned(self, core_class, program):
+        from repro.isa.program import DEFAULT_DATA_BASE
+
+        core = core_class()
+        core.reset(program)
+        for _ in range(200):
+            core.step()
+        core.latches.flip_flat(17)
+        core.memory.store_word(DEFAULT_DATA_BASE + 0x40, 0xDEADBEEF)
+        assert ARTIFACT_VERSION == 2
+        assert core.state_fingerprint().hex() == self.PINNED[core_class]
 
 
 # ----------------------------------------------------- warm/cold bit-exactness
@@ -375,7 +438,7 @@ class TestWarmColdEquivalence:
             EngineConfig(artifact_dir=tmp_path, workers=2,
                          parallel_threshold=0, batch_width=8),
             EngineConfig(artifact_dir=tmp_path, workers=2,
-                         parallel_threshold=0, work_stealing=False),
+                         parallel_threshold=0, chunk_size=10),
         ]
         for config in variants:
             result = InjectionEngine(core, program, seed=9, config=config,

@@ -253,14 +253,16 @@ class TestStateFingerprint:
         convergence)."""
         core = InOrderCore()
         core.reset(program)
-        key = core.memory.fingerprint_key()
+        key = core.memory.fingerprint_digest()
         untouched = next(address for address in range(
             program.data.base, program.data.base + 0x1000, 4)
             if core.memory.load_word(address) == 0)
         core.memory.store_word(untouched, 0)
-        assert core.memory.fingerprint_key() == key
+        assert core.memory.fingerprint_digest() == key
         core.memory.store_word(untouched, 7)
-        assert core.memory.fingerprint_key() != key
+        assert core.memory.fingerprint_digest() != key
+        core.memory.store_byte(untouched, 0)
+        assert core.memory.fingerprint_digest() == key
 
     def test_output_prefix_is_fingerprinted(self, program):
         core = InOrderCore()

@@ -183,7 +183,6 @@ class TestArrayLatchStateEquivalence:
         assert latches.snapshot() == model
         assert latches.serialize() == tuple(
             model[s.name] for s in registry.structures)
-        assert latches.fingerprint_key() == latches.serialize()
         # serialize -> deserialize and snapshot -> restore both round-trip
         # onto a fresh instance bit-identically.
         via_serialize = LatchState(registry)
@@ -191,7 +190,9 @@ class TestArrayLatchStateEquivalence:
         assert via_serialize.serialize() == latches.serialize()
         via_snapshot = LatchState(registry)
         via_snapshot.restore(latches.snapshot())
-        assert via_snapshot.fingerprint_key() == latches.fingerprint_key()
+        assert via_snapshot.serialize() == latches.serialize()
+        assert via_snapshot.fingerprint_digest() == \
+            latches.fingerprint_digest()
 
     @settings(max_examples=40, deadline=None)
     @given(registry=_registries(), data=st.data())
@@ -228,6 +229,43 @@ class TestArrayLatchStateEquivalence:
         for lane, scalar in enumerate(scalars):
             assert bool(equal[lane]) == (scalar.serialize()
                                          == scalars[0].serialize())
+
+
+class TestMemoryDigestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["word", "byte", "restore", "probe"]),
+                  st.integers(min_value=0, max_value=63), _WORD),
+        max_size=40))
+    def test_cached_digest_matches_a_fresh_recompute(self, ops):
+        """The write-invalidated digest cache never serves a stale digest:
+        after any interleaving of word/byte stores, wholesale restores and
+        probes it equals the digest of a fresh memory holding the same
+        words.  Addresses stride across many 1 KiB pages (521 words apart),
+        so page creation, mutation and all-zero deletion are all exercised."""
+        from repro.isa.program import DEFAULT_DATA_BASE
+        from repro.microarch.memory import MemorySystem
+
+        def fresh_digest(words):
+            memory = MemorySystem()
+            memory.restore_words(words)
+            return memory.fingerprint_digest()
+
+        memory = MemorySystem()
+        image: dict[int, int] = {}
+        for kind, slot, value in ops:
+            address = DEFAULT_DATA_BASE + 4 * slot * 521
+            if kind == "word":
+                memory.store_word(address, value)
+            elif kind == "byte":
+                memory.store_byte(address + value % 4, value)
+            elif kind == "restore":
+                memory.restore_words(image)
+            else:
+                image = memory.snapshot_words()
+                assert memory.fingerprint_digest() == fresh_digest(image)
+        assert memory.fingerprint_digest() == \
+            fresh_digest(memory.snapshot_words())
 
 
 class TestBatchedReplayProperties:
