@@ -18,6 +18,8 @@ are enforced mechanically:
 * ``repro.devtools.concurrency`` -- payloads dispatched through the
   executor layer must be picklable by construction, and result folds must
   be indexed by shard order, not completion order.
+* ``repro.devtools.latch_names`` -- the core models address latches by
+  precomputed slot, never by a name formatted on every access.
 
 Run it with ``python -m repro.devtools.audit src tests benchmarks`` (or the
 ``clear-audit`` console script); findings are suppressed per line with

@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 # Importing the rule modules populates the registry.
 import repro.devtools.concurrency  # noqa: F401
 import repro.devtools.determinism  # noqa: F401
+import repro.devtools.latch_names  # noqa: F401
 import repro.devtools.state_coverage  # noqa: F401
 from repro.devtools.findings import (Finding, SourceModule,
                                      apply_suppressions, parse_module)

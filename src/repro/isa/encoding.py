@@ -24,7 +24,8 @@ independently addressable by a bit flip.
 
 from __future__ import annotations
 
-from repro.isa.instructions import Instruction, InstructionFormat, Opcode, OPCODE_INFO
+from repro.isa.instructions import (Instruction, InstructionFormat, OPCODE_BY_VALUE,
+                                    OPCODE_INFO)
 
 INSTRUCTION_BITS = 32
 IMMEDIATE_BITS = 15
@@ -81,10 +82,9 @@ def decode_instruction(word: int) -> Instruction:
     if not 0 <= word < (1 << INSTRUCTION_BITS):
         raise EncodingError(f"instruction word out of range: {word:#x}")
     opcode_value = (word >> 25) & 0x7F
-    try:
-        opcode = Opcode(opcode_value)
-    except ValueError as exc:
-        raise EncodingError(f"illegal opcode field: {opcode_value:#x}") from exc
+    opcode = OPCODE_BY_VALUE.get(opcode_value)
+    if opcode is None:
+        raise EncodingError(f"illegal opcode field: {opcode_value:#x}")
 
     info = OPCODE_INFO[opcode]
     rd = (word >> 20) & 0x1F

@@ -151,6 +151,14 @@ OPCODE_INFO: dict[Opcode, OpcodeInfo] = {
 
 MNEMONIC_TO_OPCODE = {info.mnemonic: op for op, info in OPCODE_INFO.items()}
 
+OPCODE_BY_VALUE: dict[int, Opcode] = {int(op): op for op in Opcode}
+"""Opcode-field value -> :class:`Opcode`.
+
+``OPCODE_BY_VALUE.get(value)`` is the per-cycle form of ``Opcode(value)``:
+a corrupted or unassigned field yields ``None`` instead of raising, without
+the cost of ``Enum.__call__``.
+"""
+
 LUI_SHIFT = 14
 """Left shift applied to the LUI immediate.
 

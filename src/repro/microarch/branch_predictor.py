@@ -23,22 +23,24 @@ class BimodalPredictor:
     def __init__(self, latches: LatchState, table_structure: str,
                  history_structure: str, entries: int):
         self._latches = latches
-        self._table_structure = table_structure
-        self._history_structure = history_structure
+        self._table = latches.slot(table_structure)
+        self._history = latches.slot(history_structure)
+        self._history_mask = (
+            1 << latches.registry.structure(history_structure).width) - 1
         self._entries = entries
 
     def _counter(self, index: int) -> int:
-        table = self._latches.get(self._table_structure)
+        table = self._latches.get_at(self._table)
         return (table >> (2 * index)) & 0x3
 
     def _set_counter(self, index: int, value: int) -> None:
-        table = self._latches.get(self._table_structure)
+        table = self._latches.get_at(self._table)
         table &= ~(0x3 << (2 * index))
         table |= (value & 0x3) << (2 * index)
-        self._latches.set(self._table_structure, table)
+        self._latches.set_at(self._table, table)
 
     def _index(self, pc: int) -> int:
-        history = self._latches.get(self._history_structure)
+        history = self._latches.get_at(self._history)
         return ((pc >> 2) ^ history) % self._entries
 
     def predict_taken(self, pc: int) -> bool:
@@ -54,7 +56,6 @@ class BimodalPredictor:
         else:
             counter = max(0, counter - 1)
         self._set_counter(index, counter)
-        history = self._latches.get(self._history_structure)
-        width = self._latches.registry.structure(self._history_structure).width
-        history = ((history << 1) | (1 if taken else 0)) & ((1 << width) - 1)
-        self._latches.set(self._history_structure, history)
+        history = self._latches.get_at(self._history)
+        history = ((history << 1) | (1 if taken else 0)) & self._history_mask
+        self._latches.set_at(self._history, history)

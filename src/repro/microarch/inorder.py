@@ -25,8 +25,10 @@ as in the paper, and are therefore not injection targets.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
-from repro.isa.instructions import Opcode, OPCODE_INFO
+from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.branch_predictor import BimodalPredictor
@@ -48,6 +50,26 @@ _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
 INO_CLOCK_MHZ = 2000.0
 """Nominal clock of the InO-core (2.0 GHz, Table 1)."""
 
+_SLOT_LATCHES = (
+    "f.pc", "f.npc",
+    "d.inst", "d.pc", "d.valid", "d.fetchfault",
+    "a.op", "a.rd", "a.rs1", "a.rs2", "a.imm", "a.pc", "a.valid", "a.trap",
+    "a.trapkind",
+    "e.op", "e.rd", "e.rs1val", "e.rs2val", "e.imm", "e.pc", "e.valid",
+    "e.trap", "e.trapkind",
+    "m.op", "m.rd", "m.result", "m.addr", "m.storeval", "m.valid", "m.trap",
+    "m.trapkind", "m.branch_taken",
+    "x.op", "x.rd", "x.result", "x.valid", "x.trap", "x.trapkind",
+    "x.outval", "x.outpending", "x.icc",
+    "w.op", "w.rd", "w.result", "w.wen", "w.valid", "w.trap", "w.trapkind",
+    "w.outval", "w.outpending", "w.s.icc",
+    "ic.ctrl.state", "dc.ctrl.state", "irq.pending",
+)
+"""Latches the per-cycle path reads or writes (the predictor keeps its own)."""
+
+_Slots = namedtuple("_Slots",
+                    [name.replace(".", "_") for name in _SLOT_LATCHES])
+
 
 class InOrderCore(BaseCore):
     """Cycle-level model of the simple in-order core."""
@@ -62,6 +84,13 @@ class InOrderCore(BaseCore):
         # audit: allow[state-coverage] the predictor is a stateless view; its tables/history live in self.latches, which the contract covers
         self._predictor = BimodalPredictor(
             self.latches, "f.bp.table", "f.bp.history", entries=32)
+        # Every latch the per-cycle path touches, resolved to its slot once.
+        s = self._slots = _Slots._make(map(self.latches.slot, _SLOT_LATCHES))
+        # (valid, trap, op, rd) of the memory, exception and writeback
+        # latches: the in-flight results the scoreboard checks.
+        self._hazard_slots = ((s.m_valid, s.m_trap, s.m_op, s.m_rd),
+                              (s.x_valid, s.x_trap, s.x_op, s.x_rd),
+                              (s.w_valid, s.w_trap, s.w_op, s.w_rd))
 
     # ------------------------------------------------------------------ state declaration
     def _declare_state(self) -> None:
@@ -209,12 +238,6 @@ class InOrderCore(BaseCore):
                 self._redirect_target)
 
     # ------------------------------------------------------------------ helpers
-    def _bubble(self, prefix: str) -> None:
-        """Insert a bubble into the latch group with the given stage prefix."""
-        for structure in self.registry.structures:
-            if structure.name.startswith(prefix):
-                self.latches.set(structure.name, 0)
-
     def _read_register(self, index: int) -> int:
         return self.registers[index & 0x1F]
 
@@ -231,17 +254,15 @@ class InOrderCore(BaseCore):
         """
         destinations: set[int] = set()
         latches = self.latches
-        for prefix in ("m", "x", "w"):
-            if latches.get(f"{prefix}.valid") and not latches.get(f"{prefix}.trap"):
-                op_value = latches.get(f"{prefix}.op")
-                try:
-                    info = OPCODE_INFO[Opcode(op_value)]
-                except ValueError:
+        for valid, trap, op, rd in self._hazard_slots:
+            if latches.get_at(valid) and not latches.get_at(trap):
+                opcode = OPCODE_BY_VALUE.get(latches.get_at(op))
+                if opcode is None:
                     continue
-                if info.writes_rd:
-                    rd = latches.get(f"{prefix}.rd")
-                    if rd != 0:
-                        destinations.add(rd)
+                if OPCODE_INFO[opcode].writes_rd:
+                    destination = latches.get_at(rd)
+                    if destination != 0:
+                        destinations.add(destination)
         return destinations
 
     # ------------------------------------------------------------------ pipeline stages
@@ -260,259 +281,248 @@ class InOrderCore(BaseCore):
     # WB: commit results, outputs, halts and traps.
     def _commit_writeback(self) -> None:
         latches = self.latches
-        if not latches.get("w.valid"):
+        s = self._slots
+        if not latches.get_at(s.w_valid):
             return
-        if latches.get("w.trap"):
-            kind = _TRAP_FROM_CODE.get(latches.get("w.trapkind"),
+        if latches.get_at(s.w_trap):
+            kind = _TRAP_FROM_CODE.get(latches.get_at(s.w_trapkind),
                                        TrapKind.ILLEGAL_INSTRUCTION)
             reason = (TerminationReason.DETECTED
                       if kind is TrapKind.SOFTWARE_ASSERTION
                       else TerminationReason.TRAP)
             self.force_termination(reason, kind)
-            latches.set("w.valid", 0)
+            latches.set_at(s.w_valid, 0)
             return
-        op_value = latches.get("w.op")
-        if latches.get("w.wen"):
-            self._write_register(latches.get("w.rd"), latches.get("w.result"))
-        if latches.get("w.outpending"):
-            self.emit_output(latches.get("w.outval"))
+        op_value = latches.get_at(s.w_op)
+        if latches.get_at(s.w_wen):
+            self._write_register(latches.get_at(s.w_rd), latches.get_at(s.w_result))
+        if latches.get_at(s.w_outpending):
+            self.emit_output(latches.get_at(s.w_outval))
         self.note_retired()
-        try:
-            opcode = Opcode(op_value)
-        except ValueError:
-            opcode = None
-        if opcode is Opcode.HALT:
+        if OPCODE_BY_VALUE.get(op_value) is Opcode.HALT:
             self.force_termination(TerminationReason.HALTED)
-        latches.set("w.valid", 0)
-        latches.set("w.wen", 0)
-        latches.set("w.outpending", 0)
+        latches.set_at(s.w_valid, 0)
+        latches.set_at(s.w_wen, 0)
+        latches.set_at(s.w_outpending, 0)
 
     # XC -> WB
     def _stage_exception_to_writeback(self) -> None:
         latches = self.latches
-        if not latches.get("x.valid"):
-            latches.set("w.valid", 0)
-            latches.set("w.wen", 0)
-            latches.set("w.outpending", 0)
+        s = self._slots
+        if not latches.get_at(s.x_valid):
+            latches.set_at(s.w_valid, 0)
+            latches.set_at(s.w_wen, 0)
+            latches.set_at(s.w_outpending, 0)
             return
-        latches.set("w.op", latches.get("x.op"))
-        latches.set("w.rd", latches.get("x.rd"))
-        latches.set("w.result", latches.get("x.result"))
-        latches.set("w.trap", latches.get("x.trap"))
-        latches.set("w.trapkind", latches.get("x.trapkind"))
-        latches.set("w.outval", latches.get("x.outval"))
-        latches.set("w.outpending", latches.get("x.outpending"))
-        latches.set("w.valid", 1)
+        latches.set_at(s.w_op, latches.get_at(s.x_op))
+        latches.set_at(s.w_rd, latches.get_at(s.x_rd))
+        latches.set_at(s.w_result, latches.get_at(s.x_result))
+        latches.set_at(s.w_trap, latches.get_at(s.x_trap))
+        latches.set_at(s.w_trapkind, latches.get_at(s.x_trapkind))
+        latches.set_at(s.w_outval, latches.get_at(s.x_outval))
+        latches.set_at(s.w_outpending, latches.get_at(s.x_outpending))
+        latches.set_at(s.w_valid, 1)
         wen = 0
-        if not latches.get("x.trap"):
-            try:
-                info = OPCODE_INFO[Opcode(latches.get("x.op"))]
-                wen = 1 if (info.writes_rd and latches.get("x.rd") != 0) else 0
-            except ValueError:
-                wen = 0
-        latches.set("w.wen", wen)
+        if not latches.get_at(s.x_trap):
+            opcode = OPCODE_BY_VALUE.get(latches.get_at(s.x_op))
+            if (opcode is not None and OPCODE_INFO[opcode].writes_rd
+                    and latches.get_at(s.x_rd) != 0):
+                wen = 1
+        latches.set_at(s.w_wen, wen)
         # Status-register bookkeeping (hint-only state).
-        latches.set("w.s.icc", latches.get("x.icc"))
-        latches.set("x.valid", 0)
+        latches.set_at(s.w_s_icc, latches.get_at(s.x_icc))
+        latches.set_at(s.x_valid, 0)
 
     # ME -> XC: data memory access.
     def _stage_memory_to_exception(self) -> None:
         latches = self.latches
-        if not latches.get("m.valid"):
-            latches.set("x.valid", 0)
-            latches.set("x.outpending", 0)
+        s = self._slots
+        if not latches.get_at(s.m_valid):
+            latches.set_at(s.x_valid, 0)
+            latches.set_at(s.x_outpending, 0)
             return
-        latches.set("x.op", latches.get("m.op"))
-        latches.set("x.rd", latches.get("m.rd"))
-        latches.set("x.trap", latches.get("m.trap"))
-        latches.set("x.trapkind", latches.get("m.trapkind"))
-        latches.set("x.valid", 1)
-        latches.set("x.outpending", 0)
-        result = latches.get("m.result")
-        if not latches.get("m.trap"):
-            try:
-                opcode = Opcode(latches.get("m.op"))
-            except ValueError:
-                opcode = None
-            address = latches.get("m.addr")
+        latches.set_at(s.x_op, latches.get_at(s.m_op))
+        latches.set_at(s.x_rd, latches.get_at(s.m_rd))
+        latches.set_at(s.x_trap, latches.get_at(s.m_trap))
+        latches.set_at(s.x_trapkind, latches.get_at(s.m_trapkind))
+        latches.set_at(s.x_valid, 1)
+        latches.set_at(s.x_outpending, 0)
+        result = latches.get_at(s.m_result)
+        if not latches.get_at(s.m_trap):
+            opcode = OPCODE_BY_VALUE.get(latches.get_at(s.m_op))
+            address = latches.get_at(s.m_addr)
             try:
                 if opcode is Opcode.LW:
                     result = self.memory.load_word(address)
                 elif opcode is Opcode.LB:
                     result = self.memory.load_byte(address)
                 elif opcode is Opcode.SW:
-                    self.memory.store_word(address, latches.get("m.storeval"))
+                    self.memory.store_word(address, latches.get_at(s.m_storeval))
                 elif opcode is Opcode.SB:
-                    self.memory.store_byte(address, latches.get("m.storeval"))
+                    self.memory.store_byte(address, latches.get_at(s.m_storeval))
                 elif opcode is Opcode.OUT:
-                    latches.set("x.outval", latches.get("m.storeval"))
-                    latches.set("x.outpending", 1)
+                    latches.set_at(s.x_outval, latches.get_at(s.m_storeval))
+                    latches.set_at(s.x_outpending, 1)
             except MemoryFault:
-                latches.set("x.trap", 1)
-                latches.set("x.trapkind", _TRAP_CODES[TrapKind.MEMORY_FAULT])
+                latches.set_at(s.x_trap, 1)
+                latches.set_at(s.x_trapkind, _TRAP_CODES[TrapKind.MEMORY_FAULT])
             # Track data-cache controller hint state.
-            latches.set("dc.ctrl.state", (latches.get("dc.ctrl.state") + 1) & 0xF)
-        latches.set("x.result", result)
-        latches.set("m.valid", 0)
+            latches.set_at(s.dc_ctrl_state,
+                           (latches.get_at(s.dc_ctrl_state) + 1) & 0xF)
+        latches.set_at(s.x_result, result)
+        latches.set_at(s.m_valid, 0)
 
     # EX -> ME: ALU, branch resolution.
     def _stage_execute_to_memory(self) -> bool:
         latches = self.latches
-        if not latches.get("e.valid"):
-            latches.set("m.valid", 0)
+        s = self._slots
+        if not latches.get_at(s.e_valid):
+            latches.set_at(s.m_valid, 0)
             return False
-        latches.set("m.op", latches.get("e.op"))
-        latches.set("m.rd", latches.get("e.rd"))
-        latches.set("m.trap", latches.get("e.trap"))
-        latches.set("m.trapkind", latches.get("e.trapkind"))
-        latches.set("m.valid", 1)
-        latches.set("m.branch_taken", 0)
+        latches.set_at(s.m_op, latches.get_at(s.e_op))
+        latches.set_at(s.m_rd, latches.get_at(s.e_rd))
+        latches.set_at(s.m_trap, latches.get_at(s.e_trap))
+        latches.set_at(s.m_trapkind, latches.get_at(s.e_trapkind))
+        latches.set_at(s.m_valid, 1)
+        latches.set_at(s.m_branch_taken, 0)
         redirect = False
-        if not latches.get("e.trap"):
-            pc = latches.get("e.pc")
-            imm = latches.get_signed("e.imm")
-            rs1_value = latches.get("e.rs1val")
-            rs2_value = latches.get("e.rs2val")
-            try:
-                opcode = Opcode(latches.get("e.op"))
-            except ValueError:
-                opcode = None
+        if not latches.get_at(s.e_trap):
+            pc = latches.get_at(s.e_pc)
+            imm = latches.get_signed_at(s.e_imm)
+            rs1_value = latches.get_at(s.e_rs1val)
+            rs2_value = latches.get_at(s.e_rs2val)
+            opcode = OPCODE_BY_VALUE.get(latches.get_at(s.e_op))
             if opcode is None:
-                latches.set("m.trap", 1)
-                latches.set("m.trapkind", _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
+                latches.set_at(s.m_trap, 1)
+                latches.set_at(s.m_trapkind, _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
             else:
                 try:
                     result = execute_operation(opcode, rs1_value, rs2_value, imm, pc)
                 except ExecuteTrap as trap:
-                    latches.set("m.trap", 1)
-                    latches.set("m.trapkind", _TRAP_CODES[trap.kind])
+                    latches.set_at(s.m_trap, 1)
+                    latches.set_at(s.m_trapkind, _TRAP_CODES[trap.kind])
                 else:
-                    latches.set("m.result", result.value)
+                    latches.set_at(s.m_result, result.value)
                     if result.memory_address is not None:
-                        latches.set("m.addr", result.memory_address)
+                        latches.set_at(s.m_addr, result.memory_address)
                     if result.store_value is not None:
-                        latches.set("m.storeval", result.store_value)
+                        latches.set_at(s.m_storeval, result.store_value)
                     if result.output_value is not None:
                         # Reuse the store-value path to carry the OUT payload.
-                        latches.set("m.storeval", result.output_value)
-                    if opcode.name in ("BEQ", "BNE", "BLT", "BGE", "BLTU", "BGEU"):
+                        latches.set_at(s.m_storeval, result.output_value)
+                    if OPCODE_INFO[opcode].is_branch:
                         self._predictor.update(pc, result.branch_taken)
                     if result.branch_taken:
                         redirect = True
-                        latches.set("m.branch_taken", 1)
+                        latches.set_at(s.m_branch_taken, 1)
                         self._redirect_target = result.branch_target
-        latches.set("e.valid", 0)
+        latches.set_at(s.e_valid, 0)
         return redirect
 
     # RA -> EX: register read with scoreboard stall.
     def _stage_regaccess_to_execute(self, redirect: bool) -> bool:
         latches = self.latches
-        if redirect or not latches.get("a.valid"):
-            latches.set("e.valid", 0)
+        s = self._slots
+        if redirect or not latches.get_at(s.a_valid):
+            latches.set_at(s.e_valid, 0)
             if redirect:
-                latches.set("a.valid", 0)
+                latches.set_at(s.a_valid, 0)
             return False
-        try:
-            opcode = Opcode(latches.get("a.op"))
+        opcode = OPCODE_BY_VALUE.get(latches.get_at(s.a_op))
+        if opcode is not None and not latches.get_at(s.a_trap):
             info = OPCODE_INFO[opcode]
-        except ValueError:
-            opcode = None
-            info = None
-        if info is not None and not latches.get("a.trap"):
             hazards = self._hazard_destinations()
             sources = []
             if info.reads_rs1:
-                sources.append(latches.get("a.rs1"))
+                sources.append(latches.get_at(s.a_rs1))
             if info.reads_rs2:
-                sources.append(latches.get("a.rs2"))
+                sources.append(latches.get_at(s.a_rs2))
             if any(source in hazards for source in sources):
                 # Stall: keep the regaccess latch, feed a bubble to execute.
-                latches.set("e.valid", 0)
+                latches.set_at(s.e_valid, 0)
                 return True
-        latches.set("e.op", latches.get("a.op"))
-        latches.set("e.rd", latches.get("a.rd"))
-        latches.set("e.imm", latches.get("a.imm"))
-        latches.set("e.pc", latches.get("a.pc"))
-        latches.set("e.trap", latches.get("a.trap"))
-        latches.set("e.trapkind", latches.get("a.trapkind"))
-        latches.set("e.rs1val", self._read_register(latches.get("a.rs1")))
-        latches.set("e.rs2val", self._read_register(latches.get("a.rs2")))
-        latches.set("e.valid", 1)
-        latches.set("a.valid", 0)
+        latches.set_at(s.e_op, latches.get_at(s.a_op))
+        latches.set_at(s.e_rd, latches.get_at(s.a_rd))
+        latches.set_at(s.e_imm, latches.get_at(s.a_imm))
+        latches.set_at(s.e_pc, latches.get_at(s.a_pc))
+        latches.set_at(s.e_trap, latches.get_at(s.a_trap))
+        latches.set_at(s.e_trapkind, latches.get_at(s.a_trapkind))
+        latches.set_at(s.e_rs1val, self._read_register(latches.get_at(s.a_rs1)))
+        latches.set_at(s.e_rs2val, self._read_register(latches.get_at(s.a_rs2)))
+        latches.set_at(s.e_valid, 1)
+        latches.set_at(s.a_valid, 0)
         return False
 
     # DE -> RA: decode.
     def _stage_decode_to_regaccess(self, redirect: bool, stalled: bool) -> None:
         latches = self.latches
+        s = self._slots
         if stalled:
             return
-        if redirect or not latches.get("d.valid"):
-            latches.set("a.valid", 0)
+        if redirect or not latches.get_at(s.d_valid):
+            latches.set_at(s.a_valid, 0)
             if redirect:
-                latches.set("d.valid", 0)
+                latches.set_at(s.d_valid, 0)
             return
-        word = latches.get("d.inst")
-        pc = latches.get("d.pc")
-        latches.set("a.pc", pc)
-        latches.set("a.valid", 1)
-        latches.set("a.trap", 0)
-        latches.set("a.trapkind", 0)
-        if latches.get("d.fetchfault"):
-            latches.set("a.trap", 1)
-            latches.set("a.trapkind", _TRAP_CODES[TrapKind.FETCH_FAULT])
-            latches.set("a.op", 0)
-            latches.set("a.rd", 0)
-            latches.set("a.rs1", 0)
-            latches.set("a.rs2", 0)
-            latches.set("a.imm", 0)
-            latches.set("d.valid", 0)
-            return
-        try:
-            instruction = decode_instruction(word)
-        except EncodingError:
-            latches.set("a.trap", 1)
-            latches.set("a.trapkind", _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
-            latches.set("a.op", 0)
-            latches.set("a.rd", 0)
-            latches.set("a.rs1", 0)
-            latches.set("a.rs2", 0)
-            latches.set("a.imm", 0)
+        word = latches.get_at(s.d_inst)
+        pc = latches.get_at(s.d_pc)
+        latches.set_at(s.a_pc, pc)
+        latches.set_at(s.a_valid, 1)
+        latches.set_at(s.a_trap, 0)
+        latches.set_at(s.a_trapkind, 0)
+        trap_kind: TrapKind | None = None
+        if latches.get_at(s.d_fetchfault):
+            trap_kind = TrapKind.FETCH_FAULT
         else:
-            latches.set("a.op", int(instruction.opcode))
-            latches.set("a.rd", instruction.rd)
-            latches.set("a.rs1", instruction.rs1)
-            latches.set("a.rs2", instruction.rs2)
-            latches.set("a.imm", instruction.imm)
-        latches.set("d.valid", 0)
+            try:
+                instruction = decode_instruction(word)
+            except EncodingError:
+                trap_kind = TrapKind.ILLEGAL_INSTRUCTION
+        if trap_kind is None:
+            latches.set_at(s.a_op, int(instruction.opcode))
+            latches.set_at(s.a_rd, instruction.rd)
+            latches.set_at(s.a_rs1, instruction.rs1)
+            latches.set_at(s.a_rs2, instruction.rs2)
+            latches.set_at(s.a_imm, instruction.imm)
+        else:
+            latches.set_at(s.a_trap, 1)
+            latches.set_at(s.a_trapkind, _TRAP_CODES[trap_kind])
+            latches.set_at(s.a_op, 0)
+            latches.set_at(s.a_rd, 0)
+            latches.set_at(s.a_rs1, 0)
+            latches.set_at(s.a_rs2, 0)
+            latches.set_at(s.a_imm, 0)
+        latches.set_at(s.d_valid, 0)
 
     # FE -> DE: instruction fetch.
     def _stage_fetch_to_decode(self, redirect: bool, stalled: bool) -> None:
         latches = self.latches
+        s = self._slots
         if stalled:
             return
         if redirect:
-            latches.set("d.valid", 0)
-            latches.set("f.pc", self._redirect_target)
-            latches.set("f.npc", self._redirect_target + WORD_BYTES)
+            latches.set_at(s.d_valid, 0)
+            latches.set_at(s.f_pc, self._redirect_target)
+            latches.set_at(s.f_npc, self._redirect_target + WORD_BYTES)
             return
-        pc = latches.get("f.pc")
+        pc = latches.get_at(s.f_pc)
         instruction = self._program.instruction_at(pc) if self._program else None
         if instruction is None:
             # Fetch fault: send a trap-carrying bubble down the pipeline.  It
             # only terminates the run if an older instruction (for example a
             # HALT already in flight) does not commit or redirect first.
-            latches.set("d.inst", 0)
-            latches.set("d.pc", pc)
-            latches.set("d.fetchfault", 1)
-            latches.set("d.valid", 1)
+            latches.set_at(s.d_inst, 0)
+            latches.set_at(s.d_pc, pc)
+            latches.set_at(s.d_fetchfault, 1)
+            latches.set_at(s.d_valid, 1)
             return
-        latches.set("d.fetchfault", 0)
-        latches.set("d.inst", encode_instruction(instruction))
-        latches.set("d.pc", pc)
-        latches.set("d.valid", 1)
-        latches.set("f.pc", pc + WORD_BYTES)
-        latches.set("f.npc", pc + 2 * WORD_BYTES)
-        latches.set("ic.ctrl.state", (latches.get("ic.ctrl.state") + 1) & 0xF)
+        latches.set_at(s.d_fetchfault, 0)
+        latches.set_at(s.d_inst, encode_instruction(instruction))
+        latches.set_at(s.d_pc, pc)
+        latches.set_at(s.d_valid, 1)
+        latches.set_at(s.f_pc, pc + WORD_BYTES)
+        latches.set_at(s.f_npc, pc + 2 * WORD_BYTES)
+        latches.set_at(s.ic_ctrl_state, (latches.get_at(s.ic_ctrl_state) + 1) & 0xF)
         # Hint-only branch prediction bookkeeping.
         if OPCODE_INFO[instruction.opcode].is_branch:
             self._predictor.predict_taken(pc)
@@ -520,7 +530,8 @@ class InOrderCore(BaseCore):
     def _touch_background_state(self) -> None:
         """Advance peripheral hint state so vanish-class flip-flops toggle."""
         latches = self.latches
-        latches.set("irq.pending", (latches.get("irq.pending") + 1) & 0xFFFF)
+        s = self._slots
+        latches.set_at(s.irq_pending, (latches.get_at(s.irq_pending) + 1) & 0xFFFF)
 
     # ------------------------------------------------------------------ attributes
     _redirect_target: int = 0

@@ -26,16 +26,18 @@ not injection targets, as in the paper.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
-from repro.isa.instructions import Opcode, OPCODE_INFO
+from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.core import BaseCore, CoreClass
 from repro.microarch.events import TerminationReason, TrapKind
 from repro.microarch.execute import ExecuteTrap, execute_operation
 from repro.microarch.memory import MemoryFault, MemorySystem
+from repro.microarch.state import LatchState
 
 OOO_CLOCK_MHZ = 600.0
 """Nominal clock of the OoO-core (600 MHz, Table 1)."""
@@ -59,6 +61,67 @@ _TRAP_CODES = {
     TrapKind.SOFTWARE_ASSERTION: 5,
 }
 _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
+
+# Per-entry latch fields of the queue structures, in registration order.
+_FB_FIELDS = (("valid", 1), ("inst", 32), ("pc", 32), ("fault", 1))
+_ROB_FIELDS = (("valid", 1), ("op", 7), ("rd", 5), ("result", 32),
+               ("ready", 1), ("exception", 1), ("expkind", 3),
+               ("is_store", 1), ("is_out", 1), ("is_branch", 1),
+               ("ckpt", 3), ("pc", 32))
+_IQ_FIELDS = (("valid", 1), ("op", 7), ("rob", 6), ("imm", 15), ("pc", 32),
+              ("s1ready", 1), ("s1tag", 6), ("s1val", 32),
+              ("s2ready", 1), ("s2tag", 6), ("s2val", 32), ("issued", 1))
+_STQ_FIELDS = (("valid", 1), ("rob", 6), ("addr", 32), ("addrvalid", 1),
+               ("data", 32), ("byte", 1))
+_RAT_FIELDS = (("busy", 1), ("rob", 6))
+_CKPT_FIELDS = (("map", 7 * NUM_REGISTERS), ("valid", 1))
+
+_FB_ENTRY = "fb.e{}"
+_ROB_ENTRY = "rob.e{:02d}"
+_IQ_ENTRY = "iq.e{:02d}"
+_STQ_ENTRY = "stq.e{}"
+_RAT_ENTRY = "rat.r{:02d}"
+_CKPT_ENTRY = "ckpt.c{}"
+
+# Slot tuples: one per queue entry, holding the latch slot of each field.
+_FbSlots = namedtuple("_FbSlots", [name for name, _ in _FB_FIELDS])
+_RobSlots = namedtuple("_RobSlots", [name for name, _ in _ROB_FIELDS])
+_IqSlots = namedtuple("_IqSlots", [name for name, _ in _IQ_FIELDS])
+_StqSlots = namedtuple("_StqSlots", [name for name, _ in _STQ_FIELDS])
+_RatSlots = namedtuple("_RatSlots", [name for name, _ in _RAT_FIELDS])
+_CkptSlots = namedtuple("_CkptSlots", [name for name, _ in _CKPT_FIELDS])
+
+_SCALAR_LATCHES = (
+    "fetch.pc", "fetch.stall", "fb.head", "fb.tail", "fb.count",
+    "bp.gshare.table", "bp.gshare.history",
+    "rob.head", "rob.tail", "rob.count", "stq.head", "stq.tail", "stq.count",
+    "mem.l1dcache.addr1.out", "mem.l1dcache.accessaddr0",
+    "mem.l1dcache.accessfulldata0",
+    "perf.counter0", "perf.counter1", "ldq.numentries",
+)
+"""Single-instance latches the per-cycle path reads or writes."""
+
+_ScalarSlots = namedtuple(
+    "_ScalarSlots", [name.replace(".", "_") for name in _SCALAR_LATCHES])
+
+
+def _entry_slots(latches: LatchState, slots_type, entry: str, entries: int,
+                 count: int | None = None) -> tuple:
+    """Slot tuples for indices ``0 .. count - 1`` (default: ``entries``).
+
+    Index ``i`` addresses entry ``i % entries``, so a table may be longer
+    than its structure.
+    """
+    return tuple(
+        slots_type._make(latches.slot(f"{entry.format(i % entries)}.{field}")
+                         for field in slots_type._fields)
+        for i in range(entries if count is None else count))
+
+
+def _pointer_range(latches: LatchState, *names: str) -> int:
+    """Number of values the widest of the named pointer latches can hold."""
+    registry = latches.registry
+    return max(1 << registry.structure(name).width for name in names)
 
 
 @dataclass
@@ -88,6 +151,28 @@ class OutOfOrderCore(BaseCore):
         self.registers: list[int] = [0] * NUM_REGISTERS
         self._in_flight: list[_InFlightOp] = []
         self._fetch_stalled = False
+        # Slot tables: every latch the per-cycle path touches, resolved once.
+        # Pointer latches are wider than their structures need (rob.head/tail
+        # and the ROB tags of the issue queue and rename map are 6-bit for 40
+        # entries, fb.head/tail 3-bit for 6), so an injected flip can leave a
+        # pointer past the last entry.  Real hardware would address whatever
+        # the extra bits select; the model wraps the index: the ROB and
+        # fetch-buffer tables span the pointers' full range, with index ``i``
+        # addressing entry ``i % entries``, so corrupted pointers keep
+        # simulating (and get classified by outcome) instead of raising.
+        latches = self.latches
+        self._slots = _ScalarSlots._make(map(latches.slot, _SCALAR_LATCHES))
+        self._fb = _entry_slots(
+            latches, _FbSlots, _FB_ENTRY, FETCH_BUFFER_ENTRIES,
+            _pointer_range(latches, "fb.head", "fb.tail"))
+        self._rob = _entry_slots(
+            latches, _RobSlots, _ROB_ENTRY, ROB_ENTRIES,
+            _pointer_range(latches, "rob.head", "rob.tail", "iq.e00.rob",
+                           "rat.r00.rob"))
+        self._iq = _entry_slots(latches, _IqSlots, _IQ_ENTRY, IQ_ENTRIES)
+        self._stq = _entry_slots(latches, _StqSlots, _STQ_ENTRY, STQ_ENTRIES)
+        self._rat = _entry_slots(latches, _RatSlots, _RAT_ENTRY, NUM_REGISTERS)
+        self._ckpt = _entry_slots(latches, _CkptSlots, _CKPT_ENTRY, CHECKPOINTS)
 
     # ------------------------------------------------------------------ state declaration
     def _declare_state(self) -> None:
@@ -98,11 +183,8 @@ class OutOfOrderCore(BaseCore):
         reg("fetch.valid", 1, "fetch")
         reg("fetch.stall", 1, "fetch")
         for i in range(FETCH_BUFFER_ENTRIES):
-            prefix = f"fb.e{i}"
-            reg(f"{prefix}.valid", 1, "fetch")
-            reg(f"{prefix}.inst", 32, "fetch")
-            reg(f"{prefix}.pc", 32, "fetch")
-            reg(f"{prefix}.fault", 1, "fetch")
+            for field, width in _FB_FIELDS:
+                reg(f"{_FB_ENTRY.format(i)}.{field}", width, "fetch")
         reg("fb.head", 3, "fetch")
         reg("fb.tail", 3, "fetch")
         reg("fb.count", 4, "fetch")
@@ -117,56 +199,29 @@ class OutOfOrderCore(BaseCore):
 
         # Rename map (architectural register -> ROB entry).
         for i in range(NUM_REGISTERS):
-            reg(f"rat.r{i:02d}.busy", 1, "rename")
-            reg(f"rat.r{i:02d}.rob", 6, "rename")
+            for field, width in _RAT_FIELDS:
+                reg(f"{_RAT_ENTRY.format(i)}.{field}", width, "rename")
         for i in range(CHECKPOINTS):
-            reg(f"ckpt.c{i}.map", 7 * NUM_REGISTERS, "rename")
-            reg(f"ckpt.c{i}.valid", 1, "rename")
+            for field, width in _CKPT_FIELDS:
+                reg(f"{_CKPT_ENTRY.format(i)}.{field}", width, "rename")
 
         # Reorder buffer.
         for i in range(ROB_ENTRIES):
-            prefix = f"rob.e{i:02d}"
-            reg(f"{prefix}.valid", 1, "rob")
-            reg(f"{prefix}.op", 7, "rob")
-            reg(f"{prefix}.rd", 5, "rob")
-            reg(f"{prefix}.result", 32, "rob")
-            reg(f"{prefix}.ready", 1, "rob")
-            reg(f"{prefix}.exception", 1, "rob")
-            reg(f"{prefix}.expkind", 3, "rob")
-            reg(f"{prefix}.is_store", 1, "rob")
-            reg(f"{prefix}.is_out", 1, "rob")
-            reg(f"{prefix}.is_branch", 1, "rob")
-            reg(f"{prefix}.ckpt", 3, "rob")
-            reg(f"{prefix}.pc", 32, "rob")
+            for field, width in _ROB_FIELDS:
+                reg(f"{_ROB_ENTRY.format(i)}.{field}", width, "rob")
         reg("rob.head", 6, "rob")
         reg("rob.tail", 6, "rob")
         reg("rob.count", 7, "rob")
 
         # Issue queue (reservation stations).
         for i in range(IQ_ENTRIES):
-            prefix = f"iq.e{i:02d}"
-            reg(f"{prefix}.valid", 1, "issue")
-            reg(f"{prefix}.op", 7, "issue")
-            reg(f"{prefix}.rob", 6, "issue")
-            reg(f"{prefix}.imm", 15, "issue")
-            reg(f"{prefix}.pc", 32, "issue")
-            reg(f"{prefix}.s1ready", 1, "issue")
-            reg(f"{prefix}.s1tag", 6, "issue")
-            reg(f"{prefix}.s1val", 32, "issue")
-            reg(f"{prefix}.s2ready", 1, "issue")
-            reg(f"{prefix}.s2tag", 6, "issue")
-            reg(f"{prefix}.s2val", 32, "issue")
-            reg(f"{prefix}.issued", 1, "issue")
+            for field, width in _IQ_FIELDS:
+                reg(f"{_IQ_ENTRY.format(i)}.{field}", width, "issue")
 
         # Store queue (drains at commit).
         for i in range(STQ_ENTRIES):
-            prefix = f"stq.e{i}"
-            reg(f"{prefix}.valid", 1, "lsu")
-            reg(f"{prefix}.rob", 6, "lsu")
-            reg(f"{prefix}.addr", 32, "lsu")
-            reg(f"{prefix}.addrvalid", 1, "lsu")
-            reg(f"{prefix}.data", 32, "lsu")
-            reg(f"{prefix}.byte", 1, "lsu")
+            for field, width in _STQ_FIELDS:
+                reg(f"{_STQ_ENTRY.format(i)}.{field}", width, "lsu")
         reg("stq.head", 3, "lsu")
         reg("stq.tail", 3, "lsu")
         reg("stq.count", 4, "lsu")
@@ -244,27 +299,9 @@ class OutOfOrderCore(BaseCore):
         reg("irq.mask", 16, "peripherals", architectural=False)
 
     # ------------------------------------------------------------------ small helpers
-    # Pointer latches are wider than their structures need (rob.head/tail are
-    # 6-bit for 40 entries, fb.head/tail 3-bit for 6), so an injected flip
-    # can leave a pointer past the last entry.  Real hardware would address
-    # whatever the extra bits select; the model wraps the index so corrupted
-    # pointers keep simulating (and get classified by outcome) instead of
-    # raising KeyError on a nonexistent latch.
-    def _rob_field(self, index: int, fieldname: str) -> str:
-        return f"rob.e{index % ROB_ENTRIES:02d}.{fieldname}"
-
-    def _fb_field(self, index: int, fieldname: str) -> str:
-        return f"fb.e{index % FETCH_BUFFER_ENTRIES}.{fieldname}"
-
-    def _iq_field(self, index: int, fieldname: str) -> str:
-        return f"iq.e{index:02d}.{fieldname}"
-
-    def _stq_field(self, index: int, fieldname: str) -> str:
-        return f"stq.e{index}.{fieldname}"
-
     def _rob_age(self, index: int) -> int:
         """Age of a ROB entry relative to the head (0 = oldest)."""
-        head = self.latches.get("rob.head")
+        head = self.latches.get_at(self._slots.rob_head)
         return (index - head) % ROB_ENTRIES
 
     def _read_register(self, index: int) -> int:
@@ -327,54 +364,49 @@ class OutOfOrderCore(BaseCore):
     # ------------------------------------------------------------------ commit
     def _commit(self) -> None:
         latches = self.latches
+        s = self._slots
         for _ in range(COMMIT_WIDTH):
-            if latches.get("rob.count") == 0:
+            if latches.get_at(s.rob_count) == 0:
                 return
-            head = latches.get("rob.head")
-            if not latches.get(self._rob_field(head, "valid")):
+            head = latches.get_at(s.rob_head)
+            rob = self._rob[head]
+            if not latches.get_at(rob.valid):
                 # Head bookkeeping corrupted; treat as a pipeline hang source.
                 return
-            if not latches.get(self._rob_field(head, "ready")):
+            if not latches.get_at(rob.ready):
                 return
-            if latches.get(self._rob_field(head, "exception")):
-                kind = _TRAP_FROM_CODE.get(
-                    latches.get(self._rob_field(head, "expkind")),
-                    TrapKind.ILLEGAL_INSTRUCTION)
+            if latches.get_at(rob.exception):
+                kind = _TRAP_FROM_CODE.get(latches.get_at(rob.expkind),
+                                           TrapKind.ILLEGAL_INSTRUCTION)
                 reason = (TerminationReason.DETECTED
                           if kind is TrapKind.SOFTWARE_ASSERTION
                           else TerminationReason.TRAP)
                 self.force_termination(reason, kind)
                 return
-            op_value = latches.get(self._rob_field(head, "op"))
-            try:
-                opcode = Opcode(op_value)
-                info = OPCODE_INFO[opcode]
-            except ValueError:
-                opcode = None
-                info = None
-            if latches.get(self._rob_field(head, "is_store")):
+            opcode = OPCODE_BY_VALUE.get(latches.get_at(rob.op))
+            if latches.get_at(rob.is_store):
                 if not self._commit_store(head):
                     return
-            if latches.get(self._rob_field(head, "is_out")):
-                self.emit_output(latches.get(self._rob_field(head, "result")))
-            if info is not None and info.writes_rd:
-                rd = latches.get(self._rob_field(head, "rd"))
-                self._write_register(rd, latches.get(self._rob_field(head, "result")))
-                if (latches.get(f"rat.r{rd:02d}.busy")
-                        and latches.get(f"rat.r{rd:02d}.rob") == head):
-                    latches.set(f"rat.r{rd:02d}.busy", 0)
+            if latches.get_at(rob.is_out):
+                self.emit_output(latches.get_at(rob.result))
+            if opcode is not None and OPCODE_INFO[opcode].writes_rd:
+                rd = latches.get_at(rob.rd)
+                self._write_register(rd, latches.get_at(rob.result))
+                rat = self._rat[rd]
+                if latches.get_at(rat.busy) and latches.get_at(rat.rob) == head:
+                    latches.set_at(rat.busy, 0)
                 # Keep live checkpoints consistent: once this producer has
                 # committed, a later recovery must map its destination to the
                 # architectural register file, not to the freed ROB entry.
                 self._patch_checkpoints_for_commit(rd, head)
-            if latches.get(self._rob_field(head, "is_branch")):
-                ckpt = latches.get(self._rob_field(head, "ckpt"))
+            if latches.get_at(rob.is_branch):
+                ckpt = latches.get_at(rob.ckpt)
                 if ckpt < CHECKPOINTS:
-                    latches.set(f"ckpt.c{ckpt}.valid", 0)
+                    latches.set_at(self._ckpt[ckpt].valid, 0)
             self.note_retired()
-            latches.set(self._rob_field(head, "valid"), 0)
-            latches.set("rob.head", (head + 1) % ROB_ENTRIES)
-            latches.set("rob.count", latches.get("rob.count") - 1)
+            latches.set_at(rob.valid, 0)
+            latches.set_at(s.rob_head, (head + 1) % ROB_ENTRIES)
+            latches.set_at(s.rob_count, latches.get_at(s.rob_count) - 1)
             if opcode is Opcode.HALT:
                 self.force_termination(TerminationReason.HALTED)
                 return
@@ -383,13 +415,13 @@ class OutOfOrderCore(BaseCore):
         """Clear ``rd -> rob_index`` mappings inside every live checkpoint."""
         latches = self.latches
         shift = 7 * rd
-        for i in range(CHECKPOINTS):
-            if not latches.get(f"ckpt.c{i}.valid"):
+        for ckpt in self._ckpt:
+            if not latches.get_at(ckpt.valid):
                 continue
-            packed = latches.get(f"ckpt.c{i}.map")
+            packed = latches.get_at(ckpt.map)
             entry = (packed >> shift) & 0x7F
             if (entry & 1) and ((entry >> 1) & 0x3F) == rob_index:
-                latches.set(f"ckpt.c{i}.map", packed & ~(0x7F << shift))
+                latches.set_at(ckpt.map, packed & ~(0x7F << shift))
 
     def _commit_store(self, rob_index: int) -> bool:
         """Drain the store-queue head for the committing store.
@@ -397,32 +429,32 @@ class OutOfOrderCore(BaseCore):
         Returns False (and terminates the run) on a memory fault.
         """
         latches = self.latches
-        head = latches.get("stq.head")
-        if latches.get("stq.count") == 0 or not latches.get(self._stq_field(head, "valid")):
+        s = self._slots
+        head = latches.get_at(s.stq_head)
+        stq = self._stq[head]
+        if latches.get_at(s.stq_count) == 0 or not latches.get_at(stq.valid):
             # Store queue out of sync with the ROB (only possible under
             # injection): raise a machine trap.
             self.force_termination(TerminationReason.TRAP, TrapKind.MEMORY_FAULT)
             return False
-        address = latches.get(self._stq_field(head, "addr"))
-        data = latches.get(self._stq_field(head, "data"))
-        is_byte = latches.get(self._stq_field(head, "byte"))
+        address = latches.get_at(stq.addr)
+        data = latches.get_at(stq.data)
         try:
-            if is_byte:
+            if latches.get_at(stq.byte):
                 self.memory.store_byte(address, data)
             else:
                 self.memory.store_word(address, data)
         except MemoryFault:
             self.force_termination(TerminationReason.TRAP, TrapKind.MEMORY_FAULT)
             return False
-        latches.set(self._stq_field(head, "valid"), 0)
-        latches.set("stq.head", (head + 1) % STQ_ENTRIES)
-        latches.set("stq.count", latches.get("stq.count") - 1)
-        latches.set("mem.l1dcache.addr1.out", address)
+        latches.set_at(stq.valid, 0)
+        latches.set_at(s.stq_head, (head + 1) % STQ_ENTRIES)
+        latches.set_at(s.stq_count, latches.get_at(s.stq_count) - 1)
+        latches.set_at(s.mem_l1dcache_addr1_out, address)
         return True
 
     # ------------------------------------------------------------------ writeback
     def _writeback(self) -> None:
-        latches = self.latches
         still_in_flight: list[_InFlightOp] = []
         for op in self._in_flight:
             op.remaining_cycles -= 1
@@ -441,60 +473,58 @@ class OutOfOrderCore(BaseCore):
     def _complete_op(self, op: _InFlightOp) -> None:
         latches = self.latches
         rob_index = op.rob_index
-        if not latches.get(self._rob_field(rob_index, "valid")):
+        rob = self._rob[rob_index]
+        if not latches.get_at(rob.valid):
             return  # squashed while executing
         try:
             result = execute_operation(op.opcode, op.rs1_value, op.rs2_value,
                                        op.imm, op.pc)
         except ExecuteTrap as trap:
-            latches.set(self._rob_field(rob_index, "exception"), 1)
-            latches.set(self._rob_field(rob_index, "expkind"), _TRAP_CODES[trap.kind])
-            latches.set(self._rob_field(rob_index, "ready"), 1)
+            latches.set_at(rob.exception, 1)
+            latches.set_at(rob.expkind, _TRAP_CODES[trap.kind])
+            latches.set_at(rob.ready, 1)
             return
         info = OPCODE_INFO.get(op.opcode)
         if op.opcode in (Opcode.SW, Opcode.SB):
             self._fill_store_queue(rob_index, result.memory_address, result.store_value,
                                    is_byte=op.opcode is Opcode.SB)
         if op.opcode is Opcode.OUT:
-            latches.set(self._rob_field(rob_index, "result"), result.output_value or 0)
+            latches.set_at(rob.result, result.output_value or 0)
         elif info is not None and info.writes_rd:
-            latches.set(self._rob_field(rob_index, "result"), result.value)
+            latches.set_at(rob.result, result.value)
             self._broadcast(rob_index, result.value)
-        latches.set(self._rob_field(rob_index, "ready"), 1)
-        if latches.get(self._rob_field(rob_index, "is_branch")) or op.opcode in (
-                Opcode.JAL, Opcode.JALR):
+        latches.set_at(rob.ready, 1)
+        if latches.get_at(rob.is_branch) or op.opcode in (Opcode.JAL, Opcode.JALR):
             self._resolve_branch(op, result.branch_taken, result.branch_target)
 
     def _fill_store_queue(self, rob_index: int, address: int | None, data: int | None,
                           is_byte: bool) -> None:
         latches = self.latches
-        for i in range(STQ_ENTRIES):
-            if (latches.get(self._stq_field(i, "valid"))
-                    and latches.get(self._stq_field(i, "rob")) == rob_index):
-                latches.set(self._stq_field(i, "addr"), address or 0)
-                latches.set(self._stq_field(i, "addrvalid"), 1)
-                latches.set(self._stq_field(i, "data"), data or 0)
-                latches.set(self._stq_field(i, "byte"), 1 if is_byte else 0)
+        for stq in self._stq:
+            if latches.get_at(stq.valid) and latches.get_at(stq.rob) == rob_index:
+                latches.set_at(stq.addr, address or 0)
+                latches.set_at(stq.addrvalid, 1)
+                latches.set_at(stq.data, data or 0)
+                latches.set_at(stq.byte, 1 if is_byte else 0)
                 return
 
     def _broadcast(self, rob_index: int, value: int) -> None:
         """Wake issue-queue consumers waiting on a ROB tag."""
         latches = self.latches
-        for i in range(IQ_ENTRIES):
-            if not latches.get(self._iq_field(i, "valid")):
+        for iq in self._iq:
+            if not latches.get_at(iq.valid):
                 continue
-            if (not latches.get(self._iq_field(i, "s1ready"))
-                    and latches.get(self._iq_field(i, "s1tag")) == rob_index):
-                latches.set(self._iq_field(i, "s1val"), value)
-                latches.set(self._iq_field(i, "s1ready"), 1)
-            if (not latches.get(self._iq_field(i, "s2ready"))
-                    and latches.get(self._iq_field(i, "s2tag")) == rob_index):
-                latches.set(self._iq_field(i, "s2val"), value)
-                latches.set(self._iq_field(i, "s2ready"), 1)
+            if not latches.get_at(iq.s1ready) and latches.get_at(iq.s1tag) == rob_index:
+                latches.set_at(iq.s1val, value)
+                latches.set_at(iq.s1ready, 1)
+            if not latches.get_at(iq.s2ready) and latches.get_at(iq.s2tag) == rob_index:
+                latches.set_at(iq.s2val, value)
+                latches.set_at(iq.s2ready, 1)
 
     # ------------------------------------------------------------------ branch recovery
     def _resolve_branch(self, op: _InFlightOp, taken: bool, target: int) -> None:
         latches = self.latches
+        s = self._slots
         rob_index = op.rob_index
         predicted_next = (op.pc + WORD_BYTES) & 0xFFFFFFFF
         actual_next = target if taken else predicted_next
@@ -503,87 +533,90 @@ class OutOfOrderCore(BaseCore):
             return  # fall-through prediction was correct
         # Mispredict: squash everything younger than the branch.
         branch_age = self._rob_age(rob_index)
-        ckpt = latches.get(self._rob_field(rob_index, "ckpt"))
-        if ckpt < CHECKPOINTS and latches.get(f"ckpt.c{ckpt}.valid"):
+        rob = self._rob[rob_index]
+        ckpt = latches.get_at(rob.ckpt)
+        if ckpt < CHECKPOINTS and latches.get_at(self._ckpt[ckpt].valid):
             self._restore_checkpoint(ckpt)
         # The checkpoint slot is consumed here; clear the ROB's reference so
         # the slot is not freed a second time at commit after another branch
         # has re-allocated it.
-        latches.set(self._rob_field(rob_index, "ckpt"), CHECKPOINTS)
+        latches.set_at(rob.ckpt, CHECKPOINTS)
         self._squash_younger_than(branch_age)
-        latches.set("rob.tail", (rob_index + 1) % ROB_ENTRIES)
-        latches.set("rob.count", branch_age + 1)
-        latches.set("fetch.pc", actual_next)
-        latches.set("fetch.stall", 0)
+        latches.set_at(s.rob_tail, (rob_index + 1) % ROB_ENTRIES)
+        latches.set_at(s.rob_count, branch_age + 1)
+        latches.set_at(s.fetch_pc, actual_next)
+        latches.set_at(s.fetch_stall, 0)
         self._fetch_stalled = False
         self._clear_fetch_buffer()
 
     def _restore_checkpoint(self, ckpt: int) -> None:
         latches = self.latches
-        packed = latches.get(f"ckpt.c{ckpt}.map")
-        for r in range(NUM_REGISTERS):
+        checkpoint = self._ckpt[ckpt]
+        packed = latches.get_at(checkpoint.map)
+        for r, rat in enumerate(self._rat):
             fieldvalue = (packed >> (7 * r)) & 0x7F
-            latches.set(f"rat.r{r:02d}.busy", fieldvalue & 1)
-            latches.set(f"rat.r{r:02d}.rob", (fieldvalue >> 1) & 0x3F)
-        latches.set(f"ckpt.c{ckpt}.valid", 0)
+            latches.set_at(rat.busy, fieldvalue & 1)
+            latches.set_at(rat.rob, (fieldvalue >> 1) & 0x3F)
+        latches.set_at(checkpoint.valid, 0)
 
     def _squash_younger_than(self, age_limit: int) -> None:
         """Invalidate every in-flight instruction younger than ``age_limit``."""
         latches = self.latches
+        s = self._slots
         for i in range(ROB_ENTRIES):
-            if latches.get(self._rob_field(i, "valid")) and self._rob_age(i) > age_limit:
-                if latches.get(self._rob_field(i, "is_branch")):
-                    ckpt = latches.get(self._rob_field(i, "ckpt"))
+            rob = self._rob[i]
+            if latches.get_at(rob.valid) and self._rob_age(i) > age_limit:
+                if latches.get_at(rob.is_branch):
+                    ckpt = latches.get_at(rob.ckpt)
                     if ckpt < CHECKPOINTS:
-                        latches.set(f"ckpt.c{ckpt}.valid", 0)
-                latches.set(self._rob_field(i, "valid"), 0)
-        for i in range(IQ_ENTRIES):
-            if latches.get(self._iq_field(i, "valid")):
-                rob_index = latches.get(self._iq_field(i, "rob"))
-                if self._rob_age(rob_index) > age_limit:
-                    latches.set(self._iq_field(i, "valid"), 0)
+                        latches.set_at(self._ckpt[ckpt].valid, 0)
+                latches.set_at(rob.valid, 0)
+        for iq in self._iq:
+            if latches.get_at(iq.valid):
+                if self._rob_age(latches.get_at(iq.rob)) > age_limit:
+                    latches.set_at(iq.valid, 0)
         # Store queue entries of squashed stores are removed by rebuilding the
         # queue in order.
-        surviving: list[dict[str, int]] = []
-        head = latches.get("stq.head")
-        count = latches.get("stq.count")
+        surviving: list[_StqSlots] = []
+        head = latches.get_at(s.stq_head)
+        count = latches.get_at(s.stq_count)
         for offset in range(count):
-            index = (head + offset) % STQ_ENTRIES
-            entry = {name: latches.get(self._stq_field(index, name))
-                     for name in ("valid", "rob", "addr", "addrvalid", "data", "byte")}
-            if entry["valid"] and self._rob_age(entry["rob"]) <= age_limit:
+            stq = self._stq[(head + offset) % STQ_ENTRIES]
+            entry = _StqSlots._make(map(latches.get_at, stq))
+            if entry.valid and self._rob_age(entry.rob) <= age_limit:
                 surviving.append(entry)
-            latches.set(self._stq_field(index, "valid"), 0)
+            latches.set_at(stq.valid, 0)
         for offset, entry in enumerate(surviving):
-            index = (head + offset) % STQ_ENTRIES
-            for name, value in entry.items():
-                latches.set(self._stq_field(index, name), value)
-        latches.set("stq.tail", (head + len(surviving)) % STQ_ENTRIES)
-        latches.set("stq.count", len(surviving))
+            for slot, value in zip(self._stq[(head + offset) % STQ_ENTRIES], entry):
+                latches.set_at(slot, value)
+        latches.set_at(s.stq_tail, (head + len(surviving)) % STQ_ENTRIES)
+        latches.set_at(s.stq_count, len(surviving))
         # Drop squashed ops from the execution units.
         self._in_flight = [op for op in self._in_flight
                            if self._rob_age(op.rob_index) <= age_limit]
 
     def _clear_fetch_buffer(self) -> None:
         latches = self.latches
+        s = self._slots
         for i in range(FETCH_BUFFER_ENTRIES):
-            latches.set(f"fb.e{i}.valid", 0)
-        latches.set("fb.head", 0)
-        latches.set("fb.tail", 0)
-        latches.set("fb.count", 0)
+            latches.set_at(self._fb[i].valid, 0)
+        latches.set_at(s.fb_head, 0)
+        latches.set_at(s.fb_tail, 0)
+        latches.set_at(s.fb_count, 0)
 
     def _train_predictor(self, pc: int, taken: bool) -> None:
         """Update gshare hint state (never consulted for correctness)."""
         latches = self.latches
-        history = latches.get("bp.gshare.history")
+        s = self._slots
+        history = latches.get_at(s.bp_gshare_history)
         index = ((pc >> 2) ^ history) % 1024
-        table = latches.get("bp.gshare.table")
+        table = latches.get_at(s.bp_gshare_table)
         counter = (table >> (2 * index)) & 0x3
         counter = min(3, counter + 1) if taken else max(0, counter - 1)
         table &= ~(0x3 << (2 * index))
         table |= counter << (2 * index)
-        latches.set("bp.gshare.table", table)
-        latches.set("bp.gshare.history", ((history << 1) | int(taken)) & 0xFFF)
+        latches.set_at(s.bp_gshare_table, table)
+        latches.set_at(s.bp_gshare_history, ((history << 1) | int(taken)) & 0xFFF)
 
     # ------------------------------------------------------------------ memory ops
     def _execute_memory_ops(self) -> None:
@@ -593,8 +626,10 @@ class OutOfOrderCore(BaseCore):
     def _complete_load(self, op: _InFlightOp) -> bool:
         """Try to complete a load; returns False if it must retry next cycle."""
         latches = self.latches
+        s = self._slots
         rob_index = op.rob_index
-        if not latches.get(self._rob_field(rob_index, "valid")):
+        rob = self._rob[rob_index]
+        if not latches.get_at(rob.valid):
             return True  # squashed
         address = op.load_address
         if address is None:
@@ -604,19 +639,18 @@ class OutOfOrderCore(BaseCore):
             op.load_address = address
         load_age = self._rob_age(rob_index)
         forwarded: int | None = None
-        head = latches.get("stq.head")
-        count = latches.get("stq.count")
+        head = latches.get_at(s.stq_head)
+        count = latches.get_at(s.stq_count)
         for offset in range(count):
-            index = (head + offset) % STQ_ENTRIES
-            if not latches.get(self._stq_field(index, "valid")):
+            stq = self._stq[(head + offset) % STQ_ENTRIES]
+            if not latches.get_at(stq.valid):
                 continue
-            store_rob = latches.get(self._stq_field(index, "rob"))
-            if self._rob_age(store_rob) >= load_age:
+            if self._rob_age(latches.get_at(stq.rob)) >= load_age:
                 continue  # younger than or same as the load
-            if not latches.get(self._stq_field(index, "addrvalid")):
+            if not latches.get_at(stq.addrvalid):
                 return False  # older store with unknown address: wait
-            if latches.get(self._stq_field(index, "addr")) == address:
-                forwarded = latches.get(self._stq_field(index, "data"))
+            if latches.get_at(stq.addr) == address:
+                forwarded = latches.get_at(stq.data)
         if forwarded is not None:
             value = forwarded
         else:
@@ -626,75 +660,74 @@ class OutOfOrderCore(BaseCore):
                 else:
                     value = self.memory.load_word(address)
             except MemoryFault:
-                latches.set(self._rob_field(rob_index, "exception"), 1)
-                latches.set(self._rob_field(rob_index, "expkind"),
-                            _TRAP_CODES[TrapKind.MEMORY_FAULT])
-                latches.set(self._rob_field(rob_index, "ready"), 1)
+                latches.set_at(rob.exception, 1)
+                latches.set_at(rob.expkind, _TRAP_CODES[TrapKind.MEMORY_FAULT])
+                latches.set_at(rob.ready, 1)
                 return True
-        latches.set(self._rob_field(rob_index, "result"), value)
-        latches.set(self._rob_field(rob_index, "ready"), 1)
+        latches.set_at(rob.result, value)
+        latches.set_at(rob.ready, 1)
         self._broadcast(rob_index, value)
-        latches.set("mem.l1dcache.accessaddr0", address)
-        latches.set("mem.l1dcache.accessfulldata0", value)
+        latches.set_at(s.mem_l1dcache_accessaddr0, address)
+        latches.set_at(s.mem_l1dcache_accessfulldata0, value)
         return True
 
     # ------------------------------------------------------------------ issue
     def _issue(self) -> None:
         latches = self.latches
         candidates: list[tuple[int, int]] = []
-        for i in range(IQ_ENTRIES):
-            if (latches.get(self._iq_field(i, "valid"))
-                    and not latches.get(self._iq_field(i, "issued"))
-                    and latches.get(self._iq_field(i, "s1ready"))
-                    and latches.get(self._iq_field(i, "s2ready"))):
-                rob_index = latches.get(self._iq_field(i, "rob"))
-                candidates.append((self._rob_age(rob_index), i))
+        for i, iq in enumerate(self._iq):
+            if (latches.get_at(iq.valid)
+                    and not latches.get_at(iq.issued)
+                    and latches.get_at(iq.s1ready)
+                    and latches.get_at(iq.s2ready)):
+                candidates.append((self._rob_age(latches.get_at(iq.rob)), i))
         candidates.sort()
         for _, iq_index in candidates[:ISSUE_WIDTH]:
-            rob_index = latches.get(self._iq_field(iq_index, "rob"))
-            if not latches.get(self._rob_field(rob_index, "valid")):
-                latches.set(self._iq_field(iq_index, "valid"), 0)
+            iq = self._iq[iq_index]
+            rob_index = latches.get_at(iq.rob)
+            rob = self._rob[rob_index]
+            if not latches.get_at(rob.valid):
+                latches.set_at(iq.valid, 0)
                 continue
-            op_value = latches.get(self._iq_field(iq_index, "op"))
-            try:
-                opcode = Opcode(op_value)
-                info = OPCODE_INFO[opcode]
-            except ValueError:
-                latches.set(self._rob_field(rob_index, "exception"), 1)
-                latches.set(self._rob_field(rob_index, "expkind"),
-                            _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
-                latches.set(self._rob_field(rob_index, "ready"), 1)
-                latches.set(self._iq_field(iq_index, "valid"), 0)
+            opcode = OPCODE_BY_VALUE.get(latches.get_at(iq.op))
+            if opcode is None:
+                latches.set_at(rob.exception, 1)
+                latches.set_at(rob.expkind, _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
+                latches.set_at(rob.ready, 1)
+                latches.set_at(iq.valid, 0)
                 continue
+            info = OPCODE_INFO[opcode]
             in_flight = _InFlightOp(
                 rob_index=rob_index,
                 opcode=opcode,
-                rs1_value=latches.get(self._iq_field(iq_index, "s1val")),
-                rs2_value=latches.get(self._iq_field(iq_index, "s2val")),
-                imm=latches.get_signed(self._iq_field(iq_index, "imm")),
-                pc=latches.get(self._iq_field(iq_index, "pc")),
+                rs1_value=latches.get_at(iq.s1val),
+                rs2_value=latches.get_at(iq.s2val),
+                imm=latches.get_signed_at(iq.imm),
+                pc=latches.get_at(iq.pc),
                 remaining_cycles=max(1, info.execute_latency),
                 is_load=info.is_load,
             )
             self._in_flight.append(in_flight)
-            latches.set(self._iq_field(iq_index, "issued"), 1)
-            latches.set(self._iq_field(iq_index, "valid"), 0)
+            latches.set_at(iq.issued, 1)
+            latches.set_at(iq.valid, 0)
 
     # ------------------------------------------------------------------ rename / dispatch
     def _rename_dispatch(self) -> None:
         latches = self.latches
+        s = self._slots
         for _ in range(RENAME_WIDTH):
-            if latches.get("fb.count") == 0:
+            if latches.get_at(s.fb_count) == 0:
                 return
-            if latches.get("rob.count") >= ROB_ENTRIES:
+            if latches.get_at(s.rob_count) >= ROB_ENTRIES:
                 return
             free_iq = self._find_free_iq_entry()
             if free_iq is None:
                 return
-            fb_head = latches.get("fb.head")
-            fault = latches.get(self._fb_field(fb_head, "fault"))
-            word = latches.get(self._fb_field(fb_head, "inst"))
-            pc = latches.get(self._fb_field(fb_head, "pc"))
+            fb_head = latches.get_at(s.fb_head)
+            fb = self._fb[fb_head]
+            fault = latches.get_at(fb.fault)
+            word = latches.get_at(fb.inst)
+            pc = latches.get_at(fb.pc)
             instruction = None
             trap_kind: TrapKind | None = None
             if fault:
@@ -706,157 +739,167 @@ class OutOfOrderCore(BaseCore):
                     trap_kind = TrapKind.ILLEGAL_INSTRUCTION
             if instruction is not None:
                 info = OPCODE_INFO[instruction.opcode]
-                if info.is_store and latches.get("stq.count") >= STQ_ENTRIES:
+                if info.is_store and latches.get_at(s.stq_count) >= STQ_ENTRIES:
                     return
                 if ((info.is_branch or info.is_jump)
                         and self._find_free_checkpoint() is None):
                     return
             # Consume the fetch-buffer entry.
-            latches.set(self._fb_field(fb_head, "valid"), 0)
-            latches.set("fb.head", (fb_head + 1) % FETCH_BUFFER_ENTRIES)
-            latches.set("fb.count", latches.get("fb.count") - 1)
+            latches.set_at(fb.valid, 0)
+            latches.set_at(s.fb_head, (fb_head + 1) % FETCH_BUFFER_ENTRIES)
+            latches.set_at(s.fb_count, latches.get_at(s.fb_count) - 1)
             # Allocate the ROB entry.
-            tail = latches.get("rob.tail")
-            latches.set(self._rob_field(tail, "valid"), 1)
-            latches.set(self._rob_field(tail, "ready"), 0)
-            latches.set(self._rob_field(tail, "exception"), 0)
-            latches.set(self._rob_field(tail, "expkind"), 0)
-            latches.set(self._rob_field(tail, "is_store"), 0)
-            latches.set(self._rob_field(tail, "is_out"), 0)
-            latches.set(self._rob_field(tail, "is_branch"), 0)
-            latches.set(self._rob_field(tail, "ckpt"), CHECKPOINTS)
-            latches.set(self._rob_field(tail, "pc"), pc)
-            latches.set("rob.tail", (tail + 1) % ROB_ENTRIES)
-            latches.set("rob.count", latches.get("rob.count") + 1)
+            tail = latches.get_at(s.rob_tail)
+            rob = self._rob[tail]
+            latches.set_at(rob.valid, 1)
+            latches.set_at(rob.ready, 0)
+            latches.set_at(rob.exception, 0)
+            latches.set_at(rob.expkind, 0)
+            latches.set_at(rob.is_store, 0)
+            latches.set_at(rob.is_out, 0)
+            latches.set_at(rob.is_branch, 0)
+            latches.set_at(rob.ckpt, CHECKPOINTS)
+            latches.set_at(rob.pc, pc)
+            latches.set_at(s.rob_tail, (tail + 1) % ROB_ENTRIES)
+            latches.set_at(s.rob_count, latches.get_at(s.rob_count) + 1)
             if trap_kind is not None:
-                latches.set(self._rob_field(tail, "op"), 0)
-                latches.set(self._rob_field(tail, "rd"), 0)
-                latches.set(self._rob_field(tail, "exception"), 1)
-                latches.set(self._rob_field(tail, "expkind"), _TRAP_CODES[trap_kind])
-                latches.set(self._rob_field(tail, "ready"), 1)
+                latches.set_at(rob.op, 0)
+                latches.set_at(rob.rd, 0)
+                latches.set_at(rob.exception, 1)
+                latches.set_at(rob.expkind, _TRAP_CODES[trap_kind])
+                latches.set_at(rob.ready, 1)
                 continue
             info = OPCODE_INFO[instruction.opcode]
             needs_checkpoint = info.is_branch or info.is_jump
-            latches.set(self._rob_field(tail, "op"), int(instruction.opcode))
-            latches.set(self._rob_field(tail, "rd"), instruction.rd)
-            latches.set(self._rob_field(tail, "is_store"), 1 if info.is_store else 0)
-            latches.set(self._rob_field(tail, "is_out"), 1 if info.is_output else 0)
-            latches.set(self._rob_field(tail, "is_branch"), 1 if needs_checkpoint else 0)
+            latches.set_at(rob.op, int(instruction.opcode))
+            latches.set_at(rob.rd, instruction.rd)
+            latches.set_at(rob.is_store, 1 if info.is_store else 0)
+            latches.set_at(rob.is_out, 1 if info.is_output else 0)
+            latches.set_at(rob.is_branch, 1 if needs_checkpoint else 0)
             if info.is_store:
-                stq_tail = latches.get("stq.tail")
-                latches.set(self._stq_field(stq_tail, "valid"), 1)
-                latches.set(self._stq_field(stq_tail, "rob"), tail)
-                latches.set(self._stq_field(stq_tail, "addrvalid"), 0)
-                latches.set("stq.tail", (stq_tail + 1) % STQ_ENTRIES)
-                latches.set("stq.count", latches.get("stq.count") + 1)
+                stq_tail = latches.get_at(s.stq_tail)
+                stq = self._stq[stq_tail]
+                latches.set_at(stq.valid, 1)
+                latches.set_at(stq.rob, tail)
+                latches.set_at(stq.addrvalid, 0)
+                latches.set_at(s.stq_tail, (stq_tail + 1) % STQ_ENTRIES)
+                latches.set_at(s.stq_count, latches.get_at(s.stq_count) + 1)
             # Fill the issue-queue entry with renamed operands.
             self._fill_iq_entry(free_iq, instruction, tail, pc, info)
             # Update the rename map for the destination.
             if info.writes_rd and instruction.rd != 0:
-                latches.set(f"rat.r{instruction.rd:02d}.busy", 1)
-                latches.set(f"rat.r{instruction.rd:02d}.rob", tail)
+                rat = self._rat[instruction.rd]
+                latches.set_at(rat.busy, 1)
+                latches.set_at(rat.rob, tail)
             # Checkpoint the rename map *after* the control instruction's own
             # destination rename, so recovery restores the map younger
             # instructions must observe on the correct path.
             if needs_checkpoint:
                 ckpt = self._find_free_checkpoint()
-                latches.set(self._rob_field(tail, "ckpt"), ckpt)
+                latches.set_at(rob.ckpt, ckpt)
                 self._save_checkpoint(ckpt)
             # HALT and NOP need no execution: mark ready immediately.
             if instruction.opcode in (Opcode.HALT, Opcode.NOP):
-                latches.set(self._rob_field(tail, "ready"), 1)
-                latches.set(self._iq_field(free_iq, "valid"), 0)
+                latches.set_at(rob.ready, 1)
+                latches.set_at(self._iq[free_iq].valid, 0)
 
     def _fill_iq_entry(self, iq_index: int, instruction, rob_index: int, pc: int,
                        info) -> None:
         latches = self.latches
-        latches.set(self._iq_field(iq_index, "valid"), 1)
-        latches.set(self._iq_field(iq_index, "issued"), 0)
-        latches.set(self._iq_field(iq_index, "op"), int(instruction.opcode))
-        latches.set(self._iq_field(iq_index, "rob"), rob_index)
-        latches.set(self._iq_field(iq_index, "imm"), instruction.imm)
-        latches.set(self._iq_field(iq_index, "pc"), pc)
+        iq = self._iq[iq_index]
+        latches.set_at(iq.valid, 1)
+        latches.set_at(iq.issued, 0)
+        latches.set_at(iq.op, int(instruction.opcode))
+        latches.set_at(iq.rob, rob_index)
+        latches.set_at(iq.imm, instruction.imm)
+        latches.set_at(iq.pc, pc)
         ready1, tag1, value1 = self._rename_source(instruction.rs1, info.reads_rs1)
         ready2, tag2, value2 = self._rename_source(instruction.rs2, info.reads_rs2)
-        latches.set(self._iq_field(iq_index, "s1ready"), ready1)
-        latches.set(self._iq_field(iq_index, "s1tag"), tag1)
-        latches.set(self._iq_field(iq_index, "s1val"), value1)
-        latches.set(self._iq_field(iq_index, "s2ready"), ready2)
-        latches.set(self._iq_field(iq_index, "s2tag"), tag2)
-        latches.set(self._iq_field(iq_index, "s2val"), value2)
+        latches.set_at(iq.s1ready, ready1)
+        latches.set_at(iq.s1tag, tag1)
+        latches.set_at(iq.s1val, value1)
+        latches.set_at(iq.s2ready, ready2)
+        latches.set_at(iq.s2tag, tag2)
+        latches.set_at(iq.s2val, value2)
 
     def _rename_source(self, arch_reg: int, is_read: bool) -> tuple[int, int, int]:
         """Return (ready, tag, value) for one source operand."""
         latches = self.latches
         if not is_read or arch_reg == 0:
             return 1, 0, self._read_register(arch_reg) if is_read else 0
-        if latches.get(f"rat.r{arch_reg:02d}.busy"):
-            producer = latches.get(f"rat.r{arch_reg:02d}.rob")
-            if not latches.get(self._rob_field(producer, "valid")):
+        rat = self._rat[arch_reg]
+        if latches.get_at(rat.busy):
+            producer = latches.get_at(rat.rob)
+            rob = self._rob[producer]
+            if not latches.get_at(rob.valid):
                 # Stale mapping (possible transiently under fault injection):
                 # fall back to the architectural value.
                 return 1, 0, self._read_register(arch_reg)
-            if (latches.get(self._rob_field(producer, "ready"))
-                    and not latches.get(self._rob_field(producer, "exception"))):
-                return 1, 0, latches.get(self._rob_field(producer, "result"))
+            if latches.get_at(rob.ready) and not latches.get_at(rob.exception):
+                return 1, 0, latches.get_at(rob.result)
             return 0, producer, 0
         return 1, 0, self._read_register(arch_reg)
 
     def _find_free_iq_entry(self) -> int | None:
         latches = self.latches
-        for i in range(IQ_ENTRIES):
-            if not latches.get(self._iq_field(i, "valid")):
+        for i, iq in enumerate(self._iq):
+            if not latches.get_at(iq.valid):
                 return i
         return None
 
     def _find_free_checkpoint(self) -> int | None:
         latches = self.latches
-        for i in range(CHECKPOINTS):
-            if not latches.get(f"ckpt.c{i}.valid"):
+        for i, ckpt in enumerate(self._ckpt):
+            if not latches.get_at(ckpt.valid):
                 return i
         return None
 
     def _save_checkpoint(self, ckpt: int) -> None:
         latches = self.latches
         packed = 0
-        for r in range(NUM_REGISTERS):
-            fieldvalue = (latches.get(f"rat.r{r:02d}.busy")
-                          | (latches.get(f"rat.r{r:02d}.rob") << 1))
+        for r, rat in enumerate(self._rat):
+            fieldvalue = latches.get_at(rat.busy) | (latches.get_at(rat.rob) << 1)
             packed |= fieldvalue << (7 * r)
-        latches.set(f"ckpt.c{ckpt}.map", packed)
-        latches.set(f"ckpt.c{ckpt}.valid", 1)
+        checkpoint = self._ckpt[ckpt]
+        latches.set_at(checkpoint.map, packed)
+        latches.set_at(checkpoint.valid, 1)
 
     # ------------------------------------------------------------------ fetch
     def _fetch(self) -> None:
         latches = self.latches
-        if self._fetch_stalled or latches.get("fetch.stall"):
+        s = self._slots
+        if self._fetch_stalled or latches.get_at(s.fetch_stall):
             return
         for _ in range(FETCH_WIDTH):
-            if latches.get("fb.count") >= FETCH_BUFFER_ENTRIES:
+            if latches.get_at(s.fb_count) >= FETCH_BUFFER_ENTRIES:
                 return
-            pc = latches.get("fetch.pc")
+            pc = latches.get_at(s.fetch_pc)
             instruction = self._program.instruction_at(pc) if self._program else None
-            tail = latches.get("fb.tail")
-            latches.set(self._fb_field(tail, "pc"), pc)
-            latches.set(self._fb_field(tail, "valid"), 1)
+            tail = latches.get_at(s.fb_tail)
+            fb = self._fb[tail]
+            latches.set_at(fb.pc, pc)
+            latches.set_at(fb.valid, 1)
             if instruction is None:
-                latches.set(self._fb_field(tail, "inst"), 0)
-                latches.set(self._fb_field(tail, "fault"), 1)
-                latches.set("fb.tail", (tail + 1) % FETCH_BUFFER_ENTRIES)
-                latches.set("fb.count", latches.get("fb.count") + 1)
-                latches.set("fetch.stall", 1)
+                latches.set_at(fb.inst, 0)
+                latches.set_at(fb.fault, 1)
+                latches.set_at(s.fb_tail, (tail + 1) % FETCH_BUFFER_ENTRIES)
+                latches.set_at(s.fb_count, latches.get_at(s.fb_count) + 1)
+                latches.set_at(s.fetch_stall, 1)
                 self._fetch_stalled = True
                 return
-            latches.set(self._fb_field(tail, "inst"), encode_instruction(instruction))
-            latches.set(self._fb_field(tail, "fault"), 0)
-            latches.set("fb.tail", (tail + 1) % FETCH_BUFFER_ENTRIES)
-            latches.set("fb.count", latches.get("fb.count") + 1)
-            latches.set("fetch.pc", (pc + WORD_BYTES) & 0xFFFFFFFF)
+            latches.set_at(fb.inst, encode_instruction(instruction))
+            latches.set_at(fb.fault, 0)
+            latches.set_at(s.fb_tail, (tail + 1) % FETCH_BUFFER_ENTRIES)
+            latches.set_at(s.fb_count, latches.get_at(s.fb_count) + 1)
+            latches.set_at(s.fetch_pc, (pc + WORD_BYTES) & 0xFFFFFFFF)
 
     def _touch_background_state(self) -> None:
         """Advance vanish-class bookkeeping so those flip-flops really toggle."""
         latches = self.latches
-        latches.set("perf.counter0", (latches.get("perf.counter0") + 1) & (2**48 - 1))
-        latches.set("perf.counter1",
-                    (latches.get("perf.counter1") + len(self._in_flight)) & (2**48 - 1))
-        latches.set("ldq.numentries", len(self._in_flight) & 0xF)
+        s = self._slots
+        latches.set_at(s.perf_counter0,
+                       (latches.get_at(s.perf_counter0) + 1) & (2**48 - 1))
+        latches.set_at(s.perf_counter1,
+                       (latches.get_at(s.perf_counter1) + len(self._in_flight))
+                       & (2**48 - 1))
+        latches.set_at(s.ldq_numentries, len(self._in_flight) & 0xF)

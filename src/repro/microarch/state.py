@@ -7,12 +7,27 @@ is observed by whatever logic consumes the latch next -- the property that
 makes flip-flop-level injection meaningful.
 
 Storage is a flat integer array indexed by the frozen
-:class:`~repro.microarch.flipflop.FlipFlopRegistry` order; the name-keyed
-API is a thin view over it (one ``name -> position`` lookup per access, with
-per-structure width masks precomputed at construction).  The flat layout is
-what makes :class:`BatchedLatchState` -- the same state for N cores at once,
-as one ``(lanes, n_structures)`` matrix -- a natural extension, which the
-batched lockstep replay engine (:mod:`repro.engine.batch`) builds on.
+:class:`~repro.microarch.flipflop.FlipFlopRegistry` order, with per-structure
+width masks precomputed at construction.  Two APIs read and write it:
+
+* the *slot* API -- :meth:`LatchState.slot` resolves a structure name to its
+  integer position once, and :meth:`~LatchState.get_at`,
+  :meth:`~LatchState.set_at` (masked to the width) and
+  :meth:`~LatchState.get_signed_at` then index the flat array directly.  The
+  cores resolve every latch they touch into slot tables when they are built,
+  so their per-cycle paths never format or look up a name;
+* the *name-keyed* API (:meth:`~LatchState.get`, :meth:`~LatchState.set`,
+  :meth:`~LatchState.flip_flat`, ...) -- one ``name -> slot`` dict lookup per
+  access, for fault injection, the resilience hooks and tests.
+
+Slots are positions, not references: :meth:`~LatchState.deserialize` and
+:meth:`~LatchState.clear` replace the backing list, so callers keep slots
+and never the list itself.
+
+The flat layout is also what makes :class:`BatchedLatchState` -- the same
+state for N cores at once, as one ``(lanes, n_structures)`` matrix -- a
+natural extension, which the batched lockstep replay engine
+(:mod:`repro.engine.batch`) builds on.
 """
 
 from __future__ import annotations
@@ -53,19 +68,39 @@ class LatchState:
     def registry(self) -> FlipFlopRegistry:
         return self._registry
 
-    # ------------------------------------------------------------------ access
+    # ------------------------------------------------------------------ slot access
+    def slot(self, name: str) -> int:
+        """Position of structure ``name`` in the flat value array.
+
+        Stable for the lifetime of the registry, so a core resolves each
+        name once at construction and addresses it by slot every cycle.
+        """
+        return self._index[name]
+
+    def get_at(self, slot: int) -> int:
+        """Current value of the structure at ``slot`` (unsigned)."""
+        return self._data[slot]
+
+    def get_signed_at(self, slot: int) -> int:
+        """Value of the structure at ``slot`` as two's complement."""
+        value = self._data[slot]
+        width = self._widths[slot]
+        if value & (1 << (width - 1)):
+            return value - (1 << width)
+        return value
+
+    def set_at(self, slot: int, value: int) -> None:
+        """Set the structure at ``slot`` to ``value`` (masked to its width)."""
+        self._data[slot] = value & self._masks[slot]
+
+    # ------------------------------------------------------------------ name access
     def get(self, name: str) -> int:
         """Current value of structure ``name`` (unsigned, ``width`` bits)."""
         return self._data[self._index[name]]
 
     def get_signed(self, name: str) -> int:
         """Current value of structure ``name`` interpreted as two's complement."""
-        position = self._index[name]
-        value = self._data[position]
-        sign_bit = 1 << (self._widths[position] - 1)
-        if value & sign_bit:
-            return value - (1 << self._widths[position])
-        return value
+        return self.get_signed_at(self._index[name])
 
     def set(self, name: str, value: int) -> None:
         """Set structure ``name`` to ``value`` (masked to its width)."""

@@ -28,6 +28,7 @@ AUDITED_PATHS = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks
 RULE_FIXTURES = {
     "builtin-hash": "bad_builtin_hash.py",
     "completion-order-fold": "bad_completion_order_fold.py",
+    "formatted-latch-name": "microarch/bad_formatted_latch_name.py",
     "module-mutable-state": "engine/bad_module_state.py",
     "mutable-default": "bad_mutable_default.py",
     "state-coverage": "bad_state_coverage.py",
@@ -292,6 +293,45 @@ class TestRegressions:
             [REPO_ROOT / "src" / "repro" / "engine" / "artifacts.py"],
             root=REPO_ROOT, select=["unsorted-iteration"])
         assert findings == []
+
+
+class TestFormattedLatchName:
+    MICROARCH = "src/repro/microarch/probe.py"
+
+    def findings(self, body: str, relpath: str = MICROARCH):
+        source = "class Core:\n" + textwrap.indent(textwrap.dedent(body), "    ")
+        return audit_source(source, relpath=relpath,
+                            select=["formatted-latch-name"])
+
+    @pytest.mark.parametrize("call", [
+        'self.latches.get(f"rob.e{i:02d}.valid")',
+        'latches.set(f"iq.e{i:02d}.op", 0)',
+        'self._latches.get_signed(name=f"fb.e{i}.pc")',
+        'latches.set_signed("stq.e{}.data".format(i), 1)',
+    ])
+    def test_formatted_names_are_flagged(self, call):
+        findings = self.findings(f"def step(self, latches, i):\n    {call}\n")
+        assert [f.rule_id for f in findings] == ["formatted-latch-name"]
+        assert findings[0].line == 3
+
+    @pytest.mark.parametrize("call", [
+        'self.latches.get("rob.head")',
+        'latches.set_at(self._rob[i].valid, 0)',
+        'latches.slot(f"rob.e{i:02d}.valid")',
+        'self.cache.get(f"key{i}")',
+    ])
+    def test_literal_names_and_slots_are_clean(self, call):
+        assert self.findings(f"def step(self, latches, i):\n    {call}\n") == []
+
+    def test_scoped_to_microarch(self):
+        body = 'def step(self, i):\n    self.latches.get(f"rob.e{i}.valid")\n'
+        assert self.findings(body, relpath="tests/probe.py") == []
+        assert len(self.findings(body)) == 1
+
+    def test_real_cores_are_clean(self):
+        microarch = REPO_ROOT / "src" / "repro" / "microarch"
+        assert audit_paths([microarch], root=REPO_ROOT,
+                           select=["formatted-latch-name"]) == []
 
 
 class TestManifestDrift:

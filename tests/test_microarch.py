@@ -100,6 +100,70 @@ class TestLatchState:
         assert latches.get("field") == 7, "failed restore must not mutate"
 
 
+class TestSlotTables:
+    """The cores address latches through slot tables built at construction."""
+
+    @staticmethod
+    def assert_entry(entry, latches, name: str) -> None:
+        for field, slot in zip(entry._fields, entry):
+            assert slot == latches.slot(f"{name}.{field}")
+
+    def test_rob_table_covers_every_pointer_value(self, ooo_core):
+        registry, latches = ooo_core.registry, ooo_core.latches
+        pointers = ("rob.head", "rob.tail", "iq.e00.rob", "rat.r00.rob")
+        assert {registry.structure(name).width for name in pointers} == {6}
+        assert len(ooo_core._rob) == 64
+        for i in range(64):
+            self.assert_entry(ooo_core._rob[i], latches, f"rob.e{i % 40:02d}")
+
+    def test_fetch_buffer_table_covers_every_pointer_value(self, ooo_core):
+        registry, latches = ooo_core.registry, ooo_core.latches
+        assert registry.structure("fb.head").width == 3
+        assert registry.structure("fb.tail").width == 3
+        assert len(ooo_core._fb) == 8
+        for i in range(8):
+            self.assert_entry(ooo_core._fb[i], latches, f"fb.e{i % 6}")
+
+    def test_other_tables_name_their_entries(self, ooo_core):
+        latches = ooo_core.latches
+        for table, name, count in ((ooo_core._iq, "iq.e{:02d}", 16),
+                                   (ooo_core._stq, "stq.e{}", 8),
+                                   (ooo_core._rat, "rat.r{:02d}", 32),
+                                   (ooo_core._ckpt, "ckpt.c{}", 4)):
+            assert len(table) == count
+            for i, entry in enumerate(table):
+                self.assert_entry(entry, latches, name.format(i))
+
+    @pytest.mark.parametrize("core_fixture", ["ino_core", "ooo_core"])
+    def test_scalar_slots_match_names(self, core_fixture, request):
+        core = request.getfixturevalue(core_fixture)
+        slots = core._slots
+        names = [structure.name for structure in core.registry.structures]
+        by_field = {name.replace(".", "_"): name for name in names}
+        for field, slot in zip(slots._fields, slots):
+            assert slot == core.latches.slot(by_field[field])
+
+    @pytest.mark.parametrize("pointer", ["rob.head", "rob.tail",
+                                         "fb.head", "fb.tail"])
+    def test_pointer_forced_to_maximum_mid_run_terminates(self, pointer):
+        from repro.workloads import workload_by_name
+
+        core = OutOfOrderCore()
+        program = workload_by_name("vpr").program()
+        golden = core.run(program)
+        middle = golden.cycles // 2
+        maximum = (1 << core.registry.structure(pointer).width) - 1
+
+        def force(core, cycle):
+            if cycle == middle:
+                core.latches.set(pointer, maximum)
+
+        result = core.run(program, max_cycles=4 * golden.cycles,
+                          cycle_hook=force)
+        assert result.reason in TerminationReason
+        assert result.cycles > middle
+
+
 class TestMemorySystem:
     def test_word_and_byte_access(self):
         from repro.isa.program import DEFAULT_DATA_BASE

@@ -102,6 +102,45 @@ class TestLatchStateProperties:
         assert latches.get("field") < (1 << width)
 
 
+    @given(st.lists(st.integers(min_value=1, max_value=70), min_size=1,
+                    max_size=8),
+           st.data())
+    def test_slot_accessors_agree_with_name_accessors(self, widths, data):
+        registry = FlipFlopRegistry("prop")
+        names = [f"s{i}" for i in range(len(widths))]
+        for name, width in zip(names, widths):
+            registry.register(name, width, "u")
+        registry.freeze()
+        by_name, by_slot = LatchState(registry), LatchState(registry)
+        slots = [by_slot.slot(name) for name in names]
+        assert slots == list(range(len(names)))
+        index = st.integers(min_value=0, max_value=len(names) - 1)
+        value = st.integers(min_value=-(2**72), max_value=2**72)
+        operations = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("set"), index, value),
+            st.tuples(st.just("deserialize"),
+                      st.lists(st.integers(min_value=0, max_value=2**72),
+                               min_size=len(names), max_size=len(names))),
+            st.tuples(st.just("clear"))), max_size=25))
+        for operation in operations:
+            if operation[0] == "set":
+                _, i, value = operation
+                by_name.set(names[i], value)
+                by_slot.set_at(slots[i], value)
+            elif operation[0] == "deserialize":
+                by_name.deserialize(operation[1])
+                by_slot.deserialize(operation[1])
+            else:
+                by_name.clear()
+                by_slot.clear()
+            assert by_slot.serialize() == by_name.serialize()
+            for name, slot in zip(names, slots):
+                assert by_slot.get_at(slot) == by_name.get(name)
+                assert by_slot.get_at(slot) == by_slot.get(name)
+                assert by_slot.get_signed_at(slot) == by_name.get_signed(name)
+                assert by_slot.get_signed_at(slot) == by_slot.get_signed(name)
+
+
 class TestOutcomeCountProperties:
     @given(st.lists(st.sampled_from(list(OutcomeCategory)), max_size=200))
     def test_totals_are_consistent(self, outcomes):
