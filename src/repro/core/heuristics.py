@@ -22,10 +22,17 @@ Planning is *incremental*: because the walk is independent of the target,
 :class:`SelectiveHardeningPlanner` computes one
 :class:`~repro.core.schedule.ProtectionSchedule` per (policy, recovery,
 high-level set) and answers every target from its improvement curves.
-Vulnerability profiles (per-site probabilities and the ranking) and post-
-high-level residuals are cached and shared across schedules.  The legacy
-per-target loop survives as :meth:`SelectiveHardeningPlanner.plan_replanning`
--- the reference that schedules are property-tested to match bit-for-bit.
+Vulnerability profiles (the map's dense per-site probabilities and the
+ranking) and post-high-level residuals are cached and shared across
+schedules.  So are the per-site Heuristic-1 inputs: each flip-flop's
+functional unit and whether it has the slack for a 32-bit parity tree are
+resolved once per planner into two tables
+(:meth:`SelectiveHardeningPlanner.site_tables`), which every schedule's
+Heuristic-1 choices and parity cost curves read instead of asking the
+registry and timing model per site.  The legacy per-target loop survives as
+:meth:`SelectiveHardeningPlanner.plan_replanning` -- the reference that
+schedules are property-tested to match bit-for-bit; it still resolves each
+site through :func:`choose_technique`, so it also checks the tables.
 """
 
 from __future__ import annotations
@@ -80,21 +87,19 @@ class SelectionPolicy:
                 self.hardening_cell)
 
 
-def _choose_in_context(flat_index: int, registry: FlipFlopRegistry,
-                       timing: TimingModel, policy: SelectionPolicy,
+def _choose_in_context(unit: str, has_slack: bool, policy: SelectionPolicy,
                        has_recovery: bool,
                        unrecoverable: tuple[str, ...]) -> LowLevelChoice:
-    """Heuristic 1 with the recovery context hoisted out of the per-site path."""
+    """Heuristic 1 for one flip-flop, given its unit and 32-bit parity slack."""
     detection_allowed = policy.allow_parity or policy.allow_eds
     detection_choice = LowLevelChoice.PARITY if policy.allow_parity else LowLevelChoice.EDS
     if not detection_allowed:
         return LowLevelChoice.LEAP_DICE
     if not policy.allow_hardening:
         return detection_choice
-    unit = registry.unit_of(flat_index)
     if has_recovery and unit in unrecoverable:
         return LowLevelChoice.LEAP_DICE          # HARDEN(f)
-    if timing.supports_unpipelined(flat_index, UNPIPELINED_GROUP_SIZE):
+    if has_slack:
         return detection_choice                  # PARITY(f)
     return LowLevelChoice.LEAP_DICE
 
@@ -103,8 +108,10 @@ def choose_technique(flat_index: int, registry: FlipFlopRegistry, timing: Timing
                      recovery: RecoveryKind, policy: SelectionPolicy) -> LowLevelChoice:
     """Heuristic 1: choose LEAP-DICE or parity (or EDS) for one flip-flop."""
     unrecoverable = recovery_cost(registry.core_name, recovery).unrecoverable_units
-    return _choose_in_context(flat_index, registry, timing, policy,
-                              recovery is not RecoveryKind.NONE, unrecoverable)
+    return _choose_in_context(
+        registry.unit_of(flat_index),
+        timing.supports_unpipelined(flat_index, UNPIPELINED_GROUP_SIZE),
+        policy, recovery is not RecoveryKind.NONE, unrecoverable)
 
 
 def descriptor_key(technique: TechniqueDescriptor) -> tuple:
@@ -125,8 +132,9 @@ class SelectiveHardeningPlanner:
     """Implements the Fig. 7 loop on top of a vulnerability map.
 
     One planner serves many (combination, target) queries: the vulnerability
-    profile, post-high-level residuals and full protection schedules are all
-    computed once and memoised on the instance.
+    profile, the per-site Heuristic-1 tables, post-high-level residuals and
+    full protection schedules are all computed once and memoised on the
+    instance.
     """
 
     def __init__(self, registry: FlipFlopRegistry, vulnerability: VulnerabilityMap,
@@ -136,12 +144,15 @@ class SelectiveHardeningPlanner:
         self.timing = timing
         self.benchmarks = benchmarks
         self._family = core_family(registry.core_name)
-        self._profile: tuple[list[float], list[float], float, float, list[int]] | None = None
+        self._profile: tuple[tuple[float, ...], tuple[float, ...], float, float,
+                             list[int]] | None = None
+        self._site_tables: tuple[list[str], list[bool]] | None = None
         self._residual_cache: dict[tuple, tuple[tuple[float, ...], tuple[float, ...]]] = {}
         self._schedule_cache: dict[tuple, ProtectionSchedule] = {}
 
     # ------------------------------------------------------------------ cached inputs
-    def profile(self) -> tuple[list[float], list[float], float, float, list[int]]:
+    def profile(self) -> tuple[tuple[float, ...], tuple[float, ...], float, float,
+                               list[int]]:
         """Per-site (p_sdc, p_due), baselines and the vulnerability ranking.
 
         Depends only on the vulnerability map and benchmark list, both fixed
@@ -149,15 +160,27 @@ class SelectiveHardeningPlanner:
         """
         if self._profile is None:
             total = self.registry.total_flip_flops
-            p_sdc = [self.vulnerability.sdc_probability(i, self.benchmarks)
-                     for i in range(total)]
-            p_due = [self.vulnerability.due_probability(i, self.benchmarks)
-                     for i in range(total)]
+            p_sdc, p_due = self.vulnerability.probabilities(self.benchmarks)
             baseline_sdc = sum(p_sdc) or 1e-12
             baseline_due = sum(p_due) or 1e-12
             ranking = sorted(range(total), key=lambda i: (-(p_sdc[i] + p_due[i]), i))
             self._profile = (p_sdc, p_due, baseline_sdc, baseline_due, ranking)
         return self._profile
+
+    def site_tables(self) -> tuple[list[str], list[bool]]:
+        """Per-site Heuristic-1 inputs: functional unit and 32-bit parity slack.
+
+        Entry ``i`` is ``registry.unit_of(i)`` and
+        ``timing.supports_unpipelined(i, UNPIPELINED_GROUP_SIZE)``; resolved
+        once per planner and shared by every schedule it builds.
+        """
+        if self._site_tables is None:
+            total = range(self.registry.total_flip_flops)
+            self._site_tables = (
+                [self.registry.unit_of(i) for i in total],
+                [self.timing.supports_unpipelined(i, UNPIPELINED_GROUP_SIZE)
+                 for i in total])
+        return self._site_tables
 
     def _residuals(self, high_level: list[TechniqueDescriptor],
                    recovery: RecoveryKind) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -219,15 +242,16 @@ class SelectiveHardeningPlanner:
         if cached is not None:
             return cached
         _, _, baseline_sdc, baseline_due, ranking = self.profile()
+        units, has_slack = self.site_tables()
         residual_sdc, residual_due = self._residuals(high_level, recovery)
         unrecoverable = recovery_cost(self.registry.core_name, recovery).unrecoverable_units
         has_recovery = recovery is not RecoveryKind.NONE
         unrecoverable_set = set(unrecoverable)
         steps = []
         for flat_index in ranking:
-            choice = _choose_in_context(flat_index, self.registry, self.timing,
-                                        policy, has_recovery, unrecoverable)
-            unit = self.registry.unit_of(flat_index)
+            unit = units[flat_index]
+            choice = _choose_in_context(unit, has_slack[flat_index], policy,
+                                        has_recovery, unrecoverable)
             steps.append(ScheduleStep(
                 flat_index=flat_index, choice=choice,
                 recoverable=has_recovery and unit not in unrecoverable_set,
@@ -235,7 +259,8 @@ class SelectiveHardeningPlanner:
                                and residual_due[flat_index] <= 0)))
         schedule = ProtectionSchedule(
             registry=self.registry, timing=self.timing,
-            vulnerability=self.vulnerability, recovery=recovery,
+            vulnerability=self.vulnerability, units=units, has_slack=has_slack,
+            recovery=recovery,
             hardening_cell=policy.hardening_cell, high_level=high_level,
             steps=steps, residual_sdc=list(residual_sdc),
             residual_due=list(residual_due), baseline_sdc=baseline_sdc,
@@ -276,8 +301,7 @@ class SelectiveHardeningPlanner:
         high_level = list(high_level or [])
         total = self.registry.total_flip_flops
 
-        p_sdc = [self.vulnerability.sdc_probability(i, self.benchmarks) for i in range(total)]
-        p_due = [self.vulnerability.due_probability(i, self.benchmarks) for i in range(total)]
+        p_sdc, p_due = self.vulnerability.probabilities(self.benchmarks)
         baseline_sdc = sum(p_sdc) or 1e-12
         baseline_due = sum(p_due) or 1e-12
 

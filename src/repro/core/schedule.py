@@ -91,7 +91,7 @@ class CostedPlan:
     cost: CostReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleStep:
     """One flip-flop's slot in the vulnerability-ranked protection walk.
 
@@ -141,10 +141,13 @@ class ProtectionSchedule:
 
     Built once by :meth:`SelectiveHardeningPlanner.schedule_for`; answers
     every resilience target through :meth:`plan` without replanning.
+    ``units``/``has_slack`` are the planner's per-site Heuristic-1 tables
+    (functional unit, 32-bit parity slack), shared by all its schedules.
     """
 
     def __init__(self, registry: FlipFlopRegistry, timing: TimingModel,
-                 vulnerability: VulnerabilityMap, recovery: RecoveryKind,
+                 vulnerability: VulnerabilityMap, units: list[str],
+                 has_slack: list[bool], recovery: RecoveryKind,
                  hardening_cell: CellType,
                  high_level: list[TechniqueDescriptor],
                  steps: list[ScheduleStep],
@@ -153,6 +156,8 @@ class ProtectionSchedule:
         self.registry = registry
         self.timing = timing
         self.vulnerability = vulnerability
+        self._units = units
+        self._has_slack = has_slack
         self.recovery = recovery
         self.hardening_cell = hardening_cell
         self.high_level = high_level
@@ -160,9 +165,6 @@ class ProtectionSchedule:
         self._baseline_sdc = baseline_sdc
         self._baseline_due = baseline_due
         self._gamma_fixed = gamma_fixed
-        # (unit, 32-bit slack) per parity site, filled lazily by the cost
-        # curves; keyed by flat index so the finite and full walks share it.
-        self._parity_site_info: dict[int, tuple[str, bool]] = {}
         # One (cost model, {prefix or "full" -> CostReport}) memo entry:
         # schedules live inside a planner that serves one explorer with one
         # cost model, so a single identity-checked slot memoises the whole
@@ -172,17 +174,6 @@ class ProtectionSchedule:
         self._build_records()
 
     # ------------------------------------------------------------------ construction
-    def _improvements(self, parity_count: int, sum_sdc: float,
-                      sum_due: float) -> tuple[float, float]:
-        """Eq. 1 improvements -- the exact arithmetic of the legacy loop."""
-        added = parity_count / UNPIPELINED_GROUP_SIZE
-        gamma = self._gamma_fixed * (1.0 + added / max(1, self.registry.total_flip_flops))
-        sdc = self._baseline_sdc / max(sum_sdc, self._baseline_sdc
-                                       * RESIDUAL_FLOOR_FRACTION) / gamma
-        due = self._baseline_due / max(sum_due, self._baseline_due
-                                       * RESIDUAL_FLOOR_FRACTION) / gamma
-        return sdc, due
-
     def _walk(self, residual_sdc: list[float], residual_due: list[float]) -> None:
         """One pass down the ranking, recording both stopping-rule curves.
 
@@ -190,13 +181,30 @@ class ProtectionSchedule:
         so a single pass yields bitwise-identical curves for the finite-
         target walk (which skips them) and the protect-everything walk
         (which visits them, growing the parity count).
+
+        Improvements follow Eq. 1 with the exact arithmetic of the legacy
+        loop; only its loop-invariant terms (the residual floors and the
+        flip-flop count) are hoisted.
         """
+        baseline_sdc = self._baseline_sdc
+        baseline_due = self._baseline_due
+        floor_sdc = baseline_sdc * RESIDUAL_FLOOR_FRACTION
+        floor_due = baseline_due * RESIDUAL_FLOOR_FRACTION
+        gamma_fixed = self._gamma_fixed
+        total = max(1, self.registry.total_flip_flops)
+
+        def improvements(parity_count: int, sum_sdc: float,
+                         sum_due: float) -> tuple[float, float]:
+            gamma = gamma_fixed * (1.0 + parity_count / UNPIPELINED_GROUP_SIZE / total)
+            return (baseline_sdc / max(sum_sdc, floor_sdc) / gamma,
+                    baseline_due / max(sum_due, floor_due) / gamma)
+
         sum_sdc = sum(residual_sdc)
         sum_due = sum(residual_due)
         parity_finite = 0
         parity_full = 0
         effective: list[ScheduleStep] = []
-        start = self._improvements(0, sum_sdc, sum_due)
+        start = improvements(0, sum_sdc, sum_due)
         curve_sdc = [start[0]]
         curve_due = [start[1]]
         # Cumulative membership counts accumulated alongside the improvement
@@ -204,16 +212,22 @@ class ProtectionSchedule:
         # of re-scanning the walk per target.
         cum_hardened = [0]
         cum_eds = [0]
+        hardened = 0
+        eds = 0
         parity_prefix_ends: list[int] = []   # prefix length that admits member i
         parity_flats: list[int] = []
+        leap_dice = LowLevelChoice.LEAP_DICE
+        parity = LowLevelChoice.PARITY
         for step in self.steps:
-            site_sdc = residual_sdc[step.flat_index]
-            site_due = residual_due[step.flat_index]
-            if step.choice is LowLevelChoice.LEAP_DICE:
+            flat_index = step.flat_index
+            choice = step.choice
+            site_sdc = residual_sdc[flat_index]
+            site_due = residual_due[flat_index]
+            if choice is leap_dice:
                 sum_sdc -= site_sdc * HARDENING_SUPPRESSION
                 sum_due -= site_due * HARDENING_SUPPRESSION
             else:
-                if step.choice is LowLevelChoice.PARITY:
+                if choice is parity:
                     parity_full += 1
                 if step.recoverable:
                     sum_sdc -= site_sdc
@@ -224,16 +238,17 @@ class ProtectionSchedule:
                     sum_sdc -= site_sdc
             if not step.zero_residual:
                 effective.append(step)
-                is_parity = step.choice is LowLevelChoice.PARITY
-                if is_parity:
+                if choice is leap_dice:
+                    hardened += 1
+                elif choice is parity:
                     parity_finite += 1
                     parity_prefix_ends.append(len(effective))
-                    parity_flats.append(step.flat_index)
-                cum_hardened.append(cum_hardened[-1]
-                                    + (step.choice is LowLevelChoice.LEAP_DICE))
-                cum_eds.append(cum_eds[-1]
-                               + (step.choice is LowLevelChoice.EDS))
-                achieved = self._improvements(parity_finite, sum_sdc, sum_due)
+                    parity_flats.append(flat_index)
+                else:
+                    eds += 1
+                cum_hardened.append(hardened)
+                cum_eds.append(eds)
+                achieved = improvements(parity_finite, sum_sdc, sum_due)
                 curve_sdc.append(achieved[0])
                 curve_due.append(achieved[1])
         self._effective = effective
@@ -243,7 +258,7 @@ class ProtectionSchedule:
         self._cum_eds = cum_eds
         self._parity_prefix_ends = parity_prefix_ends
         self._parity_flats = parity_flats
-        self._full_achieved = self._improvements(parity_full, sum_sdc, sum_due)
+        self._full_achieved = improvements(parity_full, sum_sdc, sum_due)
 
     def _build_records(self) -> None:
         """Strict-running-maximum subsequences enabling first-crossing bisection."""
@@ -349,23 +364,15 @@ class ProtectionSchedule:
     # O(prefix + groups) per (memoised) prefix instead of a full
     # materialise + cost per target.
 
-    def _parity_info(self, flat_index: int) -> tuple[str, bool]:
-        info = self._parity_site_info.get(flat_index)
-        if info is None:
-            info = (self.registry.unit_of(flat_index),
-                    self.timing.supports_unpipelined(flat_index,
-                                                     UNPIPELINED_GROUP_SIZE))
-            self._parity_site_info[flat_index] = info
-        return info
-
     def _classify_parity(self, flat_indices: list[int]) -> tuple[list, list]:
         """Split parity members into (flat index, unit) slack-class buckets."""
         slack_members: list[tuple[int, str]] = []
         pipelined_members: list[tuple[int, str]] = []
+        units = self._units
+        has_slack = self._has_slack
         for flat_index in flat_indices:
-            unit, has_slack = self._parity_info(flat_index)
-            bucket = slack_members if has_slack else pipelined_members
-            bucket.append((flat_index, unit))
+            bucket = slack_members if has_slack[flat_index] else pipelined_members
+            bucket.append((flat_index, units[flat_index]))
         return slack_members, pipelined_members
 
     def _cost_membership(self, steps: list[ScheduleStep],

@@ -192,9 +192,10 @@ class ProtectedDesign:
         baseline_due = 0.0
         residual_sdc = 0.0
         residual_due = 0.0
+        site_sdc, site_due = vulnerability.probabilities(benchmarks)
         for flat_index in range(self.registry.total_flip_flops):
-            p_sdc = vulnerability.sdc_probability(flat_index, benchmarks)
-            p_due = vulnerability.due_probability(flat_index, benchmarks)
+            p_sdc = site_sdc[flat_index]
+            p_due = site_due[flat_index]
             baseline_sdc += p_sdc
             baseline_due += p_due
             sdc, due = self._residual_for_site(flat_index, p_sdc, p_due)

@@ -98,10 +98,8 @@ class ParityPlanner:
                                 benchmarks: list[str] | None) -> list[int]:
         if self.vulnerability is None:
             return sorted(flip_flops)
-        key = {i: (self.vulnerability.sdc_probability(i, benchmarks)
-                   + self.vulnerability.due_probability(i, benchmarks))
-               for i in flip_flops}
-        return sorted(flip_flops, key=lambda i: (-key[i], i))
+        p_sdc, p_due = self.vulnerability.probabilities(benchmarks)
+        return sorted(flip_flops, key=lambda i: (-(p_sdc[i] + p_due[i]), i))
 
     def _locality_groups(self, flip_flops: list[int], group_size: int,
                          pipelined: bool | None) -> list[ParityGroup]:

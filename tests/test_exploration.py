@@ -29,9 +29,11 @@ from repro.core import (
     enumerate_combinations,
     sdc_targets,
 )
+from repro.core.combinations import EDS, LEAP_DICE, PARITY
 from repro.core.exploration import high_level_descriptor, shard_combinations
-from repro.core.heuristics import SelectiveHardeningPlanner
+from repro.core.heuristics import SelectiveHardeningPlanner, choose_technique
 from repro.physical import RecoveryKind
+from repro.resilience.logic_parity import UNPIPELINED_GROUP_SIZE
 from repro.workloads.synthesis import (
     BUILTIN_PROFILES,
     synthesize_calibrated_workload,
@@ -117,6 +119,48 @@ class TestScheduleEquivalence:
         assert curve[0][0] == 0
         # The final point answers any unreachable finite target.
         assert schedule.prefix_for(ResilienceTarget(sdc=1e18)) == schedule.effective_length
+
+
+class TestHeuristicOneTables:
+    """The planner's per-site unit/slack tables feed the one Heuristic 1."""
+
+    @pytest.fixture(params=("ino", "ooo"))
+    def framework(self, request, ino_framework, ooo_framework):
+        return ino_framework if request.param == "ino" else ooo_framework
+
+    @staticmethod
+    def _planner(framework):
+        return SelectiveHardeningPlanner(framework.core.registry,
+                                         framework.vulnerability, framework.timing,
+                                         framework.benchmark_names())
+
+    def test_tables_match_registry_and_timing(self, framework):
+        registry = framework.core.registry
+        units, has_slack = self._planner(framework).site_tables()
+        total = range(registry.total_flip_flops)
+        assert units == [registry.unit_of(i) for i in total]
+        assert has_slack == [framework.timing.supports_unpipelined(
+            i, UNPIPELINED_GROUP_SIZE) for i in total]
+
+    def test_schedule_choices_match_choose_technique(self, framework):
+        """Every (policy, recovery) context of the 586-combination sweep."""
+        registry = framework.core.registry
+        planner = self._planner(framework)
+        contexts = {}
+        for combination in enumerate_combinations(framework.explorer.family):
+            if combination.has_tunable_technique:
+                policy = SelectionPolicy(
+                    allow_hardening=LEAP_DICE in combination.techniques,
+                    allow_parity=PARITY in combination.techniques,
+                    allow_eds=EDS in combination.techniques)
+                contexts[(policy.cache_key(), combination.recovery)] = policy
+        assert contexts
+        for (_, recovery), policy in contexts.items():
+            schedule = planner.schedule_for(recovery=recovery, policy=policy)
+            assert len(schedule.steps) == registry.total_flip_flops
+            for step in schedule.steps:
+                assert step.choice is choose_technique(
+                    step.flat_index, registry, framework.timing, recovery, policy)
 
 
 class TestExplorerEquivalence:

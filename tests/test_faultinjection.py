@@ -188,6 +188,22 @@ class TestVulnerabilityMap:
         ranking = vmap.ranked_by_vulnerability()
         assert ranking[0] in (0, 1) and ranking[-1] in (2, 3)
 
+    def test_ranking_metrics(self):
+        vmap = VulnerabilityMap("core", 3)
+        vmap.record("b", 0, samples=10, sdc=5, due=0)
+        vmap.record("b", 1, samples=10, sdc=1, due=8)
+        vmap.record("b", 2, samples=10, sdc=3, due=3)
+        assert vmap.ranked_by_vulnerability(metric="sdc") == [0, 2, 1]
+        assert vmap.ranked_by_vulnerability(metric="due") == [1, 2, 0]
+        assert vmap.ranked_by_vulnerability(metric="sdc+due") == [1, 2, 0]
+
+    @pytest.mark.parametrize("metric", ["SDC", "sdc_due", "due+sdc", ""])
+    def test_unknown_ranking_metric_raises(self, metric):
+        vmap = VulnerabilityMap("core", 2)
+        vmap.record("b", 0, samples=10, sdc=5, due=1)
+        with pytest.raises(ValueError, match="metric"):
+            vmap.ranked_by_vulnerability(metric=metric)
+
     def test_merged(self):
         a = VulnerabilityMap("core", 2)
         a.record("b", 0, samples=5, sdc=1, due=0)

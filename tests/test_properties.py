@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faultinjection import OutcomeCategory, OutcomeCounts, margin_of_error
+from repro.faultinjection.vulnerability import VulnerabilityMap
 from repro.isa import Instruction, Opcode, OPCODE_INFO, decode_instruction, encode_instruction
 from repro.isa.instructions import InstructionFormat
 from repro.microarch.execute import execute_operation, to_signed, to_unsigned
@@ -173,6 +174,84 @@ class TestCostReportProperties:
     def test_energy_at_least_power_when_time_grows(self, power, time):
         report = CostReport.from_power_and_time(0.0, power, time)
         assert report.energy_pct >= report.power_pct - 1e-9
+
+
+_BENCHMARK_NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def _vulnerability_maps(draw):
+    """Small maps over a few benchmarks; some sites recorded with 0 samples,
+    some never recorded."""
+    total = draw(st.integers(min_value=1, max_value=12))
+    vulnerability = VulnerabilityMap("prop", total)
+    records = draw(st.lists(st.tuples(st.sampled_from(_BENCHMARK_NAMES),
+                                      st.integers(min_value=0, max_value=total - 1),
+                                      st.integers(min_value=0, max_value=9),
+                                      st.integers(min_value=0, max_value=9),
+                                      st.integers(min_value=0, max_value=9)),
+                            max_size=30))
+    for name, flat_index, samples, sdc, due in records:
+        sdc = min(sdc, samples)
+        vulnerability.record(name, flat_index, samples=samples, sdc=sdc,
+                             due=min(due, samples - sdc))
+    return vulnerability
+
+
+# None, [], subsets, reorderings, duplicates and unknown names.
+_BENCHMARK_LISTS = st.one_of(
+    st.none(), st.lists(st.sampled_from(_BENCHMARK_NAMES + ("unknown",)),
+                        max_size=6))
+
+
+def _reference_probabilities(vulnerability, benchmarks):
+    """The per-site definition the dense arrays must reproduce bit for bit."""
+    names = vulnerability.benchmarks if benchmarks is None else benchmarks
+    total = range(vulnerability.total_flip_flops)
+    if not names:
+        return ((0.0,) * len(total),) * 2
+    return (tuple(sum([vulnerability.site(n, i).p_sdc for n in names]) / len(names)
+                  for i in total),
+            tuple(sum([vulnerability.site(n, i).p_due for n in names]) / len(names)
+                  for i in total))
+
+
+class TestDenseVulnerabilityProperties:
+    """``VulnerabilityMap.probabilities`` is the per-site average, memoised.
+
+    The planner's equivalence baselines read the same arrays, so this is
+    the test that pins the dense lookup itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(vulnerability=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS)
+    def test_dense_arrays_equal_per_site_average(self, vulnerability, benchmarks):
+        dense = vulnerability.probabilities(benchmarks)
+        assert dense == _reference_probabilities(vulnerability, benchmarks)
+        assert list(dense[0]) == [vulnerability.sdc_probability(i, benchmarks)
+                                  for i in range(vulnerability.total_flip_flops)]
+        assert list(dense[1]) == [vulnerability.due_probability(i, benchmarks)
+                                  for i in range(vulnerability.total_flip_flops)]
+        assert vulnerability.probabilities(benchmarks) is dense
+        if benchmarks is None:
+            assert vulnerability.probabilities(vulnerability.benchmarks) is dense
+
+    @settings(max_examples=100, deadline=None)
+    @given(vulnerability=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS,
+           data=st.data())
+    def test_record_after_query_changes_the_next_answer(self, vulnerability,
+                                                        benchmarks, data):
+        names = vulnerability.benchmarks if benchmarks is None else benchmarks
+        before = vulnerability.probabilities(benchmarks)
+        name = names[0] if names else "a"
+        flat_index = data.draw(st.integers(
+            min_value=0, max_value=vulnerability.total_flip_flops - 1))
+        # One more sample moves p_sdc at this site off its current value.
+        sdc = 1 if vulnerability.site(name, flat_index).p_sdc < 1.0 else 0
+        vulnerability.record(name, flat_index, samples=1, sdc=sdc, due=0)
+        after = vulnerability.probabilities(benchmarks)
+        assert after == _reference_probabilities(vulnerability, benchmarks)
+        if names or benchmarks is None:
+            assert after[0][flat_index] != before[0][flat_index]
 
 
 @st.composite
