@@ -16,15 +16,24 @@ structures into two planes:
 
 * **control plane** -- pc/validity/opcode/destination/trap/address fields
   that decide *what the pipeline does*.  These are required to stay uniform
-  across the wavefront and are stored once as plain scalars (lane 0, the
+  across the wavefront and are stored once as plain ints (lane 0, the
   uninjected reference lane, defines them; it reproduces the golden run
   bit-for-bit by construction).
 * **lane plane** -- operand/result value latches plus every hint-only
   structure (branch predictor, status register, cache/IRQ bookkeeping).
-  These live as ``(lanes,)`` numpy columns in a
-  :class:`~repro.microarch.state.BatchedLatchState` and may diverge freely:
-  they never feed control decisions, only register writes, stores and
-  program output -- all of which are vectorised per lane.
+  These are ``(lanes,)`` numpy columns and may diverge freely: they never
+  feed control decisions, only register writes, stores and program output
+  -- all of which are per-lane columns too.
+
+There is one in-order pipeline.  The wavefront steps a :class:`_LaneCore`,
+an :class:`InOrderCore` whose latch list holds ints in the control plane and
+columns in the lane plane, so :class:`InOrderCore`'s own stages advance
+every lane at once.  The lane core overrides only a few hooks: the execute
+stage takes the outcome of a vectorised pre-pass (which demotes lanes whose
+control would diverge), hint counters are kept as scalar offsets, and
+register writes and output commit whole columns.  This module is the
+orchestration around it: admission, the pre-pass and demotion, tandems,
+retirement and eviction.
 
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep
@@ -54,8 +63,7 @@ forward via the golden snapshot grid.  A lane leaves the wavefront by:
   bounded window, finish on the ordinary scalar path (with the convergence
   gate), exactly as a plain scalar replay of that injection would.
 
-The wavefront stepper mirrors :meth:`InOrderCore._step_cycle` stage for
-stage and is therefore specific to the in-order pipeline.  Other cores --
+The lane core is specific to the in-order pipeline.  Other cores --
 the out-of-order model in particular, whose dynamic scheduling makes
 "uniform control" a far weaker invariant -- transparently fall back to the
 scalar path: :func:`batched_replay_supported` is the seam, and a batched
@@ -89,14 +97,13 @@ from repro.engine.executors import (
 )
 from repro.faultinjection.injector import injection_watchdog
 from repro.faultinjection.outcomes import classify_outcome
-from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
-from repro.isa.instructions import LUI_SHIFT, Opcode, OPCODE_INFO
-from repro.isa.program import Program, WORD_BYTES
+from repro.isa.instructions import LUI_SHIFT, OPCODE_BY_VALUE, Opcode
+from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot
 from repro.microarch.events import RunResult, TerminationReason, TrapKind
-from repro.microarch.inorder import _TRAP_CODES, _TRAP_FROM_CODE, InOrderCore
-from repro.microarch.memory import BatchedWordStore, MemoryFault
-from repro.microarch.state import BatchedLatchState
+from repro.microarch.execute import ExecuteResult, ExecuteTrap
+from repro.microarch.inorder import InOrderCore
+from repro.microarch.memory import BatchedWordStore
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
@@ -133,7 +140,7 @@ genuinely forked control flow and rarely return."""
 _BRANCH_OPCODES = frozenset((Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
                              Opcode.BLTU, Opcode.BGEU))
 
-_DATA_COLUMNS = frozenset((
+_DATA_LATCHES = frozenset((
     "e.rs1val", "e.rs2val",      # operands read at regaccess
     "m.result", "m.storeval",    # ALU result / store payload
     "x.result", "x.outval",      # post-memory result / OUT payload
@@ -141,30 +148,18 @@ _DATA_COLUMNS = frozenset((
 ))
 """Architectural value latches that may differ per lane under uniform control."""
 
-_DELTA_COLUMNS = ("irq.pending", "ic.ctrl.state", "dc.ctrl.state")
+_COUNTER_LATCHES = ("irq.pending", "ic.ctrl.state", "dc.ctrl.state")
 """Hint counters the pipeline bumps by a lane-uniform increment.  The
 wavefront stores them offset by a scalar running delta instead of touching
 the columns every cycle; true values materialise only at lane extraction."""
 
-# Enum __call__ and mapping-by-member lookups cost ~1us each and sit on the
-# per-cycle path; these precomputed int-keyed tables replace them.
-_OPCODE_BY_INT = {int(op): op for op in Opcode}
-_INFO_BY_INT = {int(op): OPCODE_INFO[op] for op in Opcode}
-_HALT_INT = int(Opcode.HALT)
-
-_U1 = np.uint64(1)
-_U2 = np.uint64(2)
-_U3 = np.uint64(3)
-
-_MISSING = object()
-
 
 def batched_replay_supported(core: BaseCore) -> bool:
-    """True when ``core`` has a lockstep wavefront stepper.
+    """True when ``core`` can be stepped as a lockstep wavefront.
 
-    The stepper mirrors the in-order pipeline exactly, so only the exact
-    :class:`InOrderCore` type qualifies (a subclass may override stage
-    behaviour the mirror would not reproduce).  Everything else -- the
+    The wavefront runs :class:`InOrderCore`'s own stages, so only that exact
+    type qualifies (a subclass may override a stage or a hook in ways the
+    wavefront's lane core would not inherit).  Everything else -- the
     out-of-order core in particular -- replays on the scalar path.
     """
     return type(core) is InOrderCore
@@ -181,6 +176,200 @@ def _golden_batchable(golden: RunResult) -> bool:
             and not golden.detections
             and golden.recovery_cycles == 0
             and golden.cycles > 0)
+
+
+class _LaneCore(InOrderCore):
+    """``lanes`` in-order replays stepped at once by the inherited stages.
+
+    The latch list holds lane 0's ints in the control-plane slots (uniform
+    across the wavefront by the lockstep invariant) and ``(lanes,)`` numpy
+    columns in the lane-local slots: the value latches and every hint-only
+    structure.  Registers, memory (a :class:`BatchedWordStore`) and emitted
+    output are per-lane columns too, so each stage moves whole columns.  The
+    hooks it overrides supply the wavefront's execute pre-pass outcome, keep
+    the hint counters as scalar offsets and commit columns.
+
+    Stages share column objects between latches, registers and memory rows,
+    so a column is replaced, never written in place -- except when
+    :meth:`seat_reference` copies lane 0 into a joining slot, which gives
+    every alias the value it must hold anyway.  A lane core is never
+    snapshotted or fingerprinted as a whole: :meth:`lane_snapshot` extracts
+    one lane as the scalar core's :class:`CoreSnapshot`.
+    """
+
+    def __init__(self, name: str, lanes: int):
+        super().__init__(name=name)
+        self.lanes = lanes
+        structures = self.registry.structures
+        self.lane_local = [(not s.architectural) or s.name in _DATA_LATCHES
+                           for s in structures]
+        self._lane_positions = [
+            i for i, local in enumerate(self.lane_local) if local]
+        self._control_positions = [
+            i for i, local in enumerate(self.lane_local) if not local]
+        self._data_positions = [i for i, s in enumerate(structures)
+                                if s.name in _DATA_LATCHES]
+        self._counter_masks = {
+            self.latches.slot(name): (1 << self.registry.structure(name).width) - 1
+            for name in _COUNTER_LATCHES}
+        # audit: allow[state-coverage] lane cores are never snapshotted; lane_snapshot materialises the offsets into each extracted lane
+        self._deltas = dict.fromkeys(self._counter_masks, 0)
+        # audit: allow[state-coverage] per-lane "output equals lane 0's" flags, reset on restore; lane_snapshot extracts the output itself
+        self.output_ok = None
+        # The wavefront's execute outcome for the cycle being stepped.
+        self.prepass: ExecuteResult | TrapKind | None = None
+        self._prefix = 0
+
+    # ------------------------------------------------------------------ stage hooks
+    def _execute(self, opcode, rs1_value, rs2_value, imm, pc) -> ExecuteResult:
+        outcome = self.prepass
+        if isinstance(outcome, TrapKind):
+            raise ExecuteTrap(outcome)
+        return outcome
+
+    def _count(self, slot: int) -> None:
+        self._deltas[slot] += 1
+
+    def _write_register(self, index: int, value) -> None:
+        index &= 0x1F
+        if index != 0:
+            self.registers[index] = value
+
+    def emit_output(self, value) -> None:
+        self._output.append(value)
+        self.output_ok &= value == value[0]
+
+    def _restore_microarchitecture(self, micro: dict) -> None:
+        """Broadcast one golden snapshot to every lane."""
+        lanes = self.lanes
+        values = self.latches.values
+        # Value columns (latches, registers, memory) are int64, the pre-pass
+        # arithmetic's type; hint columns are uint64 (f.bp.table is 64 bits).
+        for position in self._lane_positions:
+            values[position] = np.full(lanes, values[position], dtype=(
+                np.int64 if position in self._data_positions else np.uint64))
+        self.registers = [np.full(lanes, value, dtype=np.int64)
+                          for value in micro["registers"]]
+        self.memory = BatchedWordStore(micro["memory"], lanes)
+        self._redirect_target = micro["redirect_target"]
+        self._deltas = dict.fromkeys(self._deltas, 0)
+        self.output_ok = np.ones(lanes, dtype=bool)
+        self._prefix = len(self._output)
+
+    # ------------------------------------------------------------------ lanes
+    def seat_reference(self, slot: int) -> None:
+        """Make lane ``slot`` a copy of reference lane 0 (a joining replay)."""
+        for position in self._lane_positions:
+            column = self.latches.values[position]
+            column[slot] = column[0]
+        for column in self.registers:
+            column[slot] = column[0]
+        self.memory.reset_lane(slot)
+        for column in self._output[self._prefix:]:
+            column[slot] = column[0]
+        self.output_ok[slot] = True
+
+    def flip(self, slot: int, flat_index: int) -> None:
+        """Flip one lane-local flip-flop of lane ``slot`` (copy-on-write)."""
+        site = self.registry.site(flat_index)
+        position = self.latches.slot(site.structure.name)
+        values = self.latches.values
+        column = values[position].copy()
+        mask = self._counter_masks.get(position)
+        if mask is None:
+            column[slot] ^= 1 << site.bit
+        else:
+            # Offset-stored counter: flip the true value, store the offset.
+            delta = self._deltas[position]
+            true_value = ((int(column[slot]) + delta) & mask) ^ (1 << site.bit)
+            column[slot] = (true_value - delta) & mask
+        values[position] = column
+
+    def adopt(self, slot: int, core: InOrderCore) -> None:
+        """Seat a scalar core's state in lane ``slot`` (a tandem rejoin).
+
+        The caller has checked that ``core``'s control plane equals lane 0's;
+        this copies its lane-local latches, registers, memory and emitted
+        output into fresh columns.
+        """
+        data = core.latches.values
+        values = self.latches.values
+        for position in self._lane_positions:
+            value = data[position]
+            mask = self._counter_masks.get(position)
+            if mask is not None:
+                value = (value - self._deltas[position]) & mask
+            values[position] = _with_lane(values[position], slot, value)
+        self.registers = [_with_lane(column, slot, value)
+                          for column, value in zip(self.registers,
+                                                   core.registers)]
+        self.memory.set_lane_words(slot, core.memory.snapshot_words())
+        output = self._output
+        for index in range(self._prefix, len(output)):
+            output[index] = _with_lane(output[index], slot, core.output[index])
+        self.output_ok[slot] = all(column[slot] == column[0]
+                                   for column in output[self._prefix:])
+
+    def control_matches(self, core: InOrderCore) -> bool:
+        """True when ``core`` would execute lane 0's instruction stream."""
+        if (core._retired != self._retired
+                or core._redirect_target != self._redirect_target
+                or core._pending_recovery or core._detections
+                or core._recovery_cycles
+                or len(core._output) != len(self._output)):
+            return False
+        data = core.latches.values
+        values = self.latches.values
+        return all(data[position] == values[position]
+                   for position in self._control_positions)
+
+    def lanes_converged(self):
+        """Per lane: value latches, registers and memory equal lane 0's.
+
+        Hint-only columns are left out on purpose -- the in-order core never
+        reads them into behaviour.
+        """
+        values = self.latches.values
+        rows = np.stack([values[position]
+                         for position in self._data_positions]
+                        + self.registers)
+        return (rows == rows[:, :1]).all(axis=0) \
+            & self.memory.lanes_match_reference()
+
+    def lane_output(self, lane: int) -> list[int]:
+        output = self._output
+        return output[:self._prefix] + [int(column[lane])
+                                        for column in output[self._prefix:]]
+
+    def lane_snapshot(self, lane: int) -> CoreSnapshot:
+        """Lane ``lane``'s state as the scalar core's snapshot."""
+        latches = list(self.latches.values)
+        for position in self._lane_positions:
+            latches[position] = int(latches[position][lane])
+        for position, mask in self._counter_masks.items():
+            latches[position] = (latches[position]
+                                 + self._deltas[position]) & mask
+        return CoreSnapshot(
+            core_name=self.name,
+            cycle=self._cycle,
+            retired=self._retired,
+            output=self.lane_output(lane),
+            detections=[],
+            recovery_cycles=0,
+            pending_recovery=0,
+            latches=tuple(latches),
+            micro={
+                "registers": [int(column[lane]) for column in self.registers],
+                "memory": self.memory.lane_words(lane),
+                "redirect_target": self._redirect_target,
+            })
+
+
+def _with_lane(column, lane: int, value):
+    """A copy of ``column`` with ``column[lane] = value``."""
+    column = column.copy()
+    column[lane] = value
+    return column
 
 
 @dataclass
@@ -237,37 +426,13 @@ class _CorePool:
         self._idle.append(core)
 
 
-@dataclass
-class _ExecOutcome:
-    """Vectorised execute-stage result under uniform (reference) control.
-
-    ``value``/``store_col``/``out_col`` may be per-lane arrays; everything
-    control-bearing (``taken``, ``target``, ``mem_addr``, ``trap``) is a
-    scalar -- lanes that would disagree with the reference lane were demoted
-    to tandems during the pre-pass that computed this outcome.
-    """
-
-    illegal: bool = False
-    value: object = 0
-    taken: bool = False
-    target: int = 0
-    mem_addr: int | None = None
-    store_col: object = None
-    out_col: object = None
-    trap: bool = False
-    trapkind: int = 0
-    is_branch: bool = False
-
-
 class _StreamingWavefront:
     """One streaming lockstep sweep over a chunk's batchable injections.
 
     Lane 0 is the uninjected reference lane; slots ``1..width`` are recycled
-    across injections as lanes join, retire, and demote.  Control-plane
-    latches are kept as plain scalars in ``self._ctrl`` (the lockstep
-    invariant makes them uniform); the matching columns of the latch matrix
-    are *stale* and never read -- lane extraction recomposes full latch
-    tuples from the scalar control plane plus the lane's data/hint columns.
+    across injections as lanes join, retire, and demote.  The lanes step on
+    one :class:`_LaneCore`; this class admits, demotes, retires and evicts
+    them, and runs the execute pre-pass that keeps control uniform.
     """
 
     def __init__(self, core: BaseCore, program: Program,
@@ -279,41 +444,16 @@ class _StreamingWavefront:
         self._program = program
         self._checkpointed = checkpointed
         self._golden = checkpointed.golden
-        self._core_name = core.name
         self._registry = core.registry
         self._pool = pool
         self._watchdog = injection_watchdog(self._golden)
         self.lanes = width + 1
-        structures = self._registry.structures
-        self._structures = structures
-        self._is_lane_local = {
-            s.name: (not s.architectural) or s.name in _DATA_COLUMNS
-            for s in structures}
-        self._cmask = {s.name: (1 << s.width) - 1 for s in structures
-                       if not self._is_lane_local[s.name]}
-        self._ctrl_positions = [
-            (i, s.name) for i, s in enumerate(structures)
-            if not self._is_lane_local[s.name]]
-        self._lane_positions = [
-            i for i, s in enumerate(structures) if self._is_lane_local[s.name]]
-        self._data_columns = np.array(
-            [i for i, s in enumerate(structures) if s.name in _DATA_COLUMNS],
-            dtype=np.intp)
-        index = {s.name: i for i, s in enumerate(structures)}
-        self._delta_sites = {
-            name: (index[name], (1 << structures[index[name]].width) - 1)
-            for name in _DELTA_COLUMNS}
-        self._fingerprints = checkpointed.fingerprints
+        self._core = _LaneCore(core.name, self.lanes)
+        self._zeros = np.zeros(self.lanes, dtype=np.int64)
         self._fp_interval = checkpointed.fingerprint_interval
         self._schedule_plans = schedule_plans or {}
         self._gate = (convergence and self._fp_interval > 0
-                      and bool(self._fingerprints))
-        self._convergence = convergence
-        self._predictor_entries = np.uint64(core._predictor._entries)
-        self._history_mask = np.uint64(
-            (1 << structures[index["f.bp.history"]].width) - 1)
-        self._fetch_cache: dict[int, int | None] = {}
-        self._decode_cache: dict[int, tuple | None] = {}
+                      and bool(checkpointed.fingerprints))
         self.shared_cycles = 0
         self._tandems: list[_Tandem] = []
         self._base_snapshot: CoreSnapshot | None = None
@@ -328,33 +468,13 @@ class _StreamingWavefront:
         if base.pending_recovery or base.detections or base.recovery_cycles:
             raise ValueError("wavefronts require a clean golden prefix")
         lanes = self.lanes
-        self._ctrl = {name: base.latches[position]
-                      for position, name in self._ctrl_positions}
-        self._latches = BatchedLatchState.from_serialized(
-            self._registry, base.latches, lanes)
-        self._view = {name: self._latches.col(name) for name in (
-            "e.rs1val", "e.rs2val", "m.result", "m.storeval", "x.result",
-            "x.outval", "w.result", "w.outval", "w.s.icc", "x.icc",
-            "f.bp.table", "f.bp.history")}
-        self.regs = np.zeros((lanes, len(base.micro["registers"])),
-                             dtype=np.uint64)
-        self.regs[:] = np.array(base.micro["registers"], dtype=np.uint64)
-        self.mem = BatchedWordStore(base.micro["memory"], lanes)
-        self.redirect_target = int(base.micro["redirect_target"])
-        self.cycle = base.cycle
-        self.retired = base.retired
-        self.reason: TerminationReason | None = None
-        self.trap: TrapKind | None = None
-        self._output_prefix = list(base.output)
-        self._emitted: list[np.ndarray] = []
-        self.output_ok = np.ones(lanes, dtype=bool)
+        self._core.restore(self._program, base)
         self._occupied = np.zeros(lanes, dtype=bool)
         self._occupied_count = 0
         self._free_slots = list(range(1, lanes))
         self._slot_records: list[_LaneRecord | None] = [None] * lanes
         self._inj_cycles = np.full(lanes, np.iinfo(np.int64).max,
                                    dtype=np.int64)
-        self._deltas = {name: 0 for name in _DELTA_COLUMNS}
 
     def _base_at(self, cycle: int) -> CoreSnapshot:
         """Golden snapshot at or before ``cycle`` (cycle-0 reset if none)."""
@@ -382,11 +502,12 @@ class _StreamingWavefront:
         if not records:
             return finished, deferred
         self._load_reference(self._base_at(records[0].planned.injection.cycle))
-        golden_cycles = self._golden.cycles
+        core = self._core
+        golden = self._golden
         index = 0
         total = len(records)
-        while self.reason is None:
-            cycle = self.cycle
+        while not core.terminated:
+            cycle = core.cycle
             if self._occupied_count == 0 and not self._tandems:
                 if index >= total:
                     break  # pass exhausted without reaching golden termination
@@ -395,11 +516,11 @@ class _StreamingWavefront:
                     snapshot = self._checkpointed.nearest(target)
                     if snapshot is not None and snapshot.cycle > cycle:
                         self._load_reference(snapshot)
-                        cycle = self.cycle
-            if cycle > golden_cycles:
+                        cycle = core.cycle
+            if cycle > golden.cycles:
                 raise RuntimeError(
                     "batched lockstep replay desynchronised: reference lane "
-                    f"passed the golden termination cycle {golden_cycles}")
+                    f"passed the golden termination cycle {golden.cycles}")
             while (index < total
                    and records[index].planned.injection.cycle == cycle):
                 self._admit(records[index], deferred)
@@ -409,19 +530,21 @@ class _StreamingWavefront:
             if (self._gate and self._occupied_count
                     and cycle % self._fp_interval == 0):
                 self._retire_converged(cycle, finished)
-            self._advance_one_cycle()
+            core.prepass = self._execute_prepass()
+            core.step()
             self.shared_cycles += 1
             if self._tandems:
                 self._step_tandems(finished)
-        if self.reason is not None:
-            if (self.cycle != golden_cycles
-                    or self.reason is not self._golden.reason
-                    or self.trap is not self._golden.trap
-                    or self.retired != self._golden.instructions_retired):
+        if core.terminated:
+            if (core.cycle != golden.cycles
+                    or core._termination is not golden.reason
+                    or core._trap is not golden.trap
+                    or core.instructions_retired
+                    != golden.instructions_retired):
                 raise RuntimeError(
                     "batched lockstep replay reference lane diverged from "
-                    f"the golden run (cycle {self.cycle} vs {golden_cycles}, "
-                    f"reason {self.reason} vs {self._golden.reason})")
+                    f"the golden run (cycle {core.cycle} vs {golden.cycles}, "
+                    f"reason {core._termination} vs {golden.reason})")
             for lane in np.nonzero(self._occupied)[0]:
                 self._dispose_survivor(int(lane), finished)
             for tandem in list(self._tandems):
@@ -432,23 +555,24 @@ class _StreamingWavefront:
     # ------------------------------------------------------------------ lane lifecycle
     def _admit(self, record: _LaneRecord, deferred: list[_LaneRecord]) -> None:
         planned = record.planned
-        record.resumed_from = self.cycle
-        record.segment_start = self.cycle
+        record.resumed_from = self._core.cycle
+        record.segment_start = self._core.cycle
         if planned.suppressed:
             # The hardened cell absorbed the strike: a no-op lane.
             if not self._join_lane(record, flat_index=None):
                 deferred.append(record)
             return
         site = self._registry.site(planned.injection.flat_index)
-        if self._is_lane_local[site.structure.name]:
+        position = self._core.latches.slot(site.structure.name)
+        if self._core.lane_local[position]:
             if not self._join_lane(record, planned.injection.flat_index):
                 deferred.append(record)
         else:
             # Control-plane flip: the instruction stream diverges from the
             # wavefront at the instant of injection.  Chase it in tandem.
-            snapshot = self._lane_snapshot(0)
+            snapshot = self._core.lane_snapshot(0)
             flipped = list(snapshot.latches)
-            flipped[self._latches.position(site.structure.name)] ^= 1 << site.bit
+            flipped[position] ^= 1 << site.bit
             snapshot.latches = tuple(flipped)
             self._spawn_tandem(record, snapshot)
 
@@ -457,37 +581,19 @@ class _StreamingWavefront:
         if not self._free_slots:
             return False
         slot = self._free_slots.pop()
-        self._latches.array[slot] = self._latches.array[0]
-        self.regs[slot] = self.regs[0]
-        self.mem.reset_lane(slot)
-        for values in self._emitted:
-            values[slot] = values[0]
-        self.output_ok[slot] = True
+        self._core.seat_reference(slot)
         if flat_index is not None:
-            self._flip_lane_local(slot, flat_index)
+            self._core.flip(slot, flat_index)
+        self._occupy(slot, record)
+        return True
+
+    def _occupy(self, slot: int, record: _LaneRecord) -> None:
         self._occupied[slot] = True
         self._occupied_count += 1
         self._slot_records[slot] = record
         self._inj_cycles[slot] = record.planned.injection.cycle
         record.slot = slot
-        record.segment_start = self.cycle
-        return True
-
-    def _flip_lane_local(self, slot: int, flat_index: int) -> None:
-        site = self._registry.site(flat_index)
-        name = site.structure.name
-        delta_site = self._delta_sites.get(name)
-        if delta_site is None:
-            self._latches.flip_flat(slot, flat_index)
-            return
-        # Delta-offset column: flip the *materialised* value, store it back
-        # in offset form.
-        position, mask = delta_site
-        delta = self._deltas[name]
-        true_value = (int(self._latches.array[slot, position]) + delta) & mask
-        true_value ^= 1 << site.bit
-        self._latches.array[slot, position] = np.uint64(
-            (true_value - delta) & mask)
+        record.segment_start = self._core.cycle
 
     def _release_slot(self, slot: int) -> None:
         self._occupied[slot] = False
@@ -501,7 +607,7 @@ class _StreamingWavefront:
         core = self._pool.acquire()
         core.restore(self._program, snapshot)
         self._tandems.append(
-            _Tandem(core, record, deadline=self.cycle + _TANDEM_WINDOW,
+            _Tandem(core, record, deadline=self._core.cycle + _TANDEM_WINDOW,
                     started=now_us() if self._tracing else 0.0))
 
     def _finish_tandem_span(self, tandem: _Tandem, disposition: str) -> None:
@@ -527,51 +633,24 @@ class _StreamingWavefront:
             for lane in np.nonzero(mask)[0]:
                 lane = int(lane)
                 record = self._slot_records[lane]
-                record.lockstep_cycles += self.cycle - record.segment_start
-                snapshot = self._lane_snapshot(lane)
+                record.lockstep_cycles += self._core.cycle - record.segment_start
+                snapshot = self._core.lane_snapshot(lane)
                 self._release_slot(lane)
                 self._spawn_tandem(record, snapshot)
 
-    def _lane_snapshot(self, lane: int) -> CoreSnapshot:
-        row = self._latches.array[lane]
-        ctrl = self._ctrl
-        lane_local = self._is_lane_local
-        latches = [
-            int(row[i]) if lane_local[s.name] else ctrl[s.name]
-            for i, s in enumerate(self._structures)]
-        for name, (position, mask) in self._delta_sites.items():
-            latches[position] = (latches[position] + self._deltas[name]) & mask
-        return CoreSnapshot(
-            core_name=self._core_name,
-            cycle=self.cycle,
-            retired=self.retired,
-            output=self._lane_output(lane),
-            detections=[],
-            recovery_cycles=0,
-            pending_recovery=0,
-            latches=tuple(latches),
-            micro={
-                "registers": [int(v) for v in self.regs[lane]],
-                "memory": self.mem.lane_words(lane),
-                "redirect_target": self.redirect_target,
-            })
-
-    def _lane_output(self, lane: int) -> list[int]:
-        return self._output_prefix + [int(values[lane])
-                                      for values in self._emitted]
-
     def _dispose_survivor(self, lane: int, finished: list[_LaneRecord]) -> None:
+        core = self._core
         record = self._slot_records[lane]
-        record.lockstep_cycles += self.cycle - record.segment_start
+        record.lockstep_cycles += core.cycle - record.segment_start
         self._release_slot(lane)
         result = RunResult(
             program_name=self._golden.program_name,
             core_name=self._golden.core_name,
-            reason=self.reason,
-            trap=self.trap,
-            cycles=self.cycle,
-            instructions_retired=self.retired,
-            output=self._lane_output(lane),
+            reason=core._termination,
+            trap=core._trap,
+            cycles=core.cycle,
+            instructions_retired=core.instructions_retired,
+            output=core.lane_output(lane),
             detections=[],
             recovery_cycles=0)
         record.replay = Replay(
@@ -585,16 +664,15 @@ class _StreamingWavefront:
         """Retire lanes whose architectural state re-converged with lane 0.
 
         Hint-only columns are excluded on purpose: the in-order core never
-        reads them (the predictor read is a discarded prediction), so a lane
+        reads them (the predictor is trained, never consulted), so a lane
         that matches architecturally emits golden output from here on --
         VANISHED, exactly what the scalar path reports for it.
         """
-        eligible = self._occupied & self.output_ok & (self._inj_cycles < cycle)
+        eligible = (self._occupied & self._core.output_ok
+                    & (self._inj_cycles < cycle))
         if not eligible.any():
             return
-        eligible &= self._latches.rows_equal(columns=self._data_columns)
-        eligible &= (self.regs == self.regs[0]).all(axis=1)
-        eligible &= self.mem.lanes_match_reference()
+        eligible &= self._core.lanes_converged()
         if not eligible.any():
             return
         golden = self._golden
@@ -614,26 +692,10 @@ class _StreamingWavefront:
             finished.append(record)
 
     # ------------------------------------------------------------------ tandems
-    def _tandem_rejoinable(self, tandem: _Tandem) -> bool:
-        core = tandem.core
-        if (core._retired != self.retired
-                or core._redirect_target != self.redirect_target
-                or core._pending_recovery or core._detections
-                or core._recovery_cycles
-                or len(core._output) != (len(self._output_prefix)
-                                         + len(self._emitted))):
-            return False
-        data = core.latches._data
-        ctrl = self._ctrl
-        for position, name in self._ctrl_positions:
-            if data[position] != ctrl[name]:
-                return False
-        return True
-
     def _service_tandems(self, finished: list[_LaneRecord]) -> None:
-        cycle = self.cycle
+        cycle = self._core.cycle
         for tandem in list(self._tandems):
-            if self._free_slots and self._tandem_rejoinable(tandem):
+            if self._free_slots and self._core.control_matches(tandem.core):
                 self._rejoin(tandem)
             elif cycle >= tandem.deadline:
                 self._tandems.remove(tandem)
@@ -650,33 +712,10 @@ class _StreamingWavefront:
         """
         self._tandems.remove(tandem)
         self._finish_tandem_span(tandem, disposition="rejoined")
-        record = tandem.record
-        core = tandem.core
         slot = self._free_slots.pop()
-        data = core.latches._data
-        row = self._latches.array[slot]
-        for position in self._lane_positions:
-            row[position] = data[position]
-        for name, (position, mask) in self._delta_sites.items():
-            row[position] = np.uint64((data[position] - self._deltas[name])
-                                      & mask)
-        micro = core._snapshot_microarchitecture()
-        self.regs[slot] = np.array(micro["registers"], dtype=np.uint64)
-        self.mem.set_lane_words(slot, micro["memory"])
-        output = core._output
-        base_length = len(self._output_prefix)
-        ok = True
-        for offset, values in enumerate(self._emitted):
-            values[slot] = output[base_length + offset]
-            ok = ok and values[slot] == values[0]
-        self.output_ok[slot] = ok
-        self._occupied[slot] = True
-        self._occupied_count += 1
-        self._slot_records[slot] = record
-        self._inj_cycles[slot] = record.planned.injection.cycle
-        record.slot = slot
-        record.segment_start = self.cycle
-        self._pool.release(core)
+        self._core.adopt(slot, tandem.core)
+        self._occupy(slot, tandem.record)
+        self._pool.release(tandem.core)
 
     def _step_tandems(self, finished: list[_LaneRecord]) -> None:
         for tandem in list(self._tandems):
@@ -760,222 +799,109 @@ class _StreamingWavefront:
         finished.append(record)
         self._pool.release(core)
 
-    # ------------------------------------------------------------------ per-cycle step
-    def _advance_one_cycle(self) -> None:
-        execute = self._execute_prepass()
-        self._commit_writeback()
-        if self.reason is not None:
-            self.cycle += 1
-            return
-        self._stage_exception_to_writeback()
-        self._stage_memory_to_exception()
-        redirect = self._stage_execute_to_memory(execute)
-        stalled = self._stage_regaccess_to_execute(redirect)
-        self._stage_decode_to_regaccess(redirect, stalled)
-        self._stage_fetch_to_decode(redirect, stalled)
-        self._deltas["irq.pending"] += 1
-        self.cycle += 1
-
-    def _emit(self, values: np.ndarray) -> None:
-        values = values.copy()
-        self._emitted.append(values)
-        self.output_ok &= values == values[0]
-
-    def _terminate(self, reason: TerminationReason,
-                   trap: TrapKind | None) -> None:
-        if self.reason is None:
-            self.reason = reason
-            self.trap = trap
-
-    def _cset(self, name: str, value: int) -> None:
-        self._ctrl[name] = value & self._cmask[name]
-
-    # ------------------------------------------------------------------ pipeline mirror
-    # Each stage below mirrors the same-named InOrderCore stage exactly, with
-    # control reads/writes on the scalar control plane and value moves as
-    # whole-column numpy operations.
-
-    def _commit_writeback(self) -> None:
-        c = self._ctrl
-        if not c["w.valid"]:
-            return
-        if c["w.trap"]:
-            kind = _TRAP_FROM_CODE.get(c["w.trapkind"],
-                                       TrapKind.ILLEGAL_INSTRUCTION)
-            reason = (TerminationReason.DETECTED
-                      if kind is TrapKind.SOFTWARE_ASSERTION
-                      else TerminationReason.TRAP)
-            self._terminate(reason, kind)
-            c["w.valid"] = 0
-            return
-        if c["w.wen"]:
-            rd = c["w.rd"] & 0x1F
-            if rd != 0:
-                self.regs[:, rd] = self._view["w.result"]
-        if c["w.outpending"]:
-            self._emit(self._view["w.outval"])
-        self.retired += 1
-        if c["w.op"] == _HALT_INT:
-            self._terminate(TerminationReason.HALTED, None)
-        c["w.valid"] = 0
-        c["w.wen"] = 0
-        c["w.outpending"] = 0
-
-    def _stage_exception_to_writeback(self) -> None:
-        c = self._ctrl
-        v = self._view
-        if not c["x.valid"]:
-            c["w.valid"] = 0
-            c["w.wen"] = 0
-            c["w.outpending"] = 0
-            return
-        c["w.op"] = c["x.op"]
-        c["w.rd"] = c["x.rd"]
-        v["w.result"][:] = v["x.result"]
-        c["w.trap"] = c["x.trap"]
-        c["w.trapkind"] = c["x.trapkind"]
-        v["w.outval"][:] = v["x.outval"]
-        c["w.outpending"] = c["x.outpending"]
-        c["w.valid"] = 1
-        wen = 0
-        if not c["x.trap"]:
-            info = _INFO_BY_INT.get(c["x.op"])
-            if info is not None:
-                wen = 1 if (info.writes_rd and c["x.rd"] != 0) else 0
-        c["w.wen"] = wen
-        v["w.s.icc"][:] = v["x.icc"]
-        c["x.valid"] = 0
-
-    def _stage_memory_to_exception(self) -> None:
-        c = self._ctrl
-        v = self._view
-        if not c["m.valid"]:
-            c["x.valid"] = 0
-            c["x.outpending"] = 0
-            return
-        c["x.op"] = c["m.op"]
-        c["x.rd"] = c["m.rd"]
-        c["x.trap"] = c["m.trap"]
-        c["x.trapkind"] = c["m.trapkind"]
-        c["x.valid"] = 1
-        c["x.outpending"] = 0
-        result = v["m.result"]
-        if not c["m.trap"]:
-            opcode = _OPCODE_BY_INT.get(c["m.op"])
-            address = c["m.addr"]
-            try:
-                if opcode is Opcode.LW:
-                    result = self.mem.load_word(address)
-                elif opcode is Opcode.LB:
-                    result = self.mem.load_byte(address)
-                elif opcode is Opcode.SW:
-                    self.mem.store_word(address, v["m.storeval"])
-                elif opcode is Opcode.SB:
-                    self.mem.store_byte(address, v["m.storeval"])
-                elif opcode is Opcode.OUT:
-                    v["x.outval"][:] = v["m.storeval"]
-                    c["x.outpending"] = 1
-            except MemoryFault:
-                c["x.trap"] = 1
-                c["x.trapkind"] = _TRAP_CODES[TrapKind.MEMORY_FAULT]
-            self._deltas["dc.ctrl.state"] += 1
-        v["x.result"][:] = result
-        c["m.valid"] = 0
-
-    def _execute_prepass(self) -> _ExecOutcome | None:
+    # ------------------------------------------------------------------ execute pre-pass
+    def _execute_prepass(self) -> ExecuteResult | TrapKind | None:
         """Compute the execute stage for the whole wavefront *before* any
         mutation, demoting lanes whose control-bearing outputs (branch
         decision/target, memory address, trap predicate) diverge from the
         reference lane.
 
+        Returns what :meth:`_LaneCore._execute` hands the execute stage: an
+        :class:`ExecuteResult` whose values are per-lane columns and whose
+        control fields are lane 0's scalars, or the :class:`TrapKind` it
+        raises.  ``None`` when the stage will not execute this cycle.
+
         Running ahead of the older stages is exact: they never touch the
         ``e.*`` latches this reads, and a demoted lane's snapshot must be
         its start-of-cycle state anyway.
         """
-        c = self._ctrl
-        if not c["e.valid"] or c["e.trap"]:
+        core = self._core
+        v = core.latches.values
+        s = core._slots
+        if not v[s.e_valid] or v[s.e_trap]:
             return None
-        opcode = _OPCODE_BY_INT.get(c["e.op"])
+        opcode = OPCODE_BY_VALUE.get(v[s.e_op])
         if opcode is None:
-            return _ExecOutcome(illegal=True)
-        pc = c["e.pc"]
-        imm = c["e.imm"]
+            return None
+        pc = v[s.e_pc]
+        imm = v[s.e_imm]
         if imm & 0x4000:  # sign-extend the 15-bit immediate
             imm -= 0x8000
-        a = self._view["e.rs1val"]
-        b = self._view["e.rs2val"]
-        ai = a.astype(np.int64)
-        bi = b.astype(np.int64)
-        out = _ExecOutcome()
+        a = v[s.e_rs1val]
+        b = v[s.e_rs2val]
+        ai = a.astype(np.int64, copy=False)
+        bi = b.astype(np.int64, copy=False)
+        zeros = self._zeros
 
         if opcode is Opcode.ADD:
-            out.value = (ai + bi) & _WORD
-        elif opcode is Opcode.SUB:
-            out.value = (ai - bi) & _WORD
-        elif opcode is Opcode.MUL:
-            out.value = (self._signed(ai) * self._signed(bi)) & _WORD
-        elif opcode in (Opcode.DIV, Opcode.REM):
+            return ExecuteResult(value=(ai + bi) & _WORD)
+        if opcode is Opcode.SUB:
+            return ExecuteResult(value=(ai - bi) & _WORD)
+        if opcode is Opcode.MUL:
+            return ExecuteResult(
+                value=(self._signed(ai) * self._signed(bi)) & _WORD)
+        if opcode in (Opcode.DIV, Opcode.REM):
             trap_lanes = bi == 0
             self._demote_divergent(trap_lanes)
             if trap_lanes[0]:
-                out.trap = True
-                out.trapkind = _TRAP_CODES[TrapKind.DIVIDE_BY_ZERO]
-            else:
-                sa = self._signed(ai)
-                sb = self._signed(bi)
-                safe = np.where(sb == 0, np.int64(1), sb)
-                # Matches the scalar semantics bit-for-bit: execute_operation
-                # computes int(a / b), i.e. float64 division truncated toward
-                # zero, and float64 is exact for all 32-bit operand pairs.
-                quotient = np.trunc(sa / safe).astype(np.int64)
-                if opcode is Opcode.DIV:
-                    out.value = quotient & _WORD
-                else:
-                    out.value = (sa - quotient * safe) & _WORD
-        elif opcode is Opcode.AND:
-            out.value = ai & bi
-        elif opcode is Opcode.OR:
-            out.value = ai | bi
-        elif opcode is Opcode.XOR:
-            out.value = ai ^ bi
-        elif opcode is Opcode.SLL:
-            out.value = (ai << (bi & 31)) & _WORD
-        elif opcode is Opcode.SRL:
-            out.value = ai >> (bi & 31)
-        elif opcode is Opcode.SRA:
-            out.value = (self._signed(ai) >> (bi & 31)) & _WORD
-        elif opcode is Opcode.SLT:
-            out.value = (self._signed(ai) < self._signed(bi)).astype(np.int64)
-        elif opcode is Opcode.SLTU:
-            out.value = (ai < bi).astype(np.int64)
-        elif opcode is Opcode.ADDI:
-            out.value = (ai + imm) & _WORD
-        elif opcode is Opcode.ANDI:
-            out.value = ai & (imm & _WORD)
-        elif opcode is Opcode.ORI:
-            out.value = ai | (imm & _WORD)
-        elif opcode is Opcode.XORI:
-            out.value = ai ^ (imm & _WORD)
-        elif opcode is Opcode.SLTI:
-            out.value = (self._signed(ai) < imm).astype(np.int64)
-        elif opcode is Opcode.SLLI:
-            out.value = (ai << (imm & 31)) & _WORD
-        elif opcode is Opcode.SRLI:
-            out.value = ai >> (imm & 31)
-        elif opcode is Opcode.SRAI:
-            out.value = (self._signed(ai) >> (imm & 31)) & _WORD
-        elif opcode is Opcode.LUI:
-            out.value = (imm << LUI_SHIFT) & _WORD
-        elif opcode in (Opcode.LW, Opcode.LB):
+                return TrapKind.DIVIDE_BY_ZERO
+            sa = self._signed(ai)
+            sb = self._signed(bi)
+            safe = np.where(sb == 0, np.int64(1), sb)
+            # Matches the scalar semantics bit-for-bit: execute_operation
+            # computes int(a / b), i.e. float64 division truncated toward
+            # zero, and float64 is exact for all 32-bit operand pairs.
+            quotient = np.trunc(sa / safe).astype(np.int64)
+            if opcode is Opcode.DIV:
+                return ExecuteResult(value=quotient & _WORD)
+            return ExecuteResult(value=(sa - quotient * safe) & _WORD)
+        if opcode is Opcode.AND:
+            return ExecuteResult(value=ai & bi)
+        if opcode is Opcode.OR:
+            return ExecuteResult(value=ai | bi)
+        if opcode is Opcode.XOR:
+            return ExecuteResult(value=ai ^ bi)
+        if opcode is Opcode.SLL:
+            return ExecuteResult(value=(ai << (bi & 31)) & _WORD)
+        if opcode is Opcode.SRL:
+            return ExecuteResult(value=ai >> (bi & 31))
+        if opcode is Opcode.SRA:
+            return ExecuteResult(
+                value=(self._signed(ai) >> (bi & 31)) & _WORD)
+        if opcode is Opcode.SLT:
+            return ExecuteResult(
+                value=(self._signed(ai) < self._signed(bi)).astype(np.int64))
+        if opcode is Opcode.SLTU:
+            return ExecuteResult(value=(ai < bi).astype(np.int64))
+        if opcode is Opcode.ADDI:
+            return ExecuteResult(value=(ai + imm) & _WORD)
+        if opcode is Opcode.ANDI:
+            return ExecuteResult(value=ai & (imm & _WORD))
+        if opcode is Opcode.ORI:
+            return ExecuteResult(value=ai | (imm & _WORD))
+        if opcode is Opcode.XORI:
+            return ExecuteResult(value=ai ^ (imm & _WORD))
+        if opcode is Opcode.SLTI:
+            return ExecuteResult(
+                value=(self._signed(ai) < imm).astype(np.int64))
+        if opcode is Opcode.SLLI:
+            return ExecuteResult(value=(ai << (imm & 31)) & _WORD)
+        if opcode is Opcode.SRLI:
+            return ExecuteResult(value=ai >> (imm & 31))
+        if opcode is Opcode.SRAI:
+            return ExecuteResult(
+                value=(self._signed(ai) >> (imm & 31)) & _WORD)
+        if opcode is Opcode.LUI:
+            return ExecuteResult(value=np.full(
+                self.lanes, (imm << LUI_SHIFT) & _WORD, dtype=np.int64))
+        if opcode in (Opcode.LW, Opcode.LB, Opcode.SW, Opcode.SB):
             addresses = (ai + imm) & _WORD
             self._demote_divergent(addresses)
-            out.mem_addr = int(addresses[0])
-        elif opcode in (Opcode.SW, Opcode.SB):
-            addresses = (ai + imm) & _WORD
-            self._demote_divergent(addresses)
-            out.mem_addr = int(addresses[0])
-            out.store_col = b
-        elif opcode in _BRANCH_OPCODES:
+            store = b if opcode in (Opcode.SW, Opcode.SB) else None
+            return ExecuteResult(value=zeros,
+                                 memory_address=int(addresses[0]),
+                                 store_value=store)
+        if opcode in _BRANCH_OPCODES:
             if opcode is Opcode.BEQ:
                 taken = ai == bi
             elif opcode is Opcode.BNE:
@@ -989,219 +915,36 @@ class _StreamingWavefront:
             else:  # BGEU
                 taken = ai >= bi
             self._demote_divergent(taken)
-            out.taken = bool(taken[0])
-            out.target = (pc + 4 + 4 * imm) & _WORD
-            out.is_branch = True
-        elif opcode is Opcode.JAL:
-            out.value = (pc + 4) & _WORD
-            out.taken = True
-            out.target = (4 * imm) & _WORD
-        elif opcode is Opcode.JALR:
-            targets = ((ai + imm) & _WORD) & ~0x3
-            self._demote_divergent(targets)
-            out.value = (pc + 4) & _WORD
-            out.taken = True
-            out.target = int(targets[0])
-        elif opcode is Opcode.OUT:
-            out.out_col = a
-        elif opcode in (Opcode.HALT, Opcode.NOP):
-            pass
-        elif opcode is Opcode.ASSERT_EQ:
-            trap_lanes = ai != bi
+            return ExecuteResult(value=zeros, branch_taken=bool(taken[0]),
+                                 branch_target=(pc + 4 + 4 * imm) & _WORD)
+        if opcode in (Opcode.JAL, Opcode.JALR):
+            if opcode is Opcode.JAL:
+                target = (4 * imm) & _WORD
+            else:
+                targets = ((ai + imm) & _WORD) & ~0x3
+                self._demote_divergent(targets)
+                target = int(targets[0])
+            return ExecuteResult(
+                value=np.full(self.lanes, (pc + 4) & _WORD, dtype=np.int64),
+                branch_taken=True, branch_target=target)
+        if opcode is Opcode.OUT:
+            return ExecuteResult(value=zeros, output_value=a)
+        if opcode in (Opcode.HALT, Opcode.NOP):
+            return ExecuteResult(value=zeros)
+        if opcode in (Opcode.ASSERT_EQ, Opcode.ASSERT_RANGE):
+            trap_lanes = ai != bi if opcode is Opcode.ASSERT_EQ else ai > bi
             self._demote_divergent(trap_lanes)
             if trap_lanes[0]:
-                out.trap = True
-                out.trapkind = _TRAP_CODES[TrapKind.SOFTWARE_ASSERTION]
-        elif opcode is Opcode.ASSERT_RANGE:
-            trap_lanes = ai > bi
-            self._demote_divergent(trap_lanes)
-            if trap_lanes[0]:
-                out.trap = True
-                out.trapkind = _TRAP_CODES[TrapKind.SOFTWARE_ASSERTION]
-        else:
-            # Mirrors execute_operation's terminal ExecuteTrap for opcodes
-            # with no compute semantics.
-            out.illegal = True
-        return out
+                return TrapKind.SOFTWARE_ASSERTION
+            return ExecuteResult(value=zeros)
+        # execute_operation's terminal trap for opcodes with no compute
+        # semantics.
+        return TrapKind.ILLEGAL_INSTRUCTION
 
     @staticmethod
     def _signed(values: np.ndarray) -> np.ndarray:
         """Sign-extend 32-bit values held in int64 lanes (branch-free)."""
         return values - ((values >> 31) << 32)
-
-    def _stage_execute_to_memory(self, execute: _ExecOutcome | None) -> bool:
-        c = self._ctrl
-        if not c["e.valid"]:
-            c["m.valid"] = 0
-            return False
-        c["m.op"] = c["e.op"]
-        c["m.rd"] = c["e.rd"]
-        c["m.trap"] = c["e.trap"]
-        c["m.trapkind"] = c["e.trapkind"]
-        c["m.valid"] = 1
-        c["m.branch_taken"] = 0
-        redirect = False
-        if not c["e.trap"]:
-            assert execute is not None
-            if execute.illegal or execute.trap:
-                c["m.trap"] = 1
-                c["m.trapkind"] = (execute.trapkind if execute.trap
-                                   else _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
-            else:
-                self._view["m.result"][:] = execute.value
-                if execute.mem_addr is not None:
-                    self._cset("m.addr", execute.mem_addr)
-                if execute.store_col is not None:
-                    self._view["m.storeval"][:] = execute.store_col
-                if execute.out_col is not None:
-                    self._view["m.storeval"][:] = execute.out_col
-                if execute.is_branch:
-                    self._predictor_update(c["e.pc"], execute.taken)
-                if execute.taken:
-                    redirect = True
-                    c["m.branch_taken"] = 1
-                    self.redirect_target = execute.target
-        c["e.valid"] = 0
-        return redirect
-
-    def _predictor_update(self, pc: int, taken: bool) -> None:
-        """Vectorised :meth:`BimodalPredictor.update` (per-lane history)."""
-        table = self._view["f.bp.table"]
-        history = self._view["f.bp.history"]
-        index = (np.uint64(pc >> 2) ^ history) % self._predictor_entries
-        shift = _U2 * index
-        counter = (table >> shift) & _U3
-        if taken:
-            counter = np.minimum(counter + _U1, _U3)
-        else:
-            counter = np.maximum(counter, _U1) - _U1
-        table &= ~(_U3 << shift)
-        table |= counter << shift
-        history <<= _U1
-        if taken:
-            history |= _U1
-        history &= self._history_mask
-
-    def _hazard_destinations(self) -> set[int]:
-        c = self._ctrl
-        destinations: set[int] = set()
-        for prefix in ("m", "x", "w"):
-            if c[f"{prefix}.valid"] and not c[f"{prefix}.trap"]:
-                info = _INFO_BY_INT.get(c[f"{prefix}.op"])
-                if info is not None and info.writes_rd:
-                    rd = c[f"{prefix}.rd"]
-                    if rd != 0:
-                        destinations.add(rd)
-        return destinations
-
-    def _stage_regaccess_to_execute(self, redirect: bool) -> bool:
-        c = self._ctrl
-        if redirect or not c["a.valid"]:
-            c["e.valid"] = 0
-            if redirect:
-                c["a.valid"] = 0
-            return False
-        info = _INFO_BY_INT.get(c["a.op"])
-        if info is not None and not c["a.trap"]:
-            hazards = self._hazard_destinations()
-            if hazards:
-                if ((info.reads_rs1 and c["a.rs1"] in hazards)
-                        or (info.reads_rs2 and c["a.rs2"] in hazards)):
-                    c["e.valid"] = 0
-                    return True
-        c["e.op"] = c["a.op"]
-        c["e.rd"] = c["a.rd"]
-        c["e.imm"] = c["a.imm"]
-        c["e.pc"] = c["a.pc"]
-        c["e.trap"] = c["a.trap"]
-        c["e.trapkind"] = c["a.trapkind"]
-        self._view["e.rs1val"][:] = self.regs[:, c["a.rs1"] & 0x1F]
-        self._view["e.rs2val"][:] = self.regs[:, c["a.rs2"] & 0x1F]
-        c["e.valid"] = 1
-        c["a.valid"] = 0
-        return False
-
-    def _stage_decode_to_regaccess(self, redirect: bool, stalled: bool) -> None:
-        c = self._ctrl
-        if stalled:
-            return
-        if redirect or not c["d.valid"]:
-            c["a.valid"] = 0
-            if redirect:
-                c["d.valid"] = 0
-            return
-        word = c["d.inst"]
-        c["a.pc"] = c["d.pc"]
-        c["a.valid"] = 1
-        c["a.trap"] = 0
-        c["a.trapkind"] = 0
-        if c["d.fetchfault"]:
-            c["a.trap"] = 1
-            c["a.trapkind"] = _TRAP_CODES[TrapKind.FETCH_FAULT]
-            c["a.op"] = 0
-            c["a.rd"] = 0
-            c["a.rs1"] = 0
-            c["a.rs2"] = 0
-            c["a.imm"] = 0
-            c["d.valid"] = 0
-            return
-        fields = self._decode_cache.get(word, _MISSING)
-        if fields is _MISSING:
-            try:
-                instruction = decode_instruction(word)
-            except EncodingError:
-                fields = None
-            else:
-                fields = (int(instruction.opcode), instruction.rd,
-                          instruction.rs1, instruction.rs2, instruction.imm)
-            self._decode_cache[word] = fields
-        if fields is None:
-            c["a.trap"] = 1
-            c["a.trapkind"] = _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
-            c["a.op"] = 0
-            c["a.rd"] = 0
-            c["a.rs1"] = 0
-            c["a.rs2"] = 0
-            c["a.imm"] = 0
-        else:
-            self._cset("a.op", fields[0])
-            self._cset("a.rd", fields[1])
-            self._cset("a.rs1", fields[2])
-            self._cset("a.rs2", fields[3])
-            self._cset("a.imm", fields[4])
-        c["d.valid"] = 0
-
-    def _stage_fetch_to_decode(self, redirect: bool, stalled: bool) -> None:
-        c = self._ctrl
-        if stalled:
-            return
-        if redirect:
-            c["d.valid"] = 0
-            self._cset("f.pc", self.redirect_target)
-            self._cset("f.npc", self.redirect_target + WORD_BYTES)
-            return
-        pc = c["f.pc"]
-        word = self._fetch_cache.get(pc, _MISSING)
-        if word is _MISSING:
-            instruction = self._program.instruction_at(pc)
-            word = (None if instruction is None
-                    else encode_instruction(instruction))
-            self._fetch_cache[pc] = word
-        if word is None:
-            c["d.inst"] = 0
-            self._cset("d.pc", pc)
-            c["d.fetchfault"] = 1
-            c["d.valid"] = 1
-            return
-        c["d.fetchfault"] = 0
-        self._cset("d.inst", word)
-        self._cset("d.pc", pc)
-        c["d.valid"] = 1
-        self._cset("f.pc", pc + WORD_BYTES)
-        self._cset("f.npc", pc + 2 * WORD_BYTES)
-        self._deltas["ic.ctrl.state"] += 1
-        # The scalar stage also calls predictor.predict_taken(pc) for
-        # branches -- a pure read with no state effect, so it is skipped.
 
 
 def _noop_hook(core: BaseCore, cycle: int) -> None:

@@ -23,7 +23,7 @@ from repro.microarch.memory import (
     MemorySystem,
 )
 from repro.microarch.ooo import OutOfOrderCore, OOO_CLOCK_MHZ
-from repro.microarch.state import BatchedLatchState, LatchState
+from repro.microarch.state import LatchState
 
 __all__ = [
     "BaseCore",
@@ -45,6 +45,5 @@ __all__ = [
     "MemorySystem",
     "OutOfOrderCore",
     "OOO_CLOCK_MHZ",
-    "BatchedLatchState",
     "LatchState",
 ]

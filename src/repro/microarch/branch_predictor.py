@@ -17,7 +17,9 @@ class BimodalPredictor:
 
     The counter table and the global history register are registered as
     flip-flop structures by the owning core; this class only manipulates
-    them through :class:`LatchState` so injected flips are honoured.
+    them through :attr:`LatchState.values` so injected flips are honoured.
+    The update is branch-free in the latch values, so the same code trains
+    a scalar core's ints and a lockstep wavefront's per-lane numpy columns.
     """
 
     def __init__(self, latches: LatchState, table_structure: str,
@@ -29,33 +31,16 @@ class BimodalPredictor:
             1 << latches.registry.structure(history_structure).width) - 1
         self._entries = entries
 
-    def _counter(self, index: int) -> int:
-        table = self._latches.get_at(self._table)
-        return (table >> (2 * index)) & 0x3
-
-    def _set_counter(self, index: int, value: int) -> None:
-        table = self._latches.get_at(self._table)
-        table &= ~(0x3 << (2 * index))
-        table |= (value & 0x3) << (2 * index)
-        self._latches.set_at(self._table, table)
-
-    def _index(self, pc: int) -> int:
-        history = self._latches.get_at(self._history)
-        return ((pc >> 2) ^ history) % self._entries
-
-    def predict_taken(self, pc: int) -> bool:
-        """Predict whether the branch at ``pc`` is taken."""
-        return self._counter(self._index(pc)) >= 2
-
     def update(self, pc: int, taken: bool) -> None:
         """Train the predictor with the resolved outcome of the branch at ``pc``."""
-        index = self._index(pc)
-        counter = self._counter(index)
+        values = self._latches.values
+        table = values[self._table]
+        history = values[self._history]
+        shift = 2 * (((pc >> 2) ^ history) % self._entries)
+        counter = (table >> shift) & 0x3
         if taken:
-            counter = min(3, counter + 1)
+            counter = counter + (counter < 3)
         else:
-            counter = max(0, counter - 1)
-        self._set_counter(index, counter)
-        history = self._latches.get_at(self._history)
-        history = ((history << 1) | (1 if taken else 0)) & self._history_mask
-        self._latches.set_at(self._history, history)
+            counter = counter - (counter > 0)
+        values[self._table] = (table & ~(0x3 << shift)) | (counter << shift)
+        values[self._history] = ((history << 1) | taken) & self._history_mask

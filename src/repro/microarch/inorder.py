@@ -13,7 +13,7 @@ important properties reproduced here:
 * hazards are resolved by scoreboard stalls (no forwarding), which yields an
   IPC close to the 0.4 the paper reports for the Leon3;
 * branches resolve in the execute stage with a static not-taken policy; the
-  bimodal predictor state is maintained as hint-only state, mirroring the
+  bimodal predictor is trained but never read, hint-only state mirroring the
   Appendix-A structures whose errors always vanish;
 * traps (illegal instruction, memory fault, divide-by-zero, software
   assertion) propagate down the pipeline and terminate the run when the
@@ -34,7 +34,7 @@ from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.branch_predictor import BimodalPredictor
 from repro.microarch.core import BaseCore, CoreClass
 from repro.microarch.events import TerminationReason, TrapKind
-from repro.microarch.execute import ExecuteTrap, execute_operation
+from repro.microarch.execute import ExecuteResult, ExecuteTrap, execute_operation
 from repro.microarch.memory import MemoryFault, MemorySystem
 
 # Trap kinds are carried down the pipeline in a 3-bit field.
@@ -46,6 +46,14 @@ _TRAP_CODES = {
     TrapKind.SOFTWARE_ASSERTION: 5,
 }
 _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
+
+_INFO_BY_VALUE = {int(op): OPCODE_INFO[op] for op in Opcode}
+_HALT = int(Opcode.HALT)
+_WORD_MASK = 0xFFFFFFFF
+_IMM_MASK = 0x7FFF
+"""Width mask of the ``a.imm``/``e.imm`` latches (15-bit immediates)."""
+_IMM_SIGN = 0x4000
+_MISSING = object()
 
 INO_CLOCK_MHZ = 2000.0
 """Nominal clock of the InO-core (2.0 GHz, Table 1)."""
@@ -84,6 +92,14 @@ class InOrderCore(BaseCore):
         # audit: allow[state-coverage] the predictor is a stateless view; its tables/history live in self.latches, which the contract covers
         self._predictor = BimodalPredictor(
             self.latches, "f.bp.table", "f.bp.history", entries=32)
+        # Fetch and decode memos: pure functions of the bound program and of
+        # the instruction word, never run state.
+        # audit: allow[state-coverage] identity of the program _fetch_words memoises; a core bound to another program rebuilds the memo
+        self._fetch_program: Program | None = None
+        # audit: allow[state-coverage] pc -> encoded word memo of self._program, rebuilt whenever the bound program changes
+        self._fetch_words: dict[int, int | None] = {}
+        # audit: allow[state-coverage] word -> decoded latch fields memo; decoding is a pure function of the word
+        self._decoded: dict[int, tuple | None] = {}
         # Every latch the per-cycle path touches, resolved to its slot once.
         s = self._slots = _Slots._make(map(self.latches.slot, _SLOT_LATCHES))
         # (valid, trap, op, rd) of the memory, exception and writeback
@@ -244,28 +260,67 @@ class InOrderCore(BaseCore):
     def _write_register(self, index: int, value: int) -> None:
         index &= 0x1F
         if index != 0:
-            self.registers[index] = value & 0xFFFFFFFF
+            self.registers[index] = value & _WORD_MASK
 
-    def _hazard_destinations(self) -> set[int]:
+    def _execute(self, opcode: Opcode, rs1_value: int, rs2_value: int,
+                 imm: int, pc: int) -> ExecuteResult:
+        """The execute stage's compute (raises :class:`ExecuteTrap`)."""
+        return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
+
+    def _count(self, slot: int) -> None:
+        """Advance the hint counter at ``slot`` by one (wrapping)."""
+        self.latches.set_at(slot, self.latches.values[slot] + 1)
+
+    def _fetch_word(self, pc: int) -> int | None:
+        """Encoded instruction word at ``pc`` (``None``: fetch fault)."""
+        if self._fetch_program is not self._program:
+            self._fetch_program = self._program
+            self._fetch_words = {}
+        word = self._fetch_words.get(pc, _MISSING)
+        if word is _MISSING:
+            instruction = (self._program.instruction_at(pc)
+                           if self._program else None)
+            word = (None if instruction is None
+                    else encode_instruction(instruction))
+            self._fetch_words[pc] = word
+        return word
+
+    def _decode_fields(self, word: int) -> tuple | None:
+        """``(op, rd, rs1, rs2, imm)`` latch values of ``word`` (``None``:
+        illegal instruction); ``imm`` is masked to the latch width."""
+        fields = self._decoded.get(word, _MISSING)
+        if fields is _MISSING:
+            try:
+                instruction = decode_instruction(word)
+            except EncodingError:
+                fields = None
+            else:
+                fields = (int(instruction.opcode), instruction.rd,
+                          instruction.rs1, instruction.rs2,
+                          instruction.imm & _IMM_MASK)
+            self._decoded[word] = fields
+        return fields
+
+    def _hazard_destinations(self, v: list) -> set[int]:
         """Destination registers of in-flight, not-yet-committed instructions.
 
         Called after the downstream latch moves of the current cycle, so older
         instructions live in the memory, exception and writeback latches.
         """
         destinations: set[int] = set()
-        latches = self.latches
         for valid, trap, op, rd in self._hazard_slots:
-            if latches.get_at(valid) and not latches.get_at(trap):
-                opcode = OPCODE_BY_VALUE.get(latches.get_at(op))
-                if opcode is None:
-                    continue
-                if OPCODE_INFO[opcode].writes_rd:
-                    destination = latches.get_at(rd)
-                    if destination != 0:
-                        destinations.add(destination)
+            if v[valid] and not v[trap]:
+                info = _INFO_BY_VALUE.get(v[op])
+                if info is not None and info.writes_rd and v[rd] != 0:
+                    destinations.add(v[rd])
         return destinations
 
     # ------------------------------------------------------------------ pipeline stages
+    # Every stage indexes the flat latch list directly.  Writes are not
+    # masked there, so each one stores a value already within its latch's
+    # width: a move, a constant, a masked execute/memory/register result, or
+    # an explicitly masked pc increment.  The batched lockstep replay runs
+    # these same stages with per-lane numpy columns in the lane-local latches.
     def _step_cycle(self) -> None:
         self._commit_writeback()
         if self.terminated:
@@ -276,262 +331,233 @@ class InOrderCore(BaseCore):
         stalled = self._stage_regaccess_to_execute(redirect)
         self._stage_decode_to_regaccess(redirect, stalled)
         self._stage_fetch_to_decode(redirect, stalled)
-        self._touch_background_state()
+        # Peripheral hint state toggles so vanish-class flip-flops see traffic.
+        self._count(self._slots.irq_pending)
 
     # WB: commit results, outputs, halts and traps.
     def _commit_writeback(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        if not latches.get_at(s.w_valid):
+        if not v[s.w_valid]:
             return
-        if latches.get_at(s.w_trap):
-            kind = _TRAP_FROM_CODE.get(latches.get_at(s.w_trapkind),
+        if v[s.w_trap]:
+            kind = _TRAP_FROM_CODE.get(v[s.w_trapkind],
                                        TrapKind.ILLEGAL_INSTRUCTION)
             reason = (TerminationReason.DETECTED
                       if kind is TrapKind.SOFTWARE_ASSERTION
                       else TerminationReason.TRAP)
             self.force_termination(reason, kind)
-            latches.set_at(s.w_valid, 0)
+            v[s.w_valid] = 0
             return
-        op_value = latches.get_at(s.w_op)
-        if latches.get_at(s.w_wen):
-            self._write_register(latches.get_at(s.w_rd), latches.get_at(s.w_result))
-        if latches.get_at(s.w_outpending):
-            self.emit_output(latches.get_at(s.w_outval))
+        if v[s.w_wen]:
+            self._write_register(v[s.w_rd], v[s.w_result])
+        if v[s.w_outpending]:
+            self.emit_output(v[s.w_outval])
         self.note_retired()
-        if OPCODE_BY_VALUE.get(op_value) is Opcode.HALT:
+        if v[s.w_op] == _HALT:
             self.force_termination(TerminationReason.HALTED)
-        latches.set_at(s.w_valid, 0)
-        latches.set_at(s.w_wen, 0)
-        latches.set_at(s.w_outpending, 0)
+        v[s.w_valid] = 0
+        v[s.w_wen] = 0
+        v[s.w_outpending] = 0
 
     # XC -> WB
     def _stage_exception_to_writeback(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        if not latches.get_at(s.x_valid):
-            latches.set_at(s.w_valid, 0)
-            latches.set_at(s.w_wen, 0)
-            latches.set_at(s.w_outpending, 0)
+        if not v[s.x_valid]:
+            v[s.w_valid] = 0
+            v[s.w_wen] = 0
+            v[s.w_outpending] = 0
             return
-        latches.set_at(s.w_op, latches.get_at(s.x_op))
-        latches.set_at(s.w_rd, latches.get_at(s.x_rd))
-        latches.set_at(s.w_result, latches.get_at(s.x_result))
-        latches.set_at(s.w_trap, latches.get_at(s.x_trap))
-        latches.set_at(s.w_trapkind, latches.get_at(s.x_trapkind))
-        latches.set_at(s.w_outval, latches.get_at(s.x_outval))
-        latches.set_at(s.w_outpending, latches.get_at(s.x_outpending))
-        latches.set_at(s.w_valid, 1)
+        v[s.w_op] = v[s.x_op]
+        v[s.w_rd] = v[s.x_rd]
+        v[s.w_result] = v[s.x_result]
+        v[s.w_trap] = v[s.x_trap]
+        v[s.w_trapkind] = v[s.x_trapkind]
+        v[s.w_outval] = v[s.x_outval]
+        v[s.w_outpending] = v[s.x_outpending]
+        v[s.w_valid] = 1
         wen = 0
-        if not latches.get_at(s.x_trap):
-            opcode = OPCODE_BY_VALUE.get(latches.get_at(s.x_op))
-            if (opcode is not None and OPCODE_INFO[opcode].writes_rd
-                    and latches.get_at(s.x_rd) != 0):
+        if not v[s.x_trap]:
+            info = _INFO_BY_VALUE.get(v[s.x_op])
+            if info is not None and info.writes_rd and v[s.x_rd] != 0:
                 wen = 1
-        latches.set_at(s.w_wen, wen)
+        v[s.w_wen] = wen
         # Status-register bookkeeping (hint-only state).
-        latches.set_at(s.w_s_icc, latches.get_at(s.x_icc))
-        latches.set_at(s.x_valid, 0)
+        v[s.w_s_icc] = v[s.x_icc]
+        v[s.x_valid] = 0
 
     # ME -> XC: data memory access.
     def _stage_memory_to_exception(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        if not latches.get_at(s.m_valid):
-            latches.set_at(s.x_valid, 0)
-            latches.set_at(s.x_outpending, 0)
+        if not v[s.m_valid]:
+            v[s.x_valid] = 0
+            v[s.x_outpending] = 0
             return
-        latches.set_at(s.x_op, latches.get_at(s.m_op))
-        latches.set_at(s.x_rd, latches.get_at(s.m_rd))
-        latches.set_at(s.x_trap, latches.get_at(s.m_trap))
-        latches.set_at(s.x_trapkind, latches.get_at(s.m_trapkind))
-        latches.set_at(s.x_valid, 1)
-        latches.set_at(s.x_outpending, 0)
-        result = latches.get_at(s.m_result)
-        if not latches.get_at(s.m_trap):
-            opcode = OPCODE_BY_VALUE.get(latches.get_at(s.m_op))
-            address = latches.get_at(s.m_addr)
+        v[s.x_op] = v[s.m_op]
+        v[s.x_rd] = v[s.m_rd]
+        v[s.x_trap] = v[s.m_trap]
+        v[s.x_trapkind] = v[s.m_trapkind]
+        v[s.x_valid] = 1
+        v[s.x_outpending] = 0
+        result = v[s.m_result]
+        if not v[s.m_trap]:
+            opcode = OPCODE_BY_VALUE.get(v[s.m_op])
+            address = v[s.m_addr]
             try:
                 if opcode is Opcode.LW:
                     result = self.memory.load_word(address)
                 elif opcode is Opcode.LB:
                     result = self.memory.load_byte(address)
                 elif opcode is Opcode.SW:
-                    self.memory.store_word(address, latches.get_at(s.m_storeval))
+                    self.memory.store_word(address, v[s.m_storeval])
                 elif opcode is Opcode.SB:
-                    self.memory.store_byte(address, latches.get_at(s.m_storeval))
+                    self.memory.store_byte(address, v[s.m_storeval])
                 elif opcode is Opcode.OUT:
-                    latches.set_at(s.x_outval, latches.get_at(s.m_storeval))
-                    latches.set_at(s.x_outpending, 1)
+                    v[s.x_outval] = v[s.m_storeval]
+                    v[s.x_outpending] = 1
             except MemoryFault:
-                latches.set_at(s.x_trap, 1)
-                latches.set_at(s.x_trapkind, _TRAP_CODES[TrapKind.MEMORY_FAULT])
+                v[s.x_trap] = 1
+                v[s.x_trapkind] = _TRAP_CODES[TrapKind.MEMORY_FAULT]
             # Track data-cache controller hint state.
-            latches.set_at(s.dc_ctrl_state,
-                           (latches.get_at(s.dc_ctrl_state) + 1) & 0xF)
-        latches.set_at(s.x_result, result)
-        latches.set_at(s.m_valid, 0)
+            self._count(s.dc_ctrl_state)
+        v[s.x_result] = result
+        v[s.m_valid] = 0
 
     # EX -> ME: ALU, branch resolution.
     def _stage_execute_to_memory(self) -> bool:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        if not latches.get_at(s.e_valid):
-            latches.set_at(s.m_valid, 0)
+        if not v[s.e_valid]:
+            v[s.m_valid] = 0
             return False
-        latches.set_at(s.m_op, latches.get_at(s.e_op))
-        latches.set_at(s.m_rd, latches.get_at(s.e_rd))
-        latches.set_at(s.m_trap, latches.get_at(s.e_trap))
-        latches.set_at(s.m_trapkind, latches.get_at(s.e_trapkind))
-        latches.set_at(s.m_valid, 1)
-        latches.set_at(s.m_branch_taken, 0)
+        v[s.m_op] = v[s.e_op]
+        v[s.m_rd] = v[s.e_rd]
+        v[s.m_trap] = v[s.e_trap]
+        v[s.m_trapkind] = v[s.e_trapkind]
+        v[s.m_valid] = 1
+        v[s.m_branch_taken] = 0
         redirect = False
-        if not latches.get_at(s.e_trap):
-            pc = latches.get_at(s.e_pc)
-            imm = latches.get_signed_at(s.e_imm)
-            rs1_value = latches.get_at(s.e_rs1val)
-            rs2_value = latches.get_at(s.e_rs2val)
-            opcode = OPCODE_BY_VALUE.get(latches.get_at(s.e_op))
+        if not v[s.e_trap]:
+            pc = v[s.e_pc]
+            imm = v[s.e_imm]
+            if imm & _IMM_SIGN:
+                imm -= _IMM_MASK + 1
+            opcode = OPCODE_BY_VALUE.get(v[s.e_op])
             if opcode is None:
-                latches.set_at(s.m_trap, 1)
-                latches.set_at(s.m_trapkind, _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
+                v[s.m_trap] = 1
+                v[s.m_trapkind] = _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
             else:
                 try:
-                    result = execute_operation(opcode, rs1_value, rs2_value, imm, pc)
+                    result = self._execute(opcode, v[s.e_rs1val],
+                                           v[s.e_rs2val], imm, pc)
                 except ExecuteTrap as trap:
-                    latches.set_at(s.m_trap, 1)
-                    latches.set_at(s.m_trapkind, _TRAP_CODES[trap.kind])
+                    v[s.m_trap] = 1
+                    v[s.m_trapkind] = _TRAP_CODES[trap.kind]
                 else:
-                    latches.set_at(s.m_result, result.value)
+                    v[s.m_result] = result.value
                     if result.memory_address is not None:
-                        latches.set_at(s.m_addr, result.memory_address)
+                        v[s.m_addr] = result.memory_address
                     if result.store_value is not None:
-                        latches.set_at(s.m_storeval, result.store_value)
+                        v[s.m_storeval] = result.store_value
                     if result.output_value is not None:
                         # Reuse the store-value path to carry the OUT payload.
-                        latches.set_at(s.m_storeval, result.output_value)
+                        v[s.m_storeval] = result.output_value
                     if OPCODE_INFO[opcode].is_branch:
                         self._predictor.update(pc, result.branch_taken)
                     if result.branch_taken:
                         redirect = True
-                        latches.set_at(s.m_branch_taken, 1)
+                        v[s.m_branch_taken] = 1
                         self._redirect_target = result.branch_target
-        latches.set_at(s.e_valid, 0)
+        v[s.e_valid] = 0
         return redirect
 
     # RA -> EX: register read with scoreboard stall.
     def _stage_regaccess_to_execute(self, redirect: bool) -> bool:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        if redirect or not latches.get_at(s.a_valid):
-            latches.set_at(s.e_valid, 0)
+        if redirect or not v[s.a_valid]:
+            v[s.e_valid] = 0
             if redirect:
-                latches.set_at(s.a_valid, 0)
+                v[s.a_valid] = 0
             return False
-        opcode = OPCODE_BY_VALUE.get(latches.get_at(s.a_op))
-        if opcode is not None and not latches.get_at(s.a_trap):
-            info = OPCODE_INFO[opcode]
-            hazards = self._hazard_destinations()
-            sources = []
-            if info.reads_rs1:
-                sources.append(latches.get_at(s.a_rs1))
-            if info.reads_rs2:
-                sources.append(latches.get_at(s.a_rs2))
-            if any(source in hazards for source in sources):
+        info = _INFO_BY_VALUE.get(v[s.a_op])
+        if info is not None and not v[s.a_trap]:
+            hazards = self._hazard_destinations(v)
+            if hazards and ((info.reads_rs1 and v[s.a_rs1] in hazards)
+                            or (info.reads_rs2 and v[s.a_rs2] in hazards)):
                 # Stall: keep the regaccess latch, feed a bubble to execute.
-                latches.set_at(s.e_valid, 0)
+                v[s.e_valid] = 0
                 return True
-        latches.set_at(s.e_op, latches.get_at(s.a_op))
-        latches.set_at(s.e_rd, latches.get_at(s.a_rd))
-        latches.set_at(s.e_imm, latches.get_at(s.a_imm))
-        latches.set_at(s.e_pc, latches.get_at(s.a_pc))
-        latches.set_at(s.e_trap, latches.get_at(s.a_trap))
-        latches.set_at(s.e_trapkind, latches.get_at(s.a_trapkind))
-        latches.set_at(s.e_rs1val, self._read_register(latches.get_at(s.a_rs1)))
-        latches.set_at(s.e_rs2val, self._read_register(latches.get_at(s.a_rs2)))
-        latches.set_at(s.e_valid, 1)
-        latches.set_at(s.a_valid, 0)
+        v[s.e_op] = v[s.a_op]
+        v[s.e_rd] = v[s.a_rd]
+        v[s.e_imm] = v[s.a_imm]
+        v[s.e_pc] = v[s.a_pc]
+        v[s.e_trap] = v[s.a_trap]
+        v[s.e_trapkind] = v[s.a_trapkind]
+        v[s.e_rs1val] = self._read_register(v[s.a_rs1])
+        v[s.e_rs2val] = self._read_register(v[s.a_rs2])
+        v[s.e_valid] = 1
+        v[s.a_valid] = 0
         return False
 
     # DE -> RA: decode.
     def _stage_decode_to_regaccess(self, redirect: bool, stalled: bool) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         if stalled:
             return
-        if redirect or not latches.get_at(s.d_valid):
-            latches.set_at(s.a_valid, 0)
+        if redirect or not v[s.d_valid]:
+            v[s.a_valid] = 0
             if redirect:
-                latches.set_at(s.d_valid, 0)
+                v[s.d_valid] = 0
             return
-        word = latches.get_at(s.d_inst)
-        pc = latches.get_at(s.d_pc)
-        latches.set_at(s.a_pc, pc)
-        latches.set_at(s.a_valid, 1)
-        latches.set_at(s.a_trap, 0)
-        latches.set_at(s.a_trapkind, 0)
-        trap_kind: TrapKind | None = None
-        if latches.get_at(s.d_fetchfault):
+        v[s.a_pc] = v[s.d_pc]
+        v[s.a_valid] = 1
+        v[s.a_trap] = 0
+        v[s.a_trapkind] = 0
+        if v[s.d_fetchfault]:
+            fields = None
             trap_kind = TrapKind.FETCH_FAULT
         else:
-            try:
-                instruction = decode_instruction(word)
-            except EncodingError:
-                trap_kind = TrapKind.ILLEGAL_INSTRUCTION
-        if trap_kind is None:
-            latches.set_at(s.a_op, int(instruction.opcode))
-            latches.set_at(s.a_rd, instruction.rd)
-            latches.set_at(s.a_rs1, instruction.rs1)
-            latches.set_at(s.a_rs2, instruction.rs2)
-            latches.set_at(s.a_imm, instruction.imm)
-        else:
-            latches.set_at(s.a_trap, 1)
-            latches.set_at(s.a_trapkind, _TRAP_CODES[trap_kind])
-            latches.set_at(s.a_op, 0)
-            latches.set_at(s.a_rd, 0)
-            latches.set_at(s.a_rs1, 0)
-            latches.set_at(s.a_rs2, 0)
-            latches.set_at(s.a_imm, 0)
-        latches.set_at(s.d_valid, 0)
+            fields = self._decode_fields(v[s.d_inst])
+            trap_kind = TrapKind.ILLEGAL_INSTRUCTION
+        if fields is None:
+            v[s.a_trap] = 1
+            v[s.a_trapkind] = _TRAP_CODES[trap_kind]
+            fields = (0, 0, 0, 0, 0)
+        v[s.a_op], v[s.a_rd], v[s.a_rs1], v[s.a_rs2], v[s.a_imm] = fields
+        v[s.d_valid] = 0
 
     # FE -> DE: instruction fetch.
     def _stage_fetch_to_decode(self, redirect: bool, stalled: bool) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         if stalled:
             return
         if redirect:
-            latches.set_at(s.d_valid, 0)
-            latches.set_at(s.f_pc, self._redirect_target)
-            latches.set_at(s.f_npc, self._redirect_target + WORD_BYTES)
+            target = self._redirect_target
+            v[s.d_valid] = 0
+            v[s.f_pc] = target
+            v[s.f_npc] = (target + WORD_BYTES) & _WORD_MASK
             return
-        pc = latches.get_at(s.f_pc)
-        instruction = self._program.instruction_at(pc) if self._program else None
-        if instruction is None:
+        pc = v[s.f_pc]
+        word = self._fetch_word(pc)
+        v[s.d_pc] = pc
+        v[s.d_valid] = 1
+        if word is None:
             # Fetch fault: send a trap-carrying bubble down the pipeline.  It
             # only terminates the run if an older instruction (for example a
             # HALT already in flight) does not commit or redirect first.
-            latches.set_at(s.d_inst, 0)
-            latches.set_at(s.d_pc, pc)
-            latches.set_at(s.d_fetchfault, 1)
-            latches.set_at(s.d_valid, 1)
+            v[s.d_inst] = 0
+            v[s.d_fetchfault] = 1
             return
-        latches.set_at(s.d_fetchfault, 0)
-        latches.set_at(s.d_inst, encode_instruction(instruction))
-        latches.set_at(s.d_pc, pc)
-        latches.set_at(s.d_valid, 1)
-        latches.set_at(s.f_pc, pc + WORD_BYTES)
-        latches.set_at(s.f_npc, pc + 2 * WORD_BYTES)
-        latches.set_at(s.ic_ctrl_state, (latches.get_at(s.ic_ctrl_state) + 1) & 0xF)
-        # Hint-only branch prediction bookkeeping.
-        if OPCODE_INFO[instruction.opcode].is_branch:
-            self._predictor.predict_taken(pc)
-
-    def _touch_background_state(self) -> None:
-        """Advance peripheral hint state so vanish-class flip-flops toggle."""
-        latches = self.latches
-        s = self._slots
-        latches.set_at(s.irq_pending, (latches.get_at(s.irq_pending) + 1) & 0xFFFF)
+        v[s.d_fetchfault] = 0
+        v[s.d_inst] = word
+        v[s.f_pc] = (pc + WORD_BYTES) & _WORD_MASK
+        v[s.f_npc] = (pc + 2 * WORD_BYTES) & _WORD_MASK
+        self._count(s.ic_ctrl_state)
 
     # ------------------------------------------------------------------ attributes
     _redirect_target: int = 0

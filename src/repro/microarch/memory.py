@@ -173,11 +173,16 @@ class BatchedWordStore:
     """Word store for ``lanes`` lockstep replays of the same golden run.
 
     All lanes share one address space layout; per-address values are a
-    ``(lanes,)`` vector.  Because lanes start bit-identical and the batched
-    stepper keeps addresses uniform across the wavefront (divergent lanes are
-    evicted), storage is a shared base image plus a copy-on-write overlay of
-    per-lane vectors -- only addresses actually written during the wavefront
-    cost ``lanes`` words.
+    ``(lanes,)`` int64 vector.  Because lanes start bit-identical and the
+    batched stepper keeps addresses uniform across the wavefront (divergent
+    lanes are evicted), storage is a shared base image plus a copy-on-write
+    overlay of per-lane vectors -- only addresses actually written during the
+    wavefront cost ``lanes`` words.
+
+    Overlay rows are shared with the wavefront's latches and registers (a
+    load hands out the row itself), so a row is replaced, never written in
+    place -- except by :meth:`reset_lane`, whose copy of the reference lane
+    gives every alias the value it must hold anyway.
 
     The store tracks, incrementally, how many overlay words differ from a
     reference lane (lane 0), so "is this lane's memory bit-identical to the
@@ -211,14 +216,19 @@ class BatchedWordStore:
     def is_mapped(self, address: int) -> bool:
         return any(region.contains(address) for region in self._regions)
 
+    def _row(self, address: int):
+        """The per-lane values at ``address`` (a fresh row if unwritten)."""
+        values = self._overlay.get(address)
+        if values is None:
+            values = _np.full(self.lanes, self._base.get(address, 0),
+                              dtype=_np.int64)
+        return values
+
     # ------------------------------------------------------------------ access
     def load_word(self, address: int):
-        """Load one address on every lane; returns a ``(lanes,)`` uint64 array."""
+        """Load one address on every lane; returns a ``(lanes,)`` int64 array."""
         self._check(address, aligned_to=WORD_BYTES)
-        values = self._overlay.get(address)
-        if values is not None:
-            return values
-        return _np.full(self.lanes, self._base.get(address, 0), dtype=_np.uint64)
+        return self._row(address)
 
     def store_word(self, address: int, values) -> None:
         """Store per-lane ``values`` (masked to 32 bits) at one address."""
@@ -226,8 +236,8 @@ class BatchedWordStore:
         self._store(address, values)
 
     def _store(self, address: int, values) -> None:
-        new = _np.asarray(values).astype(_np.uint64, copy=False) \
-            & _np.uint64(self._WORD_MASK)
+        new = _np.asarray(values).astype(_np.int64, copy=False) \
+            & self._WORD_MASK
         previous = self._overlay.get(address)
         if previous is None:
             previous_diff = 0
@@ -243,11 +253,7 @@ class BatchedWordStore:
         if not self.is_mapped(word_address):
             raise MemoryFault(address, "address outside mapped regions")
         shift = 8 * (address % WORD_BYTES)
-        word = self._overlay.get(word_address)
-        if word is None:
-            word = _np.full(self.lanes, self._base.get(word_address, 0),
-                            dtype=_np.uint64)
-        return (word >> _np.uint64(shift)) & _np.uint64(0xFF)
+        return (self._row(word_address) >> shift) & 0xFF
 
     def store_byte(self, address: int, values) -> None:
         self._check(address, aligned_to=1)
@@ -255,13 +261,9 @@ class BatchedWordStore:
         if not self.is_mapped(word_address):
             raise MemoryFault(address, "address outside mapped regions")
         shift = 8 * (address % WORD_BYTES)
-        word = self._overlay.get(word_address)
-        if word is None:
-            word = _np.full(self.lanes, self._base.get(word_address, 0),
-                            dtype=_np.uint64)
-        masked = word & _np.uint64(self._WORD_MASK ^ (0xFF << shift))
-        merged = masked | ((_np.asarray(values).astype(_np.uint64, copy=False)
-                            & _np.uint64(0xFF)) << _np.uint64(shift))
+        masked = self._row(word_address) & (self._WORD_MASK ^ (0xFF << shift))
+        merged = masked | ((_np.asarray(values).astype(_np.int64, copy=False)
+                            & 0xFF) << shift)
         self._store(word_address, merged)
 
     # ------------------------------------------------------------------ lane lifecycle
@@ -285,28 +287,32 @@ class BatchedWordStore:
         demand (all other lanes keep the base value); overlay addresses the
         image never stored are architecturally zero on this lane (word
         stores never delete, so an address missing from a scalar image was
-        never written there).
+        never written there).  Every changed row is a copy.
         """
-        reference = self._reference
         overlay = self._overlay
         base = self._base
         for address, value in words.items():
             value &= self._WORD_MASK
             values = overlay.get(address)
             if values is None:
-                base_value = base.get(address, 0)
-                if value == base_value:
+                if value == base.get(address, 0):
                     continue
-                values = _np.full(self.lanes, base_value, dtype=_np.uint64)
-                overlay[address] = values
+                values = self._row(address)
+            elif values[lane] == value:
+                continue
+            else:
+                values = values.copy()
             values[lane] = value
-        diverged = 0
+            overlay[address] = values
         for address, values in overlay.items():
-            if address not in words:
+            if address not in words and values[lane] != 0:
+                values = values.copy()
                 values[lane] = 0
-            if values[lane] != values[reference]:
-                diverged += 1
-        self._diverged[lane] = diverged
+                overlay[address] = values
+        reference = self._reference
+        self._diverged[lane] = sum(
+            1 for values in overlay.values()
+            if values[lane] != values[reference])
 
     # ------------------------------------------------------------------ equality / export
     def lanes_match_reference(self):

@@ -6,28 +6,26 @@ write fields through it every cycle, which guarantees that an injected flip
 is observed by whatever logic consumes the latch next -- the property that
 makes flip-flop-level injection meaningful.
 
-Storage is a flat integer array indexed by the frozen
+Storage is a flat list indexed by the frozen
 :class:`~repro.microarch.flipflop.FlipFlopRegistry` order, with per-structure
-width masks precomputed at construction.  Two APIs read and write it:
+width masks precomputed at construction.  Three APIs read and write it:
 
-* the *slot* API -- :meth:`LatchState.slot` resolves a structure name to its
-  integer position once, and :meth:`~LatchState.get_at`,
-  :meth:`~LatchState.set_at` (masked to the width) and
-  :meth:`~LatchState.get_signed_at` then index the flat array directly.  The
-  cores resolve every latch they touch into slot tables when they are built,
-  so their per-cycle paths never format or look up a name;
+* the *flat list* itself -- :attr:`LatchState.values` is the live list, and
+  the in-order pipeline stages index it directly by slot (a position resolved
+  once with :meth:`LatchState.slot`).  Writes through it are not masked, so
+  such a writer masks every value that could exceed the structure's width.
+  The batched lockstep replay (:mod:`repro.engine.batch`) runs the same
+  stages over a list whose lane-local slots hold per-lane numpy columns;
+* the *slot* API -- :meth:`~LatchState.get_at`, :meth:`~LatchState.set_at`
+  (masked to the width) and :meth:`~LatchState.get_signed_at` index the flat
+  list through a method call;
 * the *name-keyed* API (:meth:`~LatchState.get`, :meth:`~LatchState.set`,
   :meth:`~LatchState.flip_flat`, ...) -- one ``name -> slot`` dict lookup per
   access, for fault injection, the resilience hooks and tests.
 
 Slots are positions, not references: :meth:`~LatchState.deserialize` and
 :meth:`~LatchState.clear` replace the backing list, so callers keep slots
-and never the list itself.
-
-The flat layout is also what makes :class:`BatchedLatchState` -- the same
-state for N cores at once, as one ``(lanes, n_structures)`` matrix -- a
-natural extension, which the batched lockstep replay engine
-(:mod:`repro.engine.batch`) builds on.
+and re-read :attr:`~LatchState.values` rather than holding the list.
 """
 
 from __future__ import annotations
@@ -35,11 +33,6 @@ from __future__ import annotations
 import pickle
 
 from repro.microarch.flipflop import FlipFlopRegistry, FlipFlopStructure
-
-try:  # numpy backs only the batched state; the scalar path never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 _BANK_SIZE = 32
 """Structure slots per fingerprint bank.
@@ -67,6 +60,15 @@ class LatchState:
     @property
     def registry(self) -> FlipFlopRegistry:
         return self._registry
+
+    @property
+    def values(self) -> list:
+        """The live flat value list, in registry order.
+
+        :meth:`deserialize` and :meth:`clear` replace it, so read it afresh
+        after either.  Writers bypass the width masks.
+        """
+        return self._data
 
     # ------------------------------------------------------------------ slot access
     def slot(self, name: str) -> int:
@@ -204,96 +206,3 @@ class LatchState:
 
     def structures(self) -> tuple[FlipFlopStructure, ...]:
         return self._registry.structures
-
-
-class BatchedLatchState:
-    """Latch state for ``lanes`` identically-built cores as one matrix.
-
-    Row ``lane`` holds one core's flat latch array (the exact values
-    :meth:`LatchState.serialize` would produce for that core), so N replays
-    of the same golden run can advance as numpy-vectorised wavefronts: a
-    column slice is "this structure across every replay", an XOR into one
-    element is a soft-error injection, and a row compare against a reference
-    lane is a whole-state convergence check.
-
-    Values are stored as ``uint64``, which covers every structure the cores
-    register (widths are bounded by 64); construction rejects wider ones.
-    """
-
-    def __init__(self, registry: FlipFlopRegistry, lanes: int):
-        if _np is None:  # pragma: no cover - exercised on numpy-free installs
-            raise RuntimeError("BatchedLatchState requires numpy")
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        structures = registry.structures
-        too_wide = [s.name for s in structures if s.width > 64]
-        if too_wide:
-            raise ValueError(f"structures wider than 64 bits cannot be "
-                             f"batched: {too_wide}")
-        self._registry = registry
-        self.lanes = lanes
-        self._index = {s.name: i for i, s in enumerate(structures)}
-        self._widths = [s.width for s in structures]
-        self._masks = _np.array([(1 << s.width) - 1 for s in structures],
-                                dtype=_np.uint64)
-        self.array = _np.zeros((lanes, len(structures)), dtype=_np.uint64)
-
-    @classmethod
-    def from_serialized(cls, registry: FlipFlopRegistry,
-                        values: "tuple[int, ...] | list[int]",
-                        lanes: int) -> "BatchedLatchState":
-        """Broadcast one core's serialized latch values to every lane."""
-        state = cls(registry, lanes)
-        if len(values) != state.array.shape[1]:
-            raise ValueError(
-                f"serialized latch state has {len(values)} values, registry "
-                f"expects {state.array.shape[1]}")
-        state.array[:] = _np.array(values, dtype=_np.uint64)
-        return state
-
-    @property
-    def registry(self) -> FlipFlopRegistry:
-        return self._registry
-
-    def position(self, name: str) -> int:
-        """Column index of structure ``name`` (registry order)."""
-        return self._index[name]
-
-    # ------------------------------------------------------------------ access
-    def col(self, name: str):
-        """Writable ``(lanes,)`` view of one structure across every lane."""
-        return self.array[:, self._index[name]]
-
-    def set_col(self, name: str, values) -> None:
-        """Set a structure on every lane (masked to the structure width)."""
-        position = self._index[name]
-        self.array[:, position] = _np.asarray(values).astype(
-            _np.uint64, copy=False) & self._masks[position]
-
-    def get(self, lane: int, name: str) -> int:
-        return int(self.array[lane, self._index[name]])
-
-    def set(self, lane: int, name: str, value: int) -> None:
-        position = self._index[name]
-        self.array[lane, position] = _np.uint64(value) & self._masks[position]
-
-    def flip_flat(self, lane: int, flat_index: int) -> str:
-        """Flip one flip-flop of one lane; returns the structure name."""
-        site = self._registry.site(flat_index)
-        position = self._index[site.structure.name]
-        self.array[lane, position] ^= _np.uint64(1 << site.bit)
-        return site.structure.name
-
-    # ------------------------------------------------------------------ bulk
-    def lane_serialized(self, lane: int) -> tuple[int, ...]:
-        """One lane's values in registry order (``LatchState.serialize`` form)."""
-        return tuple(int(value) for value in self.array[lane])
-
-    def rows_equal(self, reference_lane: int = 0, columns=None):
-        """Per-lane equality with ``reference_lane`` (over ``columns``, or all).
-
-        Returns a ``(lanes,)`` boolean array; the reference lane compares
-        True to itself.
-        """
-        view = self.array if columns is None else self.array[:, columns]
-        return (view == view[reference_lane]).all(axis=1)

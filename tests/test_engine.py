@@ -586,8 +586,8 @@ class TestBatchedReplay:
         assert not batched_replay_supported(OutOfOrderCore())
 
         class TweakedInOrder(InOrderCore):
-            """Subclasses may override stage behaviour the lockstep stepper
-            does not mirror, so they must fall back to scalar."""
+            """The wavefront steps its own InOrderCore subclass, which would
+            not inherit a subclass's overrides, so they fall back to scalar."""
 
         assert not batched_replay_supported(TweakedInOrder())
 
@@ -625,3 +625,140 @@ class TestBatchedReplay:
             config=EngineConfig(batch_width=1),
             golden_cache=GoldenRunCache()).run(injections=6)
         assert result.evicted_count == 0 and result.lockstep_cycles == 0
+
+    # One flip per lane: the value latches, the offset-stored hint counters
+    # and the other hint structures the stages train or move.
+    _LANE_FLIPS = (
+        ("e.rs1val", 3), ("e.rs2val", 0), ("m.result", 31),
+        ("m.storeval", 1), ("x.result", 2), ("x.outval", 0),
+        ("w.result", 30), ("w.outval", 4),
+        ("irq.pending", 0), ("ic.ctrl.state", 1), ("dc.ctrl.state", 0),
+        ("f.bp.table", 63), ("f.bp.history", 0), ("w.s.icc", 3), ("x.icc", 1),
+    )
+
+    def test_wavefront_lanes_equal_scalar_cores(self, program):
+        """Every seated lane is, cycle for cycle, the scalar core given the
+        same flip.  Hint state never changes an outcome, so a lane whose
+        hint latches drift (an offset counter flipped without its offset,
+        say) passes every campaign-level test; this compares whole states."""
+        pytest.importorskip("numpy")
+        from repro.engine.batch import (_CorePool, _LaneRecord,
+                                        _StreamingWavefront)
+        from repro.engine.executors import PlannedInjection
+
+        template = InOrderCore()
+        checkpointed = record_checkpointed_golden(template, program,
+                                                  interval=100)
+        base = checkpointed.nearest(300)
+        wavefront = _StreamingWavefront(
+            template, program, checkpointed, convergence=False,
+            width=len(self._LANE_FLIPS), pool=_CorePool(template))
+        wavefront._load_reference(base)
+        lane_core = wavefront._core
+        reference = InOrderCore()
+        reference.restore(program, base)
+        # Step first, so the offset counters carry nonzero offsets.
+        for _ in range(20):
+            lane_core.prepass = wavefront._execute_prepass()
+            lane_core.step()
+            reference.step()
+        joined = reference.snapshot()
+        lanes = []
+        for name, bit in self._LANE_FLIPS:
+            flat = template.registry.structure(name).first_index + bit
+            record = _LaneRecord(planned=PlannedInjection(
+                injection=Injection(flat_index=flat, cycle=joined.cycle),
+                protection=SiteProtection(), suppressed=False))
+            assert wavefront._join_lane(record, flat)
+            scalar = InOrderCore()
+            scalar.restore(program, joined)
+            scalar.latches.flip_flat(flat)
+            lanes.append((name, record, scalar))
+        seated = {name: 0 for name, _, _ in lanes}
+        for _ in range(60):
+            assert lane_core.lane_snapshot(0) == reference.snapshot()
+            for name, record, scalar in lanes:
+                if wavefront._slot_records[record.slot] is record:
+                    assert lane_core.lane_snapshot(record.slot) == \
+                        scalar.snapshot(), name
+                    seated[name] += 1
+            lane_core.prepass = wavefront._execute_prepass()
+            lane_core.step()
+            reference.step()
+            for _, _, scalar in lanes:
+                scalar.step()
+        assert all(seated.values()), seated
+        # Hint-only flips never steer control, so those lanes never demote.
+        for name in ("irq.pending", "ic.ctrl.state", "dc.ctrl.state",
+                     "f.bp.table", "f.bp.history", "w.s.icc", "x.icc"):
+            assert seated[name] == 60, name
+
+    @pytest.mark.parametrize("convergence", [True, False])
+    def test_every_structure_batched_equals_scalar(self, program,
+                                                   convergence):
+        """Bits 0 and width-1 of every InO structure, at spread cycles: the
+        random property campaigns draw a dozen of ~1.25k sites and rarely
+        reach any given structure."""
+        pytest.importorskip("numpy")
+        registry = InOrderCore().registry
+        golden_cycles = InOrderCore().run(program).cycles
+        plan = []
+        for structure in registry.structures:
+            for bit in sorted({0, structure.width - 1}):
+                cycle = (37 * len(plan) + 11) % (golden_cycles - 1)
+                plan.append(Injection(flat_index=structure.first_index + bit,
+                                      cycle=cycle))
+        results = []
+        for batch_width in (0, 16):
+            results.append(InjectionEngine(
+                InOrderCore(), program, seed=4,
+                config=EngineConfig(batch_width=batch_width,
+                                    convergence=convergence),
+                golden_cache=GoldenRunCache()).run(plan=plan))
+        scalar, batched = results
+        assert batched.outcomes == scalar.outcomes
+        assert batched.per_site == scalar.per_site
+        assert batched.lockstep_cycles > 0
+
+    def test_numpy_free_install_replays_scalar(self):
+        """Without numpy the in-order core still imports and a batched
+        campaign degrades, with a warning, to the scalar campaign."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro.engine
+
+        script = textwrap.dedent("""
+            import sys, warnings
+            sys.modules["numpy"] = None
+            import repro.microarch.inorder
+            from repro.engine import EngineConfig, GoldenRunCache, InjectionEngine
+            from repro.microarch import InOrderCore
+            from repro.workloads import workload_by_name
+
+            program = workload_by_name("vpr").program()
+            def run(width):
+                return InjectionEngine(
+                    InOrderCore(), program, seed=5,
+                    config=EngineConfig(batch_width=width),
+                    golden_cache=GoldenRunCache()).run(injections=10)
+            scalar = run(0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                batched = run(8)
+            assert any("batched lockstep replay unavailable" in str(w.message)
+                       for w in caught), caught
+            assert batched.lockstep_cycles == 0
+            assert batched.outcomes == scalar.outcomes
+            assert batched.per_site == scalar.per_site
+            print("ok")
+            """)
+        source = str(Path(repro.engine.__file__).resolve().parents[2])
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=300, env={**os.environ, "PYTHONPATH": source})
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"

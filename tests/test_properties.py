@@ -312,42 +312,6 @@ class TestArrayLatchStateEquivalence:
         assert via_snapshot.fingerprint_digest() == \
             latches.fingerprint_digest()
 
-    @settings(max_examples=40, deadline=None)
-    @given(registry=_registries(), data=st.data())
-    def test_batched_lanes_match_scalar_serialization(self, registry, data):
-        """Per-lane flips on a BatchedLatchState reproduce, lane for lane,
-        what the same flips produce on independent scalar LatchStates."""
-        pytest.importorskip("numpy")
-        from repro.microarch.state import BatchedLatchState
-
-        base = LatchState(registry)
-        for structure in registry.structures:
-            base.set(structure.name,
-                     data.draw(st.integers(min_value=0,
-                                           max_value=(1 << structure.width) - 1),
-                               label=f"base:{structure.name}"))
-        lanes = data.draw(st.integers(min_value=1, max_value=5), label="lanes")
-        batched = BatchedLatchState.from_serialized(registry, base.serialize(),
-                                                    lanes)
-        scalars = []
-        for lane in range(lanes):
-            scalar = LatchState(registry)
-            scalar.deserialize(base.serialize())
-            flips = data.draw(st.lists(
-                st.integers(min_value=0,
-                            max_value=registry.total_flip_flops - 1),
-                max_size=4), label=f"flips:{lane}")
-            for flat in flips:
-                scalar.flip_flat(flat)
-                batched.flip_flat(lane, flat)
-            scalars.append(scalar)
-        for lane, scalar in enumerate(scalars):
-            assert batched.lane_serialized(lane) == scalar.serialize()
-        equal = batched.rows_equal()
-        for lane, scalar in enumerate(scalars):
-            assert bool(equal[lane]) == (scalar.serialize()
-                                         == scalars[0].serialize())
-
 
 class TestMemoryDigestProperties:
     @settings(max_examples=40, deadline=None)
