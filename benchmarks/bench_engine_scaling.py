@@ -8,15 +8,16 @@ trajectory:
 
 * ``serial, no checkpoints`` -- every injected run re-simulates from cycle 0
   to termination (the pre-engine behaviour,
-  ``EngineConfig(checkpoint_interval=0, convergence=False)``);
+  ``EngineConfig(checkpoint_interval=0, convergence_interval=0)``);
 * ``serial, checkpointed`` -- injected runs fast-forward from the nearest
   golden-run snapshot but still simulate to termination
-  (``convergence=False``, the pre-convergence baseline);
+  (``convergence_interval=0``, the pre-convergence baseline);
 * ``serial, converged`` -- checkpointed replay plus convergence-gated early
-  termination: an injected run stops the moment its state fingerprint
-  re-converges with the golden run's dense fingerprint grid;
-* ``parallel, converged`` -- the convergence-gated plan sharded over worker
-  processes.
+  termination: an injected run stops once its state fingerprint, probed on
+  the engine's fixed schedule over the golden run's fingerprint grid,
+  re-converges with the golden run;
+* ``parallel, converged`` -- the convergence-gated plan sharded over an
+  explicit worker pool.
 
 The second group adds batched lockstep replay (``EngineConfig.batch_width``)
 on top of the convergence-gated configuration.  Batched rows run a larger
@@ -44,9 +45,9 @@ import time
 
 from _harness import persist_bench, run_once
 
-from repro.engine import EngineConfig, GoldenRunCache, InjectionEngine
+from repro.engine import (EngineConfig, GoldenRunCache, InjectionEngine,
+                          ParallelExecutor)
 from repro.microarch import InOrderCore
-from repro.obs.phases import (COUNT_FINGERPRINT_CHECKS, PHASE_CONVERGENCE)
 from repro.reporting import format_table
 from repro.workloads import workload_by_name
 
@@ -61,24 +62,15 @@ of the simulated injected-run cycles on the standard campaign."""
 MIN_BATCH_SPEEDUP = 5.0
 """Acceptance floor: batched lockstep replay at width >=16 must beat the
 serial convergence-gated reference (same campaign size) by this factor."""
-MIN_ADAPTIVE_SPEEDUP = 1.3
-"""Adaptive-spacing acceptance, throughput branch: injections/s over the
-dense-grid converged baseline."""
-MIN_FP_TIME_REDUCTION = 3.0
-"""Adaptive-spacing acceptance, phase-time branch: reduction in measured
-convergence-phase (fingerprint hashing) wall time.  Either this OR the
-throughput branch must hold -- fingerprinting is a few percent of scalar
-replay wall time on this workload, so the phase-time branch is the
-meaningful one."""
 
 
 def bench_engine_scaling(benchmark):
     def payload():
         program = workload_by_name(WORKLOAD).program()
 
-        def run_campaign(config, injections):
+        def run_campaign(config, injections, executor=None):
             engine = InjectionEngine(InOrderCore(), program, seed=9,
-                                     config=config,
+                                     config=config, executor=executor,
                                      golden_cache=GoldenRunCache())
             checkpointed = engine.golden()  # warm the cache
             start = time.perf_counter()
@@ -91,20 +83,23 @@ def bench_engine_scaling(benchmark):
         # -------------------------------------------------- scalar strategies
         modes = [
             ("serial, no checkpoints",
-             EngineConfig(checkpoint_interval=0, convergence=False)),
-            ("serial, checkpointed", EngineConfig(convergence=False)),
-            ("serial, converged", EngineConfig()),
-            # parallel_threshold=0: at N=30 the engine's small-plan fallback
-            # would silently serialize this row, hiding what it measures
-            # (pool spin-up cost on a small campaign).
-            (f"parallel x{PARALLEL_WORKERS}, converged",
-             EngineConfig(workers=PARALLEL_WORKERS, parallel_threshold=0)),
+             EngineConfig(checkpoint_interval=0, convergence_interval=0),
+             None),
+            ("serial, checkpointed", EngineConfig(convergence_interval=0),
+             None),
+            ("serial, converged", EngineConfig(), None),
+            # An explicit pool: at N=30 the engine's small-plan fallback
+            # would silently serialize a config-built one, hiding what this
+            # row measures (pool spin-up cost on a small campaign).
+            (f"parallel x{PARALLEL_WORKERS}, converged", EngineConfig(),
+             ParallelExecutor(workers=PARALLEL_WORKERS)),
         ]
         reference = None
         baseline_rate = None
         checkpointed_cycles = None
-        for label, config in modes:
-            checkpointed, result, elapsed = run_campaign(config, INJECTIONS)
+        for label, config, executor in modes:
+            checkpointed, result, elapsed = run_campaign(config, INJECTIONS,
+                                                         executor)
             if reference is None:
                 reference = result.outcomes
             assert result.outcomes == reference, \
@@ -158,67 +153,11 @@ def bench_engine_scaling(benchmark):
                          f"{elapsed:.2f}s", f"{rate:.1f}",
                          f"{speedup:.2f}x"])
 
-        # ------------------------------------------- adaptive check spacing
-        # Metered group (EngineConfig(metrics=True) on both sides so the
-        # convergence-phase timer records the actual hashing cost): a probe
-        # at every grid point vs the adaptive per-site schedule, which cuts
-        # the probe *count* on diverging sites.  Statistics must stay
-        # bit-identical; the acceptance target is MIN_ADAPTIVE_SPEEDUP on
-        # throughput OR MIN_FP_TIME_REDUCTION on the measured
-        # fingerprint-phase time.
-        def fp_phase(result):
-            timers = result.metrics.get("timers", {})
-            entry = timers.get(PHASE_CONVERGENCE)
-            seconds = entry["seconds"] if entry else 0.0
-            probes = result.metrics.get("counters", {}).get(
-                COUNT_FINGERPRINT_CHECKS, 0)
-            return probes, seconds
-
-        spacing_modes = [
-            ("serial, converged (metered)", EngineConfig(metrics=True), False),
-            ("adaptive spacing (metered)",
-             EngineConfig(metrics=True, adaptive_check_spacing=True), True),
-        ]
-        full_rate = None
-        full_seconds = None
-        full_per_site = None
-        for label, config, asserted in spacing_modes:
-            checkpointed, result, elapsed = run_campaign(config, INJECTIONS)
-            assert result.outcomes == reference, \
-                "adaptive spacing must not change outcome statistics"
-            if full_per_site is None:
-                full_per_site = result.per_site
-            assert result.per_site == full_per_site, \
-                "adaptive spacing must not change per-site tallies"
-            probes, fp_seconds = fp_phase(result)
-            rate = INJECTIONS / elapsed
-            if full_rate is None:
-                full_rate = rate
-                full_seconds = fp_seconds
-                speedup = 1.0
-            else:
-                speedup = rate / full_rate
-            if asserted:
-                reduction = (full_seconds / fp_seconds
-                             if fp_seconds > 0 else float("inf"))
-                assert (speedup >= MIN_ADAPTIVE_SPEEDUP
-                        or reduction >= MIN_FP_TIME_REDUCTION), (
-                    f"{label}: {speedup:.2f}x throughput (floor "
-                    f"{MIN_ADAPTIVE_SPEEDUP}x) and {reduction:.1f}x "
-                    f"fingerprint-phase time reduction (floor "
-                    f"{MIN_FP_TIME_REDUCTION}x) -- neither branch met")
-            rows.append([label, "-", checkpointed.checkpoint_count,
-                         checkpointed.fingerprint_count,
-                         result.replayed_cycles,
-                         f"{100 * result.saved_cycle_fraction:.0f}%",
-                         f"{probes} probes / {1000 * fp_seconds:.1f}ms fp",
-                         f"{elapsed:.2f}s", f"{rate:.1f}",
-                         f"{speedup:.2f}x"])
         return rows
 
     rows = run_once(benchmark, payload)
     headers = ["strategy", "batch width", "checkpoints", "fingerprints",
-               "replayed cycles", "cycles saved", "evicted / fp cost",
+               "replayed cycles", "cycles saved", "evicted",
                "wall time", "injections/s", "speedup"]
     persist_bench("engine", headers, rows,
                   context={"workload": WORKLOAD, "injections": INJECTIONS,
@@ -226,9 +165,7 @@ def bench_engine_scaling(benchmark):
                            "batch_widths": list(BATCH_WIDTHS),
                            "parallel_workers": PARALLEL_WORKERS,
                            "min_saved_cycle_fraction": MIN_SAVED_CYCLE_FRACTION,
-                           "min_batch_speedup": MIN_BATCH_SPEEDUP,
-                           "min_adaptive_speedup": MIN_ADAPTIVE_SPEEDUP,
-                           "min_fp_time_reduction": MIN_FP_TIME_REDUCTION},
+                           "min_batch_speedup": MIN_BATCH_SPEEDUP},
                   seed=9, core=InOrderCore(),
                   config=EngineConfig())
     print()

@@ -121,8 +121,7 @@ def bench_golden_store(benchmark):
             schedules = [
                 ("serial", EngineConfig(batch_width=BATCH_WIDTH)),
                 (f"parallel x{WORKERS}",
-                 EngineConfig(batch_width=BATCH_WIDTH, workers=WORKERS,
-                              parallel_threshold=0)),
+                 EngineConfig(batch_width=BATCH_WIDTH, workers=WORKERS)),
             ]
             serial_rate = parallel_rate = None
             schedule_ref = None

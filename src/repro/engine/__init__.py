@@ -12,7 +12,9 @@ snapshot/restore support:
   (``EngineConfig(artifact_dir=...)``) so repeated processes and pool
   workers start warm;
 * :mod:`repro.engine.executors` -- pluggable serial / process-pool executors
-  that replay pre-resolved injection shards and stream aggregates back;
+  that replay pre-resolved injection shards and stream aggregates back,
+  cutting each injected replay short once its state fingerprint re-converges
+  with the golden run (probed on one fixed schedule, :func:`should_check`);
 * :mod:`repro.engine.engine` -- :class:`InjectionEngine`, the campaign front
   door, and the engine-backed suite runner;
 * :mod:`repro.engine.batch` -- batched lockstep replay: numpy-vectorised
@@ -20,8 +22,8 @@ snapshot/restore support:
   It is imported lazily (only when a campaign enables batching) so that the
   rest of the engine works on numpy-free installs.
 
-The legacy :class:`repro.faultinjection.campaign.InjectionCampaign` API is a
-thin shim over this package.
+Campaign results are :class:`repro.faultinjection.campaign.CampaignResult`
+objects, re-exported here.
 """
 
 from repro.engine.artifacts import (

@@ -438,7 +438,7 @@ class _StreamingWavefront:
     def __init__(self, core: BaseCore, program: Program,
                  checkpointed: CheckpointedGoldenRun, convergence: bool,
                  width: int, pool: _CorePool,
-                 obs: Instrumentation | None = None, schedule_plans=None):
+                 obs: Instrumentation | None = None):
         self._obs = Instrumentation.off() if obs is None else obs
         self._tracing = self._obs.tracer.enabled
         self._program = program
@@ -451,7 +451,6 @@ class _StreamingWavefront:
         self._core = _LaneCore(core.name, self.lanes)
         self._zeros = np.zeros(self.lanes, dtype=np.int64)
         self._fp_interval = checkpointed.fingerprint_interval
-        self._schedule_plans = schedule_plans or {}
         self._gate = (convergence and self._fp_interval > 0
                       and bool(checkpointed.fingerprints))
         self.shared_cycles = 0
@@ -769,9 +768,7 @@ class _StreamingWavefront:
             probe_metrics = obs.metrics if obs.detailed else NULL_METRICS
             hook = _convergence_hook(
                 _noop_hook, record.planned.injection.cycle,
-                self._checkpointed, metrics=probe_metrics,
-                plan=self._schedule_plans.get(
-                    record.planned.injection.flat_index))
+                self._checkpointed, metrics=probe_metrics)
         try:
             with obs.tracer.span(
                     PHASE_FALLBACK,
@@ -1001,8 +998,7 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
             while pending:
                 wavefront = _StreamingWavefront(
                     spec.core, spec.program, spec.checkpointed,
-                    spec.convergence, width, pool, obs=obs,
-                    schedule_plans=spec.schedule_plans)
+                    spec.convergence, width, pool, obs=obs)
                 with obs.tracer.span(PHASE_LOCKSTEP,
                                      args={"riders": len(pending)}) as span:
                     with metrics.timer(PHASE_LOCKSTEP):
@@ -1024,15 +1020,12 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
                     scalar.extend(record.planned for record in deferred)
                     break
                 pending = deferred
-        plans = spec.schedule_plans
         for planned in scalar:
             with obs.metrics.timer(PHASE_SCALAR_REPLAY):
                 replay = replay_planned_injection(
                     spec.core, spec.program, planned, spec.checkpointed,
                     convergence=spec.convergence,
-                    obs=obs if obs.tracer.enabled or obs.detailed else None,
-                    plan=(plans.get(planned.injection.flat_index)
-                          if plans else None))
+                    obs=obs if obs.tracer.enabled or obs.detailed else None)
             fold_scalar_replay(result, planned, replay, obs)
     if obs.tracer.enabled:
         result.trace_events = obs.tracer.events
@@ -1055,5 +1048,3 @@ def _fold_replay(result: ChunkResult, planned: PlannedInjection,
     if obs.detailed:
         metrics.observe(HISTOGRAM_REPLAY_CYCLES, replay.simulated_cycles)
     result.record(planned.injection.flat_index, replay.outcome)
-    result.observe_site(planned.injection.flat_index, replay.converged_at,
-                        planned.injection.cycle)

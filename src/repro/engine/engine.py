@@ -42,7 +42,6 @@ from repro.engine.executors import (
     shard_plan,
     shard_plan_guided,
 )
-from repro.engine.schedule import ConvergenceSchedule
 from repro.faultinjection.injector import (
     Injection,
     ProtectionProvider,
@@ -66,6 +65,11 @@ from repro.obs.phases import (
 if TYPE_CHECKING:  # pragma: no cover - typing only (campaign imports us lazily)
     from repro.faultinjection.campaign import CampaignResult
 
+PARALLEL_THRESHOLD = 64
+"""Smallest plan worth a config-built process pool: pool spin-up plus
+payload pickling costs more than it saves on smaller plans (a measured
+regression at 30 injections), so they run serially."""
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -83,16 +87,16 @@ class EngineConfig:
             gives each worker a handful of chunks (load balancing without
             drowning in per-chunk pickling).
         max_cycles: golden-run watchdog.
-        convergence: gate injected runs on golden-run fingerprint
-            convergence -- once an injected core's full architectural state
-            re-converges with the golden run at a grid cycle, the remainder
-            is bit-identical by construction and is skipped.  ``False``
-            restores the pre-convergence behaviour (full replay to
-            termination, no fingerprint grid recorded) for benchmarking.
-        convergence_interval: fingerprint-grid spacing in cycles.  ``None``
+        convergence_interval: fingerprint-grid spacing in cycles for
+            convergence gating -- once an injected core's full architectural
+            state re-converges with the golden run at a grid cycle, the
+            remainder is bit-identical by construction and is skipped.
+            Probes follow a fixed schedule (every grid point for a window
+            after the injection, then power-of-two backoff; see
+            :func:`repro.engine.executors.should_check`).  ``None``
             (default) adapts a grid ~8-16x denser than the snapshot grid
-            under a bounded budget; ``0`` disables the grid (same baseline
-            as ``convergence=False``).
+            under a bounded budget; ``0`` disables the grid and the gate
+            (full replay to termination, the pre-convergence baseline).
         max_fingerprints: fingerprint budget for the adaptive grid spacing.
         batch_width: lockstep wavefront width for batched replay
             (:mod:`repro.engine.batch`).  ``0`` (default) keeps every replay
@@ -117,20 +121,10 @@ class EngineConfig:
             so repeated processes, pool workers and repeated campaigns load
             golden runs instead of re-recording them.  Engines pointing at
             the same directory share one in-memory cache per process.
-        parallel_threshold: smallest plan size worth a process pool.  Plans
-            below it run on the serial executor even when ``workers > 1``
-            (pool spin-up plus payload pickling costs more than it saves on
-            small campaigns -- a measured regression at 30 injections).
-            ``0`` disables the fallback; an explicitly passed executor is
-            always honoured as given.
-        adaptive_check_spacing: learn a per-site convergence probe schedule
-            (:mod:`repro.engine.schedule`) across this engine's campaigns:
-            fast-reconverging sites keep dense early probes then back off
-            exponentially, historically diverging sites go sparse
-            immediately.  Probe schedules never change outcomes (a skipped
-            probe only delays the early-out), only the saved-cycle
-            telemetry; schedule state folds through ``ChunkResult`` as
-            per-site integer sums, so it is deterministic across executors.
+
+    With ``workers > 1``, plans shorter than :data:`PARALLEL_THRESHOLD` still
+    run serially; pass ``executor=ParallelExecutor(...)`` to
+    :class:`InjectionEngine` to use a pool regardless of plan size.
     """
 
     checkpoint_interval: int | None = None
@@ -138,19 +132,16 @@ class EngineConfig:
     workers: int = 1
     chunk_size: int | None = None
     max_cycles: int = DEFAULT_MAX_CYCLES
-    convergence: bool = True
     convergence_interval: int | None = None
     max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS
     batch_width: int = 0
     metrics: bool = False
     trace: bool | str | Path = False
     artifact_dir: str | Path | None = None
-    parallel_threshold: int = 64
-    adaptive_check_spacing: bool = False
 
     @property
     def convergence_enabled(self) -> bool:
-        return self.convergence and self.convergence_interval != 0
+        return self.convergence_interval != 0
 
     @property
     def trace_enabled(self) -> bool:
@@ -190,10 +181,6 @@ class InjectionEngine:
             self._executor = ParallelExecutor(workers=self.config.workers)
         else:
             self._executor = SerialExecutor()
-        # Per-site probe-schedule learner; lives as long as the engine so
-        # repeated campaigns keep refining their schedules.
-        self._schedule = (ConvergenceSchedule()
-                          if self.config.adaptive_check_spacing else None)
 
     @property
     def golden_cache(self) -> GoldenRunCache:
@@ -236,11 +223,10 @@ class InjectionEngine:
     def _select_executor(self, plan_length: int) -> CampaignExecutor:
         """The executor for one plan: the configured one, downgraded to
         serial when a config-built pool would lose to its own spin-up cost
-        (``parallel_threshold``)."""
+        (:data:`PARALLEL_THRESHOLD`)."""
         if (self._config_built_executor
                 and isinstance(self._executor, ParallelExecutor)
-                and self.config.parallel_threshold > 0
-                and plan_length < self.config.parallel_threshold):
+                and plan_length < PARALLEL_THRESHOLD):
             return SerialExecutor()
         return self._executor
 
@@ -311,19 +297,12 @@ class InjectionEngine:
                 planned = self.resolve_plan(plan)
                 executor = self._select_executor(len(planned))
                 chunks = self._shard(planned, executor)
-            schedule_plans = None
-            if (self._schedule is not None and config.convergence_enabled
-                    and checkpointed.fingerprint_interval > 0):
-                schedule_plans = self._schedule.plans_for(
-                    (p.injection.flat_index for p in planned),
-                    checkpointed.fingerprint_interval)
             spec = CampaignSpec(core=self.core, program=self.program,
                                 checkpointed=checkpointed,
                                 convergence=config.convergence_enabled,
                                 batch_width=config.batch_width,
                                 metrics=config.metrics,
-                                trace=config.trace_enabled,
-                                schedule_plans=schedule_plans)
+                                trace=config.trace_enabled)
             outcomes = OutcomeCounts()
             per_site: dict[int, OutcomeCounts] = {}
             chunk_results = sorted(executor.run_chunks(spec, chunks),
@@ -336,8 +315,6 @@ class InjectionEngine:
                                             else merged.merged_with(counts))
                 obs.metrics.merge(chunk_result.metrics)
                 tracer.absorb(chunk_result.trace_events)
-                if self._schedule is not None:
-                    self._schedule.observe(chunk_result.site_observations)
             span.note(injections=len(planned), chunks=len(chunks))
         merged = obs.metrics
         trace_path = config.trace_path

@@ -45,7 +45,6 @@ from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CycleHook
 from repro.microarch.events import RunResult, TerminationReason
 from repro.engine.checkpoint import CheckpointedGoldenRun
-from repro.engine.schedule import SitePlan
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
@@ -69,6 +68,12 @@ from repro.obs.phases import COUNT_EVICTED as _COUNT_EVICTED
 
 _SEED_STRIDE = 1_000_003
 """Multiplier for deriving per-chunk seeds from the campaign seed."""
+
+DENSE_WINDOW = 8
+"""Grid points after the injection that are all probed for convergence."""
+
+MAX_GAP = 32
+"""Backoff cap: past the dense window, probe at least every MAX_GAP points."""
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,6 @@ class CampaignSpec:
     counters* are always collected -- they back the campaign telemetry --
     and both flags off is the pre-observability fast path (no clock reads,
     no span objects).
-
-    ``schedule_plans`` carries the engine's adaptive per-site probe
-    schedules, keyed by flat fault-site index; None probes every grid
-    cycle.  Plans only shape *when* probes run -- outcomes are bit-identical
-    regardless (see :mod:`repro.engine.schedule`).
     """
 
     core: BaseCore
@@ -118,7 +118,6 @@ class CampaignSpec:
     batch_width: int = 0
     metrics: bool = False
     trace: bool = False
-    schedule_plans: dict[int, SitePlan] | None = None
 
 
 @dataclass
@@ -165,11 +164,6 @@ class ChunkResult:
     per_site: dict[int, OutcomeCounts] = field(default_factory=dict)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     trace_events: list[dict] = field(default_factory=list)
-    # {flat_index: (converged, diverged, lag_cycles)} -- the adaptive
-    # schedule's per-site observations.  Integer sums, so campaign-level
-    # merging is independent of chunk partition and completion order.
-    site_observations: dict[int, tuple[int, int, int]] = field(
-        default_factory=dict)
 
     @property
     def replayed_cycles(self) -> int:
@@ -200,18 +194,6 @@ class ChunkResult:
     def record(self, flat_index: int, outcome: OutcomeCategory) -> None:
         self.outcomes.record(outcome)
         self.per_site.setdefault(flat_index, OutcomeCounts()).record(outcome)
-
-    def observe_site(self, flat_index: int, converged_at: int | None,
-                     injection_cycle: int) -> None:
-        """Record one replay's convergence behaviour for schedule learning."""
-        converged, diverged, lag = self.site_observations.get(
-            flat_index, (0, 0, 0))
-        if converged_at is None:
-            diverged += 1
-        else:
-            converged += 1
-            lag += max(0, converged_at - injection_cycle)
-        self.site_observations[flat_index] = (converged, diverged, lag)
 
 
 def shard_plan(planned: list[PlannedInjection], seed: int,
@@ -254,6 +236,25 @@ def shard_plan_guided(planned: list[PlannedInjection], seed: int,
     return chunks
 
 
+def should_check(grid_points_elapsed: int) -> bool:
+    """Whether to probe convergence at the ``grid_points_elapsed``-th grid
+    point after the injection (1-based; 0 or negative never probes).
+
+    Replays that re-converge do so within a few grid points of the
+    injection, and replays that never re-converge would pay for every
+    remaining point: the first ``DENSE_WINDOW`` points are all probed, then
+    the gaps grow as powers of two, capped at ``MAX_GAP`` points so a late
+    re-convergence is still caught.
+    """
+    k = grid_points_elapsed
+    if k <= 0:
+        return False
+    if k <= DENSE_WINDOW:
+        return True
+    k -= DENSE_WINDOW
+    return k % MAX_GAP == 0 or (k & (k - 1)) == 0
+
+
 class _ConvergedEarly(Exception):
     """Raised from the convergence hook to abort a provably-decided replay."""
 
@@ -264,8 +265,7 @@ class _ConvergedEarly(Exception):
 
 def _convergence_hook(inner: CycleHook, injection_cycle: int,
                       checkpointed: CheckpointedGoldenRun,
-                      metrics: MetricsRegistry = NULL_METRICS,
-                      plan: SitePlan | None = None) -> CycleHook:
+                      metrics: MetricsRegistry = NULL_METRICS) -> CycleHook:
     """Wrap the injection hook with the fingerprint convergence check.
 
     At fingerprint-grid cycles strictly after the injection, the injected
@@ -277,9 +277,10 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
     scheduled a recovery, or diverged in output can never match) and
     simulation can stop on the spot.
 
-    ``plan`` (a :class:`~repro.engine.schedule.SitePlan`) thins the probe
-    grid adaptively; grid points it skips can only delay the early-out,
-    never change the outcome.
+    Grid points are probed on the :func:`should_check` schedule.  A skipped
+    point can only delay the early-out, never change the outcome: a replay
+    whose digest matches the golden grid at one cycle stays bit-identical
+    to the golden run at every later grid cycle too.
 
     ``metrics`` counts the grid probes and, when timing is enabled, the
     per-probe latency (detailed instrumentation only; the default is the
@@ -297,8 +298,7 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
         expected = fingerprints.get(cycle)
         if expected is None:
             return
-        if plan is not None \
-                and not plan.should_check(cycle // interval - base_point):
+        if not should_check(cycle // interval - base_point):
             return
         metrics.inc(COUNT_FINGERPRINT_CHECKS)
         metrics.inc(COUNT_FINGERPRINT_FULL)
@@ -350,8 +350,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
                              planned: PlannedInjection,
                              checkpointed: CheckpointedGoldenRun,
                              convergence: bool = True,
-                             obs: Instrumentation | None = None,
-                             plan: SitePlan | None = None) -> Replay:
+                             obs: Instrumentation | None = None) -> Replay:
     """Run one injection, fast-forwarding from the nearest golden snapshot
     and early-terminating once the run provably re-converges.
 
@@ -383,7 +382,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
         probe_metrics = (obs.metrics if obs is not None and obs.detailed
                          else NULL_METRICS)
         hook = _convergence_hook(hook, planned.injection.cycle, checkpointed,
-                                 metrics=probe_metrics, plan=plan)
+                                 metrics=probe_metrics)
     snapshot = checkpointed.nearest(planned.injection.cycle)
     resumed_from = 0 if snapshot is None else snapshot.cycle
     tracing = obs is not None and obs.tracer.enabled
@@ -427,8 +426,6 @@ def fold_scalar_replay(result: ChunkResult, planned: PlannedInjection,
     if obs.detailed:
         metrics.observe(HISTOGRAM_REPLAY_CYCLES, replay.simulated_cycles)
     result.record(planned.injection.flat_index, replay.outcome)
-    result.observe_site(planned.injection.flat_index, replay.converged_at,
-                        planned.injection.cycle)
 
 
 def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
@@ -467,13 +464,10 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
                     args={"site": planned.injection.flat_index,
                           "cycle": planned.injection.cycle}) as span:
                 with obs.metrics.timer(PHASE_SCALAR_REPLAY):
-                    plans = spec.schedule_plans
                     replay = replay_planned_injection(
                         spec.core, spec.program, planned, spec.checkpointed,
                         convergence=spec.convergence,
-                        obs=obs if tracing or obs.detailed else None,
-                        plan=(plans.get(planned.injection.flat_index)
-                              if plans else None))
+                        obs=obs if tracing or obs.detailed else None)
                 span.note(outcome=replay.outcome.name,
                           cycles=replay.simulated_cycles,
                           converged_at=replay.converged_at)

@@ -15,11 +15,7 @@ from repro.faultinjection.calibrated import (
     OOO_PROFILE,
     profile_for_core,
 )
-from repro.faultinjection.campaign import (
-    CampaignResult,
-    InjectionCampaign,
-    run_suite_campaign,
-)
+from repro.faultinjection.campaign import CampaignResult
 from repro.faultinjection.injector import (
     FlipFlopInjector,
     Injection,
@@ -49,8 +45,6 @@ __all__ = [
     "OOO_PROFILE",
     "profile_for_core",
     "CampaignResult",
-    "InjectionCampaign",
-    "run_suite_campaign",
     "FlipFlopInjector",
     "Injection",
     "SiteProtection",

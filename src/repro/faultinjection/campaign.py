@@ -12,10 +12,9 @@ so callers can trade precision for time.
 Campaign execution lives in :mod:`repro.engine`: golden runs are recorded
 with periodic core snapshots (and cached across protection configurations),
 every injected run fast-forwards from the nearest snapshot, and plans can be
-sharded over worker processes.  :class:`InjectionCampaign` is kept as a thin
-shim with the historical constructor and :meth:`~InjectionCampaign.run`
-signature; with the same seed it reports bit-identical statistics.  The
-engine is imported lazily so that :mod:`repro.engine` and
+sharded over worker processes; :class:`repro.engine.InjectionEngine` runs a
+campaign and :func:`repro.engine.run_suite_campaign` a suite of them.  This
+module holds only their result type, so :mod:`repro.engine` and
 :mod:`repro.faultinjection` can be imported in either order.
 """
 
@@ -24,15 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.faultinjection.injector import Injection, ProtectionProvider
 from repro.faultinjection.outcomes import OutcomeCounts, margin_of_error
-from repro.isa.program import Program
-from repro.microarch.core import BaseCore
 from repro.microarch.events import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.checkpoint import GoldenRunCache
-    from repro.engine.engine import EngineConfig
     from repro.faultinjection.vulnerability import VulnerabilityMap
 
 
@@ -129,58 +123,3 @@ class CampaignResult:
             vulnerability.record(self.program_name, flat_index,
                                  samples=counts.total, sdc=counts.sdc_count,
                                  due=counts.due_count)
-
-
-class InjectionCampaign:
-    """Runs a statistical flip-flop injection campaign for one workload.
-
-    Thin shim over :class:`repro.engine.InjectionEngine`; pass ``config``
-    (an :class:`~repro.engine.EngineConfig`) to enable parallel workers or
-    tune checkpointing.
-    """
-
-    def __init__(self, core: BaseCore, program: Program,
-                 protection: ProtectionProvider | None = None, seed: int = 0,
-                 config: EngineConfig | None = None):
-        from repro.engine.engine import InjectionEngine
-
-        self.core = core
-        self.program = program
-        self.protection = protection
-        self.seed = seed
-        self._engine = InjectionEngine(core, program, protection=protection,
-                                       seed=seed, config=config)
-
-    def run(self, injections: int = 200,
-            plan: list[Injection] | None = None) -> CampaignResult:
-        """Run the campaign with ``injections`` uniformly-sampled injections.
-
-        A pre-computed ``plan`` (e.g. from
-        :func:`~repro.faultinjection.injector.exhaustive_site_plan`) overrides
-        the uniform sampling.
-
-        Note: ``run()`` is idempotent -- the suppression lottery is re-drawn
-        from the campaign seed on every call, so repeated runs return
-        identical statistics.  (The legacy injector kept one RNG across
-        calls, so a *second* ``run()`` on the same object drew fresh
-        samples; use distinct seeds to collect independent repetitions.)
-        """
-        return self._engine.run(injections=injections, plan=plan)
-
-
-def run_suite_campaign(core: BaseCore, workloads,
-                       injections_per_workload: int = 100,
-                       protection: ProtectionProvider | None = None,
-                       seed: int = 0,
-                       config: EngineConfig | None = None,
-                       golden_cache: GoldenRunCache | None = None,
-                       max_cache_entries: int | None = None,
-                       ) -> tuple[VulnerabilityMap, list[CampaignResult]]:
-    """Run campaigns over a list of workloads and build a vulnerability map."""
-    from repro.engine.engine import run_suite_campaign as engine_suite
-
-    return engine_suite(core, workloads,
-                        injections_per_workload=injections_per_workload,
-                        protection=protection, seed=seed, config=config,
-                        golden_cache=golden_cache,
-                        max_cache_entries=max_cache_entries)

@@ -296,12 +296,6 @@ class TestSerialFallbackAndStealing:
         assert isinstance(engine._select_executor(30), SerialExecutor)
         assert isinstance(engine._select_executor(64), ParallelExecutor)
 
-    def test_threshold_zero_disables_fallback(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=1,
-                                 config=EngineConfig(workers=2,
-                                                     parallel_threshold=0))
-        assert isinstance(engine._select_executor(2), ParallelExecutor)
-
     def test_explicit_executor_is_honoured(self, program):
         executor = ParallelExecutor(workers=2)
         engine = InjectionEngine(InOrderCore(), program, seed=1,
@@ -431,17 +425,17 @@ class TestWarmColdEquivalence:
                                     golden_cache=GoldenRunCache()).run(
             injections=40)
         variants = [
-            EngineConfig(artifact_dir=tmp_path),
-            EngineConfig(artifact_dir=tmp_path, batch_width=8),
-            EngineConfig(artifact_dir=tmp_path, workers=2,
-                         parallel_threshold=0),
-            EngineConfig(artifact_dir=tmp_path, workers=2,
-                         parallel_threshold=0, batch_width=8),
-            EngineConfig(artifact_dir=tmp_path, workers=2,
-                         parallel_threshold=0, chunk_size=10),
+            (EngineConfig(artifact_dir=tmp_path), None),
+            (EngineConfig(artifact_dir=tmp_path, batch_width=8), None),
+            (EngineConfig(artifact_dir=tmp_path), ParallelExecutor(workers=2)),
+            (EngineConfig(artifact_dir=tmp_path, batch_width=8),
+             ParallelExecutor(workers=2)),
+            (EngineConfig(artifact_dir=tmp_path, chunk_size=10),
+             ParallelExecutor(workers=2)),
         ]
-        for config in variants:
+        for config, executor in variants:
             result = InjectionEngine(core, program, seed=9, config=config,
+                                     executor=executor,
                                      golden_cache=GoldenRunCache(
                                          store=GoldenArtifactStore(tmp_path))
                                      ).run(injections=40)

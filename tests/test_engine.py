@@ -31,6 +31,7 @@ from repro.engine import (
     SerialExecutor,
     record_checkpointed_golden,
     replay_planned_injection,
+    run_suite_campaign,
 )
 from repro.faultinjection import (
     FlipFlopInjector,
@@ -322,9 +323,8 @@ class TestConvergenceBitExactness:
         protected = data.draw(st.booleans(), label="protected")
         protection = MixedProtection() if protected else None
         results = []
-        for convergence in (False, True):
-            config = EngineConfig(convergence=convergence,
-                                  convergence_interval=interval)
+        for convergence_interval in (0, interval):
+            config = EngineConfig(convergence_interval=convergence_interval)
             engine = InjectionEngine(core_cls(), program,
                                      protection=protection, seed=seed,
                                      config=config,
@@ -343,7 +343,7 @@ class TestConvergenceBitExactness:
         seed, count = 29, 24
         full = InjectionEngine(
             InOrderCore(), program, protection=MixedProtection(), seed=seed,
-            config=EngineConfig(convergence=False),
+            config=EngineConfig(convergence_interval=0),
             executor=SerialExecutor(),
             golden_cache=GoldenRunCache()).run(injections=count)
         gated = InjectionEngine(
@@ -464,7 +464,6 @@ class TestConvergenceReplay:
 
     def test_engine_config_gating_knobs(self):
         assert EngineConfig().convergence_enabled
-        assert not EngineConfig(convergence=False).convergence_enabled
         assert not EngineConfig(convergence_interval=0).convergence_enabled
         assert EngineConfig(convergence_interval=4).convergence_enabled
 
@@ -518,8 +517,6 @@ class TestGoldenRunCache:
             GoldenRunCache(max_entries=0)
 
     def test_suite_runner_sizes_private_cache(self, program):
-        from repro.faultinjection.campaign import run_suite_campaign
-
         workloads = [workload_by_name("histogram"), workload_by_name("vpr")]
         with pytest.raises(ValueError):
             run_suite_campaign(InOrderCore(), workloads,
@@ -553,8 +550,9 @@ class TestBatchedReplay:
         protection = MixedProtection() if protected else None
         results = []
         for batch_width in (0, width):
-            config = EngineConfig(convergence=convergence,
-                                  batch_width=batch_width)
+            config = EngineConfig(
+                convergence_interval=None if convergence else 0,
+                batch_width=batch_width)
             engine = InjectionEngine(core_cls(), program,
                                      protection=protection, seed=seed,
                                      config=config,
@@ -712,8 +710,9 @@ class TestBatchedReplay:
         for batch_width in (0, 16):
             results.append(InjectionEngine(
                 InOrderCore(), program, seed=4,
-                config=EngineConfig(batch_width=batch_width,
-                                    convergence=convergence),
+                config=EngineConfig(
+                    batch_width=batch_width,
+                    convergence_interval=None if convergence else 0),
                 golden_cache=GoldenRunCache()).run(plan=plan))
         scalar, batched = results
         assert batched.outcomes == scalar.outcomes

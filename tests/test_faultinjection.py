@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import InjectionEngine
 from repro.faultinjection import (
     CalibratedVulnerabilityModel,
     FlipFlopInjector,
     HighLevelInjector,
     Injection,
-    InjectionCampaign,
     InjectionLevel,
     OutcomeCategory,
     OutcomeCounts,
@@ -167,8 +167,8 @@ class TestFlipFlopInjector:
 class TestCampaign:
     def test_campaign_aggregates_and_contributes(self, small_workload):
         core = InOrderCore()
-        campaign = InjectionCampaign(core, small_workload.program(), seed=11)
-        result = campaign.run(injections=30)
+        engine = InjectionEngine(core, small_workload.program(), seed=11)
+        result = engine.run(injections=30)
         assert result.injections == 30
         assert 0.0 < result.achieved_margin_of_error <= 1.0
         vulnerability = VulnerabilityMap(core.name, core.flip_flop_count)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ResilienceTarget, SelectiveHardeningPlanner, sdc_improvement
+from repro.engine import InjectionEngine
 from repro.faultinjection import (
     FlipFlopInjector,
-    InjectionCampaign,
     OutcomeCategory,
     uniform_injection_plan,
 )
@@ -21,8 +21,8 @@ from repro.workloads import workload_by_name
 def baseline_campaign(small_workload):
     """A small measured campaign on the unprotected in-order core."""
     core = InOrderCore()
-    campaign = InjectionCampaign(core, small_workload.program(), seed=42)
-    return campaign.run(injections=120)
+    engine = InjectionEngine(core, small_workload.program(), seed=42)
+    return engine.run(injections=120)
 
 
 def test_baseline_campaign_has_all_outcome_classes(baseline_campaign):
@@ -37,9 +37,9 @@ def test_full_hardening_eliminates_measured_errors(small_workload, baseline_camp
     plan = harden_top_flip_flops(list(range(core.flip_flop_count)),
                                  core.flip_flop_count)
     design = ProtectedDesign(registry=core.registry, hardening=plan)
-    campaign = InjectionCampaign(core, small_workload.program(), protection=design,
-                                 seed=42)
-    protected = campaign.run(injections=120)
+    engine = InjectionEngine(core, small_workload.program(), protection=design,
+                             seed=42)
+    protected = engine.run(injections=120)
     assert protected.outcomes.sdc_count == 0
     assert protected.outcomes.due_count == 0
     improvement = sdc_improvement(baseline_campaign.outcomes, protected.outcomes,
@@ -63,9 +63,9 @@ def test_parity_with_flush_recovery_removes_most_sdc(small_workload, baseline_ca
                                         benchmarks=[small_workload.name])
     result = planner.plan(ResilienceTarget(sdc=float("inf")),
                           recovery=RecoveryKind.FLUSH, policy=SelectionPolicy())
-    campaign = InjectionCampaign(core, small_workload.program(),
-                                 protection=result.design, seed=42)
-    protected = campaign.run(injections=120)
+    engine = InjectionEngine(core, small_workload.program(),
+                             protection=result.design, seed=42)
+    protected = engine.run(injections=120)
     assert protected.outcomes.sdc_count <= max(1, baseline_campaign.outcomes.sdc_count // 5)
 
 

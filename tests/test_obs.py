@@ -33,7 +33,8 @@ from repro.analysis.store import (
     load_frontier,
     save_frontier,
 )
-from repro.engine import EngineConfig, GoldenRunCache, InjectionEngine
+from repro.engine import (EngineConfig, GoldenRunCache, InjectionEngine,
+                          ParallelExecutor)
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.obs import (
     NULL_METRICS,
@@ -71,11 +72,13 @@ def program():
     return workload_by_name("histogram").program()
 
 
-def run_campaign(core, program, seed=3, injections=24, **config_kwargs):
+def run_campaign(core, program, seed=3, injections=24, executor=None,
+                 **config_kwargs):
     """One engine campaign on a private golden cache (so the golden-record
     counters do not depend on which test ran first)."""
     engine = InjectionEngine(core, program, seed=seed,
                              config=EngineConfig(**config_kwargs),
+                             executor=executor,
                              golden_cache=GoldenRunCache())
     return engine.run(injections=injections)
 
@@ -299,12 +302,12 @@ class TestTracedCampaignReconciliation:
     def traced(self, tmp_path_factory):
         program = workload_by_name("histogram").program()
         trace_path = tmp_path_factory.mktemp("obs") / "campaign_trace.json"
-        # parallel_threshold=0: the fixture's 30 injections sit below the
+        # An explicit pool: the fixture's 30 injections sit below the
         # engine's small-plan serial fallback, and this class asserts
         # multi-process trace tracks.
         result = run_campaign(InOrderCore(), program, seed=3, injections=30,
-                              workers=2, parallel_threshold=0, batch_width=8,
-                              convergence=True, metrics=True,
+                              executor=ParallelExecutor(workers=2),
+                              batch_width=8, metrics=True,
                               trace=str(trace_path))
         return result, trace_path
 
@@ -335,8 +338,8 @@ class TestTracedCampaignReconciliation:
         result, _ = traced
         program = workload_by_name("histogram").program()
         plain = run_campaign(InOrderCore(), program, seed=3, injections=30,
-                             workers=2, parallel_threshold=0, batch_width=8,
-                             convergence=True)
+                             executor=ParallelExecutor(workers=2),
+                             batch_width=8)
         assert_same_statistics(plain, result)
 
     def test_phase_breakdown_table_reconciles(self, traced):

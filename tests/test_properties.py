@@ -373,8 +373,9 @@ class TestBatchedReplayProperties:
         for batch_width in (0, width):
             engine = InjectionEngine(
                 core_cls(), program, seed=seed,
-                config=EngineConfig(batch_width=batch_width,
-                                    convergence=convergence),
+                config=EngineConfig(
+                    batch_width=batch_width,
+                    convergence_interval=None if convergence else 0),
                 golden_cache=GoldenRunCache())
             runs.append(engine.run(injections=8))
         scalar, batched = runs
