@@ -12,9 +12,11 @@ snapshot/restore support:
   (``EngineConfig(artifact_dir=...)``) so repeated processes and pool
   workers start warm;
 * :mod:`repro.engine.executors` -- pluggable serial / process-pool executors
-  that replay pre-resolved injection shards and stream aggregates back,
-  cutting each injected replay short once its state fingerprint re-converges
-  with the golden run (probed on one fixed schedule, :func:`should_check`);
+  that replay pre-resolved injection shards and stream aggregates back.
+  Every injected run -- scalar, high-level, or a batched lane's scalar
+  fallback -- finishes through :func:`run_gated`, which cuts it short once
+  its state fingerprint re-converges with the golden run's grid (probed on
+  one fixed schedule, :func:`should_check`);
 * :mod:`repro.engine.engine` -- :class:`InjectionEngine`, the campaign front
   door, and the engine-backed suite runner;
 * :mod:`repro.engine.batch` -- batched lockstep replay: numpy-vectorised

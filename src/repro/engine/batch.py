@@ -60,8 +60,10 @@ forward via the golden snapshot grid.  A lane leaves the wavefront by:
   within a few cycles); once the tandem's control plane re-equals the
   reference it **rejoins** the wavefront as a vectorised lane, carrying its
   divergent data values.  Tandems that terminate, or stay diverged past a
-  bounded window, finish on the ordinary scalar path (with the convergence
-  gate), exactly as a plain scalar replay of that injection would.
+  bounded window, finish through
+  :func:`~repro.engine.executors.run_gated` (the watchdog and convergence
+  gate of every scalar replay), exactly as a plain scalar replay of that
+  injection would.
 
 The lane core is specific to the in-order pipeline.  Other cores --
 the out-of-order model in particular, whose dynamic scheduling makes
@@ -90,12 +92,10 @@ from repro.engine.executors import (
     CampaignSpec,
     PlannedInjection,
     Replay,
-    _ConvergedEarly,
-    _convergence_hook,
-    fold_scalar_replay,
+    fold_replay,
     replay_planned_injection,
+    run_gated,
 )
-from repro.faultinjection.injector import injection_watchdog
 from repro.faultinjection.outcomes import classify_outcome
 from repro.isa.instructions import LUI_SHIFT, OPCODE_BY_VALUE, Opcode
 from repro.isa.program import Program
@@ -107,16 +107,12 @@ from repro.microarch.memory import BatchedWordStore
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
-    COUNT_CONVERGED,
     COUNT_EVICTED,
-    COUNT_REPLAYS,
     CYCLES_FALLBACK,
-    CYCLES_FASTFORWARD,
     CYCLES_LOCKSTEP,
-    CYCLES_SAVED,
+    CYCLES_SCALAR,
     CYCLES_TANDEM,
     CYCLES_WAVEFRONT_SHARED,
-    HISTOGRAM_REPLAY_CYCLES,
     PHASE_FALLBACK,
     PHASE_LOCKSTEP,
     PHASE_SCALAR_REPLAY,
@@ -436,7 +432,7 @@ class _StreamingWavefront:
     """
 
     def __init__(self, core: BaseCore, program: Program,
-                 checkpointed: CheckpointedGoldenRun, convergence: bool,
+                 checkpointed: CheckpointedGoldenRun,
                  width: int, pool: _CorePool,
                  obs: Instrumentation | None = None):
         self._obs = Instrumentation.off() if obs is None else obs
@@ -446,13 +442,13 @@ class _StreamingWavefront:
         self._golden = checkpointed.golden
         self._registry = core.registry
         self._pool = pool
-        self._watchdog = injection_watchdog(self._golden)
         self.lanes = width + 1
         self._core = _LaneCore(core.name, self.lanes)
         self._zeros = np.zeros(self.lanes, dtype=np.int64)
         self._fp_interval = checkpointed.fingerprint_interval
-        self._gate = (convergence and self._fp_interval > 0
-                      and bool(checkpointed.fingerprints))
+        # _golden_batchable already turned hung golden runs away, so the
+        # grid alone decides the gate, as it does in run_gated.
+        self._gate = bool(checkpointed.fingerprints)
         self.shared_cycles = 0
         self._tandems: list[_Tandem] = []
         self._base_snapshot: CoreSnapshot | None = None
@@ -721,78 +717,44 @@ class _StreamingWavefront:
             tandem.record.tandem_cycles += 1
             if not tandem.core.step():
                 self._tandems.remove(tandem)
-                self._finish_tandem_terminated(tandem, finished)
+                self._hard_evict(tandem, finished, disposition="terminated")
 
-    def _finish_tandem_terminated(self, tandem: _Tandem,
-                                  finished: list[_LaneRecord]) -> None:
-        core = tandem.core
-        result = RunResult(
-            program_name=self._golden.program_name,
-            core_name=core.name,
-            reason=core._termination,
-            trap=core._trap,
-            cycles=core.cycle,
-            instructions_retired=core._retired,
-            output=list(core._output),
-            detections=list(core._detections),
-            recovery_cycles=core._recovery_cycles)
-        record = tandem.record
-        record.evicted = True
-        record.replay = Replay(
-            result=result, outcome=classify_outcome(self._golden, result),
-            resumed_from=record.resumed_from,
-            simulated_cycles=record.simulated_cycles)
-        finished.append(record)
-        self._finish_tandem_span(tandem, disposition="terminated")
-        self._pool.release(core)
+    def _hard_evict(self, tandem: _Tandem, finished: list[_LaneRecord],
+                    disposition: str = "evicted") -> None:
+        """Finish a tandem on the plain scalar path through :func:`run_gated`.
 
-    def _hard_evict(self, tandem: _Tandem,
-                    finished: list[_LaneRecord]) -> None:
-        """Finish a still-diverged tandem on the plain scalar path.
-
-        The flip is long applied, so the resume hook carries only the
-        convergence gate -- the same gate a scalar replay of this injection
-        runs under.  (Grid cycles inside the tandem window need no check: a
-        full-state fingerprint match implies control-plane equality, which
-        would have rejoined the lane instead.)
+        ``disposition`` is "evicted" for a tandem still diverged at its
+        deadline or at golden termination, "terminated" for one whose run
+        ended while co-stepping (``run_gated`` then returns at once).  The
+        flip is long applied, so the run carries no injection hook, only the
+        convergence gate a scalar replay of this injection runs under.
+        (Grid cycles inside the tandem window need no check: a full-state
+        fingerprint match implies control-plane equality, which would have
+        rejoined the lane instead.)
         """
         core = tandem.core
         record = tandem.record
         record.evicted = True
-        self._finish_tandem_span(tandem, disposition="evicted")
-        golden = self._golden
+        self._finish_tandem_span(tandem, disposition=disposition)
         start_cycle = core.cycle
         obs = self._obs
-        hook = None
-        if self._gate:
-            probe_metrics = obs.metrics if obs.detailed else NULL_METRICS
-            hook = _convergence_hook(
-                _noop_hook, record.planned.injection.cycle,
-                self._checkpointed, metrics=probe_metrics)
-        try:
-            with obs.tracer.span(
-                    PHASE_FALLBACK,
-                    args={"site": record.planned.injection.flat_index,
-                          "from_cycle": start_cycle}):
-                with obs.metrics.timer(PHASE_FALLBACK):
-                    injected = core._run_loop(self._watchdog, hook)
-        except _ConvergedEarly as converged:
-            synthesized = replace(golden, output=list(golden.output),
-                                  detections=list(golden.detections))
-            record.scalar_cycles += converged.cycle - start_cycle
-            record.replay = Replay(
-                result=synthesized,
-                outcome=classify_outcome(golden, synthesized),
-                resumed_from=record.resumed_from,
-                simulated_cycles=record.simulated_cycles,
-                converged_at=converged.cycle)
-        else:
-            record.scalar_cycles += injected.cycles - start_cycle
-            record.replay = Replay(
-                result=injected,
-                outcome=classify_outcome(golden, injected),
-                resumed_from=record.resumed_from,
-                simulated_cycles=record.simulated_cycles)
+        with obs.tracer.span(
+                PHASE_FALLBACK,
+                args={"site": record.planned.injection.flat_index,
+                      "from_cycle": start_cycle}):
+            with obs.metrics.timer(PHASE_FALLBACK):
+                injected, converged_at = run_gated(
+                    core, self._checkpointed,
+                    record.planned.injection.cycle, None,
+                    metrics=obs.metrics if obs.detailed else NULL_METRICS)
+        stopped = injected.cycles if converged_at is None else converged_at
+        record.scalar_cycles += stopped - start_cycle
+        record.replay = Replay(
+            result=injected,
+            outcome=classify_outcome(self._golden, injected),
+            resumed_from=record.resumed_from,
+            simulated_cycles=record.simulated_cycles,
+            converged_at=converged_at)
         finished.append(record)
         self._pool.release(core)
 
@@ -944,10 +906,6 @@ class _StreamingWavefront:
         return values - ((values >> 31) << 32)
 
 
-def _noop_hook(core: BaseCore, cycle: int) -> None:
-    return None
-
-
 def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
                           obs: Instrumentation | None = None) -> ChunkResult:
     """Replay one chunk with streaming lockstep wavefronts where possible.
@@ -998,7 +956,7 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
             while pending:
                 wavefront = _StreamingWavefront(
                     spec.core, spec.program, spec.checkpointed,
-                    spec.convergence, width, pool, obs=obs)
+                    width, pool, obs=obs)
                 with obs.tracer.span(PHASE_LOCKSTEP,
                                      args={"riders": len(pending)}) as span:
                     with metrics.timer(PHASE_LOCKSTEP):
@@ -1012,7 +970,7 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
                     metrics.inc(CYCLES_FALLBACK, record.scalar_cycles)
                     if record.evicted:
                         metrics.inc(COUNT_EVICTED)
-                    _fold_replay(result, record.planned, record.replay, obs)
+                    fold_replay(result, record.planned, record.replay, obs)
                 if not finished:
                     # No lane made progress (degenerate plan, e.g. every
                     # injection beyond golden termination): fall back to
@@ -1024,27 +982,10 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
             with obs.metrics.timer(PHASE_SCALAR_REPLAY):
                 replay = replay_planned_injection(
                     spec.core, spec.program, planned, spec.checkpointed,
-                    convergence=spec.convergence,
                     obs=obs if obs.tracer.enabled or obs.detailed else None)
-            fold_scalar_replay(result, planned, replay, obs)
+            metrics.inc(CYCLES_SCALAR, replay.simulated_cycles)
+            fold_replay(result, planned, replay, obs)
     if obs.tracer.enabled:
         result.trace_events = obs.tracer.events
     return result
 
-
-def _fold_replay(result: ChunkResult, planned: PlannedInjection,
-                 replay: Replay, obs: Instrumentation) -> None:
-    """Fold one wavefront-finished replay into the chunk result.
-
-    Phase *cycle* counters are the caller's job (the lane record partitions
-    them); this folds the outcome plus the per-replay bookkeeping counters.
-    """
-    metrics = result.metrics
-    metrics.inc(COUNT_REPLAYS)
-    metrics.inc(CYCLES_FASTFORWARD, replay.resumed_from)
-    if replay.converged_at is not None:
-        metrics.inc(COUNT_CONVERGED)
-        metrics.inc(CYCLES_SAVED, replay.saved_cycles)
-    if obs.detailed:
-        metrics.observe(HISTOGRAM_REPLAY_CYCLES, replay.simulated_cycles)
-    result.record(planned.injection.flat_index, replay.outcome)

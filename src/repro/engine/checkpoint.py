@@ -19,6 +19,8 @@ from __future__ import annotations
 import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import methodcaller
+from typing import Any, Callable
 
 from repro.isa.encoding import encode_instruction
 from repro.isa.program import Program
@@ -101,49 +103,34 @@ class CheckpointedGoldenRun:
         return len(self.fingerprints)
 
 
-class _CheckpointRecorder:
-    """Cycle hook that snapshots the core on an (adaptively growing) grid."""
+class _GridRecorder:
+    """Cycle hook that captures the core on an (adaptively growing) grid.
 
-    def __init__(self, interval: int | None, max_checkpoints: int):
-        self.adaptive = interval is None
-        self.interval = interval if interval else INITIAL_CHECKPOINT_INTERVAL
-        self.max_checkpoints = max(1, max_checkpoints)
-        self.snapshots: list[CoreSnapshot] = []
-
-    def __call__(self, core: BaseCore, cycle: int) -> None:
-        if cycle == 0 or cycle % self.interval != 0:
-            return
-        self.snapshots.append(core.snapshot())
-        if self.adaptive and len(self.snapshots) > self.max_checkpoints:
-            self.interval *= 2
-            self.snapshots = [s for s in self.snapshots
-                              if s.cycle % self.interval == 0]
-
-
-class _FingerprintRecorder:
-    """Cycle hook that fingerprints the core on an (adaptively growing) grid.
-
-    Same doubling/thinning policy as the snapshot recorder, but the grid
-    starts :data:`FINGERPRINT_DENSITY` times finer -- a fingerprint is a
-    16-byte digest, not a state copy.
+    Every ``interval`` cycles (cycle 0 excluded) it stores
+    ``capture(core)`` keyed by cycle.  An adaptive recorder
+    (``interval=None``) starts at ``initial`` and, whenever it holds more
+    than ``budget`` captures, doubles its interval and drops the captures
+    off the new grid, so memory stays bounded whatever the run length.
+    Snapshots and fingerprints each get one recorder; the fingerprint grid
+    starts :data:`FINGERPRINT_DENSITY` times finer.
     """
 
-    def __init__(self, interval: int | None, max_fingerprints: int):
+    def __init__(self, capture: Callable[[BaseCore], Any],
+                 interval: int | None, initial: int, budget: int):
+        self.capture = capture
         self.adaptive = interval is None
-        self.interval = interval if interval else max(
-            1, INITIAL_FINGERPRINT_INTERVAL)
-        self.max_fingerprints = max(1, max_fingerprints)
-        self.fingerprints: dict[int, bytes] = {}
+        self.interval = interval if interval else initial
+        self.budget = max(1, budget)
+        self.captures: dict[int, Any] = {}
 
     def __call__(self, core: BaseCore, cycle: int) -> None:
         if cycle == 0 or cycle % self.interval != 0:
             return
-        self.fingerprints[cycle] = core.state_fingerprint()
-        if self.adaptive and len(self.fingerprints) > self.max_fingerprints:
+        self.captures[cycle] = self.capture(core)
+        if self.adaptive and len(self.captures) > self.budget:
             self.interval *= 2
-            self.fingerprints = {c: digest
-                                 for c, digest in self.fingerprints.items()
-                                 if c % self.interval == 0}
+            self.captures = {c: value for c, value in self.captures.items()
+                             if c % self.interval == 0}
 
 
 def record_checkpointed_golden(core: BaseCore, program: Program,
@@ -177,12 +164,16 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
     hooks = []
     checkpointer = None
     if interval != 0:
-        checkpointer = _CheckpointRecorder(interval, max_checkpoints)
+        checkpointer = _GridRecorder(methodcaller("snapshot"), interval,
+                                     INITIAL_CHECKPOINT_INTERVAL,
+                                     max_checkpoints)
         hooks.append(checkpointer)
     fingerprinter = None
     if fingerprint_interval != 0:
-        fingerprinter = _FingerprintRecorder(fingerprint_interval,
-                                             max_fingerprints)
+        fingerprinter = _GridRecorder(methodcaller("state_fingerprint"),
+                                      fingerprint_interval,
+                                      max(1, INITIAL_FINGERPRINT_INTERVAL),
+                                      max_fingerprints)
         hooks.append(fingerprinter)
     if not hooks:
         hook = None
@@ -200,20 +191,20 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
                                "program": program.name}) as span:
         with obs.metrics.timer(PHASE_GOLDEN_RECORD):
             golden = core.run(program, max_cycles=max_cycles, cycle_hook=hook)
-        span.note(cycles=golden.cycles,
-                  snapshots=len(checkpointer.snapshots) if checkpointer else 0)
+        snapshots = list(checkpointer.captures.values()) if checkpointer else []
+        span.note(cycles=golden.cycles, snapshots=len(snapshots))
+    fingerprints = fingerprinter.captures if fingerprinter else {}
     metrics = obs.metrics
     metrics.inc(COUNT_GOLDEN_RECORDS)
     metrics.inc(CYCLES_GOLDEN, golden.cycles)
     if checkpointer:
-        metrics.inc(COUNT_SNAPSHOTS, len(checkpointer.snapshots))
+        metrics.inc(COUNT_SNAPSHOTS, len(snapshots))
     if fingerprinter:
-        metrics.inc(COUNT_FINGERPRINTS, len(fingerprinter.fingerprints))
+        metrics.inc(COUNT_FINGERPRINTS, len(fingerprints))
     return CheckpointedGoldenRun(
-        golden=golden,
-        snapshots=checkpointer.snapshots if checkpointer else [],
+        golden=golden, snapshots=snapshots,
         interval=checkpointer.interval if checkpointer else 0,
-        fingerprints=fingerprinter.fingerprints if fingerprinter else {},
+        fingerprints=fingerprints,
         fingerprint_interval=(fingerprinter.interval if fingerprinter else 0))
 
 

@@ -299,7 +299,6 @@ class InjectionEngine:
                 chunks = self._shard(planned, executor)
             spec = CampaignSpec(core=self.core, program=self.program,
                                 checkpointed=checkpointed,
-                                convergence=config.convergence_enabled,
                                 batch_width=config.batch_width,
                                 metrics=config.metrics,
                                 trace=config.trace_enabled)

@@ -53,7 +53,6 @@ from repro.obs.phases import (
     COUNT_FINGERPRINT_FULL,
     COUNT_REPLAYS,
     CYCLES_FASTFORWARD,
-    CYCLES_LOCKSTEP,
     CYCLES_SAVED,
     CYCLES_SCALAR,
     HISTOGRAM_CHECK_LATENCY_US,
@@ -61,10 +60,8 @@ from repro.obs.phases import (
     PHASE_CONVERGENCE,
     PHASE_FASTFORWARD,
     PHASE_SCALAR_REPLAY,
-    REPLAY_CYCLE_COUNTERS,
     SPAN_CHUNK,
 )
-from repro.obs.phases import COUNT_EVICTED as _COUNT_EVICTED
 
 _SEED_STRIDE = 1_000_003
 """Multiplier for deriving per-chunk seeds from the campaign seed."""
@@ -94,9 +91,10 @@ class PlannedInjection:
 class CampaignSpec:
     """Everything a worker needs to replay injections for one campaign.
 
-    ``convergence`` gates early termination of injected runs whose state
-    fingerprint re-converges with the golden run's grid; set it to False to
-    force full replay to termination (the pre-convergence baseline).
+    Whether injected runs are convergence-gated is decided by
+    ``checkpointed`` alone (see :func:`run_gated`): a golden run recorded
+    without a fingerprint grid (``EngineConfig(convergence_interval=0)``)
+    replays every injection to termination.
 
     ``batch_width`` >= 2 enables batched lockstep replay
     (:mod:`repro.engine.batch`): up to that many injections advance together
@@ -114,7 +112,6 @@ class CampaignSpec:
     core: BaseCore
     program: Program
     checkpointed: CheckpointedGoldenRun
-    convergence: bool = True
     batch_width: int = 0
     metrics: bool = False
     trace: bool = False
@@ -148,9 +145,7 @@ class ChunkResult:
     always, wall-clock timers and histograms when the spec enabled them.
     The registry (and, when tracing, the chunk's span events) serializes
     through the normal pickle path back to the campaign process, where
-    registries merge deterministically in chunk-index order.  The
-    historical telemetry attributes (``replayed_cycles`` & co.) remain as
-    read-only views over the counters.
+    registries merge deterministically in chunk-index order.
 
     Attributes:
         outcomes / per_site: classification tallies.
@@ -164,32 +159,6 @@ class ChunkResult:
     per_site: dict[int, OutcomeCounts] = field(default_factory=dict)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     trace_events: list[dict] = field(default_factory=list)
-
-    @property
-    def replayed_cycles(self) -> int:
-        """Cycles actually simulated across the chunk's injected runs."""
-        value = self.metrics.value
-        return sum(value(name) for name in REPLAY_CYCLE_COUNTERS)
-
-    @property
-    def converged_count(self) -> int:
-        """Runs terminated early on golden-fingerprint convergence."""
-        return self.metrics.value(COUNT_CONVERGED)
-
-    @property
-    def saved_cycles(self) -> int:
-        """Cycles the convergence early-outs skipped."""
-        return self.metrics.value(CYCLES_SAVED)
-
-    @property
-    def evicted_count(self) -> int:
-        """Runs evicted from a lockstep wavefront to the scalar path."""
-        return self.metrics.value(_COUNT_EVICTED)
-
-    @property
-    def lockstep_cycles(self) -> int:
-        """Per-lane cycles advanced inside batched wavefronts."""
-        return self.metrics.value(CYCLES_LOCKSTEP)
 
     def record(self, flat_index: int, outcome: OutcomeCategory) -> None:
         self.outcomes.record(outcome)
@@ -263,10 +232,11 @@ class _ConvergedEarly(Exception):
         self.cycle = cycle
 
 
-def _convergence_hook(inner: CycleHook, injection_cycle: int,
+def _convergence_hook(inner: CycleHook | None, injection_cycle: int,
                       checkpointed: CheckpointedGoldenRun,
                       metrics: MetricsRegistry = NULL_METRICS) -> CycleHook:
-    """Wrap the injection hook with the fingerprint convergence check.
+    """Wrap the injection hook (``None``: none) with the fingerprint
+    convergence check.
 
     At fingerprint-grid cycles strictly after the injection, the injected
     core's digest is compared against the golden grid.  The fingerprint
@@ -292,7 +262,8 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
     base_point = injection_cycle // interval
 
     def hook(core: BaseCore, cycle: int) -> None:
-        inner(core, cycle)
+        if inner is not None:
+            inner(core, cycle)
         if cycle <= injection_cycle or cycle % interval:
             return
         expected = fingerprints.get(cycle)
@@ -315,6 +286,39 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
             raise _ConvergedEarly(cycle)
 
     return hook
+
+
+def run_gated(core: BaseCore, checkpointed: CheckpointedGoldenRun,
+              injection_cycle: int, hook: CycleHook | None,
+              metrics: MetricsRegistry = NULL_METRICS,
+              ) -> tuple[RunResult, int | None]:
+    """Finish one injected run: ``(result, converged_at)``.
+
+    ``core`` must already be positioned on the injected run -- reset to
+    cycle 0, restored from a golden snapshot, or mid-run -- and ``hook``
+    applies whatever the run still has to inject (``None``: nothing).  The
+    run goes to termination under the golden watchdog.  It is
+    convergence-gated exactly when the golden run carries a fingerprint
+    grid and did not hang (a hung golden run's injected watchdog differs,
+    so its tail is not reproducible from the grid): on a grid match the
+    remainder is bit-identical to the golden run, so simulation stops and
+    ``result`` is a copy of the golden :class:`RunResult`, classified
+    exactly as the full run would have been.  ``converged_at`` is the grid
+    cycle of the match, or None when the run simulated to termination.
+
+    ``metrics`` counts the convergence probes (see :func:`_convergence_hook`).
+    """
+    golden = checkpointed.golden
+    if (checkpointed.fingerprints
+            and golden.reason is not TerminationReason.HANG):
+        hook = _convergence_hook(hook, injection_cycle, checkpointed,
+                                 metrics=metrics)
+    try:
+        return core._run_loop(injection_watchdog(golden), hook), None
+    except _ConvergedEarly as converged:
+        return (replace(golden, output=list(golden.output),
+                        detections=list(golden.detections)),
+                converged.cycle)
 
 
 @dataclass(frozen=True)
@@ -349,76 +353,56 @@ class Replay:
 def replay_planned_injection(core: BaseCore, program: Program,
                              planned: PlannedInjection,
                              checkpointed: CheckpointedGoldenRun,
-                             convergence: bool = True,
                              obs: Instrumentation | None = None) -> Replay:
     """Run one injection, fast-forwarding from the nearest golden snapshot
-    and early-terminating once the run provably re-converges.
+    and finishing through :func:`run_gated`.
 
     Restoring the latest snapshot at or before the injection cycle is exact:
     the injection hook cannot have fired earlier, so the pre-injection prefix
     of the run is identical to the golden run the snapshot was taken from.
-
-    With ``convergence`` enabled (and a fingerprint grid recorded), the
-    injected core's state fingerprint is checked at grid cycles after the
-    injection; on a match the remainder of the run is bit-identical to the
-    golden run, so the replay stops and returns a synthesized copy of the
-    golden :class:`RunResult` -- classified exactly as the full run would
-    have been (VANISHED whenever the golden run terminated normally).
-    Golden runs that hit the watchdog are never gated: their injected
-    watchdog differs, so the tail is not reproducible from the grid.
+    Whether the replay may stop early on convergence is decided by the
+    golden run's fingerprint grid alone (see :func:`run_gated`).
 
     ``obs`` (an :class:`~repro.obs.Instrumentation`) adds a
     ``snapshot.fastforward`` span around the restore and fingerprint-probe
-    counting; ``None`` is the uninstrumented path, byte-for-byte the
-    pre-observability behaviour.
+    counting; ``None`` is the uninstrumented path.
     """
-    golden = checkpointed.golden
-    watchdog = injection_watchdog(golden)
+    snapshot = checkpointed.nearest(planned.injection.cycle)
+    if snapshot is None:
+        core.reset(program)
+    elif obs is not None and obs.tracer.enabled:
+        with obs.tracer.span(PHASE_FASTFORWARD,
+                             args={"to_cycle": snapshot.cycle}):
+            core.restore(program, snapshot)
+    else:
+        core.restore(program, snapshot)
+    resumed_from = 0 if snapshot is None else snapshot.cycle
     hook = build_injection_hook(planned.injection, planned.protection,
                                 planned.suppressed)
-    if (convergence and checkpointed.fingerprint_interval > 0
-            and checkpointed.fingerprints
-            and golden.reason is not TerminationReason.HANG):
-        probe_metrics = (obs.metrics if obs is not None and obs.detailed
-                         else NULL_METRICS)
-        hook = _convergence_hook(hook, planned.injection.cycle, checkpointed,
-                                 metrics=probe_metrics)
-    snapshot = checkpointed.nearest(planned.injection.cycle)
-    resumed_from = 0 if snapshot is None else snapshot.cycle
-    tracing = obs is not None and obs.tracer.enabled
-    try:
-        if snapshot is None:
-            injected = core.run(program, max_cycles=watchdog, cycle_hook=hook)
-        elif tracing:
-            # resume() is restore + _run_loop; splitting it lets the
-            # fast-forward phase carry its own span without changing what
-            # runs (property-tested equal in tests/test_engine.py).
-            with obs.tracer.span(PHASE_FASTFORWARD,
-                                 args={"to_cycle": snapshot.cycle}):
-                core.restore(program, snapshot)
-            injected = core._run_loop(watchdog, hook)
-        else:
-            injected = core.resume(program, snapshot, max_cycles=watchdog,
-                                   cycle_hook=hook)
-    except _ConvergedEarly as converged:
-        injected = replace(golden, output=list(golden.output),
-                           detections=list(golden.detections))
-        return Replay(result=injected,
-                      outcome=classify_outcome(golden, injected),
-                      resumed_from=resumed_from,
-                      simulated_cycles=converged.cycle - resumed_from,
-                      converged_at=converged.cycle)
-    return Replay(result=injected, outcome=classify_outcome(golden, injected),
+    probe_metrics = (obs.metrics if obs is not None and obs.detailed
+                     else NULL_METRICS)
+    injected, converged_at = run_gated(core, checkpointed,
+                                       planned.injection.cycle, hook,
+                                       metrics=probe_metrics)
+    stopped = injected.cycles if converged_at is None else converged_at
+    return Replay(result=injected,
+                  outcome=classify_outcome(checkpointed.golden, injected),
                   resumed_from=resumed_from,
-                  simulated_cycles=injected.cycles - resumed_from)
+                  simulated_cycles=stopped - resumed_from,
+                  converged_at=converged_at)
 
 
-def fold_scalar_replay(result: ChunkResult, planned: PlannedInjection,
-                       replay: Replay, obs: Instrumentation) -> None:
-    """Fold one scalar-path replay into a chunk result (outcome + metrics)."""
+def fold_replay(result: ChunkResult, planned: PlannedInjection,
+                replay: Replay, obs: Instrumentation) -> None:
+    """Fold one finished replay into a chunk result: the outcome plus the
+    per-replay bookkeeping counters.
+
+    Phase *cycle* counters are the caller's job: a scalar replay adds its
+    simulated cycles to ``CYCLES_SCALAR``, a wavefront lane record
+    partitions them across the batched phases.
+    """
     metrics = result.metrics
     metrics.inc(COUNT_REPLAYS)
-    metrics.inc(CYCLES_SCALAR, replay.simulated_cycles)
     metrics.inc(CYCLES_FASTFORWARD, replay.resumed_from)
     if replay.converged_at is not None:
         metrics.inc(COUNT_CONVERGED)
@@ -466,18 +450,19 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
                 with obs.metrics.timer(PHASE_SCALAR_REPLAY):
                     replay = replay_planned_injection(
                         spec.core, spec.program, planned, spec.checkpointed,
-                        convergence=spec.convergence,
                         obs=obs if tracing or obs.detailed else None)
                 span.note(outcome=replay.outcome.name,
                           cycles=replay.simulated_cycles,
                           converged_at=replay.converged_at)
-            fold_scalar_replay(result, planned, replay, obs)
+            obs.metrics.inc(CYCLES_SCALAR, replay.simulated_cycles)
+            fold_replay(result, planned, replay, obs)
     if tracing:
         checks = obs.metrics.value(COUNT_FINGERPRINT_CHECKS)
         if checks:
-            obs.tracer.instant(PHASE_CONVERGENCE,
-                               args={"checks": checks,
-                                     "converged": result.converged_count})
+            obs.tracer.instant(
+                PHASE_CONVERGENCE,
+                args={"checks": checks,
+                      "converged": obs.metrics.value(COUNT_CONVERGED)})
         result.trace_events = obs.tracer.events
     return result
 

@@ -11,24 +11,26 @@ Campaigns route through the injection engine's checkpointed golden runs: the
 golden run comes from the shared :data:`~repro.engine.GOLDEN_RUN_CACHE` (so
 flip-flop and high-level campaigns on the same workload share it), every
 injected run fast-forwards from the nearest snapshot at or below its
-injection cycle, and -- when the golden run carries a fingerprint grid --
-every injected run is convergence-gated: a run whose fingerprint matches the
-golden grid is bit-identical to the golden run from that cycle on, so it
-stops simulating and classifies against the synthesized golden remainder.
+injection cycle and finishes through the engine's
+:func:`~repro.engine.executors.run_gated` -- the same watchdog and
+convergence gate as a flip-flop replay.  When the golden run carries a
+fingerprint grid, a run whose fingerprint matches it is bit-identical to the
+golden run from that cycle on, so it stops simulating and classifies against
+a copy of the golden result.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, unique
 
 from repro.engine.checkpoint import GOLDEN_RUN_CACHE, CheckpointedGoldenRun
-from repro.faultinjection.outcomes import OutcomeCategory, OutcomeCounts, classify_outcome
+from repro.faultinjection.outcomes import OutcomeCounts, classify_outcome
 from repro.isa.program import Program
 from repro.isa.simulator import FunctionalSimulator
 from repro.microarch.core import BaseCore
-from repro.microarch.events import RunResult, TerminationReason
+from repro.microarch.events import RunResult
 from repro.isa.registers import NUM_REGISTERS
 
 
@@ -130,34 +132,15 @@ class HighLevelInjector:
         return min(golden_cycles - 1, max(0, int(fraction * golden_cycles)))
 
     # ------------------------------------------------------------------ execution
-    def run_with_injection(self, program: Program, injection: HighLevelInjection,
-                           golden: RunResult,
-                           checkpointed: CheckpointedGoldenRun | None = None,
-                           convergence: bool = True,
-                           ) -> tuple[RunResult, OutcomeCategory]:
-        """Run one injected replay; returns ``(result, outcome)``.
-
-        A convergence-gated replay that matches the golden fingerprint grid
-        returns a synthesized golden-remainder result -- bit-identical to
-        what simulating to termination would have produced.
-        """
-        injected, outcome, _, _ = self._gated_replay(
-            program, injection, golden, checkpointed,
-            convergence=convergence)
-        return injected, outcome
-
-    def _gated_replay(self, program: Program, injection: HighLevelInjection,
-                      golden: RunResult,
-                      checkpointed: CheckpointedGoldenRun | None,
-                      convergence: bool,
-                      ) -> tuple[RunResult, OutcomeCategory, int | None, int]:
-        """One replay plus its convergence telemetry:
-        ``(result, outcome, converged_at, simulated_cycles)``."""
+    def _replay(self, program: Program, injection: HighLevelInjection,
+                checkpointed: CheckpointedGoldenRun,
+                ) -> tuple[RunResult, int | None, int]:
+        """One replay from the nearest golden snapshot, finished by the
+        engine's :func:`~repro.engine.executors.run_gated`:
+        ``(result, converged_at, simulated_cycles)``."""
         # Deferred: executors imports this package's injector module, so a
         # module-level import here would be circular.
-        from repro.engine.executors import _ConvergedEarly, _convergence_hook
-
-        watchdog = max(int(golden.cycles * 2.0), golden.cycles + 64)
+        from repro.engine.executors import run_gated
 
         def hook(core: BaseCore, cycle: int) -> None:
             if cycle != injection.cycle:
@@ -172,54 +155,40 @@ class HighLevelInjector:
                     value = memory.load_word(injection.address)
                     memory.store_word(injection.address, value ^ (1 << injection.bit))
 
-        # Same gate condition as the engine's scalar replay path: a
-        # fingerprint match proves the remainder is bit-identical to the
-        # golden run, so classification cannot change -- only the cycles
-        # spent reaching it.
-        run_hook = hook
-        if (convergence and checkpointed is not None
-                and checkpointed.fingerprint_interval > 0
-                and checkpointed.fingerprints
-                and golden.reason is not TerminationReason.HANG):
-            run_hook = _convergence_hook(hook, injection.cycle, checkpointed)
-        snapshot = (checkpointed.nearest(injection.cycle)
-                    if checkpointed is not None else None)
+        snapshot = checkpointed.nearest(injection.cycle)
+        if snapshot is None:
+            self.core.reset(program)
+        else:
+            self.core.restore(program, snapshot)
         resumed_from = snapshot.cycle if snapshot is not None else 0
-        try:
-            if snapshot is None:
-                injected = self.core.run(program, max_cycles=watchdog,
-                                         cycle_hook=run_hook)
-            else:
-                injected = self.core.resume(program, snapshot,
-                                            max_cycles=watchdog,
-                                            cycle_hook=run_hook)
-        except _ConvergedEarly as converged:
-            synthesized = replace(golden, output=list(golden.output),
-                                  detections=list(golden.detections))
-            return (synthesized, classify_outcome(golden, synthesized),
-                    converged.cycle, converged.cycle - resumed_from)
-        return (injected, classify_outcome(golden, injected), None,
-                injected.cycles - resumed_from)
+        injected, converged_at = run_gated(self.core, checkpointed,
+                                           injection.cycle, hook)
+        stopped = injected.cycles if converged_at is None else converged_at
+        return injected, converged_at, stopped - resumed_from
 
     def campaign(self, level: InjectionLevel, program: Program,
                  count: int = 100,
                  convergence: bool = True) -> HighLevelCampaignResult:
         """Run a campaign at one injection level.
 
-        Returns a :class:`HighLevelCampaignResult`; its ``counts`` are
-        bit-identical whatever ``convergence`` is set to.
+        ``convergence`` picks the golden run: with it off, the golden run
+        is recorded without a fingerprint grid, so every injected run
+        simulates to termination.  The returned
+        :class:`HighLevelCampaignResult`'s ``counts`` are bit-identical
+        either way.
         """
-        checkpointed = GOLDEN_RUN_CACHE.get(self.core, program)
+        checkpointed = GOLDEN_RUN_CACHE.get(
+            self.core, program,
+            fingerprint_interval=None if convergence else 0)
         golden = checkpointed.golden
         counts = OutcomeCounts()
         converged_count = 0
         saved_cycles = 0
         replayed_cycles = 0
         for injection in self.plan(level, program, golden, count):
-            _, outcome, converged_at, simulated = self._gated_replay(
-                program, injection, golden, checkpointed,
-                convergence=convergence)
-            counts.record(outcome)
+            injected, converged_at, simulated = self._replay(
+                program, injection, checkpointed)
+            counts.record(classify_outcome(golden, injected))
             replayed_cycles += simulated
             if converged_at is not None:
                 converged_count += 1

@@ -6,9 +6,10 @@ points after the injection, then power-of-two gaps capped at ``MAX_GAP``.
 A skipped probe can only delay the convergence early-out, never change a
 classification.  This module pins the schedule arithmetic, the convergence
 hook's handling of skipped and matching probes, the probe saving on a
-standard campaign, and the engine-level consequence: campaign statistics
-are bit-identical to full replay across serial / parallel / batched
-executors.
+standard campaign, the engine-level consequence (campaign statistics are
+bit-identical to full replay across serial / parallel / batched
+executors), and the rules that switch the gate off: no fingerprint grid,
+or a golden run that hung.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ from repro.engine.executors import (
     _convergence_hook,
     should_check,
 )
-from repro.faultinjection import HighLevelInjector, InjectionLevel
+from repro.engine.checkpoint import record_checkpointed_golden
+from repro.faultinjection import (
+    HighLevelInjection,
+    HighLevelInjector,
+    InjectionLevel,
+)
 from repro.microarch import InOrderCore, OutOfOrderCore
+from repro.microarch.events import TerminationReason
 from repro.obs.phases import COUNT_FINGERPRINT_CHECKS
 from repro.workloads import workload_by_name
 
@@ -105,10 +112,16 @@ class TestEngineBitExactness:
             return engine.run(injections=8)
 
         reference = run(EngineConfig(convergence_interval=0))
+        # No grid, no gate: batched lanes and their scalar fallback must
+        # never converge when the golden run carries no fingerprints.
+        ungated_batched = run(EngineConfig(batch_width=8,
+                                           convergence_interval=0))
+        assert ungated_batched.converged_count == 0
         variants = [
             run(EngineConfig()),
             run(EngineConfig(chunk_size=3), ParallelExecutor(workers=2)),
             run(EngineConfig(batch_width=8)),
+            ungated_batched,
         ]
         for result in variants:
             assert result.outcomes == reference.outcomes
@@ -157,3 +170,22 @@ class TestHighLevelCampaignGate:
         assert gated.converged_count > 0
         assert gated.saved_cycles > 0
         assert gated.replayed_cycles < ungated.replayed_cycles
+
+    def test_hung_golden_never_gates(self, program):
+        """A golden run cut by its watchdog carries a fingerprint grid, but
+        high-level replays on it must still simulate to termination -- even
+        a flip of the hard-wired zero register, which changes nothing."""
+        hung = record_checkpointed_golden(InOrderCore(), program,
+                                          max_cycles=300)
+        assert hung.golden.reason is TerminationReason.HANG
+        assert hung.fingerprints
+        injector = HighLevelInjector(InOrderCore(), seed=5)
+        plan = injector.plan(InjectionLevel.REGISTER_UNIFORM, program,
+                             hung.golden, 4)
+        plan.append(HighLevelInjection(InjectionLevel.REGISTER_UNIFORM,
+                                       cycle=10, register=0))
+        for injection in plan:
+            injected, converged_at, simulated = injector._replay(
+                program, injection, hung)
+            assert converged_at is None
+            assert injected.reason is TerminationReason.HANG

@@ -44,6 +44,7 @@ from repro.faultinjection import (
 )
 from repro.isa.program import DataSegment
 from repro.microarch import InOrderCore, OutOfOrderCore
+from repro.microarch.events import TerminationReason
 from repro.workloads import workload_by_name
 
 CORE_CLASSES = (InOrderCore, OutOfOrderCore)
@@ -447,8 +448,9 @@ class TestConvergenceReplay:
         replay = replay_planned_injection(core, program, planned, checkpointed)
         assert replay.outcome is OutcomeCategory.OMM
         assert replay.converged_at is None
-        ungated = replay_planned_injection(core, program, planned,
-                                           checkpointed, convergence=False)
+        ungated = replay_planned_injection(
+            core, program, planned,
+            replace(checkpointed, fingerprints={}, fingerprint_interval=0))
         assert ungated.outcome is OutcomeCategory.OMM
         assert ungated.result == replay.result
 
@@ -461,6 +463,23 @@ class TestConvergenceReplay:
         replay = replay_planned_injection(InOrderCore(), program, planned, bare)
         assert replay.converged_at is None
         assert replay.outcome is OutcomeCategory.VANISHED
+
+    def test_gate_disabled_when_golden_hung(self, program):
+        """A golden run cut by its watchdog still carries a fingerprint grid,
+        but the injected watchdog differs from it, so its tail is not
+        reproducible from the grid: even a no-op replay must not converge."""
+        hung = record_checkpointed_golden(InOrderCore(), program,
+                                          max_cycles=300)
+        assert hung.golden.reason is TerminationReason.HANG
+        assert any(cycle > 10 for cycle in hung.fingerprints)
+        planned = PlannedInjection(injection=Injection(flat_index=0, cycle=10),
+                                   protection=SiteProtection(suppression=1.0),
+                                   suppressed=True)
+        replay = replay_planned_injection(InOrderCore(), program, planned,
+                                          hung)
+        assert replay.converged_at is None
+        assert replay.simulated_cycles == \
+            replay.result.cycles - replay.resumed_from
 
     def test_engine_config_gating_knobs(self):
         assert EngineConfig().convergence_enabled
@@ -649,7 +668,8 @@ class TestBatchedReplay:
                                                   interval=100)
         base = checkpointed.nearest(300)
         wavefront = _StreamingWavefront(
-            template, program, checkpointed, convergence=False,
+            template, program,
+            replace(checkpointed, fingerprints={}, fingerprint_interval=0),
             width=len(self._LANE_FLIPS), pool=_CorePool(template))
         wavefront._load_reference(base)
         lane_core = wavefront._core
