@@ -48,9 +48,9 @@ forward via the golden snapshot grid.  A lane leaves the wavefront by:
   (branch predictor, IRQ/cache counters, status shadow) are deliberately
   excluded from the check: the in-order core never reads them into
   behaviour, so architectural equality alone implies the remainder of the
-  run emits golden output.  The scalar path classifies such runs VANISHED
-  (by full replay or full-state convergence); retirement returns the same
-  classification without the replay tail.
+  run emits golden output (:attr:`InOrderCore.hint_plane_inert`).  A
+  scalar replay of such a run ends VANISHED as well; retirement returns the
+  same classification without the replay tail.
 * **Divergence demotion to a tandem**: the moment a lane's control would
   differ from the reference -- a flip landing in a control-plane structure,
   a divergent branch decision/target, memory address, or execute-trap
@@ -74,14 +74,17 @@ campaign on an unsupported core is simply a scalar campaign.
 Injections whose protection *detects* without suppression also take the
 scalar path (they raise detection events / recovery stalls rather than flip
 state), as do campaigns whose golden run hung, detected or recovered (the
-scalar gate refuses those too).  Everything else batches, including
-suppressed injections (no flip: the lane joins and retires at the first
-eligible grid cycle, exactly like the scalar no-op replay converges).
+scalar gate refuses those too).  Everything else batches.  Suppressed
+injections and undetected hint-plane flips never arrive from
+:class:`~repro.engine.engine.InjectionEngine`, which folds them as golden
+copies unsimulated (:func:`~repro.engine.executors.is_inert`); a direct
+caller may still pass them, and a suppressed lane then joins and retires at
+the first eligible grid cycle, like the scalar no-op replay converges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,6 +96,7 @@ from repro.engine.executors import (
     PlannedInjection,
     Replay,
     fold_replay,
+    golden_copy,
     replay_planned_injection,
     run_gated,
 )
@@ -676,8 +680,7 @@ class _StreamingWavefront:
             record = self._slot_records[lane]
             record.lockstep_cycles += cycle - record.segment_start
             self._release_slot(lane)
-            synthesized = replace(golden, output=list(golden.output),
-                                  detections=list(golden.detections))
+            synthesized = golden_copy(golden)
             record.replay = Replay(
                 result=synthesized,
                 outcome=classify_outcome(golden, synthesized),

@@ -9,9 +9,14 @@ campaigns.  It composes three pieces:
 2. a **resolved plan**: the suppression lottery of every protected site is
    drawn centrally, in plan order, from the campaign seed -- reproducing the
    exact random stream of the original serial campaign loop while making
-   every injection independently replayable;
-3. a **pluggable executor** (serial or process-pool parallel) that streams
-   per-chunk aggregates back into a :class:`CampaignResult`.
+   every injection independently replayable.  Injections that provably run
+   as the golden run -- suppressed strikes, and undetected flips into a hint
+   plane the core declares behaviour-free -- are *inert*
+   (:func:`~repro.engine.executors.is_inert`): they are folded as golden
+   copies at plan time and never simulated;
+3. a **pluggable executor** (serial or process-pool parallel) that replays
+   the remaining *live* injections and streams per-chunk aggregates back
+   into a :class:`CampaignResult`.
 
 With a fixed seed the engine reports outcome counts and per-site tallies
 identical to the pre-engine serial campaign, independent of worker count,
@@ -39,6 +44,8 @@ from repro.engine.executors import (
     ParallelExecutor,
     PlannedInjection,
     SerialExecutor,
+    golden_copy,
+    is_inert,
     shard_plan,
     shard_plan_guided,
 )
@@ -48,13 +55,14 @@ from repro.faultinjection.injector import (
     SiteProtection,
     uniform_injection_plan,
 )
-from repro.faultinjection.outcomes import OutcomeCounts
+from repro.faultinjection.outcomes import OutcomeCounts, classify_outcome
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, DEFAULT_MAX_CYCLES
 from repro.obs import Instrumentation
 from repro.obs.phases import (
     COUNT_CONVERGED,
     COUNT_EVICTED,
+    COUNT_INERT,
     CYCLES_LOCKSTEP,
     CYCLES_SAVED,
     SPAN_CAMPAIGN,
@@ -268,6 +276,13 @@ class InjectionEngine:
         """Run a campaign of ``injections`` uniform samples (or an explicit
         ``plan``) and aggregate the streamed chunk results.
 
+        Inert injections (:func:`~repro.engine.executors.is_inert`) are
+        partitioned out of the resolved plan and tallied as copies of the
+        golden run, classified like any other result, and counted under
+        :data:`~repro.obs.phases.COUNT_INERT`; they add no replayed cycles.
+        Only the live injections reach the executor, so they alone decide
+        the pool threshold and the chunking.
+
         Chunk results stream back in completion order but are buffered and
         *merged in chunk-index order*, so the aggregated metrics (float
         timers included) are deterministic for any executor or scheduling.
@@ -295,8 +310,13 @@ class InjectionEngine:
                                               seed=self.seed)
             with tracer.span(SPAN_PLAN, args={"injections": len(plan)}):
                 planned = self.resolve_plan(plan)
-                executor = self._select_executor(len(planned))
-                chunks = self._shard(planned, executor)
+                live = []
+                inert = []
+                for entry in planned:
+                    (inert if is_inert(self.core, golden, entry)
+                     else live).append(entry)
+                executor = self._select_executor(len(live))
+                chunks = self._shard(live, executor)
             spec = CampaignSpec(core=self.core, program=self.program,
                                 checkpointed=checkpointed,
                                 batch_width=config.batch_width,
@@ -304,6 +324,12 @@ class InjectionEngine:
                                 trace=config.trace_enabled)
             outcomes = OutcomeCounts()
             per_site: dict[int, OutcomeCounts] = {}
+            inert_outcome = classify_outcome(golden, golden_copy(golden))
+            for entry in inert:
+                outcomes.record(inert_outcome)
+                per_site.setdefault(entry.injection.flat_index,
+                                    OutcomeCounts()).record(inert_outcome)
+            obs.metrics.inc(COUNT_INERT, len(inert))
             chunk_results = sorted(executor.run_chunks(spec, chunks),
                                    key=lambda result: result.index)
             for chunk_result in chunk_results:
@@ -314,7 +340,8 @@ class InjectionEngine:
                                             else merged.merged_with(counts))
                 obs.metrics.merge(chunk_result.metrics)
                 tracer.absorb(chunk_result.trace_events)
-            span.note(injections=len(planned), chunks=len(chunks))
+            span.note(injections=len(planned), inert=len(inert),
+                      chunks=len(chunks))
         merged = obs.metrics
         trace_path = config.trace_path
         if trace_path is not None:

@@ -316,9 +316,37 @@ def run_gated(core: BaseCore, checkpointed: CheckpointedGoldenRun,
     try:
         return core._run_loop(injection_watchdog(golden), hook), None
     except _ConvergedEarly as converged:
-        return (replace(golden, output=list(golden.output),
-                        detections=list(golden.detections)),
-                converged.cycle)
+        return golden_copy(golden), converged.cycle
+
+
+def golden_copy(golden: RunResult) -> RunResult:
+    """The result of an injected run that provably ran as the golden run:
+    equal to ``golden``, with lists of its own so callers may mutate them."""
+    return replace(golden, output=list(golden.output),
+                   detections=list(golden.detections))
+
+
+def is_inert(core: BaseCore, golden: RunResult,
+             planned: PlannedInjection) -> bool:
+    """Whether ``planned`` provably runs as the golden run, so its result is
+    :func:`golden_copy` without simulating it.
+
+    A hung golden run never qualifies: an injected run's watchdog exceeds
+    the golden one's, so even a no-op replay runs past it.  Otherwise an
+    injection is inert when it is suppressed (the hook returns before
+    touching state, on every core), or when the core declares its hint
+    plane behaviour-free (:attr:`BaseCore.hint_plane_inert`), the
+    protection does not detect the flip (a detection is logged, so the run
+    differs), and the flipped structure is a hint structure
+    (``architectural=False``).
+    """
+    if golden.reason is TerminationReason.HANG:
+        return False
+    if planned.suppressed:
+        return True
+    return (core.hint_plane_inert and not planned.protection.detects
+            and not core.registry.site(
+                planned.injection.flat_index).structure.architectural)
 
 
 @dataclass(frozen=True)

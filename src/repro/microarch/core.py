@@ -87,6 +87,13 @@ class BaseCore(ABC):
     documented counters (``_retired``) as instructions commit.
     """
 
+    hint_plane_inert: bool = False
+    """True when no flip into a hint structure (``architectural=False``) can
+    change the run: the core never reads its hint latches into behaviour, so
+    such an undetected flip ends as a copy of the golden run.  A fact about
+    the model, not an option; the injection engine folds those flips without
+    simulating them (:func:`repro.engine.executors.is_inert`)."""
+
     def __init__(self, name: str, clock_mhz: float, core_class: CoreClass):
         self.name = name
         self.clock_mhz = clock_mhz

@@ -31,8 +31,12 @@ class FlipFlopStructure:
         architectural: True when the structure holds program-visible data
             whose corruption can directly change program results; False for
             hint/bookkeeping state (branch predictor, performance counters,
-            debug registers).  This flag is *descriptive only* -- outcome
-            classification always comes from actually running the program.
+            debug registers).  On a core that declares its hint plane
+            behaviour-free (:attr:`BaseCore.hint_plane_inert`) the flag
+            decides outcomes: the injection engine classifies an undetected
+            flip here as a golden copy without running the program
+            (:func:`repro.engine.executors.is_inert`).  On other cores it is
+            descriptive, and classification comes from running the program.
     """
 
     name: str

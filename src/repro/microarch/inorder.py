@@ -82,6 +82,18 @@ _Slots = namedtuple("_Slots",
 class InOrderCore(BaseCore):
     """Cycle-level model of the simple in-order core."""
 
+    # The hint plane is behaviour-free.  Only these stages touch hint
+    # latches, and none reads one into a decision, a register, memory or
+    # output:
+    # * execute trains the bimodal predictor (f.bp.table, f.bp.history),
+    #   which feeds only itself -- fetch is static not-taken;
+    # * exception -> writeback copies x.icc into w.s.icc, hint to hint;
+    # * fetch, memory and the end of every cycle advance the
+    #   ic.ctrl.state / dc.ctrl.state / irq.pending counters, write-only.
+    # Every other hint structure is never touched after reset.
+    # tests/test_engine.py::TestHintPlane flips every hint bit and checks it.
+    hint_plane_inert = True
+
     def __init__(self, name: str = "InO-core"):
         super().__init__(name=name, clock_mhz=INO_CLOCK_MHZ,
                          core_class=CoreClass.IN_ORDER)

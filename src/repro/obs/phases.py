@@ -84,6 +84,11 @@ COUNT_FINGERPRINT_CHECKS = "count.fingerprint.checks"
 COUNT_SNAPSHOTS = "count.golden.snapshots"
 COUNT_FINGERPRINTS = "count.golden.fingerprints"
 
+COUNT_INERT = "count.inert"
+"""Injections folded as golden copies without simulation (see
+:func:`repro.engine.executors.is_inert`).  Not a cycle counter: inert
+injections simulate nothing, so they add no replayed or saved cycles."""
+
 COUNT_FINGERPRINT_FULL = "count.fingerprint.full"
 """State digests computed by convergence probes (recorded only under
 ``EngineConfig(metrics=True)``)."""

@@ -33,6 +33,7 @@ from repro.engine import (
     replay_planned_injection,
     run_suite_campaign,
 )
+from repro.engine.executors import is_inert
 from repro.faultinjection import (
     FlipFlopInjector,
     Injection,
@@ -45,6 +46,7 @@ from repro.faultinjection import (
 from repro.isa.program import DataSegment
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.microarch.events import TerminationReason
+from repro.obs.phases import COUNT_INERT
 from repro.workloads import workload_by_name
 
 CORE_CLASSES = (InOrderCore, OutOfOrderCore)
@@ -781,3 +783,158 @@ class TestBatchedReplay:
             timeout=300, env={**os.environ, "PYTHONPATH": source})
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "ok"
+
+
+def _hint_sites(core):
+    """Flat indices of every bit of every hint (``architectural=False``)
+    structure of ``core``."""
+    return [index for structure in core.registry.structures
+            if not structure.architectural
+            for index in structure.bit_indices()]
+
+
+def _hint_plane_differences(core_cls, program):
+    """Yield ``(flat_index, cycle)`` for each single hint-bit flip, at cycles
+    1, the middle and two before the end, whose full replay (no convergence
+    gate) does not return the golden :class:`RunResult`."""
+    checkpointed = record_checkpointed_golden(core_cls(), program,
+                                              fingerprint_interval=0)
+    golden = checkpointed.golden
+    core = core_cls()
+    for cycle in (1, golden.cycles // 2, golden.cycles - 2):
+        for flat_index in _hint_sites(core):
+            planned = PlannedInjection(
+                injection=Injection(flat_index=flat_index, cycle=cycle),
+                protection=SiteProtection(), suppressed=False)
+            replay = replay_planned_injection(core, program, planned,
+                                              checkpointed)
+            if replay.result != golden:
+                yield flat_index, cycle
+
+
+class _PredictorReadingCore(InOrderCore):
+    """A mutant whose fetch consults the bimodal predictor: on odd cycles it
+    stalls (a bubble, the pc refetched next cycle) while the counter the
+    fetch pc indexes predicts taken."""
+
+    def _stage_fetch_to_decode(self, redirect, stalled):
+        if not (redirect or stalled) and self.cycle % 2:
+            pc = self.latches.get("f.pc")
+            counter = self.latches.get("f.bp.table") >> 2 * ((pc >> 2) % 32)
+            if counter & 0b10:
+                return
+        super()._stage_fetch_to_decode(redirect, stalled)
+
+
+class TestHintPlane:
+    """``InOrderCore.hint_plane_inert`` is a proof obligation, not an
+    option: the engine folds undetected hint-plane flips as golden copies
+    without simulating them, so every such flip must provably run as the
+    golden run."""
+
+    def test_core_declarations(self):
+        assert InOrderCore.hint_plane_inert
+        assert not OutOfOrderCore.hint_plane_inert
+        assert len(_hint_sites(InOrderCore())) == 207
+
+    @pytest.mark.parametrize("name", ["fft", "vpr"])
+    def test_every_hint_flip_runs_as_golden(self, name):
+        program = workload_by_name(name).program()
+        assert list(_hint_plane_differences(InOrderCore, program)) == []
+
+    def test_check_catches_a_core_that_reads_its_predictor(self, program):
+        """The check above has teeth: one predictor read in fetch makes a
+        hint flip change the run's timing."""
+        assert _PredictorReadingCore.hint_plane_inert  # the claim is wrong
+        assert next(_hint_plane_differences(_PredictorReadingCore, program),
+                    None) is not None
+
+
+class TestInertFold:
+    """Inert injections (``executors.is_inert``) are folded at plan time as
+    golden copies; every executor must still match the legacy serial loop,
+    which simulates them."""
+
+    @staticmethod
+    def _hint_plan(core, golden_cycles):
+        """Bit 0 and the top bit of every hint structure at two cycles."""
+        return [Injection(flat_index=structure.first_index + bit, cycle=cycle)
+                for cycle in (golden_cycles // 3, 2 * golden_cycles // 3)
+                for structure in core.registry.structures
+                if not structure.architectural
+                for bit in sorted({0, structure.width - 1})]
+
+    @staticmethod
+    def _inert_count(result):
+        return result.metrics["counters"].get(COUNT_INERT, 0)
+
+    @pytest.fixture(scope="class")
+    def references(self, program):
+        """The plan and its legacy (fully simulated) tallies per protection."""
+        golden = InOrderCore().run(program)
+        plan = self._hint_plan(InOrderCore(), golden.cycles)
+        return {protected: (plan, legacy_campaign(
+                    InOrderCore(), program,
+                    MixedProtection() if protected else None, 8, plan))
+                for protected in (False, True)}
+
+    @pytest.mark.parametrize("protected", [False, True],
+                             ids=["bare", "protected"])
+    @pytest.mark.parametrize("runner", ["scalar", "batched", "parallel"])
+    def test_fold_matches_legacy_oracle(self, program, references,
+                                        protected, runner):
+        plan, (_, outcomes, per_site) = references[protected]
+        protection = MixedProtection() if protected else None
+        config = {"scalar": EngineConfig(),
+                  "batched": EngineConfig(batch_width=8),
+                  # Small chunks, so the live injections really use the pool.
+                  "parallel": EngineConfig(chunk_size=2)}[runner]
+        executor = ParallelExecutor(workers=2) if runner == "parallel" else None
+        engine = InjectionEngine(InOrderCore(), program,
+                                 protection=protection, seed=8,
+                                 config=config, executor=executor,
+                                 golden_cache=GoldenRunCache())
+        result = engine.run(plan=plan)
+        assert result.outcomes == outcomes
+        assert result.per_site == per_site
+        golden = engine.golden().golden
+        expected = sum(is_inert(engine.core, golden, planned)
+                       for planned in engine.resolve_plan(plan))
+        assert self._inert_count(result) == expected
+        if protected:
+            # Parity-detected hint sites keep the simulated path.
+            assert 0 < expected < len(plan)
+        else:
+            assert expected == len(plan)
+
+    def test_out_of_order_folds_only_suppressed(self, program):
+        core = OutOfOrderCore()
+        golden = core.run(program)
+        table = core.registry.structure("bp.gshare.table")
+        plan = [Injection(flat_index=table.first_index + bit,
+                          cycle=golden.cycles // 2) for bit in range(6)]
+        _, outcomes, per_site = legacy_campaign(
+            OutOfOrderCore(), program, MixedProtection(), 3, plan)
+        engine = InjectionEngine(OutOfOrderCore(), program,
+                                 protection=MixedProtection(), seed=3,
+                                 golden_cache=GoldenRunCache())
+        result = engine.run(plan=plan)
+        assert result.outcomes == outcomes
+        assert result.per_site == per_site
+        suppressed = sum(planned.suppressed
+                         for planned in engine.resolve_plan(plan))
+        assert 0 < suppressed < len(plan)
+        assert self._inert_count(result) == suppressed
+
+    def test_hung_golden_folds_nothing(self, program):
+        engine = InjectionEngine(InOrderCore(), program,
+                                 protection=MixedProtection(), seed=8,
+                                 config=EngineConfig(max_cycles=300),
+                                 golden_cache=GoldenRunCache())
+        golden = engine.golden().golden
+        assert golden.reason is TerminationReason.HANG
+        plan = self._hint_plan(InOrderCore(), golden.cycles)
+        assert any(planned.suppressed for planned in engine.resolve_plan(plan))
+        result = engine.run(plan=plan)
+        assert result.outcomes.total == len(plan)
+        assert self._inert_count(result) == 0
