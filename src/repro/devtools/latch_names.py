@@ -1,12 +1,12 @@
 """Hot-path lint: no formatted latch names in the core models.
 
 The cores resolve every latch they touch to an integer slot when they are
-built (:meth:`~repro.microarch.state.LatchState.slot`) and address it with
-``get_at``/``set_at`` every cycle.  A name formatted per access, such as
-``latches.get(f"rob.e{i:02d}.valid")``, costs a string build plus a dict
-lookup on every call; before the slot tables this was most of the
-out-of-order core's run time.  The ``formatted-latch-name`` rule keeps that
-pattern out of ``microarch/``.
+built (:meth:`~repro.microarch.state.LatchState.slot`) and index
+:attr:`~repro.microarch.state.LatchState.values` by that slot every cycle.
+A name formatted per access, such as ``latches.get(f"rob.e{i:02d}.valid")``,
+costs a string build plus a dict lookup on every call; before the slot
+tables this was most of the out-of-order core's run time.  The
+``formatted-latch-name`` rule keeps that pattern out of ``microarch/``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable
 from repro.devtools.findings import Finding, SourceModule
 from repro.devtools.rules import Project, Rule, register, tail_name
 
-_NAME_ACCESSORS = frozenset({"get", "set", "get_signed", "set_signed"})
+_NAME_ACCESSORS = frozenset({"get", "set", "get_signed"})
 _LATCH_RECEIVERS = frozenset({"latches", "_latches"})
 
 
@@ -44,9 +44,10 @@ class FormattedLatchNameRule(Rule):
     """Core models address latches by slot, not by a per-access name."""
 
     rule_id = "formatted-latch-name"
-    summary = ("latches.get/set/get_signed/set_signed under microarch/ with "
-               "a formatted name builds and looks up a string per access; "
-               "resolve the slot once (LatchState.slot) and use get_at/set_at")
+    summary = ("latches.get/set/get_signed under microarch/ with a formatted "
+               "name builds and looks up a string per access; resolve the "
+               "slot once (LatchState.slot) and index LatchState.values by "
+               "slot")
 
     def check_module(self, module: SourceModule,
                      project: Project) -> Iterable[Finding]:
@@ -64,4 +65,4 @@ class FormattedLatchNameRule(Rule):
                     node, self.rule_id,
                     f"latches.{node.func.attr}() with a formatted latch name "
                     "builds and looks up a string on every access; resolve "
-                    "the slot at construction and use the *_at accessors")
+                    "the slot at construction and index latches.values")

@@ -50,8 +50,7 @@ _MUTATOR_METHODS = frozenset({
     "clear", "remove", "discard", "setdefault", "sort", "reverse", "write",
     # repo-specific state mutators (latches, registers, memory)
     "reset", "store_word", "store_byte", "restore_words", "restore",
-    "deserialize", "clear_unit", "set", "set_at", "set_signed", "flip_bit",
-    "flip_flat",
+    "deserialize", "clear_unit", "set", "flip_bit", "flip_flat",
 })
 
 

@@ -148,11 +148,6 @@ _DATA_LATCHES = frozenset((
 ))
 """Architectural value latches that may differ per lane under uniform control."""
 
-_COUNTER_LATCHES = ("irq.pending", "ic.ctrl.state", "dc.ctrl.state")
-"""Hint counters the pipeline bumps by a lane-uniform increment.  The
-wavefront stores them offset by a scalar running delta instead of touching
-the columns every cycle; true values materialise only at lane extraction."""
-
 
 def batched_replay_supported(core: BaseCore) -> bool:
     """True when ``core`` can be stepped as a lockstep wavefront.
@@ -209,9 +204,10 @@ class _LaneCore(InOrderCore):
             i for i, local in enumerate(self.lane_local) if not local]
         self._data_positions = [i for i, s in enumerate(structures)
                                 if s.name in _DATA_LATCHES]
-        self._counter_masks = {
-            self.latches.slot(name): (1 << self.registry.structure(name).width) - 1
-            for name in _COUNTER_LATCHES}
+        # The hint counters in the inherited _counter_masks advance by a
+        # lane-uniform increment, so the wavefront stores them offset by a scalar running
+        # delta instead of touching the columns every cycle; true values
+        # materialise only at lane extraction.
         # audit: allow[state-coverage] lane cores are never snapshotted; lane_snapshot materialises the offsets into each extracted lane
         self._deltas = dict.fromkeys(self._counter_masks, 0)
         # audit: allow[state-coverage] per-lane "output equals lane 0's" flags, reset on restore; lane_snapshot extracts the output itself

@@ -119,6 +119,10 @@ class InOrderCore(BaseCore):
         self._hazard_slots = ((s.m_valid, s.m_trap, s.m_op, s.m_rd),
                               (s.x_valid, s.x_trap, s.x_op, s.x_rd),
                               (s.w_valid, s.w_trap, s.w_op, s.w_rd))
+        # Slot -> width mask of each hint counter :meth:`_count` advances.
+        self._counter_masks = {
+            slot: (1 << self.registry.structures[slot].width) - 1
+            for slot in (s.irq_pending, s.ic_ctrl_state, s.dc_ctrl_state)}
 
     # ------------------------------------------------------------------ state declaration
     def _declare_state(self) -> None:
@@ -281,7 +285,8 @@ class InOrderCore(BaseCore):
 
     def _count(self, slot: int) -> None:
         """Advance the hint counter at ``slot`` by one (wrapping)."""
-        self.latches.set_at(slot, self.latches.values[slot] + 1)
+        v = self.latches.values
+        v[slot] = (v[slot] + 1) & self._counter_masks[slot]
 
     def _fetch_word(self, pc: int) -> int | None:
         """Encoded instruction word at ``pc`` (``None``: fetch fault)."""

@@ -62,6 +62,10 @@ _TRAP_CODES = {
 }
 _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
 
+_IMM_MASK = 0x7FFF
+"""Width mask of the ``iq.imm`` latches (15-bit immediates)."""
+_IMM_SIGN = 0x4000
+
 # Per-entry latch fields of the queue structures, in registration order.
 _FB_FIELDS = (("valid", 1), ("inst", 32), ("pc", 32), ("fault", 1))
 _ROB_FIELDS = (("valid", 1), ("op", 7), ("rd", 5), ("result", 32),
@@ -152,6 +156,13 @@ class OutOfOrderCore(BaseCore):
         self._in_flight: list[_InFlightOp] = []
         self._fetch_stalled = False
         # Slot tables: every latch the per-cycle path touches, resolved once.
+        # The stages index ``self.latches.values`` by these slots, and such
+        # writes are not masked, so only a value that can exceed its latch's
+        # width is masked where it is written: ``iq.imm`` (a signed
+        # immediate) and the perf counters.  Results, addresses and store
+        # data arrive 32-bit from execute_operation and memory, queue
+        # pointers wrap modulo their entry counts, and every ``+= 1`` /
+        # ``-= 1`` on a queue count follows its full / empty check.
         # Pointer latches are wider than their structures need (rob.head/tail
         # and the ROB tags of the issue queue and rename map are 6-bit for 40
         # entries, fb.head/tail 3-bit for 6), so an injected flip can leave a
@@ -301,7 +312,7 @@ class OutOfOrderCore(BaseCore):
     # ------------------------------------------------------------------ small helpers
     def _rob_age(self, index: int) -> int:
         """Age of a ROB entry relative to the head (0 = oldest)."""
-        head = self.latches.get_at(self._slots.rob_head)
+        head = self.latches.values[self._slots.rob_head]
         return (index - head) % ROB_ENTRIES
 
     def _read_register(self, index: int) -> int:
@@ -363,94 +374,94 @@ class OutOfOrderCore(BaseCore):
 
     # ------------------------------------------------------------------ commit
     def _commit(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         for _ in range(COMMIT_WIDTH):
-            if latches.get_at(s.rob_count) == 0:
+            if v[s.rob_count] == 0:
                 return
-            head = latches.get_at(s.rob_head)
+            head = v[s.rob_head]
             rob = self._rob[head]
-            if not latches.get_at(rob.valid):
+            if not v[rob.valid]:
                 # Head bookkeeping corrupted; treat as a pipeline hang source.
                 return
-            if not latches.get_at(rob.ready):
+            if not v[rob.ready]:
                 return
-            if latches.get_at(rob.exception):
-                kind = _TRAP_FROM_CODE.get(latches.get_at(rob.expkind),
+            if v[rob.exception]:
+                kind = _TRAP_FROM_CODE.get(v[rob.expkind],
                                            TrapKind.ILLEGAL_INSTRUCTION)
                 reason = (TerminationReason.DETECTED
                           if kind is TrapKind.SOFTWARE_ASSERTION
                           else TerminationReason.TRAP)
                 self.force_termination(reason, kind)
                 return
-            opcode = OPCODE_BY_VALUE.get(latches.get_at(rob.op))
-            if latches.get_at(rob.is_store):
+            opcode = OPCODE_BY_VALUE.get(v[rob.op])
+            if v[rob.is_store]:
                 if not self._commit_store(head):
                     return
-            if latches.get_at(rob.is_out):
-                self.emit_output(latches.get_at(rob.result))
+            if v[rob.is_out]:
+                self.emit_output(v[rob.result])
             if opcode is not None and OPCODE_INFO[opcode].writes_rd:
-                rd = latches.get_at(rob.rd)
-                self._write_register(rd, latches.get_at(rob.result))
+                rd = v[rob.rd]
+                self._write_register(rd, v[rob.result])
                 rat = self._rat[rd]
-                if latches.get_at(rat.busy) and latches.get_at(rat.rob) == head:
-                    latches.set_at(rat.busy, 0)
+                if v[rat.busy] and v[rat.rob] == head:
+                    v[rat.busy] = 0
                 # Keep live checkpoints consistent: once this producer has
                 # committed, a later recovery must map its destination to the
                 # architectural register file, not to the freed ROB entry.
                 self._patch_checkpoints_for_commit(rd, head)
-            if latches.get_at(rob.is_branch):
-                ckpt = latches.get_at(rob.ckpt)
+            if v[rob.is_branch]:
+                ckpt = v[rob.ckpt]
                 if ckpt < CHECKPOINTS:
-                    latches.set_at(self._ckpt[ckpt].valid, 0)
+                    v[self._ckpt[ckpt].valid] = 0
             self.note_retired()
-            latches.set_at(rob.valid, 0)
-            latches.set_at(s.rob_head, (head + 1) % ROB_ENTRIES)
-            latches.set_at(s.rob_count, latches.get_at(s.rob_count) - 1)
+            v[rob.valid] = 0
+            v[s.rob_head] = (head + 1) % ROB_ENTRIES
+            v[s.rob_count] -= 1
             if opcode is Opcode.HALT:
                 self.force_termination(TerminationReason.HALTED)
                 return
 
     def _patch_checkpoints_for_commit(self, rd: int, rob_index: int) -> None:
         """Clear ``rd -> rob_index`` mappings inside every live checkpoint."""
-        latches = self.latches
+        v = self.latches.values
         shift = 7 * rd
         for ckpt in self._ckpt:
-            if not latches.get_at(ckpt.valid):
+            if not v[ckpt.valid]:
                 continue
-            packed = latches.get_at(ckpt.map)
+            packed = v[ckpt.map]
             entry = (packed >> shift) & 0x7F
             if (entry & 1) and ((entry >> 1) & 0x3F) == rob_index:
-                latches.set_at(ckpt.map, packed & ~(0x7F << shift))
+                v[ckpt.map] = packed & ~(0x7F << shift)
 
     def _commit_store(self, rob_index: int) -> bool:
         """Drain the store-queue head for the committing store.
 
         Returns False (and terminates the run) on a memory fault.
         """
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        head = latches.get_at(s.stq_head)
+        head = v[s.stq_head]
         stq = self._stq[head]
-        if latches.get_at(s.stq_count) == 0 or not latches.get_at(stq.valid):
+        if v[s.stq_count] == 0 or not v[stq.valid]:
             # Store queue out of sync with the ROB (only possible under
             # injection): raise a machine trap.
             self.force_termination(TerminationReason.TRAP, TrapKind.MEMORY_FAULT)
             return False
-        address = latches.get_at(stq.addr)
-        data = latches.get_at(stq.data)
+        address = v[stq.addr]
+        data = v[stq.data]
         try:
-            if latches.get_at(stq.byte):
+            if v[stq.byte]:
                 self.memory.store_byte(address, data)
             else:
                 self.memory.store_word(address, data)
         except MemoryFault:
             self.force_termination(TerminationReason.TRAP, TrapKind.MEMORY_FAULT)
             return False
-        latches.set_at(stq.valid, 0)
-        latches.set_at(s.stq_head, (head + 1) % STQ_ENTRIES)
-        latches.set_at(s.stq_count, latches.get_at(s.stq_count) - 1)
-        latches.set_at(s.mem_l1dcache_addr1_out, address)
+        v[stq.valid] = 0
+        v[s.stq_head] = (head + 1) % STQ_ENTRIES
+        v[s.stq_count] -= 1
+        v[s.mem_l1dcache_addr1_out] = address
         return True
 
     # ------------------------------------------------------------------ writeback
@@ -471,59 +482,59 @@ class OutOfOrderCore(BaseCore):
         self._in_flight = still_in_flight
 
     def _complete_op(self, op: _InFlightOp) -> None:
-        latches = self.latches
+        v = self.latches.values
         rob_index = op.rob_index
         rob = self._rob[rob_index]
-        if not latches.get_at(rob.valid):
+        if not v[rob.valid]:
             return  # squashed while executing
         try:
             result = execute_operation(op.opcode, op.rs1_value, op.rs2_value,
                                        op.imm, op.pc)
         except ExecuteTrap as trap:
-            latches.set_at(rob.exception, 1)
-            latches.set_at(rob.expkind, _TRAP_CODES[trap.kind])
-            latches.set_at(rob.ready, 1)
+            v[rob.exception] = 1
+            v[rob.expkind] = _TRAP_CODES[trap.kind]
+            v[rob.ready] = 1
             return
         info = OPCODE_INFO.get(op.opcode)
         if op.opcode in (Opcode.SW, Opcode.SB):
             self._fill_store_queue(rob_index, result.memory_address, result.store_value,
                                    is_byte=op.opcode is Opcode.SB)
         if op.opcode is Opcode.OUT:
-            latches.set_at(rob.result, result.output_value or 0)
+            v[rob.result] = result.output_value or 0
         elif info is not None and info.writes_rd:
-            latches.set_at(rob.result, result.value)
+            v[rob.result] = result.value
             self._broadcast(rob_index, result.value)
-        latches.set_at(rob.ready, 1)
-        if latches.get_at(rob.is_branch) or op.opcode in (Opcode.JAL, Opcode.JALR):
+        v[rob.ready] = 1
+        if v[rob.is_branch] or op.opcode in (Opcode.JAL, Opcode.JALR):
             self._resolve_branch(op, result.branch_taken, result.branch_target)
 
     def _fill_store_queue(self, rob_index: int, address: int | None, data: int | None,
                           is_byte: bool) -> None:
-        latches = self.latches
+        v = self.latches.values
         for stq in self._stq:
-            if latches.get_at(stq.valid) and latches.get_at(stq.rob) == rob_index:
-                latches.set_at(stq.addr, address or 0)
-                latches.set_at(stq.addrvalid, 1)
-                latches.set_at(stq.data, data or 0)
-                latches.set_at(stq.byte, 1 if is_byte else 0)
+            if v[stq.valid] and v[stq.rob] == rob_index:
+                v[stq.addr] = address or 0
+                v[stq.addrvalid] = 1
+                v[stq.data] = data or 0
+                v[stq.byte] = 1 if is_byte else 0
                 return
 
     def _broadcast(self, rob_index: int, value: int) -> None:
         """Wake issue-queue consumers waiting on a ROB tag."""
-        latches = self.latches
+        v = self.latches.values
         for iq in self._iq:
-            if not latches.get_at(iq.valid):
+            if not v[iq.valid]:
                 continue
-            if not latches.get_at(iq.s1ready) and latches.get_at(iq.s1tag) == rob_index:
-                latches.set_at(iq.s1val, value)
-                latches.set_at(iq.s1ready, 1)
-            if not latches.get_at(iq.s2ready) and latches.get_at(iq.s2tag) == rob_index:
-                latches.set_at(iq.s2val, value)
-                latches.set_at(iq.s2ready, 1)
+            if not v[iq.s1ready] and v[iq.s1tag] == rob_index:
+                v[iq.s1val] = value
+                v[iq.s1ready] = 1
+            if not v[iq.s2ready] and v[iq.s2tag] == rob_index:
+                v[iq.s2val] = value
+                v[iq.s2ready] = 1
 
     # ------------------------------------------------------------------ branch recovery
     def _resolve_branch(self, op: _InFlightOp, taken: bool, target: int) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         rob_index = op.rob_index
         predicted_next = (op.pc + WORD_BYTES) & 0xFFFFFFFF
@@ -534,89 +545,89 @@ class OutOfOrderCore(BaseCore):
         # Mispredict: squash everything younger than the branch.
         branch_age = self._rob_age(rob_index)
         rob = self._rob[rob_index]
-        ckpt = latches.get_at(rob.ckpt)
-        if ckpt < CHECKPOINTS and latches.get_at(self._ckpt[ckpt].valid):
+        ckpt = v[rob.ckpt]
+        if ckpt < CHECKPOINTS and v[self._ckpt[ckpt].valid]:
             self._restore_checkpoint(ckpt)
         # The checkpoint slot is consumed here; clear the ROB's reference so
         # the slot is not freed a second time at commit after another branch
         # has re-allocated it.
-        latches.set_at(rob.ckpt, CHECKPOINTS)
+        v[rob.ckpt] = CHECKPOINTS
         self._squash_younger_than(branch_age)
-        latches.set_at(s.rob_tail, (rob_index + 1) % ROB_ENTRIES)
-        latches.set_at(s.rob_count, branch_age + 1)
-        latches.set_at(s.fetch_pc, actual_next)
-        latches.set_at(s.fetch_stall, 0)
+        v[s.rob_tail] = (rob_index + 1) % ROB_ENTRIES
+        v[s.rob_count] = branch_age + 1
+        v[s.fetch_pc] = actual_next
+        v[s.fetch_stall] = 0
         self._fetch_stalled = False
         self._clear_fetch_buffer()
 
     def _restore_checkpoint(self, ckpt: int) -> None:
-        latches = self.latches
+        v = self.latches.values
         checkpoint = self._ckpt[ckpt]
-        packed = latches.get_at(checkpoint.map)
+        packed = v[checkpoint.map]
         for r, rat in enumerate(self._rat):
             fieldvalue = (packed >> (7 * r)) & 0x7F
-            latches.set_at(rat.busy, fieldvalue & 1)
-            latches.set_at(rat.rob, (fieldvalue >> 1) & 0x3F)
-        latches.set_at(checkpoint.valid, 0)
+            v[rat.busy] = fieldvalue & 1
+            v[rat.rob] = (fieldvalue >> 1) & 0x3F
+        v[checkpoint.valid] = 0
 
     def _squash_younger_than(self, age_limit: int) -> None:
         """Invalidate every in-flight instruction younger than ``age_limit``."""
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         for i in range(ROB_ENTRIES):
             rob = self._rob[i]
-            if latches.get_at(rob.valid) and self._rob_age(i) > age_limit:
-                if latches.get_at(rob.is_branch):
-                    ckpt = latches.get_at(rob.ckpt)
+            if v[rob.valid] and self._rob_age(i) > age_limit:
+                if v[rob.is_branch]:
+                    ckpt = v[rob.ckpt]
                     if ckpt < CHECKPOINTS:
-                        latches.set_at(self._ckpt[ckpt].valid, 0)
-                latches.set_at(rob.valid, 0)
+                        v[self._ckpt[ckpt].valid] = 0
+                v[rob.valid] = 0
         for iq in self._iq:
-            if latches.get_at(iq.valid):
-                if self._rob_age(latches.get_at(iq.rob)) > age_limit:
-                    latches.set_at(iq.valid, 0)
+            if v[iq.valid]:
+                if self._rob_age(v[iq.rob]) > age_limit:
+                    v[iq.valid] = 0
         # Store queue entries of squashed stores are removed by rebuilding the
         # queue in order.
         surviving: list[_StqSlots] = []
-        head = latches.get_at(s.stq_head)
-        count = latches.get_at(s.stq_count)
+        head = v[s.stq_head]
+        count = v[s.stq_count]
         for offset in range(count):
             stq = self._stq[(head + offset) % STQ_ENTRIES]
-            entry = _StqSlots._make(map(latches.get_at, stq))
+            entry = _StqSlots._make(v[slot] for slot in stq)
             if entry.valid and self._rob_age(entry.rob) <= age_limit:
                 surviving.append(entry)
-            latches.set_at(stq.valid, 0)
+            v[stq.valid] = 0
         for offset, entry in enumerate(surviving):
             for slot, value in zip(self._stq[(head + offset) % STQ_ENTRIES], entry):
-                latches.set_at(slot, value)
-        latches.set_at(s.stq_tail, (head + len(surviving)) % STQ_ENTRIES)
-        latches.set_at(s.stq_count, len(surviving))
+                v[slot] = value
+        v[s.stq_tail] = (head + len(surviving)) % STQ_ENTRIES
+        v[s.stq_count] = len(surviving)
         # Drop squashed ops from the execution units.
         self._in_flight = [op for op in self._in_flight
                            if self._rob_age(op.rob_index) <= age_limit]
 
     def _clear_fetch_buffer(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         for i in range(FETCH_BUFFER_ENTRIES):
-            latches.set_at(self._fb[i].valid, 0)
-        latches.set_at(s.fb_head, 0)
-        latches.set_at(s.fb_tail, 0)
-        latches.set_at(s.fb_count, 0)
+            v[self._fb[i].valid] = 0
+        v[s.fb_head] = 0
+        v[s.fb_tail] = 0
+        v[s.fb_count] = 0
 
     def _train_predictor(self, pc: int, taken: bool) -> None:
         """Update gshare hint state (never consulted for correctness)."""
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        history = latches.get_at(s.bp_gshare_history)
+        history = v[s.bp_gshare_history]
         index = ((pc >> 2) ^ history) % 1024
-        table = latches.get_at(s.bp_gshare_table)
+        table = v[s.bp_gshare_table]
         counter = (table >> (2 * index)) & 0x3
         counter = min(3, counter + 1) if taken else max(0, counter - 1)
         table &= ~(0x3 << (2 * index))
         table |= counter << (2 * index)
-        latches.set_at(s.bp_gshare_table, table)
-        latches.set_at(s.bp_gshare_history, ((history << 1) | int(taken)) & 0xFFF)
+        v[s.bp_gshare_table] = table
+        v[s.bp_gshare_history] = ((history << 1) | int(taken)) & 0xFFF
 
     # ------------------------------------------------------------------ memory ops
     def _execute_memory_ops(self) -> None:
@@ -625,11 +636,11 @@ class OutOfOrderCore(BaseCore):
 
     def _complete_load(self, op: _InFlightOp) -> bool:
         """Try to complete a load; returns False if it must retry next cycle."""
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         rob_index = op.rob_index
         rob = self._rob[rob_index]
-        if not latches.get_at(rob.valid):
+        if not v[rob.valid]:
             return True  # squashed
         address = op.load_address
         if address is None:
@@ -639,18 +650,18 @@ class OutOfOrderCore(BaseCore):
             op.load_address = address
         load_age = self._rob_age(rob_index)
         forwarded: int | None = None
-        head = latches.get_at(s.stq_head)
-        count = latches.get_at(s.stq_count)
+        head = v[s.stq_head]
+        count = v[s.stq_count]
         for offset in range(count):
             stq = self._stq[(head + offset) % STQ_ENTRIES]
-            if not latches.get_at(stq.valid):
+            if not v[stq.valid]:
                 continue
-            if self._rob_age(latches.get_at(stq.rob)) >= load_age:
+            if self._rob_age(v[stq.rob]) >= load_age:
                 continue  # younger than or same as the load
-            if not latches.get_at(stq.addrvalid):
+            if not v[stq.addrvalid]:
                 return False  # older store with unknown address: wait
-            if latches.get_at(stq.addr) == address:
-                forwarded = latches.get_at(stq.data)
+            if v[stq.addr] == address:
+                forwarded = v[stq.data]
         if forwarded is not None:
             value = forwarded
         else:
@@ -660,74 +671,75 @@ class OutOfOrderCore(BaseCore):
                 else:
                     value = self.memory.load_word(address)
             except MemoryFault:
-                latches.set_at(rob.exception, 1)
-                latches.set_at(rob.expkind, _TRAP_CODES[TrapKind.MEMORY_FAULT])
-                latches.set_at(rob.ready, 1)
+                v[rob.exception] = 1
+                v[rob.expkind] = _TRAP_CODES[TrapKind.MEMORY_FAULT]
+                v[rob.ready] = 1
                 return True
-        latches.set_at(rob.result, value)
-        latches.set_at(rob.ready, 1)
+        v[rob.result] = value
+        v[rob.ready] = 1
         self._broadcast(rob_index, value)
-        latches.set_at(s.mem_l1dcache_accessaddr0, address)
-        latches.set_at(s.mem_l1dcache_accessfulldata0, value)
+        v[s.mem_l1dcache_accessaddr0] = address
+        v[s.mem_l1dcache_accessfulldata0] = value
         return True
 
     # ------------------------------------------------------------------ issue
     def _issue(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         candidates: list[tuple[int, int]] = []
         for i, iq in enumerate(self._iq):
-            if (latches.get_at(iq.valid)
-                    and not latches.get_at(iq.issued)
-                    and latches.get_at(iq.s1ready)
-                    and latches.get_at(iq.s2ready)):
-                candidates.append((self._rob_age(latches.get_at(iq.rob)), i))
+            if (v[iq.valid] and not v[iq.issued]
+                    and v[iq.s1ready] and v[iq.s2ready]):
+                candidates.append((self._rob_age(v[iq.rob]), i))
         candidates.sort()
         for _, iq_index in candidates[:ISSUE_WIDTH]:
             iq = self._iq[iq_index]
-            rob_index = latches.get_at(iq.rob)
+            rob_index = v[iq.rob]
             rob = self._rob[rob_index]
-            if not latches.get_at(rob.valid):
-                latches.set_at(iq.valid, 0)
+            if not v[rob.valid]:
+                v[iq.valid] = 0
                 continue
-            opcode = OPCODE_BY_VALUE.get(latches.get_at(iq.op))
+            opcode = OPCODE_BY_VALUE.get(v[iq.op])
             if opcode is None:
-                latches.set_at(rob.exception, 1)
-                latches.set_at(rob.expkind, _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
-                latches.set_at(rob.ready, 1)
-                latches.set_at(iq.valid, 0)
+                v[rob.exception] = 1
+                v[rob.expkind] = _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
+                v[rob.ready] = 1
+                v[iq.valid] = 0
                 continue
             info = OPCODE_INFO[opcode]
+            imm = v[iq.imm]
+            if imm & _IMM_SIGN:
+                imm -= _IMM_MASK + 1
             in_flight = _InFlightOp(
                 rob_index=rob_index,
                 opcode=opcode,
-                rs1_value=latches.get_at(iq.s1val),
-                rs2_value=latches.get_at(iq.s2val),
-                imm=latches.get_signed_at(iq.imm),
-                pc=latches.get_at(iq.pc),
+                rs1_value=v[iq.s1val],
+                rs2_value=v[iq.s2val],
+                imm=imm,
+                pc=v[iq.pc],
                 remaining_cycles=max(1, info.execute_latency),
                 is_load=info.is_load,
             )
             self._in_flight.append(in_flight)
-            latches.set_at(iq.issued, 1)
-            latches.set_at(iq.valid, 0)
+            v[iq.issued] = 1
+            v[iq.valid] = 0
 
     # ------------------------------------------------------------------ rename / dispatch
     def _rename_dispatch(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
         for _ in range(RENAME_WIDTH):
-            if latches.get_at(s.fb_count) == 0:
+            if v[s.fb_count] == 0:
                 return
-            if latches.get_at(s.rob_count) >= ROB_ENTRIES:
+            if v[s.rob_count] >= ROB_ENTRIES:
                 return
             free_iq = self._find_free_iq_entry()
             if free_iq is None:
                 return
-            fb_head = latches.get_at(s.fb_head)
+            fb_head = v[s.fb_head]
             fb = self._fb[fb_head]
-            fault = latches.get_at(fb.fault)
-            word = latches.get_at(fb.inst)
-            pc = latches.get_at(fb.pc)
+            fault = v[fb.fault]
+            word = v[fb.inst]
+            pc = v[fb.pc]
             instruction = None
             trap_kind: TrapKind | None = None
             if fault:
@@ -739,167 +751,165 @@ class OutOfOrderCore(BaseCore):
                     trap_kind = TrapKind.ILLEGAL_INSTRUCTION
             if instruction is not None:
                 info = OPCODE_INFO[instruction.opcode]
-                if info.is_store and latches.get_at(s.stq_count) >= STQ_ENTRIES:
+                if info.is_store and v[s.stq_count] >= STQ_ENTRIES:
                     return
                 if ((info.is_branch or info.is_jump)
                         and self._find_free_checkpoint() is None):
                     return
             # Consume the fetch-buffer entry.
-            latches.set_at(fb.valid, 0)
-            latches.set_at(s.fb_head, (fb_head + 1) % FETCH_BUFFER_ENTRIES)
-            latches.set_at(s.fb_count, latches.get_at(s.fb_count) - 1)
+            v[fb.valid] = 0
+            v[s.fb_head] = (fb_head + 1) % FETCH_BUFFER_ENTRIES
+            v[s.fb_count] -= 1
             # Allocate the ROB entry.
-            tail = latches.get_at(s.rob_tail)
+            tail = v[s.rob_tail]
             rob = self._rob[tail]
-            latches.set_at(rob.valid, 1)
-            latches.set_at(rob.ready, 0)
-            latches.set_at(rob.exception, 0)
-            latches.set_at(rob.expkind, 0)
-            latches.set_at(rob.is_store, 0)
-            latches.set_at(rob.is_out, 0)
-            latches.set_at(rob.is_branch, 0)
-            latches.set_at(rob.ckpt, CHECKPOINTS)
-            latches.set_at(rob.pc, pc)
-            latches.set_at(s.rob_tail, (tail + 1) % ROB_ENTRIES)
-            latches.set_at(s.rob_count, latches.get_at(s.rob_count) + 1)
+            v[rob.valid] = 1
+            v[rob.ready] = 0
+            v[rob.exception] = 0
+            v[rob.expkind] = 0
+            v[rob.is_store] = 0
+            v[rob.is_out] = 0
+            v[rob.is_branch] = 0
+            v[rob.ckpt] = CHECKPOINTS
+            v[rob.pc] = pc
+            v[s.rob_tail] = (tail + 1) % ROB_ENTRIES
+            v[s.rob_count] += 1
             if trap_kind is not None:
-                latches.set_at(rob.op, 0)
-                latches.set_at(rob.rd, 0)
-                latches.set_at(rob.exception, 1)
-                latches.set_at(rob.expkind, _TRAP_CODES[trap_kind])
-                latches.set_at(rob.ready, 1)
+                v[rob.op] = 0
+                v[rob.rd] = 0
+                v[rob.exception] = 1
+                v[rob.expkind] = _TRAP_CODES[trap_kind]
+                v[rob.ready] = 1
                 continue
             info = OPCODE_INFO[instruction.opcode]
             needs_checkpoint = info.is_branch or info.is_jump
-            latches.set_at(rob.op, int(instruction.opcode))
-            latches.set_at(rob.rd, instruction.rd)
-            latches.set_at(rob.is_store, 1 if info.is_store else 0)
-            latches.set_at(rob.is_out, 1 if info.is_output else 0)
-            latches.set_at(rob.is_branch, 1 if needs_checkpoint else 0)
+            v[rob.op] = int(instruction.opcode)
+            v[rob.rd] = instruction.rd
+            v[rob.is_store] = 1 if info.is_store else 0
+            v[rob.is_out] = 1 if info.is_output else 0
+            v[rob.is_branch] = 1 if needs_checkpoint else 0
             if info.is_store:
-                stq_tail = latches.get_at(s.stq_tail)
+                stq_tail = v[s.stq_tail]
                 stq = self._stq[stq_tail]
-                latches.set_at(stq.valid, 1)
-                latches.set_at(stq.rob, tail)
-                latches.set_at(stq.addrvalid, 0)
-                latches.set_at(s.stq_tail, (stq_tail + 1) % STQ_ENTRIES)
-                latches.set_at(s.stq_count, latches.get_at(s.stq_count) + 1)
+                v[stq.valid] = 1
+                v[stq.rob] = tail
+                v[stq.addrvalid] = 0
+                v[s.stq_tail] = (stq_tail + 1) % STQ_ENTRIES
+                v[s.stq_count] += 1
             # Fill the issue-queue entry with renamed operands.
             self._fill_iq_entry(free_iq, instruction, tail, pc, info)
             # Update the rename map for the destination.
             if info.writes_rd and instruction.rd != 0:
                 rat = self._rat[instruction.rd]
-                latches.set_at(rat.busy, 1)
-                latches.set_at(rat.rob, tail)
+                v[rat.busy] = 1
+                v[rat.rob] = tail
             # Checkpoint the rename map *after* the control instruction's own
             # destination rename, so recovery restores the map younger
             # instructions must observe on the correct path.
             if needs_checkpoint:
                 ckpt = self._find_free_checkpoint()
-                latches.set_at(rob.ckpt, ckpt)
+                v[rob.ckpt] = ckpt
                 self._save_checkpoint(ckpt)
             # HALT and NOP need no execution: mark ready immediately.
             if instruction.opcode in (Opcode.HALT, Opcode.NOP):
-                latches.set_at(rob.ready, 1)
-                latches.set_at(self._iq[free_iq].valid, 0)
+                v[rob.ready] = 1
+                v[self._iq[free_iq].valid] = 0
 
     def _fill_iq_entry(self, iq_index: int, instruction, rob_index: int, pc: int,
                        info) -> None:
-        latches = self.latches
+        v = self.latches.values
         iq = self._iq[iq_index]
-        latches.set_at(iq.valid, 1)
-        latches.set_at(iq.issued, 0)
-        latches.set_at(iq.op, int(instruction.opcode))
-        latches.set_at(iq.rob, rob_index)
-        latches.set_at(iq.imm, instruction.imm)
-        latches.set_at(iq.pc, pc)
+        v[iq.valid] = 1
+        v[iq.issued] = 0
+        v[iq.op] = int(instruction.opcode)
+        v[iq.rob] = rob_index
+        v[iq.imm] = instruction.imm & _IMM_MASK
+        v[iq.pc] = pc
         ready1, tag1, value1 = self._rename_source(instruction.rs1, info.reads_rs1)
         ready2, tag2, value2 = self._rename_source(instruction.rs2, info.reads_rs2)
-        latches.set_at(iq.s1ready, ready1)
-        latches.set_at(iq.s1tag, tag1)
-        latches.set_at(iq.s1val, value1)
-        latches.set_at(iq.s2ready, ready2)
-        latches.set_at(iq.s2tag, tag2)
-        latches.set_at(iq.s2val, value2)
+        v[iq.s1ready] = ready1
+        v[iq.s1tag] = tag1
+        v[iq.s1val] = value1
+        v[iq.s2ready] = ready2
+        v[iq.s2tag] = tag2
+        v[iq.s2val] = value2
 
     def _rename_source(self, arch_reg: int, is_read: bool) -> tuple[int, int, int]:
         """Return (ready, tag, value) for one source operand."""
-        latches = self.latches
+        v = self.latches.values
         if not is_read or arch_reg == 0:
             return 1, 0, self._read_register(arch_reg) if is_read else 0
         rat = self._rat[arch_reg]
-        if latches.get_at(rat.busy):
-            producer = latches.get_at(rat.rob)
+        if v[rat.busy]:
+            producer = v[rat.rob]
             rob = self._rob[producer]
-            if not latches.get_at(rob.valid):
+            if not v[rob.valid]:
                 # Stale mapping (possible transiently under fault injection):
                 # fall back to the architectural value.
                 return 1, 0, self._read_register(arch_reg)
-            if latches.get_at(rob.ready) and not latches.get_at(rob.exception):
-                return 1, 0, latches.get_at(rob.result)
+            if v[rob.ready] and not v[rob.exception]:
+                return 1, 0, v[rob.result]
             return 0, producer, 0
         return 1, 0, self._read_register(arch_reg)
 
     def _find_free_iq_entry(self) -> int | None:
-        latches = self.latches
+        v = self.latches.values
         for i, iq in enumerate(self._iq):
-            if not latches.get_at(iq.valid):
+            if not v[iq.valid]:
                 return i
         return None
 
     def _find_free_checkpoint(self) -> int | None:
-        latches = self.latches
+        v = self.latches.values
         for i, ckpt in enumerate(self._ckpt):
-            if not latches.get_at(ckpt.valid):
+            if not v[ckpt.valid]:
                 return i
         return None
 
     def _save_checkpoint(self, ckpt: int) -> None:
-        latches = self.latches
+        v = self.latches.values
         packed = 0
         for r, rat in enumerate(self._rat):
-            fieldvalue = latches.get_at(rat.busy) | (latches.get_at(rat.rob) << 1)
+            fieldvalue = v[rat.busy] | (v[rat.rob] << 1)
             packed |= fieldvalue << (7 * r)
         checkpoint = self._ckpt[ckpt]
-        latches.set_at(checkpoint.map, packed)
-        latches.set_at(checkpoint.valid, 1)
+        v[checkpoint.map] = packed
+        v[checkpoint.valid] = 1
 
     # ------------------------------------------------------------------ fetch
     def _fetch(self) -> None:
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        if self._fetch_stalled or latches.get_at(s.fetch_stall):
+        if self._fetch_stalled or v[s.fetch_stall]:
             return
         for _ in range(FETCH_WIDTH):
-            if latches.get_at(s.fb_count) >= FETCH_BUFFER_ENTRIES:
+            if v[s.fb_count] >= FETCH_BUFFER_ENTRIES:
                 return
-            pc = latches.get_at(s.fetch_pc)
+            pc = v[s.fetch_pc]
             instruction = self._program.instruction_at(pc) if self._program else None
-            tail = latches.get_at(s.fb_tail)
+            tail = v[s.fb_tail]
             fb = self._fb[tail]
-            latches.set_at(fb.pc, pc)
-            latches.set_at(fb.valid, 1)
+            v[fb.pc] = pc
+            v[fb.valid] = 1
             if instruction is None:
-                latches.set_at(fb.inst, 0)
-                latches.set_at(fb.fault, 1)
-                latches.set_at(s.fb_tail, (tail + 1) % FETCH_BUFFER_ENTRIES)
-                latches.set_at(s.fb_count, latches.get_at(s.fb_count) + 1)
-                latches.set_at(s.fetch_stall, 1)
+                v[fb.inst] = 0
+                v[fb.fault] = 1
+                v[s.fb_tail] = (tail + 1) % FETCH_BUFFER_ENTRIES
+                v[s.fb_count] += 1
+                v[s.fetch_stall] = 1
                 self._fetch_stalled = True
                 return
-            latches.set_at(fb.inst, encode_instruction(instruction))
-            latches.set_at(fb.fault, 0)
-            latches.set_at(s.fb_tail, (tail + 1) % FETCH_BUFFER_ENTRIES)
-            latches.set_at(s.fb_count, latches.get_at(s.fb_count) + 1)
-            latches.set_at(s.fetch_pc, (pc + WORD_BYTES) & 0xFFFFFFFF)
+            v[fb.inst] = encode_instruction(instruction)
+            v[fb.fault] = 0
+            v[s.fb_tail] = (tail + 1) % FETCH_BUFFER_ENTRIES
+            v[s.fb_count] += 1
+            v[s.fetch_pc] = (pc + WORD_BYTES) & 0xFFFFFFFF
 
     def _touch_background_state(self) -> None:
         """Advance vanish-class bookkeeping so those flip-flops really toggle."""
-        latches = self.latches
+        v = self.latches.values
         s = self._slots
-        latches.set_at(s.perf_counter0,
-                       (latches.get_at(s.perf_counter0) + 1) & (2**48 - 1))
-        latches.set_at(s.perf_counter1,
-                       (latches.get_at(s.perf_counter1) + len(self._in_flight))
-                       & (2**48 - 1))
-        latches.set_at(s.ldq_numentries, len(self._in_flight) & 0xF)
+        v[s.perf_counter0] = (v[s.perf_counter0] + 1) & (2**48 - 1)
+        v[s.perf_counter1] = ((v[s.perf_counter1] + len(self._in_flight))
+                              & (2**48 - 1))
+        v[s.ldq_numentries] = len(self._in_flight) & 0xF

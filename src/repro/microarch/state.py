@@ -8,17 +8,15 @@ makes flip-flop-level injection meaningful.
 
 Storage is a flat list indexed by the frozen
 :class:`~repro.microarch.flipflop.FlipFlopRegistry` order, with per-structure
-width masks precomputed at construction.  Three APIs read and write it:
+width masks precomputed at construction.  Two APIs read and write it:
 
 * the *flat list* itself -- :attr:`LatchState.values` is the live list, and
-  the in-order pipeline stages index it directly by slot (a position resolved
-  once with :meth:`LatchState.slot`).  Writes through it are not masked, so
-  such a writer masks every value that could exceed the structure's width.
-  The batched lockstep replay (:mod:`repro.engine.batch`) runs the same
+  every per-cycle core path (the in-order and out-of-order pipeline stages)
+  indexes it directly by slot, a position resolved once with
+  :meth:`LatchState.slot`.  Writes through it are not masked, so such a
+  writer masks every value that could exceed the structure's width.  The
+  batched lockstep replay (:mod:`repro.engine.batch`) runs the in-order
   stages over a list whose lane-local slots hold per-lane numpy columns;
-* the *slot* API -- :meth:`~LatchState.get_at`, :meth:`~LatchState.set_at`
-  (masked to the width) and :meth:`~LatchState.get_signed_at` index the flat
-  list through a method call;
 * the *name-keyed* API (:meth:`~LatchState.get`, :meth:`~LatchState.set`,
   :meth:`~LatchState.flip_flat`, ...) -- one ``name -> slot`` dict lookup per
   access, for fault injection, the resilience hooks and tests.
@@ -79,22 +77,6 @@ class LatchState:
         """
         return self._index[name]
 
-    def get_at(self, slot: int) -> int:
-        """Current value of the structure at ``slot`` (unsigned)."""
-        return self._data[slot]
-
-    def get_signed_at(self, slot: int) -> int:
-        """Value of the structure at ``slot`` as two's complement."""
-        value = self._data[slot]
-        width = self._widths[slot]
-        if value & (1 << (width - 1)):
-            return value - (1 << width)
-        return value
-
-    def set_at(self, slot: int, value: int) -> None:
-        """Set the structure at ``slot`` to ``value`` (masked to its width)."""
-        self._data[slot] = value & self._masks[slot]
-
     # ------------------------------------------------------------------ name access
     def get(self, name: str) -> int:
         """Current value of structure ``name`` (unsigned, ``width`` bits)."""
@@ -102,16 +84,17 @@ class LatchState:
 
     def get_signed(self, name: str) -> int:
         """Current value of structure ``name`` interpreted as two's complement."""
-        return self.get_signed_at(self._index[name])
+        position = self._index[name]
+        value = self._data[position]
+        width = self._widths[position]
+        if value & (1 << (width - 1)):
+            return value - (1 << width)
+        return value
 
     def set(self, name: str, value: int) -> None:
         """Set structure ``name`` to ``value`` (masked to its width)."""
         position = self._index[name]
         self._data[position] = value & self._masks[position]
-
-    def set_signed(self, name: str, value: int) -> None:
-        """Set a structure from a signed Python int (two's complement wrap)."""
-        self.set(name, value)
 
     def get_bit(self, name: str, bit: int) -> int:
         return (self._data[self._index[name]] >> bit) & 1

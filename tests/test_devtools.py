@@ -307,7 +307,7 @@ class TestFormattedLatchName:
         'self.latches.get(f"rob.e{i:02d}.valid")',
         'latches.set(f"iq.e{i:02d}.op", 0)',
         'self._latches.get_signed(name=f"fb.e{i}.pc")',
-        'latches.set_signed("stq.e{}.data".format(i), 1)',
+        'latches.set("stq.e{}.data".format(i), 1)',
     ])
     def test_formatted_names_are_flagged(self, call):
         findings = self.findings(f"def step(self, latches, i):\n    {call}\n")
@@ -316,7 +316,7 @@ class TestFormattedLatchName:
 
     @pytest.mark.parametrize("call", [
         'self.latches.get("rob.head")',
-        'latches.set_at(self._rob[i].valid, 0)',
+        'v[self._rob[i].valid] = 0',
         'latches.slot(f"rob.e{i:02d}.valid")',
         'self.cache.get(f"key{i}")',
     ])

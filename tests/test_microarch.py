@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.isa import assemble
@@ -72,7 +74,7 @@ class TestLatchState:
         registry.register("field", 8, "u")
         registry.freeze()
         latches = LatchState(registry)
-        latches.set_signed("field", -3)
+        latches.set("field", -3)
         assert latches.get_signed("field") == -3
 
     def test_snapshot_restore(self):
@@ -162,6 +164,53 @@ class TestSlotTables:
                           cycle_hook=force)
         assert result.reason in TerminationReason
         assert result.cycles > middle
+
+
+class TestLatchWidthInvariant:
+    """Every latch value fits its structure's width at every cycle boundary.
+
+    The pipeline stages write ``LatchState.values`` unmasked and mask only
+    the values that can exceed a width, so a missing mask shows up here as a
+    value outside ``[0, 2**width)``.
+    """
+
+    FLIPS_PER_PROGRAM = 6
+
+    @staticmethod
+    def violations(core, masks) -> list[str]:
+        structures = core.registry.structures
+        return [f"{structures[i].name}={value}"
+                for i, (value, mask) in enumerate(zip(core.latches.values,
+                                                      masks))
+                if not 0 <= value <= mask]
+
+    @pytest.mark.parametrize("core_fixture, programs", [
+        ("ino_core", ("vpr", "fft", "crafty")),
+        ("ooo_core", ("vpr", "crafty", "parser")),
+    ], ids=["InO", "OoO"])
+    def test_values_fit_widths_under_injection(self, core_fixture, programs,
+                                               request):
+        from repro.workloads import workload_by_name
+
+        core = request.getfixturevalue(core_fixture)
+        masks = [(1 << s.width) - 1 for s in core.registry.structures]
+        rng = random.Random(2016)
+        for name in programs:
+            program = workload_by_name(name).program()
+            golden = core.run(program).cycles
+            for _ in range(self.FLIPS_PER_PROGRAM):
+                flip_cycle = rng.randrange(golden)
+                flat_index = rng.randrange(core.flip_flop_count)
+
+                def check_then_flip(core, cycle):
+                    bad = self.violations(core, masks)
+                    assert not bad, (name, flat_index, cycle, bad)
+                    if cycle == flip_cycle:
+                        core.latches.flip_flat(flat_index)
+
+                core.run(program, max_cycles=max(2 * golden, golden + 64),
+                         cycle_hook=check_then_flip)
+                assert not self.violations(core, masks), (name, flat_index)
 
 
 class TestMemorySystem:
