@@ -31,12 +31,13 @@ class FlipFlopStructure:
         architectural: True when the structure holds program-visible data
             whose corruption can directly change program results; False for
             hint/bookkeeping state (branch predictor, performance counters,
-            debug registers).  On a core that declares its hint plane
-            behaviour-free (:attr:`BaseCore.hint_plane_inert`) the flag
-            decides outcomes: the injection engine classifies an undetected
-            flip here as a golden copy without running the program
-            (:func:`repro.engine.executors.is_inert`).  On other cores it is
-            descriptive, and classification comes from running the program.
+            debug registers).  Both cores declare their hint plane
+            behaviour-free (:attr:`BaseCore.hint_plane_inert`), so on both
+            the flag decides outcomes: the injection engine classifies an
+            undetected flip here as a golden copy without running the
+            program (:func:`repro.engine.executors.is_inert`).  On a core
+            without that declaration it is descriptive, and classification
+            comes from running the program.
     """
 
     name: str

@@ -15,7 +15,9 @@ rest on:
   machinery;
 * a substantially larger fraction of flip-flops whose errors always vanish
   (branch predictor, L1 d-cache interface registers, load-queue bookkeeping,
-  performance counters -- the Appendix-A structures);
+  performance counters -- the Appendix-A structures); none of them feeds
+  behaviour, so the injection engine folds undetected flips there as golden
+  copies (:attr:`OutOfOrderCore.hint_plane_inert`);
 * an IPC above 1 on compute-dense workloads (the paper reports 1.3);
 * a reorder-buffer boundary past which detected errors can no longer be
   recovered by RoB recovery (architecturally committed state).
@@ -145,6 +147,21 @@ class _InFlightOp:
 
 class OutOfOrderCore(BaseCore):
     """Cycle-level model of the complex out-of-order core."""
+
+    # The hint plane is behaviour-free.  Only these stages touch hint
+    # latches, and none reads one into a decision, a register, memory or
+    # output:
+    # * writeback -> _resolve_branch -> _train_predictor trains gshare
+    #   (bp.gshare.table, bp.gshare.history), which feeds only itself --
+    #   fetch is static not-taken and recovery compares against pc + 4;
+    # * _commit_store and _complete_load write the mem.l1dcache.* staging
+    #   registers, write-only;
+    # * _touch_background_state advances perf.counter0/1 (self-incrementing)
+    #   and writes ldq.numentries, write-only.
+    # Every other hint structure is never touched after reset.
+    # tests/test_engine.py::TestHintPlane inverts every hint structure and
+    # checks it.
+    hint_plane_inert = True
 
     def __init__(self, name: str = "OoO-core"):
         super().__init__(name=name, clock_mhz=OOO_CLOCK_MHZ,
@@ -366,7 +383,6 @@ class OutOfOrderCore(BaseCore):
         if self.terminated:
             return
         self._writeback()
-        self._execute_memory_ops()
         self._issue()
         self._rename_dispatch()
         self._fetch()
@@ -630,10 +646,6 @@ class OutOfOrderCore(BaseCore):
         v[s.bp_gshare_history] = ((history << 1) | int(taken)) & 0xFFF
 
     # ------------------------------------------------------------------ memory ops
-    def _execute_memory_ops(self) -> None:
-        """Advance loads waiting on store-address resolution (handled in
-        :meth:`_complete_load`); nothing additional to do per cycle."""
-
     def _complete_load(self, op: _InFlightOp) -> bool:
         """Try to complete a load; returns False if it must retry next cycle."""
         v = self.latches.values

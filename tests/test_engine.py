@@ -16,6 +16,7 @@ Covers the four invariants the engine rests on:
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -43,6 +44,7 @@ from repro.faultinjection import (
     exhaustive_site_plan,
     uniform_injection_plan,
 )
+from repro.faultinjection.injector import injection_watchdog
 from repro.isa.program import DataSegment
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.microarch.events import TerminationReason
@@ -793,23 +795,34 @@ def _hint_sites(core):
             for index in structure.bit_indices()]
 
 
+def _probe_cycles(golden):
+    """Cycles 1, the middle and two before the end of ``golden``."""
+    return 1, golden.cycles // 2, golden.cycles - 2
+
+
+def _flip_differences(core, program, checkpointed, flips):
+    """Yield each ``(flat_index, cycle)`` of ``flips`` whose single-bit
+    replay does not return the golden :class:`RunResult`."""
+    for flat_index, cycle in flips:
+        planned = PlannedInjection(
+            injection=Injection(flat_index=flat_index, cycle=cycle),
+            protection=SiteProtection(), suppressed=False)
+        replay = replay_planned_injection(core, program, planned, checkpointed)
+        if replay.result != checkpointed.golden:
+            yield flat_index, cycle
+
+
 def _hint_plane_differences(core_cls, program):
-    """Yield ``(flat_index, cycle)`` for each single hint-bit flip, at cycles
-    1, the middle and two before the end, whose full replay (no convergence
-    gate) does not return the golden :class:`RunResult`."""
+    """Yield ``(flat_index, cycle)`` for each single hint-bit flip, at the
+    probe cycles, whose full replay (no convergence gate) does not return
+    the golden :class:`RunResult`."""
     checkpointed = record_checkpointed_golden(core_cls(), program,
                                               fingerprint_interval=0)
-    golden = checkpointed.golden
     core = core_cls()
-    for cycle in (1, golden.cycles // 2, golden.cycles - 2):
-        for flat_index in _hint_sites(core):
-            planned = PlannedInjection(
-                injection=Injection(flat_index=flat_index, cycle=cycle),
-                protection=SiteProtection(), suppressed=False)
-            replay = replay_planned_injection(core, program, planned,
-                                              checkpointed)
-            if replay.result != golden:
-                yield flat_index, cycle
+    yield from _flip_differences(
+        core, program, checkpointed,
+        [(flat_index, cycle) for cycle in _probe_cycles(checkpointed.golden)
+         for flat_index in _hint_sites(core)])
 
 
 class _PredictorReadingCore(InOrderCore):
@@ -826,16 +839,62 @@ class _PredictorReadingCore(InOrderCore):
         super()._stage_fetch_to_decode(redirect, stalled)
 
 
+def _hint_structure_differences(core_cls, program):
+    """Yield what changes the run, as ``(structure name or flat index,
+    cycle)``: every bit of one hint structure inverted at once by a cycle
+    hook at the probe cycles, then 256 seeded single hint-bit flips.
+    Every replay is ungated and runs under the injection watchdog."""
+    checkpointed = record_checkpointed_golden(core_cls(), program,
+                                              fingerprint_interval=0)
+    golden = checkpointed.golden
+    watchdog = injection_watchdog(golden)
+    core = core_cls()
+    for cycle in _probe_cycles(golden):
+        for structure in core.registry.structures:
+            if structure.architectural:
+                continue
+            def invert(hooked, now, name=structure.name,
+                       mask=(1 << structure.width) - 1, at=cycle):
+                if now == at:
+                    hooked.latches.set(name, hooked.latches.get(name) ^ mask)
+            snapshot = checkpointed.nearest(cycle)
+            result = (core.run(program, watchdog, invert) if snapshot is None
+                      else core.resume(program, snapshot, watchdog, invert))
+            if result != golden:
+                yield structure.name, cycle
+    rng = random.Random(0)
+    sites = _hint_sites(core)
+    yield from _flip_differences(
+        core, program, checkpointed,
+        [(rng.choice(sites), rng.randrange(golden.cycles))
+         for _ in range(256)])
+
+
+class _GsharePredictingCore(OutOfOrderCore):
+    """A mutant whose fetch consults the gshare predictor: on odd cycles it
+    stalls while the counter the fetch pc indexes predicts taken."""
+
+    def _fetch(self):
+        if self.cycle % 2:
+            latches = self.latches
+            index = (((latches.get("fetch.pc") >> 2)
+                      ^ latches.get("bp.gshare.history")) % 1024)
+            if (latches.get("bp.gshare.table") >> 2 * index) & 0b10:
+                return
+        super()._fetch()
+
+
 class TestHintPlane:
-    """``InOrderCore.hint_plane_inert`` is a proof obligation, not an
-    option: the engine folds undetected hint-plane flips as golden copies
+    """``hint_plane_inert`` is a proof obligation, not an option, on both
+    cores: the engine folds undetected hint-plane flips as golden copies
     without simulating them, so every such flip must provably run as the
     golden run."""
 
     def test_core_declarations(self):
         assert InOrderCore.hint_plane_inert
-        assert not OutOfOrderCore.hint_plane_inert
+        assert OutOfOrderCore.hint_plane_inert
         assert len(_hint_sites(InOrderCore())) == 207
+        assert len(_hint_sites(OutOfOrderCore())) == 5726
 
     @pytest.mark.parametrize("name", ["fft", "vpr"])
     def test_every_hint_flip_runs_as_golden(self, name):
@@ -849,6 +908,19 @@ class TestHintPlane:
         assert next(_hint_plane_differences(_PredictorReadingCore, program),
                     None) is not None
 
+    @pytest.mark.parametrize("name", ["vpr", "crafty"])
+    def test_every_ooo_hint_structure_runs_as_golden(self, name):
+        """OoO's 5,726 hint bits are too many to flip one by one at three
+        cycles, so each of its 123 hint structures is inverted whole, plus a
+        seeded sample of single-bit flips."""
+        program = workload_by_name(name).program()
+        assert list(_hint_structure_differences(OutOfOrderCore, program)) == []
+
+    def test_ooo_check_catches_a_core_that_reads_its_predictor(self, program):
+        assert _GsharePredictingCore.hint_plane_inert  # the claim is wrong
+        assert next(_hint_structure_differences(_GsharePredictingCore,
+                                                program), None) is not None
+
 
 class TestInertFold:
     """Inert injections (``executors.is_inert``) are folded at plan time as
@@ -856,12 +928,14 @@ class TestInertFold:
     which simulates them."""
 
     @staticmethod
-    def _hint_plan(core, golden_cycles):
-        """Bit 0 and the top bit of every hint structure at two cycles."""
+    def _hint_plan(core, golden_cycles, stride=1):
+        """Bit 0 and the top bit of every ``stride``-th hint structure at two
+        cycles."""
+        hints = [structure for structure in core.registry.structures
+                 if not structure.architectural]
         return [Injection(flat_index=structure.first_index + bit, cycle=cycle)
                 for cycle in (golden_cycles // 3, 2 * golden_cycles // 3)
-                for structure in core.registry.structures
-                if not structure.architectural
+                for structure in hints[::stride]
                 for bit in sorted({0, structure.width - 1})]
 
     @staticmethod
@@ -870,27 +944,39 @@ class TestInertFold:
 
     @pytest.fixture(scope="class")
     def references(self, program):
-        """The plan and its legacy (fully simulated) tallies per protection."""
-        golden = InOrderCore().run(program)
-        plan = self._hint_plan(InOrderCore(), golden.cycles)
-        return {protected: (plan, legacy_campaign(
-                    InOrderCore(), program,
+        """The plan and its legacy (fully simulated) tallies per core and
+        protection."""
+        references = {}
+        for core_cls in CORE_CLASSES:
+            # Every fourth of OoO's 123 hint structures keeps the legacy
+            # oracle, which simulates every injection from cycle 0, short.
+            stride = 4 if core_cls is OutOfOrderCore else 1
+            plan = self._hint_plan(core_cls(), core_cls().run(program).cycles,
+                                   stride)
+            for protected in (False, True):
+                references[core_cls, protected] = (plan, legacy_campaign(
+                    core_cls(), program,
                     MixedProtection() if protected else None, 8, plan))
-                for protected in (False, True)}
+        return references
 
-    @pytest.mark.parametrize("protected", [False, True],
-                             ids=["bare", "protected"])
+    # The in-order cases keep their historical ids; "-ooo" marks the others.
+    @pytest.mark.parametrize("core_cls, protected", [
+        pytest.param(core_cls, protected, id=label + suffix)
+        for core_cls, suffix in ((InOrderCore, ""), (OutOfOrderCore, "-ooo"))
+        for protected, label in ((False, "bare"), (True, "protected"))])
     @pytest.mark.parametrize("runner", ["scalar", "batched", "parallel"])
-    def test_fold_matches_legacy_oracle(self, program, references,
+    def test_fold_matches_legacy_oracle(self, program, references, core_cls,
                                         protected, runner):
-        plan, (_, outcomes, per_site) = references[protected]
+        """On the out-of-order core ``batched`` covers the scalar fallback
+        of a batched campaign (only the in-order core runs lockstep)."""
+        plan, (_, outcomes, per_site) = references[core_cls, protected]
         protection = MixedProtection() if protected else None
         config = {"scalar": EngineConfig(),
                   "batched": EngineConfig(batch_width=8),
                   # Small chunks, so the live injections really use the pool.
                   "parallel": EngineConfig(chunk_size=2)}[runner]
         executor = ParallelExecutor(workers=2) if runner == "parallel" else None
-        engine = InjectionEngine(InOrderCore(), program,
+        engine = InjectionEngine(core_cls(), program,
                                  protection=protection, seed=8,
                                  config=config, executor=executor,
                                  golden_cache=GoldenRunCache())
@@ -907,7 +993,7 @@ class TestInertFold:
         else:
             assert expected == len(plan)
 
-    def test_out_of_order_folds_only_suppressed(self, program):
+    def test_out_of_order_folds_hint_plane(self, program):
         core = OutOfOrderCore()
         golden = core.run(program)
         table = core.registry.structure("bp.gshare.table")
@@ -921,10 +1007,13 @@ class TestInertFold:
         result = engine.run(plan=plan)
         assert result.outcomes == outcomes
         assert result.per_site == per_site
-        suppressed = sum(planned.suppressed
-                         for planned in engine.resolve_plan(plan))
+        resolved = engine.resolve_plan(plan)
+        suppressed = sum(planned.suppressed for planned in resolved)
         assert 0 < suppressed < len(plan)
-        assert self._inert_count(result) == suppressed
+        inert = sum(is_inert(engine.core, engine.golden().golden, planned)
+                    for planned in resolved)
+        assert self._inert_count(result) == inert
+        assert inert > suppressed
 
     def test_hung_golden_folds_nothing(self, program):
         engine = InjectionEngine(InOrderCore(), program,
