@@ -17,6 +17,11 @@ snapshot/restore support:
   fallback -- finishes through :func:`run_gated`, which cuts it short once
   its state fingerprint re-converges with the golden run's grid (probed on
   one fixed schedule, :func:`should_check`);
+* :mod:`repro.engine.liveness` -- golden-run latch liveness: one logged
+  re-run of a golden run yields, per latch slot, the cycles at which a flip
+  is dead (the golden run next writes the latch, or never touches it
+  again), so the engine folds those flips as golden copies on cores that
+  declare :attr:`~repro.microarch.core.BaseCore.dead_flip_fold`;
 * :mod:`repro.engine.engine` -- :class:`InjectionEngine`, the campaign front
   door, and the engine-backed suite runner;
 * :mod:`repro.engine.batch` -- batched lockstep replay: numpy-vectorised

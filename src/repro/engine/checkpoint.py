@@ -76,6 +76,10 @@ class CheckpointedGoldenRun:
             golden run from ``c`` onwards and can stop simulating.
         fingerprint_interval: final fingerprint spacing in cycles (0 when no
             grid was recorded).
+        dead_cycles: per latch slot, the cycles at which a flip is dead
+            (:mod:`repro.engine.liveness`), or None until the first campaign
+            that needs them logs them.  Memory only: pickling drops them, so
+            they reach neither pool workers nor golden artifacts.
     """
 
     golden: RunResult
@@ -83,9 +87,16 @@ class CheckpointedGoldenRun:
     interval: int = 0
     fingerprints: dict[int, bytes] = field(default_factory=dict)
     fingerprint_interval: int = 0
+    dead_cycles: tuple[int, ...] | None = field(default=None, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         self._cycles = [snapshot.cycle for snapshot in self.snapshots]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("dead_cycles", None)
+        return state
 
     def nearest(self, cycle: int) -> CoreSnapshot | None:
         """Latest snapshot taken at or before ``cycle`` (None: start from 0)."""

@@ -10,10 +10,15 @@ campaigns.  It composes three pieces:
    drawn centrally, in plan order, from the campaign seed -- reproducing the
    exact random stream of the original serial campaign loop while making
    every injection independently replayable.  Injections that provably run
-   as the golden run -- suppressed strikes, and undetected flips into a hint
-   plane the core declares behaviour-free -- are *inert*
-   (:func:`~repro.engine.executors.is_inert`): they are folded as golden
-   copies at plan time and never simulated;
+   as the golden run -- suppressed strikes, undetected flips into a hint
+   plane the core declares behaviour-free, and, on cores that declare
+   :attr:`~repro.microarch.core.BaseCore.dead_flip_fold`, undetected flips
+   into a latch the golden run next writes or never touches again -- are
+   *inert* (:func:`~repro.engine.executors.is_inert`): they are folded as
+   golden copies at plan time and never simulated.  The dead-flip facts
+   come from one logged re-run of the golden run
+   (:mod:`repro.engine.liveness`), made by the first plan that needs them
+   and kept in memory beside the golden run;
 3. a **pluggable executor** (serial or process-pool parallel) that replays
    the remaining *live* injections and streams per-chunk aggregates back
    into a :class:`CampaignResult`.
@@ -49,6 +54,7 @@ from repro.engine.executors import (
     shard_plan,
     shard_plan_guided,
 )
+from repro.engine.liveness import dead_cycles
 from repro.faultinjection.injector import (
     Injection,
     ProtectionProvider,
@@ -58,6 +64,7 @@ from repro.faultinjection.injector import (
 from repro.faultinjection.outcomes import OutcomeCounts, classify_outcome
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, DEFAULT_MAX_CYCLES
+from repro.microarch.events import TerminationReason
 from repro.obs import Instrumentation
 from repro.obs.phases import (
     COUNT_CONVERGED,
@@ -280,6 +287,12 @@ class InjectionEngine:
         partitioned out of the resolved plan and tallied as copies of the
         golden run, classified like any other result, and counted under
         :data:`~repro.obs.phases.COUNT_INERT`; they add no replayed cycles.
+        On a core that declares
+        :attr:`~repro.microarch.core.BaseCore.dead_flip_fold`, the first
+        plan with an injection the other clauses leave live pays for the
+        golden run's dead-cycle masks
+        (:func:`repro.engine.liveness.dead_cycles`: one logged re-run of the
+        golden run, cached on it in memory), and dead flips are folded too.
         Only the live injections reach the executor, so they alone decide
         the pool threshold and the chunking.
 
@@ -310,11 +323,17 @@ class InjectionEngine:
                                               seed=self.seed)
             with tracer.span(SPAN_PLAN, args={"injections": len(plan)}):
                 planned = self.resolve_plan(plan)
+                fold_dead = (self.core.dead_flip_fold
+                             and golden.reason is not TerminationReason.HANG)
                 live = []
                 inert = []
                 for entry in planned:
-                    (inert if is_inert(self.core, golden, entry)
-                     else live).append(entry)
+                    folded = is_inert(self.core, golden, entry)
+                    if not folded and fold_dead:
+                        dead = dead_cycles(self.core, self.program,
+                                           checkpointed)
+                        folded = is_inert(self.core, golden, entry, dead)
+                    (inert if folded else live).append(entry)
                 executor = self._select_executor(len(live))
                 chunks = self._shard(live, executor)
             spec = CampaignSpec(core=self.core, program=self.program,

@@ -326,27 +326,38 @@ def golden_copy(golden: RunResult) -> RunResult:
                    detections=list(golden.detections))
 
 
-def is_inert(core: BaseCore, golden: RunResult,
-             planned: PlannedInjection) -> bool:
+def is_inert(core: BaseCore, golden: RunResult, planned: PlannedInjection,
+             dead_cycles: tuple[int, ...] | None = None) -> bool:
     """Whether ``planned`` provably runs as the golden run, so its result is
     :func:`golden_copy` without simulating it.
 
     A hung golden run never qualifies: an injected run's watchdog exceeds
     the golden one's, so even a no-op replay runs past it.  Otherwise an
     injection is inert when it is suppressed (the hook returns before
-    touching state, on every core), or when the core declares its hint
-    plane behaviour-free (:attr:`BaseCore.hint_plane_inert`), the
-    protection does not detect the flip (a detection is logged, so the run
-    differs), and the flipped structure is a hint structure
-    (``architectural=False``).
+    touching state, on every core).  A flip the protection detects never is
+    (a detection is logged, so the run differs).  An undetected flip is
+    inert when it lands in a hint structure (``architectural=False``) of a
+    core that declares its hint plane behaviour-free
+    (:attr:`BaseCore.hint_plane_inert`), or when it is *dead*: the golden
+    run's first access to the flipped latch at or after the injection cycle
+    is a write, or there is none.  ``dead_cycles`` holds those facts, one
+    mask per latch slot (:func:`repro.engine.liveness.dead_cycles`); None
+    folds no dead flips.
     """
     if golden.reason is TerminationReason.HANG:
         return False
     if planned.suppressed:
         return True
-    return (core.hint_plane_inert and not planned.protection.detects
-            and not core.registry.site(
-                planned.injection.flat_index).structure.architectural)
+    if planned.protection.detects:
+        return False
+    injection = planned.injection
+    structure = core.registry.site(injection.flat_index).structure
+    if not structure.architectural and core.hint_plane_inert:
+        return True
+    if dead_cycles is None:
+        return False
+    mask = dead_cycles[core.latches.slot(structure.name)]
+    return bool(mask >> injection.cycle & 1)
 
 
 @dataclass(frozen=True)

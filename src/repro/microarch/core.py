@@ -94,6 +94,22 @@ class BaseCore(ABC):
     the model, not an option; the injection engine folds those flips without
     simulating them (:func:`repro.engine.executors.is_inert`)."""
 
+    dead_flip_fold: bool = False
+    """True when the injection engine folds *dead* flips as golden copies:
+    undetected flips into an architectural latch that the golden run next
+    writes, or never touches again (:mod:`repro.engine.liveness`).  The
+    fold is exact on any core whose stages reach their latches through
+    ``latches.values`` items, and the logging run raises on any other
+    access, so the flag is a cost decision: the first campaign on each
+    golden run pays one logged re-run of it, 2.5-3.5x a plain run.  On the
+    out-of-order core that pays after a few campaigns, because dead flips
+    hold three quarters of its replay cycles.  The in-order core waits: its
+    dead flips hold about 12% of its replay cycles (most of its live
+    replays already re-converge), and its suite log costs about 3.2 s
+    against 1.3 s of golden recording, so with the fold on a single
+    campaign pass over 8 input sets (``campaign-ino-batched``) measured 6-9%
+    slower on seeds 0 and 1."""
+
     def __init__(self, name: str, clock_mhz: float, core_class: CoreClass):
         self.name = name
         self.clock_mhz = clock_mhz

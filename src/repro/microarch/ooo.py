@@ -162,6 +162,10 @@ class OutOfOrderCore(BaseCore):
     # tests/test_engine.py::TestHintPlane inverts every hint structure and
     # checks it.
     hint_plane_inert = True
+    # Dead flips hold most OoO replay time: flips into a freed IQ/ROB/STQ
+    # entry field or an inactive rename checkpoint, which the golden run
+    # next writes.  tests/test_engine.py::TestDeadFold checks the fold.
+    dead_flip_fold = True
 
     def __init__(self, name: str = "OoO-core"):
         super().__init__(name=name, clock_mhz=OOO_CLOCK_MHZ,

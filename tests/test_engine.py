@@ -16,6 +16,7 @@ Covers the four invariants the engine rests on:
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import replace
 
@@ -25,16 +26,19 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (
     CheckpointedGoldenRun,
     EngineConfig,
+    GoldenArtifactStore,
     GoldenRunCache,
     InjectionEngine,
     ParallelExecutor,
     PlannedInjection,
     SerialExecutor,
+    artifact_digest,
     record_checkpointed_golden,
     replay_planned_injection,
     run_suite_campaign,
 )
-from repro.engine.executors import is_inert
+from repro.engine.executors import CampaignSpec, is_inert
+from repro.engine.liveness import LogGapError, _AccessLog, record_dead_cycles
 from repro.faultinjection import (
     FlipFlopInjector,
     Injection,
@@ -922,6 +926,187 @@ class TestHintPlane:
                                                 program), None) is not None
 
 
+def _architectural_flips(core, golden, dead_cycles, dead, count,
+                         where=lambda flat_index: True):
+    """``count`` seeded ``(flat_index, cycle)`` single-bit flips into
+    architectural latches (sites that satisfy ``where``), each one dead
+    (``dead``) or not according to ``dead_cycles``."""
+    rng = random.Random(0)
+    sites = [index for structure in core.registry.structures
+             if structure.architectural
+             for index in structure.bit_indices() if where(index)]
+    flips = []
+    while len(flips) < count:
+        flat_index = rng.choice(sites)
+        cycle = rng.randrange(golden.cycles)
+        slot = core.latches.slot(core.registry.site(flat_index).structure.name)
+        if bool(dead_cycles[slot] >> cycle & 1) == dead:
+            flips.append((flat_index, cycle))
+    return flips
+
+
+def _dead_flip_differences(core_cls, program, dead=True, count=256):
+    """Yield each of ``count`` seeded architectural flips that the access
+    log marks dead (``dead``; else not dead) whose ungated replay does not
+    return the golden :class:`RunResult`."""
+    checkpointed = record_checkpointed_golden(core_cls(), program,
+                                              fingerprint_interval=0)
+    core = core_cls()
+    dead_cycles = record_dead_cycles(core, program, checkpointed.golden)
+    yield from _flip_differences(
+        core, program, checkpointed,
+        _architectural_flips(core, checkpointed.golden, dead_cycles, dead,
+                             count))
+
+
+class _AliasReadingCore(OutOfOrderCore):
+    """A mutant that reads a latch behind the access log's back: fetch
+    stalls on odd cycles while ``rob.count`` is odd, read through a
+    values-list alias taken at reset (and refreshed on restore)."""
+
+    def _reset_microarchitecture(self, program):
+        super()._reset_microarchitecture(program)
+        # audit: allow[state-coverage] names the live latch list, re-taken on reset and restore; no state of its own
+        self._alias = self.latches.values
+
+    def _restore_microarchitecture(self, micro):
+        super()._restore_microarchitecture(micro)
+        self._alias = self.latches.values
+
+    def _fetch(self):
+        if self.cycle % 2 and self._alias[self._slots.rob_count] % 2:
+            return
+        super()._fetch()
+
+
+class _UnloggedReadCore(OutOfOrderCore):
+    """A mutant whose fetch reads a latch through ``list.__getitem__``,
+    which the access log does not see: it stalls on odd cycles while rename
+    checkpoint 0's map has odd parity."""
+
+    def _fetch(self):
+        checkpoint_map = list.__getitem__(self.latches.values,
+                                          self._ckpt[0].map)
+        if self.cycle % 2 and checkpoint_map.bit_count() % 2:
+            return
+        super()._fetch()
+
+
+class _LatchProbingCore(OutOfOrderCore):
+    """Runs ``probe(latches)`` at the start of cycle 3's stages."""
+
+    probe = None
+
+    def _step_cycle(self):
+        if self.cycle == 3:
+            type(self).probe(self.latches)
+        super()._step_cycle()
+
+
+class TestDeadFold:
+    """``dead_flip_fold``: the engine folds undetected flips into an
+    architectural latch that the golden run next writes, or never touches
+    again, as golden copies.  The access log that decides it must be
+    complete, so every dead flip must provably run as the golden run, and
+    any latch access the log cannot classify must be loud."""
+
+    def test_core_declarations(self):
+        assert OutOfOrderCore.dead_flip_fold
+        assert not InOrderCore.dead_flip_fold
+
+    @pytest.mark.parametrize("name", ["vpr", "crafty"])
+    def test_every_dead_flip_runs_as_golden(self, name):
+        program = workload_by_name(name).program()
+        assert list(_dead_flip_differences(OutOfOrderCore, program)) == []
+
+    def test_live_flips_change_runs(self, program):
+        """The rule is not vacuous: flips the log keeps live do differ."""
+        assert next(_dead_flip_differences(OutOfOrderCore, program,
+                                           dead=False, count=64),
+                    None) is not None
+
+    @pytest.mark.parametrize("mutant", [_AliasReadingCore,
+                                        _UnloggedReadCore])
+    def test_check_catches_a_core_that_reads_behind_the_log(self, program,
+                                                            mutant):
+        """A read the log misses makes the logged run diverge (the alias
+        reads stale values there) or a dead flip change the run."""
+        assert mutant.dead_flip_fold
+        try:
+            differences = list(_dead_flip_differences(mutant, program))
+        except LogGapError:
+            return
+        assert differences
+
+    def test_logged_run_must_reproduce_the_golden_run(self, program):
+        golden = OutOfOrderCore().run(program)
+        with pytest.raises(LogGapError, match="did not reproduce"):
+            record_dead_cycles(OutOfOrderCore(), program,
+                               replace(golden, output=golden.output + [0]))
+
+    def test_replaced_latch_list_is_caught(self, program, monkeypatch):
+        # The same values, in a list the log never sees.
+        monkeypatch.setattr(_LatchProbingCore, "probe",
+                            lambda latches: latches.deserialize(
+                                list.copy(latches.values)))
+        golden = _LatchProbingCore().run(program)
+        with pytest.raises(LogGapError, match="replaced before cycle 4"):
+            record_dead_cycles(_LatchProbingCore(), program, golden)
+
+    @pytest.mark.parametrize("probe", [
+        pytest.param(lambda latches: latches.values[0:2], id="slice-read"),
+        pytest.param(lambda latches: latches.values.__setitem__(
+            slice(0, 1), list.copy(latches.values)[0:1]), id="slice-write"),
+        pytest.param(lambda latches: sum(latches.values), id="iteration"),
+        pytest.param(lambda latches: latches.serialize(), id="serialize"),
+        pytest.param(lambda latches: latches.snapshot(), id="snapshot"),
+        pytest.param(lambda latches: latches.fingerprint_digest(),
+                     id="fingerprint_digest"),
+    ])
+    def test_unclassified_access_raises(self, program, monkeypatch, probe):
+        monkeypatch.setattr(_LatchProbingCore, "probe", probe)
+        golden = _LatchProbingCore().run(program)
+        with pytest.raises(LogGapError, match="unclassified latch access"):
+            record_dead_cycles(_LatchProbingCore(), program, golden)
+
+    def test_augmented_assignment_is_a_read(self):
+        log = _AccessLog([0, 0, 0])
+        log.cycle = 4
+        log[0] += 1
+        log[1] ^= 1
+        log[2] = 7
+        masks = log.masks(8, [True] * 3)
+        # Slots 0 and 1 are read at cycle 4, then never touched again.
+        assert masks[0] == masks[1] == 0b1110_0000
+        assert masks[2] == 0b1111_1111
+
+    def test_masks_follow_the_first_access_rule(self):
+        """Across gaps of every length and byte boundaries, a cycle's mask
+        bit is set exactly when the slot's first access at or after it is a
+        write, or there is none."""
+        rng = random.Random(5)
+        cycles = 203
+        densities = (0.9, 0.5, 0.1, 0.02)
+        log = _AccessLog([0] * len(densities))
+        accesses = [[] for _ in densities]
+        for cycle in range(cycles):
+            log.cycle = cycle
+            for slot, density in enumerate(densities):
+                while rng.random() < density:
+                    write = rng.random() < 0.5
+                    if write:
+                        log[slot] = cycle
+                    else:
+                        log[slot]
+                    accesses[slot].append((cycle, write))
+        masks = log.masks(cycles, [True] * len(densities))
+        for slot, slot_accesses in enumerate(accesses):
+            for cycle in range(cycles):
+                dead = next((write for at, write in slot_accesses
+                             if at >= cycle), True)
+                assert masks[slot] >> cycle & 1 == dead, (slot, cycle)
+
+
 class TestInertFold:
     """Inert injections (``executors.is_inert``) are folded at plan time as
     golden copies; every executor must still match the legacy serial loop,
@@ -942,21 +1127,43 @@ class TestInertFold:
     def _inert_count(result):
         return result.metrics["counters"].get(COUNT_INERT, 0)
 
+    # Which flips of :meth:`_architectural_plan` the access log marks dead.
+    _ARCHITECTURAL_DEAD = [True] * 8 + [False] * 4 + [True] * 2
+
+    @staticmethod
+    def _architectural_plan(core, program, golden):
+        """Eight architectural flips the golden run's access log marks dead,
+        four it keeps live, and two dead ones on sites
+        :class:`MixedProtection` detects (and so never folds)."""
+        dead_cycles = record_dead_cycles(core, program, golden)
+        detected = MixedProtection().site_protection
+        return [Injection(flat_index=flat_index, cycle=cycle)
+                for dead, count, where in (
+                    (True, 8, lambda flat_index: True),
+                    (False, 4, lambda flat_index: True),
+                    (True, 2, lambda flat_index: detected(flat_index).detects))
+                for flat_index, cycle in _architectural_flips(
+                    core, golden, dead_cycles, dead, count, where)]
+
     @pytest.fixture(scope="class")
     def references(self, program):
-        """The plan and its legacy (fully simulated) tallies per core and
-        protection."""
+        """The hint and architectural parts of the plan and the whole
+        plan's legacy (fully simulated) tallies per core and protection."""
         references = {}
         for core_cls in CORE_CLASSES:
             # Every fourth of OoO's 123 hint structures keeps the legacy
             # oracle, which simulates every injection from cycle 0, short.
             stride = 4 if core_cls is OutOfOrderCore else 1
-            plan = self._hint_plan(core_cls(), core_cls().run(program).cycles,
-                                   stride)
+            golden = core_cls().run(program)
+            hint_plan = self._hint_plan(core_cls(), golden.cycles, stride)
+            architectural_plan = self._architectural_plan(core_cls(), program,
+                                                          golden)
             for protected in (False, True):
-                references[core_cls, protected] = (plan, legacy_campaign(
-                    core_cls(), program,
-                    MixedProtection() if protected else None, 8, plan))
+                references[core_cls, protected] = (
+                    hint_plan, architectural_plan, legacy_campaign(
+                        core_cls(), program,
+                        MixedProtection() if protected else None, 8,
+                        hint_plan + architectural_plan))
         return references
 
     # The in-order cases keep their historical ids; "-ooo" marks the others.
@@ -969,7 +1176,9 @@ class TestInertFold:
                                         protected, runner):
         """On the out-of-order core ``batched`` covers the scalar fallback
         of a batched campaign (only the in-order core runs lockstep)."""
-        plan, (_, outcomes, per_site) = references[core_cls, protected]
+        hint_plan, architectural_plan, (_, outcomes, per_site) = \
+            references[core_cls, protected]
+        plan = hint_plan + architectural_plan
         protection = MixedProtection() if protected else None
         config = {"scalar": EngineConfig(),
                   "batched": EngineConfig(batch_width=8),
@@ -983,15 +1192,62 @@ class TestInertFold:
         result = engine.run(plan=plan)
         assert result.outcomes == outcomes
         assert result.per_site == per_site
-        golden = engine.golden().golden
-        expected = sum(is_inert(engine.core, golden, planned)
-                       for planned in engine.resolve_plan(plan))
-        assert self._inert_count(result) == expected
+        checkpointed = engine.golden()
+        golden = checkpointed.golden
+        resolved = engine.resolve_plan(plan)
+        hint_resolved = resolved[:len(hint_plan)]
+        architectural_resolved = resolved[len(hint_plan):]
+        hint_inert = sum(is_inert(engine.core, golden, planned)
+                         for planned in hint_resolved)
         if protected:
             # Parity-detected hint sites keep the simulated path.
-            assert 0 < expected < len(plan)
+            assert 0 < hint_inert < len(hint_plan)
         else:
-            assert expected == len(plan)
+            assert hint_inert == len(hint_plan)
+        shallow = hint_inert + sum(is_inert(engine.core, golden, planned)
+                                   for planned in architectural_resolved)
+        expected = sum(is_inert(engine.core, golden, planned,
+                                checkpointed.dead_cycles)
+                       for planned in resolved)
+        assert self._inert_count(result) == expected
+        # Independently of ``is_inert``: an architectural flip folds when it
+        # is suppressed or, on the out-of-order core, dead and undetected.
+        dead_fold = core_cls.dead_flip_fold
+        assert expected == hint_inert + sum(
+            planned.suppressed
+            or (dead_fold and dead and not planned.protection.detects)
+            for planned, dead in zip(architectural_resolved,
+                                     self._ARCHITECTURAL_DEAD))
+        # Live architectural flips keep the simulated path.
+        assert expected < len(plan)
+        if core_cls is OutOfOrderCore:
+            # Dead architectural flips fold on top of the hint plane and
+            # the suppressed strikes.
+            assert expected > shallow
+        else:
+            assert checkpointed.dead_cycles is None
+            assert expected == shallow
+
+    def test_dead_cycles_are_never_pickled(self, program, tmp_path):
+        """The access log stays in the campaign process: pool workers and
+        golden artifacts get the golden run without it."""
+        store = GoldenArtifactStore(tmp_path)
+        engine = InjectionEngine(OutOfOrderCore(), program, seed=8,
+                                 golden_cache=GoldenRunCache(store=store))
+        checkpointed = engine.golden()
+        before = pickle.dumps(checkpointed)
+        core = OutOfOrderCore()
+        engine.run(plan=self._architectural_plan(core, program,
+                                                 checkpointed.golden))
+        assert checkpointed.dead_cycles is not None
+        assert pickle.dumps(checkpointed) == before
+        spec = CampaignSpec(core=core, program=program,
+                            checkpointed=checkpointed)
+        assert pickle.loads(pickle.dumps(spec)).checkpointed.dead_cycles \
+            is None
+        digest = artifact_digest(core, program)
+        assert store.save(digest, checkpointed) is not None
+        assert store.load(digest).dead_cycles is None
 
     def test_out_of_order_folds_hint_plane(self, program):
         core = OutOfOrderCore()
