@@ -7,9 +7,9 @@ from _harness import run_once
 from repro.core import (
     combination_counts,
     enumerate_combinations,
-    shard_combinations,
     total_combination_count,
 )
+from repro.engine import guided_slices
 from repro.reporting import format_table
 
 
@@ -19,10 +19,10 @@ def bench_table18_combination_counts(benchmark):
         for family in ("InO", "OoO"):
             counts = combination_counts(family)
             assert len(enumerate_combinations(family)) == counts["total"]
-            # The exploration engine shards this exact pool; the shards must
-            # partition it.
-            shards = shard_combinations(counts["total"], workers=4)
-            assert sorted(i for s in shards for i in s.combination_indices) \
+            # The exploration engine shards this exact pool with the shared
+            # pool partition; the slices must cover it in order.
+            slices = guided_slices(counts["total"], workers=4)
+            assert [i for part in slices for i in part] \
                 == list(range(counts["total"]))
             rows.append([family, counts["base_no_recovery"], counts["base_flush_rob"],
                          counts["base_ir_eir"], counts["abft_alone"],

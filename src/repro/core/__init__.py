@@ -14,7 +14,6 @@ from repro.core.exploration import (
     ExplorationShard,
     ExplorationSpec,
     high_level_descriptor,
-    shard_combinations,
 )
 from repro.core.framework import ClearFramework
 from repro.core.heuristics import (
@@ -49,7 +48,6 @@ __all__ = [
     "ExplorationShard",
     "ExplorationSpec",
     "high_level_descriptor",
-    "shard_combinations",
     "ClearFramework",
     "LowLevelChoice",
     "SelectionPolicy",

@@ -33,7 +33,6 @@ to it bit-for-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -54,7 +53,7 @@ from repro.core.combinations import (
 )
 from repro.core.heuristics import SelectionPolicy, SelectiveHardeningPlanner
 from repro.core.improvement import MAX_TARGET, ResilienceTarget, sdc_targets
-from repro.engine.executors import ParallelExecutor
+from repro.engine.executors import ParallelExecutor, guided_slices
 from repro.faultinjection.vulnerability import VulnerabilityMap
 from repro.microarch.flipflop import FlipFlopRegistry
 from repro.physical.cells import RecoveryKind
@@ -205,7 +204,7 @@ class ExplorationShard:
     """
 
     index: int
-    combination_indices: tuple[int, ...]
+    combination_indices: range
 
 
 @dataclass
@@ -214,20 +213,6 @@ class ExplorationShardResult:
 
     index: int
     records: list[ExplorationRecord]
-
-
-def shard_combinations(count: int, workers: int,
-                       chunk_size: int | None = None) -> list[ExplorationShard]:
-    """Split a combination pool into contiguous shards (~4 per worker)."""
-    if count <= 0:
-        return []
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(count / max(1, workers * 4)))
-    chunk_size = max(1, chunk_size)
-    return [ExplorationShard(index=index,
-                             combination_indices=tuple(range(start, min(start + chunk_size,
-                                                                        count))))
-            for index, start in enumerate(range(0, count, chunk_size))]
 
 
 _SPEC_EXPLORER: tuple[ExplorationSpec, "CrossLayerExplorer"] | None = None
@@ -420,12 +405,12 @@ class CrossLayerExplorer:
 
     def stream_records(self, targets: list[ResilienceTarget],
                        combinations: list[CrossLayerCombination] | None = None,
-                       workers: int = 1,
-                       chunk_size: int | None = None) -> Iterator[ExplorationRecord]:
+                       workers: int = 1) -> Iterator[ExplorationRecord]:
         """Stream every (combination, target) evaluation, optionally sharded.
 
-        With ``workers > 1`` the combination pool is sharded over the
-        engine's :class:`ParallelExecutor` (process pool, serial fallback)
+        With ``workers > 1`` the combination pool is cut by
+        :func:`~repro.engine.executors.guided_slices` and sharded over the
+        engine's :class:`ParallelExecutor` (process pool, serial fallback),
         and records arrive in shard *completion* order; each record carries
         its pool coordinates, so order-sensitive consumers can sort while
         streaming consumers (the Pareto frontier, incumbent searches) fold
@@ -443,7 +428,9 @@ class CrossLayerExplorer:
                                timing=self.timing, cost_model=self.cost_model,
                                benchmarks=self.benchmarks, combinations=list(pool),
                                targets=list(targets))
-        shards = shard_combinations(len(pool), workers, chunk_size)
+        shards = [ExplorationShard(index=index, combination_indices=indices)
+                  for index, indices in enumerate(
+                      guided_slices(len(pool), workers))]
         executor = ParallelExecutor(workers=workers)
         # audit: allow[completion-order-fold] records carry their pool coordinates (combination_index/target_index) and the ParetoFrontier fold is insertion-order invariant (pinned by test_exploration order tests)
         for shard_result in executor.stream(spec, shards, evaluate_exploration_shard):

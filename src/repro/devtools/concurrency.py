@@ -11,7 +11,7 @@ that leaked shard-completion order).  Two rules keep both properties:
   stateful objects.  Module-level functions are the contract
   (``ShardFunction`` in ``engine/executors.py``).
 * ``completion-order-fold`` -- a ``for`` loop directly over
-  ``.stream(...)`` / ``.run_chunks(...)`` observes completion order; its
+  ``.stream(...)`` observes completion order; its
   body must consume ``<result>.index`` (indexed fold into a preallocated
   slot table, or an explicit sort) or carry a reasoned suppression.
 """
@@ -26,7 +26,6 @@ from repro.devtools.rules import (Project, Rule, enclosing_functions,
                                   register, tail_name)
 
 _DISPATCH_ATTRS = frozenset({"stream", "submit"})
-_STREAM_ATTRS = frozenset({"stream", "run_chunks"})
 
 
 @register
@@ -102,9 +101,9 @@ class CompletionOrderFoldRule(Rule):
     """Result folds must be indexed by shard order, not completion order."""
 
     rule_id = "completion-order-fold"
-    summary = ("loops over executor .stream()/.run_chunks() observe "
-               "completion order; fold by <result>.index (slot table or "
-               "sort) so outcomes stay order-independent")
+    summary = ("loops over executor .stream() observe completion order; "
+               "fold by <result>.index (slot table or sort) so outcomes "
+               "stay order-independent")
 
     def check_module(self, module: SourceModule,
                      project: Project) -> Iterable[Finding]:
@@ -113,17 +112,16 @@ class CompletionOrderFoldRule(Rule):
                 continue
             if not (isinstance(node.iter, ast.Call)
                     and isinstance(node.iter.func, ast.Attribute)
-                    and node.iter.func.attr in _STREAM_ATTRS):
+                    and node.iter.func.attr == "stream"):
                 continue
             targets = self._target_names(node.target)
             if not targets:
                 continue
             if self._body_uses_index(node, targets):
                 continue
-            stream = node.iter.func.attr
             yield module.finding(
                 node, self.rule_id,
-                f"loop over .{stream}() observes shard completion order and "
+                "loop over .stream() observes shard completion order and "
                 "its body never reads the result's .index; fold into an "
                 "index-keyed slot table (or sort) so the outcome cannot "
                 "depend on worker scheduling")

@@ -65,9 +65,8 @@ from repro.engine.executors import (
     Replay,
     SerialExecutor,
     execute_chunk,
+    guided_slices,
     replay_planned_injection,
-    shard_plan,
-    shard_plan_guided,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "Replay",
     "SerialExecutor",
     "execute_chunk",
+    "guided_slices",
     "replay_planned_injection",
-    "shard_plan",
-    "shard_plan_guided",
 ]

@@ -60,6 +60,13 @@ DEFAULT_MAX_FINGERPRINTS = DEFAULT_MAX_CHECKPOINTS * 16
 """Fingerprint-count budget, with the same doubling/thinning policy as the
 snapshot budget (16 bytes each, so the grid stays ~12 KiB at worst)."""
 
+DEFAULT_CACHE_ENTRIES = 18
+"""Golden runs a :class:`GoldenRunCache` holds by default: the largest
+built-in suite (the in-order suite's 18 programs; the out-of-order suite has
+11), so a repeated suite campaign records no golden.  All 18 in-order
+goldens hold 3.3 MB (the 11 out-of-order ones 2.9 MB), measured with
+tracemalloc."""
+
 
 @dataclass
 class CheckpointedGoldenRun:
@@ -311,13 +318,13 @@ class GoldenRunCache:
     persisted on the way out -- so pool workers and repeated processes join
     warm instead of re-simulating golden runs from cycle 0.
 
-    ``max_entries`` bounds memory: a multi-family synthetic sweep touches one
-    distinct program per workload, so suites wider than the default of 8
-    should raise it (``run_suite_campaign``/``run_synthetic_sweep`` expose a
-    ``max_cache_entries`` knob) -- :meth:`stats` makes thrash visible.
+    ``max_entries`` bounds memory (LRU eviction).  The default,
+    :data:`DEFAULT_CACHE_ENTRIES`, holds every built-in suite; pass a cache
+    built with a larger ``max_entries`` to hold more distinct programs.
+    :meth:`stats` makes thrash visible.
     """
 
-    def __init__(self, max_entries: int = 8, store=None):
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES, store=None):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
@@ -404,15 +411,13 @@ class GoldenRunCache:
         return len(self._entries)
 
 
-def cache_for_artifact_dir(artifact_dir, max_entries: int | None = None,
-                           ) -> GoldenRunCache:
+def cache_for_artifact_dir(artifact_dir) -> GoldenRunCache:
     """The process-wide store-backed cache for one artifact directory.
 
     One shared cache per resolved directory keeps the in-memory tier shared
     across every engine pointed at the same store (the same sharing the
     storeless :data:`GOLDEN_RUN_CACHE` provides), while different
-    directories stay fully isolated.  ``max_entries`` sizes the cache on
-    first use only (the registry never shrinks a live cache).
+    directories stay fully isolated.
     """
     from pathlib import Path
 
@@ -421,9 +426,7 @@ def cache_for_artifact_dir(artifact_dir, max_entries: int | None = None,
     root = Path(artifact_dir).expanduser().resolve()
     cache = _STORE_CACHES.get(root)
     if cache is None:
-        cache = GoldenRunCache(
-            max_entries=max_entries if max_entries is not None else 8,
-            store=GoldenArtifactStore(root))
+        cache = GoldenRunCache(store=GoldenArtifactStore(root))
         _STORE_CACHES[root] = cache
     return cache
 
@@ -434,23 +437,16 @@ _STORE_CACHES: dict = {}
 
 
 def resolve_golden_cache(golden_cache: GoldenRunCache | None,
-                         max_cache_entries: int | None,
                          artifact_dir=None) -> GoldenRunCache | None:
-    """Resolve the exclusive (``golden_cache``, ``max_cache_entries``) pair
-    the suite/sweep runners accept, plus the optional persistent store.
+    """Resolve the golden cache a suite/sweep runner was given, plus the
+    optional persistent store.
 
-    Returns the explicit cache, a fresh cache sized to ``max_cache_entries``,
-    the shared store-backed cache for ``artifact_dir``, or None when nothing
-    was given (the caller then applies its own default).  An ``artifact_dir``
-    combines with either sizing option by attaching the store to the
-    resolved cache (first store wins on an explicit cache that already has
-    one).
+    Returns the explicit cache, the shared store-backed cache for
+    ``artifact_dir``, or None when neither was given (the caller then
+    applies its own default).  An ``artifact_dir`` combines with an explicit
+    cache by attaching the store to it (first store wins on a cache that
+    already has one).
     """
-    if golden_cache is not None and max_cache_entries is not None:
-        raise ValueError("pass either golden_cache or max_cache_entries, "
-                         "not both")
-    if max_cache_entries is not None:
-        golden_cache = GoldenRunCache(max_entries=max_cache_entries)
     if artifact_dir is None:
         return golden_cache
     if golden_cache is None:

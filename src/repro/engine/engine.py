@@ -44,15 +44,17 @@ from repro.engine.checkpoint import (
     resolve_golden_cache,
 )
 from repro.engine.executors import (
+    _SEED_STRIDE,
     CampaignExecutor,
     CampaignSpec,
+    ChunkSpec,
     ParallelExecutor,
     PlannedInjection,
     SerialExecutor,
+    execute_chunk,
     golden_copy,
+    guided_slices,
     is_inert,
-    shard_plan,
-    shard_plan_guided,
 )
 from repro.engine.liveness import dead_cycles
 from repro.faultinjection.injector import (
@@ -98,9 +100,9 @@ class EngineConfig:
             benchmarking baseline).
         max_checkpoints: snapshot budget for the adaptive spacing.
         workers: worker-process count; ``1`` selects the serial executor.
-        chunk_size: injections per work shard.  ``None`` derives a size that
-            gives each worker a handful of chunks (load balancing without
-            drowning in per-chunk pickling).
+            A pool cuts the live plan with
+            :func:`~repro.engine.executors.guided_slices`; a serial campaign
+            replays it as one chunk.
         max_cycles: golden-run watchdog.
         convergence_interval: fingerprint-grid spacing in cycles for
             convergence gating -- once an injected core's full architectural
@@ -145,7 +147,6 @@ class EngineConfig:
     checkpoint_interval: int | None = None
     max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS
     workers: int = 1
-    chunk_size: int | None = None
     max_cycles: int = DEFAULT_MAX_CYCLES
     convergence_interval: int | None = None
     max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS
@@ -184,7 +185,7 @@ class InjectionEngine:
         self.protection = protection
         self.seed = seed
         self.config = config or EngineConfig()
-        resolved = resolve_golden_cache(golden_cache, None,
+        resolved = resolve_golden_cache(golden_cache,
                                         artifact_dir=self.config.artifact_dir)
         self._cache = resolved if resolved is not None else GOLDEN_RUN_CACHE
         # Only an executor the engine built itself may be swapped for the
@@ -246,36 +247,24 @@ class InjectionEngine:
         return self._executor
 
     def _shard(self, planned: list[PlannedInjection],
-               executor: CampaignExecutor) -> list:
+               executor: CampaignExecutor) -> list[ChunkSpec]:
         """Shard a resolved plan for ``executor``.
 
-        Process pools get guided decreasing-size chunks (unless an explicit
-        ``chunk_size`` pins fixed-size chunks); everything else
-        keeps contiguous fixed-size chunks.  Both partitions preserve the
-        bit-exactness contract: results merge in chunk-index order and each
-        planned injection carries its pre-resolved lottery draw.
+        A process pool gets guided decreasing-size chunks whose late chunks
+        never shrink below a lockstep wavefront's width; any other executor
+        gets one chunk for the whole plan.  The partition never changes the
+        outcomes: results merge in chunk-index order and each planned
+        injection carries its pre-resolved lottery draw.
         """
-        if (self.config.chunk_size is None
-                and isinstance(executor, ParallelExecutor)
-                and executor.workers > 1):
-            # Late chunks never shrink below a lockstep wavefront's width.
-            return shard_plan_guided(planned, self.seed, executor.workers,
-                                     min_chunk=max(4, self.config.batch_width))
-        return shard_plan(planned, self.seed,
-                          self._chunk_size(len(planned), executor))
-
-    def _chunk_size(self, plan_length: int,
-                    executor: CampaignExecutor | None = None) -> int:
-        if self.config.chunk_size is not None:
-            return max(1, self.config.chunk_size)
-        if executor is None:
-            executor = self._executor
-        workers = getattr(executor, "workers", 1)
-        if workers <= 1:
-            return max(1, plan_length)
-        # ~4 chunks per worker: enough slack to balance uneven replay costs
-        # (late injections replay fewer cycles than early ones).
-        return max(1, -(-plan_length // (workers * 4)))
+        if isinstance(executor, ParallelExecutor) and executor.workers > 1:
+            slices = guided_slices(len(planned), executor.workers,
+                                   min_chunk=max(4, self.config.batch_width))
+        else:
+            slices = [range(len(planned))] if planned else []
+        return [ChunkSpec(index=index,
+                          planned=planned[part.start:part.stop],
+                          seed=self.seed * _SEED_STRIDE + index)
+                for index, part in enumerate(slices)]
 
     # ------------------------------------------------------------------ running
     def run(self, injections: int = 200,
@@ -349,8 +338,9 @@ class InjectionEngine:
                 per_site.setdefault(entry.injection.flat_index,
                                     OutcomeCounts()).record(inert_outcome)
             obs.metrics.inc(COUNT_INERT, len(inert))
-            chunk_results = sorted(executor.run_chunks(spec, chunks),
-                                   key=lambda result: result.index)
+            chunk_results = sorted(
+                executor.stream(spec, chunks, execute_chunk),
+                key=lambda result: result.index)
             for chunk_result in chunk_results:
                 outcomes = outcomes.merged_with(chunk_result.outcomes)
                 for flat_index, counts in chunk_result.per_site.items():
@@ -383,24 +373,22 @@ def run_suite_campaign(core: BaseCore, workloads,
                        injections_per_workload: int = 100,
                        protection: ProtectionProvider | None = None,
                        seed: int = 0, config: EngineConfig | None = None,
-                       golden_cache: GoldenRunCache | None = None,
-                       max_cache_entries: int | None = None):
+                       golden_cache: GoldenRunCache | None = None):
     """Run engine-backed campaigns over workloads and build a vulnerability map.
 
     Returns ``(vulnerability_map, [CampaignResult, ...])``.  Workload ``i``
     runs with seed ``seed + i``, matching the historical suite runner, and
-    all campaigns share one golden-run cache.  ``max_cache_entries`` sizes a
-    fresh private cache to the suite (one golden run per workload; the
-    default process-wide cache holds 8 entries and thrashes on wider
-    suites); it cannot be combined with an explicit ``golden_cache``.  With
-    ``config.artifact_dir`` set, the suite's cache is backed by the
-    persistent golden-artifact store, so repeated suite runs load golden
-    runs instead of re-recording them.
+    all campaigns share one golden-run cache: ``golden_cache`` when given,
+    else the process-wide :data:`~repro.engine.checkpoint.GOLDEN_RUN_CACHE`,
+    whose default capacity holds every built-in suite, so a repeated suite
+    run records no golden.  With ``config.artifact_dir`` set, the suite's
+    cache is backed by the persistent golden-artifact store, so repeated
+    processes load golden runs instead of re-recording them.
     """
     from repro.faultinjection.vulnerability import VulnerabilityMap
 
     golden_cache = resolve_golden_cache(
-        golden_cache, max_cache_entries,
+        golden_cache,
         artifact_dir=config.artifact_dir if config is not None else None)
     vulnerability = VulnerabilityMap(core.name, core.flip_flop_count)
     results = []

@@ -4,10 +4,11 @@ An executor takes one shared *payload* (pickled once per worker via the pool
 initializer), a list of shard objects (each carrying a stable ``index``) and
 a module-level shard function, and *streams* per-shard results back as they
 complete, so consumers can fold aggregates incrementally instead of
-materialising every raw result.  Two consumers ride this layer today: the
+materialising every raw result.  Three consumers ride this layer: the
 injection engine (payload = :class:`CampaignSpec`, shards =
-:class:`ChunkSpec`) and the cross-layer exploration engine (payload =
-``ExplorationSpec``, shards of (combination, target) work).
+:class:`ChunkSpec`), the cross-layer exploration engine (payload =
+``ExplorationSpec``, shards of whole combinations) and the synthetic
+workload sweep (payload = ``SweepSpec``, shards of whole campaigns).
 
 Two executors ship here:
 
@@ -23,8 +24,9 @@ Two executors ship here:
   to serial for the shards that have not completed; an exception raised
   *by* a shard propagates unchanged.
 
-The campaign-specific ``run_chunks`` entry points remain as thin wrappers
-binding the generic layer to :func:`execute_chunk`.
+How the work is cut is shared too: :func:`guided_slices` is the one
+partition of every pool, and each consumer wraps its slices in its own
+shard type.  A serial campaign keeps one chunk for its whole live plan.
 """
 
 from __future__ import annotations
@@ -165,44 +167,31 @@ class ChunkResult:
         self.per_site.setdefault(flat_index, OutcomeCounts()).record(outcome)
 
 
-def shard_plan(planned: list[PlannedInjection], seed: int,
-               chunk_size: int) -> list[ChunkSpec]:
-    """Split a resolved plan into contiguous chunks with derived seeds."""
-    chunk_size = max(1, chunk_size)
-    return [ChunkSpec(index=index, planned=planned[start:start + chunk_size],
-                      seed=seed * _SEED_STRIDE + index)
-            for index, start in enumerate(range(0, len(planned), chunk_size))]
+def guided_slices(count: int, workers: int,
+                  min_chunk: int = 1) -> list[range]:
+    """Cut ``range(count)`` into *guided* decreasing-size slices for pull
+    dispatch -- the one partition every process pool in the package uses.
 
+    Each slice takes ``max(min_chunk, ceil(remaining / (workers * 2)))``
+    items: early slices are large (low dispatch overhead while every worker
+    is busy anyway), late slices shrink toward ``min_chunk`` so the tail
+    stays balanced even when item costs are skewed -- the classic guided
+    self-scheduling schedule.  The slices cover ``range(count)`` exactly, in
+    order; only the last may be shorter than ``min_chunk``.
 
-def shard_plan_guided(planned: list[PlannedInjection], seed: int,
-                      workers: int, min_chunk: int = 4) -> list[ChunkSpec]:
-    """Split a plan into *guided* decreasing-size chunks for pull dispatch.
-
-    Each chunk takes ``max(min_chunk, ceil(remaining / (workers * 2)))``
-    injections: early chunks are large (low dispatch overhead while every
-    worker is busy anyway), late chunks shrink toward ``min_chunk`` so the
-    tail stays balanced even when replay costs are skewed -- the classic
-    guided self-scheduling schedule.  Seeds follow the same
-    ``seed * stride + index`` scheme as :func:`shard_plan`, and because every
-    planned injection carries its pre-resolved lottery draw, the partition
-    never affects campaign statistics (the engine's bit-exactness contract).
-
-    ``min_chunk`` should be at least the batch width when batched lockstep
-    replay is on, so late chunks still fill a wavefront.
+    Callers wrap the slices in their own shard type (:class:`ChunkSpec`,
+    ``ExplorationShard``, ``SweepShard``) and fold results by shard index,
+    so the partition never affects what a run computes.
     """
     workers = max(1, workers)
     min_chunk = max(1, min_chunk)
-    chunks: list[ChunkSpec] = []
+    slices: list[range] = []
     start = 0
-    while start < len(planned):
-        remaining = len(planned) - start
-        size = max(min_chunk, -(-remaining // (workers * 2)))
-        index = len(chunks)
-        chunks.append(ChunkSpec(index=index,
-                                planned=planned[start:start + size],
-                                seed=seed * _SEED_STRIDE + index))
+    while start < count:
+        size = max(min_chunk, -(-(count - start) // (workers * 2)))
+        slices.append(range(start, min(start + size, count)))
         start += size
-    return chunks
+    return slices
 
 
 def should_check(grid_points_elapsed: int) -> bool:
@@ -523,11 +512,6 @@ class CampaignExecutor(Protocol):
         any completion order."""
         ...  # pragma: no cover - protocol definition
 
-    def run_chunks(self, spec: CampaignSpec,
-                   chunks: list[ChunkSpec]) -> Iterator[ChunkResult]:
-        """Campaign binding: :meth:`stream` with :func:`execute_chunk`."""
-        ...  # pragma: no cover - protocol definition
-
 
 class SerialExecutor:
     """Executes shards in order on the calling process."""
@@ -535,10 +519,6 @@ class SerialExecutor:
     def stream(self, payload: Any, shards: list, fn: ShardFunction) -> Iterator:
         for shard in shards:
             yield fn(payload, shard)
-
-    def run_chunks(self, spec: CampaignSpec,
-                   chunks: list[ChunkSpec]) -> Iterator[ChunkResult]:
-        return self.stream(spec, chunks, execute_chunk)
 
 
 # ---------------------------------------------------------------------- workers
@@ -611,10 +591,6 @@ class ParallelExecutor:
                 result = fn(payload, shard)
                 done.add(result.index)
                 yield result
-
-    def run_chunks(self, spec: CampaignSpec,
-                   chunks: list[ChunkSpec]) -> Iterator[ChunkResult]:
-        return self.stream(spec, chunks, execute_chunk)
 
     def _stream_pooled(self, payload: Any, shards: list, fn: ShardFunction,
                        done: set[int]) -> Iterator:

@@ -52,8 +52,6 @@ class LatchState:
         self._widths: list[int] = [s.width for s in structures]
         self._masks: list[int] = [(1 << s.width) - 1 for s in structures]
         self._data: list[int] = [0] * len(structures)
-        # audit: allow[state-coverage] lazily-built index over the frozen registry layout; derived from structure, not run state
-        self._unit_indices: dict[str, list[int]] | None = None
 
     @property
     def registry(self) -> FlipFlopRegistry:
@@ -82,22 +80,10 @@ class LatchState:
         """Current value of structure ``name`` (unsigned, ``width`` bits)."""
         return self._data[self._index[name]]
 
-    def get_signed(self, name: str) -> int:
-        """Current value of structure ``name`` interpreted as two's complement."""
-        position = self._index[name]
-        value = self._data[position]
-        width = self._widths[position]
-        if value & (1 << (width - 1)):
-            return value - (1 << width)
-        return value
-
     def set(self, name: str, value: int) -> None:
         """Set structure ``name`` to ``value`` (masked to its width)."""
         position = self._index[name]
         self._data[position] = value & self._masks[position]
-
-    def get_bit(self, name: str, bit: int) -> int:
-        return (self._data[self._index[name]] >> bit) & 1
 
     def flip_bit(self, name: str, bit: int) -> None:
         """Flip a single bit of a structure (the soft-error primitive)."""
@@ -120,37 +106,6 @@ class LatchState:
     def clear(self) -> None:
         """Reset every structure to zero (power-on state)."""
         self._data = [0] * len(self._data)
-
-    def clear_unit(self, unit: str) -> None:
-        """Reset every structure belonging to ``unit`` (used by pipeline flushes)."""
-        if self._unit_indices is None:
-            self._unit_indices = {}
-            for position, structure in enumerate(self._registry.structures):
-                self._unit_indices.setdefault(structure.unit, []).append(position)
-        for position in self._unit_indices.get(unit, ()):
-            self._data[position] = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """Copy of all structure values (used by recovery checkpoints)."""
-        return dict(zip(self._index, self._data))
-
-    def restore(self, snapshot: dict[str, int]) -> None:
-        """Restore values captured by :meth:`snapshot`.
-
-        Raises:
-            ValueError: if ``snapshot`` names a structure this registry does
-                not contain.  A snapshot from a differently-built core would
-                otherwise half-restore silently, leaving the core in a state
-                neither run ever had.
-        """
-        index = self._index
-        for name in snapshot:
-            if name not in index:
-                raise ValueError(
-                    f"snapshot names unknown flip-flop structure {name!r} "
-                    f"(registry {self._registry.core_name!r})")
-        for name, value in snapshot.items():
-            self._data[index[name]] = value
 
     # ------------------------------------------------------------------ serialization
     def serialize(self) -> tuple[int, ...]:

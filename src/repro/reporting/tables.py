@@ -208,10 +208,12 @@ def format_golden_cache_stats(cache, title: str = "Golden-run cache") -> str:
     Accepts a cache or an already-captured
     :class:`~repro.engine.GoldenCacheStats` (the sweep runners aggregate the
     latter across workers).  A hit rate near zero on a repeated-workload run
-    means the cache is thrashing -- raise ``max_entries`` (suite and sweep
-    runners expose it as ``max_cache_entries``) so golden runs stop being
-    re-recorded.  ``loaded`` vs ``recorded`` splits the misses: loaded
-    golden runs came from the persistent artifact store
+    means the cache is thrashing: pass the runs one shared
+    ``GoldenRunCache(max_entries=n)`` with ``n`` at least the number of
+    distinct programs, so golden runs stop being re-recorded.  (A single
+    synthetic sweep visits each program once, so its hit rate is always
+    zero.)  ``loaded`` vs ``recorded`` splits the misses: loaded golden runs
+    came from the persistent artifact store
     (``EngineConfig(artifact_dir=...)``), recorded ones were simulated from
     cycle 0.
     """

@@ -12,19 +12,20 @@ repeated runs and across serial / process-pool executors.
 With ``workers > 1`` the per-workload campaign loop itself is sharded over
 the engine's generic payload+shard executor layer
 (:class:`repro.engine.executors.ParallelExecutor`): workloads are generated
-up-front in the calling process, whole campaigns fan out to worker
-processes, and results are folded back in deterministic (family, member)
-order regardless of shard completion order.  Shared-mutable state stays out
+up-front in the calling process, cut into shards of whole campaigns by the
+pool partition every executor consumer shares
+(:func:`repro.engine.executors.guided_slices`), fanned out to worker
+processes, and folded back in deterministic (family, member) order
+regardless of shard completion order.  Shared-mutable state stays out
 of the workers by construction: the :class:`VulnerabilityMap` is built only
 in the parent from the streamed results, and each worker process uses a
-private :class:`GoldenRunCache` (a cache cannot be shared across process
-boundaries; a caller-supplied cache is therefore only consulted on the
-serial path).
+private default-capacity :class:`GoldenRunCache` (a cache cannot be
+shared across process boundaries; a caller-supplied cache is therefore only
+consulted on the serial path).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from repro.engine.engine import EngineConfig, InjectionEngine
@@ -33,7 +34,7 @@ from repro.engine.checkpoint import (
     GoldenRunCache,
     resolve_golden_cache,
 )
-from repro.engine.executors import ParallelExecutor
+from repro.engine.executors import ParallelExecutor, guided_slices
 from repro.faultinjection.outcomes import OutcomeCounts
 from repro.faultinjection.vulnerability import VulnerabilityMap
 from repro.isa.program import Program
@@ -162,7 +163,8 @@ class SweepUnit:
 
 @dataclass(frozen=True)
 class SweepShard:
-    """A contiguous slice of the sweep's campaign units."""
+    """A contiguous slice of the sweep's campaign units
+    (one :func:`~repro.engine.executors.guided_slices` range)."""
 
     index: int
     units: tuple[SweepUnit, ...]
@@ -187,19 +189,12 @@ class SweepSpec:
 
     ``config`` always has ``workers == 1``: shard workers run their campaigns
     serially (the parallelism lives at the workload level), which avoids
-    nested process pools.  ``max_cache_entries`` sizes each worker's private
-    golden-run cache (None = the :class:`GoldenRunCache` default).
+    nested process pools.
     """
 
     core: BaseCore
     injections: int
     config: EngineConfig
-    max_cache_entries: int | None = None
-
-
-def _build_cache(max_cache_entries: int | None) -> GoldenRunCache:
-    cache = resolve_golden_cache(None, max_cache_entries)
-    return cache if cache is not None else GoldenRunCache()
 
 
 def evaluate_sweep_shard(spec: SweepSpec, shard: SweepShard) -> SweepShardResult:
@@ -209,7 +204,7 @@ def evaluate_sweep_shard(spec: SweepSpec, shard: SweepShard) -> SweepShardResult
     depend only on (core, program) and every unit's program is distinct, so
     nothing is lost -- and no cache object is ever shared across processes.
     """
-    cache = _build_cache(spec.max_cache_entries)
+    cache = GoldenRunCache()
     results = [_run_campaign(spec.core, unit.program, seed=unit.campaign_seed,
                              injections=spec.injections, config=spec.config,
                              cache=cache)
@@ -218,20 +213,8 @@ def evaluate_sweep_shard(spec: SweepSpec, shard: SweepShard) -> SweepShardResult
                             cache_stats=cache.stats())
 
 
-def _shard_units(units: list[SweepUnit], workers: int,
-                 chunk_size: int | None = None) -> list[SweepShard]:
-    """Split the unit list into contiguous shards (~4 per worker)."""
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(units) / max(1, workers * 4)))
-    chunk_size = max(1, chunk_size)
-    return [SweepShard(index=index, units=tuple(units[start:start + chunk_size]))
-            for index, start in enumerate(range(0, len(units), chunk_size))]
-
-
 def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
-                       config: EngineConfig | None, workers: int,
-                       chunk_size: int | None,
-                       max_cache_entries: int | None = None,
+                       config: EngineConfig | None, workers: int
                        ) -> tuple[list, GoldenCacheStats | None]:
     """Fan campaigns out over the process pool; results in unit order.
 
@@ -239,9 +222,9 @@ def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
     golden-cache snapshots merge (in shard order) into one fleet readout.
     """
     inner = replace(config or EngineConfig(), workers=1)
-    spec = SweepSpec(core=core, injections=injections, config=inner,
-                     max_cache_entries=max_cache_entries)
-    shards = _shard_units(units, workers, chunk_size)
+    spec = SweepSpec(core=core, injections=injections, config=inner)
+    shards = [SweepShard(index=index, units=tuple(units[part.start:part.stop]))
+              for index, part in enumerate(guided_slices(len(units), workers))]
     executor = ParallelExecutor(workers=workers)
     by_index: dict[int, list] = {}
     stats_by_index: dict[int, GoldenCacheStats | None] = {}
@@ -303,32 +286,32 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
                         families: list[str] | None = None,
                         config: EngineConfig | None = None,
                         golden_cache: GoldenRunCache | None = None,
-                        workers: int = 1, chunk_size: int | None = None,
-                        max_cache_entries: int | None = None,
+                        workers: int = 1,
                         **profile_overrides) -> SyntheticSweepResult:
     """Generate a synthetic suite and sweep vulnerability across its profiles.
 
     ``families`` defaults to every registered family; ``profile_overrides``
     (e.g. ``target_cycles=1000``) evolve each family's profile before
     generation.  The campaign seed of family ``f``'s member ``i`` is
-    ``seed + f * stride + i`` -- independent of executor choice, worker count
-    and chunking, which is what makes the sweep reproducible bit-for-bit.
+    ``seed + f * stride + i`` -- independent of executor choice and worker
+    count, which is what makes the sweep reproducible bit-for-bit.
 
     ``workers > 1`` shards whole workload campaigns over the engine's
     process-pool executor (each worker running its campaigns serially);
     results are identical to the serial loop.  ``golden_cache`` is consulted
-    only on the serial path -- worker processes build private caches, so a
-    shared cache object is never mutated across processes.
-    ``max_cache_entries`` sizes the golden-run caches instead (serial path
-    and per-worker alike; the default of 8 thrashes once
-    ``len(families) * per_family`` exceeds it on a repeated sweep); it cannot
-    be combined with an explicit ``golden_cache``.
+    only on the serial path -- without one the serial path builds a fresh
+    cache, and each pool shard builds a private one, so a shared cache
+    object is never mutated across processes.  Every sweep visits each of
+    its programs once, so these caches record one golden per workload and
+    never hit.  A cache pays only across calls: pass repeated serial sweeps
+    the same ``golden_cache``, built with ``max_entries`` of at least the
+    sweep's workload count, or set ``config.artifact_dir``.
     """
     family_names = families if families is not None else registry.family_names()
     _validate_sweep_seeds(seed, per_family, len(family_names),
                           injections_per_workload)
     artifact_dir = config.artifact_dir if config is not None else None
-    resolved_cache = resolve_golden_cache(golden_cache, max_cache_entries,
+    resolved_cache = resolve_golden_cache(golden_cache,
                                           artifact_dir=artifact_dir)
     units: list[SweepUnit] = []
     for family_index, family in enumerate(family_names):
@@ -343,8 +326,7 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
 
     if workers > 1 and len(units) > 1:
         results, cache_stats = _run_units_sharded(
-            core, units, injections_per_workload, config, workers, chunk_size,
-            max_cache_entries=max_cache_entries)
+            core, units, injections_per_workload, config, workers)
     else:
         cache = resolved_cache if resolved_cache is not None else GoldenRunCache()
         before = cache.stats()

@@ -11,6 +11,7 @@ exceptions (raised unchanged).  It also pins the on-disk fingerprint format.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
@@ -26,8 +27,7 @@ from repro.engine import (
     artifact_digest,
     cache_for_artifact_dir,
     golden_run_key,
-    shard_plan,
-    shard_plan_guided,
+    guided_slices,
 )
 from repro.engine.artifacts import (
     ARTIFACT_FORMAT,
@@ -247,46 +247,43 @@ class TestTwoTierCache:
 
     def test_resolve_attaches_store_to_explicit_cache(self, tmp_path):
         cache = GoldenRunCache()
-        resolved = resolve_golden_cache(cache, None,
+        resolved = resolve_golden_cache(cache,
                                         artifact_dir=tmp_path / "store")
         assert resolved is cache
         assert cache.store is not None
-        with pytest.raises(ValueError):
-            resolve_golden_cache(cache, 4)
 
 
 # ------------------------------------------------------ executor-layer pieces
-class TestGuidedSharding:
-    def _plan(self, engine, program, count):
+class TestGuidedSlices:
+    def test_slices_partition_range_in_guided_order(self):
+        for count, workers, min_chunk in itertools.product(
+                [0, 1, 2, 7, 17, 97, 120, 586], [1, 2, 3, 8], [1, 4, 16]):
+            slices = guided_slices(count, workers, min_chunk)
+            assert [i for part in slices for i in part] == list(range(count))
+            sizes = [len(part) for part in slices]
+            assert sizes == sorted(sizes, reverse=True)
+            assert all(size >= min_chunk for size in sizes[:-1])
+
+    def test_engine_chunks_pinned(self, program):
+        """Pool chunks are guided with late chunks no narrower than a
+        wavefront; a serial campaign replays its whole live plan as one
+        chunk."""
         from repro.faultinjection import uniform_injection_plan
 
-        core = InOrderCore()
-        plan = uniform_injection_plan(core.flip_flop_count, 500, count, seed=3)
-        return engine.resolve_plan(plan)
-
-    def test_partition_preserves_plan_order(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=3)
-        planned = self._plan(engine, program, 97)
-        chunks = shard_plan_guided(planned, seed=3, workers=3, min_chunk=4)
-        flattened = [p for chunk in chunks for p in chunk.planned]
-        assert flattened == planned
-        assert [chunk.index for chunk in chunks] == list(range(len(chunks)))
-
-    def test_sizes_decrease_toward_min_chunk(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=3)
-        planned = self._plan(engine, program, 120)
-        chunks = shard_plan_guided(planned, seed=3, workers=2, min_chunk=4)
-        sizes = [len(chunk.planned) for chunk in chunks]
-        assert sizes == sorted(sizes, reverse=True)
-        assert all(size >= 4 for size in sizes[:-1])
-        assert sizes[0] == 30  # ceil(120 / (2 * 2))
-
-    def test_seeds_match_static_scheme(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=5)
-        planned = self._plan(engine, program, 40)
-        guided = shard_plan_guided(planned, seed=5, workers=2)
-        static = shard_plan(planned, seed=5, chunk_size=10)
-        assert guided[0].seed == static[0].seed
+        engine = InjectionEngine(InOrderCore(), program, seed=3,
+                                 config=EngineConfig(batch_width=16))
+        planned = engine.resolve_plan(uniform_injection_plan(
+            engine.core.flip_flop_count, 500, 120, seed=3))
+        pooled = engine._shard(planned, ParallelExecutor(workers=2))
+        assert [len(chunk.planned) for chunk in pooled] == \
+            [30, 23, 17, 16, 16, 16, 2]
+        assert [p for chunk in pooled for p in chunk.planned] == planned
+        assert [chunk.seed for chunk in pooled] == \
+            [3 * 1_000_003 + index for index in range(len(pooled))]
+        for executor in (SerialExecutor(), ParallelExecutor(workers=1)):
+            serial = engine._shard(planned, executor)
+            assert len(serial) == 1 and serial[0].planned == planned
+        assert engine._shard([], SerialExecutor()) == []
 
 
 class TestSerialFallbackAndStealing:
@@ -429,8 +426,6 @@ class TestWarmColdEquivalence:
             (EngineConfig(artifact_dir=tmp_path, batch_width=8), None),
             (EngineConfig(artifact_dir=tmp_path), ParallelExecutor(workers=2)),
             (EngineConfig(artifact_dir=tmp_path, batch_width=8),
-             ParallelExecutor(workers=2)),
-            (EngineConfig(artifact_dir=tmp_path, chunk_size=10),
              ParallelExecutor(workers=2)),
         ]
         for config, executor in variants:

@@ -119,7 +119,7 @@ class TestEngineBitExactness:
         assert ungated_batched.converged_count == 0
         variants = [
             run(EngineConfig()),
-            run(EngineConfig(chunk_size=3), ParallelExecutor(workers=2)),
+            run(EngineConfig(), ParallelExecutor(workers=2)),
             run(EngineConfig(batch_width=8)),
             ungated_batched,
         ]

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
+    GOLDEN_RUN_CACHE,
     CheckpointedGoldenRun,
     EngineConfig,
     GoldenArtifactStore,
@@ -144,10 +145,10 @@ class TestSnapshotRestore:
         for _ in range(50):
             core.step()
         values = core.latches.serialize()
-        expected = core.latches.snapshot()
         core.latches.clear()
+        assert core.latches.serialize() != values
         core.latches.deserialize(values)
-        assert core.latches.snapshot() == expected
+        assert core.latches.serialize() == values
         with pytest.raises(ValueError):
             core.latches.deserialize(values[:-1])
 
@@ -204,7 +205,6 @@ class TestEngineEquivalence:
         for executor in (SerialExecutor(), ParallelExecutor(workers=2)):
             engine = InjectionEngine(InOrderCore(), program,
                                      protection=MixedProtection(), seed=seed,
-                                     config=EngineConfig(chunk_size=5),
                                      executor=executor,
                                      golden_cache=GoldenRunCache())
             results.append(engine.run(injections=count))
@@ -357,7 +357,6 @@ class TestConvergenceBitExactness:
             golden_cache=GoldenRunCache()).run(injections=count)
         gated = InjectionEngine(
             InOrderCore(), program, protection=MixedProtection(), seed=seed,
-            config=EngineConfig(chunk_size=5),
             executor=ParallelExecutor(workers=2),
             golden_cache=GoldenRunCache()).run(injections=count)
         assert gated.outcomes == full.outcomes
@@ -544,16 +543,42 @@ class TestGoldenRunCache:
             GoldenRunCache(max_entries=0)
 
     def test_suite_runner_sizes_private_cache(self, program):
+        """A cache is sized by building it: repeated suite runs sharing a
+        ``GoldenRunCache(max_entries=n)`` record each golden once."""
         workloads = [workload_by_name("histogram"), workload_by_name("vpr")]
-        with pytest.raises(ValueError):
-            run_suite_campaign(InOrderCore(), workloads,
-                               injections_per_workload=2,
-                               golden_cache=GoldenRunCache(),
-                               max_cache_entries=2)
-        vulnerability, results = run_suite_campaign(
-            InOrderCore(), workloads, injections_per_workload=2,
-            max_cache_entries=2)
-        assert len(results) == 2
+        cache = GoldenRunCache(max_entries=2)
+        for _ in range(2):
+            vulnerability, results = run_suite_campaign(
+                InOrderCore(), workloads, injections_per_workload=2,
+                golden_cache=cache)
+            assert len(results) == 2
+        assert (cache.stats().recorded, cache.hits) == (2, 2)
+
+    def test_default_capacity_holds_every_builtin_suite(self, tmp_path):
+        from repro.engine import cache_for_artifact_dir
+        from repro.microarch.core import CoreClass
+        from repro.workloads.suite import suite_for_core
+
+        largest = max(len(suite_for_core(core_class))
+                      for core_class in CoreClass)
+        for cache in (GoldenRunCache(), GOLDEN_RUN_CACHE,
+                      cache_for_artifact_dir(tmp_path)):
+            assert cache.max_entries >= largest
+
+    def test_repeated_default_suite_campaign_records_no_golden(self):
+        """The process-wide cache the default suite runner (and
+        ``ClearFramework.measure_vulnerability``) uses holds the whole
+        in-order suite, so a second campaign over it hits every golden."""
+        from repro.workloads.suite import suite_for_core
+
+        core = InOrderCore()
+        suite = suite_for_core(core)
+        run_suite_campaign(core, suite, injections_per_workload=1)
+        before = GOLDEN_RUN_CACHE.stats()
+        run_suite_campaign(core, suite, injections_per_workload=1)
+        after = GOLDEN_RUN_CACHE.stats()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == len(suite)
 
 
 class TestBatchedReplay:
@@ -598,7 +623,7 @@ class TestBatchedReplay:
             golden_cache=GoldenRunCache()).run(injections=count)
         batched = InjectionEngine(
             InOrderCore(), program, protection=MixedProtection(), seed=seed,
-            config=EngineConfig(batch_width=8, chunk_size=8),
+            config=EngineConfig(batch_width=8),
             executor=ParallelExecutor(workers=2),
             golden_cache=GoldenRunCache()).run(injections=count)
         assert batched.outcomes == scalar.outcomes
@@ -1059,7 +1084,6 @@ class TestDeadFold:
             slice(0, 1), list.copy(latches.values)[0:1]), id="slice-write"),
         pytest.param(lambda latches: sum(latches.values), id="iteration"),
         pytest.param(lambda latches: latches.serialize(), id="serialize"),
-        pytest.param(lambda latches: latches.snapshot(), id="snapshot"),
         pytest.param(lambda latches: latches.fingerprint_digest(),
                      id="fingerprint_digest"),
     ])
@@ -1182,8 +1206,7 @@ class TestInertFold:
         protection = MixedProtection() if protected else None
         config = {"scalar": EngineConfig(),
                   "batched": EngineConfig(batch_width=8),
-                  # Small chunks, so the live injections really use the pool.
-                  "parallel": EngineConfig(chunk_size=2)}[runner]
+                  "parallel": EngineConfig()}[runner]
         executor = ParallelExecutor(workers=2) if runner == "parallel" else None
         engine = InjectionEngine(core_cls(), program,
                                  protection=protection, seed=8,

@@ -30,7 +30,7 @@ from repro.core import (
     sdc_targets,
 )
 from repro.core.combinations import EDS, LEAP_DICE, PARITY
-from repro.core.exploration import high_level_descriptor, shard_combinations
+from repro.core.exploration import high_level_descriptor
 from repro.core.heuristics import SelectiveHardeningPlanner, choose_technique
 from repro.physical import RecoveryKind
 from repro.resilience.logic_parity import UNPIPELINED_GROUP_SIZE
@@ -244,17 +244,10 @@ class TestExplorerEquivalence:
         targets = sdc_targets()[:3]
         key = lambda r: (r.combination_index, r.target_index)
         serial = sorted(explorer.stream_records(targets, combos, workers=1), key=key)
-        sharded = sorted(explorer.stream_records(targets, combos, workers=2,
-                                                 chunk_size=3), key=key)
+        sharded = sorted(explorer.stream_records(targets, combos, workers=2),
+                         key=key)
         assert serial == sharded
         assert len(serial) == len(combos) * len(targets)
-
-    def test_shard_combinations_covers_pool(self):
-        shards = shard_combinations(17, workers=2, chunk_size=4)
-        indices = [i for shard in shards for i in shard.combination_indices]
-        assert indices == list(range(17))
-        assert [shard.index for shard in shards] == list(range(len(shards)))
-        assert shard_combinations(0, workers=4) == []
 
     def test_cheapest_pruned_matches_exhaustive(self, ino_framework):
         explorer = ino_framework.explorer

@@ -69,36 +69,17 @@ class TestLatchState:
         name = latches.flip_flat(3)
         assert name == "field" and latches.get("field") == 0x6
 
-    def test_signed_round_trip(self):
-        registry = FlipFlopRegistry("test")
-        registry.register("field", 8, "u")
-        registry.freeze()
-        latches = LatchState(registry)
-        latches.set("field", -3)
-        assert latches.get_signed("field") == -3
-
-    def test_snapshot_restore(self):
-        registry = FlipFlopRegistry("test")
-        registry.register("field", 8, "u")
-        registry.freeze()
-        latches = LatchState(registry)
-        latches.set("field", 55)
-        snapshot = latches.snapshot()
-        latches.set("field", 1)
-        latches.restore(snapshot)
-        assert latches.get("field") == 55
-
-    def test_restore_rejects_unknown_structure(self):
-        """A snapshot naming a structure this registry lacks must raise, not
-        half-restore: silently skipping it would leave the core in a state
-        neither run ever held (regression test for the array-backed store)."""
+    def test_deserialize_rejects_foreign_layout(self):
+        """Serialized values from a differently-built registry must raise,
+        not half-restore: the core would be left in a state neither run
+        ever held."""
         registry = FlipFlopRegistry("test")
         registry.register("field", 8, "u")
         registry.freeze()
         latches = LatchState(registry)
         latches.set("field", 7)
-        with pytest.raises(ValueError, match="unknown flip-flop structure"):
-            latches.restore({"field": 3, "ghost.latch": 1})
+        with pytest.raises(ValueError, match="registry expects 1"):
+            latches.deserialize((3, 1))
         assert latches.get("field") == 7, "failed restore must not mutate"
 
 

@@ -33,8 +33,10 @@ from repro.analysis.store import (
     load_frontier,
     save_frontier,
 )
-from repro.engine import (EngineConfig, GoldenRunCache, InjectionEngine,
-                          ParallelExecutor)
+from repro.engine import (CampaignSpec, ChunkSpec, EngineConfig,
+                          GoldenRunCache, InjectionEngine, ParallelExecutor,
+                          SerialExecutor, execute_chunk)
+from repro.faultinjection import uniform_injection_plan
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.obs import (
     NULL_METRICS,
@@ -270,28 +272,49 @@ class TestCampaignsUnchangedByInstrumentation:
 # Deterministic cross-worker merge
 # ---------------------------------------------------------------------------
 class TestDeterministicWorkerMerge:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_parallel_counters_match_serial_exactly(self, program):
-        """With pinned chunking, a 2-worker campaign merges to the same
-        counters and histograms as the serial campaign, bit for bit.
-        (Chunking itself must be pinned: each chunk sweeps its own wavefront
-        reference lane, so chunk *shape* legitimately shapes the shared-cycle
-        counter -- the executor must not.)"""
-        serial = run_campaign(InOrderCore(), program, injections=30,
-                              workers=1, chunk_size=8, batch_width=8,
-                              metrics=True)
-        parallel = run_campaign(InOrderCore(), program, injections=30,
-                                workers=2, chunk_size=8, batch_width=8,
-                                metrics=True)
-        assert_same_statistics(serial, parallel)
-        assert serial.metrics["counters"] == parallel.metrics["counters"]
-        assert serial.metrics["histograms"] == parallel.metrics["histograms"]
-        assert serial.metrics["histograms"].get(HISTOGRAM_REPLAY_CYCLES)
+        """One chunk list, streamed through the serial executor and through
+        a 2-worker pool, merges to the same counters and histograms, bit for
+        bit.  (Chunking itself must be pinned: each chunk sweeps its own
+        wavefront reference lane, so chunk *shape* legitimately shapes the
+        shared-cycle counter -- the executor must not.  The warning filter
+        fails the test if the pool falls back to serial.)"""
+        engine = InjectionEngine(InOrderCore(), program, seed=3,
+                                 golden_cache=GoldenRunCache())
+        checkpointed = engine.golden()
+        planned = engine.resolve_plan(uniform_injection_plan(
+            engine.core.flip_flop_count, checkpointed.golden.cycles, 30,
+            seed=3))
+        chunks = [ChunkSpec(index=index, planned=planned[start:start + 8],
+                            seed=index)
+                  for index, start in enumerate(range(0, len(planned), 8))]
+        spec = CampaignSpec(core=engine.core, program=program,
+                            checkpointed=checkpointed, batch_width=8,
+                            metrics=True)
+
+        def merged(executor):
+            results = sorted(executor.stream(spec, chunks, execute_chunk),
+                             key=lambda result: result.index)
+            metrics = MetricsRegistry()
+            for result in results:
+                metrics.merge(result.metrics)
+            return ([(result.outcomes, result.per_site) for result in results],
+                    metrics.to_dict())
+
+        serial_tallies, serial = merged(SerialExecutor())
+        parallel_tallies, parallel = merged(ParallelExecutor(workers=2))
+        assert len(chunks) == 4
+        assert serial_tallies == parallel_tallies
+        assert serial["counters"] == parallel["counters"]
+        assert serial["histograms"] == parallel["histograms"]
+        assert serial["histograms"].get(HISTOGRAM_REPLAY_CYCLES)
         # Wall-clock seconds differ run to run, but the invocation counts
         # under each timer are part of the deterministic merge.
         assert ({name: entry["count"]
-                 for name, entry in serial.metrics["timers"].items()}
+                 for name, entry in serial["timers"].items()}
                 == {name: entry["count"]
-                    for name, entry in parallel.metrics["timers"].items()})
+                    for name, entry in parallel["timers"].items()})
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,6 @@ class TestLatchStateProperties:
             for name, slot in zip(names, slots):
                 assert values[slot] == by_name.get(name)
                 assert values[slot] == by_slot.get(name)
-                assert by_slot.get_signed(name) == by_name.get_signed(name)
 
 
 class TestOutcomeCountProperties:
@@ -302,18 +301,14 @@ class TestArrayLatchStateEquivalence:
                 model[site.structure.name] ^= 1 << site.bit
         for name in names:
             assert latches.get(name) == model[name]
-        assert latches.snapshot() == model
         assert latches.serialize() == tuple(
             model[s.name] for s in registry.structures)
-        # serialize -> deserialize and snapshot -> restore both round-trip
-        # onto a fresh instance bit-identically.
+        # serialize -> deserialize round-trips onto a fresh instance
+        # bit-identically.
         via_serialize = LatchState(registry)
         via_serialize.deserialize(latches.serialize())
         assert via_serialize.serialize() == latches.serialize()
-        via_snapshot = LatchState(registry)
-        via_snapshot.restore(latches.snapshot())
-        assert via_snapshot.serialize() == latches.serialize()
-        assert via_snapshot.fingerprint_digest() == \
+        assert via_serialize.fingerprint_digest() == \
             latches.fingerprint_digest()
 
 

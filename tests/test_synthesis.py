@@ -234,8 +234,7 @@ class TestSyntheticSweep:
                       golden_cache=cache, **QUICK)
         serial = run_synthetic_sweep(ino_core, **kwargs)
         repeat = run_synthetic_sweep(ino_core, **kwargs)
-        pooled = run_synthetic_sweep(
-            ino_core, config=EngineConfig(workers=2, chunk_size=5), **kwargs)
+        pooled = run_synthetic_sweep(ino_core, workers=2, **kwargs)
 
         assert len(serial.workload_names) >= 20
         assert serial.table().count("\n") >= len(serial.profiles)
@@ -247,8 +246,7 @@ class TestSyntheticSweep:
         kwargs = dict(seed=11, per_family=2, injections_per_workload=3, **QUICK)
         serial = run_synthetic_sweep(ino_core, workers=1, **kwargs)
         sharded = run_synthetic_sweep(ino_core, workers=2, **kwargs)
-        odd_chunks = run_synthetic_sweep(ino_core, workers=3, chunk_size=3,
-                                         **kwargs)
+        odd_chunks = run_synthetic_sweep(ino_core, workers=3, **kwargs)
         _assert_sweeps_identical(serial, sharded, ino_core.flip_flop_count)
         _assert_sweeps_identical(serial, odd_chunks, ino_core.flip_flop_count)
 
@@ -256,8 +254,7 @@ class TestSyntheticSweep:
         kwargs = dict(seed=11, per_family=1, injections_per_workload=2,
                       families=["mixed", "arithmetic_dense"], **QUICK)
         serial = run_synthetic_sweep(ooo_core, workers=1, **kwargs)
-        sharded = run_synthetic_sweep(ooo_core, workers=2, chunk_size=1,
-                                      **kwargs)
+        sharded = run_synthetic_sweep(ooo_core, workers=2, **kwargs)
         _assert_sweeps_identical(serial, sharded, ooo_core.flip_flop_count)
 
     def test_sharded_sweep_leaves_caller_cache_untouched(self, ino_core):
@@ -269,20 +266,6 @@ class TestSyntheticSweep:
                             families=["mixed", "control_heavy"],
                             golden_cache=cache, **QUICK)
         assert len(cache) == 0 and cache.misses == 0
-
-    def test_max_cache_entries_sizes_private_caches(self, ino_core):
-        kwargs = dict(seed=3, per_family=2, injections_per_workload=2,
-                      families=["mixed", "control_heavy"], **QUICK)
-        sized = run_synthetic_sweep(ino_core, max_cache_entries=4, **kwargs)
-        default = run_synthetic_sweep(ino_core, **kwargs)
-        _assert_sweeps_identical(sized, default, ino_core.flip_flop_count)
-        # Sharded workers honour the knob too (bit-exact either way).
-        sharded = run_synthetic_sweep(ino_core, max_cache_entries=4,
-                                      workers=2, **kwargs)
-        _assert_sweeps_identical(sized, sharded, ino_core.flip_flop_count)
-        with pytest.raises(ValueError, match="not both"):
-            run_synthetic_sweep(ino_core, golden_cache=GoldenRunCache(),
-                                max_cache_entries=4, **kwargs)
 
     def test_seed_block_collisions_rejected(self, ino_core):
         from repro.workloads.synthesis.sweep import _FAMILY_SEED_STRIDE
