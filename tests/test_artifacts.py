@@ -286,6 +286,36 @@ class TestGuidedSlices:
         assert engine._shard([], SerialExecutor()) == []
 
 
+class TestGuidedSharding:
+    """The engine's pool chunks, cut by :func:`guided_slices`."""
+
+    def _plan(self, engine, count):
+        from repro.faultinjection import uniform_injection_plan
+
+        plan = uniform_injection_plan(engine.core.flip_flop_count, 500, count,
+                                      seed=3)
+        return engine.resolve_plan(plan)
+
+    def test_partition_preserves_plan_order(self, program):
+        engine = InjectionEngine(InOrderCore(), program, seed=3)
+        planned = self._plan(engine, 97)
+        chunks = engine._shard(planned, ParallelExecutor(workers=3))
+        assert len(chunks) > 1
+        flattened = [p for chunk in chunks for p in chunk.planned]
+        assert flattened == planned
+        assert [chunk.index for chunk in chunks] == list(range(len(chunks)))
+
+    def test_sizes_decrease_toward_min_chunk(self, program):
+        engine = InjectionEngine(InOrderCore(), program, seed=3,
+                                 config=EngineConfig(batch_width=1))
+        planned = self._plan(engine, 120)
+        chunks = engine._shard(planned, ParallelExecutor(workers=2))
+        sizes = [len(chunk.planned) for chunk in chunks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(size >= 4 for size in sizes[:-1])
+        assert sizes[0] == 30  # ceil(120 / (2 * 2))
+
+
 class TestSerialFallbackAndStealing:
     def test_small_plan_falls_back_to_serial(self, program):
         engine = InjectionEngine(InOrderCore(), program, seed=1,

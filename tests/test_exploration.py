@@ -249,6 +249,37 @@ class TestExplorerEquivalence:
         assert serial == sharded
         assert len(serial) == len(combos) * len(targets)
 
+    def test_shard_combinations_covers_pool(self, ino_framework, monkeypatch):
+        """The sharded sweep cuts the pool into in-order guided slices that
+        cover every combination exactly once (an empty pool, no shard)."""
+        import repro.core.exploration as exploration
+        from repro.engine import SerialExecutor
+
+        seen = []
+
+        class _RecordingExecutor(SerialExecutor):
+            def __init__(self, workers):
+                super().__init__()
+
+            def stream(self, payload, shards, fn):
+                seen.append(list(shards))
+                return super().stream(payload, shards, fn)
+
+        monkeypatch.setattr(exploration, "ParallelExecutor", _RecordingExecutor)
+        explorer = ino_framework.explorer
+        combos = enumerate_combinations("InO")[:17]
+        records = list(explorer.stream_records(sdc_targets()[:1], combos,
+                                               workers=2))
+        shards = seen.pop()
+        indices = [i for shard in shards for i in shard.combination_indices]
+        assert indices == list(range(17))
+        assert [shard.index for shard in shards] == list(range(len(shards)))
+        assert len(shards) > 1
+        assert sorted(r.combination_index for r in records) == list(range(17))
+        assert list(explorer.stream_records(sdc_targets()[:1], [],
+                                            workers=4)) == []
+        assert seen.pop() == []
+
     def test_cheapest_pruned_matches_exhaustive(self, ino_framework):
         explorer = ino_framework.explorer
         combos = enumerate_combinations("InO")[::7]
