@@ -27,13 +27,14 @@ structures into two planes:
 
 There is one in-order pipeline.  The wavefront steps a :class:`_LaneCore`,
 an :class:`InOrderCore` whose latch list holds ints in the control plane and
-columns in the lane plane, so :class:`InOrderCore`'s own stages advance
-every lane at once.  The lane core overrides only a few hooks: the execute
-stage takes the outcome of a vectorised pre-pass (which demotes lanes whose
-control would diverge), hint counters are kept as scalar offsets, and
-register writes and output commit whole columns.  This module is the
-orchestration around it: admission, the pre-pass and demotion, tandems,
-retirement and eviction.
+columns in the lane plane, so :class:`InOrderCore`'s own cycle
+(:meth:`~InOrderCore._step_cycle`, all seven stages in one body) advances
+every lane at once.  The lane core overrides only a few of the cycle's
+hooks: execute takes the outcome of a vectorised pre-pass (which demotes
+lanes whose control would diverge), hint counters are kept as scalar
+offsets, and register writes and output commit whole columns.  This module
+is the orchestration around it: admission, the pre-pass and demotion,
+tandems, retirement and eviction.
 
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep
@@ -106,7 +107,8 @@ from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot
 from repro.microarch.events import RunResult, TerminationReason, TrapKind
 from repro.microarch.execute import ExecuteResult, ExecuteTrap
-from repro.microarch.inorder import InOrderCore
+from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
+                                     E_TRAP, E_VALID, InOrderCore)
 from repro.microarch.memory import BatchedWordStore
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
@@ -152,8 +154,8 @@ _DATA_LATCHES = frozenset((
 def batched_replay_supported(core: BaseCore) -> bool:
     """True when ``core`` can be stepped as a lockstep wavefront.
 
-    The wavefront runs :class:`InOrderCore`'s own stages, so only that exact
-    type qualifies (a subclass may override a stage or a hook in ways the
+    The wavefront runs :class:`InOrderCore`'s own cycle, so only that exact
+    type qualifies (a subclass may override the cycle or a hook in ways the
     wavefront's lane core would not inherit).  Everything else -- the
     out-of-order core in particular -- replays on the scalar path.
     """
@@ -174,18 +176,18 @@ def _golden_batchable(golden: RunResult) -> bool:
 
 
 class _LaneCore(InOrderCore):
-    """``lanes`` in-order replays stepped at once by the inherited stages.
+    """``lanes`` in-order replays stepped at once by the inherited cycle.
 
     The latch list holds lane 0's ints in the control-plane slots (uniform
     across the wavefront by the lockstep invariant) and ``(lanes,)`` numpy
     columns in the lane-local slots: the value latches and every hint-only
     structure.  Registers, memory (a :class:`BatchedWordStore`) and emitted
-    output are per-lane columns too, so each stage moves whole columns.  The
+    output are per-lane columns too, so every latch move moves a column.  The
     hooks it overrides supply the wavefront's execute pre-pass outcome, keep
     the hint counters as scalar offsets and commit columns.
 
-    Stages share column objects between latches, registers and memory rows,
-    so a column is replaced, never written in place -- except when
+    The cycle shares column objects between latches, registers and memory
+    rows, so a column is replaced, never written in place -- except when
     :meth:`seat_reference` copies lane 0 into a joining slot, which gives
     every alias the value it must hold anyway.  A lane core is never
     snapshotted or fingerprinted as a whole: :meth:`lane_snapshot` extracts
@@ -773,20 +775,18 @@ class _StreamingWavefront:
         ``e.*`` latches this reads, and a demoted lane's snapshot must be
         its start-of-cycle state anyway.
         """
-        core = self._core
-        v = core.latches.values
-        s = core._slots
-        if not v[s.e_valid] or v[s.e_trap]:
+        v = self._core.latches.values
+        if not v[E_VALID] or v[E_TRAP]:
             return None
-        opcode = OPCODE_BY_VALUE.get(v[s.e_op])
+        opcode = OPCODE_BY_VALUE.get(v[E_OP])
         if opcode is None:
             return None
-        pc = v[s.e_pc]
-        imm = v[s.e_imm]
+        pc = v[E_PC]
+        imm = v[E_IMM]
         if imm & 0x4000:  # sign-extend the 15-bit immediate
             imm -= 0x8000
-        a = v[s.e_rs1val]
-        b = v[s.e_rs2val]
+        a = v[E_RS1VAL]
+        b = v[E_RS2VAL]
         ai = a.astype(np.int64, copy=False)
         bi = b.astype(np.int64, copy=False)
         zeros = self._zeros

@@ -25,8 +25,6 @@ as in the paper, and are therefore not injection targets.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
 from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
@@ -35,6 +33,7 @@ from repro.microarch.branch_predictor import BimodalPredictor
 from repro.microarch.core import BaseCore, CoreClass
 from repro.microarch.events import TerminationReason, TrapKind
 from repro.microarch.execute import ExecuteResult, ExecuteTrap, execute_operation
+from repro.microarch.flipflop import FlipFlopRegistry
 from repro.microarch.memory import MemoryFault, MemorySystem
 
 # Trap kinds are carried down the pipeline in a 3-bit field.
@@ -46,9 +45,18 @@ _TRAP_CODES = {
     TrapKind.SOFTWARE_ASSERTION: 5,
 }
 _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
+_ILLEGAL = _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
+_MEMORY_FAULT = _TRAP_CODES[TrapKind.MEMORY_FAULT]
+_FETCH_FAULT = _TRAP_CODES[TrapKind.FETCH_FAULT]
 
-_INFO_BY_VALUE = {int(op): OPCODE_INFO[op] for op in Opcode}
-_HALT = int(Opcode.HALT)
+# Opcode-value tables, one entry per value of a 7-bit op latch (None or
+# False for a value no opcode has).
+_OPCODE = [OPCODE_BY_VALUE.get(value) for value in range(128)]
+_INFO = [None if op is None else OPCODE_INFO[op] for op in _OPCODE]
+_WRITES_RD = [info is not None and info.writes_rd for info in _INFO]
+_LW, _LB, _SW, _SB, _OUT, _HALT = map(int, (
+    Opcode.LW, Opcode.LB, Opcode.SW, Opcode.SB, Opcode.OUT, Opcode.HALT))
+_NO_FIELDS = (0, 0, 0, 0, 0)
 _WORD_MASK = 0xFFFFFFFF
 _IMM_MASK = 0x7FFF
 """Width mask of the ``a.imm``/``e.imm`` latches (15-bit immediates)."""
@@ -58,37 +66,165 @@ _MISSING = object()
 INO_CLOCK_MHZ = 2000.0
 """Nominal clock of the InO-core (2.0 GHz, Table 1)."""
 
-_SLOT_LATCHES = (
-    "f.pc", "f.npc",
-    "d.inst", "d.pc", "d.valid", "d.fetchfault",
-    "a.op", "a.rd", "a.rs1", "a.rs2", "a.imm", "a.pc", "a.valid", "a.trap",
-    "a.trapkind",
-    "e.op", "e.rd", "e.rs1val", "e.rs2val", "e.imm", "e.pc", "e.valid",
-    "e.trap", "e.trapkind",
-    "m.op", "m.rd", "m.result", "m.addr", "m.storeval", "m.valid", "m.trap",
-    "m.trapkind", "m.branch_taken",
-    "x.op", "x.rd", "x.result", "x.valid", "x.trap", "x.trapkind",
-    "x.outval", "x.outpending", "x.icc",
-    "w.op", "w.rd", "w.result", "w.wen", "w.valid", "w.trap", "w.trapkind",
-    "w.outval", "w.outpending", "w.s.icc",
-    "ic.ctrl.state", "dc.ctrl.state", "irq.pending",
-)
-"""Latches the per-cycle path reads or writes (the predictor keeps its own)."""
 
-_Slots = namedtuple("_Slots",
-                    [name.replace(".", "_") for name in _SLOT_LATCHES])
+def _declare_state(registry: FlipFlopRegistry) -> None:
+    """Register the InO-core's flip-flop structures, in slot order."""
+    reg = registry.register
+
+    # Fetch unit.
+    reg("f.pc", 32, "fetch")
+    reg("f.npc", 32, "fetch")
+    reg("f.valid", 1, "fetch")
+    reg("f.bp.table", 64, "fetch", architectural=False)
+    reg("f.bp.history", 8, "fetch", architectural=False)
+
+    # Fetch -> decode latch.
+    reg("d.inst", 32, "decode")
+    reg("d.pc", 32, "decode")
+    reg("d.valid", 1, "decode")
+    reg("d.fetchfault", 1, "decode")
+    reg("d.pv", 2, "decode", architectural=False)
+
+    # Decode -> register-access latch.
+    reg("a.op", 7, "regaccess")
+    reg("a.rd", 5, "regaccess")
+    reg("a.rs1", 5, "regaccess")
+    reg("a.rs2", 5, "regaccess")
+    reg("a.imm", 15, "regaccess")
+    reg("a.pc", 32, "regaccess")
+    reg("a.valid", 1, "regaccess")
+    reg("a.trap", 1, "regaccess")
+    reg("a.trapkind", 3, "regaccess")
+    reg("a.ctrl.tt", 8, "regaccess", architectural=False)
+    reg("a.cwp", 5, "regaccess", architectural=False)
+    reg("a.rfe1", 1, "regaccess", architectural=False)
+    reg("a.rfe2", 1, "regaccess", architectural=False)
+
+    # Register-access -> execute latch.
+    reg("e.op", 7, "execute")
+    reg("e.rd", 5, "execute")
+    reg("e.rs1val", 32, "execute")
+    reg("e.rs2val", 32, "execute")
+    reg("e.imm", 15, "execute")
+    reg("e.pc", 32, "execute")
+    reg("e.valid", 1, "execute")
+    reg("e.trap", 1, "execute")
+    reg("e.trapkind", 3, "execute")
+    reg("e.ctrl.tt", 8, "execute", architectural=False)
+    reg("e.mulstep", 6, "execute", architectural=False)
+    reg("e.su", 1, "execute", architectural=False)
+    reg("e.et", 1, "execute", architectural=False)
+
+    # Execute -> memory latch.
+    reg("m.op", 7, "memory")
+    reg("m.rd", 5, "memory")
+    reg("m.result", 32, "memory")
+    reg("m.addr", 32, "memory")
+    reg("m.storeval", 32, "memory")
+    reg("m.valid", 1, "memory")
+    reg("m.trap", 1, "memory")
+    reg("m.trapkind", 3, "memory")
+    reg("m.branch_taken", 1, "memory")
+    reg("m.ctrl.tt", 8, "memory", architectural=False)
+    reg("m.dci.asi", 8, "memory", architectural=False)
+    reg("m.dci.lock", 1, "memory", architectural=False)
+    reg("m.dci.signed", 1, "memory", architectural=False)
+    reg("m.irqen", 1, "memory", architectural=False)
+    reg("m.irqen2", 1, "memory", architectural=False)
+
+    # Memory -> exception latch.
+    reg("x.op", 7, "exception")
+    reg("x.rd", 5, "exception")
+    reg("x.result", 32, "exception")
+    reg("x.valid", 1, "exception")
+    reg("x.trap", 1, "exception")
+    reg("x.trapkind", 3, "exception")
+    reg("x.outval", 32, "exception")
+    reg("x.outpending", 1, "exception")
+    reg("x.ctrl.tt", 8, "exception", architectural=False)
+    reg("x.icc", 4, "exception", architectural=False)
+    reg("x.ipend", 1, "exception", architectural=False)
+    reg("x.intack", 1, "exception", architectural=False)
+
+    # Exception -> writeback latch.
+    reg("w.op", 7, "writeback")
+    reg("w.rd", 5, "writeback")
+    reg("w.result", 32, "writeback")
+    reg("w.wen", 1, "writeback")
+    reg("w.valid", 1, "writeback")
+    reg("w.trap", 1, "writeback")
+    reg("w.trapkind", 3, "writeback")
+    reg("w.outval", 32, "writeback")
+    reg("w.outpending", 1, "writeback")
+    # Processor status register fields (mostly hint/privilege state the
+    # workloads never read back; errors there vanish).
+    reg("w.s.icc", 4, "writeback", architectural=False)
+    reg("w.s.tt", 8, "writeback", architectural=False)
+    reg("w.s.pil", 4, "writeback", architectural=False)
+    reg("w.s.ec", 1, "writeback", architectural=False)
+    reg("w.s.ef", 1, "writeback", architectural=False)
+    reg("w.s.ps", 1, "writeback", architectural=False)
+    reg("w.s.et", 1, "writeback", architectural=False)
+    reg("w.s.cwp", 5, "writeback", architectural=False)
+    reg("w.s.dwt", 1, "writeback", architectural=False)
+
+    # Cache controllers (control/bookkeeping only; the cache arrays
+    # themselves are SRAM).
+    reg("ic.ctrl.state", 4, "icache", architectural=False)
+    reg("ic.ctrl.hold", 1, "icache", architectural=False)
+    reg("dc.ctrl.state", 4, "dcache", architectural=False)
+    reg("dc.ctrl.hold", 1, "dcache", architectural=False)
+
+    # Interrupt controller: toggles during execution but the workloads
+    # never consume it, so its errors vanish (Appendix A analogues).
+    reg("irq.pending", 16, "peripherals", architectural=False)
+    reg("irq.mask", 16, "peripherals", architectural=False)
+
+
+_LAYOUT = FlipFlopRegistry("InO-core")
+_declare_state(_LAYOUT)
+_slot = {structure.name: slot
+         for slot, structure in enumerate(_LAYOUT.structures)}.__getitem__
+
+# The slot of every latch the cycle touches (the predictor keeps its own):
+# registration order is slot order, the same in every InOrderCore, so the
+# cycle indexes the latch list by these constants.
+F_PC, F_NPC = map(_slot, ("f.pc", "f.npc"))
+D_INST, D_PC, D_VALID, D_FETCHFAULT = map(_slot, (
+    "d.inst", "d.pc", "d.valid", "d.fetchfault"))
+A_OP, A_RD, A_RS1, A_RS2, A_IMM, A_PC, A_VALID, A_TRAP, A_TRAPKIND = map(
+    _slot, ("a.op", "a.rd", "a.rs1", "a.rs2", "a.imm", "a.pc", "a.valid",
+            "a.trap", "a.trapkind"))
+(E_OP, E_RD, E_RS1VAL, E_RS2VAL, E_IMM, E_PC, E_VALID, E_TRAP,
+ E_TRAPKIND) = map(_slot, (
+    "e.op", "e.rd", "e.rs1val", "e.rs2val", "e.imm", "e.pc", "e.valid",
+    "e.trap", "e.trapkind"))
+(M_OP, M_RD, M_RESULT, M_ADDR, M_STOREVAL, M_VALID, M_TRAP, M_TRAPKIND,
+ M_BRANCH_TAKEN) = map(_slot, (
+    "m.op", "m.rd", "m.result", "m.addr", "m.storeval", "m.valid", "m.trap",
+    "m.trapkind", "m.branch_taken"))
+(X_OP, X_RD, X_RESULT, X_VALID, X_TRAP, X_TRAPKIND, X_OUTVAL, X_OUTPENDING,
+ X_ICC) = map(_slot, (
+    "x.op", "x.rd", "x.result", "x.valid", "x.trap", "x.trapkind",
+    "x.outval", "x.outpending", "x.icc"))
+(W_OP, W_RD, W_RESULT, W_WEN, W_VALID, W_TRAP, W_TRAPKIND, W_OUTVAL,
+ W_OUTPENDING, W_S_ICC) = map(_slot, (
+    "w.op", "w.rd", "w.result", "w.wen", "w.valid", "w.trap", "w.trapkind",
+    "w.outval", "w.outpending", "w.s.icc"))
+IC_CTRL_STATE, DC_CTRL_STATE, IRQ_PENDING = map(_slot, (
+    "ic.ctrl.state", "dc.ctrl.state", "irq.pending"))
 
 
 class InOrderCore(BaseCore):
     """Cycle-level model of the simple in-order core."""
 
-    # The hint plane is behaviour-free.  Only these stages touch hint
-    # latches, and none reads one into a decision, a register, memory or
-    # output:
-    # * execute trains the bimodal predictor (f.bp.table, f.bp.history),
+    # The hint plane is behaviour-free.  Only these parts of the cycle touch
+    # hint latches, and none reads one into a decision, a register, memory
+    # or output:
+    # * EX -> ME trains the bimodal predictor (f.bp.table, f.bp.history),
     #   which feeds only itself -- fetch is static not-taken;
-    # * exception -> writeback copies x.icc into w.s.icc, hint to hint;
-    # * fetch, memory and the end of every cycle advance the
+    # * XC -> WB copies x.icc into w.s.icc, hint to hint;
+    # * FE -> DE, ME -> XC and the end of every cycle advance the
     #   ic.ctrl.state / dc.ctrl.state / irq.pending counters, write-only.
     # Every other hint structure is never touched after reset.
     # tests/test_engine.py::TestHintPlane flips every hint bit and checks it.
@@ -97,7 +233,7 @@ class InOrderCore(BaseCore):
     def __init__(self, name: str = "InO-core"):
         super().__init__(name=name, clock_mhz=INO_CLOCK_MHZ,
                          core_class=CoreClass.IN_ORDER)
-        self._declare_state()
+        _declare_state(self.registry)
         self._finalize_state()
         self.memory = MemorySystem()
         self.registers: list[int] = [0] * NUM_REGISTERS
@@ -112,130 +248,10 @@ class InOrderCore(BaseCore):
         self._fetch_words: dict[int, int | None] = {}
         # audit: allow[state-coverage] word -> decoded latch fields memo; decoding is a pure function of the word
         self._decoded: dict[int, tuple | None] = {}
-        # Every latch the per-cycle path touches, resolved to its slot once.
-        s = self._slots = _Slots._make(map(self.latches.slot, _SLOT_LATCHES))
-        # (valid, trap, op, rd) of the memory, exception and writeback
-        # latches: the in-flight results the scoreboard checks.
-        self._hazard_slots = ((s.m_valid, s.m_trap, s.m_op, s.m_rd),
-                              (s.x_valid, s.x_trap, s.x_op, s.x_rd),
-                              (s.w_valid, s.w_trap, s.w_op, s.w_rd))
         # Slot -> width mask of each hint counter :meth:`_count` advances.
         self._counter_masks = {
             slot: (1 << self.registry.structures[slot].width) - 1
-            for slot in (s.irq_pending, s.ic_ctrl_state, s.dc_ctrl_state)}
-
-    # ------------------------------------------------------------------ state declaration
-    def _declare_state(self) -> None:
-        reg = self.registry.register
-
-        # Fetch unit.
-        reg("f.pc", 32, "fetch")
-        reg("f.npc", 32, "fetch")
-        reg("f.valid", 1, "fetch")
-        reg("f.bp.table", 64, "fetch", architectural=False)
-        reg("f.bp.history", 8, "fetch", architectural=False)
-
-        # Fetch -> decode latch.
-        reg("d.inst", 32, "decode")
-        reg("d.pc", 32, "decode")
-        reg("d.valid", 1, "decode")
-        reg("d.fetchfault", 1, "decode")
-        reg("d.pv", 2, "decode", architectural=False)
-
-        # Decode -> register-access latch.
-        reg("a.op", 7, "regaccess")
-        reg("a.rd", 5, "regaccess")
-        reg("a.rs1", 5, "regaccess")
-        reg("a.rs2", 5, "regaccess")
-        reg("a.imm", 15, "regaccess")
-        reg("a.pc", 32, "regaccess")
-        reg("a.valid", 1, "regaccess")
-        reg("a.trap", 1, "regaccess")
-        reg("a.trapkind", 3, "regaccess")
-        reg("a.ctrl.tt", 8, "regaccess", architectural=False)
-        reg("a.cwp", 5, "regaccess", architectural=False)
-        reg("a.rfe1", 1, "regaccess", architectural=False)
-        reg("a.rfe2", 1, "regaccess", architectural=False)
-
-        # Register-access -> execute latch.
-        reg("e.op", 7, "execute")
-        reg("e.rd", 5, "execute")
-        reg("e.rs1val", 32, "execute")
-        reg("e.rs2val", 32, "execute")
-        reg("e.imm", 15, "execute")
-        reg("e.pc", 32, "execute")
-        reg("e.valid", 1, "execute")
-        reg("e.trap", 1, "execute")
-        reg("e.trapkind", 3, "execute")
-        reg("e.ctrl.tt", 8, "execute", architectural=False)
-        reg("e.mulstep", 6, "execute", architectural=False)
-        reg("e.su", 1, "execute", architectural=False)
-        reg("e.et", 1, "execute", architectural=False)
-
-        # Execute -> memory latch.
-        reg("m.op", 7, "memory")
-        reg("m.rd", 5, "memory")
-        reg("m.result", 32, "memory")
-        reg("m.addr", 32, "memory")
-        reg("m.storeval", 32, "memory")
-        reg("m.valid", 1, "memory")
-        reg("m.trap", 1, "memory")
-        reg("m.trapkind", 3, "memory")
-        reg("m.branch_taken", 1, "memory")
-        reg("m.ctrl.tt", 8, "memory", architectural=False)
-        reg("m.dci.asi", 8, "memory", architectural=False)
-        reg("m.dci.lock", 1, "memory", architectural=False)
-        reg("m.dci.signed", 1, "memory", architectural=False)
-        reg("m.irqen", 1, "memory", architectural=False)
-        reg("m.irqen2", 1, "memory", architectural=False)
-
-        # Memory -> exception latch.
-        reg("x.op", 7, "exception")
-        reg("x.rd", 5, "exception")
-        reg("x.result", 32, "exception")
-        reg("x.valid", 1, "exception")
-        reg("x.trap", 1, "exception")
-        reg("x.trapkind", 3, "exception")
-        reg("x.outval", 32, "exception")
-        reg("x.outpending", 1, "exception")
-        reg("x.ctrl.tt", 8, "exception", architectural=False)
-        reg("x.icc", 4, "exception", architectural=False)
-        reg("x.ipend", 1, "exception", architectural=False)
-        reg("x.intack", 1, "exception", architectural=False)
-
-        # Exception -> writeback latch.
-        reg("w.op", 7, "writeback")
-        reg("w.rd", 5, "writeback")
-        reg("w.result", 32, "writeback")
-        reg("w.wen", 1, "writeback")
-        reg("w.valid", 1, "writeback")
-        reg("w.trap", 1, "writeback")
-        reg("w.trapkind", 3, "writeback")
-        reg("w.outval", 32, "writeback")
-        reg("w.outpending", 1, "writeback")
-        # Processor status register fields (mostly hint/privilege state the
-        # workloads never read back; errors there vanish).
-        reg("w.s.icc", 4, "writeback", architectural=False)
-        reg("w.s.tt", 8, "writeback", architectural=False)
-        reg("w.s.pil", 4, "writeback", architectural=False)
-        reg("w.s.ec", 1, "writeback", architectural=False)
-        reg("w.s.ef", 1, "writeback", architectural=False)
-        reg("w.s.ps", 1, "writeback", architectural=False)
-        reg("w.s.et", 1, "writeback", architectural=False)
-        reg("w.s.cwp", 5, "writeback", architectural=False)
-        reg("w.s.dwt", 1, "writeback", architectural=False)
-
-        # Cache controllers (control/bookkeeping only; the cache arrays
-        # themselves are SRAM).
-        reg("ic.ctrl.state", 4, "icache", architectural=False)
-        reg("ic.ctrl.hold", 1, "icache", architectural=False)
-        reg("dc.ctrl.state", 4, "dcache", architectural=False)
-        reg("dc.ctrl.hold", 1, "dcache", architectural=False)
-
-        # Interrupt controller: toggles during execution but the workloads
-        # never consume it, so its errors vanish (Appendix A analogues).
-        reg("irq.pending", 16, "peripherals", architectural=False)
-        reg("irq.mask", 16, "peripherals", architectural=False)
+            for slot in (IRQ_PENDING, IC_CTRL_STATE, DC_CTRL_STATE)}
 
     # ------------------------------------------------------------------ reset
     def _reset_microarchitecture(self, program: Program) -> None:
@@ -269,10 +285,10 @@ class InOrderCore(BaseCore):
         return (tuple(self.registers), self.memory.fingerprint_digest(),
                 self._redirect_target)
 
-    # ------------------------------------------------------------------ helpers
-    def _read_register(self, index: int) -> int:
-        return self.registers[index & 0x1F]
-
+    # ------------------------------------------------------------------ hooks
+    # The cycle reaches registers, the execute unit, hint counters, output,
+    # fetch and decode through these; the batched lockstep replay's lane
+    # core overrides them and inherits the cycle itself.
     def _write_register(self, index: int, value: int) -> None:
         index &= 0x1F
         if index != 0:
@@ -318,263 +334,233 @@ class InOrderCore(BaseCore):
             self._decoded[word] = fields
         return fields
 
-    def _hazard_destinations(self, v: list) -> set[int]:
-        """Destination registers of in-flight, not-yet-committed instructions.
-
-        Called after the downstream latch moves of the current cycle, so older
-        instructions live in the memory, exception and writeback latches.
-        """
-        destinations: set[int] = set()
-        for valid, trap, op, rd in self._hazard_slots:
-            if v[valid] and not v[trap]:
-                info = _INFO_BY_VALUE.get(v[op])
-                if info is not None and info.writes_rd and v[rd] != 0:
-                    destinations.add(v[rd])
-        return destinations
-
-    # ------------------------------------------------------------------ pipeline stages
-    # Every stage indexes the flat latch list directly.  Writes are not
-    # masked there, so each one stores a value already within its latch's
-    # width: a move, a constant, a masked execute/memory/register result, or
-    # an explicitly masked pc increment.  The batched lockstep replay runs
-    # these same stages with per-lane numpy columns in the lane-local latches.
+    # ------------------------------------------------------------------ the cycle
+    # One body runs the seven stages back to front, so every latch is drained
+    # into the next before the stage behind refills it: WB commit, XC -> WB,
+    # ME -> XC, EX -> ME, then RA -> EX, DE -> RA and FE -> DE, which a taken
+    # branch squashes and a scoreboard stall freezes.  Every latch access is
+    # an item access, by a module slot constant, on the list read at the
+    # top: the dead-flip access log (repro.engine.liveness) sees each one and
+    # keeps whether a slot's first access in a cycle is a read or a write,
+    # so moving a read ahead of a write changes its masks.  Writes are not
+    # masked, so each one stores a value already within its latch's width: a
+    # move, a constant, a masked execute/memory/register result, or an
+    # explicitly masked pc increment.  The batched lockstep replay runs this
+    # same cycle with per-lane numpy columns in the lane-local latches.
     def _step_cycle(self) -> None:
-        self._commit_writeback()
-        if self.terminated:
-            return
-        self._stage_exception_to_writeback()
-        self._stage_memory_to_exception()
-        redirect = self._stage_execute_to_memory()
-        stalled = self._stage_regaccess_to_execute(redirect)
-        self._stage_decode_to_regaccess(redirect, stalled)
-        self._stage_fetch_to_decode(redirect, stalled)
-        # Peripheral hint state toggles so vanish-class flip-flops see traffic.
-        self._count(self._slots.irq_pending)
-
-    # WB: commit results, outputs, halts and traps.
-    def _commit_writeback(self) -> None:
         v = self.latches.values
-        s = self._slots
-        if not v[s.w_valid]:
-            return
-        if v[s.w_trap]:
-            kind = _TRAP_FROM_CODE.get(v[s.w_trapkind],
-                                       TrapKind.ILLEGAL_INSTRUCTION)
-            reason = (TerminationReason.DETECTED
-                      if kind is TrapKind.SOFTWARE_ASSERTION
-                      else TerminationReason.TRAP)
-            self.force_termination(reason, kind)
-            v[s.w_valid] = 0
-            return
-        if v[s.w_wen]:
-            self._write_register(v[s.w_rd], v[s.w_result])
-        if v[s.w_outpending]:
-            self.emit_output(v[s.w_outval])
-        self.note_retired()
-        if v[s.w_op] == _HALT:
-            self.force_termination(TerminationReason.HALTED)
-        v[s.w_valid] = 0
-        v[s.w_wen] = 0
-        v[s.w_outpending] = 0
 
-    # XC -> WB
-    def _stage_exception_to_writeback(self) -> None:
-        v = self.latches.values
-        s = self._slots
-        if not v[s.x_valid]:
-            v[s.w_valid] = 0
-            v[s.w_wen] = 0
-            v[s.w_outpending] = 0
+        # WB: commit results, outputs, halts and traps.
+        if v[W_VALID]:
+            if v[W_TRAP]:
+                kind = _TRAP_FROM_CODE.get(v[W_TRAPKIND],
+                                           TrapKind.ILLEGAL_INSTRUCTION)
+                self.force_termination(
+                    TerminationReason.DETECTED
+                    if kind is TrapKind.SOFTWARE_ASSERTION
+                    else TerminationReason.TRAP, kind)
+                v[W_VALID] = 0
+                return
+            if v[W_WEN]:
+                self._write_register(v[W_RD], v[W_RESULT])
+            if v[W_OUTPENDING]:
+                self.emit_output(v[W_OUTVAL])
+            self._retired += 1
+            if v[W_OP] == _HALT:
+                self.force_termination(TerminationReason.HALTED)
+            v[W_VALID] = 0
+            v[W_WEN] = 0
+            v[W_OUTPENDING] = 0
+        if self._termination is not None:
             return
-        v[s.w_op] = v[s.x_op]
-        v[s.w_rd] = v[s.x_rd]
-        v[s.w_result] = v[s.x_result]
-        v[s.w_trap] = v[s.x_trap]
-        v[s.w_trapkind] = v[s.x_trapkind]
-        v[s.w_outval] = v[s.x_outval]
-        v[s.w_outpending] = v[s.x_outpending]
-        v[s.w_valid] = 1
-        wen = 0
-        if not v[s.x_trap]:
-            info = _INFO_BY_VALUE.get(v[s.x_op])
-            if info is not None and info.writes_rd and v[s.x_rd] != 0:
-                wen = 1
-        v[s.w_wen] = wen
-        # Status-register bookkeeping (hint-only state).
-        v[s.w_s_icc] = v[s.x_icc]
-        v[s.x_valid] = 0
 
-    # ME -> XC: data memory access.
-    def _stage_memory_to_exception(self) -> None:
-        v = self.latches.values
-        s = self._slots
-        if not v[s.m_valid]:
-            v[s.x_valid] = 0
-            v[s.x_outpending] = 0
-            return
-        v[s.x_op] = v[s.m_op]
-        v[s.x_rd] = v[s.m_rd]
-        v[s.x_trap] = v[s.m_trap]
-        v[s.x_trapkind] = v[s.m_trapkind]
-        v[s.x_valid] = 1
-        v[s.x_outpending] = 0
-        result = v[s.m_result]
-        if not v[s.m_trap]:
-            opcode = OPCODE_BY_VALUE.get(v[s.m_op])
-            address = v[s.m_addr]
-            try:
-                if opcode is Opcode.LW:
-                    result = self.memory.load_word(address)
-                elif opcode is Opcode.LB:
-                    result = self.memory.load_byte(address)
-                elif opcode is Opcode.SW:
-                    self.memory.store_word(address, v[s.m_storeval])
-                elif opcode is Opcode.SB:
-                    self.memory.store_byte(address, v[s.m_storeval])
-                elif opcode is Opcode.OUT:
-                    v[s.x_outval] = v[s.m_storeval]
-                    v[s.x_outpending] = 1
-            except MemoryFault:
-                v[s.x_trap] = 1
-                v[s.x_trapkind] = _TRAP_CODES[TrapKind.MEMORY_FAULT]
-            # Track data-cache controller hint state.
-            self._count(s.dc_ctrl_state)
-        v[s.x_result] = result
-        v[s.m_valid] = 0
-
-    # EX -> ME: ALU, branch resolution.
-    def _stage_execute_to_memory(self) -> bool:
-        v = self.latches.values
-        s = self._slots
-        if not v[s.e_valid]:
-            v[s.m_valid] = 0
-            return False
-        v[s.m_op] = v[s.e_op]
-        v[s.m_rd] = v[s.e_rd]
-        v[s.m_trap] = v[s.e_trap]
-        v[s.m_trapkind] = v[s.e_trapkind]
-        v[s.m_valid] = 1
-        v[s.m_branch_taken] = 0
-        redirect = False
-        if not v[s.e_trap]:
-            pc = v[s.e_pc]
-            imm = v[s.e_imm]
-            if imm & _IMM_SIGN:
-                imm -= _IMM_MASK + 1
-            opcode = OPCODE_BY_VALUE.get(v[s.e_op])
-            if opcode is None:
-                v[s.m_trap] = 1
-                v[s.m_trapkind] = _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
-            else:
-                try:
-                    result = self._execute(opcode, v[s.e_rs1val],
-                                           v[s.e_rs2val], imm, pc)
-                except ExecuteTrap as trap:
-                    v[s.m_trap] = 1
-                    v[s.m_trapkind] = _TRAP_CODES[trap.kind]
-                else:
-                    v[s.m_result] = result.value
-                    if result.memory_address is not None:
-                        v[s.m_addr] = result.memory_address
-                    if result.store_value is not None:
-                        v[s.m_storeval] = result.store_value
-                    if result.output_value is not None:
-                        # Reuse the store-value path to carry the OUT payload.
-                        v[s.m_storeval] = result.output_value
-                    if OPCODE_INFO[opcode].is_branch:
-                        self._predictor.update(pc, result.branch_taken)
-                    if result.branch_taken:
-                        redirect = True
-                        v[s.m_branch_taken] = 1
-                        self._redirect_target = result.branch_target
-        v[s.e_valid] = 0
-        return redirect
-
-    # RA -> EX: register read with scoreboard stall.
-    def _stage_regaccess_to_execute(self, redirect: bool) -> bool:
-        v = self.latches.values
-        s = self._slots
-        if redirect or not v[s.a_valid]:
-            v[s.e_valid] = 0
-            if redirect:
-                v[s.a_valid] = 0
-            return False
-        info = _INFO_BY_VALUE.get(v[s.a_op])
-        if info is not None and not v[s.a_trap]:
-            hazards = self._hazard_destinations(v)
-            if hazards and ((info.reads_rs1 and v[s.a_rs1] in hazards)
-                            or (info.reads_rs2 and v[s.a_rs2] in hazards)):
-                # Stall: keep the regaccess latch, feed a bubble to execute.
-                v[s.e_valid] = 0
-                return True
-        v[s.e_op] = v[s.a_op]
-        v[s.e_rd] = v[s.a_rd]
-        v[s.e_imm] = v[s.a_imm]
-        v[s.e_pc] = v[s.a_pc]
-        v[s.e_trap] = v[s.a_trap]
-        v[s.e_trapkind] = v[s.a_trapkind]
-        v[s.e_rs1val] = self._read_register(v[s.a_rs1])
-        v[s.e_rs2val] = self._read_register(v[s.a_rs2])
-        v[s.e_valid] = 1
-        v[s.a_valid] = 0
-        return False
-
-    # DE -> RA: decode.
-    def _stage_decode_to_regaccess(self, redirect: bool, stalled: bool) -> None:
-        v = self.latches.values
-        s = self._slots
-        if stalled:
-            return
-        if redirect or not v[s.d_valid]:
-            v[s.a_valid] = 0
-            if redirect:
-                v[s.d_valid] = 0
-            return
-        v[s.a_pc] = v[s.d_pc]
-        v[s.a_valid] = 1
-        v[s.a_trap] = 0
-        v[s.a_trapkind] = 0
-        if v[s.d_fetchfault]:
-            fields = None
-            trap_kind = TrapKind.FETCH_FAULT
+        # XC -> WB
+        if v[X_VALID]:
+            op = v[W_OP] = v[X_OP]
+            rd = v[W_RD] = v[X_RD]
+            v[W_RESULT] = v[X_RESULT]
+            trap = v[W_TRAP] = v[X_TRAP]
+            v[W_TRAPKIND] = v[X_TRAPKIND]
+            v[W_OUTVAL] = v[X_OUTVAL]
+            v[W_OUTPENDING] = v[X_OUTPENDING]
+            v[W_VALID] = 1
+            v[W_WEN] = 1 if not trap and _WRITES_RD[op] and rd != 0 else 0
+            # Status-register bookkeeping (hint-only state).
+            v[W_S_ICC] = v[X_ICC]
+            v[X_VALID] = 0
         else:
-            fields = self._decode_fields(v[s.d_inst])
-            trap_kind = TrapKind.ILLEGAL_INSTRUCTION
-        if fields is None:
-            v[s.a_trap] = 1
-            v[s.a_trapkind] = _TRAP_CODES[trap_kind]
-            fields = (0, 0, 0, 0, 0)
-        v[s.a_op], v[s.a_rd], v[s.a_rs1], v[s.a_rs2], v[s.a_imm] = fields
-        v[s.d_valid] = 0
+            v[W_VALID] = 0
+            v[W_WEN] = 0
+            v[W_OUTPENDING] = 0
 
-    # FE -> DE: instruction fetch.
-    def _stage_fetch_to_decode(self, redirect: bool, stalled: bool) -> None:
-        v = self.latches.values
-        s = self._slots
-        if stalled:
-            return
+        # ME -> XC: data memory access.
+        if v[M_VALID]:
+            op = v[X_OP] = v[M_OP]
+            v[X_RD] = v[M_RD]
+            trap = v[X_TRAP] = v[M_TRAP]
+            v[X_TRAPKIND] = v[M_TRAPKIND]
+            v[X_VALID] = 1
+            v[X_OUTPENDING] = 0
+            result = v[M_RESULT]
+            if not trap:
+                address = v[M_ADDR]
+                memory = self.memory
+                try:
+                    if op == _LW:
+                        result = memory.load_word(address)
+                    elif op == _LB:
+                        result = memory.load_byte(address)
+                    elif op == _SW:
+                        memory.store_word(address, v[M_STOREVAL])
+                    elif op == _SB:
+                        memory.store_byte(address, v[M_STOREVAL])
+                    elif op == _OUT:
+                        v[X_OUTVAL] = v[M_STOREVAL]
+                        v[X_OUTPENDING] = 1
+                except MemoryFault:
+                    v[X_TRAP] = 1
+                    v[X_TRAPKIND] = _MEMORY_FAULT
+                # Track data-cache controller hint state.
+                self._count(DC_CTRL_STATE)
+            v[X_RESULT] = result
+            v[M_VALID] = 0
+        else:
+            v[X_VALID] = 0
+            v[X_OUTPENDING] = 0
+
+        # EX -> ME: ALU, branch resolution.
+        redirect = False
+        if v[E_VALID]:
+            op = v[M_OP] = v[E_OP]
+            v[M_RD] = v[E_RD]
+            trap = v[M_TRAP] = v[E_TRAP]
+            v[M_TRAPKIND] = v[E_TRAPKIND]
+            v[M_VALID] = 1
+            v[M_BRANCH_TAKEN] = 0
+            if not trap:
+                pc = v[E_PC]
+                imm = v[E_IMM]
+                if imm & _IMM_SIGN:
+                    imm -= _IMM_MASK + 1
+                opcode = _OPCODE[op]
+                if opcode is None:
+                    v[M_TRAP] = 1
+                    v[M_TRAPKIND] = _ILLEGAL
+                else:
+                    try:
+                        result = self._execute(opcode, v[E_RS1VAL],
+                                               v[E_RS2VAL], imm, pc)
+                    except ExecuteTrap as exc:
+                        v[M_TRAP] = 1
+                        v[M_TRAPKIND] = _TRAP_CODES[exc.kind]
+                    else:
+                        v[M_RESULT] = result.value
+                        if result.memory_address is not None:
+                            v[M_ADDR] = result.memory_address
+                        if result.store_value is not None:
+                            v[M_STOREVAL] = result.store_value
+                        if result.output_value is not None:
+                            # The store-value path carries the OUT payload.
+                            v[M_STOREVAL] = result.output_value
+                        if _INFO[op].is_branch:
+                            self._predictor.update(pc, result.branch_taken)
+                        if result.branch_taken:
+                            redirect = True
+                            v[M_BRANCH_TAKEN] = 1
+                            self._redirect_target = result.branch_target
+            v[E_VALID] = 0
+        else:
+            v[M_VALID] = 0
+
         if redirect:
+            # Squash RA and DE, refetch from the branch target.
+            v[E_VALID] = 0
+            v[A_VALID] = 0
+            v[D_VALID] = 0
             target = self._redirect_target
-            v[s.d_valid] = 0
-            v[s.f_pc] = target
-            v[s.f_npc] = (target + WORD_BYTES) & _WORD_MASK
-            return
-        pc = v[s.f_pc]
-        word = self._fetch_word(pc)
-        v[s.d_pc] = pc
-        v[s.d_valid] = 1
-        if word is None:
-            # Fetch fault: send a trap-carrying bubble down the pipeline.  It
-            # only terminates the run if an older instruction (for example a
-            # HALT already in flight) does not commit or redirect first.
-            v[s.d_inst] = 0
-            v[s.d_fetchfault] = 1
-            return
-        v[s.d_fetchfault] = 0
-        v[s.d_inst] = word
-        v[s.f_pc] = (pc + WORD_BYTES) & _WORD_MASK
-        v[s.f_npc] = (pc + 2 * WORD_BYTES) & _WORD_MASK
-        self._count(s.ic_ctrl_state)
+            v[F_PC] = target
+            v[F_NPC] = (target + WORD_BYTES) & _WORD_MASK
+        else:
+            # RA -> EX: register read, stalled by the scoreboard while an
+            # older uncommitted instruction (ME, XC, WB) writes a source.
+            stall = False
+            if v[A_VALID]:
+                op = v[A_OP]
+                info = _INFO[op]
+                if info is not None and not v[A_TRAP]:
+                    busy = 0
+                    if v[M_VALID] and not v[M_TRAP] and _WRITES_RD[v[M_OP]]:
+                        busy = 1 << v[M_RD]
+                    if v[X_VALID] and not v[X_TRAP] and _WRITES_RD[v[X_OP]]:
+                        busy |= 1 << v[X_RD]
+                    if v[W_VALID] and not v[W_TRAP] and _WRITES_RD[v[W_OP]]:
+                        busy |= 1 << v[W_RD]
+                    busy &= ~1  # r0 is never written
+                    stall = busy and (
+                        (info.reads_rs1 and busy >> v[A_RS1] & 1)
+                        or (info.reads_rs2 and busy >> v[A_RS2] & 1))
+                if stall:
+                    # Keep the RA latch (and DE, FE), feed EX a bubble.
+                    v[E_VALID] = 0
+                else:
+                    registers = self.registers
+                    v[E_OP] = op
+                    v[E_RD] = v[A_RD]
+                    v[E_IMM] = v[A_IMM]
+                    v[E_PC] = v[A_PC]
+                    v[E_TRAP] = v[A_TRAP]
+                    v[E_TRAPKIND] = v[A_TRAPKIND]
+                    v[E_RS1VAL] = registers[v[A_RS1] & 0x1F]
+                    v[E_RS2VAL] = registers[v[A_RS2] & 0x1F]
+                    v[E_VALID] = 1
+                    v[A_VALID] = 0
+            else:
+                v[E_VALID] = 0
+
+            if not stall:
+                # DE -> RA: decode.
+                if v[D_VALID]:
+                    v[A_PC] = v[D_PC]
+                    v[A_VALID] = 1
+                    if v[D_FETCHFAULT]:
+                        fields = None
+                        code = _FETCH_FAULT
+                    else:
+                        fields = self._decode_fields(v[D_INST])
+                        code = _ILLEGAL
+                    if fields is None:
+                        v[A_TRAP] = 1
+                        v[A_TRAPKIND] = code
+                        fields = _NO_FIELDS
+                    else:
+                        v[A_TRAP] = 0
+                        v[A_TRAPKIND] = 0
+                    v[A_OP], v[A_RD], v[A_RS1], v[A_RS2], v[A_IMM] = fields
+                    v[D_VALID] = 0
+                else:
+                    v[A_VALID] = 0
+
+                # FE -> DE: instruction fetch.
+                pc = v[F_PC]
+                word = self._fetch_word(pc)
+                v[D_PC] = pc
+                v[D_VALID] = 1
+                if word is None:
+                    # Fetch fault: send a trap-carrying bubble down the
+                    # pipeline.  It only terminates the run if an older
+                    # instruction (a HALT already in flight, say) does not
+                    # commit or redirect first.
+                    v[D_INST] = 0
+                    v[D_FETCHFAULT] = 1
+                else:
+                    v[D_FETCHFAULT] = 0
+                    v[D_INST] = word
+                    v[F_PC] = (pc + WORD_BYTES) & _WORD_MASK
+                    v[F_NPC] = (pc + 2 * WORD_BYTES) & _WORD_MASK
+                    self._count(IC_CTRL_STATE)
+
+        # Peripheral hint state toggles so vanish-class flip-flops see traffic.
+        self._count(IRQ_PENDING)
 
     # ------------------------------------------------------------------ attributes
     _redirect_target: int = 0

@@ -11,12 +11,14 @@ Storage is a flat list indexed by the frozen
 width masks precomputed at construction.  Two APIs read and write it:
 
 * the *flat list* itself -- :attr:`LatchState.values` is the live list, and
-  every per-cycle core path (the in-order and out-of-order pipeline stages)
-  indexes it directly by slot, a position resolved once with
-  :meth:`LatchState.slot`.  Writes through it are not masked, so such a
-  writer masks every value that could exceed the structure's width.  The
-  batched lockstep replay (:mod:`repro.engine.batch`) runs the in-order
-  stages over a list whose lane-local slots hold per-lane numpy columns;
+  every per-cycle core path indexes it directly by slot, a position bound
+  once: the in-order cycle reads the list once per cycle and indexes it by
+  module constants (registration order is slot order), the out-of-order
+  stages by slot tables resolved with :meth:`LatchState.slot` at
+  construction.  Writes through it are not masked, so such a writer masks
+  every value that could exceed the structure's width.  The batched
+  lockstep replay (:mod:`repro.engine.batch`) runs the in-order cycle over
+  a list whose lane-local slots hold per-lane numpy columns;
 * the *name-keyed* API (:meth:`~LatchState.get`, :meth:`~LatchState.set`,
   :meth:`~LatchState.flip_flat`, ...) -- one ``name -> slot`` dict lookup per
   access, for fault injection, the resilience hooks and tests.

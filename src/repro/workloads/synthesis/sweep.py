@@ -26,6 +26,7 @@ consulted on the serial path).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.engine.engine import EngineConfig, InjectionEngine
@@ -305,7 +306,9 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
     its programs once, so these caches record one golden per workload and
     never hit.  A cache pays only across calls: pass repeated serial sweeps
     the same ``golden_cache``, built with ``max_entries`` of at least the
-    sweep's workload count, or set ``config.artifact_dir``.
+    sweep's workload count, or set ``config.artifact_dir``.  A serial sweep
+    given a smaller cache warns (:class:`RuntimeWarning`): sweeps sharing it
+    evict each other's goldens and re-record every one.
     """
     family_names = families if families is not None else registry.family_names()
     _validate_sweep_seeds(seed, per_family, len(family_names),
@@ -328,6 +331,13 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
         results, cache_stats = _run_units_sharded(
             core, units, injections_per_workload, config, workers)
     else:
+        if golden_cache is not None and golden_cache.max_entries < len(units):
+            warnings.warn(
+                f"golden_cache holds {golden_cache.max_entries} golden runs "
+                f"but the sweep has {len(units)} workloads, so sweeps sharing "
+                f"it re-record every golden; build it with "
+                f"GoldenRunCache(max_entries={len(units)})",
+                RuntimeWarning, stacklevel=2)
         cache = resolved_cache if resolved_cache is not None else GoldenRunCache()
         before = cache.stats()
         results = [_run_campaign(core, unit.program, seed=unit.campaign_seed,

@@ -855,17 +855,17 @@ def _hint_plane_differences(core_cls, program):
 
 
 class _PredictorReadingCore(InOrderCore):
-    """A mutant whose fetch consults the bimodal predictor: on odd cycles it
-    stalls (a bubble, the pc refetched next cycle) while the counter the
-    fetch pc indexes predicts taken."""
+    """A mutant that consults the bimodal predictor: on odd cycles the whole
+    pipeline stalls (the cycle does nothing) while the counter the fetch pc
+    indexes predicts taken."""
 
-    def _stage_fetch_to_decode(self, redirect, stalled):
-        if not (redirect or stalled) and self.cycle % 2:
+    def _step_cycle(self):
+        if self.cycle % 2:
             pc = self.latches.get("f.pc")
             counter = self.latches.get("f.bp.table") >> 2 * ((pc >> 2) % 32)
             if counter & 0b10:
                 return
-        super()._stage_fetch_to_decode(redirect, stalled)
+        super()._step_cycle()
 
 
 def _hint_structure_differences(core_cls, program):
@@ -930,12 +930,16 @@ class TestHintPlane:
         program = workload_by_name(name).program()
         assert list(_hint_plane_differences(InOrderCore, program)) == []
 
-    def test_check_catches_a_core_that_reads_its_predictor(self, program):
-        """The check above has teeth: one predictor read in fetch makes a
-        hint flip change the run's timing."""
+    def test_check_catches_a_core_that_reads_its_predictor(self):
+        """The check above has teeth on both its programs: one predictor
+        read per cycle makes an f.bp.table flip change the run's timing."""
         assert _PredictorReadingCore.hint_plane_inert  # the claim is wrong
-        assert next(_hint_plane_differences(_PredictorReadingCore, program),
-                    None) is not None
+        table = _PredictorReadingCore().registry.structure("f.bp.table")
+        for name in ("fft", "vpr"):
+            differences = _hint_plane_differences(
+                _PredictorReadingCore, workload_by_name(name).program())
+            assert any(flat_index in table.bit_indices()
+                       for flat_index, _ in differences), name
 
     @pytest.mark.parametrize("name", ["vpr", "crafty"])
     def test_every_ooo_hint_structure_runs_as_golden(self, name):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.engine import EngineConfig, GoldenRunCache, ParallelExecutor
@@ -229,7 +231,7 @@ class TestSyntheticSweep:
         """The acceptance path: one seeded call generates a >=20-workload
         suite, campaigns it through the engine, and tabulates per-profile
         vulnerability -- bit-identically across executors and repeats."""
-        cache = GoldenRunCache()
+        cache = GoldenRunCache(max_entries=20)
         kwargs = dict(seed=5, per_family=4, injections_per_workload=3,
                       golden_cache=cache, **QUICK)
         serial = run_synthetic_sweep(ino_core, **kwargs)
@@ -256,6 +258,19 @@ class TestSyntheticSweep:
         serial = run_synthetic_sweep(ooo_core, workers=1, **kwargs)
         sharded = run_synthetic_sweep(ooo_core, workers=2, **kwargs)
         _assert_sweeps_identical(serial, sharded, ooo_core.flip_flop_count)
+
+    def test_undersized_cache_warns(self, ino_core):
+        """The default sweep's 20 workloads overflow a default 18-entry
+        cache; an exactly sized one is quiet."""
+        kwargs = dict(seed=5, injections_per_workload=1, **QUICK)
+        with pytest.warns(RuntimeWarning, match="holds 18 .* has 20 "):
+            run_synthetic_sweep(ino_core, golden_cache=GoldenRunCache(),
+                                **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_synthetic_sweep(ino_core,
+                                golden_cache=GoldenRunCache(max_entries=20),
+                                **kwargs)
 
     def test_sharded_sweep_leaves_caller_cache_untouched(self, ino_core):
         # Worker processes build private golden-run caches; the caller's
