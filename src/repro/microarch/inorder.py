@@ -56,7 +56,6 @@ _INFO = [None if op is None else OPCODE_INFO[op] for op in _OPCODE]
 _WRITES_RD = [info is not None and info.writes_rd for info in _INFO]
 _LW, _LB, _SW, _SB, _OUT, _HALT = map(int, (
     Opcode.LW, Opcode.LB, Opcode.SW, Opcode.SB, Opcode.OUT, Opcode.HALT))
-_NO_FIELDS = (0, 0, 0, 0, 0)
 _WORD_MASK = 0xFFFFFFFF
 _IMM_MASK = 0x7FFF
 """Width mask of the ``a.imm``/``e.imm`` latches (15-bit immediates)."""
@@ -531,7 +530,7 @@ class InOrderCore(BaseCore):
                     if fields is None:
                         v[A_TRAP] = 1
                         v[A_TRAPKIND] = code
-                        fields = _NO_FIELDS
+                        fields = (0, 0, 0, 0, 0)
                     else:
                         v[A_TRAP] = 0
                         v[A_TRAPKIND] = 0
