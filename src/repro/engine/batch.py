@@ -102,13 +102,14 @@ from repro.engine.executors import (
     run_gated,
 )
 from repro.faultinjection.outcomes import classify_outcome
-from repro.isa.instructions import LUI_SHIFT, OPCODE_BY_VALUE, Opcode
+from repro.isa.instructions import LUI_SHIFT, Opcode
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot
 from repro.microarch.events import RunResult, TerminationReason, TrapKind
 from repro.microarch.execute import ExecuteResult, ExecuteTrap
-from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
-                                     E_TRAP, E_VALID, InOrderCore)
+from repro.microarch.inorder import (COUNTER_MASKS, E_IMM, E_OP, E_PC,
+                                     E_RS1VAL, E_RS2VAL, E_TRAP, E_VALID,
+                                     InOrderCore)
 from repro.microarch.memory import BatchedWordStore
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
@@ -138,9 +139,6 @@ evicted to a plain scalar finish.  Transient control corruption (a flipped
 instruction word, operand, or address) drains from the 6-stage pipeline
 within a handful of cycles; runs still diverged after this window have
 genuinely forked control flow and rarely return."""
-
-_BRANCH_OPCODES = frozenset((Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
-                             Opcode.BLTU, Opcode.BGEU))
 
 _DATA_LATCHES = frozenset((
     "e.rs1val", "e.rs2val",      # operands read at regaccess
@@ -206,12 +204,12 @@ class _LaneCore(InOrderCore):
             i for i, local in enumerate(self.lane_local) if not local]
         self._data_positions = [i for i, s in enumerate(structures)
                                 if s.name in _DATA_LATCHES]
-        # The hint counters in the inherited _counter_masks advance by a
-        # lane-uniform increment, so the wavefront stores them offset by a scalar running
+        # The hint counters (COUNTER_MASKS) advance by a lane-uniform
+        # increment, so the wavefront stores them offset by a scalar running
         # delta instead of touching the columns every cycle; true values
         # materialise only at lane extraction.
         # audit: allow[state-coverage] lane cores are never snapshotted; lane_snapshot materialises the offsets into each extracted lane
-        self._deltas = dict.fromkeys(self._counter_masks, 0)
+        self._deltas = dict.fromkeys(COUNTER_MASKS, 0)
         # audit: allow[state-coverage] per-lane "output equals lane 0's" flags, reset on restore; lane_snapshot extracts the output itself
         self.output_ok = None
         # The wavefront's execute outcome for the cycle being stepped.
@@ -225,7 +223,7 @@ class _LaneCore(InOrderCore):
             raise ExecuteTrap(outcome)
         return outcome
 
-    def _count(self, slot: int) -> None:
+    def _count(self, v, slot: int) -> None:
         self._deltas[slot] += 1
 
     def _write_register(self, index: int, value) -> None:
@@ -273,7 +271,7 @@ class _LaneCore(InOrderCore):
         position = self.latches.slot(site.structure.name)
         values = self.latches.values
         column = values[position].copy()
-        mask = self._counter_masks.get(position)
+        mask = COUNTER_MASKS.get(position)
         if mask is None:
             column[slot] ^= 1 << site.bit
         else:
@@ -294,7 +292,7 @@ class _LaneCore(InOrderCore):
         values = self.latches.values
         for position in self._lane_positions:
             value = data[position]
-            mask = self._counter_masks.get(position)
+            mask = COUNTER_MASKS.get(position)
             if mask is not None:
                 value = (value - self._deltas[position]) & mask
             values[position] = _with_lane(values[position], slot, value)
@@ -344,7 +342,7 @@ class _LaneCore(InOrderCore):
         latches = list(self.latches.values)
         for position in self._lane_positions:
             latches[position] = int(latches[position][lane])
-        for position, mask in self._counter_masks.items():
+        for position, mask in COUNTER_MASKS.items():
             latches[position] = (latches[position]
                                  + self._deltas[position]) & mask
         return CoreSnapshot(
@@ -778,131 +776,111 @@ class _StreamingWavefront:
         v = self._core.latches.values
         if not v[E_VALID] or v[E_TRAP]:
             return None
-        opcode = OPCODE_BY_VALUE.get(v[E_OP])
-        if opcode is None:
+        unit = _LANE_UNITS[v[E_OP]]
+        if unit is None:
             return None
-        pc = v[E_PC]
         imm = v[E_IMM]
         if imm & 0x4000:  # sign-extend the 15-bit immediate
             imm -= 0x8000
-        a = v[E_RS1VAL]
-        b = v[E_RS2VAL]
-        ai = a.astype(np.int64, copy=False)
-        bi = b.astype(np.int64, copy=False)
-        zeros = self._zeros
+        return unit(self, v[E_RS1VAL].astype(np.int64, copy=False),
+                    v[E_RS2VAL].astype(np.int64, copy=False), imm, v[E_PC])
 
-        if opcode is Opcode.ADD:
-            return ExecuteResult(value=(ai + bi) & _WORD)
-        if opcode is Opcode.SUB:
-            return ExecuteResult(value=(ai - bi) & _WORD)
-        if opcode is Opcode.MUL:
-            return ExecuteResult(
-                value=(self._signed(ai) * self._signed(bi)) & _WORD)
-        if opcode in (Opcode.DIV, Opcode.REM):
-            trap_lanes = bi == 0
-            self._demote_divergent(trap_lanes)
-            if trap_lanes[0]:
-                return TrapKind.DIVIDE_BY_ZERO
-            sa = self._signed(ai)
-            sb = self._signed(bi)
-            safe = np.where(sb == 0, np.int64(1), sb)
-            # Matches the scalar semantics bit-for-bit: execute_operation
-            # computes int(a / b), i.e. float64 division truncated toward
-            # zero, and float64 is exact for all 32-bit operand pairs.
-            quotient = np.trunc(sa / safe).astype(np.int64)
-            if opcode is Opcode.DIV:
-                return ExecuteResult(value=quotient & _WORD)
-            return ExecuteResult(value=(sa - quotient * safe) & _WORD)
-        if opcode is Opcode.AND:
-            return ExecuteResult(value=ai & bi)
-        if opcode is Opcode.OR:
-            return ExecuteResult(value=ai | bi)
-        if opcode is Opcode.XOR:
-            return ExecuteResult(value=ai ^ bi)
-        if opcode is Opcode.SLL:
-            return ExecuteResult(value=(ai << (bi & 31)) & _WORD)
-        if opcode is Opcode.SRL:
-            return ExecuteResult(value=ai >> (bi & 31))
-        if opcode is Opcode.SRA:
-            return ExecuteResult(
-                value=(self._signed(ai) >> (bi & 31)) & _WORD)
-        if opcode is Opcode.SLT:
-            return ExecuteResult(
-                value=(self._signed(ai) < self._signed(bi)).astype(np.int64))
-        if opcode is Opcode.SLTU:
-            return ExecuteResult(value=(ai < bi).astype(np.int64))
-        if opcode is Opcode.ADDI:
-            return ExecuteResult(value=(ai + imm) & _WORD)
-        if opcode is Opcode.ANDI:
-            return ExecuteResult(value=ai & (imm & _WORD))
-        if opcode is Opcode.ORI:
-            return ExecuteResult(value=ai | (imm & _WORD))
-        if opcode is Opcode.XORI:
-            return ExecuteResult(value=ai ^ (imm & _WORD))
-        if opcode is Opcode.SLTI:
-            return ExecuteResult(
-                value=(self._signed(ai) < imm).astype(np.int64))
-        if opcode is Opcode.SLLI:
-            return ExecuteResult(value=(ai << (imm & 31)) & _WORD)
-        if opcode is Opcode.SRLI:
-            return ExecuteResult(value=ai >> (imm & 31))
-        if opcode is Opcode.SRAI:
-            return ExecuteResult(
-                value=(self._signed(ai) >> (imm & 31)) & _WORD)
-        if opcode is Opcode.LUI:
-            return ExecuteResult(value=np.full(
-                self.lanes, (imm << LUI_SHIFT) & _WORD, dtype=np.int64))
-        if opcode in (Opcode.LW, Opcode.LB, Opcode.SW, Opcode.SB):
-            addresses = (ai + imm) & _WORD
-            self._demote_divergent(addresses)
-            store = b if opcode in (Opcode.SW, Opcode.SB) else None
-            return ExecuteResult(value=zeros,
-                                 memory_address=int(addresses[0]),
-                                 store_value=store)
-        if opcode in _BRANCH_OPCODES:
-            if opcode is Opcode.BEQ:
-                taken = ai == bi
-            elif opcode is Opcode.BNE:
-                taken = ai != bi
-            elif opcode is Opcode.BLT:
-                taken = self._signed(ai) < self._signed(bi)
-            elif opcode is Opcode.BGE:
-                taken = self._signed(ai) >= self._signed(bi)
-            elif opcode is Opcode.BLTU:
-                taken = ai < bi
-            else:  # BGEU
-                taken = ai >= bi
-            self._demote_divergent(taken)
-            return ExecuteResult(value=zeros, branch_taken=bool(taken[0]),
-                                 branch_target=(pc + 4 + 4 * imm) & _WORD)
-        if opcode in (Opcode.JAL, Opcode.JALR):
-            if opcode is Opcode.JAL:
-                target = (4 * imm) & _WORD
-            else:
-                targets = ((ai + imm) & _WORD) & ~0x3
-                self._demote_divergent(targets)
-                target = int(targets[0])
-            return ExecuteResult(
-                value=np.full(self.lanes, (pc + 4) & _WORD, dtype=np.int64),
-                branch_taken=True, branch_target=target)
-        if opcode is Opcode.OUT:
-            return ExecuteResult(value=zeros, output_value=a)
-        if opcode in (Opcode.HALT, Opcode.NOP):
-            return ExecuteResult(value=zeros)
-        if opcode in (Opcode.ASSERT_EQ, Opcode.ASSERT_RANGE):
-            trap_lanes = ai != bi if opcode is Opcode.ASSERT_EQ else ai > bi
-            self._demote_divergent(trap_lanes)
-            if trap_lanes[0]:
-                return TrapKind.SOFTWARE_ASSERTION
-            return ExecuteResult(value=zeros)
-        # execute_operation's terminal trap for opcodes with no compute
-        # semantics.
-        return TrapKind.ILLEGAL_INSTRUCTION
 
-    @staticmethod
-    def _signed(values: np.ndarray) -> np.ndarray:
-        """Sign-extend 32-bit values held in int64 lanes (branch-free)."""
-        return values - ((values >> 31) << 32)
+# ---------------------------------------------------------------------- pre-pass units
+# The pre-pass twin of repro.microarch.execute's table: one unit per opcode
+# value, called with the wavefront, the int64 operand columns, the
+# sign-extended immediate and the pc.  A unit returns an ExecuteResult whose
+# values are per-lane columns and whose control fields are lane 0's, or the
+# TrapKind the stage raises.  Before it reads a control-bearing column (a
+# trap predicate, memory address, branch decision or jump target) into a
+# scalar, it demotes the lanes that disagree with lane 0 (_agreed).
+def _signed(values: np.ndarray) -> np.ndarray:
+    """Sign-extend 32-bit values held in int64 lanes (branch-free)."""
+    return values - ((values >> 31) << 32)
+
+
+def _agreed(wave: _StreamingWavefront, column: np.ndarray) -> int:
+    """Demote the lanes whose ``column`` entry differs from lane 0's and
+    return lane 0's."""
+    wave._demote_divergent(column)
+    return int(column[0])
+
+
+def _lane_divide(wave, a, b, remainder: bool):
+    if _agreed(wave, b == 0):
+        return TrapKind.DIVIDE_BY_ZERO
+    sa = _signed(a)
+    sb = _signed(b)
+    safe = np.where(sb == 0, np.int64(1), sb)
+    # Matches the scalar semantics bit-for-bit: execute_operation computes
+    # int(a / b), i.e. float64 division truncated toward zero, and float64
+    # is exact for all 32-bit operand pairs.
+    quotient = np.trunc(sa / safe).astype(np.int64)
+    if remainder:
+        return ExecuteResult((sa - quotient * safe) & _WORD)
+    return ExecuteResult(quotient & _WORD)
+
+
+def _lane_assert(wave, failed):
+    if _agreed(wave, failed):
+        return TrapKind.SOFTWARE_ASSERTION
+    return ExecuteResult(wave._zeros)
+
+
+def _lane_branch(wave, taken, imm: int, pc: int) -> ExecuteResult:
+    return ExecuteResult(wave._zeros, bool(_agreed(wave, taken)),
+                         (pc + 4 + 4 * imm) & _WORD)
+
+
+def _lane_jump(wave, target: int, pc: int) -> ExecuteResult:
+    return ExecuteResult(
+        np.full(wave.lanes, (pc + 4) & _WORD, dtype=np.int64), True, target)
+
+
+_V = ExecuteResult
+_LANE_SEMANTICS = {
+    Opcode.ADD: lambda w, a, b, imm, pc: _V((a + b) & _WORD),
+    Opcode.SUB: lambda w, a, b, imm, pc: _V((a - b) & _WORD),
+    Opcode.MUL: lambda w, a, b, imm, pc: _V((_signed(a) * _signed(b)) & _WORD),
+    Opcode.DIV: lambda w, a, b, imm, pc: _lane_divide(w, a, b, False),
+    Opcode.REM: lambda w, a, b, imm, pc: _lane_divide(w, a, b, True),
+    Opcode.AND: lambda w, a, b, imm, pc: _V(a & b),
+    Opcode.OR: lambda w, a, b, imm, pc: _V(a | b),
+    Opcode.XOR: lambda w, a, b, imm, pc: _V(a ^ b),
+    Opcode.SLL: lambda w, a, b, imm, pc: _V((a << (b & 31)) & _WORD),
+    Opcode.SRL: lambda w, a, b, imm, pc: _V(a >> (b & 31)),
+    Opcode.SRA: lambda w, a, b, imm, pc: _V((_signed(a) >> (b & 31)) & _WORD),
+    Opcode.SLT: lambda w, a, b, imm, pc: _V((_signed(a) < _signed(b)).astype(np.int64)),
+    Opcode.SLTU: lambda w, a, b, imm, pc: _V((a < b).astype(np.int64)),
+    Opcode.ADDI: lambda w, a, b, imm, pc: _V((a + imm) & _WORD),
+    Opcode.ANDI: lambda w, a, b, imm, pc: _V(a & (imm & _WORD)),
+    Opcode.ORI: lambda w, a, b, imm, pc: _V(a | (imm & _WORD)),
+    Opcode.XORI: lambda w, a, b, imm, pc: _V(a ^ (imm & _WORD)),
+    Opcode.SLTI: lambda w, a, b, imm, pc: _V((_signed(a) < imm).astype(np.int64)),
+    Opcode.SLLI: lambda w, a, b, imm, pc: _V((a << (imm & 31)) & _WORD),
+    Opcode.SRLI: lambda w, a, b, imm, pc: _V(a >> (imm & 31)),
+    Opcode.SRAI: lambda w, a, b, imm, pc: _V((_signed(a) >> (imm & 31)) & _WORD),
+    Opcode.LUI: lambda w, a, b, imm, pc: _V(
+        np.full(w.lanes, (imm << LUI_SHIFT) & _WORD, dtype=np.int64)),
+    Opcode.LW: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD)),
+    Opcode.LB: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD)),
+    Opcode.SW: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD), b),
+    Opcode.SB: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD), b),
+    Opcode.BEQ: lambda w, a, b, imm, pc: _lane_branch(w, a == b, imm, pc),
+    Opcode.BNE: lambda w, a, b, imm, pc: _lane_branch(w, a != b, imm, pc),
+    Opcode.BLT: lambda w, a, b, imm, pc: _lane_branch(w, _signed(a) < _signed(b), imm, pc),
+    Opcode.BGE: lambda w, a, b, imm, pc: _lane_branch(w, _signed(a) >= _signed(b), imm, pc),
+    Opcode.BLTU: lambda w, a, b, imm, pc: _lane_branch(w, a < b, imm, pc),
+    Opcode.BGEU: lambda w, a, b, imm, pc: _lane_branch(w, a >= b, imm, pc),
+    Opcode.JAL: lambda w, a, b, imm, pc: _lane_jump(w, (4 * imm) & _WORD, pc),
+    Opcode.JALR: lambda w, a, b, imm, pc: _lane_jump(w, _agreed(w, (a + imm) & _WORD & ~0x3), pc),
+    Opcode.OUT: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, None, None, a),
+    Opcode.HALT: lambda w, a, b, imm, pc: _V(w._zeros),
+    Opcode.NOP: lambda w, a, b, imm, pc: _V(w._zeros),
+    Opcode.ASSERT_EQ: lambda w, a, b, imm, pc: _lane_assert(w, a != b),
+    Opcode.ASSERT_RANGE: lambda w, a, b, imm, pc: _lane_assert(w, a > b),
+}
+_LANE_UNITS = [_LANE_SEMANTICS.get(value) for value in range(128)]
 
 
 def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,

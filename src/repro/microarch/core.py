@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from typing import Callable
 
+from repro.isa.encoding import encode_instruction
 from repro.isa.program import Program
 from repro.microarch.events import DetectionEvent, RunResult, TerminationReason, TrapKind
 from repro.microarch.flipflop import FlipFlopRegistry
@@ -26,6 +27,7 @@ CycleHook = Callable[["BaseCore", int], None]
 
 DEFAULT_MAX_CYCLES = 2_000_000
 """Safety watchdog for golden (error-free) runs."""
+_MISSING = object()
 
 
 @unique
@@ -128,6 +130,11 @@ class BaseCore(ABC):
         self._termination: TerminationReason | None = None
         # audit: allow[state-coverage] a trap latches into _termination the same cycle; never live at a snapshot boundary
         self._trap: TrapKind | None = None
+        # Fetch memo: a pure function of the bound program, never run state.
+        # audit: allow[state-coverage] identity of the program _fetch_words memoises; a core bound to another program rebuilds the memo
+        self._fetch_program: Program | None = None
+        # audit: allow[state-coverage] pc -> encoded word memo of self._program, rebuilt whenever the bound program changes
+        self._fetch_words: dict[int, int | None] = {}
 
     # ------------------------------------------------------------------ build
     def _finalize_state(self) -> None:
@@ -186,6 +193,22 @@ class BaseCore(ABC):
     def note_retired(self, count: int = 1) -> None:
         """Record committed instructions."""
         self._retired += count
+
+    # ------------------------------------------------------------------ fetch
+    def _fetch_word(self, pc: int) -> int | None:
+        """Encoded instruction word at ``pc`` (``None``: fetch fault),
+        memoised per bound program."""
+        if self._fetch_program is not self._program:
+            self._fetch_program = self._program
+            self._fetch_words = {}
+        word = self._fetch_words.get(pc, _MISSING)
+        if word is _MISSING:
+            instruction = (self._program.instruction_at(pc)
+                           if self._program else None)
+            word = (None if instruction is None
+                    else encode_instruction(instruction))
+            self._fetch_words[pc] = word
+        return word
 
     # ------------------------------------------------------------------ template methods
     @abstractmethod

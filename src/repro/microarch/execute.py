@@ -4,16 +4,21 @@ Both cores perform the same 32-bit ALU/branch arithmetic; only the pipeline
 organisation around it differs.  Keeping the semantics in one module means an
 injected bit flip that reaches an operand latch produces identical functional
 behaviour on either core.
+
+The unit is a table: :data:`_UNITS` holds, for each value of the 7-bit
+opcode field, one function ``(a, b, imm, pc)`` computing that opcode
+(``None`` for a value no opcode has), and :func:`execute_operation` indexes
+it by the opcode's value.  Each function returns an :class:`ExecuteResult`,
+a slotted record built positionally.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.isa.instructions import LUI_SHIFT, Opcode
 from repro.microarch.events import TrapKind
 
 WORD_MASK = 0xFFFFFFFF
+_SIGN = 0x8000_0000
 
 
 def to_signed(value: int) -> int:
@@ -38,7 +43,6 @@ class ExecuteTrap(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
 class ExecuteResult:
     """Outcome of executing one instruction's compute portion.
 
@@ -49,126 +53,117 @@ class ExecuteResult:
         memory_address: effective address for loads/stores (None otherwise).
         store_value: value to be written for stores (None otherwise).
         output_value: value emitted by ``out`` (None otherwise).
-        is_halt: True when the instruction is HALT.
     """
 
-    value: int = 0
-    branch_taken: bool = False
-    branch_target: int = 0
-    memory_address: int | None = None
-    store_value: int | None = None
-    output_value: int | None = None
-    is_halt: bool = False
+    __slots__ = ("value", "branch_taken", "branch_target", "memory_address",
+                 "store_value", "output_value")
+
+    def __init__(self, value=0, branch_taken=False, branch_target=0,
+                 memory_address=None, store_value=None, output_value=None):
+        self.value = value
+        self.branch_taken = branch_taken
+        self.branch_target = branch_target
+        self.memory_address = memory_address
+        self.store_value = store_value
+        self.output_value = output_value
 
 
-_BRANCH_PREDICATES = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: to_signed(a) < to_signed(b),
-    Opcode.BGE: lambda a, b: to_signed(a) >= to_signed(b),
-    Opcode.BLTU: lambda a, b: a < b,
-    Opcode.BGEU: lambda a, b: a >= b,
+# Operands arrive masked to 32 bits; ``(x ^ _SIGN) - _SIGN`` reads one as
+# two's-complement signed.  DIV/REM truncate toward zero through float
+# division, which is exact for every 32-bit operand pair.
+def _divide(a, b, imm, pc):
+    if b == 0:
+        raise ExecuteTrap(TrapKind.DIVIDE_BY_ZERO, f"pc={pc:#x}")
+    return ExecuteResult(int(((a ^ _SIGN) - _SIGN) / ((b ^ _SIGN) - _SIGN))
+                         & WORD_MASK)
+
+
+def _remainder(a, b, imm, pc):
+    if b == 0:
+        raise ExecuteTrap(TrapKind.DIVIDE_BY_ZERO, f"pc={pc:#x}")
+    sa = (a ^ _SIGN) - _SIGN
+    sb = (b ^ _SIGN) - _SIGN
+    return ExecuteResult((sa - int(sa / sb) * sb) & WORD_MASK)
+
+
+def _assert_eq(a, b, imm, pc):
+    if a != b:
+        raise ExecuteTrap(TrapKind.SOFTWARE_ASSERTION,
+                          f"assert_eq failed at pc={pc:#x}: {a} != {b}")
+    return ExecuteResult()
+
+
+def _assert_range(a, b, imm, pc):
+    if a > b:
+        raise ExecuteTrap(TrapKind.SOFTWARE_ASSERTION,
+                          f"assert_range failed at pc={pc:#x}: {a} > {b}")
+    return ExecuteResult()
+
+
+_R = ExecuteResult
+_SEMANTICS = {
+    Opcode.ADD: lambda a, b, imm, pc: _R((a + b) & WORD_MASK),
+    Opcode.SUB: lambda a, b, imm, pc: _R((a - b) & WORD_MASK),
+    Opcode.MUL: lambda a, b, imm, pc: _R(((a ^ _SIGN) - _SIGN) * ((b ^ _SIGN) - _SIGN) & WORD_MASK),
+    Opcode.DIV: _divide,
+    Opcode.REM: _remainder,
+    Opcode.AND: lambda a, b, imm, pc: _R(a & b),
+    Opcode.OR: lambda a, b, imm, pc: _R(a | b),
+    Opcode.XOR: lambda a, b, imm, pc: _R(a ^ b),
+    Opcode.SLL: lambda a, b, imm, pc: _R((a << (b & 31)) & WORD_MASK),
+    Opcode.SRL: lambda a, b, imm, pc: _R(a >> (b & 31)),
+    Opcode.SRA: lambda a, b, imm, pc: _R(((a ^ _SIGN) - _SIGN) >> (b & 31) & WORD_MASK),
+    Opcode.SLT: lambda a, b, imm, pc: _R(1 if a ^ _SIGN < b ^ _SIGN else 0),
+    Opcode.SLTU: lambda a, b, imm, pc: _R(1 if a < b else 0),
+    Opcode.ADDI: lambda a, b, imm, pc: _R((a + imm) & WORD_MASK),
+    Opcode.ANDI: lambda a, b, imm, pc: _R(a & imm & WORD_MASK),
+    Opcode.ORI: lambda a, b, imm, pc: _R(a | (imm & WORD_MASK)),
+    Opcode.XORI: lambda a, b, imm, pc: _R(a ^ (imm & WORD_MASK)),
+    Opcode.SLTI: lambda a, b, imm, pc: _R(1 if (a ^ _SIGN) - _SIGN < imm else 0),
+    Opcode.SLLI: lambda a, b, imm, pc: _R((a << (imm & 31)) & WORD_MASK),
+    Opcode.SRLI: lambda a, b, imm, pc: _R(a >> (imm & 31)),
+    Opcode.SRAI: lambda a, b, imm, pc: _R(((a ^ _SIGN) - _SIGN) >> (imm & 31) & WORD_MASK),
+    Opcode.LUI: lambda a, b, imm, pc: _R((imm << LUI_SHIFT) & WORD_MASK),
+    Opcode.LW: lambda a, b, imm, pc: _R(0, False, 0, (a + imm) & WORD_MASK),
+    Opcode.LB: lambda a, b, imm, pc: _R(0, False, 0, (a + imm) & WORD_MASK),
+    Opcode.SW: lambda a, b, imm, pc: _R(0, False, 0, (a + imm) & WORD_MASK, b),
+    Opcode.SB: lambda a, b, imm, pc: _R(0, False, 0, (a + imm) & WORD_MASK, b),
+    Opcode.BEQ: lambda a, b, imm, pc: _R(0, a == b, (pc + 4 + 4 * imm) & WORD_MASK),
+    Opcode.BNE: lambda a, b, imm, pc: _R(0, a != b, (pc + 4 + 4 * imm) & WORD_MASK),
+    Opcode.BLT: lambda a, b, imm, pc: _R(0, a ^ _SIGN < b ^ _SIGN, (pc + 4 + 4 * imm) & WORD_MASK),
+    Opcode.BGE: lambda a, b, imm, pc: _R(0, a ^ _SIGN >= b ^ _SIGN, (pc + 4 + 4 * imm) & WORD_MASK),
+    Opcode.BLTU: lambda a, b, imm, pc: _R(0, a < b, (pc + 4 + 4 * imm) & WORD_MASK),
+    Opcode.BGEU: lambda a, b, imm, pc: _R(0, a >= b, (pc + 4 + 4 * imm) & WORD_MASK),
+    Opcode.JAL: lambda a, b, imm, pc: _R((pc + 4) & WORD_MASK, True, (4 * imm) & WORD_MASK),
+    Opcode.JALR: lambda a, b, imm, pc: _R((pc + 4) & WORD_MASK, True, (a + imm) & WORD_MASK & ~0x3),
+    Opcode.OUT: lambda a, b, imm, pc: _R(0, False, 0, None, None, a),
+    Opcode.HALT: lambda a, b, imm, pc: _R(),
+    Opcode.NOP: lambda a, b, imm, pc: _R(),
+    Opcode.ASSERT_EQ: _assert_eq,
+    Opcode.ASSERT_RANGE: _assert_range,
 }
+_UNITS = [_SEMANTICS.get(value) for value in range(128)]
 
 
 def execute_operation(opcode: Opcode, rs1_value: int, rs2_value: int, imm: int,
                       pc: int) -> ExecuteResult:
     """Execute the compute portion of one instruction.
 
-    ``rs1_value`` and ``rs2_value`` are 32-bit unsigned register contents,
-    ``imm`` is the signed immediate and ``pc`` the byte address of the
-    instruction.  Memory is *not* accessed here; loads and stores only have
-    their effective address computed.
+    ``opcode`` is an :class:`Opcode` (or its value), ``rs1_value`` and
+    ``rs2_value`` are 32-bit unsigned register contents, ``imm`` is the
+    signed immediate and ``pc`` the byte address of the instruction.
+    Memory is *not* accessed here; loads and stores only have their
+    effective address computed.
 
     Raises:
-        ExecuteTrap: for divide-by-zero and software assertion failures.
+        ExecuteTrap: for divide-by-zero, software assertion failures and a
+            value no opcode has.
     """
-    a = rs1_value & WORD_MASK
-    b = rs2_value & WORD_MASK
-
-    if opcode is Opcode.ADD:
-        return ExecuteResult(value=to_unsigned(a + b))
-    if opcode is Opcode.SUB:
-        return ExecuteResult(value=to_unsigned(a - b))
-    if opcode is Opcode.MUL:
-        return ExecuteResult(value=to_unsigned(to_signed(a) * to_signed(b)))
-    if opcode is Opcode.DIV:
-        if b == 0:
-            raise ExecuteTrap(TrapKind.DIVIDE_BY_ZERO, f"pc={pc:#x}")
-        return ExecuteResult(value=to_unsigned(int(to_signed(a) / to_signed(b))
-                                               if to_signed(b) != 0 else 0))
-    if opcode is Opcode.REM:
-        if b == 0:
-            raise ExecuteTrap(TrapKind.DIVIDE_BY_ZERO, f"pc={pc:#x}")
-        quotient = int(to_signed(a) / to_signed(b))
-        return ExecuteResult(value=to_unsigned(to_signed(a) - quotient * to_signed(b)))
-    if opcode is Opcode.AND:
-        return ExecuteResult(value=a & b)
-    if opcode is Opcode.OR:
-        return ExecuteResult(value=a | b)
-    if opcode is Opcode.XOR:
-        return ExecuteResult(value=a ^ b)
-    if opcode is Opcode.SLL:
-        return ExecuteResult(value=to_unsigned(a << (b & 31)))
-    if opcode is Opcode.SRL:
-        return ExecuteResult(value=a >> (b & 31))
-    if opcode is Opcode.SRA:
-        return ExecuteResult(value=to_unsigned(to_signed(a) >> (b & 31)))
-    if opcode is Opcode.SLT:
-        return ExecuteResult(value=1 if to_signed(a) < to_signed(b) else 0)
-    if opcode is Opcode.SLTU:
-        return ExecuteResult(value=1 if a < b else 0)
-
-    if opcode is Opcode.ADDI:
-        return ExecuteResult(value=to_unsigned(a + imm))
-    if opcode is Opcode.ANDI:
-        return ExecuteResult(value=a & to_unsigned(imm))
-    if opcode is Opcode.ORI:
-        return ExecuteResult(value=a | to_unsigned(imm))
-    if opcode is Opcode.XORI:
-        return ExecuteResult(value=a ^ to_unsigned(imm))
-    if opcode is Opcode.SLTI:
-        return ExecuteResult(value=1 if to_signed(a) < imm else 0)
-    if opcode is Opcode.SLLI:
-        return ExecuteResult(value=to_unsigned(a << (imm & 31)))
-    if opcode is Opcode.SRLI:
-        return ExecuteResult(value=a >> (imm & 31))
-    if opcode is Opcode.SRAI:
-        return ExecuteResult(value=to_unsigned(to_signed(a) >> (imm & 31)))
-    if opcode is Opcode.LUI:
-        return ExecuteResult(value=to_unsigned(imm << LUI_SHIFT))
-
-    if opcode in (Opcode.LW, Opcode.LB):
-        return ExecuteResult(memory_address=to_unsigned(a + imm))
-    if opcode in (Opcode.SW, Opcode.SB):
-        return ExecuteResult(memory_address=to_unsigned(a + imm), store_value=b)
-
-    if opcode in _BRANCH_PREDICATES:
-        taken = _BRANCH_PREDICATES[opcode](a, b)
-        target = to_unsigned(pc + 4 + 4 * imm)
-        return ExecuteResult(branch_taken=taken, branch_target=target)
-    if opcode is Opcode.JAL:
-        return ExecuteResult(value=to_unsigned(pc + 4), branch_taken=True,
-                             branch_target=to_unsigned(4 * imm))
-    if opcode is Opcode.JALR:
-        return ExecuteResult(value=to_unsigned(pc + 4), branch_taken=True,
-                             branch_target=to_unsigned(a + imm) & ~0x3)
-
-    if opcode is Opcode.OUT:
-        return ExecuteResult(output_value=a)
-    if opcode is Opcode.HALT:
-        return ExecuteResult(is_halt=True)
-    if opcode is Opcode.NOP:
-        return ExecuteResult()
-    if opcode is Opcode.ASSERT_EQ:
-        if a != b:
-            raise ExecuteTrap(TrapKind.SOFTWARE_ASSERTION,
-                              f"assert_eq failed at pc={pc:#x}: {a} != {b}")
-        return ExecuteResult()
-    if opcode is Opcode.ASSERT_RANGE:
-        if a > b:
-            raise ExecuteTrap(TrapKind.SOFTWARE_ASSERTION,
-                              f"assert_range failed at pc={pc:#x}: {a} > {b}")
-        return ExecuteResult()
-
-    raise ExecuteTrap(TrapKind.ILLEGAL_INSTRUCTION, f"unhandled opcode {opcode!r}")
+    try:
+        unit = _UNITS[opcode]
+    except (IndexError, TypeError):
+        unit = None
+    if unit is None:
+        raise ExecuteTrap(TrapKind.ILLEGAL_INSTRUCTION,
+                          f"unhandled opcode {opcode!r}")
+    return unit(rs1_value & WORD_MASK, rs2_value & WORD_MASK, imm, pc)

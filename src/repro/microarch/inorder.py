@@ -25,7 +25,7 @@ as in the paper, and are therefore not injection targets.
 
 from __future__ import annotations
 
-from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
+from repro.isa.encoding import EncodingError, decode_instruction
 from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
@@ -212,6 +212,10 @@ A_OP, A_RD, A_RS1, A_RS2, A_IMM, A_PC, A_VALID, A_TRAP, A_TRAPKIND = map(
     "w.outval", "w.outpending", "w.s.icc"))
 IC_CTRL_STATE, DC_CTRL_STATE, IRQ_PENDING = map(_slot, (
     "ic.ctrl.state", "dc.ctrl.state", "irq.pending"))
+COUNTER_MASKS = {slot: (1 << _LAYOUT.structures[slot].width) - 1
+                 for slot in (IRQ_PENDING, IC_CTRL_STATE, DC_CTRL_STATE)}
+"""Slot -> width mask of each hint counter :meth:`InOrderCore._count`
+advances."""
 
 
 class InOrderCore(BaseCore):
@@ -239,18 +243,9 @@ class InOrderCore(BaseCore):
         # audit: allow[state-coverage] the predictor is a stateless view; its tables/history live in self.latches, which the contract covers
         self._predictor = BimodalPredictor(
             self.latches, "f.bp.table", "f.bp.history", entries=32)
-        # Fetch and decode memos: pure functions of the bound program and of
-        # the instruction word, never run state.
-        # audit: allow[state-coverage] identity of the program _fetch_words memoises; a core bound to another program rebuilds the memo
-        self._fetch_program: Program | None = None
-        # audit: allow[state-coverage] pc -> encoded word memo of self._program, rebuilt whenever the bound program changes
-        self._fetch_words: dict[int, int | None] = {}
+        # Decode memo (fetch memoises in BaseCore._fetch_word).
         # audit: allow[state-coverage] word -> decoded latch fields memo; decoding is a pure function of the word
         self._decoded: dict[int, tuple | None] = {}
-        # Slot -> width mask of each hint counter :meth:`_count` advances.
-        self._counter_masks = {
-            slot: (1 << self.registry.structures[slot].width) - 1
-            for slot in (IRQ_PENDING, IC_CTRL_STATE, DC_CTRL_STATE)}
 
     # ------------------------------------------------------------------ reset
     def _reset_microarchitecture(self, program: Program) -> None:
@@ -286,8 +281,8 @@ class InOrderCore(BaseCore):
 
     # ------------------------------------------------------------------ hooks
     # The cycle reaches registers, the execute unit, hint counters, output,
-    # fetch and decode through these; the batched lockstep replay's lane
-    # core overrides them and inherits the cycle itself.
+    # fetch (BaseCore._fetch_word) and decode through these; the batched
+    # lockstep replay's lane core overrides some and inherits the cycle.
     def _write_register(self, index: int, value: int) -> None:
         index &= 0x1F
         if index != 0:
@@ -298,24 +293,10 @@ class InOrderCore(BaseCore):
         """The execute stage's compute (raises :class:`ExecuteTrap`)."""
         return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
 
-    def _count(self, slot: int) -> None:
-        """Advance the hint counter at ``slot`` by one (wrapping)."""
-        v = self.latches.values
-        v[slot] = (v[slot] + 1) & self._counter_masks[slot]
-
-    def _fetch_word(self, pc: int) -> int | None:
-        """Encoded instruction word at ``pc`` (``None``: fetch fault)."""
-        if self._fetch_program is not self._program:
-            self._fetch_program = self._program
-            self._fetch_words = {}
-        word = self._fetch_words.get(pc, _MISSING)
-        if word is _MISSING:
-            instruction = (self._program.instruction_at(pc)
-                           if self._program else None)
-            word = (None if instruction is None
-                    else encode_instruction(instruction))
-            self._fetch_words[pc] = word
-        return word
+    def _count(self, v: list, slot: int) -> None:
+        """Advance the hint counter at ``slot`` of the latch list ``v`` by
+        one (wrapping)."""
+        v[slot] = (v[slot] + 1) & COUNTER_MASKS[slot]
 
     def _decode_fields(self, word: int) -> tuple | None:
         """``(op, rd, rs1, rs2, imm)`` latch values of ``word`` (``None``:
@@ -420,7 +401,7 @@ class InOrderCore(BaseCore):
                     v[X_TRAP] = 1
                     v[X_TRAPKIND] = _MEMORY_FAULT
                 # Track data-cache controller hint state.
-                self._count(DC_CTRL_STATE)
+                self._count(v, DC_CTRL_STATE)
             v[X_RESULT] = result
             v[M_VALID] = 0
         else:
@@ -556,10 +537,10 @@ class InOrderCore(BaseCore):
                     v[D_INST] = word
                     v[F_PC] = (pc + WORD_BYTES) & _WORD_MASK
                     v[F_NPC] = (pc + 2 * WORD_BYTES) & _WORD_MASK
-                    self._count(IC_CTRL_STATE)
+                    self._count(v, IC_CTRL_STATE)
 
         # Peripheral hint state toggles so vanish-class flip-flops see traffic.
-        self._count(IRQ_PENDING)
+        self._count(v, IRQ_PENDING)
 
     # ------------------------------------------------------------------ attributes
     _redirect_target: int = 0

@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
-from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
+from repro.isa.encoding import EncodingError, decode_instruction
+from repro.isa.instructions import Instruction, Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.core import BaseCore, CoreClass
@@ -67,6 +67,7 @@ _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
 _IMM_MASK = 0x7FFF
 """Width mask of the ``iq.imm`` latches (15-bit immediates)."""
 _IMM_SIGN = 0x4000
+_MISSING = object()
 
 # Per-entry latch fields of the queue structures, in registration order.
 _FB_FIELDS = (("valid", 1), ("inst", 32), ("pc", 32), ("fault", 1))
@@ -176,6 +177,9 @@ class OutOfOrderCore(BaseCore):
         self.registers: list[int] = [0] * NUM_REGISTERS
         self._in_flight: list[_InFlightOp] = []
         self._fetch_stalled = False
+        # Decode memo (fetch memoises in BaseCore._fetch_word).
+        # audit: allow[state-coverage] word -> decoded instruction memo; decoding is a pure function of the word
+        self._decoded: dict[int, Instruction | None] = {}
         # Slot tables: every latch the per-cycle path touches, resolved once.
         # The stages index ``self.latches.values`` by these slots, and such
         # writes are not masked, so only a value that can exceed its latch's
@@ -761,9 +765,8 @@ class OutOfOrderCore(BaseCore):
             if fault:
                 trap_kind = TrapKind.FETCH_FAULT
             else:
-                try:
-                    instruction = decode_instruction(word)
-                except EncodingError:
+                instruction = self._decode(word)
+                if instruction is None:
                     trap_kind = TrapKind.ILLEGAL_INSTRUCTION
             if instruction is not None:
                 info = OPCODE_INFO[instruction.opcode]
@@ -830,6 +833,17 @@ class OutOfOrderCore(BaseCore):
             if instruction.opcode in (Opcode.HALT, Opcode.NOP):
                 v[rob.ready] = 1
                 v[self._iq[free_iq].valid] = 0
+
+    def _decode(self, word: int) -> Instruction | None:
+        """The instruction ``word`` encodes (``None``: illegal), memoised."""
+        instruction = self._decoded.get(word, _MISSING)
+        if instruction is _MISSING:
+            try:
+                instruction = decode_instruction(word)
+            except EncodingError:
+                instruction = None
+            self._decoded[word] = instruction
+        return instruction
 
     def _fill_iq_entry(self, iq_index: int, instruction, rob_index: int, pc: int,
                        info) -> None:
@@ -902,12 +916,12 @@ class OutOfOrderCore(BaseCore):
             if v[s.fb_count] >= FETCH_BUFFER_ENTRIES:
                 return
             pc = v[s.fetch_pc]
-            instruction = self._program.instruction_at(pc) if self._program else None
+            word = self._fetch_word(pc)
             tail = v[s.fb_tail]
             fb = self._fb[tail]
             v[fb.pc] = pc
             v[fb.valid] = 1
-            if instruction is None:
+            if word is None:
                 v[fb.inst] = 0
                 v[fb.fault] = 1
                 v[s.fb_tail] = (tail + 1) % FETCH_BUFFER_ENTRIES
@@ -915,7 +929,7 @@ class OutOfOrderCore(BaseCore):
                 v[s.fetch_stall] = 1
                 self._fetch_stalled = True
                 return
-            v[fb.inst] = encode_instruction(instruction)
+            v[fb.inst] = word
             v[fb.fault] = 0
             v[s.fb_tail] = (tail + 1) % FETCH_BUFFER_ENTRIES
             v[s.fb_count] += 1

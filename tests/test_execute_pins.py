@@ -128,3 +128,61 @@ def test_a_value_no_opcode_has_is_illegal(value):
         execute_operation(value, 1, 2, 3, 0x100)
     assert caught.value.kind is TrapKind.ILLEGAL_INSTRUCTION
     assert caught.value.detail == f"unhandled opcode {value!r}"
+
+
+class _Wavefront:
+    """What the batched pre-pass units use of a wavefront; demotions are
+    recorded, not performed."""
+
+    def __init__(self, lanes: int):
+        import numpy as np
+
+        self.lanes = lanes
+        self._zeros = np.zeros(lanes, dtype=np.int64)
+        self.demoted: set[int] = set()
+
+    def _demote_divergent(self, values) -> None:
+        self.demoted.update(int(lane) for lane, value in enumerate(values)
+                            if value != values[0])
+
+
+def _control(outcome):
+    if outcome[0] == "trap":
+        return outcome[:2]
+    return outcome[1:4]
+
+
+@pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.name)
+def test_batched_prepass_matches_the_scalar_unit(opcode):
+    """Every lane the pre-pass keeps computes what the scalar unit computes
+    for its operands, and it demotes exactly the lanes whose trap, branch
+    decision, target or address differs from lane 0's."""
+    np = pytest.importorskip("numpy")
+    from repro.engine.batch import _LANE_UNITS
+
+    grid = list(_grid())
+    pairs = sorted({(a, b) for a, b, _, _ in grid})
+    for imm, pc in sorted({(imm, pc) for _, _, imm, pc in grid}):
+        for lead in (0, len(pairs) // 2, len(pairs) - 1):
+            lanes = pairs[lead:] + pairs[:lead]
+            a = np.array([pair[0] for pair in lanes], dtype=np.int64)
+            b = np.array([pair[1] for pair in lanes], dtype=np.int64)
+            wave = _Wavefront(len(lanes))
+            result = _LANE_UNITS[opcode](wave, a, b, imm, pc)
+            scalar = [_outcome(opcode, x, y, imm, pc) for x, y in lanes]
+            assert wave.demoted == {
+                lane for lane, outcome in enumerate(scalar)
+                if _control(outcome) != _control(scalar[0])}
+            for lane, outcome in enumerate(scalar):
+                if lane in wave.demoted:
+                    continue
+                if isinstance(result, TrapKind):
+                    assert outcome[:2] == ("trap", result.value)
+                    continue
+                store = result.store_value
+                output = result.output_value
+                assert outcome == (
+                    int(result.value[lane]), result.branch_taken,
+                    result.branch_target, result.memory_address,
+                    None if store is None else int(store[lane]),
+                    None if output is None else int(output[lane]))
