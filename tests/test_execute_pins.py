@@ -121,7 +121,7 @@ def test_divide_by_zero_traps_with_the_pc():
         assert str(caught.value) == "divide_by_zero: pc=0xfffffffc"
 
 
-@pytest.mark.parametrize("value", [0, 0x10, 0x7F])
+@pytest.mark.parametrize("value", [0, 0x10, 0x7F, 0x80, -1])
 def test_a_value_no_opcode_has_is_illegal(value):
     assert value not in {int(opcode) for opcode in Opcode}
     with pytest.raises(ExecuteTrap) as caught:
