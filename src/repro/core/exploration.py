@@ -278,7 +278,11 @@ class CrossLayerExplorer:
 
     def _fixed_design(self, combination: CrossLayerCombination,
                       ) -> tuple[ProtectedDesign, float, float, CostReport]:
-        """Design/improvement/cost of a combination with no tunable technique."""
+        """Design/improvement/cost of a combination with no tunable technique.
+
+        The improvement comes from the planner's cached residuals, bit for
+        bit the design's own ``estimate_improvement``.
+        """
         key = (tuple(name for name in combination.techniques
                      if name in _HIGH_LEVEL_FACTORIES), combination.recovery)
         cached = self._fixed_cache.get(key)
@@ -287,9 +291,9 @@ class CrossLayerExplorer:
         high_level = self._high_level_descriptors(combination)
         design = ProtectedDesign(registry=self.registry, recovery=combination.recovery,
                                  high_level=high_level, label=combination.label)
-        estimate = design.estimate_improvement(self.vulnerability, self.benchmarks)
-        cost = design.cost(self.cost_model)
-        result = (design, estimate.sdc_improvement, estimate.due_improvement, cost)
+        sdc, due = self._planner.high_level_improvement(high_level,
+                                                        combination.recovery)
+        result = (design, sdc, due, design.cost(self.cost_model))
         self._fixed_cache[key] = result
         return result
 

@@ -22,33 +22,50 @@ Planning is *incremental*: because the walk is independent of the target,
 :class:`SelectiveHardeningPlanner` computes one
 :class:`~repro.core.schedule.ProtectionSchedule` per (policy, recovery,
 high-level set) and answers every target from its improvement curves.
-Vulnerability profiles (the map's dense per-site probabilities and the
-ranking) and post-high-level residuals are cached and shared across
-schedules.  So are the per-site Heuristic-1 inputs: each flip-flop's
-functional unit and whether it has the slack for a 32-bit parity tree are
-resolved once per planner into two tables
-(:meth:`SelectiveHardeningPlanner.site_tables`), which every schedule's
-Heuristic-1 choices and parity cost curves read instead of asking the
-registry and timing model per site.  The legacy per-target loop survives as
+Everything a schedule needs is computed on first use and memoised on the
+planner, at the coarsest key it depends on:
+
+* the vulnerability profile (the map's dense per-site probabilities, their
+  sums and the ranking), once per planner;
+* the per-site Heuristic-1 inputs -- each flip-flop's functional unit and
+  whether it has the slack for a 32-bit parity tree -- once per planner
+  (:meth:`SelectiveHardeningPlanner.site_tables`);
+* Heuristic 1 itself, once per *choice context* (the policy's allowed
+  techniques, whether recovery is attached, the units it cannot recover):
+  the choice and recoverability of every ranked site.  The 586-combination
+  sweep has 17 contexts on the in-order and 18 on the out-of-order core,
+  against 368 and 152 schedules;
+* post-high-level residuals, their left-to-right sums and their zero mask,
+  once per (technique set, recovery present);
+* one :class:`~repro.core.schedule.StepTable` per (choice context, zero
+  mask), which every schedule on it shares: the effective walk, its
+  cumulative membership counts and the protect-everything cost membership.
+
+Non-tunable combinations read the same cached residuals through
+:meth:`SelectiveHardeningPlanner.high_level_improvement`.  The legacy
+per-target loop survives as
 :meth:`SelectiveHardeningPlanner.plan_replanning` -- the reference that
 schedules are property-tested to match bit-for-bit; it still resolves each
-site through :func:`choose_technique`, so it also checks the tables.
+site through :func:`choose_technique`, so it also checks the tables.  Float
+totals go through :func:`~repro.faultinjection.vulnerability.ordered_sum`,
+so the numbers do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.improvement import ResilienceTarget
 from repro.core.schedule import (
     HARDENING_SUPPRESSION,
     LowLevelChoice,
     ProtectionSchedule,
-    ScheduleStep,
     SelectiveHardeningResult,
+    StepTable,
     materialise_design,
 )
-from repro.faultinjection.vulnerability import VulnerabilityMap
+from repro.faultinjection.vulnerability import VulnerabilityMap, ordered_sum
 from repro.microarch.flipflop import FlipFlopRegistry
 from repro.physical.cells import CellType, RecoveryKind, recovery_cost
 from repro.physical.timing import TimingModel
@@ -114,6 +131,21 @@ def choose_technique(flat_index: int, registry: FlipFlopRegistry, timing: Timing
         policy, recovery is not RecoveryKind.NONE, unrecoverable)
 
 
+class Residuals(NamedTuple):
+    """Per-site residuals after one high-level technique set (planner cache).
+
+    ``sdc``/``due`` are indexed by flip-flop, ``total_sdc``/``total_due``
+    are their left-to-right sums and ``zero`` flags the sites whose
+    residuals are both zero (the sites finite targets skip).
+    """
+
+    sdc: tuple[float, ...]
+    due: tuple[float, ...]
+    total_sdc: float
+    total_due: float
+    zero: tuple[bool, ...]
+
+
 def descriptor_key(technique: TechniqueDescriptor) -> tuple:
     """Hashable content key of a technique descriptor (for schedule caching).
 
@@ -132,9 +164,9 @@ class SelectiveHardeningPlanner:
     """Implements the Fig. 7 loop on top of a vulnerability map.
 
     One planner serves many (combination, target) queries: the vulnerability
-    profile, the per-site Heuristic-1 tables, post-high-level residuals and
-    full protection schedules are all computed once and memoised on the
-    instance.
+    profile, the per-site Heuristic-1 tables, the per-context choices,
+    post-high-level residuals, step tables and full protection schedules
+    are all computed once, on first use, and memoised on the instance.
     """
 
     def __init__(self, registry: FlipFlopRegistry, vulnerability: VulnerabilityMap,
@@ -147,7 +179,10 @@ class SelectiveHardeningPlanner:
         self._profile: tuple[tuple[float, ...], tuple[float, ...], float, float,
                              list[int]] | None = None
         self._site_tables: tuple[list[str], list[bool]] | None = None
-        self._residual_cache: dict[tuple, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        self._residual_cache: dict[tuple, Residuals] = {}
+        self._choice_cache: dict[tuple, tuple[tuple[LowLevelChoice, ...],
+                                              tuple[bool, ...]]] = {}
+        self._table_cache: dict[tuple, StepTable] = {}
         self._schedule_cache: dict[tuple, ProtectionSchedule] = {}
 
     # ------------------------------------------------------------------ cached inputs
@@ -161,8 +196,8 @@ class SelectiveHardeningPlanner:
         if self._profile is None:
             total = self.registry.total_flip_flops
             p_sdc, p_due = self.vulnerability.probabilities(self.benchmarks)
-            baseline_sdc = sum(p_sdc) or 1e-12
-            baseline_due = sum(p_due) or 1e-12
+            baseline_sdc = ordered_sum(p_sdc) or 1e-12
+            baseline_due = ordered_sum(p_due) or 1e-12
             ranking = sorted(range(total), key=lambda i: (-(p_sdc[i] + p_due[i]), i))
             self._profile = (p_sdc, p_due, baseline_sdc, baseline_due, ranking)
         return self._profile
@@ -183,23 +218,21 @@ class SelectiveHardeningPlanner:
         return self._site_tables
 
     def _residuals(self, high_level: list[TechniqueDescriptor],
-                   recovery: RecoveryKind) -> tuple[tuple[float, ...], tuple[float, ...]]:
+                   recovery: RecoveryKind) -> Residuals:
         """Per-site residuals after the high-level techniques (cached).
 
         The residuals depend on the ordered technique list and on *whether*
         hardware recovery is present (its latency gate), not on which
         mechanism it is -- so IR/EIR/flush variants of one technique set
-        share an entry.
+        share an entry.  The entry also carries the residuals' left-to-right
+        sums and their zero mask.
         """
         key = (tuple(descriptor_key(t) for t in high_level),
                recovery is not RecoveryKind.NONE)
         cached = self._residual_cache.get(key)
         if cached is not None:
             return cached
-        p_sdc, p_due, _, _, _ = self.profile()
-        total = self.registry.total_flip_flops
-        residual_sdc = list(p_sdc)
-        residual_due = list(p_due)
+        residual_sdc, residual_due, _, _, _ = self.profile()
         for technique in high_level:
             coverage = technique.coverage
             if coverage is None:
@@ -208,17 +241,51 @@ class SelectiveHardeningPlanner:
                          or (recovery is not RecoveryKind.NONE
                              and coverage.detection_latency_cycles
                              <= HARDWARE_RECOVERY_LATENCY_LIMIT))
-            for i in range(total):
-                detected_sdc = residual_sdc[i] * coverage.overall_sdc_detection
-                detected_due = residual_due[i] * coverage.overall_due_detection
-                residual_sdc[i] -= detected_sdc
-                if recovered:
-                    residual_due[i] -= detected_due
-                else:
-                    residual_due[i] += detected_sdc
-        result = (tuple(residual_sdc), tuple(residual_due))
+            sdc_detection = coverage.overall_sdc_detection
+            due_detection = coverage.overall_due_detection
+            detected_sdc = [p * sdc_detection for p in residual_sdc]
+            if recovered:
+                residual_due = [p - p * due_detection for p in residual_due]
+            else:
+                residual_due = [p + detected
+                                for p, detected in zip(residual_due, detected_sdc)]
+            residual_sdc = [p - detected
+                            for p, detected in zip(residual_sdc, detected_sdc)]
+        zero = tuple(sdc <= 0 and due <= 0
+                     for sdc, due in zip(residual_sdc, residual_due))
+        result = Residuals(tuple(residual_sdc), tuple(residual_due),
+                           ordered_sum(residual_sdc), ordered_sum(residual_due), zero)
         self._residual_cache[key] = result
         return result
+
+    def _choices(self, policy: SelectionPolicy, recovery: RecoveryKind,
+                 ) -> tuple[tuple, tuple[LowLevelChoice, ...], tuple[bool, ...]]:
+        """Heuristic-1 choice and recoverability of every ranked site (cached).
+
+        Both depend only on the *choice context* -- the policy's allowed
+        techniques, whether recovery is attached and the units it cannot
+        recover -- which is returned as the cache key.  Sites are resolved
+        once per distinct (unit, slack) pair.
+        """
+        unrecoverable = recovery_cost(self.registry.core_name,
+                                      recovery).unrecoverable_units
+        has_recovery = recovery is not RecoveryKind.NONE
+        key = (policy.allow_hardening, policy.allow_parity, policy.allow_eds,
+               has_recovery, unrecoverable)
+        cached = self._choice_cache.get(key)
+        if cached is None:
+            ranking = self.profile()[4]
+            units, has_slack = self.site_tables()
+            ranked = [(units[i], has_slack[i]) for i in ranking]
+            choice_of = {pair: _choose_in_context(pair[0], pair[1], policy,
+                                                  has_recovery, unrecoverable)
+                         for pair in set(ranked)}
+            covered = {unit: has_recovery and unit not in unrecoverable
+                       for unit in set(units)}
+            cached = (tuple([choice_of[pair] for pair in ranked]),
+                      tuple([covered[units[i]] for i in ranking]))
+            self._choice_cache[key] = cached
+        return key, *cached
 
     def _gamma_fixed(self, high_level: list[TechniqueDescriptor],
                      recovery: RecoveryKind) -> float:
@@ -228,12 +295,38 @@ class SelectiveHardeningPlanner:
         gamma_fixed *= 1.0 + RECOVERY_GAMMA[self._family].get(recovery, 0.0)
         return gamma_fixed
 
+    def high_level_improvement(self, high_level: list[TechniqueDescriptor],
+                               recovery: RecoveryKind) -> tuple[float, float]:
+        """Eq. 1 (SDC, DUE) improvements with no flip-flop protected.
+
+        Bit-identical to ``ProtectedDesign.estimate_improvement`` of a design
+        holding only ``high_level`` and ``recovery``: its per-site residuals
+        are the cached :meth:`_residuals` (same operations in the same
+        order), its totals accumulate them and the map's probabilities left
+        to right from ``0.0`` (the entry without techniques), and its γ is
+        :meth:`_gamma_fixed` (no parity groups).
+        """
+        baseline = self._residuals([], recovery)
+        residuals = self._residuals(high_level, recovery)
+        gamma = self._gamma_fixed(high_level, recovery)
+        floor_sdc = baseline.total_sdc * RESIDUAL_FLOOR_FRACTION
+        floor_due = baseline.total_due * RESIDUAL_FLOOR_FRACTION
+        sdc = (baseline.total_sdc / max(residuals.total_sdc, floor_sdc) / gamma
+               if baseline.total_sdc > 0 else 1.0)
+        due = (baseline.total_due / max(residuals.total_due, floor_due) / gamma
+               if baseline.total_due > 0 else 1.0)
+        return sdc, due
+
     # ------------------------------------------------------------------ schedules
     def schedule_for(self, recovery: RecoveryKind = RecoveryKind.NONE,
                      policy: SelectionPolicy | None = None,
                      high_level: list[TechniqueDescriptor] | None = None,
                      ) -> ProtectionSchedule:
-        """The (cached) full prefix schedule for one planning context."""
+        """The (cached) full prefix schedule for one planning context.
+
+        Its step table is shared with every schedule of the same choice
+        context and zero-residual mask.
+        """
         policy = policy or SelectionPolicy()
         high_level = list(high_level or [])
         key = (policy.cache_key(), recovery,
@@ -242,29 +335,22 @@ class SelectiveHardeningPlanner:
         if cached is not None:
             return cached
         _, _, baseline_sdc, baseline_due, ranking = self.profile()
-        units, has_slack = self.site_tables()
-        residual_sdc, residual_due = self._residuals(high_level, recovery)
-        unrecoverable = recovery_cost(self.registry.core_name, recovery).unrecoverable_units
-        has_recovery = recovery is not RecoveryKind.NONE
-        unrecoverable_set = set(unrecoverable)
-        steps = []
-        for flat_index in ranking:
-            unit = units[flat_index]
-            choice = _choose_in_context(unit, has_slack[flat_index], policy,
-                                        has_recovery, unrecoverable)
-            steps.append(ScheduleStep(
-                flat_index=flat_index, choice=choice,
-                recoverable=has_recovery and unit not in unrecoverable_set,
-                zero_residual=(residual_sdc[flat_index] <= 0
-                               and residual_due[flat_index] <= 0)))
+        residuals = self._residuals(high_level, recovery)
+        context, choices, recoverable = self._choices(policy, recovery)
+        table_key = (context, residuals.zero)
+        table = self._table_cache.get(table_key)
+        if table is None:
+            units, has_slack = self.site_tables()
+            table = StepTable(ranking, choices, recoverable, residuals.zero,
+                              units, has_slack, max(1, self.registry.total_flip_flops))
+            self._table_cache[table_key] = table
         schedule = ProtectionSchedule(
             registry=self.registry, timing=self.timing,
-            vulnerability=self.vulnerability, units=units, has_slack=has_slack,
-            recovery=recovery,
+            vulnerability=self.vulnerability, table=table, recovery=recovery,
             hardening_cell=policy.hardening_cell, high_level=high_level,
-            steps=steps, residual_sdc=list(residual_sdc),
-            residual_due=list(residual_due), baseline_sdc=baseline_sdc,
-            baseline_due=baseline_due,
+            residual_sdc=residuals.sdc, residual_due=residuals.due,
+            total_sdc=residuals.total_sdc, total_due=residuals.total_due,
+            baseline_sdc=baseline_sdc, baseline_due=baseline_due,
             gamma_fixed=self._gamma_fixed(high_level, recovery))
         self._schedule_cache[key] = schedule
         return schedule
@@ -302,8 +388,8 @@ class SelectiveHardeningPlanner:
         total = self.registry.total_flip_flops
 
         p_sdc, p_due = self.vulnerability.probabilities(self.benchmarks)
-        baseline_sdc = sum(p_sdc) or 1e-12
-        baseline_due = sum(p_due) or 1e-12
+        baseline_sdc = ordered_sum(p_sdc) or 1e-12
+        baseline_due = ordered_sum(p_due) or 1e-12
 
         # Residuals after the high-level techniques (applied uniformly).
         residual_sdc = list(p_sdc)
@@ -330,8 +416,8 @@ class SelectiveHardeningPlanner:
             gamma_fixed *= technique.gamma(self._family).factor
         gamma_fixed *= 1.0 + RECOVERY_GAMMA[self._family].get(recovery, 0.0)
 
-        sum_sdc = sum(residual_sdc)
-        sum_due = sum(residual_due)
+        sum_sdc = ordered_sum(residual_sdc)
+        sum_due = ordered_sum(residual_due)
         ranking = sorted(range(total), key=lambda i: (-(p_sdc[i] + p_due[i]), i))
 
         hardened: dict[int, CellType] = {}

@@ -4,24 +4,41 @@ The selective-hardening loop of Fig. 7 is deterministic given the selection
 policy, the recovery mechanism and the high-level technique set: the target
 only decides *where the walk down the vulnerability ranking stops*.  A
 :class:`ProtectionSchedule` therefore records the whole walk once -- the
-Heuristic-1 choice per flip-flop plus the cumulative SDC/DUE improvement
-curves (Eq. 1, including the evolving parity-γ) -- and answers any target by
-locating its first crossing on the curve: O(ffs) once per schedule plus
-O(log ffs) per target, instead of O(ffs) per (combination, target) pair.
+cumulative SDC/DUE improvement curves (Eq. 1, including the evolving
+parity-γ) -- and answers any target by locating its first crossing on the
+curve: O(ffs) once per schedule plus O(log ffs) per target, instead of
+O(ffs) per (combination, target) pair.
+
+Most of a walk does not even depend on the schedule.  Heuristic 1's choice
+for a flip-flop depends only on its *choice context* (the policy's allowed
+techniques, whether recovery is attached and which units it cannot
+recover), and whether finite targets skip it only on its post-high-level
+residuals being zero.  A :class:`StepTable` holds everything that follows
+from one context and one zero-residual mask alone: the ranked steps, the
+cumulative membership counts, the parity-γ factor of every prefix and the
+protect-everything membership.  The planner builds one table per (context,
+mask) -- 17 on the in-order and 18 on the out-of-order core, against 368
+and 152 schedules in the 586-combination sweep -- and every schedule on it
+shares the table; a schedule's own walk is one pass over the table's
+effective sites with its residuals and fixed γ.
 
 Cost is answered the same way: :meth:`ProtectionSchedule.plan_costed` reads
 energy/area/execution-time for a prefix from incremental cost curves
 (memoised per cost model, bit-identical to materialising the design and
 costing it), so streaming sweeps never rebuild parity plans per target.
+The membership a prefix's cost reads (hardened and EDS counts, parity group
+sizes) is memoised on the shared table.
 
 Bit-exactness with per-target replanning
 (:meth:`repro.core.heuristics.SelectiveHardeningPlanner.plan_replanning`) is
 guaranteed by construction and property-tested:
 
-* the walk applies the exact arithmetic sequence of the legacy loop (zero-
-  residual sites contribute bitwise no-ops, so one pass serves both the
-  finite-target path, which skips them, and the protect-everything path,
-  which does not);
+* the walk applies the exact arithmetic sequence of the legacy loop.
+  Residuals are never negative, so a zero-residual site has both residuals
+  ``+0.0`` and would change the sums by exact floating-point no-ops: the
+  walk visits only the other sites, and the protect-everything answer
+  differs from the end of the finite walk only in its parity count (every
+  parity choice of the context);
 * a target's stopping point is its *first* crossing of the improvement
   curve.  The curve need not be monotone (parity-γ and detection-to-DUE
   conversion can lower it), but any first crossing of a single-metric
@@ -33,8 +50,10 @@ guaranteed by construction and property-tested:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cached_property
 
 from repro.core.improvement import ResilienceTarget
 from repro.faultinjection.vulnerability import VulnerabilityMap
@@ -112,6 +131,12 @@ class ScheduleStep:
     zero_residual: bool
 
 
+#: Membership a design's cost reads: hardened count, EDS count and the
+#: optimized-heuristic parity group plan (group sizes are all the cost model
+#: reads of it).
+Membership = tuple[int, int, tuple[ParityGroupPlan, ...]]
+
+
 def materialise_design(registry: FlipFlopRegistry, timing: TimingModel,
                        vulnerability: VulnerabilityMap,
                        hardened: dict[int, CellType], parity_members: list[int],
@@ -136,32 +161,167 @@ def _first_index_at_least(record_values: list[float], record_indices: list[int],
     return record_indices[position]
 
 
+def _bucket_group_sizes(units: list[str], group_size: int) -> list[int]:
+    """Group sizes of one slack class, in the planner's canonical order.
+
+    ``units`` holds the class members' functional units in flat-index order.
+    Mirrors ``ParityPlanner._locality_groups``: units in first-appearance
+    order (a :class:`Counter` keeps insertion order), each unit chunked into
+    full groups plus one remainder.
+    """
+    sizes: list[int] = []
+    for count in Counter(units).values():
+        sizes.extend([group_size] * (count // group_size))
+        if count % group_size:
+            sizes.append(count % group_size)
+    return sizes
+
+
+class StepTable:
+    """The ranked Heuristic-1 walk of one choice context over one zero mask.
+
+    Built by :meth:`SelectiveHardeningPlanner.schedule_for` from the
+    vulnerability ranking, the context's per-site choices and
+    recoverability (in ranking order) and the residual key's zero mask
+    (indexed by flip-flop); shared by every schedule with that context and
+    mask, which only read it.
+
+    The effective walk -- the sites finite targets visit -- is stored as
+    parallel sequences the schedules' walks iterate: ``flats``, ``hardens``
+    (the choice is LEAP-DICE), ``recovers`` (detection the recovery
+    covers) and ``gamma_factors`` (the parity-γ factor
+    ``1 + parity / UNPIPELINED_GROUP_SIZE / total`` of every prefix).  The
+    :class:`ScheduleStep` objects themselves are built only when asked for.
+    """
+
+    def __init__(self, ranking: list[int], choices: tuple[LowLevelChoice, ...],
+                 recoverable: tuple[bool, ...], zero: tuple[bool, ...],
+                 units: list[str], has_slack: list[bool], total: int):
+        self._ranking = ranking
+        self._choices = choices
+        self._recoverable = recoverable
+        self._zero = zero
+        self._units = units
+        self._has_slack = has_slack
+        self.site_count = len(ranking)
+        # The protect-everything walk's parity-γ factor: every parity choice.
+        self.full_gamma_factor = (1.0 + choices.count(LowLevelChoice.PARITY)
+                                  / UNPIPELINED_GROUP_SIZE / total)
+        leap_dice = LowLevelChoice.LEAP_DICE
+        parity = LowLevelChoice.PARITY
+        flats: list[int] = []
+        hardens: list[bool] = []
+        recovers: list[bool] = []
+        gamma_factors = [1.0 + 0 / UNPIPELINED_GROUP_SIZE / total]
+        # Cumulative membership counts per effective prefix: the cost curves
+        # read prefix membership from these instead of re-scanning the walk.
+        cum_hardened = [0]
+        cum_eds = [0]
+        parity_prefix_ends: list[int] = []   # prefix length that admits member i
+        parity_flats: list[int] = []
+        hardened = eds = parity_count = 0
+        for flat_index, choice, covered in zip(ranking, choices, recoverable):
+            if zero[flat_index]:
+                continue
+            flats.append(flat_index)
+            hardens.append(choice is leap_dice)
+            recovers.append(covered)
+            if choice is leap_dice:
+                hardened += 1
+            elif choice is parity:
+                parity_count += 1
+                parity_prefix_ends.append(len(flats))
+                parity_flats.append(flat_index)
+            else:
+                eds += 1
+            cum_hardened.append(hardened)
+            cum_eds.append(eds)
+            gamma_factors.append(1.0 + parity_count / UNPIPELINED_GROUP_SIZE / total)
+        # Tuples: every schedule on the table reads them, none may change them.
+        self.flats = tuple(flats)
+        self.hardens = tuple(hardens)
+        self.recovers = tuple(recovers)
+        self.gamma_factors = tuple(gamma_factors)
+        self.cum_hardened = tuple(cum_hardened)
+        self.cum_eds = tuple(cum_eds)
+        self.parity_prefix_ends = tuple(parity_prefix_ends)
+        self.parity_flats = tuple(parity_flats)
+        self._prefix_memberships: dict[int, Membership] = {}
+
+    @cached_property
+    def steps(self) -> tuple[ScheduleStep, ...]:
+        """Every site's step, in ranking order (the protect-everything walk)."""
+        zero = self._zero
+        return tuple(map(ScheduleStep, self._ranking, self._choices,
+                         self._recoverable, [zero[i] for i in self._ranking]))
+
+    @cached_property
+    def effective(self) -> tuple[ScheduleStep, ...]:
+        """The steps finite targets can take (zero-residual sites excluded)."""
+        return tuple(step for step in self.steps if not step.zero_residual)
+
+    def _membership(self, hardened: int, eds: int,
+                    parity_flats: tuple[int, ...] | list[int]) -> Membership:
+        units = self._units
+        has_slack = self._has_slack
+        ordered = sorted(parity_flats)
+        slack_sizes = _bucket_group_sizes(
+            [units[i] for i in ordered if has_slack[i]], UNPIPELINED_GROUP_SIZE)
+        pipelined_sizes = _bucket_group_sizes(
+            [units[i] for i in ordered if not has_slack[i]], PIPELINED_GROUP_SIZE)
+        plans = [ParityGroupPlan(members=(0,) * size, pipelined=False, local=True)
+                 for size in slack_sizes]
+        plans.extend(ParityGroupPlan(members=(0,) * size, pipelined=True, local=True)
+                     for size in pipelined_sizes)
+        return hardened, eds, tuple(plans)
+
+    def membership_at(self, prefix: int) -> Membership:
+        """Cost membership of the finite-walk prefix (memoised per prefix)."""
+        membership = self._prefix_memberships.get(prefix)
+        if membership is None:
+            parity_count = bisect_right(self.parity_prefix_ends, prefix)
+            membership = self._membership(self.cum_hardened[prefix],
+                                          self.cum_eds[prefix],
+                                          self.parity_flats[:parity_count])
+            self._prefix_memberships[prefix] = membership
+        return membership
+
+    @cached_property
+    def full_membership(self) -> Membership:
+        """Cost membership of the protect-everything walk (every site)."""
+        choices = self._choices
+        parity = LowLevelChoice.PARITY
+        return self._membership(
+            choices.count(LowLevelChoice.LEAP_DICE),
+            choices.count(LowLevelChoice.EDS),
+            [flat_index for flat_index, choice in zip(self._ranking, choices)
+             if choice is parity])
+
+
 class ProtectionSchedule:
     """The full prefix schedule for one (policy, recovery, high-level) context.
 
-    Built once by :meth:`SelectiveHardeningPlanner.schedule_for`; answers
-    every resilience target through :meth:`plan` without replanning.
-    ``units``/``has_slack`` are the planner's per-site Heuristic-1 tables
-    (functional unit, 32-bit parity slack), shared by all its schedules.
+    Built once by :meth:`SelectiveHardeningPlanner.schedule_for` on a shared
+    :class:`StepTable`; answers every resilience target through
+    :meth:`plan` without replanning.  ``residual_sdc``/``residual_due`` are
+    the per-site residuals after the high-level techniques and
+    ``total_sdc``/``total_due`` their left-to-right sums.
     """
 
     def __init__(self, registry: FlipFlopRegistry, timing: TimingModel,
-                 vulnerability: VulnerabilityMap, units: list[str],
-                 has_slack: list[bool], recovery: RecoveryKind,
-                 hardening_cell: CellType,
+                 vulnerability: VulnerabilityMap, table: StepTable,
+                 recovery: RecoveryKind, hardening_cell: CellType,
                  high_level: list[TechniqueDescriptor],
-                 steps: list[ScheduleStep],
-                 residual_sdc: list[float], residual_due: list[float],
+                 residual_sdc: tuple[float, ...], residual_due: tuple[float, ...],
+                 total_sdc: float, total_due: float,
                  baseline_sdc: float, baseline_due: float, gamma_fixed: float):
         self.registry = registry
         self.timing = timing
         self.vulnerability = vulnerability
-        self._units = units
-        self._has_slack = has_slack
+        self.table = table
         self.recovery = recovery
         self.hardening_cell = hardening_cell
         self.high_level = high_level
-        self.steps = steps
         self._baseline_sdc = baseline_sdc
         self._baseline_due = baseline_due
         self._gamma_fixed = gamma_fixed
@@ -170,118 +330,90 @@ class ProtectionSchedule:
         # cost model, so a single identity-checked slot memoises the whole
         # sweep without pinning every model ever passed.
         self._cost_curve_entry: tuple[DesignCostModel, dict] | None = None
-        self._walk(residual_sdc, residual_due)
-        self._build_records()
+        self._walk(residual_sdc, residual_due, total_sdc, total_due)
 
     # ------------------------------------------------------------------ construction
-    def _walk(self, residual_sdc: list[float], residual_due: list[float]) -> None:
-        """One pass down the ranking, recording both stopping-rule curves.
-
-        Zero-residual sites change the sums by exact floating-point no-ops,
-        so a single pass yields bitwise-identical curves for the finite-
-        target walk (which skips them) and the protect-everything walk
-        (which visits them, growing the parity count).
+    def _walk(self, residual_sdc: tuple[float, ...], residual_due: tuple[float, ...],
+              sum_sdc: float, sum_due: float) -> None:
+        """One pass down the effective ranking: both curves and their records.
 
         Improvements follow Eq. 1 with the exact arithmetic of the legacy
-        loop; only its loop-invariant terms (the residual floors and the
-        flip-flop count) are hoisted.
+        loop -- ``gamma_fixed * (1 + parity / UNPIPELINED_GROUP_SIZE /
+        total)``, then ``baseline / max(sum, floor) / gamma`` -- with only
+        its loop-invariant terms (the floors, the parity factors) hoisted;
+        ``max`` is spelled out with its argument order kept.  The strict
+        running maxima of both curves are recorded in the same pass.
         """
+        table = self.table
         baseline_sdc = self._baseline_sdc
         baseline_due = self._baseline_due
         floor_sdc = baseline_sdc * RESIDUAL_FLOOR_FRACTION
         floor_due = baseline_due * RESIDUAL_FLOOR_FRACTION
         gamma_fixed = self._gamma_fixed
-        total = max(1, self.registry.total_flip_flops)
-
-        def improvements(parity_count: int, sum_sdc: float,
-                         sum_due: float) -> tuple[float, float]:
-            gamma = gamma_fixed * (1.0 + parity_count / UNPIPELINED_GROUP_SIZE / total)
-            return (baseline_sdc / max(sum_sdc, floor_sdc) / gamma,
-                    baseline_due / max(sum_due, floor_due) / gamma)
-
-        sum_sdc = sum(residual_sdc)
-        sum_due = sum(residual_due)
-        parity_finite = 0
-        parity_full = 0
-        effective: list[ScheduleStep] = []
-        start = improvements(0, sum_sdc, sum_due)
-        curve_sdc = [start[0]]
-        curve_due = [start[1]]
-        # Cumulative membership counts accumulated alongside the improvement
-        # curves: the cost curves read prefix membership from these instead
-        # of re-scanning the walk per target.
-        cum_hardened = [0]
-        cum_eds = [0]
-        hardened = 0
-        eds = 0
-        parity_prefix_ends: list[int] = []   # prefix length that admits member i
-        parity_flats: list[int] = []
-        leap_dice = LowLevelChoice.LEAP_DICE
-        parity = LowLevelChoice.PARITY
-        for step in self.steps:
-            flat_index = step.flat_index
-            choice = step.choice
+        suppression = HARDENING_SUPPRESSION
+        factors = table.gamma_factors
+        # Prefix 0, the unprotected design.  Its improvements are finite and
+        # positive, so each opens its curve's record subsequence.
+        gamma = gamma_fixed * factors[0]
+        best_sdc = baseline_sdc / (floor_sdc if floor_sdc > sum_sdc else sum_sdc) / gamma
+        best_due = baseline_due / (floor_due if floor_due > sum_due else sum_due) / gamma
+        curve_sdc = [best_sdc]
+        curve_due = [best_due]
+        record_sdc_values = [best_sdc]
+        record_sdc_indices = [0]
+        record_due_values = [best_due]
+        record_due_indices = [0]
+        for index, flat_index, hardens, recovers in zip(
+                range(1, len(factors)), table.flats, table.hardens, table.recovers):
             site_sdc = residual_sdc[flat_index]
-            site_due = residual_due[flat_index]
-            if choice is leap_dice:
-                sum_sdc -= site_sdc * HARDENING_SUPPRESSION
-                sum_due -= site_due * HARDENING_SUPPRESSION
+            if hardens:
+                sum_sdc -= site_sdc * suppression
+                sum_due -= residual_due[flat_index] * suppression
+            elif recovers:
+                sum_sdc -= site_sdc
+                sum_due -= residual_due[flat_index]
             else:
-                if choice is parity:
-                    parity_full += 1
-                if step.recoverable:
-                    sum_sdc -= site_sdc
-                    sum_due -= site_due
-                else:
-                    # Detection without recovery: SDC becomes detected (DUE).
-                    sum_due += site_sdc
-                    sum_sdc -= site_sdc
-            if not step.zero_residual:
-                effective.append(step)
-                if choice is leap_dice:
-                    hardened += 1
-                elif choice is parity:
-                    parity_finite += 1
-                    parity_prefix_ends.append(len(effective))
-                    parity_flats.append(flat_index)
-                else:
-                    eds += 1
-                cum_hardened.append(hardened)
-                cum_eds.append(eds)
-                achieved = improvements(parity_finite, sum_sdc, sum_due)
-                curve_sdc.append(achieved[0])
-                curve_due.append(achieved[1])
-        self._effective = effective
-        self._curve_sdc = curve_sdc
-        self._curve_due = curve_due
-        self._cum_hardened = cum_hardened
-        self._cum_eds = cum_eds
-        self._parity_prefix_ends = parity_prefix_ends
-        self._parity_flats = parity_flats
-        self._full_achieved = improvements(parity_full, sum_sdc, sum_due)
-
-    def _build_records(self) -> None:
-        """Strict-running-maximum subsequences enabling first-crossing bisection."""
-        self._sdc_record_values: list[float] = []
-        self._sdc_record_indices: list[int] = []
-        self._due_record_values: list[float] = []
-        self._due_record_indices: list[int] = []
-        best_sdc = best_due = float("-inf")
-        for index, (sdc, due) in enumerate(zip(self._curve_sdc, self._curve_due)):
+                # Detection without recovery: SDC becomes detected (DUE).
+                sum_due += site_sdc
+                sum_sdc -= site_sdc
+            gamma = gamma_fixed * factors[index]
+            sdc = baseline_sdc / (floor_sdc if floor_sdc > sum_sdc else sum_sdc) / gamma
+            due = baseline_due / (floor_due if floor_due > sum_due else sum_due) / gamma
+            curve_sdc.append(sdc)
+            curve_due.append(due)
             if sdc > best_sdc:
                 best_sdc = sdc
-                self._sdc_record_values.append(sdc)
-                self._sdc_record_indices.append(index)
+                record_sdc_values.append(sdc)
+                record_sdc_indices.append(index)
             if due > best_due:
                 best_due = due
-                self._due_record_values.append(due)
-                self._due_record_indices.append(index)
+                record_due_values.append(due)
+                record_due_indices.append(index)
+        self._curve_sdc = curve_sdc
+        self._curve_due = curve_due
+        self._sdc_record_values = record_sdc_values
+        self._sdc_record_indices = record_sdc_indices
+        self._due_record_values = record_due_values
+        self._due_record_indices = record_due_indices
+        gamma = gamma_fixed * table.full_gamma_factor
+        self._full_achieved = (
+            baseline_sdc / (floor_sdc if floor_sdc > sum_sdc else sum_sdc) / gamma,
+            baseline_due / (floor_due if floor_due > sum_due else sum_due) / gamma)
 
     # ------------------------------------------------------------------ queries
     @property
+    def steps(self) -> tuple[ScheduleStep, ...]:
+        """Every site's step in ranking order (shared with the step table)."""
+        return self.table.steps
+
+    @property
+    def _effective(self) -> tuple[ScheduleStep, ...]:
+        return self.table.effective
+
+    @property
     def effective_length(self) -> int:
         """Number of walk steps finite targets can take (zero sites excluded)."""
-        return len(self._effective)
+        return len(self.table.flats)
 
     def improvement_curve(self) -> list[tuple[int, float, float]]:
         """The (protected count, SDC, DUE) improvement curve for finite targets."""
@@ -295,7 +427,7 @@ class ProtectionSchedule:
         matching the legacy loop's exhaustion behaviour.  Callers must route
         protect-everything ("max") targets through :meth:`plan` instead.
         """
-        length = len(self._effective)
+        length = self.effective_length
         first_sdc = 0 if target.sdc is None else _first_index_at_least(
             self._sdc_record_values, self._sdc_record_indices, target.sdc)
         first_due = 0 if target.due is None else _first_index_at_least(
@@ -317,7 +449,7 @@ class ProtectionSchedule:
                 or (target.due or 0) == float("inf"))
 
     # ------------------------------------------------------------------ planning
-    def _membership(self, steps: list[ScheduleStep],
+    def _membership(self, steps: tuple[ScheduleStep, ...],
                     ) -> tuple[dict[int, CellType], list[int], set[int]]:
         hardened: dict[int, CellType] = {}
         parity_members: list[int] = []
@@ -335,7 +467,7 @@ class ProtectionSchedule:
         """Answer one target from the precomputed schedule (no replanning)."""
         if self._protects_everything(target):
             selected = self.steps
-            protected = len(self.steps)
+            protected = self.table.site_count
             achieved_sdc, achieved_due = self._full_achieved
         else:
             prefix = self.prefix_for(target)
@@ -357,78 +489,20 @@ class ProtectionSchedule:
     # the cost computation factors through counts alone: hardened cells and
     # EDS cost linearly in their counts, and the Fig. 3 "optimized" parity
     # grouping produces group *sizes* that depend only on how many members
-    # each (functional unit, slack class) bucket holds.  The helpers below
-    # recompute `ProtectedDesign.cost` term for term from that membership --
-    # same conditionals, same combine order, same per-group arithmetic -- so
-    # the answers are bit-identical to materialising the design, at
-    # O(prefix + groups) per (memoised) prefix instead of a full
-    # materialise + cost per target.
+    # each (functional unit, slack class) bucket holds.  The step table
+    # derives that membership per prefix; the helpers below recompute
+    # `ProtectedDesign.cost` term for term from it -- same conditionals, same
+    # combine order, same per-group arithmetic -- so the answers are
+    # bit-identical to materialising the design, at O(prefix + groups) per
+    # (memoised) prefix instead of a full materialise + cost per target.
 
-    def _classify_parity(self, flat_indices: list[int]) -> tuple[list, list]:
-        """Split parity members into (flat index, unit) slack-class buckets."""
-        slack_members: list[tuple[int, str]] = []
-        pipelined_members: list[tuple[int, str]] = []
-        units = self._units
-        has_slack = self._has_slack
-        for flat_index in flat_indices:
-            bucket = slack_members if has_slack[flat_index] else pipelined_members
-            bucket.append((flat_index, units[flat_index]))
-        return slack_members, pipelined_members
-
-    def _cost_membership(self, steps: list[ScheduleStep],
-                         ) -> tuple[int, int, list, list]:
-        """Counts and parity (flat index, unit) pairs of one step sequence."""
-        hardened = 0
-        eds = 0
-        parity_flats: list[int] = []
-        for step in steps:
-            if step.choice is LowLevelChoice.LEAP_DICE:
-                hardened += 1
-            elif step.choice is LowLevelChoice.PARITY:
-                parity_flats.append(step.flat_index)
-            else:
-                eds += 1
-        slack_members, pipelined_members = self._classify_parity(parity_flats)
-        return hardened, eds, slack_members, pipelined_members
-
-    @staticmethod
-    def _bucket_group_sizes(members: list[tuple[int, str]],
-                            group_size: int) -> list[int]:
-        """Group sizes of one slack class, in the planner's canonical order.
-
-        Mirrors ``ParityPlanner._locality_groups``: members sorted by flat
-        index, units in first-appearance order, each unit chunked into full
-        groups plus one remainder.
-        """
-        by_unit: dict[str, int] = {}
-        for _, unit in sorted(members):
-            by_unit[unit] = by_unit.get(unit, 0) + 1
-        sizes: list[int] = []
-        for count in by_unit.values():
-            sizes.extend([group_size] * (count // group_size))
-            if count % group_size:
-                sizes.append(count % group_size)
-        return sizes
-
-    def _parity_plans(self, slack_members: list, pipelined_members: list,
-                      ) -> list[ParityGroupPlan]:
-        """The optimized-heuristic group plan (sizes are all the model reads)."""
-        plans = [ParityGroupPlan(members=(0,) * size, pipelined=False, local=True)
-                 for size in self._bucket_group_sizes(slack_members,
-                                                      UNPIPELINED_GROUP_SIZE)]
-        plans.extend(ParityGroupPlan(members=(0,) * size, pipelined=True, local=True)
-                     for size in self._bucket_group_sizes(pipelined_members,
-                                                          PIPELINED_GROUP_SIZE))
-        return plans
-
-    def _cost_of_membership(self, cost_model: DesignCostModel, hardened: int,
-                            eds: int, slack_members: list,
-                            pipelined_members: list) -> CostReport:
+    def _cost_of_membership(self, cost_model: DesignCostModel,
+                            membership: Membership) -> CostReport:
+        hardened, eds, plans = membership
         report = CostReport()
         if hardened and self.hardening_cell is not CellType.BASELINE:
             report = report.combined_with(
                 cost_model.hardened_cells_cost({self.hardening_cell: hardened}))
-        plans = self._parity_plans(slack_members, pipelined_members)
         if plans:
             report = report.combined_with(cost_model.parity_cost(plans))
         if eds:
@@ -450,20 +524,12 @@ class ProtectionSchedule:
         return entry[1]
 
     def cost_at(self, prefix: int, cost_model: DesignCostModel) -> CostReport:
-        """Exact cost of the finite-walk prefix design (no materialisation).
-
-        Membership comes straight from the cumulative counts recorded during
-        the walk -- O(parity members + groups) per uncached prefix.
-        """
+        """Exact cost of the finite-walk prefix design (no materialisation)."""
         memo = self._cost_memo(cost_model)
         report = memo.get(prefix)
         if report is None:
-            parity_count = bisect_right(self._parity_prefix_ends, prefix)
-            slack_members, pipelined_members = self._classify_parity(
-                self._parity_flats[:parity_count])
-            report = self._cost_of_membership(
-                cost_model, self._cum_hardened[prefix], self._cum_eds[prefix],
-                slack_members, pipelined_members)
+            report = self._cost_of_membership(cost_model,
+                                              self.table.membership_at(prefix))
             memo[prefix] = report
         return report
 
@@ -472,8 +538,7 @@ class ProtectionSchedule:
         memo = self._cost_memo(cost_model)
         report = memo.get("full")
         if report is None:
-            report = self._cost_of_membership(
-                cost_model, *self._cost_membership(self.steps))
+            report = self._cost_of_membership(cost_model, self.table.full_membership)
             memo["full"] = report
         return report
 
@@ -497,7 +562,7 @@ class ProtectionSchedule:
         while materialising only the designs a caller actually asks for.
         """
         if self._protects_everything(target):
-            return CostedPlan(protected_count=len(self.steps),
+            return CostedPlan(protected_count=self.table.site_count,
                               achieved_sdc=self._full_achieved[0],
                               achieved_due=self._full_achieved[1],
                               cost=self.full_cost(cost_model))

@@ -32,7 +32,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from repro.faultinjection.vulnerability import VulnerabilityMap
+from repro.faultinjection.vulnerability import VulnerabilityMap, ordered_sum
 from repro.microarch.flipflop import FlipFlopRegistry
 
 _SEED_STRIDE = 1_000_003
@@ -225,7 +225,7 @@ class CalibratedVulnerabilityModel:
         total = self.registry.total_flip_flops
         vulnerability = VulnerabilityMap(self.registry.core_name, total)
         profile = self.profile
-        weight_sum = sum(self._base_weights) or 1.0
+        weight_sum = ordered_sum(self._base_weights) or 1.0
         sdc_scale = profile.mean_sdc_probability * total / weight_sum
         due_scale = profile.mean_due_probability * total / weight_sum
         for benchmark in self.benchmarks:

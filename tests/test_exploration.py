@@ -30,7 +30,7 @@ from repro.core import (
     sdc_targets,
 )
 from repro.core.combinations import EDS, LEAP_DICE, PARITY
-from repro.core.exploration import high_level_descriptor
+from repro.core.exploration import high_level_descriptor, high_level_descriptors
 from repro.core.heuristics import SelectiveHardeningPlanner, choose_technique
 from repro.physical import RecoveryKind
 from repro.resilience.logic_parity import UNPIPELINED_GROUP_SIZE
@@ -161,6 +161,87 @@ class TestHeuristicOneTables:
             for step in schedule.steps:
                 assert step.choice is choose_technique(
                     step.flat_index, registry, framework.timing, recovery, policy)
+
+
+class TestSharedStepTables:
+    """Schedules sharing step tables answer as if each were built alone.
+
+    One planner builds the schedule of every tunable (policy, recovery,
+    high-level) context of the sweep pool, in pool order, so most of them
+    share a step table with schedules built before them.
+    """
+
+    @staticmethod
+    def _contexts(family):
+        contexts = {}
+        for combination in enumerate_combinations(family):
+            if not combination.has_tunable_technique:
+                continue
+            policy = SelectionPolicy(
+                allow_hardening=LEAP_DICE in combination.techniques,
+                allow_parity=PARITY in combination.techniques,
+                allow_eds=EDS in combination.techniques)
+            high_level = high_level_descriptors(combination)
+            key = (policy.cache_key(), combination.recovery,
+                   tuple(technique.name for technique in high_level))
+            contexts.setdefault(key, (combination.recovery, policy, high_level))
+        return list(contexts.values())
+
+    @staticmethod
+    def _planner(framework):
+        return SelectiveHardeningPlanner(framework.core.registry,
+                                         framework.vulnerability, framework.timing,
+                                         framework.benchmark_names())
+
+    @pytest.fixture(scope="class")
+    def shared(self, ino_framework, ooo_framework):
+        built = {}
+        for family, framework in (("InO", ino_framework), ("OoO", ooo_framework)):
+            planner = self._planner(framework)
+            contexts = self._contexts(family)
+            schedules = [planner.schedule_for(recovery, policy, high_level)
+                         for recovery, policy, high_level in contexts]
+            assert len({id(schedule.table) for schedule in schedules}) < len(schedules)
+            built[family] = (framework, planner, contexts)
+        return built
+
+    @settings(max_examples=16, deadline=None)
+    @given(data=st.data())
+    def test_shared_schedules_match_replanning(self, data, shared):
+        family = data.draw(st.sampled_from(("InO", "InO", "InO", "OoO")),
+                           label="family")
+        framework, planner, contexts = shared[family]
+        recovery, policy, high_level = data.draw(st.sampled_from(contexts),
+                                                 label="context")
+        targets = data.draw(st.lists(_targets(), min_size=3, max_size=3),
+                            label="targets")
+        schedule = planner.schedule_for(recovery, policy, high_level)
+        fresh = self._planner(framework)
+        cost_model = framework.cost_model
+        for target in targets:
+            reference = fresh.plan_replanning(target, recovery=recovery,
+                                              policy=policy, high_level=high_level)
+            _assert_results_identical(
+                planner.plan(target, recovery=recovery, policy=policy,
+                             high_level=high_level), reference)
+            costed = schedule.plan_costed(target, cost_model)
+            assert costed.cost == reference.design.cost(cost_model)
+            assert costed.protected_count == reference.protected_count
+            assert costed.achieved_sdc == reference.achieved_sdc
+            assert costed.achieved_due == reference.achieved_due
+
+    def test_every_ino_context_matches_an_unshared_schedule(self, shared):
+        framework, planner, contexts = shared["InO"]
+        cost_model = framework.cost_model
+        for recovery, policy, high_level in contexts:
+            schedule = planner.schedule_for(recovery, policy, high_level)
+            alone = self._planner(framework).schedule_for(recovery, policy, high_level)
+            assert schedule.steps == alone.steps
+            assert schedule._effective == alone._effective
+            assert schedule.improvement_curve() == alone.improvement_curve()
+            for target in sdc_targets():
+                assert (schedule.plan_costed(target, cost_model)
+                        == alone.plan_costed(target, cost_model))
 
 
 class TestExplorerEquivalence:
