@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 from repro.core.heuristics import SelectionPolicy, SelectiveHardeningPlanner
 from repro.core.improvement import ResilienceTarget
-from repro.faultinjection.vulnerability import VulnerabilityMap
+from repro.faultinjection.vulnerability import VulnerabilityMap, ordered_sum
 from repro.microarch.flipflop import FlipFlopRegistry
 from repro.physical.cells import RecoveryKind
 from repro.physical.costmodel import DesignCostModel
@@ -79,8 +79,8 @@ def paired_p_value(differences: list[float]) -> float:
     n = len(differences)
     if n < 2:
         return 1.0
-    mean = sum(differences) / n
-    variance = sum((d - mean) ** 2 for d in differences) / (n - 1)
+    mean = ordered_sum(differences) / n
+    variance = ordered_sum((d - mean) ** 2 for d in differences) / (n - 1)
     if variance == 0:
         return 1.0 if mean == 0 else 0.0
     standard_error = (variance / n) ** 0.5
@@ -149,7 +149,7 @@ class BenchmarkDependenceStudy:
         count = len(splits) or 1
         return TrainValidateResult(
             target=0.0,
-            trained_sdc=sum(trained_sdc) / count,
-            validated_sdc=sum(validated_sdc) / count,
-            trained_due=sum(trained_due) / count,
-            validated_due=sum(validated_due) / count)
+            trained_sdc=ordered_sum(trained_sdc) / count,
+            validated_sdc=ordered_sum(validated_sdc) / count,
+            trained_due=ordered_sum(trained_due) / count,
+            validated_due=ordered_sum(validated_due) / count)

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.faultinjection.vulnerability import ordered_sum
 from repro.microarch.flipflop import FlipFlopRegistry
 
 # Fraction of flip-flops whose nearest neighbour is less than one flip-flop
@@ -139,7 +140,7 @@ class Placement:
                     break
         total = max(1, len(distances))
         finite = [d for d in distances if math.isfinite(d)]
-        average = sum(finite) / len(finite) if finite else 0.0
+        average = ordered_sum(finite) / len(finite) if finite else 0.0
         return SpacingDistribution(bins=edges,
                                    fractions=tuple(c / total for c in counts),
                                    average=average)

@@ -183,3 +183,14 @@ class TestDependenceStudy:
         # same "barely helps" regime).
         assert 0.8 < result.trained_sdc < 2.0
         assert abs(result.sdc_underestimate_pct) < 30.0
+
+    def test_high_level_averages_are_pinned(self, study, ino_framework):
+        # Tables 23/24 average over splits left to right, so the bits do not
+        # depend on the Python version (the builtin float ``sum`` is
+        # compensated from 3.12 on).
+        splits = make_splits(ino_framework.benchmark_names(), count=50, seed=6)
+        result = study.evaluate_high_level(dfc_descriptor(), splits)
+        assert (result.trained_sdc, result.validated_sdc,
+                result.trained_due, result.validated_due) == (
+            0.9465416020178756, 0.9465416020178747,
+            0.7191359545787068, 0.7191278838763583)

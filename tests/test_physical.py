@@ -137,6 +137,14 @@ class TestPlacement:
         # (Table 5 reports 65.2% for the InO-core).
         assert distribution.fractions[0] > 0.4
 
+    def test_baseline_spacing_average_is_pinned(self, ino_core, ooo_core):
+        # Table 5's average spacing is summed left to right, so it reads the
+        # same bits on every Python version (the builtin float ``sum`` is
+        # compensated from 3.12 on).
+        averages = [Placement(core.registry, seed=1).baseline_spacing_distribution().average
+                    for core in (ino_core, ooo_core)]
+        assert averages == [0.9043275900946637, 0.9668403123990011]
+
     def test_parity_groups_respect_minimum_spacing(self, ino_core):
         placement = Placement(ino_core.registry, seed=1)
         groups = [list(range(start, start + 16)) for start in range(0, 128, 16)]
