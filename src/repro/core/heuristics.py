@@ -29,14 +29,15 @@ planner, at the coarsest key it depends on:
   sums and the ranking), once per planner;
 * the per-site Heuristic-1 inputs -- each flip-flop's functional unit and
   whether it has the slack for a 32-bit parity tree -- once per planner
-  (:meth:`SelectiveHardeningPlanner.site_tables`);
+  (:meth:`SelectiveHardeningPlanner.site_tables`, and as arrays with the
+  ranking in :meth:`SelectiveHardeningPlanner.site_arrays`);
 * Heuristic 1 itself, once per *choice context* (the policy's allowed
   techniques, whether recovery is attached, the units it cannot recover):
   the choice and recoverability of every ranked site.  The 586-combination
   sweep has 17 contexts on the in-order and 18 on the out-of-order core,
   against 368 and 152 schedules;
-* post-high-level residuals, their left-to-right sums and their zero mask,
-  once per (technique set, recovery present);
+* post-high-level residuals (float64 arrays), their left-to-right sums and
+  their zero mask, once per (technique set, recovery present);
 * one :class:`~repro.core.schedule.StepTable` per (choice context, zero
   mask), which every schedule on it shares: the effective walk, its
   cumulative membership counts and the protect-everything cost membership.
@@ -55,6 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.improvement import ResilienceTarget
 from repro.core.schedule import (
@@ -134,16 +137,17 @@ def choose_technique(flat_index: int, registry: FlipFlopRegistry, timing: Timing
 class Residuals(NamedTuple):
     """Per-site residuals after one high-level technique set (planner cache).
 
-    ``sdc``/``due`` are indexed by flip-flop, ``total_sdc``/``total_due``
-    are their left-to-right sums and ``zero`` flags the sites whose
-    residuals are both zero (the sites finite targets skip).
+    ``sdc``/``due`` are float64 arrays indexed by flip-flop,
+    ``total_sdc``/``total_due`` their left-to-right sums and ``zero`` the
+    boolean array of sites whose residuals are both zero (the sites finite
+    targets skip).
     """
 
-    sdc: tuple[float, ...]
-    due: tuple[float, ...]
+    sdc: np.ndarray
+    due: np.ndarray
     total_sdc: float
     total_due: float
-    zero: tuple[bool, ...]
+    zero: np.ndarray
 
 
 def descriptor_key(technique: TechniqueDescriptor) -> tuple:
@@ -176,22 +180,23 @@ class SelectiveHardeningPlanner:
         self.timing = timing
         self.benchmarks = benchmarks
         self._family = core_family(registry.core_name)
-        self._profile: tuple[tuple[float, ...], tuple[float, ...], float, float,
+        self._profile: tuple[np.ndarray, np.ndarray, float, float,
                              list[int]] | None = None
         self._site_tables: tuple[list[str], list[bool]] | None = None
+        self._site_arrays: tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 list[str]] | None = None
         self._residual_cache: dict[tuple, Residuals] = {}
-        self._choice_cache: dict[tuple, tuple[tuple[LowLevelChoice, ...],
-                                              tuple[bool, ...]]] = {}
+        self._choice_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._table_cache: dict[tuple, StepTable] = {}
         self._schedule_cache: dict[tuple, ProtectionSchedule] = {}
 
     # ------------------------------------------------------------------ cached inputs
-    def profile(self) -> tuple[tuple[float, ...], tuple[float, ...], float, float,
-                               list[int]]:
+    def profile(self) -> tuple[np.ndarray, np.ndarray, float, float, list[int]]:
         """Per-site (p_sdc, p_due), baselines and the vulnerability ranking.
 
         Depends only on the vulnerability map and benchmark list, both fixed
-        at construction, so it is computed exactly once per planner.
+        at construction, so it is computed exactly once per planner.  The
+        probabilities are read-only float64 arrays.
         """
         if self._profile is None:
             total = self.registry.total_flip_flops
@@ -199,6 +204,9 @@ class SelectiveHardeningPlanner:
             baseline_sdc = ordered_sum(p_sdc) or 1e-12
             baseline_due = ordered_sum(p_due) or 1e-12
             ranking = sorted(range(total), key=lambda i: (-(p_sdc[i] + p_due[i]), i))
+            p_sdc = np.array(p_sdc, dtype=np.float64)
+            p_due = np.array(p_due, dtype=np.float64)
+            p_sdc.flags.writeable = p_due.flags.writeable = False
             self._profile = (p_sdc, p_due, baseline_sdc, baseline_due, ranking)
         return self._profile
 
@@ -217,6 +225,23 @@ class SelectiveHardeningPlanner:
                  for i in total])
         return self._site_tables
 
+    def site_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+        """The ranking, per-site unit ids and parity slack as arrays.
+
+        What the step tables read: the ranking of :meth:`profile`, each
+        flip-flop's functional unit as an index into the returned unit
+        names (numbered in first-appearance order) and the slack flags of
+        :meth:`site_tables`; built once per planner.
+        """
+        if self._site_arrays is None:
+            units, has_slack = self.site_tables()
+            ids: dict[str, int] = {}
+            unit_ids = [ids.setdefault(unit, len(ids)) for unit in units]
+            self._site_arrays = (np.asarray(self.profile()[4], dtype=np.intp),
+                                 np.asarray(unit_ids, dtype=np.intp),
+                                 np.asarray(has_slack, dtype=bool), list(ids))
+        return self._site_arrays
+
     def _residuals(self, high_level: list[TechniqueDescriptor],
                    recovery: RecoveryKind) -> Residuals:
         """Per-site residuals after the high-level techniques (cached).
@@ -224,8 +249,9 @@ class SelectiveHardeningPlanner:
         The residuals depend on the ordered technique list and on *whether*
         hardware recovery is present (its latency gate), not on which
         mechanism it is -- so IR/EIR/flush variants of one technique set
-        share an entry.  The entry also carries the residuals' left-to-right
-        sums and their zero mask.
+        share an entry.  Each technique applies the legacy loop's per-site
+        operations elementwise; the entry also carries the residuals'
+        left-to-right sums and their zero mask.
         """
         key = (tuple(descriptor_key(t) for t in high_level),
                recovery is not RecoveryKind.NONE)
@@ -243,29 +269,28 @@ class SelectiveHardeningPlanner:
                              <= HARDWARE_RECOVERY_LATENCY_LIMIT))
             sdc_detection = coverage.overall_sdc_detection
             due_detection = coverage.overall_due_detection
-            detected_sdc = [p * sdc_detection for p in residual_sdc]
+            detected_sdc = residual_sdc * sdc_detection
             if recovered:
-                residual_due = [p - p * due_detection for p in residual_due]
+                residual_due = residual_due - residual_due * due_detection
             else:
-                residual_due = [p + detected
-                                for p, detected in zip(residual_due, detected_sdc)]
-            residual_sdc = [p - detected
-                            for p, detected in zip(residual_sdc, detected_sdc)]
-        zero = tuple(sdc <= 0 and due <= 0
-                     for sdc, due in zip(residual_sdc, residual_due))
-        result = Residuals(tuple(residual_sdc), tuple(residual_due),
-                           ordered_sum(residual_sdc), ordered_sum(residual_due), zero)
+                residual_due = residual_due + detected_sdc
+            residual_sdc = residual_sdc - detected_sdc
+        residual_sdc.flags.writeable = residual_due.flags.writeable = False
+        result = Residuals(residual_sdc, residual_due, ordered_sum(residual_sdc.tolist()),
+                           ordered_sum(residual_due.tolist()),
+                           (residual_sdc <= 0) & (residual_due <= 0))
         self._residual_cache[key] = result
         return result
 
     def _choices(self, policy: SelectionPolicy, recovery: RecoveryKind,
-                 ) -> tuple[tuple, tuple[LowLevelChoice, ...], tuple[bool, ...]]:
+                 ) -> tuple[tuple, np.ndarray, np.ndarray]:
         """Heuristic-1 choice and recoverability of every ranked site (cached).
 
         Both depend only on the *choice context* -- the policy's allowed
         techniques, whether recovery is attached and the units it cannot
-        recover -- which is returned as the cache key.  Sites are resolved
-        once per distinct (unit, slack) pair.
+        recover -- which is returned as the cache key.  Heuristic 1 runs
+        once per (unit, slack) pair; the ranked sites index the result.
+        Choices are indices into ``tuple(LowLevelChoice)``.
         """
         unrecoverable = recovery_cost(self.registry.core_name,
                                       recovery).unrecoverable_units
@@ -274,16 +299,17 @@ class SelectiveHardeningPlanner:
                has_recovery, unrecoverable)
         cached = self._choice_cache.get(key)
         if cached is None:
-            ranking = self.profile()[4]
-            units, has_slack = self.site_tables()
-            ranked = [(units[i], has_slack[i]) for i in ranking]
-            choice_of = {pair: _choose_in_context(pair[0], pair[1], policy,
-                                                  has_recovery, unrecoverable)
-                         for pair in set(ranked)}
-            covered = {unit: has_recovery and unit not in unrecoverable
-                       for unit in set(units)}
-            cached = (tuple([choice_of[pair] for pair in ranked]),
-                      tuple([covered[units[i]] for i in ranking]))
+            ranking, units, has_slack, names = self.site_arrays()
+            order = tuple(LowLevelChoice)
+            choice_of = np.array(
+                [[order.index(_choose_in_context(name, slack, policy, has_recovery,
+                                                 unrecoverable))
+                  for slack in (False, True)] for name in names], dtype=np.int8)
+            covered = np.array([has_recovery and name not in unrecoverable
+                                for name in names], dtype=bool)
+            ranked_units = units[ranking]
+            cached = (choice_of[ranked_units, has_slack[ranking].astype(np.intp)],
+                      covered[ranked_units])
             self._choice_cache[key] = cached
         return key, *cached
 
@@ -334,13 +360,13 @@ class SelectiveHardeningPlanner:
         cached = self._schedule_cache.get(key)
         if cached is not None:
             return cached
-        _, _, baseline_sdc, baseline_due, ranking = self.profile()
+        _, _, baseline_sdc, baseline_due, _ = self.profile()
         residuals = self._residuals(high_level, recovery)
         context, choices, recoverable = self._choices(policy, recovery)
-        table_key = (context, residuals.zero)
+        table_key = (context, residuals.zero.tobytes())
         table = self._table_cache.get(table_key)
         if table is None:
-            units, has_slack = self.site_tables()
+            ranking, units, has_slack, _ = self.site_arrays()
             table = StepTable(ranking, choices, recoverable, residuals.zero,
                               units, has_slack, max(1, self.registry.total_flip_flops))
             self._table_cache[table_key] = table

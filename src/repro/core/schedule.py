@@ -19,8 +19,8 @@ cumulative membership counts, the parity-γ factor of every prefix and the
 protect-everything membership.  The planner builds one table per (context,
 mask) -- 17 on the in-order and 18 on the out-of-order core, against 368
 and 152 schedules in the 586-combination sweep -- and every schedule on it
-shares the table; a schedule's own walk is one pass over the table's
-effective sites with its residuals and fixed γ.
+shares the table; a schedule's own walk is a few array operations over
+the table's effective sites with its residuals and fixed γ.
 
 Cost is answered the same way: :meth:`ProtectionSchedule.plan_costed` reads
 energy/area/execution-time for a prefix from incremental cost curves
@@ -45,15 +45,48 @@ guaranteed by construction and property-tested:
   threshold is a strict running maximum, so single-metric targets bisect the
   record subsequence; joint targets scan forward from the later of their two
   single-metric crossings.
+
+Everything per site lives in numpy arrays, built once where it is shared:
+
+* per planner, the probabilities, ranking, unit ids and slack flags;
+  per residual key, the float64 residuals and their zero mask (on the
+  planner's ``Residuals`` entry); per choice context, the choice codes and
+  recoverability of the ranked sites;
+* per :class:`StepTable`, the effective walk (``flats``, ``hardens``,
+  ``recovers``), the cumulative hardened/EDS/parity counts and parity-γ
+  factors of every prefix, and the parity members ordered by (slack class,
+  unit) bucket and flat index;
+* per :class:`ProtectionSchedule`, the two float64 curves and their records
+  (values and intp indices).
+
+The array path does the legacy loop's IEEE operations in the same order:
+
+* running sums are ``np.add.accumulate`` over ``[total, -d1, -d2, ...]``,
+  which adds one term after another, and ``a - b == a + (-b)`` exactly.
+  ``total - np.cumsum(d)`` rounds differently and ``np.sum`` is pairwise;
+  neither may be used;
+* Eq. 1 is elementwise ``baseline / np.maximum(sums, floor) / (gamma_fixed *
+  factors)``;
+* records are the strict running maxima (``curve[k] > max(curve[:k])`` via
+  ``np.maximum.accumulate``), looked up with ``np.searchsorted(side="left")``,
+  which is ``bisect_left``;
+* a prefix's parity buckets keep first-appearance order by flat index; only
+  the non-empty buckets are ordered, the prefix itself is never re-sorted.
+
+Values become Python ``float``/``int`` where they leave the schedule:
+:class:`CostedPlan`, :meth:`ProtectionSchedule.plan`,
+:meth:`~ProtectionSchedule.improvement_curve`,
+:meth:`~ProtectionSchedule.prefix_for` and
+:meth:`~ProtectionSchedule.cost_curve`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
-from functools import cached_property
+from functools import cache, cached_property
+
+import numpy as np
 
 from repro.core.improvement import ResilienceTarget
 from repro.faultinjection.vulnerability import VulnerabilityMap
@@ -152,150 +185,173 @@ def materialise_design(registry: FlipFlopRegistry, timing: TimingModel,
                            high_level=high_level, label=label)
 
 
-def _first_index_at_least(record_values: list[float], record_indices: list[int],
+def _first_index_at_least(record_values: np.ndarray, record_indices: np.ndarray,
                           threshold: float) -> int | None:
     """First curve index whose value reaches ``threshold`` (record bisection)."""
-    position = bisect_left(record_values, threshold)
+    position = int(np.searchsorted(record_values, threshold, side="left"))
     if position == len(record_values):
         return None
-    return record_indices[position]
+    return int(record_indices[position])
 
 
-def _bucket_group_sizes(units: list[str], group_size: int) -> list[int]:
-    """Group sizes of one slack class, in the planner's canonical order.
+def _records(curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and indices of the strict running maxima of ``curve``.
 
-    ``units`` holds the class members' functional units in flat-index order.
-    Mirrors ``ParityPlanner._locality_groups``: units in first-appearance
-    order (a :class:`Counter` keeps insertion order), each unit chunked into
-    full groups plus one remainder.
+    Index 0 always opens the subsequence; index ``k`` joins it when its
+    value exceeds every earlier one.
     """
-    sizes: list[int] = []
-    for count in Counter(units).values():
-        sizes.extend([group_size] * (count // group_size))
-        if count % group_size:
-            sizes.append(count % group_size)
-    return sizes
+    is_record = np.empty(len(curve), dtype=bool)
+    is_record[0] = True
+    np.greater(curve[1:], np.maximum.accumulate(curve)[:-1], out=is_record[1:])
+    indices = np.flatnonzero(is_record)
+    return curve[indices], indices
+
+
+@cache
+def _group_plan(size: int, pipelined: bool) -> ParityGroupPlan:
+    """The cost model's view of one local parity group (sizes are all it reads)."""
+    return ParityGroupPlan(members=(0,) * size, pipelined=pipelined, local=True)
+
+
+class _ParityBuckets:
+    """Parity group plans of every walk-order prefix of one member list.
+
+    Mirrors ``ParityPlanner._locality_groups`` on the sizes alone: members
+    fall into buckets by slack class and functional unit; unpipelined
+    (slack) buckets come first, each class in first-appearance order by
+    flat index, and each bucket is chunked into full groups plus one
+    remainder.  The members are stored once, ordered by bucket and then by
+    flat index, with their walk positions; a prefix of ``count`` members is
+    then one mask (walk position below ``count``) and two segment
+    reductions per bucket -- its size and its smallest flat index -- and
+    only the non-empty buckets are ordered.
+    """
+
+    def __init__(self, flats: np.ndarray, units: np.ndarray, has_slack: np.ndarray):
+        pipelined = ~has_slack[flats]
+        buckets = units[flats] * 2 + pipelined
+        order = np.lexsort((flats, buckets))
+        self._positions = order
+        self._flats = flats[order]
+        ordered = buckets[order]
+        first = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        self._starts = np.flatnonzero(first)
+        self._pipelined = pipelined[order][self._starts]
+        self.size = len(flats)
+
+    def plans(self, count: int) -> tuple[ParityGroupPlan, ...]:
+        """Group plans of the first ``count`` members in walk order."""
+        if count == 0:
+            return ()
+        starts = self._starts
+        in_prefix = self._positions < count
+        sizes = np.add.reduceat(in_prefix, starts, dtype=np.intp)
+        firsts = np.minimum.reduceat(
+            np.where(in_prefix, self._flats, np.iinfo(np.intp).max), starts)
+        present = np.flatnonzero(sizes)
+        present = present[np.lexsort((firsts[present], self._pipelined[present]))]
+        plans: list[ParityGroupPlan] = []
+        for members, piped in zip(sizes[present].tolist(),
+                                  self._pipelined[present].tolist()):
+            size = PIPELINED_GROUP_SIZE if piped else UNPIPELINED_GROUP_SIZE
+            plans.extend([_group_plan(size, piped)] * (members // size))
+            if members % size:
+                plans.append(_group_plan(members % size, piped))
+        return tuple(plans)
+
+
+#: The step tables hold each choice as its index in this tuple.
+_CHOICES = tuple(LowLevelChoice)
+_LEAP_DICE = _CHOICES.index(LowLevelChoice.LEAP_DICE)
+_PARITY = _CHOICES.index(LowLevelChoice.PARITY)
+_EDS = _CHOICES.index(LowLevelChoice.EDS)
 
 
 class StepTable:
     """The ranked Heuristic-1 walk of one choice context over one zero mask.
 
     Built by :meth:`SelectiveHardeningPlanner.schedule_for` from the
-    vulnerability ranking, the context's per-site choices and
-    recoverability (in ranking order) and the residual key's zero mask
+    vulnerability ranking, the context's per-site choices (indices into
+    ``tuple(LowLevelChoice)``) and recoverability (in ranking order), the
+    residual key's zero mask and the per-site unit ids and parity slack
     (indexed by flip-flop); shared by every schedule with that context and
     mask, which only read it.
 
     The effective walk -- the sites finite targets visit -- is stored as
-    parallel sequences the schedules' walks iterate: ``flats``, ``hardens``
-    (the choice is LEAP-DICE), ``recovers`` (detection the recovery
-    covers) and ``gamma_factors`` (the parity-γ factor
-    ``1 + parity / UNPIPELINED_GROUP_SIZE / total`` of every prefix).  The
-    :class:`ScheduleStep` objects themselves are built only when asked for.
+    parallel arrays the schedules' walks read: ``flats``, ``hardens`` (the
+    choice is LEAP-DICE), ``recovers`` (detection the recovery covers) and
+    ``gamma_factors`` (the parity-γ factor ``1 + parity /
+    UNPIPELINED_GROUP_SIZE / total`` of every prefix), with the cumulative
+    hardened and EDS counts per prefix.  The :class:`ScheduleStep` objects
+    themselves are built only when asked for.
     """
 
-    def __init__(self, ranking: list[int], choices: tuple[LowLevelChoice, ...],
-                 recoverable: tuple[bool, ...], zero: tuple[bool, ...],
-                 units: list[str], has_slack: list[bool], total: int):
+    def __init__(self, ranking, choices, recoverable, zero, units, has_slack,
+                 total: int):
+        ranking = np.asarray(ranking, dtype=np.intp)
+        codes = np.asarray(choices, dtype=np.int8)
+        recoverable = np.asarray(recoverable, dtype=bool)
+        zero = np.asarray(zero, dtype=bool)
+        units = np.asarray(units, dtype=np.intp)
+        has_slack = np.asarray(has_slack, dtype=bool)
         self._ranking = ranking
-        self._choices = choices
+        self._codes = codes
         self._recoverable = recoverable
         self._zero = zero
-        self._units = units
-        self._has_slack = has_slack
         self.site_count = len(ranking)
-        # The protect-everything walk's parity-γ factor: every parity choice.
-        self.full_gamma_factor = (1.0 + choices.count(LowLevelChoice.PARITY)
-                                  / UNPIPELINED_GROUP_SIZE / total)
-        leap_dice = LowLevelChoice.LEAP_DICE
-        parity = LowLevelChoice.PARITY
-        flats: list[int] = []
-        hardens: list[bool] = []
-        recovers: list[bool] = []
-        gamma_factors = [1.0 + 0 / UNPIPELINED_GROUP_SIZE / total]
+        effective = ~zero[ranking]
+        effective_codes = codes[effective]
+        parity = effective_codes == _PARITY
+        self.flats = ranking[effective]
+        self.hardens = effective_codes == _LEAP_DICE
+        self.recovers = recoverable[effective]
         # Cumulative membership counts per effective prefix: the cost curves
         # read prefix membership from these instead of re-scanning the walk.
-        cum_hardened = [0]
-        cum_eds = [0]
-        parity_prefix_ends: list[int] = []   # prefix length that admits member i
-        parity_flats: list[int] = []
-        hardened = eds = parity_count = 0
-        for flat_index, choice, covered in zip(ranking, choices, recoverable):
-            if zero[flat_index]:
-                continue
-            flats.append(flat_index)
-            hardens.append(choice is leap_dice)
-            recovers.append(covered)
-            if choice is leap_dice:
-                hardened += 1
-            elif choice is parity:
-                parity_count += 1
-                parity_prefix_ends.append(len(flats))
-                parity_flats.append(flat_index)
-            else:
-                eds += 1
-            cum_hardened.append(hardened)
-            cum_eds.append(eds)
-            gamma_factors.append(1.0 + parity_count / UNPIPELINED_GROUP_SIZE / total)
-        # Tuples: every schedule on the table reads them, none may change them.
-        self.flats = tuple(flats)
-        self.hardens = tuple(hardens)
-        self.recovers = tuple(recovers)
-        self.gamma_factors = tuple(gamma_factors)
-        self.cum_hardened = tuple(cum_hardened)
-        self.cum_eds = tuple(cum_eds)
-        self.parity_prefix_ends = tuple(parity_prefix_ends)
-        self.parity_flats = tuple(parity_flats)
+        self.cum_hardened = np.concatenate(([0], np.cumsum(self.hardens)))
+        self.cum_eds = np.concatenate(([0], np.cumsum(effective_codes == _EDS)))
+        self.cum_parity = np.concatenate(([0], np.cumsum(parity)))
+        self.gamma_factors = 1.0 + self.cum_parity / UNPIPELINED_GROUP_SIZE / total
+        for array in (self.flats, self.hardens, self.recovers, self.cum_hardened,
+                      self.cum_eds, self.cum_parity, self.gamma_factors):
+            array.flags.writeable = False   # shared by every schedule on the table
+        self._parity = _ParityBuckets(self.flats[parity], units, has_slack)
+        # The protect-everything walk: every site, every parity choice.
+        all_parity = codes == _PARITY
+        self.full_gamma_factor = (1.0 + int(np.count_nonzero(all_parity))
+                                  / UNPIPELINED_GROUP_SIZE / total)
+        self._full_counts = (int(np.count_nonzero(codes == _LEAP_DICE)),
+                             int(np.count_nonzero(codes == _EDS)))
+        self._all_parity = _ParityBuckets(ranking[all_parity], units, has_slack)
         self._prefix_memberships: dict[int, Membership] = {}
 
     @cached_property
     def steps(self) -> tuple[ScheduleStep, ...]:
         """Every site's step, in ranking order (the protect-everything walk)."""
-        zero = self._zero
-        return tuple(map(ScheduleStep, self._ranking, self._choices,
-                         self._recoverable, [zero[i] for i in self._ranking]))
+        return tuple(map(ScheduleStep, self._ranking.tolist(),
+                         map(_CHOICES.__getitem__, self._codes.tolist()),
+                         self._recoverable.tolist(),
+                         self._zero[self._ranking].tolist()))
 
     @cached_property
     def effective(self) -> tuple[ScheduleStep, ...]:
         """The steps finite targets can take (zero-residual sites excluded)."""
         return tuple(step for step in self.steps if not step.zero_residual)
 
-    def _membership(self, hardened: int, eds: int,
-                    parity_flats: tuple[int, ...] | list[int]) -> Membership:
-        units = self._units
-        has_slack = self._has_slack
-        ordered = sorted(parity_flats)
-        slack_sizes = _bucket_group_sizes(
-            [units[i] for i in ordered if has_slack[i]], UNPIPELINED_GROUP_SIZE)
-        pipelined_sizes = _bucket_group_sizes(
-            [units[i] for i in ordered if not has_slack[i]], PIPELINED_GROUP_SIZE)
-        plans = [ParityGroupPlan(members=(0,) * size, pipelined=False, local=True)
-                 for size in slack_sizes]
-        plans.extend(ParityGroupPlan(members=(0,) * size, pipelined=True, local=True)
-                     for size in pipelined_sizes)
-        return hardened, eds, tuple(plans)
-
     def membership_at(self, prefix: int) -> Membership:
         """Cost membership of the finite-walk prefix (memoised per prefix)."""
         membership = self._prefix_memberships.get(prefix)
         if membership is None:
-            parity_count = bisect_right(self.parity_prefix_ends, prefix)
-            membership = self._membership(self.cum_hardened[prefix],
-                                          self.cum_eds[prefix],
-                                          self.parity_flats[:parity_count])
+            membership = (int(self.cum_hardened[prefix]), int(self.cum_eds[prefix]),
+                          self._parity.plans(int(self.cum_parity[prefix])))
             self._prefix_memberships[prefix] = membership
         return membership
 
     @cached_property
     def full_membership(self) -> Membership:
         """Cost membership of the protect-everything walk (every site)."""
-        choices = self._choices
-        parity = LowLevelChoice.PARITY
-        return self._membership(
-            choices.count(LowLevelChoice.LEAP_DICE),
-            choices.count(LowLevelChoice.EDS),
-            [flat_index for flat_index, choice in zip(self._ranking, choices)
-             if choice is parity])
+        hardened, eds = self._full_counts
+        return hardened, eds, self._all_parity.plans(self._all_parity.size)
 
 
 class ProtectionSchedule:
@@ -311,8 +367,7 @@ class ProtectionSchedule:
     def __init__(self, registry: FlipFlopRegistry, timing: TimingModel,
                  vulnerability: VulnerabilityMap, table: StepTable,
                  recovery: RecoveryKind, hardening_cell: CellType,
-                 high_level: list[TechniqueDescriptor],
-                 residual_sdc: tuple[float, ...], residual_due: tuple[float, ...],
+                 high_level: list[TechniqueDescriptor], residual_sdc, residual_due,
                  total_sdc: float, total_due: float,
                  baseline_sdc: float, baseline_due: float, gamma_fixed: float):
         self.registry = registry
@@ -333,69 +388,47 @@ class ProtectionSchedule:
         self._walk(residual_sdc, residual_due, total_sdc, total_due)
 
     # ------------------------------------------------------------------ construction
-    def _walk(self, residual_sdc: tuple[float, ...], residual_due: tuple[float, ...],
-              sum_sdc: float, sum_due: float) -> None:
-        """One pass down the effective ranking: both curves and their records.
+    def _walk(self, residual_sdc, residual_due, sum_sdc: float, sum_due: float) -> None:
+        """Both curves and their records over the whole effective walk.
 
-        Improvements follow Eq. 1 with the exact arithmetic of the legacy
-        loop -- ``gamma_fixed * (1 + parity / UNPIPELINED_GROUP_SIZE /
-        total)``, then ``baseline / max(sum, floor) / gamma`` -- with only
-        its loop-invariant terms (the floors, the parity factors) hoisted;
-        ``max`` is spelled out with its argument order kept.  The strict
-        running maxima of both curves are recorded in the same pass.
+        The running sums are ``np.add.accumulate`` -- one addition after
+        another, left to right -- over the starting total followed by each
+        step's change, so ``sum -= x`` becomes ``sum + (-x)``, the same IEEE
+        result.  Improvements follow Eq. 1 with the operations of the legacy
+        loop in its order: ``baseline / max(sum, floor) / (gamma_fixed *
+        (1 + parity / UNPIPELINED_GROUP_SIZE / total))``.
         """
         table = self.table
         baseline_sdc = self._baseline_sdc
         baseline_due = self._baseline_due
         floor_sdc = baseline_sdc * RESIDUAL_FLOOR_FRACTION
         floor_due = baseline_due * RESIDUAL_FLOOR_FRACTION
-        gamma_fixed = self._gamma_fixed
+        flats = table.flats
+        hardens = table.hardens
+        site_sdc = np.asarray(residual_sdc, dtype=np.float64)[flats]
+        site_due = np.asarray(residual_due, dtype=np.float64)[flats]
         suppression = HARDENING_SUPPRESSION
-        factors = table.gamma_factors
-        # Prefix 0, the unprotected design.  Its improvements are finite and
-        # positive, so each opens its curve's record subsequence.
-        gamma = gamma_fixed * factors[0]
-        best_sdc = baseline_sdc / (floor_sdc if floor_sdc > sum_sdc else sum_sdc) / gamma
-        best_due = baseline_due / (floor_due if floor_due > sum_due else sum_due) / gamma
-        curve_sdc = [best_sdc]
-        curve_due = [best_due]
-        record_sdc_values = [best_sdc]
-        record_sdc_indices = [0]
-        record_due_values = [best_due]
-        record_due_indices = [0]
-        for index, flat_index, hardens, recovers in zip(
-                range(1, len(factors)), table.flats, table.hardens, table.recovers):
-            site_sdc = residual_sdc[flat_index]
-            if hardens:
-                sum_sdc -= site_sdc * suppression
-                sum_due -= residual_due[flat_index] * suppression
-            elif recovers:
-                sum_sdc -= site_sdc
-                sum_due -= residual_due[flat_index]
-            else:
-                # Detection without recovery: SDC becomes detected (DUE).
-                sum_due += site_sdc
-                sum_sdc -= site_sdc
-            gamma = gamma_fixed * factors[index]
-            sdc = baseline_sdc / (floor_sdc if floor_sdc > sum_sdc else sum_sdc) / gamma
-            due = baseline_due / (floor_due if floor_due > sum_due else sum_due) / gamma
-            curve_sdc.append(sdc)
-            curve_due.append(due)
-            if sdc > best_sdc:
-                best_sdc = sdc
-                record_sdc_values.append(sdc)
-                record_sdc_indices.append(index)
-            if due > best_due:
-                best_due = due
-                record_due_values.append(due)
-                record_due_indices.append(index)
-        self._curve_sdc = curve_sdc
-        self._curve_due = curve_due
-        self._sdc_record_values = record_sdc_values
-        self._sdc_record_indices = record_sdc_indices
-        self._due_record_values = record_due_values
-        self._due_record_indices = record_due_indices
-        gamma = gamma_fixed * table.full_gamma_factor
+        # Hardening suppresses both residuals; detection removes them when
+        # the recovery covers the site, and otherwise turns SDC into DUE.
+        steps = len(flats) + 1
+        sums_sdc = np.empty(steps)
+        sums_sdc[0] = sum_sdc
+        np.negative(np.where(hardens, site_sdc * suppression, site_sdc),
+                    out=sums_sdc[1:])
+        np.add.accumulate(sums_sdc, out=sums_sdc)
+        sums_due = np.empty(steps)
+        sums_due[0] = sum_due
+        sums_due[1:] = np.where(hardens, -(site_due * suppression),
+                                np.where(table.recovers, -site_due, site_sdc))
+        np.add.accumulate(sums_due, out=sums_due)
+        gamma = self._gamma_fixed * table.gamma_factors
+        self._curve_sdc = baseline_sdc / np.maximum(sums_sdc, floor_sdc) / gamma
+        self._curve_due = baseline_due / np.maximum(sums_due, floor_due) / gamma
+        self._sdc_record_values, self._sdc_record_indices = _records(self._curve_sdc)
+        self._due_record_values, self._due_record_indices = _records(self._curve_due)
+        sum_sdc = float(sums_sdc[-1])
+        sum_due = float(sums_due[-1])
+        gamma = self._gamma_fixed * table.full_gamma_factor
         self._full_achieved = (
             baseline_sdc / (floor_sdc if floor_sdc > sum_sdc else sum_sdc) / gamma,
             baseline_due / (floor_due if floor_due > sum_due else sum_due) / gamma)
@@ -417,8 +450,8 @@ class ProtectionSchedule:
 
     def improvement_curve(self) -> list[tuple[int, float, float]]:
         """The (protected count, SDC, DUE) improvement curve for finite targets."""
-        return [(k, self._curve_sdc[k], self._curve_due[k])
-                for k in range(len(self._curve_sdc))]
+        return list(zip(range(len(self._curve_sdc)), self._curve_sdc.tolist(),
+                        self._curve_due.tolist()))
 
     def prefix_for(self, target: ResilienceTarget) -> int:
         """Smallest finite-walk prefix length meeting ``target``.
@@ -438,10 +471,10 @@ class ProtectionSchedule:
             return max(first_sdc, first_due)
         # Joint target: satisfaction is not monotone along the walk, so scan
         # forward from the later single-metric crossing (a valid lower bound).
-        for k in range(max(first_sdc, first_due), length + 1):
-            if target.satisfied_by(self._curve_sdc[k], self._curve_due[k]):
-                return k
-        return length
+        start = max(first_sdc, first_due)
+        met = np.flatnonzero((self._curve_sdc[start:] >= target.sdc)
+                             & (self._curve_due[start:] >= target.due))
+        return start + int(met[0]) if len(met) else length
 
     @staticmethod
     def _protects_everything(target: ResilienceTarget) -> bool:
@@ -473,8 +506,8 @@ class ProtectionSchedule:
             prefix = self.prefix_for(target)
             selected = self._effective[:prefix]
             protected = prefix
-            achieved_sdc = self._curve_sdc[prefix]
-            achieved_due = self._curve_due[prefix]
+            achieved_sdc = float(self._curve_sdc[prefix])
+            achieved_due = float(self._curve_due[prefix])
         hardened, parity_members, eds_members = self._membership(selected)
         design = materialise_design(self.registry, self.timing, self.vulnerability,
                                     hardened, parity_members, eds_members,
@@ -493,8 +526,9 @@ class ProtectionSchedule:
     # derives that membership per prefix; the helpers below recompute
     # `ProtectedDesign.cost` term for term from it -- same conditionals, same
     # combine order, same per-group arithmetic -- so the answers are
-    # bit-identical to materialising the design, at O(prefix + groups) per
-    # (memoised) prefix instead of a full materialise + cost per target.
+    # bit-identical to materialising the design, at one array pass over the
+    # table's parity members plus O(groups) per (memoised) prefix instead of
+    # a full materialise + cost per target.
 
     def _cost_of_membership(self, cost_model: DesignCostModel,
                             membership: Membership) -> CostReport:
@@ -568,6 +602,6 @@ class ProtectionSchedule:
                               cost=self.full_cost(cost_model))
         prefix = self.prefix_for(target)
         return CostedPlan(protected_count=prefix,
-                          achieved_sdc=self._curve_sdc[prefix],
-                          achieved_due=self._curve_due[prefix],
+                          achieved_sdc=float(self._curve_sdc[prefix]),
+                          achieved_due=float(self._curve_due[prefix]),
                           cost=self.cost_at(prefix, cost_model))

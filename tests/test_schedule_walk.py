@@ -137,7 +137,8 @@ def _cases(draw):
 def _build(case):
     (ranking, choices, recoverable, zero, units, slack, total,
      residual_sdc, residual_due, baseline_sdc, baseline_due, gamma_fixed) = case
-    table = StepTable(ranking, choices, recoverable, zero, units, slack, total)
+    codes = [tuple(LowLevelChoice).index(choice) for choice in choices]
+    table = StepTable(ranking, codes, recoverable, zero, units, slack, total)
     return ProtectionSchedule(
         registry=None, timing=None, vulnerability=None, table=table,
         recovery=RecoveryKind.NONE, hardening_cell=CellType.LEAP_DICE, high_level=[],
