@@ -18,15 +18,22 @@ Covers the invariants the exploration refactor rests on:
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from enum import Enum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import load_frontier, save_frontier
 from repro.analysis.pareto import ParetoFrontier, ParetoPoint
 from repro.core import (
     CrossLayerExplorer,
     ResilienceTarget,
     SelectionPolicy,
     enumerate_combinations,
+    due_targets,
+    joint_targets,
     sdc_targets,
 )
 from repro.core.combinations import EDS, LEAP_DICE, PARITY
@@ -242,6 +249,74 @@ class TestSharedStepTables:
             for target in sdc_targets():
                 assert (schedule.plan_costed(target, cost_model)
                         == alone.plan_costed(target, cost_model))
+
+
+def _plain(value) -> bool:
+    """Every number inside ``value`` is a builtin ``int``, ``float`` or ``bool``.
+
+    numpy scalars subclass ``float`` but ``repr`` differently (numpy 2), so
+    the check is on the exact type.
+    """
+    if dataclasses.is_dataclass(value):
+        return all(_plain(getattr(value, field.name))
+                   for field in dataclasses.fields(value))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return all(map(_plain, value))
+    if isinstance(value, dict):
+        return _plain(list(value)) and _plain(list(value.values()))
+    if value is None or isinstance(value, (str, Enum)):
+        return True
+    return type(value) in (int, float, bool)
+
+
+class TestPlainPythonBoundary:
+    """Numbers leave the array-backed schedules as builtin Python values."""
+
+    _TARGETS = (sdc_targets() + due_targets() + joint_targets()
+                + [ResilienceTarget(sdc=1e18)])
+
+    @pytest.fixture(scope="class")
+    def pool(self, ino_framework):
+        combinations = enumerate_combinations("InO")
+        tunable = [c for c in combinations if c.has_tunable_technique]
+        return tunable[::9] + [c for c in combinations if not c.has_tunable_technique][:3]
+
+    def test_schedule_answers_are_builtin(self, ino_framework, ooo_framework):
+        for framework in (ino_framework, ooo_framework):
+            planner = SelectiveHardeningPlanner(framework.core.registry,
+                                                framework.vulnerability,
+                                                framework.timing,
+                                                framework.benchmark_names())
+            schedule = planner.schedule_for(recovery=RecoveryKind.IR)
+            assert _plain(schedule.improvement_curve())
+            assert _plain(schedule.cost_curve(framework.cost_model)[::97])
+            for target in self._TARGETS:
+                assert type(schedule.prefix_for(target)) is int
+                assert _plain(schedule.plan_costed(target, framework.cost_model))
+                result = schedule.plan(target)
+                assert _plain((result.protected_count, result.achieved_sdc,
+                               result.achieved_due))
+                assert _plain(result.design.hardening.assignments)
+                assert _plain(result.design.eds_flip_flops)
+                assert _plain([group.members for group in result.design.parity_groups])
+
+    def test_stream_records_are_builtin(self, ino_framework, pool):
+        records = list(ino_framework.explorer.stream_records(sdc_targets(), pool))
+        assert len(records) == 5 * len(pool)
+        assert all(_plain(record) for record in records)
+
+    def test_frontier_store_round_trip_is_exact(self, ino_framework, pool, tmp_path):
+        frontier = ino_framework.explorer.explore_frontier(sdc_targets(), pool)
+        first = save_frontier(tmp_path / "a.json", frontier)
+        stored = load_frontier(first).frontier
+        coords = lambda f: [(p.improvement, p.energy_pct, p.area_pct,
+                             p.exec_time_pct, p.label) for p in f.points()]
+        assert coords(stored) == coords(frontier)
+        assert _plain(coords(stored)) and _plain(coords(frontier))
+        assert stored.seen == frontier.seen == 5 * len(pool)
+        second = save_frontier(tmp_path / "b.json", stored)
+        assert json.loads(first.read_text())["points"] == \
+               json.loads(second.read_text())["points"]
 
 
 class TestExplorerEquivalence:
