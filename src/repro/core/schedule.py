@@ -299,6 +299,8 @@ class StepTable:
         self._codes = codes
         self._recoverable = recoverable
         self._zero = zero
+        self._units = units
+        self._has_slack = has_slack
         self.site_count = len(ranking)
         effective = ~zero[ranking]
         effective_codes = codes[effective]
@@ -316,14 +318,10 @@ class StepTable:
                       self.cum_eds, self.cum_parity, self.gamma_factors):
             array.flags.writeable = False   # shared by every schedule on the table
         self._parity = _ParityBuckets(self.flats[parity], units, has_slack)
-        # The protect-everything walk: every site, every parity choice.
-        all_parity = codes == _PARITY
-        self.full_gamma_factor = (1.0 + int(np.count_nonzero(all_parity))
-                                  / UNPIPELINED_GROUP_SIZE / total)
-        self._full_counts = (int(np.count_nonzero(codes == _LEAP_DICE)),
-                             int(np.count_nonzero(codes == _EDS)))
-        self._all_parity = _ParityBuckets(ranking[all_parity], units, has_slack)
         self._prefix_memberships: dict[int, Membership] = {}
+        # The protect-everything walk's parity-γ factor: every parity choice.
+        self.full_gamma_factor = (1.0 + int(np.count_nonzero(codes == _PARITY))
+                                  / UNPIPELINED_GROUP_SIZE / total)
 
     @cached_property
     def steps(self) -> tuple[ScheduleStep, ...]:
@@ -350,8 +348,11 @@ class StepTable:
     @cached_property
     def full_membership(self) -> Membership:
         """Cost membership of the protect-everything walk (every site)."""
-        hardened, eds = self._full_counts
-        return hardened, eds, self._all_parity.plans(self._all_parity.size)
+        codes = self._codes
+        parity = _ParityBuckets(self._ranking[codes == _PARITY], self._units,
+                                self._has_slack)
+        return (int(np.count_nonzero(codes == _LEAP_DICE)),
+                int(np.count_nonzero(codes == _EDS)), parity.plans(parity.size))
 
 
 class ProtectionSchedule:
