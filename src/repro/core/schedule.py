@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -207,7 +207,6 @@ def _records(curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return curve[indices], indices
 
 
-@cache
 def _group_plan(size: int, pipelined: bool) -> ParityGroupPlan:
     """The cost model's view of one local parity group (sizes are all it reads)."""
     return ParityGroupPlan(members=(0,) * size, pipelined=pipelined, local=True)
@@ -255,7 +254,8 @@ class _ParityBuckets:
         for members, piped in zip(sizes[present].tolist(),
                                   self._pipelined[present].tolist()):
             size = PIPELINED_GROUP_SIZE if piped else UNPIPELINED_GROUP_SIZE
-            plans.extend([_group_plan(size, piped)] * (members // size))
+            if members >= size:
+                plans.extend([_group_plan(size, piped)] * (members // size))
             if members % size:
                 plans.append(_group_plan(members % size, piped))
         return tuple(plans)
