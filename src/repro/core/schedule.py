@@ -254,8 +254,7 @@ class _ParityBuckets:
         for members, piped in zip(sizes[present].tolist(),
                                   self._pipelined[present].tolist()):
             size = PIPELINED_GROUP_SIZE if piped else UNPIPELINED_GROUP_SIZE
-            if members >= size:
-                plans.extend([_group_plan(size, piped)] * (members // size))
+            plans.extend([_group_plan(size, piped)] * (members // size))
             if members % size:
                 plans.append(_group_plan(members % size, piped))
         return tuple(plans)
@@ -414,8 +413,7 @@ class ProtectionSchedule:
         steps = len(flats) + 1
         sums_sdc = np.empty(steps)
         sums_sdc[0] = sum_sdc
-        np.negative(np.where(hardens, site_sdc * suppression, site_sdc),
-                    out=sums_sdc[1:])
+        sums_sdc[1:] = -np.where(hardens, site_sdc * suppression, site_sdc)
         np.add.accumulate(sums_sdc, out=sums_sdc)
         sums_due = np.empty(steps)
         sums_due[0] = sum_due
