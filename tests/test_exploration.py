@@ -276,7 +276,7 @@ class TestPlainPythonBoundary:
                 + [ResilienceTarget(sdc=1e18)])
 
     @pytest.fixture(scope="class")
-    def pool(self, ino_framework):
+    def pool(self):
         combinations = enumerate_combinations("InO")
         tunable = [c for c in combinations if c.has_tunable_technique]
         return tunable[::9] + [c for c in combinations if not c.has_tunable_technique][:3]
