@@ -36,7 +36,7 @@ from repro.faultinjection.outcomes import (
     margin_of_error,
 )
 from repro.faultinjection.semu import SemuEvent, SemuModel
-from repro.faultinjection.vulnerability import SiteVulnerability, VulnerabilityMap
+from repro.faultinjection.vulnerability import VulnerabilityMap
 
 __all__ = [
     "CalibratedVulnerabilityModel",
@@ -60,6 +60,5 @@ __all__ = [
     "margin_of_error",
     "SemuEvent",
     "SemuModel",
-    "SiteVulnerability",
     "VulnerabilityMap",
 ]

@@ -570,8 +570,7 @@ class TestCalibratedMapDeterminism:
             "model = CalibratedVulnerabilityModel(registry, ['a', 'b'], seed=11)\n"
             "v = model.build_map()\n"
             "names = ['a', 'b']\n"
-            "print(repr(sum(v.sdc_probability(i, names)\n"
-            "               for i in range(registry.total_flip_flops))))\n")
+            "print(repr(v.probabilities(names)))\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for hash_seed in ("1", "271828"):

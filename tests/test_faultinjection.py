@@ -182,7 +182,7 @@ class TestVulnerabilityMap:
         vmap.record("b", 0, samples=10, sdc=5, due=1)
         vmap.record("b", 1, samples=10, sdc=1, due=8)
         vmap.record("b", 2, samples=10, sdc=0, due=0)
-        assert vmap.sdc_probability(0) == 0.5
+        assert vmap.probabilities()[0][0] == 0.5
         assert vmap.fraction_with_sdc() == 0.5
         assert vmap.fraction_with_any() == 0.5
         ranking = vmap.ranked_by_vulnerability()
@@ -205,13 +205,20 @@ class TestVulnerabilityMap:
             vmap.ranked_by_vulnerability(metric=metric)
 
     def test_merged(self):
+        """Merging sums counts per (benchmark, site); only then are
+        probabilities taken, and averaged over benchmarks."""
         a = VulnerabilityMap("core", 2)
-        a.record("b", 0, samples=5, sdc=1, due=0)
+        a.record("b", 0, samples=2, sdc=2, due=0)
         b = VulnerabilityMap("core", 2)
-        b.record("b", 0, samples=5, sdc=3, due=1)
+        b.record("b", 0, samples=8, sdc=0, due=4)
+        b.record("c", 0, samples=4, sdc=1, due=0)
         merged = a.merged(b)
-        assert merged.site("b", 0).samples == 10
-        assert merged.site("b", 0).sdc == 4
+        # 2/2 and 0/8 pool to 2/10, not to the mean of 1.0 and 0.0.
+        assert merged.probabilities(["b"]) == ((0.2, 0.0), (0.4, 0.0))
+        assert merged.probabilities() == (((0.2 + 0.25) / 2, 0.0),
+                                          ((0.4 + 0.0) / 2, 0.0))
+        assert a.probabilities() == ((1.0, 0.0), (0.0, 0.0))
+        assert merged.benchmarks == ["b", "c"]
 
 
 class TestCalibratedModel:
@@ -233,7 +240,8 @@ class TestCalibratedModel:
         ranking = vmap.ranked_by_vulnerability()
         total = vmap.total_sdc_rate()
         top = ranking[:len(ranking) // 10]
-        top_share = sum(vmap.sdc_probability(i) for i in top) / total
+        p_sdc = vmap.probabilities()[0]
+        top_share = sum(p_sdc[i] for i in top) / total
         assert top_share > 0.35  # heavy concentration in the top decile
 
 

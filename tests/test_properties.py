@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,20 +188,26 @@ _BENCHMARK_NAMES = ("a", "b", "c", "d")
 
 @st.composite
 def _vulnerability_maps(draw):
-    """Small maps over a few benchmarks; some sites recorded with 0 samples,
-    some never recorded."""
+    """Small maps over a few benchmarks, with the records they were built
+    from; some sites recorded with 0 samples, some never recorded."""
     total = draw(st.integers(min_value=1, max_value=12))
-    vulnerability = VulnerabilityMap("prop", total)
-    records = draw(st.lists(st.tuples(st.sampled_from(_BENCHMARK_NAMES),
-                                      st.integers(min_value=0, max_value=total - 1),
-                                      st.integers(min_value=0, max_value=9),
-                                      st.integers(min_value=0, max_value=9),
-                                      st.integers(min_value=0, max_value=9)),
-                            max_size=30))
-    for name, flat_index, samples, sdc, due in records:
+    drawn = draw(st.lists(st.tuples(st.sampled_from(_BENCHMARK_NAMES),
+                                    st.integers(min_value=0, max_value=total - 1),
+                                    st.integers(min_value=0, max_value=9),
+                                    st.integers(min_value=0, max_value=9),
+                                    st.integers(min_value=0, max_value=9)),
+                          max_size=30))
+    records = []
+    for name, flat_index, samples, sdc, due in drawn:
         sdc = min(sdc, samples)
-        vulnerability.record(name, flat_index, samples=samples, sdc=sdc,
-                             due=min(due, samples - sdc))
+        records.append((name, flat_index, samples, sdc, min(due, samples - sdc)))
+    return _map_from(total, records), records
+
+
+def _map_from(total, records):
+    vulnerability = VulnerabilityMap("prop", total)
+    for name, flat_index, samples, sdc, due in records:
+        vulnerability.record(name, flat_index, samples=samples, sdc=sdc, due=due)
     return vulnerability
 
 
@@ -207,16 +217,37 @@ _BENCHMARK_LISTS = st.one_of(
                         max_size=6))
 
 
-def _reference_probabilities(vulnerability, benchmarks):
-    """The per-site definition the dense arrays must reproduce bit for bit."""
-    names = vulnerability.benchmarks if benchmarks is None else benchmarks
-    total = range(vulnerability.total_flip_flops)
+def _site_counts(records):
+    """(benchmark, flat_index) -> summed (samples, sdc, due)."""
+    counts = {}
+    for name, flat_index, *added in records:
+        known = counts.get((name, flat_index), (0, 0, 0))
+        counts[name, flat_index] = tuple(map(operator.add, known, added))
+    return counts
+
+
+def _site_probability(counts, name, flat_index, kind):
+    """p_sdc (``kind`` 1) or p_due (``kind`` 2) of one site under one
+    benchmark: count over samples, 0.0 without samples."""
+    site = counts.get((name, flat_index), (0, 0, 0))
+    return site[kind] / site[0] if site[0] else 0.0
+
+
+def _reference_probabilities(total, records, benchmarks):
+    """The per-site definition the dense arrays must reproduce bit for bit:
+    per-benchmark probabilities summed left to right in the caller's order
+    (the builtin ``sum`` is compensated from Python 3.12 on)."""
+    counts = _site_counts(records)
+    names = (sorted({record[0] for record in records})
+             if benchmarks is None else benchmarks)
     if not names:
-        return ((0.0,) * len(total),) * 2
-    return (tuple(sum([vulnerability.site(n, i).p_sdc for n in names]) / len(names)
-                  for i in total),
-            tuple(sum([vulnerability.site(n, i).p_due for n in names]) / len(names)
-                  for i in total))
+        return ((0.0,) * total,) * 2
+    return tuple(
+        tuple(functools.reduce(operator.add,
+                               [_site_probability(counts, name, i, kind)
+                                for name in names], 0.0) / len(names)
+              for i in range(total))
+        for kind in (1, 2))
 
 
 class TestDenseVulnerabilityProperties:
@@ -226,35 +257,57 @@ class TestDenseVulnerabilityProperties:
     the test that pins the dense lookup itself."""
 
     @settings(max_examples=150, deadline=None)
-    @given(vulnerability=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS)
-    def test_dense_arrays_equal_per_site_average(self, vulnerability, benchmarks):
+    @given(drawn=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS)
+    def test_dense_arrays_equal_per_site_average(self, drawn, benchmarks):
+        vulnerability, records = drawn
         dense = vulnerability.probabilities(benchmarks)
-        assert dense == _reference_probabilities(vulnerability, benchmarks)
-        assert list(dense[0]) == [vulnerability.sdc_probability(i, benchmarks)
-                                  for i in range(vulnerability.total_flip_flops)]
-        assert list(dense[1]) == [vulnerability.due_probability(i, benchmarks)
-                                  for i in range(vulnerability.total_flip_flops)]
+        assert dense == _reference_probabilities(
+            vulnerability.total_flip_flops, records, benchmarks)
         assert vulnerability.probabilities(benchmarks) is dense
         if benchmarks is None:
             assert vulnerability.probabilities(vulnerability.benchmarks) is dense
 
     @settings(max_examples=100, deadline=None)
-    @given(vulnerability=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS,
+    @given(drawn=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS,
            data=st.data())
-    def test_record_after_query_changes_the_next_answer(self, vulnerability,
+    def test_record_after_query_changes_the_next_answer(self, drawn,
                                                         benchmarks, data):
+        vulnerability, records = drawn
         names = vulnerability.benchmarks if benchmarks is None else benchmarks
         before = vulnerability.probabilities(benchmarks)
         name = names[0] if names else "a"
         flat_index = data.draw(st.integers(
             min_value=0, max_value=vulnerability.total_flip_flops - 1))
         # One more sample moves p_sdc at this site off its current value.
-        sdc = 1 if vulnerability.site(name, flat_index).p_sdc < 1.0 else 0
+        p_sdc = _site_probability(_site_counts(records), name, flat_index, 1)
+        sdc = 1 if p_sdc < 1.0 else 0
         vulnerability.record(name, flat_index, samples=1, sdc=sdc, due=0)
+        records.append((name, flat_index, 1, sdc, 0))
         after = vulnerability.probabilities(benchmarks)
-        assert after == _reference_probabilities(vulnerability, benchmarks)
+        assert after == _reference_probabilities(
+            vulnerability.total_flip_flops, records, benchmarks)
         if names or benchmarks is None:
             assert after[0][flat_index] != before[0][flat_index]
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=_vulnerability_maps(), benchmarks=_BENCHMARK_LISTS,
+           extra=st.tuples(st.sampled_from(_BENCHMARK_NAMES),
+                           st.integers(min_value=0, max_value=11),
+                           st.integers(min_value=1, max_value=9)))
+    def test_pickled_map_recorded_after_a_query_equals_a_fresh_map(
+            self, drawn, benchmarks, extra):
+        """Exploration specs ship maps to workers pickled, memo included."""
+        vulnerability, records = drawn
+        vulnerability.probabilities(benchmarks)
+        copy = pickle.loads(pickle.dumps(vulnerability))
+        copy.probabilities(benchmarks)
+        name, flat_index, samples = extra
+        flat_index %= copy.total_flip_flops
+        copy.record(name, flat_index, samples=samples, sdc=samples, due=0)
+        fresh = _map_from(copy.total_flip_flops,
+                          records + [(name, flat_index, samples, samples, 0)])
+        assert copy.probabilities(benchmarks) == fresh.probabilities(benchmarks)
+        assert copy.benchmarks == fresh.benchmarks
 
 
 @st.composite

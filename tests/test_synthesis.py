@@ -211,7 +211,7 @@ class TestSuiteForCore:
 
 
 # ---------------------------------------------------------------------- sweep
-def _assert_sweeps_identical(serial, other, total_flip_flops):
+def _assert_sweeps_identical(serial, other):
     assert [p.family for p in other.profiles] == \
            [p.family for p in serial.profiles]
     for mine, theirs in zip(serial.profiles, other.profiles):
@@ -219,11 +219,8 @@ def _assert_sweeps_identical(serial, other, total_flip_flops):
         assert mine.workload_names == theirs.workload_names
         assert mine.golden_cycles == theirs.golden_cycles
     names = serial.workload_names
-    for flat_index in range(0, total_flip_flops, 37):
-        assert serial.vulnerability.sdc_probability(flat_index, names) == \
-               other.vulnerability.sdc_probability(flat_index, names)
-        assert serial.vulnerability.due_probability(flat_index, names) == \
-               other.vulnerability.due_probability(flat_index, names)
+    assert serial.vulnerability.probabilities(names) == \
+           other.vulnerability.probabilities(names)
 
 
 class TestSyntheticSweep:
@@ -241,7 +238,7 @@ class TestSyntheticSweep:
         assert len(serial.workload_names) >= 20
         assert serial.table().count("\n") >= len(serial.profiles)
         for other in (repeat, pooled):
-            _assert_sweeps_identical(serial, other, ino_core.flip_flop_count)
+            _assert_sweeps_identical(serial, other)
 
     def test_workload_sharded_sweep_matches_serial_loop(self, ino_core):
         """Sharding whole campaigns over the executor layer is bit-exact."""
@@ -249,15 +246,15 @@ class TestSyntheticSweep:
         serial = run_synthetic_sweep(ino_core, workers=1, **kwargs)
         sharded = run_synthetic_sweep(ino_core, workers=2, **kwargs)
         odd_chunks = run_synthetic_sweep(ino_core, workers=3, **kwargs)
-        _assert_sweeps_identical(serial, sharded, ino_core.flip_flop_count)
-        _assert_sweeps_identical(serial, odd_chunks, ino_core.flip_flop_count)
+        _assert_sweeps_identical(serial, sharded)
+        _assert_sweeps_identical(serial, odd_chunks)
 
     def test_workload_sharded_sweep_matches_serial_loop_ooo(self, ooo_core):
         kwargs = dict(seed=11, per_family=1, injections_per_workload=2,
                       families=["mixed", "arithmetic_dense"], **QUICK)
         serial = run_synthetic_sweep(ooo_core, workers=1, **kwargs)
         sharded = run_synthetic_sweep(ooo_core, workers=2, **kwargs)
-        _assert_sweeps_identical(serial, sharded, ooo_core.flip_flop_count)
+        _assert_sweeps_identical(serial, sharded)
 
     def test_undersized_cache_warns(self, ino_core):
         """The default sweep's 20 workloads overflow a default 18-entry
