@@ -26,8 +26,6 @@ snapshot/restore support:
   door, and the engine-backed suite runner;
 * :mod:`repro.engine.batch` -- batched lockstep replay: numpy-vectorised
   injection wavefronts behind the :attr:`EngineConfig.batch_width` knob.
-  It is imported lazily (only when a campaign enables batching) so that the
-  rest of the engine works on numpy-free installs.
 
 Campaign results are :class:`repro.faultinjection.campaign.CampaignResult`
 objects, re-exported here.

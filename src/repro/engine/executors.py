@@ -445,9 +445,7 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
 
     With ``spec.batch_width`` >= 2 the chunk is handed to the batched
     lockstep replay engine, which produces bit-identical outcomes (divergent
-    and unbatchable runs are replayed by this scalar path internally).  The
-    batched engine needs numpy; when it is unavailable the chunk falls back
-    to scalar replay with a warning rather than failing the campaign.
+    and unbatchable runs are replayed by this scalar path internally).
 
     Instrumentation is worker-local: the chunk builds one
     :class:`~repro.obs.Instrumentation` from the spec's ``metrics`` /
@@ -456,16 +454,9 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
     """
     obs = Instrumentation.configure(metrics=spec.metrics, trace=spec.trace)
     if spec.batch_width >= 2:
-        try:
-            from repro.engine.batch import execute_chunk_batched
-        except ImportError as error:
-            import warnings
+        from repro.engine.batch import execute_chunk_batched
 
-            warnings.warn(
-                f"batched lockstep replay unavailable ({error}); replaying "
-                f"serially", RuntimeWarning, stacklevel=2)
-        else:
-            return execute_chunk_batched(spec, chunk, obs=obs)
+        return execute_chunk_batched(spec, chunk, obs=obs)
     result = ChunkResult(index=chunk.index, metrics=obs.metrics)
     tracing = obs.tracer.enabled
     with obs.tracer.span(SPAN_CHUNK, args={"index": chunk.index,

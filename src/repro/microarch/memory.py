@@ -16,6 +16,8 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.isa.program import (
     DEFAULT_DATA_BASE,
     DEFAULT_OUTPUT_BASE,
@@ -23,11 +25,6 @@ from repro.isa.program import (
     Program,
     WORD_BYTES,
 )
-
-try:  # numpy backs only the batched store; the scalar path never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 class MemoryFault(Exception):
@@ -197,14 +194,12 @@ class BatchedWordStore:
     def __init__(self, base_words: dict[int, int], lanes: int,
                  regions: tuple[MemoryRegion, ...] = DEFAULT_REGIONS,
                  reference_lane: int = 0):
-        if _np is None:  # pragma: no cover - exercised on numpy-free installs
-            raise RuntimeError("BatchedWordStore requires numpy")
         self._regions = regions
         self.lanes = lanes
         self._reference = reference_lane
         self._base = dict(base_words)
-        self._overlay: dict[int, "_np.ndarray"] = {}
-        self._diverged = _np.zeros(lanes, dtype=_np.int64)
+        self._overlay: dict[int, "np.ndarray"] = {}
+        self._diverged = np.zeros(lanes, dtype=np.int64)
 
     # ------------------------------------------------------------------ checks
     def _check(self, address: int, *, aligned_to: int) -> None:
@@ -220,8 +215,8 @@ class BatchedWordStore:
         """The per-lane values at ``address`` (a fresh row if unwritten)."""
         values = self._overlay.get(address)
         if values is None:
-            values = _np.full(self.lanes, self._base.get(address, 0),
-                              dtype=_np.int64)
+            values = np.full(self.lanes, self._base.get(address, 0),
+                             dtype=np.int64)
         return values
 
     # ------------------------------------------------------------------ access
@@ -236,14 +231,14 @@ class BatchedWordStore:
         self._store(address, values)
 
     def _store(self, address: int, values) -> None:
-        new = _np.asarray(values).astype(_np.int64, copy=False) \
+        new = np.asarray(values).astype(np.int64, copy=False) \
             & self._WORD_MASK
         previous = self._overlay.get(address)
         if previous is None:
             previous_diff = 0
         else:
-            previous_diff = (previous != previous[self._reference]).astype(_np.int64)
-        self._diverged += (new != new[self._reference]).astype(_np.int64)
+            previous_diff = (previous != previous[self._reference]).astype(np.int64)
+        self._diverged += (new != new[self._reference]).astype(np.int64)
         self._diverged -= previous_diff
         self._overlay[address] = new
 
@@ -262,7 +257,7 @@ class BatchedWordStore:
             raise MemoryFault(address, "address outside mapped regions")
         shift = 8 * (address % WORD_BYTES)
         masked = self._row(word_address) & (self._WORD_MASK ^ (0xFF << shift))
-        merged = masked | ((_np.asarray(values).astype(_np.int64, copy=False)
+        merged = masked | ((np.asarray(values).astype(np.int64, copy=False)
                             & 0xFF) << shift)
         self._store(word_address, merged)
 

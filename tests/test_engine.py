@@ -648,13 +648,7 @@ class TestBatchedReplay:
             golden_cache=GoldenRunCache()).run(injections=20)
         assert 0.0 <= result.evicted_fraction <= 1.0
         assert 0.0 <= result.lockstep_cycle_fraction <= 1.0
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            assert result.lockstep_cycles == 0  # graceful scalar fallback
-        else:
-            assert result.lockstep_cycles > 0
-            assert result.lockstep_cycles <= result.replayed_cycles
+        assert 0 < result.lockstep_cycles <= result.replayed_cycles
 
     def test_replay_telemetry_report(self, program):
         from repro.reporting import format_replay_telemetry
@@ -691,7 +685,6 @@ class TestBatchedReplay:
         same flip.  Hint state never changes an outcome, so a lane whose
         hint latches drift (an offset counter flipped without its offset,
         say) passes every campaign-level test; this compares whole states."""
-        pytest.importorskip("numpy")
         from repro.engine.batch import (_CorePool, _LaneRecord,
                                         _StreamingWavefront)
         from repro.engine.executors import PlannedInjection
@@ -750,7 +743,6 @@ class TestBatchedReplay:
         """Bits 0 and width-1 of every InO structure, at spread cycles: the
         random property campaigns draw a dozen of ~1.25k sites and rarely
         reach any given structure."""
-        pytest.importorskip("numpy")
         registry = InOrderCore().registry
         golden_cycles = InOrderCore().run(program).cycles
         plan = []
@@ -771,49 +763,6 @@ class TestBatchedReplay:
         assert batched.outcomes == scalar.outcomes
         assert batched.per_site == scalar.per_site
         assert batched.lockstep_cycles > 0
-
-    def test_numpy_free_install_replays_scalar(self):
-        """Without numpy the in-order core still imports and a batched
-        campaign degrades, with a warning, to the scalar campaign."""
-        import os
-        import subprocess
-        import sys
-        import textwrap
-        from pathlib import Path
-
-        import repro.engine
-
-        script = textwrap.dedent("""
-            import sys, warnings
-            sys.modules["numpy"] = None
-            import repro.microarch.inorder
-            from repro.engine import EngineConfig, GoldenRunCache, InjectionEngine
-            from repro.microarch import InOrderCore
-            from repro.workloads import workload_by_name
-
-            program = workload_by_name("vpr").program()
-            def run(width):
-                return InjectionEngine(
-                    InOrderCore(), program, seed=5,
-                    config=EngineConfig(batch_width=width),
-                    golden_cache=GoldenRunCache()).run(injections=10)
-            scalar = run(0)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                batched = run(8)
-            assert any("batched lockstep replay unavailable" in str(w.message)
-                       for w in caught), caught
-            assert batched.lockstep_cycles == 0
-            assert batched.outcomes == scalar.outcomes
-            assert batched.per_site == scalar.per_site
-            print("ok")
-            """)
-        source = str(Path(repro.engine.__file__).resolve().parents[2])
-        completed = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=300, env={**os.environ, "PYTHONPATH": source})
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip() == "ok"
 
 
 def _hint_sites(core):

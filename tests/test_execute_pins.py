@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.isa.instructions import Opcode
@@ -135,8 +136,6 @@ class _Wavefront:
     recorded, not performed."""
 
     def __init__(self, lanes: int):
-        import numpy as np
-
         self.lanes = lanes
         self._zeros = np.zeros(lanes, dtype=np.int64)
         self.demoted: set[int] = set()
@@ -157,7 +156,6 @@ def test_batched_prepass_matches_the_scalar_unit(opcode):
     """Every lane the pre-pass keeps computes what the scalar unit computes
     for its operands, and it demotes exactly the lanes whose trap, branch
     decision, target or address differs from lane 0's."""
-    np = pytest.importorskip("numpy")
     from repro.engine.batch import _LANE_UNITS
 
     grid = list(_grid())
