@@ -263,6 +263,9 @@ class TestDenseVulnerabilityProperties:
         dense = vulnerability.probabilities(benchmarks)
         assert dense == _reference_probabilities(
             vulnerability.total_flip_flops, records, benchmarks)
+        assert [vulnerability.sdc_probability(i, benchmarks)
+                for i in range(vulnerability.total_flip_flops)] \
+            == list(dense[0])
         assert vulnerability.probabilities(benchmarks) is dense
         if benchmarks is None:
             assert vulnerability.probabilities(vulnerability.benchmarks) is dense
