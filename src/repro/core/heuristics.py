@@ -76,7 +76,7 @@ from repro.resilience.base import TechniqueDescriptor, core_family
 from repro.resilience.design import (
     HARDWARE_RECOVERY_LATENCY_LIMIT,
     RECOVERY_GAMMA,
-    RESIDUAL_FLOOR_FRACTION,
+    residual_floor,
 )
 from repro.resilience.logic_parity import UNPIPELINED_GROUP_SIZE
 
@@ -335,8 +335,8 @@ class SelectiveHardeningPlanner:
         baseline = self._residuals([], recovery)
         residuals = self._residuals(high_level, recovery)
         gamma = self._gamma_fixed(high_level, recovery)
-        floor_sdc = baseline.total_sdc * RESIDUAL_FLOOR_FRACTION
-        floor_due = baseline.total_due * RESIDUAL_FLOOR_FRACTION
+        floor_sdc = residual_floor(baseline.total_sdc)
+        floor_due = residual_floor(baseline.total_due)
         sdc = (baseline.total_sdc / max(residuals.total_sdc, floor_sdc) / gamma
                if baseline.total_sdc > 0 else 1.0)
         due = (baseline.total_due / max(residuals.total_due, floor_due) / gamma
@@ -458,8 +458,8 @@ class SelectiveHardeningPlanner:
 
         def improvements() -> tuple[float, float]:
             gamma = gamma_now()
-            sdc = baseline_sdc / max(sum_sdc, baseline_sdc * RESIDUAL_FLOOR_FRACTION) / gamma
-            due = baseline_due / max(sum_due, baseline_due * RESIDUAL_FLOOR_FRACTION) / gamma
+            sdc = baseline_sdc / max(sum_sdc, residual_floor(baseline_sdc)) / gamma
+            due = baseline_due / max(sum_due, residual_floor(baseline_due)) / gamma
             return sdc, due
 
         achieved_sdc, achieved_due = improvements()

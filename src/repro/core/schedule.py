@@ -96,7 +96,7 @@ from repro.physical.costmodel import CostReport, DesignCostModel, ParityGroupPla
 from repro.physical.timing import TimingModel
 from repro.resilience.base import TechniqueDescriptor, core_family
 from repro.resilience.circuit import HardeningPlan
-from repro.resilience.design import ProtectedDesign, RESIDUAL_FLOOR_FRACTION
+from repro.resilience.design import ProtectedDesign, residual_floor
 from repro.resilience.logic_parity import (
     ParityHeuristic,
     ParityPlanner,
@@ -401,8 +401,8 @@ class ProtectionSchedule:
         table = self.table
         baseline_sdc = self._baseline_sdc
         baseline_due = self._baseline_due
-        floor_sdc = baseline_sdc * RESIDUAL_FLOOR_FRACTION
-        floor_due = baseline_due * RESIDUAL_FLOOR_FRACTION
+        floor_sdc = residual_floor(baseline_sdc)
+        floor_due = residual_floor(baseline_due)
         flats = table.flats
         hardens = table.hardens
         site_sdc = np.asarray(residual_sdc, dtype=np.float64)[flats]

@@ -106,11 +106,11 @@ from repro.isa.instructions import LUI_SHIFT, Opcode
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot
 from repro.microarch.events import RunResult, TerminationReason, TrapKind
-from repro.microarch.execute import ExecuteResult, ExecuteTrap
-from repro.microarch.inorder import (COUNTER_MASKS, E_IMM, E_OP, E_PC,
-                                     E_RS1VAL, E_RS2VAL, E_TRAP, E_VALID,
-                                     InOrderCore)
-from repro.microarch.memory import BatchedWordStore
+from repro.microarch.execute import (ExecuteResult, ExecuteTrap,
+                                     execute_operation)
+from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
+                                     E_TRAP, E_VALID, InOrderCore)
+from repro.microarch.memory import BatchedWordStore, collapsed
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
@@ -176,18 +176,24 @@ def _golden_batchable(golden: RunResult) -> bool:
 class _LaneCore(InOrderCore):
     """``lanes`` in-order replays stepped at once by the inherited cycle.
 
-    The latch list holds lane 0's ints in the control-plane slots (uniform
-    across the wavefront by the lockstep invariant) and ``(lanes,)`` numpy
-    columns in the lane-local slots: the value latches and every hint-only
-    structure.  Registers, memory (a :class:`BatchedWordStore`) and emitted
-    output are per-lane columns too, so every latch move moves a column.  The
-    hooks it overrides supply the wavefront's execute pre-pass outcome, keep
-    the hint counters as scalar offsets and commit columns.
+    Control-plane latches hold lane 0's ints (uniform across the wavefront
+    by the lockstep invariant).  Every lane-plane value -- a lane-local
+    latch (the value latches and every hint-only structure), a register, a
+    memory word (a :class:`BatchedWordStore`) or an emitted output -- is one
+    Python int while all lanes agree on it, and becomes a ``(lanes,)``
+    numpy column only when a flip, a tandem rejoin (:meth:`adopt`) or a
+    computation on a column makes the lanes differ.  While the execute
+    operands are ints the inherited cycle runs exactly as the scalar
+    core's, the execute unit included; a column operand takes the
+    wavefront's vectorised pre-pass outcome instead.
 
-    The cycle shares column objects between latches, registers and memory
-    rows, so a column is replaced, never written in place -- except when
-    :meth:`seat_reference` copies lane 0 into a joining slot, which gives
-    every alias the value it must hold anyway.  A lane core is never
+    Free lane slots mirror lane 0 in every column: :meth:`release` copies
+    lane 0 into a slot its replay left and turns the columns whose lanes
+    then agree back into ints, so a joining lane needs no copy and a column
+    lives only while an occupied lane differs.  The cycle shares column
+    objects between latches, registers and memory rows, so a column is
+    replaced, never written in place -- except by :meth:`release`, which
+    gives every alias the value it must hold anyway.  A lane core is never
     snapshotted or fingerprinted as a whole: :meth:`lane_snapshot` extracts
     one lane as the scalar core's :class:`CoreSnapshot`.
     """
@@ -204,107 +210,96 @@ class _LaneCore(InOrderCore):
             i for i, local in enumerate(self.lane_local) if not local]
         self._data_positions = [i for i, s in enumerate(structures)
                                 if s.name in _DATA_LATCHES]
-        # The hint counters (COUNTER_MASKS) advance by a lane-uniform
-        # increment, so the wavefront stores them offset by a scalar running
-        # delta instead of touching the columns every cycle; true values
-        # materialise only at lane extraction.
-        # audit: allow[state-coverage] lane cores are never snapshotted; lane_snapshot materialises the offsets into each extracted lane
-        self._deltas = dict.fromkeys(COUNTER_MASKS, 0)
+        # Value columns (latches, registers, memory) are int64, the pre-pass
+        # arithmetic's type; hint columns are uint64 (f.bp.table is 64 bits).
+        self._dtypes = [np.int64 if s.name in _DATA_LATCHES else np.uint64
+                        for s in structures]
         # audit: allow[state-coverage] per-lane "output equals lane 0's" flags, reset on restore; lane_snapshot extracts the output itself
         self.output_ok = None
-        # The wavefront's execute outcome for the cycle being stepped.
+        # The wavefront's execute outcome for the cycle being stepped
+        # (None: the operands are ints and the scalar unit runs).
         self.prepass: ExecuteResult | TrapKind | None = None
-        self._prefix = 0
 
     # ------------------------------------------------------------------ stage hooks
     def _execute(self, opcode, rs1_value, rs2_value, imm, pc) -> ExecuteResult:
         outcome = self.prepass
+        if outcome is None:
+            return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
         if isinstance(outcome, TrapKind):
             raise ExecuteTrap(outcome)
         return outcome
 
-    def _count(self, v, slot: int) -> None:
-        self._deltas[slot] += 1
-
-    def _write_register(self, index: int, value) -> None:
-        index &= 0x1F
-        if index != 0:
-            self.registers[index] = value
-
     def emit_output(self, value) -> None:
         self._output.append(value)
-        self.output_ok &= value == value[0]
+        if type(value) is not int:
+            self.output_ok &= value == value[0]
 
     def _restore_microarchitecture(self, micro: dict) -> None:
-        """Broadcast one golden snapshot to every lane."""
-        lanes = self.lanes
-        values = self.latches.values
-        # Value columns (latches, registers, memory) are int64, the pre-pass
-        # arithmetic's type; hint columns are uint64 (f.bp.table is 64 bits).
-        for position in self._lane_positions:
-            values[position] = np.full(lanes, values[position], dtype=(
-                np.int64 if position in self._data_positions else np.uint64))
-        self.registers = [np.full(lanes, value, dtype=np.int64)
-                          for value in micro["registers"]]
-        self.memory = BatchedWordStore(micro["memory"], lanes)
+        """Give every lane one golden snapshot's state (all ints)."""
+        self.registers = list(micro["registers"])
+        self.memory = BatchedWordStore(micro["memory"], self.lanes)
         self._redirect_target = micro["redirect_target"]
-        self._deltas = dict.fromkeys(self._deltas, 0)
-        self.output_ok = np.ones(lanes, dtype=bool)
-        self._prefix = len(self._output)
+        self.output_ok = np.ones(self.lanes, dtype=bool)
 
     # ------------------------------------------------------------------ lanes
-    def seat_reference(self, slot: int) -> None:
-        """Make lane ``slot`` a copy of reference lane 0 (a joining replay)."""
-        for position in self._lane_positions:
-            column = self.latches.values[position]
-            column[slot] = column[0]
-        for column in self.registers:
-            column[slot] = column[0]
-        self.memory.reset_lane(slot)
-        for column in self._output[self._prefix:]:
-            column[slot] = column[0]
-        self.output_ok[slot] = True
-
     def flip(self, slot: int, flat_index: int) -> None:
         """Flip one lane-local flip-flop of lane ``slot`` (copy-on-write)."""
         site = self.registry.site(flat_index)
         position = self.latches.slot(site.structure.name)
         values = self.latches.values
-        column = values[position].copy()
-        mask = COUNTER_MASKS.get(position)
-        if mask is None:
-            column[slot] ^= 1 << site.bit
+        value = values[position]
+        if type(value) is int:
+            column = np.full(self.lanes, value, dtype=self._dtypes[position])
         else:
-            # Offset-stored counter: flip the true value, store the offset.
-            delta = self._deltas[position]
-            true_value = ((int(column[slot]) + delta) & mask) ^ (1 << site.bit)
-            column[slot] = (true_value - delta) & mask
+            column = value.copy()
+        column[slot] ^= 1 << site.bit
         values[position] = column
+
+    def release(self, slot: int) -> None:
+        """Make free slot ``slot`` a copy of lane 0 again, and every column
+        whose lanes then agree an int."""
+        values = self.latches.values
+        for position in self._lane_positions:
+            values[position] = _released(values[position], slot)
+        self.registers = [_released(value, slot) for value in self.registers]
+        self.memory.release_lane(slot)
+        self._output = [_released(value, slot) for value in self._output]
+        self.output_ok[slot] = True
 
     def adopt(self, slot: int, core: InOrderCore) -> None:
         """Seat a scalar core's state in lane ``slot`` (a tandem rejoin).
 
-        The caller has checked that ``core``'s control plane equals lane 0's;
-        this copies its lane-local latches, registers, memory and emitted
-        output into fresh columns.
+        The caller has checked that ``core``'s control plane equals lane 0's
+        (so its output is as long); the values that differ from the
+        wavefront's become columns with ``slot`` set.
         """
         data = core.latches.values
         values = self.latches.values
         for position in self._lane_positions:
-            value = data[position]
-            mask = COUNTER_MASKS.get(position)
-            if mask is not None:
-                value = (value - self._deltas[position]) & mask
-            values[position] = _with_lane(values[position], slot, value)
-        self.registers = [_with_lane(column, slot, value)
-                          for column, value in zip(self.registers,
-                                                   core.registers)]
+            values[position] = self._with_lane(
+                values[position], slot, data[position],
+                self._dtypes[position])
+        self.registers = [self._with_lane(value, slot, new)
+                          for value, new in zip(self.registers,
+                                                core.registers)]
         self.memory.set_lane_words(slot, core.memory.snapshot_words())
-        output = self._output
-        for index in range(self._prefix, len(output)):
-            output[index] = _with_lane(output[index], slot, core.output[index])
-        self.output_ok[slot] = all(column[slot] == column[0]
-                                   for column in output[self._prefix:])
+        self._output = [self._with_lane(value, slot, new)
+                        for value, new in zip(self._output, core.output)]
+        self.output_ok[slot] = core.output == self.lane_output(0)
+
+    def _with_lane(self, value, lane: int, new: int, dtype=np.int64):
+        """``value`` with lane ``lane`` holding ``new``: ``value`` itself
+        when it already does, else a fresh column."""
+        if type(value) is int:
+            if value == new:
+                return value
+            column = np.full(self.lanes, value, dtype=dtype)
+        elif value[lane] == new:
+            return value
+        else:
+            column = value.copy()
+        column[lane] = new
+        return column
 
     def control_matches(self, core: InOrderCore) -> bool:
         """True when ``core`` would execute lane 0's instruction stream."""
@@ -322,29 +317,27 @@ class _LaneCore(InOrderCore):
     def lanes_converged(self):
         """Per lane: value latches, registers and memory equal lane 0's.
 
-        Hint-only columns are left out on purpose -- the in-order core never
-        reads them into behaviour.
+        Only columns can differ, so only they are compared.  Hint-only
+        columns are left out on purpose -- the in-order core never reads
+        them into behaviour.
         """
         values = self.latches.values
-        rows = np.stack([values[position]
-                         for position in self._data_positions]
-                        + self.registers)
-        return (rows == rows[:, :1]).all(axis=0) \
-            & self.memory.lanes_match_reference()
+        converged = np.ones(self.lanes, dtype=bool)
+        for value in [values[position] for position in self._data_positions]:
+            if type(value) is not int:
+                converged &= value == value[0]
+        for value in self.registers:
+            if type(value) is not int:
+                converged &= value == value[0]
+        for column in self.memory.columns():
+            converged &= column == column[0]
+        return converged
 
     def lane_output(self, lane: int) -> list[int]:
-        output = self._output
-        return output[:self._prefix] + [int(column[lane])
-                                        for column in output[self._prefix:]]
+        return _lane_values(self._output, lane)
 
     def lane_snapshot(self, lane: int) -> CoreSnapshot:
         """Lane ``lane``'s state as the scalar core's snapshot."""
-        latches = list(self.latches.values)
-        for position in self._lane_positions:
-            latches[position] = int(latches[position][lane])
-        for position, mask in COUNTER_MASKS.items():
-            latches[position] = (latches[position]
-                                 + self._deltas[position]) & mask
         return CoreSnapshot(
             core_name=self.name,
             cycle=self._cycle,
@@ -353,19 +346,27 @@ class _LaneCore(InOrderCore):
             detections=[],
             recovery_cycles=0,
             pending_recovery=0,
-            latches=tuple(latches),
+            latches=tuple(_lane_values(self.latches.values, lane)),
             micro={
-                "registers": [int(column[lane]) for column in self.registers],
+                "registers": _lane_values(self.registers, lane),
                 "memory": self.memory.lane_words(lane),
                 "redirect_target": self._redirect_target,
             })
 
 
-def _with_lane(column, lane: int, value):
-    """A copy of ``column`` with ``column[lane] = value``."""
-    column = column.copy()
-    column[lane] = value
-    return column
+def _lane_values(values: list, lane: int) -> list[int]:
+    """Lane ``lane``'s value of each int or column in ``values``."""
+    return [value if type(value) is int else int(value[lane])
+            for value in values]
+
+
+def _released(value, lane: int):
+    """``value`` with lane ``lane`` given lane 0's value (in place), as an
+    int if its lanes then agree."""
+    if type(value) is int:
+        return value
+    value[lane] = value[0]
+    return collapsed(value)
 
 
 @dataclass
@@ -576,7 +577,6 @@ class _StreamingWavefront:
         if not self._free_slots:
             return False
         slot = self._free_slots.pop()
-        self._core.seat_reference(slot)
         if flat_index is not None:
             self._core.flip(slot, flat_index)
         self._occupy(slot, record)
@@ -596,6 +596,7 @@ class _StreamingWavefront:
         self._slot_records[slot] = None
         self._inj_cycles[slot] = np.iinfo(np.int64).max
         self._free_slots.append(slot)
+        self._core.release(slot)
 
     def _spawn_tandem(self, record: _LaneRecord,
                       snapshot: CoreSnapshot) -> None:
@@ -637,7 +638,6 @@ class _StreamingWavefront:
         core = self._core
         record = self._slot_records[lane]
         record.lockstep_cycles += core.cycle - record.segment_start
-        self._release_slot(lane)
         result = RunResult(
             program_name=self._golden.program_name,
             core_name=self._golden.core_name,
@@ -648,6 +648,7 @@ class _StreamingWavefront:
             output=core.lane_output(lane),
             detections=[],
             recovery_cycles=0)
+        self._release_slot(lane)
         record.replay = Replay(
             result=result, outcome=classify_outcome(self._golden, result),
             resumed_from=record.resumed_from,
@@ -776,14 +777,26 @@ class _StreamingWavefront:
         v = self._core.latches.values
         if not v[E_VALID] or v[E_TRAP]:
             return None
+        a = v[E_RS1VAL]
+        b = v[E_RS2VAL]
+        if type(a) is int and type(b) is int:
+            return None  # every lane agrees: the stage runs the scalar unit
         unit = _LANE_UNITS[v[E_OP]]
         if unit is None:
             return None
+        if type(a) is int:
+            a = np.full(self.lanes, a, dtype=np.int64)
+        if type(b) is int:
+            b = np.full(self.lanes, b, dtype=np.int64)
         imm = v[E_IMM]
         if imm & 0x4000:  # sign-extend the 15-bit immediate
             imm -= 0x8000
-        return unit(self, v[E_RS1VAL].astype(np.int64, copy=False),
-                    v[E_RS2VAL].astype(np.int64, copy=False), imm, v[E_PC])
+        outcome = unit(self, a, b, imm, v[E_PC])
+        if type(outcome) is ExecuteResult:
+            outcome.value = collapsed(outcome.value)
+            outcome.store_value = collapsed(outcome.store_value)
+            outcome.output_value = collapsed(outcome.output_value)
+        return outcome
 
 
 # ---------------------------------------------------------------------- pre-pass units

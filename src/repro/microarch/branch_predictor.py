@@ -27,6 +27,8 @@ class BimodalPredictor:
         self._latches = latches
         self._table = latches.slot(table_structure)
         self._history = latches.slot(history_structure)
+        self._table_mask = (
+            1 << latches.registry.structure(table_structure).width) - 1
         self._history_mask = (
             1 << latches.registry.structure(history_structure).width) - 1
         self._entries = entries
@@ -42,5 +44,8 @@ class BimodalPredictor:
             counter = counter + (counter < 3)
         else:
             counter = counter - (counter > 0)
-        values[self._table] = (table & ~(0x3 << shift)) | (counter << shift)
+        # The cleared-field mask is non-negative: ANDing a uint64 column
+        # with a negative int (``~(0x3 << shift)``) raises under NumPy 2.
+        values[self._table] = ((table & (self._table_mask ^ (0x3 << shift)))
+                               | (counter << shift))
         values[self._history] = ((history << 1) | taken) & self._history_mask

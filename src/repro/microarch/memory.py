@@ -166,40 +166,44 @@ class MemorySystem:
         return len(self._words)
 
 
+def collapsed(value):
+    """``value`` as one int if it is a ``(lanes,)`` column whose lanes all
+    hold the same value, else ``value`` unchanged."""
+    if type(value) is np.ndarray:
+        first = value[0]
+        if (value == first).all():
+            return int(first)
+    return value
+
+
 class BatchedWordStore:
     """Word store for ``lanes`` lockstep replays of the same golden run.
 
-    All lanes share one address space layout; per-address values are a
-    ``(lanes,)`` int64 vector.  Because lanes start bit-identical and the
-    batched stepper keeps addresses uniform across the wavefront (divergent
-    lanes are evicted), storage is a shared base image plus a copy-on-write
-    overlay of per-lane vectors -- only addresses actually written during the
-    wavefront cost ``lanes`` words.
+    One dict maps every word address to its value on all lanes: a plain int
+    while the lanes agree on it, a ``(lanes,)`` int64 column once they
+    differ.  The lockstep wavefront keeps addresses uniform (a lane whose
+    address would differ is demoted first), so lanes share the address set
+    and lane ``L``'s image is the dict with every column read at ``L`` --
+    the key set a scalar :class:`MemorySystem` replaying that lane holds.
+    A store whose lanes all agree stores an int, so only words a lane
+    actually made different cost ``lanes`` words; the addresses holding a
+    column are kept apart so lane-wide passes visit only those.
 
-    Overlay rows are shared with the wavefront's latches and registers (a
+    Column rows are shared with the wavefront's latches and registers (a
     load hands out the row itself), so a row is replaced, never written in
-    place -- except by :meth:`reset_lane`, whose copy of the reference lane
-    gives every alias the value it must hold anyway.
-
-    The store tracks, incrementally, how many overlay words differ from a
-    reference lane (lane 0), so "is this lane's memory bit-identical to the
-    golden run's" is an O(1) counter read at convergence-check time.  The
-    comparison matches :meth:`MemorySystem.fingerprint_digest` semantics: lanes
-    share the written-address set (uniform addresses), so per-address value
-    equality is exactly zero-normalised image equality.
+    place -- except by :meth:`release_lane`, whose copy of lane 0 gives
+    every alias the value it must hold anyway.
     """
 
     _WORD_MASK = 0xFFFFFFFF
 
-    def __init__(self, base_words: dict[int, int], lanes: int,
-                 regions: tuple[MemoryRegion, ...] = DEFAULT_REGIONS,
-                 reference_lane: int = 0):
+    def __init__(self, words: dict[int, int], lanes: int,
+                 regions: tuple[MemoryRegion, ...] = DEFAULT_REGIONS):
         self._regions = regions
         self.lanes = lanes
-        self._reference = reference_lane
-        self._base = dict(base_words)
-        self._overlay: dict[int, "np.ndarray"] = {}
-        self._diverged = np.zeros(lanes, dtype=np.int64)
+        self._words: dict = dict(words)
+        # Addresses whose word is a column, in insertion order.
+        self._columns: dict[int, None] = {}
 
     # ------------------------------------------------------------------ checks
     def _check(self, address: int, *, aligned_to: int) -> None:
@@ -211,36 +215,24 @@ class BatchedWordStore:
     def is_mapped(self, address: int) -> bool:
         return any(region.contains(address) for region in self._regions)
 
-    def _row(self, address: int):
-        """The per-lane values at ``address`` (a fresh row if unwritten)."""
-        values = self._overlay.get(address)
-        if values is None:
-            values = np.full(self.lanes, self._base.get(address, 0),
-                             dtype=np.int64)
-        return values
-
     # ------------------------------------------------------------------ access
     def load_word(self, address: int):
-        """Load one address on every lane; returns a ``(lanes,)`` int64 array."""
+        """The word at ``address`` on every lane: an int or a column."""
         self._check(address, aligned_to=WORD_BYTES)
-        return self._row(address)
+        return self._words.get(address, 0)
 
-    def store_word(self, address: int, values) -> None:
-        """Store per-lane ``values`` (masked to 32 bits) at one address."""
+    def store_word(self, address: int, value) -> None:
+        """Store ``value`` (an int or a column, masked to 32 bits)."""
         self._check(address, aligned_to=WORD_BYTES)
-        self._store(address, values)
+        self._store(address, value & self._WORD_MASK)
 
-    def _store(self, address: int, values) -> None:
-        new = np.asarray(values).astype(np.int64, copy=False) \
-            & self._WORD_MASK
-        previous = self._overlay.get(address)
-        if previous is None:
-            previous_diff = 0
+    def _store(self, address: int, value) -> None:
+        value = collapsed(value)
+        if type(value) is int:
+            self._columns.pop(address, None)
         else:
-            previous_diff = (previous != previous[self._reference]).astype(np.int64)
-        self._diverged += (new != new[self._reference]).astype(np.int64)
-        self._diverged -= previous_diff
-        self._overlay[address] = new
+            self._columns[address] = None
+        self._words[address] = value
 
     def load_byte(self, address: int):
         self._check(address, aligned_to=1)
@@ -248,75 +240,70 @@ class BatchedWordStore:
         if not self.is_mapped(word_address):
             raise MemoryFault(address, "address outside mapped regions")
         shift = 8 * (address % WORD_BYTES)
-        return (self._row(word_address) >> shift) & 0xFF
+        return (self._words.get(word_address, 0) >> shift) & 0xFF
 
-    def store_byte(self, address: int, values) -> None:
+    def store_byte(self, address: int, value) -> None:
         self._check(address, aligned_to=1)
         word_address = address - (address % WORD_BYTES)
         if not self.is_mapped(word_address):
             raise MemoryFault(address, "address outside mapped regions")
         shift = 8 * (address % WORD_BYTES)
-        masked = self._row(word_address) & (self._WORD_MASK ^ (0xFF << shift))
-        merged = masked | ((np.asarray(values).astype(np.int64, copy=False)
-                            & 0xFF) << shift)
-        self._store(word_address, merged)
+        word = self._words.get(word_address, 0)
+        self._store(word_address,
+                    (word & (self._WORD_MASK ^ (0xFF << shift)))
+                    | ((value & 0xFF) << shift))
 
     # ------------------------------------------------------------------ lane lifecycle
-    def reset_lane(self, lane: int) -> None:
-        """Make ``lane``'s memory bit-identical to the reference lane.
-
-        Used when a streaming wavefront recycles a freed lane slot for a new
-        injection joining at the current cycle: the joining replay's memory
-        is, by construction, the reference (golden) image.
-        """
-        reference = self._reference
-        for values in self._overlay.values():
-            values[lane] = values[reference]
-        self._diverged[lane] = 0
+    def release_lane(self, lane: int) -> None:
+        """Give ``lane`` lane 0's image again (its replay left the
+        wavefront); words whose lanes then all agree become ints."""
+        words = self._words
+        for address in list(self._columns):
+            column = words[address]
+            column[lane] = column[0]
+            value = collapsed(column)
+            if type(value) is int:
+                words[address] = value
+                del self._columns[address]
 
     def set_lane_words(self, lane: int, words: dict[int, int]) -> None:
         """Adopt a full scalar memory image for one lane (a wavefront rejoin).
 
-        ``words`` is a :meth:`MemorySystem.snapshot_words` image.  Addresses
-        it diverges on that the wavefront never wrote get overlay rows on
-        demand (all other lanes keep the base value); overlay addresses the
-        image never stored are architecturally zero on this lane (word
-        stores never delete, so an address missing from a scalar image was
-        never written there).  Every changed row is a copy.
+        ``words`` is a :meth:`MemorySystem.snapshot_words` image.  A word
+        that differs from the wavefront's becomes (or stays) a column with
+        ``lane`` set; an address the image lacks was never written there,
+        so it reads 0 on this lane.  Every changed column is a copy.
         """
-        overlay = self._overlay
-        base = self._base
+        current = self._words
         for address, value in words.items():
             value &= self._WORD_MASK
-            values = overlay.get(address)
-            if values is None:
-                if value == base.get(address, 0):
-                    continue
-                values = self._row(address)
-            elif values[lane] == value:
-                continue
-            else:
-                values = values.copy()
-            values[lane] = value
-            overlay[address] = values
-        for address, values in overlay.items():
-            if address not in words and values[lane] != 0:
-                values = values.copy()
-                values[lane] = 0
-                overlay[address] = values
-        reference = self._reference
-        self._diverged[lane] = sum(
-            1 for values in overlay.values()
-            if values[lane] != values[reference])
+            self._set_lane(address, lane, value)
+        for address in current.keys() - words.keys():
+            self._set_lane(address, lane, 0)
 
-    # ------------------------------------------------------------------ equality / export
-    def lanes_match_reference(self):
-        """Per-lane boolean: memory bit-identical to the reference lane."""
-        return self._diverged == 0
+    def _set_lane(self, address: int, lane: int, value: int) -> None:
+        word = self._words.get(address, 0)
+        if type(word) is int:
+            if word == value:
+                return
+            column = np.full(self.lanes, word, dtype=np.int64)
+        elif word[lane] == value:
+            return
+        else:
+            column = word.copy()
+        column[lane] = value
+        self._words[address] = column
+        self._columns[address] = None
+
+    # ------------------------------------------------------------------ export
+    def columns(self) -> list:
+        """Every word whose lanes differ, as ``(lanes,)`` columns."""
+        words = self._words
+        return [words[address] for address in self._columns]
 
     def lane_words(self, lane: int) -> dict[int, int]:
         """One lane's full memory image (``MemorySystem.snapshot_words`` form)."""
-        words = dict(self._base)
-        for address, values in self._overlay.items():
-            words[address] = int(values[lane])
+        words = dict(self._words)
+        for address in self._columns:
+            words[address] = int(words[address][lane])
         return words

@@ -21,6 +21,7 @@ It is consumed three ways:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.faultinjection.injector import SiteProtection
@@ -50,6 +51,17 @@ HARDWARE_RECOVERY_LATENCY_LIMIT = 1024
 #: would give an infinite improvement; the paper caps such configurations at
 #: ~100,000x, which a 1e-5 floor reproduces.
 RESIDUAL_FLOOR_FRACTION = 1e-5
+
+
+def residual_floor(baseline: float) -> float:
+    """The residual floor of a baseline total: ``baseline *
+    RESIDUAL_FLOOR_FRACTION``, but never below the smallest positive float.
+
+    A positive subnormal baseline's product underflows to 0.0, and Eq. 1
+    would then divide by zero once the residual sum reaches 0.  Normal
+    baselines -- every measured map's -- keep the plain product's bits.
+    """
+    return max(baseline * RESIDUAL_FLOOR_FRACTION, math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -202,8 +214,8 @@ class ProtectedDesign:
             residual_sdc += sdc
             residual_due += due
         gamma = self.gamma()
-        floor_sdc = baseline_sdc * RESIDUAL_FLOOR_FRACTION
-        floor_due = baseline_due * RESIDUAL_FLOOR_FRACTION
+        floor_sdc = residual_floor(baseline_sdc)
+        floor_due = residual_floor(baseline_due)
         sdc_improvement = (baseline_sdc / max(residual_sdc, floor_sdc) / gamma
                            if baseline_sdc > 0 else 1.0)
         due_improvement = (baseline_due / max(residual_due, floor_due) / gamma

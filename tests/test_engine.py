@@ -680,14 +680,12 @@ class TestBatchedReplay:
         ("f.bp.table", 63), ("f.bp.history", 0), ("w.s.icc", 3), ("x.icc", 1),
     )
 
-    def test_wavefront_lanes_equal_scalar_cores(self, program):
-        """Every seated lane is, cycle for cycle, the scalar core given the
-        same flip.  Hint state never changes an outcome, so a lane whose
-        hint latches drift (an offset counter flipped without its offset,
-        say) passes every campaign-level test; this compares whole states."""
-        from repro.engine.batch import (_CorePool, _LaneRecord,
-                                        _StreamingWavefront)
-        from repro.engine.executors import PlannedInjection
+    @staticmethod
+    def _lockstep(program, width: int):
+        """A wavefront with ``width`` free slots and a scalar reference core,
+        both 20 cycles past the golden snapshot nearest cycle 300 (so the
+        hint counters have moved off the snapshot)."""
+        from repro.engine.batch import _CorePool, _StreamingWavefront
 
         template = InOrderCore()
         checkpointed = record_checkpointed_golden(template, program,
@@ -696,46 +694,156 @@ class TestBatchedReplay:
         wavefront = _StreamingWavefront(
             template, program,
             replace(checkpointed, fingerprints={}, fingerprint_interval=0),
-            width=len(self._LANE_FLIPS), pool=_CorePool(template))
+            width=width, pool=_CorePool(template))
         wavefront._load_reference(base)
-        lane_core = wavefront._core
         reference = InOrderCore()
         reference.restore(program, base)
-        # Step first, so the offset counters carry nonzero offsets.
         for _ in range(20):
-            lane_core.prepass = wavefront._execute_prepass()
-            lane_core.step()
+            TestBatchedReplay._step(wavefront)
             reference.step()
+        return wavefront, reference
+
+    @staticmethod
+    def _step(wavefront) -> None:
+        lane_core = wavefront._core
+        lane_core.prepass = wavefront._execute_prepass()
+        lane_core.step()
+
+    @staticmethod
+    def _record(flat: int, cycle: int):
+        from repro.engine.batch import _LaneRecord
+        from repro.engine.executors import PlannedInjection
+
+        return _LaneRecord(planned=PlannedInjection(
+            injection=Injection(flat_index=flat, cycle=cycle),
+            protection=SiteProtection(), suppressed=False))
+
+    def _join_flips(self, wavefront, reference, program, flips):
+        """Seat one lane per ``(latch, bit)`` flip, each beside a scalar core
+        given the same flip; returns ``(name, record, scalar)`` triples."""
         joined = reference.snapshot()
+        registry = reference.registry
         lanes = []
-        for name, bit in self._LANE_FLIPS:
-            flat = template.registry.structure(name).first_index + bit
-            record = _LaneRecord(planned=PlannedInjection(
-                injection=Injection(flat_index=flat, cycle=joined.cycle),
-                protection=SiteProtection(), suppressed=False))
+        for name, bit in flips:
+            flat = registry.structure(name).first_index + bit
+            record = self._record(flat, joined.cycle)
             assert wavefront._join_lane(record, flat)
             scalar = InOrderCore()
             scalar.restore(program, joined)
             scalar.latches.flip_flat(flat)
             lanes.append((name, record, scalar))
+        return lanes
+
+    def _compare(self, wavefront, reference, lanes, cycles: int = 60,
+                 observe=lambda: None) -> dict[str, int]:
+        """Step everything ``cycles`` cycles, checking lane 0 against
+        ``reference`` and every seated lane against its scalar core as whole
+        states; returns the cycles each lane was seated."""
+        lane_core = wavefront._core
         seated = {name: 0 for name, _, _ in lanes}
-        for _ in range(60):
+        for _ in range(cycles):
             assert lane_core.lane_snapshot(0) == reference.snapshot()
             for name, record, scalar in lanes:
                 if wavefront._slot_records[record.slot] is record:
                     assert lane_core.lane_snapshot(record.slot) == \
                         scalar.snapshot(), name
                     seated[name] += 1
-            lane_core.prepass = wavefront._execute_prepass()
-            lane_core.step()
+            observe()
+            self._step(wavefront)
             reference.step()
             for _, _, scalar in lanes:
                 scalar.step()
+        return seated
+
+    def test_wavefront_lanes_equal_scalar_cores(self, program):
+        """Every seated lane is, cycle for cycle, the scalar core given the
+        same flip.  Hint state never changes an outcome, so a lane whose
+        hint latches drift (a counter flipped in the wrong lane, say) passes
+        every campaign-level test; this compares whole states."""
+        wavefront, reference = self._lockstep(program, len(self._LANE_FLIPS))
+        lanes = self._join_flips(wavefront, reference, program,
+                                 self._LANE_FLIPS)
+        seated = self._compare(wavefront, reference, lanes)
         assert all(seated.values()), seated
         # Hint-only flips never steer control, so those lanes never demote.
         for name in ("irq.pending", "ic.ctrl.state", "dc.ctrl.state",
                      "f.bp.table", "f.bp.history", "w.s.icc", "x.icc"):
             assert seated[name] == 60, name
+
+    def test_table_flip_under_an_int_history(self, program):
+        """A flipped predictor table is a uint64 column while the history is
+        still an int, so the predictor trains the column with an int shift
+        (a negative int mask there raises under NumPy 2)."""
+        wavefront, reference = self._lockstep(program, 1)
+        lanes = self._join_flips(wavefront, reference, program,
+                                 (("f.bp.table", 63),))
+        latches = wavefront._core.latches
+        table, history = latches.slot("f.bp.table"), latches.slot("f.bp.history")
+        trained = set()
+
+        def observe():
+            assert type(latches.values[history]) is int
+            assert type(latches.values[table]) is not int
+            trained.add(int(latches.values[table][0]))
+
+        seated = self._compare(wavefront, reference, lanes, observe=observe)
+        assert seated == {"f.bp.table": 60}
+        assert len(trained) > 1  # branches trained the column meanwhile
+
+    def test_rejoin_into_int_lanes(self, program):
+        """A tandem rejoining a wavefront whose values are all ints turns
+        exactly the values it differs in into columns, and then steps as its
+        scalar core does."""
+        from repro.engine.batch import _Tandem
+
+        wavefront, reference = self._lockstep(program, 1)
+        lane_core = wavefront._core
+        latches = lane_core.latches
+        assert all(type(value) is int for value in latches.values)
+        assert all(type(value) is int for value in lane_core.registers)
+        scalar = InOrderCore()
+        scalar.restore(program, reference.snapshot())
+        # What a healed control divergence leaves behind: data and hint
+        # state that differ, control state that does not.
+        for name, bit in (("w.result", 3), ("irq.pending", 2),
+                          ("f.bp.history", 1)):
+            scalar.latches.flip_bit(name, bit)
+        scalar.registers[9] ^= 1 << 20
+        address = max(scalar.memory.snapshot_words())
+        scalar.memory.store_word(address,
+                                 scalar.memory.load_word(address) ^ 0x100)
+        assert lane_core.control_matches(scalar)
+        record = self._record(latches.registry.structure("w.result")
+                              .first_index, reference.cycle)
+        tandem = _Tandem(scalar, record, deadline=reference.cycle)
+        wavefront._tandems.append(tandem)
+        wavefront._rejoin(tandem)
+        columns = [position for position, value in enumerate(latches.values)
+                   if type(value) is not int]
+        assert columns == sorted(latches.slot(name) for name in (
+            "w.result", "irq.pending", "f.bp.history"))
+        assert [index for index, value in enumerate(lane_core.registers)
+                if type(value) is not int] == [9]
+        assert lane_core.memory.columns()
+        seated = self._compare(wavefront, reference,
+                               [("rejoined", record, scalar)])
+        assert seated == {"rejoined": 60}
+
+    def test_column_overwritten_by_a_uniform_value(self, program):
+        """A flipped value latch is a column until the pipeline moves an
+        agreed value into it; from then on it is an int again, and the lane
+        still equals its scalar core."""
+        wavefront, reference = self._lockstep(program, 1)
+        lanes = self._join_flips(wavefront, reference, program,
+                                 (("m.result", 12),))
+        latches = wavefront._core.latches
+        position = latches.slot("m.result")
+        kinds = []
+        seated = self._compare(
+            wavefront, reference, lanes,
+            observe=lambda: kinds.append(type(latches.values[position])))
+        assert kinds[0] is not int and int in kinds
+        assert seated == {"m.result": 60}
 
     @pytest.mark.parametrize("convergence", [True, False])
     def test_every_structure_batched_equals_scalar(self, program,

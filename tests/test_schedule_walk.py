@@ -26,7 +26,7 @@ from repro.core.schedule import (
 from repro.faultinjection.vulnerability import ordered_sum
 from repro.physical.cells import CellType, RecoveryKind
 from repro.physical.costmodel import ParityGroupPlan
-from repro.resilience.design import RESIDUAL_FLOOR_FRACTION
+from repro.resilience.design import RESIDUAL_FLOOR_FRACTION, residual_floor
 from repro.resilience.logic_parity import PIPELINED_GROUP_SIZE, UNPIPELINED_GROUP_SIZE
 
 #: Residual values drawn often enough to tie, plus exact zeros.
@@ -44,8 +44,8 @@ def _reference_walk(case):
 
     def point():
         gamma = gamma_fixed * (1.0 + parity / UNPIPELINED_GROUP_SIZE / total)
-        return (baseline_sdc / max(sum_sdc, baseline_sdc * RESIDUAL_FLOOR_FRACTION) / gamma,
-                baseline_due / max(sum_due, baseline_due * RESIDUAL_FLOOR_FRACTION) / gamma)
+        return (baseline_sdc / max(sum_sdc, residual_floor(baseline_sdc)) / gamma,
+                baseline_due / max(sum_due, residual_floor(baseline_due)) / gamma)
 
     curve = [point()]
     for flat, choice, covered in zip(ranking, choices, recoverable):
@@ -116,10 +116,8 @@ def _cases(draw):
     units = draw(st.lists(st.integers(min_value=0, max_value=3),
                           min_size=sites, max_size=sites), label="units")
     slack = draw(st.lists(st.booleans(), min_size=sites, max_size=sites), label="slack")
-    # Normal floats only: a subnormal total gives a zero residual floor, and
-    # Eq. 1 divides by the floor once the sum clamps there.
     residual = st.one_of(st.sampled_from(_RESIDUAL_POOL),
-                         st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
+                         st.floats(min_value=0.0, max_value=1.0))
     residual_sdc = tuple(draw(st.lists(residual, min_size=sites, max_size=sites),
                               label="residual_sdc"))
     residual_due = tuple(draw(st.lists(residual, min_size=sites, max_size=sites),
@@ -159,6 +157,22 @@ def _ints(values):
 
 class TestWalkOracle:
     """The schedule's walk matches the per-site reference bit for bit."""
+
+    def test_subnormal_total_keeps_a_positive_floor(self):
+        """One LEAP-DICE site holding the smallest subnormal SDC residual:
+        ``total * RESIDUAL_FLOOR_FRACTION`` underflows to 0.0 and hardening
+        brings the sum to 0.0, so Eq. 1 needs the floor to stay positive."""
+        assert 5e-324 * RESIDUAL_FLOOR_FRACTION == 0.0
+        assert residual_floor(5e-324) == 5e-324
+        assert residual_floor(0.37) == 0.37 * RESIDUAL_FLOOR_FRACTION
+        case = ([0], (LowLevelChoice.LEAP_DICE,), (False,), (False,), [0],
+                [False], 1, (5e-324,), (0.0,), 5e-324, 1e-12, 1.0)
+        schedule = _build(case)
+        curve_sdc, curve_due, full = _reference_walk(case)
+        assert curve_sdc == [1.0, 1.0]
+        assert _floats(schedule._curve_sdc) == curve_sdc
+        assert _floats(schedule._curve_due) == curve_due
+        assert tuple(map(float, schedule._full_achieved)) == full
 
     @settings(max_examples=200, deadline=None)
     @given(case=_cases(), data=st.data())
