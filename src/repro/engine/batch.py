@@ -4,9 +4,10 @@ The scalar replay path costs ~20 microseconds of Python dispatch per
 simulated cycle, and the process-pool executor cannot help because the cost
 sits *inside* one replay, not across them.  This module attacks the
 per-cycle cost directly: injected replays of the same golden run advance
-together as one struct-of-arrays *wavefront*, so each interpreted pipeline
-step pays its Python overhead once for the whole batch while per-lane data
-moves are numpy column operations.
+together as one *wavefront*, so each interpreted pipeline step pays its
+Python overhead once for the whole batch.  Lanes almost always agree, so a
+value is one Python int until lanes differ on it, and only then a numpy
+column.
 
 The key observation making lockstep exact rather than approximate: until an
 injected bit flip propagates into control flow, an injected run executes the
@@ -21,20 +22,26 @@ structures into two planes:
   bit-for-bit by construction).
 * **lane plane** -- operand/result value latches plus every hint-only
   structure (branch predictor, status register, cache/IRQ bookkeeping).
-  These are ``(lanes,)`` numpy columns and may diverge freely: they never
-  feed control decisions, only register writes, stores and program output
-  -- all of which are per-lane columns too.
+  These may diverge freely: they never feed control decisions, only
+  register writes, stores and program output, which may differ per lane
+  too.  Each lane-plane value -- latch, register, memory word or output
+  entry -- is one Python int while all lanes agree on it and a ``(lanes,)``
+  numpy column only once a flip, a tandem rejoin or a computation on a
+  column makes the lanes differ; freed lane slots are reset to the
+  reference lane, so columns turn back into ints when the lane that made
+  them leaves.
 
 There is one in-order pipeline.  The wavefront steps a :class:`_LaneCore`,
 an :class:`InOrderCore` whose latch list holds ints in the control plane and
-columns in the lane plane, so :class:`InOrderCore`'s own cycle
+ints or columns in the lane plane, so :class:`InOrderCore`'s own cycle
 (:meth:`~InOrderCore._step_cycle`, all seven stages in one body) advances
-every lane at once.  The lane core overrides only a few of the cycle's
-hooks: execute takes the outcome of a vectorised pre-pass (which demotes
-lanes whose control would diverge), hint counters are kept as scalar
-offsets, and register writes and output commit whole columns.  This module
-is the orchestration around it: admission, the pre-pass and demotion,
-tandems, retirement and eviction.
+every lane at once, at a scalar core's cost while every value is an int.
+The lane core overrides only two of the cycle's hooks: execute runs the
+scalar unit on int operands and otherwise takes the outcome of a vectorised
+pre-pass (which demotes lanes whose control would diverge), and output
+keeps per-lane "equals lane 0" flags.  This module is the orchestration
+around it: admission, the pre-pass and demotion, tandems, retirement and
+eviction.
 
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep
@@ -110,7 +117,8 @@ from repro.microarch.execute import (ExecuteResult, ExecuteTrap,
                                      execute_operation)
 from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
                                      E_TRAP, E_VALID, InOrderCore)
-from repro.microarch.memory import BatchedWordStore, collapsed
+from repro.microarch.memory import (BatchedWordStore, collapsed, released,
+                                    with_lane)
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
@@ -189,8 +197,8 @@ class _LaneCore(InOrderCore):
 
     Free lane slots mirror lane 0 in every column: :meth:`release` copies
     lane 0 into a slot its replay left and turns the columns whose lanes
-    then agree back into ints, so a joining lane needs no copy and a column
-    lives only while an occupied lane differs.  The cycle shares column
+    then agree back into ints, so a joining lane needs no copy and no column
+    outlives the lanes that made it differ.  The cycle shares column
     objects between latches, registers and memory rows, so a column is
     replaced, never written in place -- except by :meth:`release`, which
     gives every alias the value it must hold anyway.  A lane core is never
@@ -260,10 +268,10 @@ class _LaneCore(InOrderCore):
         whose lanes then agree an int."""
         values = self.latches.values
         for position in self._lane_positions:
-            values[position] = _released(values[position], slot)
-        self.registers = [_released(value, slot) for value in self.registers]
+            values[position] = released(values[position], slot)
+        self.registers = [released(value, slot) for value in self.registers]
         self.memory.release_lane(slot)
-        self._output = [_released(value, slot) for value in self._output]
+        self._output = [released(value, slot) for value in self._output]
         self.output_ok[slot] = True
 
     def adopt(self, slot: int, core: InOrderCore) -> None:
@@ -273,33 +281,20 @@ class _LaneCore(InOrderCore):
         (so its output is as long); the values that differ from the
         wavefront's become columns with ``slot`` set.
         """
+        lanes = self.lanes
         data = core.latches.values
         values = self.latches.values
         for position in self._lane_positions:
-            values[position] = self._with_lane(
-                values[position], slot, data[position],
-                self._dtypes[position])
-        self.registers = [self._with_lane(value, slot, new)
+            values[position] = with_lane(values[position], lanes, slot,
+                                         data[position],
+                                         self._dtypes[position])
+        self.registers = [with_lane(value, lanes, slot, new)
                           for value, new in zip(self.registers,
                                                 core.registers)]
         self.memory.set_lane_words(slot, core.memory.snapshot_words())
-        self._output = [self._with_lane(value, slot, new)
+        self._output = [with_lane(value, lanes, slot, new)
                         for value, new in zip(self._output, core.output)]
         self.output_ok[slot] = core.output == self.lane_output(0)
-
-    def _with_lane(self, value, lane: int, new: int, dtype=np.int64):
-        """``value`` with lane ``lane`` holding ``new``: ``value`` itself
-        when it already does, else a fresh column."""
-        if type(value) is int:
-            if value == new:
-                return value
-            column = np.full(self.lanes, value, dtype=dtype)
-        elif value[lane] == new:
-            return value
-        else:
-            column = value.copy()
-        column[lane] = new
-        return column
 
     def control_matches(self, core: InOrderCore) -> bool:
         """True when ``core`` would execute lane 0's instruction stream."""
@@ -323,14 +318,10 @@ class _LaneCore(InOrderCore):
         """
         values = self.latches.values
         converged = np.ones(self.lanes, dtype=bool)
-        for value in [values[position] for position in self._data_positions]:
+        for value in ([values[position] for position in self._data_positions]
+                      + self.registers + self.memory.columns()):
             if type(value) is not int:
                 converged &= value == value[0]
-        for value in self.registers:
-            if type(value) is not int:
-                converged &= value == value[0]
-        for column in self.memory.columns():
-            converged &= column == column[0]
         return converged
 
     def lane_output(self, lane: int) -> list[int]:
@@ -358,15 +349,6 @@ def _lane_values(values: list, lane: int) -> list[int]:
     """Lane ``lane``'s value of each int or column in ``values``."""
     return [value if type(value) is int else int(value[lane])
             for value in values]
-
-
-def _released(value, lane: int):
-    """``value`` with lane ``lane`` given lane 0's value (in place), as an
-    int if its lanes then agree."""
-    if type(value) is int:
-        return value
-    value[lane] = value[0]
-    return collapsed(value)
 
 
 @dataclass
@@ -765,10 +747,14 @@ class _StreamingWavefront:
         decision/target, memory address, trap predicate) diverge from the
         reference lane.
 
-        Returns what :meth:`_LaneCore._execute` hands the execute stage: an
-        :class:`ExecuteResult` whose values are per-lane columns and whose
-        control fields are lane 0's scalars, or the :class:`TrapKind` it
-        raises.  ``None`` when the stage will not execute this cycle.
+        Only a column operand needs it: with two int operands every lane
+        computes the same thing, so this returns ``None`` and
+        :meth:`_LaneCore._execute` runs the scalar unit.  Otherwise it
+        returns what :meth:`_LaneCore._execute` hands the execute stage: an
+        :class:`ExecuteResult` whose values are ints or per-lane columns
+        (ints where the lanes agree) and whose control fields are lane 0's
+        scalars, or the :class:`TrapKind` it raises.  ``None`` too when the
+        stage will not execute this cycle.
 
         Running ahead of the older stages is exact: they never touch the
         ``e.*`` latches this reads, and a demoted lane's snapshot must be
@@ -801,10 +787,11 @@ class _StreamingWavefront:
 
 # ---------------------------------------------------------------------- pre-pass units
 # The pre-pass twin of repro.microarch.execute's table: one unit per opcode
-# value, called with the wavefront, the int64 operand columns, the
-# sign-extended immediate and the pc.  A unit returns an ExecuteResult whose
-# values are per-lane columns and whose control fields are lane 0's, or the
-# TrapKind the stage raises.  Before it reads a control-bearing column (a
+# value, called (when an operand is a column) with the wavefront, the int64
+# operand columns (an int operand broadcast), the sign-extended immediate
+# and the pc.  A unit returns an ExecuteResult whose values are per-lane
+# columns and whose control fields are lane 0's, or the TrapKind the stage
+# raises; the pre-pass turns the columns whose lanes agree into ints.  Before it reads a control-bearing column (a
 # trap predicate, memory address, branch decision or jump target) into a
 # scalar, it demotes the lanes that disagree with lane 0 (_agreed).
 def _signed(values: np.ndarray) -> np.ndarray:

@@ -166,6 +166,8 @@ class MemorySystem:
         return len(self._words)
 
 
+# A lockstep lane value is an int (every lane holds it) or a (lanes,)
+# numpy column; these helpers keep it an int whenever the lanes agree.
 def collapsed(value):
     """``value`` as one int if it is a ``(lanes,)`` column whose lanes all
     hold the same value, else ``value`` unchanged."""
@@ -176,6 +178,30 @@ def collapsed(value):
     return value
 
 
+def released(value, lane: int):
+    """``value`` with lane ``lane`` given lane 0's value (in place), as an
+    int if its lanes then agree."""
+    if type(value) is int:
+        return value
+    value[lane] = value[0]
+    return collapsed(value)
+
+
+def with_lane(value, lanes: int, lane: int, new: int, dtype=np.int64):
+    """``value`` with lane ``lane`` holding ``new``: ``value`` itself when it
+    already does, else a fresh ``(lanes,)`` column."""
+    if type(value) is int:
+        if value == new:
+            return value
+        column = np.full(lanes, value, dtype=dtype)
+    elif value[lane] == new:
+        return value
+    else:
+        column = value.copy()
+    column[lane] = new
+    return column
+
+
 class BatchedWordStore:
     """Word store for ``lanes`` lockstep replays of the same golden run.
 
@@ -183,8 +209,7 @@ class BatchedWordStore:
     while the lanes agree on it, a ``(lanes,)`` int64 column once they
     differ.  The lockstep wavefront keeps addresses uniform (a lane whose
     address would differ is demoted first), so lanes share the address set
-    and lane ``L``'s image is the dict with every column read at ``L`` --
-    the key set a scalar :class:`MemorySystem` replaying that lane holds.
+    and lane ``L``'s image is the dict with every column read at ``L``.
     A store whose lanes all agree stores an int, so only words a lane
     actually made different cost ``lanes`` words; the addresses holding a
     column are kept apart so lane-wide passes visit only those.
@@ -259,11 +284,8 @@ class BatchedWordStore:
         wavefront); words whose lanes then all agree become ints."""
         words = self._words
         for address in list(self._columns):
-            column = words[address]
-            column[lane] = column[0]
-            value = collapsed(column)
+            value = words[address] = released(words[address], lane)
             if type(value) is int:
-                words[address] = value
                 del self._columns[address]
 
     def set_lane_words(self, lane: int, words: dict[int, int]) -> None:
@@ -274,26 +296,17 @@ class BatchedWordStore:
         ``lane`` set; an address the image lacks was never written there,
         so it reads 0 on this lane.  Every changed column is a copy.
         """
-        current = self._words
         for address, value in words.items():
-            value &= self._WORD_MASK
-            self._set_lane(address, lane, value)
-        for address in current.keys() - words.keys():
+            self._set_lane(address, lane, value & self._WORD_MASK)
+        for address in self._words.keys() - words.keys():
             self._set_lane(address, lane, 0)
 
     def _set_lane(self, address: int, lane: int, value: int) -> None:
         word = self._words.get(address, 0)
-        if type(word) is int:
-            if word == value:
-                return
-            column = np.full(self.lanes, word, dtype=np.int64)
-        elif word[lane] == value:
-            return
-        else:
-            column = word.copy()
-        column[lane] = value
-        self._words[address] = column
-        self._columns[address] = None
+        column = with_lane(word, self.lanes, lane, value)
+        if column is not word:
+            self._words[address] = column
+            self._columns[address] = None
 
     # ------------------------------------------------------------------ export
     def columns(self) -> list:
