@@ -4,8 +4,9 @@ The engine layers statistical injection campaigns on top of the core models'
 snapshot/restore support:
 
 * :mod:`repro.engine.checkpoint` -- golden runs recorded with periodic core
-  snapshots, plus the process-wide golden-run cache shared across protection
-  configurations;
+  snapshots and a denser fingerprint grid (the core advances from grid
+  cycle to grid cycle, captured at each), plus the process-wide golden-run
+  cache shared across protection configurations;
 * :mod:`repro.engine.artifacts` -- the content-addressed persistent
   golden-artifact store: checkpointed golden runs serialised to versioned,
   integrity-guarded on-disk blobs, making the golden cache two-tier
@@ -15,8 +16,11 @@ snapshot/restore support:
   that replay pre-resolved injection shards and stream aggregates back.
   Every injected run -- scalar, high-level, or a batched lane's scalar
   fallback -- finishes through :func:`run_gated`, which cuts it short once
-  its state fingerprint re-converges with the golden run's grid (probed on
-  one fixed schedule, :func:`should_check`);
+  its state fingerprint re-converges with the golden run's grid.  It steps
+  the core hook-free (:meth:`~repro.microarch.core.BaseCore._advance`)
+  from the injection cycle, where a one-shot injection is applied, to each
+  probe cycle of one fixed schedule (:func:`should_check`,
+  :func:`next_check`) in turn;
 * :mod:`repro.engine.liveness` -- golden-run latch liveness: one logged
   re-run of a golden run yields, per latch slot, the cycles at which a flip
   is dead (the golden run next writes the latch, or never touches it

@@ -309,20 +309,26 @@ class _LaneCore(InOrderCore):
         return all(data[position] == values[position]
                    for position in self._control_positions)
 
-    def lanes_converged(self):
-        """Per lane: value latches, registers and memory equal lane 0's.
+    def lanes_converged(self, lanes: list[int]) -> list[int]:
+        """The lanes of ``lanes`` whose value latches, registers and memory
+        equal lane 0's.
 
-        Only columns can differ, so only they are compared.  Hint-only
-        columns are left out on purpose -- the in-order core never reads
-        them into behaviour.
+        Only columns can differ, so only they are compared, and only at the
+        candidate lanes; the comparison stops once no candidate is left.
+        Hint-only columns are left out on purpose -- the in-order core never
+        reads them into behaviour.
         """
         values = self.latches.values
-        converged = np.ones(self.lanes, dtype=bool)
-        for value in ([values[position] for position in self._data_positions]
-                      + self.registers + self.memory.columns()):
-            if type(value) is not int:
-                converged &= value == value[0]
-        return converged
+        for group in ([values[position] for position in self._data_positions],
+                      self.registers, self.memory.columns()):
+            for value in group:
+                if type(value) is not int:
+                    reference = value[0]
+                    lanes = [lane for lane in lanes
+                             if value[lane] == reference]
+                    if not lanes:
+                        return lanes
+        return lanes
 
     def lane_output(self, lane: int) -> list[int]:
         return _lane_values(self._output, lane)
@@ -646,16 +652,12 @@ class _StreamingWavefront:
         that matches architecturally emits golden output from here on --
         VANISHED, exactly what the scalar path reports for it.
         """
-        eligible = (self._occupied & self._core.output_ok
-                    & (self._inj_cycles < cycle))
-        if not eligible.any():
-            return
-        eligible &= self._core.lanes_converged()
-        if not eligible.any():
+        eligible = np.flatnonzero(self._occupied & self._core.output_ok
+                                  & (self._inj_cycles < cycle)).tolist()
+        if not eligible:
             return
         golden = self._golden
-        for lane in np.nonzero(eligible)[0]:
-            lane = int(lane)
+        for lane in self._core.lanes_converged(eligible):
             record = self._slot_records[lane]
             record.lockstep_cycles += cycle - record.segment_start
             self._release_slot(lane)
@@ -708,7 +710,7 @@ class _StreamingWavefront:
         ``disposition`` is "evicted" for a tandem still diverged at its
         deadline or at golden termination, "terminated" for one whose run
         ended while co-stepping (``run_gated`` then returns at once).  The
-        flip is long applied, so the run carries no injection hook, only the
+        flip is long applied, so the run carries no injection, only the
         convergence gate a scalar replay of this injection runs under.
         (Grid cycles inside the tandem window need no check: a full-state
         fingerprint match implies control-plane equality, which would have

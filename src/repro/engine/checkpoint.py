@@ -122,7 +122,7 @@ class CheckpointedGoldenRun:
 
 
 class _GridRecorder:
-    """Cycle hook that captures the core on an (adaptively growing) grid.
+    """Captures the core on an (adaptively growing) grid of cycles.
 
     Every ``interval`` cycles (cycle 0 excluded) it stores
     ``capture(core)`` keyed by cycle.  An adaptive recorder
@@ -141,8 +141,13 @@ class _GridRecorder:
         self.budget = max(1, budget)
         self.captures: dict[int, Any] = {}
 
-    def __call__(self, core: BaseCore, cycle: int) -> None:
-        if cycle == 0 or cycle % self.interval != 0:
+    def next_cycle(self, cycle: int) -> int:
+        """The first grid cycle after ``cycle``."""
+        return (cycle // self.interval + 1) * self.interval
+
+    def record(self, core: BaseCore, cycle: int) -> None:
+        """Capture ``core`` at the start of ``cycle`` if it is a grid cycle."""
+        if cycle % self.interval != 0:
             return
         self.captures[cycle] = self.capture(core)
         if self.adaptive and len(self.captures) > self.budget:
@@ -179,36 +184,27 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
     if fingerprint_interval is not None and fingerprint_interval < 0:
         raise ValueError(f"fingerprint interval must be >= 0, "
                          f"got {fingerprint_interval}")
-    hooks = []
+    recorders = []
     checkpointer = None
     if interval != 0:
         checkpointer = _GridRecorder(methodcaller("snapshot"), interval,
                                      INITIAL_CHECKPOINT_INTERVAL,
                                      max_checkpoints)
-        hooks.append(checkpointer)
+        recorders.append(checkpointer)
     fingerprinter = None
     if fingerprint_interval != 0:
         fingerprinter = _GridRecorder(methodcaller("state_fingerprint"),
                                       fingerprint_interval,
                                       max(1, INITIAL_FINGERPRINT_INTERVAL),
                                       max_fingerprints)
-        hooks.append(fingerprinter)
-    if not hooks:
-        hook = None
-    elif len(hooks) == 1:
-        hook = hooks[0]
-    else:
-        def hook(core: BaseCore, cycle: int,
-                 _hooks: tuple = tuple(hooks)) -> None:
-            for recorder in _hooks:
-                recorder(core, cycle)
+        recorders.append(fingerprinter)
     if obs is None:
         obs = Instrumentation.off()
     with obs.tracer.span(PHASE_GOLDEN_RECORD,
                          args={"core": core.name,
                                "program": program.name}) as span:
         with obs.metrics.timer(PHASE_GOLDEN_RECORD):
-            golden = core.run(program, max_cycles=max_cycles, cycle_hook=hook)
+            golden = _record(core, program, max_cycles, recorders)
         snapshots = list(checkpointer.captures.values()) if checkpointer else []
         span.note(cycles=golden.cycles, snapshots=len(snapshots))
     fingerprints = fingerprinter.captures if fingerprinter else {}
@@ -224,6 +220,23 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
         interval=checkpointer.interval if checkpointer else 0,
         fingerprints=fingerprints,
         fingerprint_interval=(fingerprinter.interval if fingerprinter else 0))
+
+
+def _record(core: BaseCore, program: Program, max_cycles: int,
+            recorders: list[_GridRecorder]) -> RunResult:
+    """Run ``program`` to termination, advancing from grid cycle to grid
+    cycle and letting every recorder capture the core at the start of each
+    (before that cycle steps, in ``recorders`` order)."""
+    core.reset(program)
+    while recorders:
+        core._advance(min(max_cycles, *(recorder.next_cycle(core.cycle)
+                                        for recorder in recorders)))
+        cycle = core.cycle
+        if core.terminated or cycle >= max_cycles:
+            break
+        for recorder in recorders:
+            recorder.record(core, cycle)
+    return core._run_loop(max_cycles)
 
 
 def _program_fingerprint(program: Program) -> tuple:

@@ -38,13 +38,15 @@ from typing import Any, Callable, Iterator, Protocol, TypeVar
 
 from repro.faultinjection.injector import (
     Injection,
+    Inject,
     SiteProtection,
-    build_injection_hook,
+    build_injection,
+    inject_at,
     injection_watchdog,
 )
 from repro.faultinjection.outcomes import OutcomeCategory, OutcomeCounts, classify_outcome
 from repro.isa.program import Program
-from repro.microarch.core import BaseCore, CycleHook
+from repro.microarch.core import BaseCore
 from repro.microarch.events import RunResult, TerminationReason
 from repro.engine.checkpoint import CheckpointedGoldenRun
 from repro.obs import Instrumentation, MetricsRegistry
@@ -194,9 +196,9 @@ def guided_slices(count: int, workers: int,
     return slices
 
 
-def should_check(grid_points_elapsed: int) -> bool:
-    """Whether to probe convergence at the ``grid_points_elapsed``-th grid
-    point after the injection (1-based; 0 or negative never probes).
+def next_check(grid_points_elapsed: int) -> int:
+    """The first grid point after the ``grid_points_elapsed``-th (counted
+    from the injection, 1-based) at which to probe convergence.
 
     Replays that re-converge do so within a few grid points of the
     injection, and replays that never re-converge would pay for every
@@ -204,108 +206,109 @@ def should_check(grid_points_elapsed: int) -> bool:
     the gaps grow as powers of two, capped at ``MAX_GAP`` points so a late
     re-convergence is still caught.
     """
-    k = grid_points_elapsed
-    if k <= 0:
-        return False
+    k = max(grid_points_elapsed, 0) + 1
     if k <= DENSE_WINDOW:
-        return True
+        return k
     k -= DENSE_WINDOW
-    return k % MAX_GAP == 0 or (k & (k - 1)) == 0
+    power = 1 << (k - 1).bit_length()
+    multiple = -(-k // MAX_GAP) * MAX_GAP
+    return DENSE_WINDOW + min(power, multiple)
 
 
-class _ConvergedEarly(Exception):
-    """Raised from the convergence hook to abort a provably-decided replay."""
+def should_check(grid_points_elapsed: int) -> bool:
+    """Whether the ``grid_points_elapsed``-th grid point after the injection
+    is probed (1-based; 0 or negative never is): the :func:`next_check`
+    schedule as a predicate."""
+    return (grid_points_elapsed > 0
+            and next_check(grid_points_elapsed - 1) == grid_points_elapsed)
 
-    def __init__(self, cycle: int):
-        super().__init__(f"re-converged with the golden run at cycle {cycle}")
-        self.cycle = cycle
 
+def _probe_grid(core: BaseCore, checkpointed: CheckpointedGoldenRun,
+                injection_cycle: int, watchdog: int,
+                metrics: MetricsRegistry) -> int | None:
+    """Advance ``core`` from one scheduled grid probe to the next and
+    return the grid cycle at which its state fingerprint matches the
+    golden grid, or None once the run terminates or no probe is left
+    before ``watchdog``.
 
-def _convergence_hook(inner: CycleHook | None, injection_cycle: int,
-                      checkpointed: CheckpointedGoldenRun,
-                      metrics: MetricsRegistry = NULL_METRICS) -> CycleHook:
-    """Wrap the injection hook (``None``: none) with the fingerprint
-    convergence check.
+    The probes are the grid cycles strictly after the injection that the
+    golden grid holds and :func:`next_check` schedules; a core that starts
+    past the injection (mid-run) first probes its current cycle if it is
+    one.  The fingerprint covers exactly the state a snapshot round-trips
+    -- latches, microarchitecture, memory, emitted-output prefix,
+    detection/recovery log -- so a match means the remainder of the run is
+    bit-identical to the golden run by construction (a run that raised a
+    detection, scheduled a recovery, or diverged in output can never
+    match).  A skipped grid point can only delay the match, never change
+    the outcome: a replay that matches the golden grid at one cycle stays
+    bit-identical to the golden run at every later grid cycle too.
 
-    At fingerprint-grid cycles strictly after the injection, the injected
-    core's digest is compared against the golden grid.  The fingerprint
-    covers exactly the state a snapshot round-trips -- latches,
-    microarchitecture, memory, emitted-output prefix, detection/recovery
-    log -- so a match means the remainder of the run is bit-identical to
-    the golden run by construction (a run that raised a detection,
-    scheduled a recovery, or diverged in output can never match) and
-    simulation can stop on the spot.
-
-    Grid points are probed on the :func:`should_check` schedule.  A skipped
-    point can only delay the early-out, never change the outcome: a replay
-    whose digest matches the golden grid at one cycle stays bit-identical
-    to the golden run at every later grid cycle too.
-
-    ``metrics`` counts the grid probes and, when timing is enabled, the
-    per-probe latency (detailed instrumentation only; the default is the
-    shared disabled registry, so the unmetered hook pays two no-op calls
-    per probe next to a state digest).
+    ``metrics`` counts the probes and, when timing is enabled, the
+    per-probe latency.
     """
     fingerprints = checkpointed.fingerprints
     interval = checkpointed.fingerprint_interval
     base_point = injection_cycle // interval
-
-    def hook(core: BaseCore, cycle: int) -> None:
-        if inner is not None:
-            inner(core, cycle)
-        if cycle <= injection_cycle or cycle % interval:
-            return
+    first = max(core.cycle, injection_cycle + 1)
+    point = next_check(-(-first // interval) - base_point - 1)
+    timed = metrics.timing
+    while True:
+        cycle = (base_point + point) * interval
+        if cycle >= watchdog:
+            return None
         expected = fingerprints.get(cycle)
-        if expected is None:
-            return
-        if not should_check(cycle // interval - base_point):
-            return
-        metrics.inc(COUNT_FINGERPRINT_CHECKS)
-        metrics.inc(COUNT_FINGERPRINT_FULL)
-        timed = metrics.timing
-        if timed:
-            start = time.perf_counter()
-        digest = core.state_fingerprint()
-        if timed:
-            elapsed = time.perf_counter() - start
-            metrics.add_time(PHASE_CONVERGENCE, elapsed)
-            metrics.observe_wall(HISTOGRAM_CHECK_LATENCY_US,
-                                 int(elapsed * 1e6))
-        if digest == expected:
-            raise _ConvergedEarly(cycle)
-
-    return hook
+        if expected is not None:
+            core._advance(cycle)
+            if core.terminated:
+                return None
+            metrics.inc(COUNT_FINGERPRINT_CHECKS)
+            metrics.inc(COUNT_FINGERPRINT_FULL)
+            if timed:
+                start = time.perf_counter()
+            digest = core.state_fingerprint()
+            if timed:
+                elapsed = time.perf_counter() - start
+                metrics.add_time(PHASE_CONVERGENCE, elapsed)
+                metrics.observe_wall(HISTOGRAM_CHECK_LATENCY_US,
+                                     int(elapsed * 1e6))
+            if digest == expected:
+                return cycle
+        point = next_check(point)
 
 
 def run_gated(core: BaseCore, checkpointed: CheckpointedGoldenRun,
-              injection_cycle: int, hook: CycleHook | None,
+              injection_cycle: int, inject: Inject | None,
               metrics: MetricsRegistry = NULL_METRICS,
               ) -> tuple[RunResult, int | None]:
     """Finish one injected run: ``(result, converged_at)``.
 
     ``core`` must already be positioned on the injected run -- reset to
-    cycle 0, restored from a golden snapshot, or mid-run -- and ``hook``
-    applies whatever the run still has to inject (``None``: nothing).  The
-    run goes to termination under the golden watchdog.  It is
-    convergence-gated exactly when the golden run carries a fingerprint
-    grid and did not hang (a hung golden run's injected watchdog differs,
-    so its tail is not reproducible from the grid): on a grid match the
-    remainder is bit-identical to the golden run, so simulation stops and
-    ``result`` is a copy of the golden :class:`RunResult`, classified
-    exactly as the full run would have been.  ``converged_at`` is the grid
-    cycle of the match, or None when the run simulated to termination.
+    cycle 0, restored from a golden snapshot, or mid-run -- and ``inject``
+    applies the injection at the start of ``injection_cycle`` (``None``:
+    nothing left to inject).  The run goes to termination under the golden
+    watchdog, in segments: to the injection cycle, then from one scheduled
+    convergence probe to the next (:func:`_probe_grid`), then to the end,
+    with nothing called between them.  It is convergence-gated exactly when
+    the golden run carries a fingerprint grid and did not hang (a hung
+    golden run's injected watchdog differs, so its tail is not reproducible
+    from the grid): on a grid match the remainder is bit-identical to the
+    golden run, so simulation stops and ``result`` is a copy of the golden
+    :class:`RunResult`, classified exactly as the full run would have been.
+    ``converged_at`` is the grid cycle of the match, or None when the run
+    simulated to termination.
 
-    ``metrics`` counts the convergence probes (see :func:`_convergence_hook`).
+    ``metrics`` counts the convergence probes.
     """
     golden = checkpointed.golden
+    watchdog = injection_watchdog(golden)
+    inject_at(core, injection_cycle, inject, watchdog)
     if (checkpointed.fingerprints
             and golden.reason is not TerminationReason.HANG):
-        hook = _convergence_hook(hook, injection_cycle, checkpointed,
-                                 metrics=metrics)
-    try:
-        return core._run_loop(injection_watchdog(golden), hook), None
-    except _ConvergedEarly as converged:
-        return golden_copy(golden), converged.cycle
+        converged_at = _probe_grid(core, checkpointed, injection_cycle,
+                                   watchdog, metrics)
+        if converged_at is not None:
+            return golden_copy(golden), converged_at
+    return core._run_loop(watchdog), None
 
 
 def golden_copy(golden: RunResult) -> RunResult:
@@ -322,7 +325,7 @@ def is_inert(core: BaseCore, golden: RunResult, planned: PlannedInjection,
 
     A hung golden run never qualifies: an injected run's watchdog exceeds
     the golden one's, so even a no-op replay runs past it.  Otherwise an
-    injection is inert when it is suppressed (the hook returns before
+    injection is inert when it is suppressed (the injection returns before
     touching state, on every core).  A flip the protection detects never is
     (a detection is logged, so the run differs).  An undetected flip is
     inert when it lands in a hint structure (``architectural=False``) of a
@@ -386,7 +389,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
     and finishing through :func:`run_gated`.
 
     Restoring the latest snapshot at or before the injection cycle is exact:
-    the injection hook cannot have fired earlier, so the pre-injection prefix
+    the injection cannot have been applied earlier, so the pre-injection prefix
     of the run is identical to the golden run the snapshot was taken from.
     Whether the replay may stop early on convergence is decided by the
     golden run's fingerprint grid alone (see :func:`run_gated`).
@@ -405,12 +408,12 @@ def replay_planned_injection(core: BaseCore, program: Program,
     else:
         core.restore(program, snapshot)
     resumed_from = 0 if snapshot is None else snapshot.cycle
-    hook = build_injection_hook(planned.injection, planned.protection,
-                                planned.suppressed)
+    inject = build_injection(planned.injection, planned.protection,
+                             planned.suppressed)
     probe_metrics = (obs.metrics if obs is not None and obs.detailed
                      else NULL_METRICS)
     injected, converged_at = run_gated(core, checkpointed,
-                                       planned.injection.cycle, hook,
+                                       planned.injection.cycle, inject,
                                        metrics=probe_metrics)
     stopped = injected.cycles if converged_at is None else converged_at
     return Replay(result=injected,

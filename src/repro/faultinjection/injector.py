@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
-from repro.microarch.core import BaseCore, CycleHook
+from repro.microarch.core import BaseCore
 from repro.microarch.events import DetectionEvent, RunResult, TerminationReason
 from repro.faultinjection.outcomes import OutcomeCategory, classify_outcome
 from repro.isa.program import Program
@@ -76,23 +76,27 @@ def injection_watchdog(golden: RunResult) -> int:
     return max(int(golden.cycles * HANG_FACTOR), golden.cycles + 64)
 
 
-def build_injection_hook(injection: Injection, protection: SiteProtection,
-                         suppressed: bool) -> CycleHook:
-    """Build the per-cycle hook that applies one injection to a core.
+Inject = Callable[[BaseCore], None]
+"""A one-shot injection: ``inject(core)`` applies it to a core standing at
+the start of the injection cycle (see :func:`inject_at`)."""
+
+
+def build_injection(injection: Injection, protection: SiteProtection,
+                    suppressed: bool) -> Inject:
+    """Build the one-shot action that applies ``injection`` to a core.
 
     ``suppressed`` is the (already-drawn) outcome of the hardened cell's
-    suppression lottery; resolving it up-front keeps the hook deterministic,
-    which lets the injection engine pre-plan suppression decisions centrally
-    and replay injections in any order (or any process) without disturbing
-    the random stream.
+    suppression lottery; resolving it up-front keeps the action
+    deterministic, which lets the injection engine pre-plan suppression
+    decisions centrally and replay injections in any order (or any process)
+    without disturbing the random stream.
     """
 
-    def hook(core: BaseCore, cycle: int) -> None:
-        if cycle != injection.cycle:
-            return
+    def inject(core: BaseCore) -> None:
         if suppressed:
             # The hardened cell absorbed the strike: no state change.
             return
+        cycle = core.cycle
         if protection.detects and protection.recoverable:
             # Detection one cycle after the upset followed by hardware
             # recovery: architecturally equivalent to absorbing the
@@ -110,7 +114,22 @@ def build_injection_hook(injection: Injection, protection: SiteProtection,
                 recovered=False))
             core.force_termination(TerminationReason.DETECTED)
 
-    return hook
+    return inject
+
+
+def inject_at(core: BaseCore, cycle: int, inject: Inject | None,
+              watchdog: int) -> None:
+    """Advance ``core`` to the start of ``cycle`` and apply ``inject`` there:
+    after the watchdog check, before the cycle steps.
+
+    Nothing is applied when ``inject`` is None, when the run terminates or
+    meets its ``watchdog`` first, or when the core already stands past
+    ``cycle``.
+    """
+    core._advance(min(cycle, watchdog))
+    if (inject is not None and core.cycle == cycle < watchdog
+            and not core.terminated):
+        inject(core)
 
 
 class FlipFlopInjector:
@@ -134,18 +153,21 @@ class FlipFlopInjector:
                            golden: RunResult) -> tuple[RunResult, OutcomeCategory]:
         """Run one injection and classify its outcome against ``golden``."""
         watchdog = injection_watchdog(golden)
-        hook = self._build_hook(injection)
-        injected = self.core.run(program, max_cycles=watchdog, cycle_hook=hook)
+        core = self.core
+        core.reset(program)
+        inject_at(core, injection.cycle, self._build_injection(injection),
+                  watchdog)
+        injected = core._run_loop(watchdog)
         return injected, classify_outcome(golden, injected)
 
-    def _build_hook(self, injection: Injection) -> CycleHook:
+    def _build_injection(self, injection: Injection) -> Inject:
         protection = (self.protection.site_protection(injection.flat_index)
                       if self.protection is not None else SiteProtection())
         # One suppression draw per injection, in call order -- the injection
         # engine reproduces this exact stream when it pre-plans campaigns.
         suppressed = (protection.suppression > 0.0
                       and self._rng.random() < protection.suppression)
-        return build_injection_hook(injection, protection, suppressed)
+        return build_injection(injection, protection, suppressed)
 
 
 def _sampled_plan(sites: Iterable[int], golden_cycles: int,

@@ -142,9 +142,7 @@ class HighLevelInjector:
         # module-level import here would be circular.
         from repro.engine.executors import run_gated
 
-        def hook(core: BaseCore, cycle: int) -> None:
-            if cycle != injection.cycle:
-                return
+        def inject(core: BaseCore) -> None:
             if injection.register is not None and injection.address is None:
                 index = injection.register & 0x1F
                 if index != 0:
@@ -162,7 +160,7 @@ class HighLevelInjector:
             self.core.restore(program, snapshot)
         resumed_from = snapshot.cycle if snapshot is not None else 0
         injected, converged_at = run_gated(self.core, checkpointed,
-                                           injection.cycle, hook)
+                                           injection.cycle, inject)
         stopped = injected.cycles if converged_at is None else converged_at
         return injected, converged_at, stopped - resumed_from
 

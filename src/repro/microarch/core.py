@@ -4,7 +4,10 @@ Every core model (in-order, out-of-order, monitor) implements
 :class:`BaseCore`.  The fault-injection machinery and the resilience library
 interact with cores *only* through this interface plus the flip-flop registry,
 which keeps the cores free of any resilience-specific logic: protection
-semantics are applied from the outside via per-cycle hooks.
+semantics are applied from the outside, on the cycles they concern.  A run
+is stepped by :meth:`BaseCore._advance` from one such cycle to the next (an
+injection, a convergence probe, a snapshot or fingerprint capture), with
+nothing called in between; a per-cycle hook exists only to observe a run.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class CoreClass(Enum):
 class CoreSnapshot:
     """Complete mid-run state of a core, captured at a cycle boundary.
 
-    A snapshot taken at the *start* of cycle ``cycle`` (before the cycle hook
-    fires) can be restored onto any identically-constructed core;
+    A snapshot taken at the *start* of cycle ``cycle`` (before that cycle
+    steps) can be restored onto any identically-constructed core;
     :meth:`BaseCore.resume` then reproduces the remainder of the run
     bit-for-bit.  Snapshots are plain data (ints, lists, dicts) so they can be
     pickled to worker processes by the parallel injection engine.
@@ -251,9 +254,10 @@ class BaseCore(ABC):
     def snapshot(self) -> CoreSnapshot:
         """Capture the complete simulation state at the current cycle boundary.
 
-        Call from a cycle hook (the start of a cycle) or after termination;
-        the snapshot can later be handed to :meth:`restore`/:meth:`resume` on
-        this core or any identically-constructed one.
+        Call at the start of a cycle (between :meth:`_advance` calls, or from
+        a cycle hook) or after termination; the snapshot can later be handed
+        to :meth:`restore`/:meth:`resume` on this core or any
+        identically-constructed one.
 
         **Coverage contract.**  Every run-varying attribute a subclass adds
         must be captured here (via :meth:`_snapshot_microarchitecture`),
@@ -359,26 +363,39 @@ class BaseCore(ABC):
         self.latches.clear()
         self._reset_microarchitecture(program)
 
+    def _advance(self, stop: int) -> None:
+        """Step cycles until the core reaches the start of cycle ``stop`` or
+        terminates -- the one stepping loop every run goes through.
+
+        A cycle with recovery stall pending is charged to the stall instead
+        of stepping the pipeline: hardware recovery makes no architectural
+        progress.  Nothing is called between cycles, so a caller that must
+        act at the start of a cycle (apply an injection, probe or capture
+        the state) advances to that cycle, acts, and advances again.
+        """
+        step_cycle = self._step_cycle
+        while self._cycle < stop and self._termination is None:
+            if self._pending_recovery > 0:
+                self._pending_recovery -= 1
+            else:
+                step_cycle()
+            self._cycle += 1
+
     def step(self) -> bool:
         """Advance one cycle.  Returns False once the run has terminated."""
         if self._termination is not None:
             return False
-        if self._pending_recovery > 0:
-            # Hardware recovery stalls the pipeline; no architectural progress.
-            self._pending_recovery -= 1
-            self._cycle += 1
-            return True
-        self._step_cycle()
-        self._cycle += 1
+        self._advance(self._cycle + 1)
         return self._termination is None
 
     def run(self, program: Program, max_cycles: int = DEFAULT_MAX_CYCLES,
             cycle_hook: CycleHook | None = None) -> RunResult:
         """Run ``program`` to termination (or the ``max_cycles`` watchdog).
 
-        ``cycle_hook`` is invoked at the start of every cycle and is how the
-        fault injector applies bit flips and how resilience semantics observe
-        the run.
+        ``cycle_hook``, when given, is called at the start of every cycle to
+        observe the run (tests, the dead-flip access log).  Injections and
+        grid captures do not need it: they act on the few cycles they
+        concern and the core runs unobserved between them.
         """
         self.reset(program)
         return self._run_loop(max_cycles, cycle_hook)
@@ -389,24 +406,27 @@ class BaseCore(ABC):
         """Continue a run of ``program`` from ``snapshot`` to termination.
 
         Behaves exactly like :meth:`run` from the snapshot's cycle onwards:
-        the cycle hook first fires at the snapshot cycle (the point at which
-        the snapshot was captured), and ``max_cycles`` counts absolute cycles
-        from cycle 0, so a resumed run reproduces an unresumed one
-        bit-for-bit.
+        an observing cycle hook first fires at the snapshot cycle (the point
+        at which the snapshot was captured), and ``max_cycles`` counts
+        absolute cycles from cycle 0, so a resumed run reproduces an
+        unresumed one bit-for-bit.
         """
         self.restore(program, snapshot)
         return self._run_loop(max_cycles, cycle_hook)
 
-    def _run_loop(self, max_cycles: int, cycle_hook: CycleHook | None) -> RunResult:
-        while self._termination is None:
-            if self._cycle >= max_cycles:
-                self._termination = TerminationReason.HANG
-                break
-            if cycle_hook is not None:
+    def _run_loop(self, max_cycles: int,
+                  cycle_hook: CycleHook | None = None) -> RunResult:
+        """Finish the run: to termination, or a HANG at ``max_cycles``."""
+        if cycle_hook is None:
+            self._advance(max_cycles)
+        else:
+            while self._termination is None and self._cycle < max_cycles:
                 cycle_hook(self, self._cycle)
-            if self._termination is not None:
-                break
-            self.step()
+                if self._termination is not None:
+                    break
+                self._advance(self._cycle + 1)
+        if self._termination is None:
+            self._termination = TerminationReason.HANG
         return RunResult(
             program_name=self._program.name if self._program else "",
             core_name=self.name,

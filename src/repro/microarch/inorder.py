@@ -212,10 +212,10 @@ A_OP, A_RD, A_RS1, A_RS2, A_IMM, A_PC, A_VALID, A_TRAP, A_TRAPKIND = map(
     "w.outval", "w.outpending", "w.s.icc"))
 IC_CTRL_STATE, DC_CTRL_STATE, IRQ_PENDING = map(_slot, (
     "ic.ctrl.state", "dc.ctrl.state", "irq.pending"))
-COUNTER_MASKS = {slot: (1 << _LAYOUT.structures[slot].width) - 1
-                 for slot in (IRQ_PENDING, IC_CTRL_STATE, DC_CTRL_STATE)}
-"""Slot -> width mask of each hint counter :meth:`InOrderCore._count`
-advances."""
+IC_CTRL_STATE_MASK, DC_CTRL_STATE_MASK, IRQ_PENDING_MASK = (
+    (1 << _LAYOUT.structures[slot].width) - 1
+    for slot in (IC_CTRL_STATE, DC_CTRL_STATE, IRQ_PENDING))
+"""Width masks of the three hint counters the cycle advances (wrapping)."""
 
 
 class InOrderCore(BaseCore):
@@ -280,8 +280,8 @@ class InOrderCore(BaseCore):
                 self._redirect_target)
 
     # ------------------------------------------------------------------ hooks
-    # The cycle reaches registers, the execute unit, hint counters, output,
-    # fetch (BaseCore._fetch_word) and decode through these; the batched
+    # The cycle reaches registers, the execute unit, output, fetch
+    # (BaseCore._fetch_word) and decode through these; the batched
     # lockstep replay's lane core overrides some and inherits the cycle.
     def _write_register(self, index: int, value: int) -> None:
         index &= 0x1F
@@ -292,11 +292,6 @@ class InOrderCore(BaseCore):
                  imm: int, pc: int) -> ExecuteResult:
         """The execute stage's compute (raises :class:`ExecuteTrap`)."""
         return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
-
-    def _count(self, v: list, slot: int) -> None:
-        """Advance the hint counter at ``slot`` of the latch list ``v`` by
-        one (wrapping)."""
-        v[slot] = (v[slot] + 1) & COUNTER_MASKS[slot]
 
     def _decode_fields(self, word: int) -> tuple | None:
         """``(op, rd, rs1, rs2, imm)`` latch values of ``word`` (``None``:
@@ -401,7 +396,8 @@ class InOrderCore(BaseCore):
                     v[X_TRAP] = 1
                     v[X_TRAPKIND] = _MEMORY_FAULT
                 # Track data-cache controller hint state.
-                self._count(v, DC_CTRL_STATE)
+                v[DC_CTRL_STATE] = ((v[DC_CTRL_STATE] + 1)
+                                    & DC_CTRL_STATE_MASK)
             v[X_RESULT] = result
             v[M_VALID] = 0
         else:
@@ -537,10 +533,11 @@ class InOrderCore(BaseCore):
                     v[D_INST] = word
                     v[F_PC] = (pc + WORD_BYTES) & _WORD_MASK
                     v[F_NPC] = (pc + 2 * WORD_BYTES) & _WORD_MASK
-                    self._count(v, IC_CTRL_STATE)
+                    v[IC_CTRL_STATE] = ((v[IC_CTRL_STATE] + 1)
+                                        & IC_CTRL_STATE_MASK)
 
         # Peripheral hint state toggles so vanish-class flip-flops see traffic.
-        self._count(v, IRQ_PENDING)
+        v[IRQ_PENDING] = (v[IRQ_PENDING] + 1) & IRQ_PENDING_MASK
 
     # ------------------------------------------------------------------ attributes
     _redirect_target: int = 0

@@ -4,12 +4,13 @@
 probes of every injected replay: all of the first ``DENSE_WINDOW`` grid
 points after the injection, then power-of-two gaps capped at ``MAX_GAP``.
 A skipped probe can only delay the convergence early-out, never change a
-classification.  This module pins the schedule arithmetic, the convergence
-hook's handling of skipped and matching probes, the probe saving on a
-standard campaign, the engine-level consequence (campaign statistics are
-bit-identical to full replay across serial / parallel / batched
-executors), and the rules that switch the gate off: no fingerprint grid,
-or a golden run that hung.
+classification.  This module pins the schedule arithmetic (and
+:func:`~repro.engine.executors.next_check`, the jump to the next probed
+point), the gated replay's handling of skipped and matching probes, the
+probe saving on a standard campaign, the engine-level consequence
+(campaign statistics are bit-identical to full replay across serial /
+parallel / batched executors), and the rules that switch the gate off: no
+fingerprint grid, or a golden run that hung.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from repro.engine import (
 from repro.engine.executors import (
     DENSE_WINDOW,
     MAX_GAP,
-    _ConvergedEarly,
-    _convergence_hook,
+    next_check,
+    run_gated,
     should_check,
 )
 from repro.engine.checkpoint import record_checkpointed_golden
@@ -41,6 +42,7 @@ from repro.faultinjection import (
 )
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.microarch.events import TerminationReason
+from repro.obs import MetricsRegistry
 from repro.obs.phases import COUNT_FINGERPRINT_CHECKS
 from repro.workloads import workload_by_name
 
@@ -71,32 +73,56 @@ class TestSitePlan:
     def test_gap_is_bounded_by_max_gap(self, start):
         assert any(should_check(k) for k in range(start, start + MAX_GAP))
 
+    @settings(max_examples=50, deadline=None)
+    @given(start=st.integers(min_value=-3, max_value=1 << 20))
+    def test_next_check_jumps_to_the_next_probed_point(self, start):
+        k = next_check(start)
+        assert k > start and should_check(k)
+        assert not any(should_check(j) for j in range(start + 1, k))
 
-class TestConvergenceHook:
+
+class TestGatedProbe:
+    """:func:`run_gated` probes a scheduled grid point and skips the rest."""
+
     @pytest.fixture
-    def core(self, program):
+    def golden(self, program):
+        return InOrderCore().run(program)
+
+    @staticmethod
+    def _core_at(program, cycle):
         core = InOrderCore()
-        core.run(program, max_cycles=400)
+        core.reset(program)
+        core._advance(cycle)
         return core
 
-    def test_matching_digest_converges(self, core):
-        hook = _convergence_hook(
-            lambda c, cycle: None, 0,
-            SimpleNamespace(fingerprints={8: core.state_fingerprint()},
-                            fingerprint_interval=8))
-        with pytest.raises(_ConvergedEarly) as exc:
-            hook(core, 8)
-        assert exc.value.cycle == 8
+    def test_matching_digest_converges(self, program, golden):
+        core = self._core_at(program, 8)
+        result, converged_at = run_gated(
+            core,
+            SimpleNamespace(golden=golden,
+                            fingerprints={8: core.state_fingerprint()},
+                            fingerprint_interval=8),
+            0, None)
+        assert converged_at == 8
+        assert core.cycle == 8
+        assert result == golden
 
-    def test_plan_skips_suppress_the_probe(self, core):
+    def test_plan_skips_suppress_the_probe(self, program, golden):
         skipped = DENSE_WINDOW + 3
         assert not should_check(skipped)
-        hook = _convergence_hook(
-            lambda c, cycle: None, 0,
-            SimpleNamespace(fingerprints={8 * skipped:
+        core = self._core_at(program, 8 * skipped)
+        metrics = MetricsRegistry()
+        result, converged_at = run_gated(
+            core,
+            SimpleNamespace(golden=golden,
+                            fingerprints={8 * skipped:
                                           core.state_fingerprint()},
-                            fingerprint_interval=8))
-        hook(core, 8 * skipped)  # skipped point, so no _ConvergedEarly
+                            fingerprint_interval=8),
+            0, None, metrics=metrics)
+        # The skipped point is never probed: the run simulates to the end.
+        assert converged_at is None
+        assert metrics.value(COUNT_FINGERPRINT_CHECKS) == 0
+        assert result == golden
 
 
 class TestEngineBitExactness:

@@ -16,6 +16,7 @@ a golden run without a grid, and a replay resumed mid-run.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,11 +30,13 @@ from repro.engine.executors import (
 from repro.faultinjection import HighLevelInjection, HighLevelInjector
 from repro.faultinjection import InjectionLevel
 from repro.faultinjection.injector import (
+    FlipFlopInjector,
     Injection,
     SiteProtection,
-    build_injection_hook,
+    build_injection,
     injection_watchdog,
 )
+from repro.faultinjection.outcomes import classify_outcome
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.microarch.events import (
     DetectionEvent,
@@ -152,7 +155,7 @@ def _replay_both(core_cls, program, checkpointed, injection: Injection,
         resumed_from = _position(core, program, checkpointed, injection.cycle)
         metrics = MetricsRegistry()
         if engine_side:
-            inject = build_injection_hook(injection, protection, False)
+            inject = build_injection(injection, protection, False)
             result, converged_at = run_gated(core, checkpointed,
                                              injection.cycle, inject,
                                              metrics=metrics)
@@ -222,6 +225,15 @@ class TestFlipFlopReplay:
         _assert_agree(core_cls, program, recorded, cycles,
                       SiteProtection(technique="parity", detects=True))
 
+    def test_watchdog_comes_before_the_injection(self, core_cls, program):
+        """An injection due on the watchdog cycle of a hung golden run
+        never fires: the run hangs first, undetected."""
+        hung = record_checkpointed_golden(core_cls(), program,
+                                          max_cycles=HUNG_MAX_CYCLES)
+        watchdog = injection_watchdog(hung.golden)
+        _assert_agree(core_cls, program, hung, [watchdog - 1, watchdog],
+                      SiteProtection(technique="parity", detects=True))
+
     def test_recovery_stall_spans_probe_cycles(self, core_cls, program,
                                                recorded):
         interval = recorded.fingerprint_interval
@@ -288,6 +300,33 @@ class TestFlipFlopReplay:
             assert outcomes[0] == outcomes[1], site
             checked += 1
         assert checked
+
+
+class TestFlipFlopInjector:
+    """The injector's plain (uncheckpointed, ungated) run uses the same
+    one-shot injection."""
+
+    @pytest.mark.parametrize("protection", [
+        SiteProtection(),
+        SiteProtection(technique="parity", detects=True),
+        SiteProtection(technique="parity", detects=True, recoverable=True,
+                       recovery_latency=20)],
+        ids=["unprotected", "detected", "recovered"])
+    def test_matches_the_per_cycle_reference(self, core_cls, program,
+                                             recorded, protection):
+        golden = recorded.golden
+        provider = SimpleNamespace(site_protection=lambda index: protection)
+        for cycle in (0, golden.cycles // 2, golden.cycles - 1):
+            for site in _sites(core_cls(), count=3):
+                injection = Injection(site, cycle)
+                engine = FlipFlopInjector(core_cls(), provider).\
+                    run_with_injection(program, injection, golden)
+                core = core_cls()
+                core.reset(program)
+                oracle = _oracle_loop(
+                    core, injection_watchdog(golden),
+                    _oracle_injection_hook(injection, protection))
+                assert engine == (oracle, classify_outcome(golden, oracle))
 
 
 class TestHighLevelReplay:
