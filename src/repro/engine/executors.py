@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Protocol, TypeVar
 
 from repro.faultinjection.injector import (
-    Injection,
     Inject,
+    Injection,
     SiteProtection,
     build_injection,
     inject_at,
