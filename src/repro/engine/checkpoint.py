@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import Any, Callable
 
-from repro.isa.encoding import encode_instruction
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot, DEFAULT_MAX_CYCLES
 from repro.microarch.events import RunResult
@@ -244,7 +243,7 @@ def _program_fingerprint(program: Program) -> tuple:
     on every ``.program()`` call, so object identity is useless as a key)."""
     return (program.name, program.entry_point, program.data.base,
             tuple(program.data.words),
-            tuple(encode_instruction(i) for i in program.instructions))
+            program.words)
 
 
 def golden_run_key(core: BaseCore, program: Program, *,

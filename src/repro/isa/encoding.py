@@ -98,3 +98,27 @@ def decode_instruction(word: int) -> Instruction:
     if info.fmt is InstructionFormat.B:
         return Instruction(opcode, rs1=rs1, rs2=rd, imm=imm)
     return Instruction(opcode, rd=rd, rs1=rs1, imm=imm)
+
+
+class DecodeMap(dict):
+    """``table[word]`` is ``decode(word)``, computed on first lookup.  Any
+    32-bit word is a key: a flip can put any word in an instruction latch."""
+
+    def __init__(self, decode):
+        super().__init__()
+        self._decode = decode
+
+    def __missing__(self, word: int):
+        value = self[word] = self._decode(word)
+        return value
+
+
+def _decode_or_none(word: int) -> Instruction | None:
+    try:
+        return decode_instruction(word)
+    except EncodingError:
+        return None
+
+
+DECODED = DecodeMap(_decode_or_none)
+"""word -> the :class:`Instruction` it encodes (``None``: illegal)."""

@@ -10,7 +10,9 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from repro.isa.encoding import encode_instruction
 from repro.isa.instructions import Instruction
 
 WORD_BYTES = 4
@@ -68,6 +70,13 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def words(self) -> tuple[int, ...]:
+        """The encoded text, which both cores fetch: ``words[pc >> 2]`` at
+        an aligned ``pc``.  A misaligned ``pc``, or one past the end, is a
+        fetch fault (:meth:`instruction_at` returns ``None`` there)."""
+        return tuple(encode_instruction(i) for i in self.instructions)
 
     @property
     def text_size_bytes(self) -> int:

@@ -25,7 +25,7 @@ as in the paper, and are therefore not injection targets.
 
 from __future__ import annotations
 
-from repro.isa.encoding import EncodingError, decode_instruction
+from repro.isa.encoding import DECODED, DecodeMap
 from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
@@ -60,7 +60,20 @@ _WORD_MASK = 0xFFFFFFFF
 _IMM_MASK = 0x7FFF
 """Width mask of the ``a.imm``/``e.imm`` latches (15-bit immediates)."""
 _IMM_SIGN = 0x4000
-_MISSING = object()
+
+
+def _latch_fields(word: int) -> tuple | None:
+    """``(op, rd, rs1, rs2, imm)`` latch values of ``word`` (``None``:
+    illegal instruction); ``imm`` is masked to the latch width."""
+    instruction = DECODED[word]
+    if instruction is None:
+        return None
+    return (int(instruction.opcode), instruction.rd, instruction.rs1,
+            instruction.rs2, instruction.imm & _IMM_MASK)
+
+
+_FIELDS = DecodeMap(_latch_fields)
+"""word -> what decode writes into the RA latch (``None``: illegal)."""
 
 INO_CLOCK_MHZ = 2000.0
 """Nominal clock of the InO-core (2.0 GHz, Table 1)."""
@@ -243,9 +256,6 @@ class InOrderCore(BaseCore):
         # audit: allow[state-coverage] the predictor is a stateless view; its tables/history live in self.latches, which the contract covers
         self._predictor = BimodalPredictor(
             self.latches, "f.bp.table", "f.bp.history", entries=32)
-        # Decode memo (fetch memoises in BaseCore._fetch_word).
-        # audit: allow[state-coverage] word -> decoded latch fields memo; decoding is a pure function of the word
-        self._decoded: dict[int, tuple | None] = {}
 
     # ------------------------------------------------------------------ reset
     def _reset_microarchitecture(self, program: Program) -> None:
@@ -280,9 +290,9 @@ class InOrderCore(BaseCore):
                 self._redirect_target)
 
     # ------------------------------------------------------------------ hooks
-    # The cycle reaches registers, the execute unit, output, fetch
-    # (BaseCore._fetch_word) and decode through these; the batched
-    # lockstep replay's lane core overrides some and inherits the cycle.
+    # The cycle writes registers and computes through these (fetch indexes
+    # Program.words, decode _FIELDS); the batched lockstep replay's lane
+    # core overrides _execute and emit_output and inherits the cycle.
     def _write_register(self, index: int, value: int) -> None:
         index &= 0x1F
         if index != 0:
@@ -292,22 +302,6 @@ class InOrderCore(BaseCore):
                  imm: int, pc: int) -> ExecuteResult:
         """The execute stage's compute (raises :class:`ExecuteTrap`)."""
         return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
-
-    def _decode_fields(self, word: int) -> tuple | None:
-        """``(op, rd, rs1, rs2, imm)`` latch values of ``word`` (``None``:
-        illegal instruction); ``imm`` is masked to the latch width."""
-        fields = self._decoded.get(word, _MISSING)
-        if fields is _MISSING:
-            try:
-                instruction = decode_instruction(word)
-            except EncodingError:
-                fields = None
-            else:
-                fields = (int(instruction.opcode), instruction.rd,
-                          instruction.rs1, instruction.rs2,
-                          instruction.imm & _IMM_MASK)
-            self._decoded[word] = fields
-        return fields
 
     # ------------------------------------------------------------------ the cycle
     # One body runs the seven stages back to front, so every latch is drained
@@ -502,7 +496,7 @@ class InOrderCore(BaseCore):
                         fields = None
                         code = _FETCH_FAULT
                     else:
-                        fields = self._decode_fields(v[D_INST])
+                        fields = _FIELDS[v[D_INST]]
                         code = _ILLEGAL
                     if fields is None:
                         v[A_TRAP] = 1
@@ -518,10 +512,11 @@ class InOrderCore(BaseCore):
 
                 # FE -> DE: instruction fetch.
                 pc = v[F_PC]
-                word = self._fetch_word(pc)
+                words = self._program.words
+                index = pc >> 2
                 v[D_PC] = pc
                 v[D_VALID] = 1
-                if word is None:
+                if pc & 3 or index >= len(words):
                     # Fetch fault: send a trap-carrying bubble down the
                     # pipeline.  It only terminates the run if an older
                     # instruction (a HALT already in flight, say) does not
@@ -530,7 +525,7 @@ class InOrderCore(BaseCore):
                     v[D_FETCHFAULT] = 1
                 else:
                     v[D_FETCHFAULT] = 0
-                    v[D_INST] = word
+                    v[D_INST] = words[index]
                     v[F_PC] = (pc + WORD_BYTES) & _WORD_MASK
                     v[F_NPC] = (pc + 2 * WORD_BYTES) & _WORD_MASK
                     v[IC_CTRL_STATE] = ((v[IC_CTRL_STATE] + 1)

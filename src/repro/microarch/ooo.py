@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from repro.isa.encoding import EncodingError, decode_instruction
-from repro.isa.instructions import Instruction, Opcode, OPCODE_BY_VALUE, OPCODE_INFO
+from repro.isa.encoding import DECODED
+from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.core import BaseCore, CoreClass
@@ -67,7 +67,6 @@ _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
 _IMM_MASK = 0x7FFF
 """Width mask of the ``iq.imm`` latches (15-bit immediates)."""
 _IMM_SIGN = 0x4000
-_MISSING = object()
 
 # Per-entry latch fields of the queue structures, in registration order.
 _FB_FIELDS = (("valid", 1), ("inst", 32), ("pc", 32), ("fault", 1))
@@ -177,9 +176,6 @@ class OutOfOrderCore(BaseCore):
         self.registers: list[int] = [0] * NUM_REGISTERS
         self._in_flight: list[_InFlightOp] = []
         self._fetch_stalled = False
-        # Decode memo (fetch memoises in BaseCore._fetch_word).
-        # audit: allow[state-coverage] word -> decoded instruction memo; decoding is a pure function of the word
-        self._decoded: dict[int, Instruction | None] = {}
         # Slot tables: every latch the per-cycle path touches, resolved once.
         # The stages index ``self.latches.values`` by these slots, and such
         # writes are not masked, so only a value that can exceed its latch's
@@ -765,7 +761,7 @@ class OutOfOrderCore(BaseCore):
             if fault:
                 trap_kind = TrapKind.FETCH_FAULT
             else:
-                instruction = self._decode(word)
+                instruction = DECODED[word]
                 if instruction is None:
                     trap_kind = TrapKind.ILLEGAL_INSTRUCTION
             if instruction is not None:
@@ -834,17 +830,6 @@ class OutOfOrderCore(BaseCore):
                 v[rob.ready] = 1
                 v[self._iq[free_iq].valid] = 0
 
-    def _decode(self, word: int) -> Instruction | None:
-        """The instruction ``word`` encodes (``None``: illegal), memoised."""
-        instruction = self._decoded.get(word, _MISSING)
-        if instruction is _MISSING:
-            try:
-                instruction = decode_instruction(word)
-            except EncodingError:
-                instruction = None
-            self._decoded[word] = instruction
-        return instruction
-
     def _fill_iq_entry(self, iq_index: int, instruction, rob_index: int, pc: int,
                        info) -> None:
         v = self.latches.values
@@ -912,16 +897,17 @@ class OutOfOrderCore(BaseCore):
         s = self._slots
         if self._fetch_stalled or v[s.fetch_stall]:
             return
+        words = self._program.words
         for _ in range(FETCH_WIDTH):
             if v[s.fb_count] >= FETCH_BUFFER_ENTRIES:
                 return
             pc = v[s.fetch_pc]
-            word = self._fetch_word(pc)
+            index = pc >> 2
             tail = v[s.fb_tail]
             fb = self._fb[tail]
             v[fb.pc] = pc
             v[fb.valid] = 1
-            if word is None:
+            if pc & 3 or index >= len(words):
                 v[fb.inst] = 0
                 v[fb.fault] = 1
                 v[s.fb_tail] = (tail + 1) % FETCH_BUFFER_ENTRIES
@@ -929,7 +915,7 @@ class OutOfOrderCore(BaseCore):
                 v[s.fetch_stall] = 1
                 self._fetch_stalled = True
                 return
-            v[fb.inst] = word
+            v[fb.inst] = words[index]
             v[fb.fault] = 0
             v[s.fb_tail] = (tail + 1) % FETCH_BUFFER_ENTRIES
             v[s.fb_count] += 1

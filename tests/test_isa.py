@@ -165,6 +165,16 @@ class TestProgram:
         assert program.instruction_at(8) is None
         assert program.instruction_at(2) is None
 
+    def test_words_are_the_encoded_text(self):
+        from repro.workloads import full_suite
+
+        for workload in full_suite():
+            program = workload.program()
+            assert len(program.words) == len(program.instructions)
+            for i, instruction in enumerate(program.instructions):
+                assert program.words[i] == encode_instruction(instruction)
+            assert program.words is program.words  # built once
+
     def test_data_segment_image(self):
         segment = DataSegment(base=0x100, words=[1, 2, 3])
         assert segment.as_memory_image() == {0x100: 1, 0x104: 2, 0x108: 3}

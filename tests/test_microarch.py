@@ -281,12 +281,34 @@ def test_ipc_regimes(ino_core, ooo_core):
     assert ooo.cycles < ino.cycles
 
 
+def _flip_fetch_pc_to(pc: int):
+    """Cycle hook: at cycle 0, flip the fetch-pc latch's bits from the entry
+    point 0 to ``pc``."""
+    def hook(core, cycle):
+        if cycle == 0:
+            name = "f.pc" if isinstance(core, InOrderCore) else "fetch.pc"
+            for bit in range(32):
+                if pc >> bit & 1:
+                    core.latches.flip_bit(name, bit)
+    return hook
+
+
 def test_fetch_fault_traps():
-    core = InOrderCore()
-    program = assemble("nop\nnop")  # no halt: falls off the text segment
-    result = core.run(program, max_cycles=1000)
-    assert result.reason is TerminationReason.TRAP
-    assert result.trap is TrapKind.FETCH_FAULT
+    cases = [
+        ("nop\nnop", None),        # no halt: fetches one past the text
+        ("nop\nhalt", 0x8),        # one past the text
+        ("nop\nhalt", 0x2),        # misaligned
+        ("nop\nhalt", 0x6),        # misaligned, inside the text
+        ("nop\nhalt", 0xFFFFFFFC), # the last word of the address space
+    ]
+    for core_cls in (InOrderCore, OutOfOrderCore):
+        for source, fetch_pc in cases:
+            hook = None if fetch_pc is None else _flip_fetch_pc_to(fetch_pc)
+            result = core_cls().run(assemble(source), max_cycles=1000,
+                                    cycle_hook=hook)
+            case = (core_cls.__name__, source, fetch_pc)
+            assert result.reason is TerminationReason.TRAP, case
+            assert result.trap is TrapKind.FETCH_FAULT, case
 
 
 def test_illegal_memory_access_traps():
