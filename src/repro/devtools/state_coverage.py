@@ -19,6 +19,13 @@ subscript-assigned, or hit with a known mutator method anywhere outside
 ``__init__`` creates and nothing mutates is configuration, not state.
 Deliberate exclusions (e.g. ``BaseCore._program``: snapshots intentionally
 do not embed the program) carry a reasoned suppression at the declaration.
+
+The rule's reset arm covers the other way state can outlive a run: where
+the class's visible hierarchy defines a reset path (``reset`` /
+``_reset_microarchitecture``), every run-varying attribute the trio reads
+must be assigned or mutated on it.  Otherwise a reused core starts its next
+run with the previous run's value, and its fingerprints depend on what it
+ran before.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ FINGERPRINT_METHODS = frozenset({
     "fingerprint_digest",
 })
 _TRIO_METHODS = CAPTURE_METHODS | RESTORE_METHODS | FINGERPRINT_METHODS
+RESET_METHODS = frozenset({"reset", "_reset_microarchitecture"})
 _DECL_METHODS = frozenset({"__init__", "__post_init__"})
 _ROOT_BASE_NAMES = frozenset({"BaseCore"})
 
@@ -67,6 +75,8 @@ class _ClassInfo:
     method_attrs: dict[str, set[str]] = field(default_factory=dict)
     # method name -> attr -> line of the first touch (finding anchors)
     method_attr_lines: dict[str, dict[str, int]] = field(default_factory=dict)
+    # method name -> set of self-attributes the method stores or mutates
+    method_mutations: dict[str, set[str]] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -108,11 +118,13 @@ def _collect_class(module: SourceModule, node: ast.ClassDef) -> _ClassInfo:
             continue
         touched = info.method_attrs.setdefault(stmt.name, set())
         lines = info.method_attr_lines.setdefault(stmt.name, {})
+        mutated = info.method_mutations.setdefault(stmt.name, set())
         for attr, is_mutation, line in _self_attr_events(stmt):
             touched.add(attr)
             lines.setdefault(attr, line)
             if not is_mutation:
                 continue
+            mutated.add(attr)
             if stmt.name in _DECL_METHODS:
                 info.declared.setdefault(attr, line)
             elif stmt.name not in _TRIO_METHODS:
@@ -136,7 +148,8 @@ class StateCoverageRule(Rule):
     rule_id = "state-coverage"
     summary = ("every run-varying attribute of a BaseCore subclass or "
                "snapshot-bearing state class must appear in the "
-               "snapshot/restore/fingerprint method trio")
+               "snapshot/restore/fingerprint method trio, and be reset "
+               "where the class has a reset path")
 
     def check(self, project: Project) -> Iterable[Finding]:
         classes: list[_ClassInfo] = []
@@ -181,20 +194,31 @@ class StateCoverageRule(Rule):
             # subclass in a partial audit); nothing to cross-reference.
             return
         captured, restored, fingerprinted = self._merged_trio(hierarchy)
+        has_reset = any(set(ancestor.method_attrs) & RESET_METHODS
+                        for ancestor in hierarchy)
+        reset = {attr for ancestor in hierarchy
+                 for method, attrs in ancestor.method_mutations.items()
+                 if method in RESET_METHODS for attr in attrs}
         for attr, line in sorted(info.run_varying.items(),
                                  key=lambda item: (item[1], item[0])):
+            anchor = info.declared.get(attr, line)
             missing = [label for label, names in (
                 ("capture", captured), ("restore", restored),
                 ("fingerprint", fingerprinted)) if attr not in names]
-            if not missing:
-                continue
-            anchor = info.declared.get(attr, line)
-            yield info.module.finding(
-                anchor, self.rule_id,
-                f"run-varying state {info.name}.{attr} is missing from the "
-                f"{'/'.join(missing)} side of the snapshot/restore/"
-                "fingerprint contract; divergence will survive restore "
-                "undetected (see BaseCore.snapshot docs)")
+            if missing:
+                yield info.module.finding(
+                    anchor, self.rule_id,
+                    f"run-varying state {info.name}.{attr} is missing from "
+                    f"the {'/'.join(missing)} side of the snapshot/restore/"
+                    "fingerprint contract; divergence will survive restore "
+                    "undetected (see BaseCore.snapshot docs)")
+            elif has_reset and attr not in reset:
+                yield info.module.finding(
+                    anchor, self.rule_id,
+                    f"run-varying state {info.name}.{attr} is never assigned "
+                    "on the reset path (reset/_reset_microarchitecture); a "
+                    "reused core carries it into its next run's fingerprints "
+                    "(see BaseCore.snapshot docs)")
 
     def _merged_trio(self, hierarchy: list[_ClassInfo]
                      ) -> tuple[set[str], set[str], set[str]]:

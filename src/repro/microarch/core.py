@@ -243,10 +243,13 @@ class BaseCore(ABC):
         :meth:`state_fingerprint` (via
         :meth:`_fingerprint_microarchitecture`) -- state that escapes any
         leg of the trio survives restore silently corrupted, and the
-        convergence gate will declare divergent runs converged.  The
-        ``state-coverage`` audit rule (``python -m repro.devtools.audit``)
-        enforces this statically: attributes mutated outside ``__init__``
-        and the trio must appear in all three, or carry a reasoned
+        convergence gate will declare divergent runs converged.  Such an
+        attribute must also be assigned on the reset path (:meth:`reset` or
+        :meth:`_reset_microarchitecture`), or a reused core carries it from
+        one run into the next.  The ``state-coverage`` audit rule
+        (``python -m repro.devtools.audit``) enforces this statically:
+        attributes mutated outside ``__init__`` and the trio must appear in
+        all three and on the reset path, or carry a reasoned
         ``# audit: allow[state-coverage]`` suppression at their declaration
         (as ``_program``, ``_termination`` and ``_trap`` do above).
         """

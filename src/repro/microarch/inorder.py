@@ -256,6 +256,7 @@ class InOrderCore(BaseCore):
         # audit: allow[state-coverage] the predictor is a stateless view; its tables/history live in self.latches, which the contract covers
         self._predictor = BimodalPredictor(
             self.latches, "f.bp.table", "f.bp.history", entries=32)
+        self._redirect_target = 0
 
     # ------------------------------------------------------------------ reset
     def _reset_microarchitecture(self, program: Program) -> None:
@@ -265,6 +266,7 @@ class InOrderCore(BaseCore):
         from repro.isa.program import DEFAULT_STACK_TOP
 
         self.registers[2] = DEFAULT_STACK_TOP - WORD_BYTES
+        self._redirect_target = 0
         latches = self.latches
         latches.set("f.pc", program.entry_point)
         latches.set("f.npc", program.entry_point + WORD_BYTES)
@@ -533,6 +535,3 @@ class InOrderCore(BaseCore):
 
         # Peripheral hint state toggles so vanish-class flip-flops see traffic.
         v[IRQ_PENDING] = (v[IRQ_PENDING] + 1) & IRQ_PENDING_MASK
-
-    # ------------------------------------------------------------------ attributes
-    _redirect_target: int = 0

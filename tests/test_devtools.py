@@ -183,6 +183,28 @@ class TestStateCoverage:
     def test_fully_covered_attribute_is_clean(self):
         assert audit_source(synthetic_core("_scratch", True, True, True)) == []
 
+    def test_flags_state_the_reset_path_never_assigns(self):
+        findings = audit_fixture("bad_state_reset.py")
+        assert [f.rule_id for f in findings] == ["state-coverage"]
+        assert "._redirect " in findings[0].message
+        assert "reset path" in findings[0].message
+
+    def test_real_core_without_its_reset_is_flagged(self, real_core_modules):
+        # The in-order core before its redirect target was reset: snapshot,
+        # restore and fingerprint covered it, reset did not.
+        inorder = next(module for module in real_core_modules
+                       if module.relpath.endswith("inorder.py"))
+        line = "        self._redirect_target = 0\n"
+        reset = inorder.source.index("def _reset_microarchitecture")
+        at = inorder.source.index(line, reset)
+        mutant = inorder.source[:at] + inorder.source[at + len(line):]
+        companions = [module for module in real_core_modules
+                      if module is not inorder]
+        findings = audit_source(mutant, select=["state-coverage"],
+                                companions=companions)
+        assert [f.rule_id for f in findings] == ["state-coverage"]
+        assert "InOrderCore._redirect_target " in findings[0].message
+
     def test_init_only_configuration_is_not_state(self):
         source = textwrap.dedent("""
             class ConfigCore(BaseCore):
@@ -234,13 +256,16 @@ class TestStateCoverage:
         assert findings == [], "\n".join(f.format() for f in findings)
 
     @settings(max_examples=20, deadline=None)
-    @given(suffix=st.from_regex(r"\A[a-z]{1,6}\Z"), covered=st.booleans())
+    @given(suffix=st.from_regex(r"\A[a-z]{1,6}\Z"), covered=st.booleans(),
+           reset=st.booleans())
     def test_subclass_of_real_core_inherits_contract(self, suffix, covered,
-                                                     real_core_modules):
-        # Cross-module resolution: the synthetic subclass has no trio of its
-        # own unless `covered`; the contract is found on InOrderCore/BaseCore
-        # through the companion modules, so an uncovered attribute is the
-        # PR 7 bug class and must flag.
+                                                     reset, real_core_modules):
+        # Cross-module resolution: the synthetic subclass has no trio (or
+        # reset) of its own unless `covered` (`reset`); the contract and the
+        # reset path are found on InOrderCore/BaseCore through the companion
+        # modules, so an uncovered attribute is the PR 7 bug class, and a
+        # covered one the reset path misses survives into the next run:
+        # both must flag.
         attr = f"_probe_{suffix}"
         trio = textwrap.dedent(f"""
             def _snapshot_microarchitecture(self):
@@ -251,6 +276,11 @@ class TestStateCoverage:
 
             def _fingerprint_microarchitecture(self):
                 return tuple(self.{attr})
+            """)
+        reset_path = textwrap.dedent(f"""
+            def _reset_microarchitecture(self, program):
+                super()._reset_microarchitecture(program)
+                self.{attr} = []
             """)
         source = textwrap.dedent(f"""
             class ProbeCore(InOrderCore):
@@ -263,13 +293,16 @@ class TestStateCoverage:
             """)
         if covered:
             source += textwrap.indent(trio, "    ")
+        if reset:
+            source += textwrap.indent(reset_path, "    ")
         findings = audit_source(source, select=["state-coverage"],
                                 companions=real_core_modules)
-        if covered:
+        if covered and reset:
             assert findings == []
         else:
             assert [f.rule_id for f in findings] == ["state-coverage"]
             assert attr in findings[0].message
+            assert ("reset path" in findings[0].message) == covered
 
 
 class TestRegressions:
