@@ -15,6 +15,7 @@ With the same seed the engine reports statistics identical to a serial
 cycle-0 re-simulation loop.
 
 Run with:  python examples/injection_campaign.py [injections] [--workers N] [--seed S]
+           [--artifact-dir DIR]
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import argparse
 import time
 
 from repro.core import ResilienceTarget, SelectionPolicy, SelectiveHardeningPlanner, sdc_improvement, due_improvement
-from repro.engine import EngineConfig, InjectionEngine
+from repro.engine import (GOLDEN_RUN_CACHE, EngineConfig, GoldenArtifactStore,
+                          GoldenRunCache, InjectionEngine)
 from repro.faultinjection import CalibratedVulnerabilityModel
 from repro.microarch import InOrderCore
 from repro.physical import RecoveryKind, TimingModel
@@ -37,13 +39,15 @@ def main(injections: int = 150, workers: int = 2, seed: int = 1,
     core = InOrderCore()
     workload = workload_by_name("histogram")
     program = workload.program()
-    config = EngineConfig(workers=workers, metrics=True,
-                          artifact_dir=artifact_dir)
+    config = EngineConfig(workers=workers, metrics=True)
     # Only the baseline campaign is traced: the three campaigns share one
     # config otherwise, and each traced run would overwrite the file.
     baseline_config = EngineConfig(workers=workers, metrics=True,
-                                   artifact_dir=artifact_dir,
                                    trace=trace if trace else False)
+    # With --artifact-dir the golden cache sits on a persistent store, so a
+    # repeat run loads the golden run instead of re-recording it.
+    cache = (GoldenRunCache(store=GoldenArtifactStore(artifact_dir))
+             if artifact_dir else GOLDEN_RUN_CACHE)
     print(f"Workload: {workload.name} ({workload.description})")
     print(f"Engine: {workers} worker(s), adaptive checkpointing, seed {seed}")
     if artifact_dir:
@@ -51,12 +55,8 @@ def main(injections: int = 150, workers: int = 2, seed: int = 1,
               f"golden runs instead of re-recording them)")
 
     started = time.perf_counter()
-    baseline_engine = InjectionEngine(core, program, seed=seed,
-                                      config=baseline_config)
-    baseline = baseline_engine.run(injections=injections)
-    # With --artifact-dir the engine resolves a store-backed shared cache
-    # instead of the process-wide default; read stats from the one it used.
-    cache = baseline_engine.golden_cache
+    baseline = InjectionEngine(core, program, seed=seed, config=baseline_config,
+                               golden_cache=cache).run(injections=injections)
     checkpointed = cache.get(core, program)
     print(f"\nGolden run: {checkpointed.golden.cycles} cycles, "
           f"{checkpointed.checkpoint_count} checkpoints "
@@ -84,7 +84,8 @@ def main(injections: int = 150, workers: int = 2, seed: int = 1,
         hardening=harden_top_flip_flops(list(range(core.flip_flop_count)),
                                         core.flip_flop_count))
     hardened_run = InjectionEngine(core, program, protection=hardened, seed=seed,
-                                   config=config).run(injections=injections)
+                                   config=config, golden_cache=cache
+                                   ).run(injections=injections)
 
     # Configuration 2: Heuristic-1 mix of parity + LEAP-DICE with flush recovery.
     vulnerability = CalibratedVulnerabilityModel(core.registry, [workload.name]).build_map()
@@ -95,7 +96,8 @@ def main(injections: int = 150, workers: int = 2, seed: int = 1,
                                recovery=RecoveryKind.FLUSH,
                                policy=SelectionPolicy()).design
     cross_layer_run = InjectionEngine(core, program, protection=cross_layer,
-                                      seed=seed, config=config).run(injections=injections)
+                                      seed=seed, config=config,
+                                      golden_cache=cache).run(injections=injections)
 
     for label, run, design in (("LEAP-DICE everywhere", hardened_run, hardened),
                                ("parity + LEAP-DICE + flush", cross_layer_run, cross_layer)):

@@ -52,10 +52,6 @@ class CrossLayerCombination:
     def has_tunable_technique(self) -> bool:
         return any(t in (LEAP_DICE, EDS, PARITY) for t in self.techniques)
 
-    @property
-    def uses_abft(self) -> bool:
-        return ABFT_CORRECTION in self.techniques or ABFT_DETECTION in self.techniques
-
 
 def _non_empty_subsets(techniques: tuple[str, ...]):
     for size in range(1, len(techniques) + 1):

@@ -99,9 +99,6 @@ class SelectionPolicy:
     allow_eds: bool = False
     hardening_cell: CellType = CellType.LEAP_DICE
 
-    def single_technique(self) -> bool:
-        return sum((self.allow_hardening, self.allow_parity, self.allow_eds)) == 1
-
     def cache_key(self) -> tuple:
         return (self.allow_hardening, self.allow_parity, self.allow_eds,
                 self.hardening_cell)

@@ -10,8 +10,8 @@ snapshot/restore support:
 * :mod:`repro.engine.artifacts` -- the content-addressed persistent
   golden-artifact store: checkpointed golden runs serialised to versioned,
   integrity-guarded on-disk blobs, making the golden cache two-tier
-  (``EngineConfig(artifact_dir=...)``) so repeated processes and pool
-  workers start warm;
+  (``GoldenRunCache(store=GoldenArtifactStore(path))``) so repeated
+  processes and pool workers start warm;
 * :mod:`repro.engine.executors` -- pluggable serial / process-pool executors
   that replay pre-resolved injection shards and stream aggregates back.
   Every injected run -- scalar, high-level, or a batched lane's scalar
@@ -47,7 +47,6 @@ from repro.engine.checkpoint import (
     CheckpointedGoldenRun,
     GoldenCacheStats,
     GoldenRunCache,
-    cache_for_artifact_dir,
     golden_run_key,
     record_checkpointed_golden,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "CheckpointedGoldenRun",
     "GoldenCacheStats",
     "GoldenRunCache",
-    "cache_for_artifact_dir",
     "golden_run_key",
     "record_checkpointed_golden",
     "CampaignResult",

@@ -126,9 +126,9 @@ class GoldenArtifactStore:
     the locking, and artifacts are small enough (a few hundred KB each at
     the default budgets) that pruning is a deliberate ``rm`` by the user.
 
-    Plug one into a :class:`~repro.engine.checkpoint.GoldenRunCache` (or
-    just set ``EngineConfig(artifact_dir=...)``) to make the cache two-tier:
-    memory first, then disk, then recording.
+    Plug one into a :class:`~repro.engine.checkpoint.GoldenRunCache`
+    (``GoldenRunCache(store=GoldenArtifactStore(path))``) to make the cache
+    two-tier: memory first, then disk, then recording.
     """
 
     def __init__(self, root: str | Path):

@@ -27,10 +27,7 @@ from repro.microarch.core import BaseCore, CoreSnapshot, DEFAULT_MAX_CYCLES
 from repro.microarch.events import RunResult
 from repro.obs import Instrumentation
 from repro.obs.phases import (
-    COUNT_ARTIFACTS_LOADED,
-    COUNT_ARTIFACTS_SAVED,
     COUNT_FINGERPRINTS,
-    COUNT_GOLDEN_CACHE_HITS,
     COUNT_GOLDEN_RECORDS,
     COUNT_SNAPSHOTS,
     CYCLES_GOLDEN,
@@ -323,7 +320,7 @@ class GoldenRunCache:
     program, so repeated campaigns on the same workload -- e.g. one per
     protection configuration -- pay for the golden run and its snapshots
     exactly once.  With a :class:`~repro.engine.artifacts.GoldenArtifactStore`
-    attached (``store``, or just ``EngineConfig(artifact_dir=...)``), the
+    attached (``GoldenRunCache(store=GoldenArtifactStore(path))``), the
     in-memory LRU sits on top of a persistent content-addressed disk tier:
     a memory miss first tries to *load* the artifact (integrity-guarded;
     any defective blob degrades to re-recording), and a fresh recording is
@@ -366,8 +363,6 @@ class GoldenRunCache:
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
-            if obs is not None:
-                obs.metrics.inc(COUNT_GOLDEN_CACHE_HITS)
             self._entries.move_to_end(key)
             return cached
         self.misses += 1
@@ -376,8 +371,6 @@ class GoldenRunCache:
             recorded = self.store.load_key(key)
             if recorded is not None:
                 self.artifacts_loaded += 1
-                if obs is not None:
-                    obs.metrics.inc(COUNT_ARTIFACTS_LOADED)
         if recorded is None:
             recorded = record_checkpointed_golden(
                 core, program, interval=interval,
@@ -387,22 +380,10 @@ class GoldenRunCache:
             if self.store is not None and \
                     self.store.save_key(key, recorded) is not None:
                 self.artifacts_saved += 1
-                if obs is not None:
-                    obs.metrics.inc(COUNT_ARTIFACTS_SAVED)
         self._entries[key] = recorded
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
         return recorded
-
-    def attach_store(self, store) -> None:
-        """Attach a persistent artifact store (no-op when one is attached).
-
-        Keeping the first-attached store makes repeated
-        ``EngineConfig(artifact_dir=...)`` engines sharing one cache stable:
-        the cache's disk tier never silently switches directories mid-run.
-        """
-        if self.store is None:
-            self.store = store
 
     def stats(self) -> GoldenCacheStats:
         """Hit/miss/size counters since construction (or the last clear)."""
@@ -421,52 +402,6 @@ class GoldenRunCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def cache_for_artifact_dir(artifact_dir) -> GoldenRunCache:
-    """The process-wide store-backed cache for one artifact directory.
-
-    One shared cache per resolved directory keeps the in-memory tier shared
-    across every engine pointed at the same store (the same sharing the
-    storeless :data:`GOLDEN_RUN_CACHE` provides), while different
-    directories stay fully isolated.
-    """
-    from pathlib import Path
-
-    from repro.engine.artifacts import GoldenArtifactStore
-
-    root = Path(artifact_dir).expanduser().resolve()
-    cache = _STORE_CACHES.get(root)
-    if cache is None:
-        cache = GoldenRunCache(store=GoldenArtifactStore(root))
-        _STORE_CACHES[root] = cache
-    return cache
-
-
-# audit: allow[module-mutable-state] parent-process-only interning table; workers receive caches via the executor payload, never this dict
-_STORE_CACHES: dict = {}
-"""Per-artifact-directory shared caches (see :func:`cache_for_artifact_dir`)."""
-
-
-def resolve_golden_cache(golden_cache: GoldenRunCache | None,
-                         artifact_dir=None) -> GoldenRunCache | None:
-    """Resolve the golden cache a suite/sweep runner was given, plus the
-    optional persistent store.
-
-    Returns the explicit cache, the shared store-backed cache for
-    ``artifact_dir``, or None when neither was given (the caller then
-    applies its own default).  An ``artifact_dir`` combines with an explicit
-    cache by attaching the store to it (first store wins on a cache that
-    already has one).
-    """
-    if artifact_dir is None:
-        return golden_cache
-    if golden_cache is None:
-        return cache_for_artifact_dir(artifact_dir)
-    from repro.engine.artifacts import GoldenArtifactStore
-
-    golden_cache.attach_store(GoldenArtifactStore(artifact_dir))
-    return golden_cache
 
 
 GOLDEN_RUN_CACHE = GoldenRunCache()

@@ -41,7 +41,6 @@ from repro.engine.checkpoint import (
     GOLDEN_RUN_CACHE,
     CheckpointedGoldenRun,
     GoldenRunCache,
-    resolve_golden_cache,
 )
 from repro.engine.executors import (
     _SEED_STRIDE,
@@ -131,13 +130,6 @@ class EngineConfig:
             events on ``CampaignResult.trace_events``; a path additionally
             writes the JSON there (loadable in ``chrome://tracing`` /
             Perfetto).  ``False`` (default) skips span bookkeeping entirely.
-        artifact_dir: directory of the persistent content-addressed
-            golden-artifact store (:mod:`repro.engine.artifacts`).  ``None``
-            (default) keeps golden runs in memory only; a path makes the
-            golden cache two-tier -- memory, then disk, then recording --
-            so repeated processes, pool workers and repeated campaigns load
-            golden runs instead of re-recording them.  Engines pointing at
-            the same directory share one in-memory cache per process.
 
     With ``workers > 1``, plans shorter than :data:`PARALLEL_THRESHOLD` still
     run serially; pass ``executor=ParallelExecutor(...)`` to
@@ -153,7 +145,6 @@ class EngineConfig:
     batch_width: int = 0
     metrics: bool = False
     trace: bool | str | Path = False
-    artifact_dir: str | Path | None = None
 
     @property
     def convergence_enabled(self) -> bool:
@@ -185,9 +176,8 @@ class InjectionEngine:
         self.protection = protection
         self.seed = seed
         self.config = config or EngineConfig()
-        resolved = resolve_golden_cache(golden_cache,
-                                        artifact_dir=self.config.artifact_dir)
-        self._cache = resolved if resolved is not None else GOLDEN_RUN_CACHE
+        self._cache = (golden_cache if golden_cache is not None
+                       else GOLDEN_RUN_CACHE)
         # Only an executor the engine built itself may be swapped for the
         # small-plan serial fallback; an explicit one is a caller decision.
         self._config_built_executor = executor is None
@@ -197,11 +187,6 @@ class InjectionEngine:
             self._executor = ParallelExecutor(workers=self.config.workers)
         else:
             self._executor = SerialExecutor()
-
-    @property
-    def golden_cache(self) -> GoldenRunCache:
-        """The golden-run cache this engine resolves goldens through."""
-        return self._cache
 
     # ------------------------------------------------------------------ golden
     def golden(self, obs: Instrumentation | None = None
@@ -381,15 +366,12 @@ def run_suite_campaign(core: BaseCore, workloads,
     all campaigns share one golden-run cache: ``golden_cache`` when given,
     else the process-wide :data:`~repro.engine.checkpoint.GOLDEN_RUN_CACHE`,
     whose default capacity holds every built-in suite, so a repeated suite
-    run records no golden.  With ``config.artifact_dir`` set, the suite's
-    cache is backed by the persistent golden-artifact store, so repeated
+    run records no golden.  Pass ``GoldenRunCache(store=...)`` to back the
+    suite's cache with a persistent golden-artifact store, so repeated
     processes load golden runs instead of re-recording them.
     """
     from repro.faultinjection.vulnerability import VulnerabilityMap
 
-    golden_cache = resolve_golden_cache(
-        golden_cache,
-        artifact_dir=config.artifact_dir if config is not None else None)
     vulnerability = VulnerabilityMap(core.name, core.flip_flop_count)
     results = []
     for offset, workload in enumerate(workloads):

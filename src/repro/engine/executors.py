@@ -381,24 +381,26 @@ class Replay:
         return self.result.cycles - self.converged_at
 
 
-def replay_planned_injection(core: BaseCore, program: Program,
-                             planned: PlannedInjection,
-                             checkpointed: CheckpointedGoldenRun,
-                             obs: Instrumentation | None = None) -> Replay:
-    """Run one injection, fast-forwarding from the nearest golden snapshot
-    and finishing through :func:`run_gated`.
+def replay(core: BaseCore, program: Program, cycle: int, inject: Inject,
+           checkpointed: CheckpointedGoldenRun,
+           obs: Instrumentation | None = None) -> Replay:
+    """Run one injected run, fast-forwarding from the nearest golden
+    snapshot and finishing through :func:`run_gated`; ``inject`` is applied
+    at the start of ``cycle``.
 
     Restoring the latest snapshot at or before the injection cycle is exact:
     the injection cannot have been applied earlier, so the pre-injection prefix
     of the run is identical to the golden run the snapshot was taken from.
     Whether the replay may stop early on convergence is decided by the
-    golden run's fingerprint grid alone (see :func:`run_gated`).
+    golden run's fingerprint grid alone (see :func:`run_gated`).  Flip-flop
+    replays (:func:`replay_planned_injection`) and the high-level campaigns
+    of :mod:`repro.faultinjection.levels` both run through here.
 
     ``obs`` (an :class:`~repro.obs.Instrumentation`) adds a
     ``snapshot.fastforward`` span around the restore and fingerprint-probe
     counting; ``None`` is the uninstrumented path.
     """
-    snapshot = checkpointed.nearest(planned.injection.cycle)
+    snapshot = checkpointed.nearest(cycle)
     if snapshot is None:
         core.reset(program)
     elif obs is not None and obs.tracer.enabled:
@@ -408,12 +410,9 @@ def replay_planned_injection(core: BaseCore, program: Program,
     else:
         core.restore(program, snapshot)
     resumed_from = 0 if snapshot is None else snapshot.cycle
-    inject = build_injection(planned.injection, planned.protection,
-                             planned.suppressed)
     probe_metrics = (obs.metrics if obs is not None and obs.detailed
                      else NULL_METRICS)
-    injected, converged_at = run_gated(core, checkpointed,
-                                       planned.injection.cycle, inject,
+    injected, converged_at = run_gated(core, checkpointed, cycle, inject,
                                        metrics=probe_metrics)
     stopped = injected.cycles if converged_at is None else converged_at
     return Replay(result=injected,
@@ -421,6 +420,17 @@ def replay_planned_injection(core: BaseCore, program: Program,
                   resumed_from=resumed_from,
                   simulated_cycles=stopped - resumed_from,
                   converged_at=converged_at)
+
+
+def replay_planned_injection(core: BaseCore, program: Program,
+                             planned: PlannedInjection,
+                             checkpointed: CheckpointedGoldenRun,
+                             obs: Instrumentation | None = None) -> Replay:
+    """:func:`replay` one planned flip-flop injection."""
+    inject = build_injection(planned.injection, planned.protection,
+                             planned.suppressed)
+    return replay(core, program, planned.injection.cycle, inject,
+                  checkpointed, obs)
 
 
 def fold_replay(result: ChunkResult, planned: PlannedInjection,

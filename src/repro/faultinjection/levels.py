@@ -12,7 +12,7 @@ golden run comes from the shared :data:`~repro.engine.GOLDEN_RUN_CACHE` (so
 flip-flop and high-level campaigns on the same workload share it), every
 injected run fast-forwards from the nearest snapshot at or below its
 injection cycle and finishes through the engine's
-:func:`~repro.engine.executors.run_gated` -- the same watchdog and
+:func:`~repro.engine.executors.replay` -- the same routine, watchdog and
 convergence gate as a flip-flop replay.  When the golden run carries a
 fingerprint grid, a run whose fingerprint matches it is bit-identical to the
 golden run from that cycle on, so it stops simulating and classifies against
@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from repro.engine.checkpoint import GOLDEN_RUN_CACHE, CheckpointedGoldenRun
-from repro.faultinjection.outcomes import OutcomeCounts, classify_outcome
+from repro.engine.checkpoint import GOLDEN_RUN_CACHE
+from repro.faultinjection.outcomes import OutcomeCounts
 from repro.isa.program import Program
 from repro.isa.simulator import FunctionalSimulator
 from repro.microarch.core import BaseCore
@@ -54,6 +54,18 @@ class HighLevelInjection:
     register: int | None = None
     address: int | None = None
     bit: int = 0
+
+    def apply(self, core: BaseCore) -> None:
+        """Flip the target bit in ``core``'s architectural state."""
+        if self.register is not None and self.address is None:
+            index = self.register & 0x1F
+            if index != 0:
+                core.registers[index] ^= 1 << self.bit
+        elif self.address is not None:
+            memory = core.memory
+            if memory.is_mapped(self.address):
+                value = memory.load_word(self.address)
+                memory.store_word(self.address, value ^ (1 << self.bit))
 
 
 @dataclass(frozen=True)
@@ -131,39 +143,6 @@ class HighLevelInjector:
         fraction = instruction_index / total_instructions
         return min(golden_cycles - 1, max(0, int(fraction * golden_cycles)))
 
-    # ------------------------------------------------------------------ execution
-    def _replay(self, program: Program, injection: HighLevelInjection,
-                checkpointed: CheckpointedGoldenRun,
-                ) -> tuple[RunResult, int | None, int]:
-        """One replay from the nearest golden snapshot, finished by the
-        engine's :func:`~repro.engine.executors.run_gated`:
-        ``(result, converged_at, simulated_cycles)``."""
-        # Deferred: executors imports this package's injector module, so a
-        # module-level import here would be circular.
-        from repro.engine.executors import run_gated
-
-        def inject(core: BaseCore) -> None:
-            if injection.register is not None and injection.address is None:
-                index = injection.register & 0x1F
-                if index != 0:
-                    core.registers[index] ^= 1 << injection.bit
-            elif injection.address is not None:
-                memory = core.memory
-                if memory.is_mapped(injection.address):
-                    value = memory.load_word(injection.address)
-                    memory.store_word(injection.address, value ^ (1 << injection.bit))
-
-        snapshot = checkpointed.nearest(injection.cycle)
-        if snapshot is None:
-            self.core.reset(program)
-        else:
-            self.core.restore(program, snapshot)
-        resumed_from = snapshot.cycle if snapshot is not None else 0
-        injected, converged_at = run_gated(self.core, checkpointed,
-                                           injection.cycle, inject)
-        stopped = injected.cycles if converged_at is None else converged_at
-        return injected, converged_at, stopped - resumed_from
-
     def campaign(self, level: InjectionLevel, program: Program,
                  count: int = 100,
                  convergence: bool = True) -> HighLevelCampaignResult:
@@ -175,6 +154,10 @@ class HighLevelInjector:
         :class:`HighLevelCampaignResult`'s ``counts`` are bit-identical
         either way.
         """
+        # Deferred: executors imports this package's injector module, so a
+        # module-level import here would be circular.
+        from repro.engine.executors import replay
+
         checkpointed = GOLDEN_RUN_CACHE.get(
             self.core, program,
             fingerprint_interval=None if convergence else 0)
@@ -184,13 +167,13 @@ class HighLevelInjector:
         saved_cycles = 0
         replayed_cycles = 0
         for injection in self.plan(level, program, golden, count):
-            injected, converged_at, simulated = self._replay(
-                program, injection, checkpointed)
-            counts.record(classify_outcome(golden, injected))
-            replayed_cycles += simulated
-            if converged_at is not None:
+            run = replay(self.core, program, injection.cycle,
+                         injection.apply, checkpointed)
+            counts.record(run.outcome)
+            replayed_cycles += run.simulated_cycles
+            if run.converged_at is not None:
                 converged_count += 1
-                saved_cycles += max(0, golden.cycles - converged_at)
+                saved_cycles += run.saved_cycles
         return HighLevelCampaignResult(level=level, counts=counts,
                                        converged_count=converged_count,
                                        saved_cycles=saved_cycles,

@@ -78,11 +78,6 @@ class Program:
         fetch fault (:meth:`instruction_at` returns ``None`` there)."""
         return tuple(encode_instruction(i) for i in self.instructions)
 
-    @property
-    def text_size_bytes(self) -> int:
-        """Size of the text segment in bytes."""
-        return len(self.instructions) * WORD_BYTES
-
     def instruction_at(self, pc: int) -> Instruction | None:
         """Return the instruction at byte address ``pc``.
 

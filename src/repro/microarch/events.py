@@ -93,10 +93,3 @@ class RunResult:
     def unrecovered_detections(self) -> list[DetectionEvent]:
         """Detections that were not recovered by hardware recovery."""
         return [d for d in self.detections if not d.recovered]
-
-    def first_detection_cycle(self) -> int | None:
-        """Cycle of the first unrecovered detection, if any."""
-        unrecovered = self.unrecovered_detections()
-        if not unrecovered:
-            return None
-        return min(d.cycle for d in unrecovered)

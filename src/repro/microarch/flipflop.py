@@ -132,9 +132,6 @@ class FlipFlopRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def structure_names(self) -> list[str]:
-        return [s.name for s in self._structures]
-
     def units(self) -> list[str]:
         """Distinct functional units, in registration order."""
         seen: dict[str, None] = {}
@@ -176,11 +173,6 @@ class FlipFlopRegistry:
                      for _ in range(structure.width)]
             self._units_by_index = units
         return units[flat_index]
-
-    def all_sites(self) -> list[FaultSite]:
-        """Every injectable fault site in the core (one per flip-flop)."""
-        return [FaultSite(structure=s, bit=b)
-                for s in self._structures for b in range(s.width)]
 
     def non_architectural_fraction(self) -> float:
         """Fraction of flip-flops in hint/bookkeeping structures."""

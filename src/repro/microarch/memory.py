@@ -154,17 +154,6 @@ class MemorySystem:
                 for page in sorted(pages))
         return self._digest_cache
 
-    # ------------------------------------------------------------------ export
-    def dump_region(self, name: str) -> dict[int, int]:
-        """Return ``{address: word}`` for all touched words in region ``name``."""
-        region = next(r for r in self._regions if r.name == name)
-        return {addr: value for addr, value in self._words.items()
-                if region.contains(addr)}
-
-    def words_written(self) -> int:
-        """Number of distinct words currently holding data."""
-        return len(self._words)
-
 
 # A lockstep lane value is an int (every lane holds it) or a (lanes,)
 # numpy column; these helpers keep it an int whenever the lanes agree.

@@ -38,13 +38,11 @@ from repro.obs.manifest import (
     manifest_drift,
 )
 from repro.obs.metrics import (
-    DEFAULT_METRICS,
     NULL_METRICS,
     NULL_TIMER,
     MetricsRegistry,
-    default_metrics,
 )
-from repro.obs.phases import phase_cycle_totals, replayed_cycle_total
+from repro.obs.phases import replayed_cycle_total
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -90,7 +88,6 @@ OBS_OFF = Instrumentation(metrics=NULL_METRICS, tracer=NULL_TRACER)
 
 
 __all__ = [
-    "DEFAULT_METRICS",
     "MANIFEST_VERSION",
     "NULL_METRICS",
     "NULL_SPAN",
@@ -102,11 +99,9 @@ __all__ = [
     "RunManifest",
     "TraceRecorder",
     "build_manifest",
-    "default_metrics",
     "git_revision",
     "manifest_dict",
     "manifest_drift",
-    "phase_cycle_totals",
     "phases",
     "replayed_cycle_total",
     "validate_trace_events",

@@ -32,8 +32,7 @@ enabled registry with ``timing=False`` (what the engine gives each chunk)
 accumulates counters but skips the clock.
 
 Workers each build an explicit private registry (a registry is plain data
-and pickles, but is not shared across processes); the process-local
-:data:`DEFAULT_METRICS` exists for ad-hoc, single-process use.
+and pickles, but is not shared across processes).
 """
 
 from __future__ import annotations
@@ -231,16 +230,3 @@ class MetricsRegistry:
 
 NULL_METRICS = MetricsRegistry(enabled=False)
 """Shared disabled registry for default parameters on hot paths."""
-
-DEFAULT_METRICS = MetricsRegistry()
-"""Process-local default registry for ad-hoc single-process instrumentation.
-
-Worker processes must never write here -- the engine hands every worker an
-explicit per-chunk registry that serializes back through its
-:class:`~repro.engine.executors.ChunkResult`.
-"""
-
-
-def default_metrics() -> MetricsRegistry:
-    """The process-local default registry (see :data:`DEFAULT_METRICS`)."""
-    return DEFAULT_METRICS

@@ -77,9 +77,6 @@ COUNT_REPLAYS = "count.replays"
 COUNT_CONVERGED = "count.converged"
 COUNT_EVICTED = "count.evicted"
 COUNT_GOLDEN_RECORDS = "count.golden.records"
-COUNT_GOLDEN_CACHE_HITS = "count.golden.cache_hits"
-COUNT_ARTIFACTS_LOADED = "count.golden.artifacts_loaded"
-COUNT_ARTIFACTS_SAVED = "count.golden.artifacts_saved"
 COUNT_FINGERPRINT_CHECKS = "count.fingerprint.checks"
 COUNT_SNAPSHOTS = "count.golden.snapshots"
 COUNT_FINGERPRINTS = "count.golden.fingerprints"
@@ -143,10 +140,3 @@ def replayed_cycle_total(metrics) -> int:
     """Sum of the replayed-cycle phase counters (== ``replayed_cycles``)."""
     counters = counters_of(metrics)
     return sum(counters.get(name, 0) for name in REPLAY_CYCLE_COUNTERS)
-
-
-def phase_cycle_totals(metrics) -> dict[str, int]:
-    """Per-phase cycle totals keyed by the phase-table row labels."""
-    counters = counters_of(metrics)
-    return {label: counters.get(counter, 0)
-            for label, counter, _ in PHASE_TABLE}

@@ -214,8 +214,8 @@ def format_golden_cache_stats(cache, title: str = "Golden-run cache") -> str:
     synthetic sweep visits each program once, so its hit rate is always
     zero.)  ``loaded`` vs ``recorded`` splits the misses: loaded golden runs
     came from the persistent artifact store
-    (``EngineConfig(artifact_dir=...)``), recorded ones were simulated from
-    cycle 0.
+    (``GoldenRunCache(store=GoldenArtifactStore(path))``), recorded ones
+    were simulated from cycle 0.
     """
     stats = cache.stats() if hasattr(cache, "stats") else cache
     return format_table(title,

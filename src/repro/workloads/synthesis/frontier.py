@@ -131,13 +131,6 @@ def explore_synthetic_frontier(core: BaseCore, seed: int = 0,
             "artifacts_saved": stats.artifacts_saved,
             "recorded": stats.recorded,
         }
-    if sweep.store_stats is not None:
-        store = sweep.store_stats
-        metadata["artifact_store"] = {
-            "entries": store.entries, "size_bytes": store.size_bytes,
-            "loaded": store.loaded, "saved": store.saved,
-            "errors": store.errors,
-        }
     manifest = manifest_dict(seed=seed, core=core, config=config,
                              kind="synthetic-frontier", metric=metric)
     result = SyntheticFrontierResult(sweep=sweep, frontier=frontier,

@@ -18,10 +18,10 @@ pool partition every executor consumer shares
 processes, and folded back in deterministic (family, member) order
 regardless of shard completion order.  Shared-mutable state stays out
 of the workers by construction: the :class:`VulnerabilityMap` is built only
-in the parent from the streamed results, and each worker process uses a
+in the parent from the streamed results, and each pool shard uses a
 private default-capacity :class:`GoldenRunCache` (a cache cannot be
-shared across process boundaries; a caller-supplied cache is therefore only
-consulted on the serial path).
+shared across process boundaries) on the caller's golden-artifact store,
+when the caller's cache has one.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 
+from repro.engine.artifacts import ArtifactStoreStats, GoldenArtifactStore
 from repro.engine.engine import EngineConfig, InjectionEngine
-from repro.engine.checkpoint import (
-    GoldenCacheStats,
-    GoldenRunCache,
-    resolve_golden_cache,
-)
+from repro.engine.checkpoint import GoldenCacheStats, GoldenRunCache
 from repro.engine.executors import ParallelExecutor, guided_slices
 from repro.faultinjection.outcomes import OutcomeCounts
 from repro.faultinjection.vulnerability import VulnerabilityMap
@@ -92,8 +89,8 @@ class SyntheticSweepResult:
     ``cache_stats`` aggregates the golden-run cache traffic of this sweep
     across the serial path or every pool worker (a
     :class:`~repro.engine.GoldenCacheStats` fleet merge); ``store_stats``
-    is a census of the persistent artifact store when
-    ``config.artifact_dir`` was set.  Either is None when unavailable.
+    is a census of the persistent artifact store when the caller's
+    ``golden_cache`` has one.  Either is None when unavailable.
     """
 
     core_name: str
@@ -102,7 +99,7 @@ class SyntheticSweepResult:
     vulnerability: VulnerabilityMap
     campaign_results: list = field(default_factory=list)
     cache_stats: GoldenCacheStats | None = None
-    store_stats: object | None = None
+    store_stats: ArtifactStoreStats | None = None
 
     @property
     def workload_names(self) -> list[str]:
@@ -190,22 +187,25 @@ class SweepSpec:
 
     ``config`` always has ``workers == 1``: shard workers run their campaigns
     serially (the parallelism lives at the workload level), which avoids
-    nested process pools.
+    nested process pools.  ``store`` is the caller's golden-artifact store
+    (None: goldens stay in each shard's memory).
     """
 
     core: BaseCore
     injections: int
     config: EngineConfig
+    store: GoldenArtifactStore | None = None
 
 
 def evaluate_sweep_shard(spec: SweepSpec, shard: SweepShard) -> SweepShardResult:
     """Run every campaign of one shard (worker entry point).
 
-    Each invocation builds a private :class:`GoldenRunCache`: golden runs
-    depend only on (core, program) and every unit's program is distinct, so
-    nothing is lost -- and no cache object is ever shared across processes.
+    Each invocation builds a private :class:`GoldenRunCache` on the spec's
+    store: golden runs depend only on (core, program) and every unit's
+    program is distinct, so nothing is lost -- and no cache object is ever
+    shared across processes.
     """
-    cache = GoldenRunCache()
+    cache = GoldenRunCache(store=spec.store)
     results = [_run_campaign(spec.core, unit.program, seed=unit.campaign_seed,
                              injections=spec.injections, config=spec.config,
                              cache=cache)
@@ -215,7 +215,8 @@ def evaluate_sweep_shard(spec: SweepSpec, shard: SweepShard) -> SweepShardResult
 
 
 def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
-                       config: EngineConfig | None, workers: int
+                       config: EngineConfig | None, workers: int,
+                       store: GoldenArtifactStore | None
                        ) -> tuple[list, GoldenCacheStats | None]:
     """Fan campaigns out over the process pool; results in unit order.
 
@@ -223,7 +224,8 @@ def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
     golden-cache snapshots merge (in shard order) into one fleet readout.
     """
     inner = replace(config or EngineConfig(), workers=1)
-    spec = SweepSpec(core=core, injections=injections, config=inner)
+    spec = SweepSpec(core=core, injections=injections, config=inner,
+                     store=store)
     shards = [SweepShard(index=index, units=tuple(units[part.start:part.stop]))
               for index, part in enumerate(guided_slices(len(units), workers))]
     executor = ParallelExecutor(workers=workers)
@@ -299,23 +301,23 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
 
     ``workers > 1`` shards whole workload campaigns over the engine's
     process-pool executor (each worker running its campaigns serially);
-    results are identical to the serial loop.  ``golden_cache`` is consulted
-    only on the serial path -- without one the serial path builds a fresh
-    cache, and each pool shard builds a private one, so a shared cache
-    object is never mutated across processes.  Every sweep visits each of
-    its programs once, so these caches record one golden per workload and
+    results are identical to the serial loop.  The serial path runs on
+    ``golden_cache`` (a fresh cache without one).  Each pool shard builds a
+    private cache on ``golden_cache.store``, so a shared cache object is
+    never mutated across processes.  Every sweep visits each of its
+    programs once, so these caches record one golden per workload and
     never hit.  A cache pays only across calls: pass repeated serial sweeps
     the same ``golden_cache``, built with ``max_entries`` of at least the
-    sweep's workload count, or set ``config.artifact_dir``.  A serial sweep
-    given a smaller cache warns (:class:`RuntimeWarning`): sweeps sharing it
-    evict each other's goldens and re-record every one.
+    sweep's workload count, or give it a store
+    (``GoldenRunCache(store=GoldenArtifactStore(path))``), which also warms
+    pool shards.  A serial sweep given a smaller cache warns
+    (:class:`RuntimeWarning`): sweeps sharing it evict each other's goldens
+    and re-record every one.
     """
     family_names = families if families is not None else registry.family_names()
     _validate_sweep_seeds(seed, per_family, len(family_names),
                           injections_per_workload)
-    artifact_dir = config.artifact_dir if config is not None else None
-    resolved_cache = resolve_golden_cache(golden_cache,
-                                          artifact_dir=artifact_dir)
+    store = golden_cache.store if golden_cache is not None else None
     units: list[SweepUnit] = []
     for family_index, family in enumerate(family_names):
         workloads = registry.build_family(family, seed=seed, count=per_family,
@@ -329,7 +331,7 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
 
     if workers > 1 and len(units) > 1:
         results, cache_stats = _run_units_sharded(
-            core, units, injections_per_workload, config, workers)
+            core, units, injections_per_workload, config, workers, store)
     else:
         if golden_cache is not None and golden_cache.max_entries < len(units):
             warnings.warn(
@@ -338,24 +340,14 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
                 f"it re-record every golden; build it with "
                 f"GoldenRunCache(max_entries={len(units)})",
                 RuntimeWarning, stacklevel=2)
-        cache = resolved_cache if resolved_cache is not None else GoldenRunCache()
+        cache = golden_cache if golden_cache is not None else GoldenRunCache()
         before = cache.stats()
         results = [_run_campaign(core, unit.program, seed=unit.campaign_seed,
                                  injections=injections_per_workload,
                                  config=config, cache=cache)
                    for unit in units]
         cache_stats = _stats_delta(cache.stats(), before)
-    store_stats = None
-    if artifact_dir is not None:
-        from repro.engine.artifacts import GoldenArtifactStore
-
-        # Census-only view in the parent: the load/save traffic happened on
-        # the serial cache's store or inside the pool workers.
-        store = (resolved_cache.store
-                 if resolved_cache is not None
-                 and resolved_cache.store is not None
-                 else GoldenArtifactStore(artifact_dir))
-        store_stats = store.stats()
+    store_stats = store.stats() if store is not None else None
 
     # Fold in (family, member) order -- deterministic however shards landed.
     vulnerability = VulnerabilityMap(core.name, core.flip_flop_count)

@@ -25,7 +25,6 @@ from repro.engine import (
     ParallelExecutor,
     SerialExecutor,
     artifact_digest,
-    cache_for_artifact_dir,
     golden_run_key,
     guided_slices,
 )
@@ -35,7 +34,6 @@ from repro.engine.artifacts import (
     ARTIFACT_VERSION,
     digest_of_key,
 )
-from repro.engine.checkpoint import resolve_golden_cache
 from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.workloads import workload_by_name
 
@@ -238,20 +236,6 @@ class TestTwoTierCache:
         assert merged.artifacts_loaded == 2
         assert merged.recorded == 2
 
-    def test_cache_for_artifact_dir_is_shared_per_root(self, tmp_path):
-        first = cache_for_artifact_dir(tmp_path / "store")
-        again = cache_for_artifact_dir(tmp_path / "store")
-        other = cache_for_artifact_dir(tmp_path / "elsewhere")
-        assert first is again
-        assert first is not other
-
-    def test_resolve_attaches_store_to_explicit_cache(self, tmp_path):
-        cache = GoldenRunCache()
-        resolved = resolve_golden_cache(cache,
-                                        artifact_dir=tmp_path / "store")
-        assert resolved is cache
-        assert cache.store is not None
-
 
 # ------------------------------------------------------ executor-layer pieces
 class TestGuidedSlices:
@@ -452,11 +436,10 @@ class TestWarmColdEquivalence:
                                     golden_cache=GoldenRunCache()).run(
             injections=40)
         variants = [
-            (EngineConfig(artifact_dir=tmp_path), None),
-            (EngineConfig(artifact_dir=tmp_path, batch_width=8), None),
-            (EngineConfig(artifact_dir=tmp_path), ParallelExecutor(workers=2)),
-            (EngineConfig(artifact_dir=tmp_path, batch_width=8),
-             ParallelExecutor(workers=2)),
+            (EngineConfig(), None),
+            (EngineConfig(batch_width=8), None),
+            (EngineConfig(), ParallelExecutor(workers=2)),
+            (EngineConfig(batch_width=8), ParallelExecutor(workers=2)),
         ]
         for config, executor in variants:
             result = InjectionEngine(core, program, seed=9, config=config,

@@ -31,6 +31,7 @@ from repro.engine.executors import (
     DENSE_WINDOW,
     MAX_GAP,
     next_check,
+    replay,
     run_gated,
     should_check,
 )
@@ -215,7 +216,7 @@ class TestHighLevelCampaignGate:
         plan.append(HighLevelInjection(InjectionLevel.REGISTER_UNIFORM,
                                        cycle=10, register=0))
         for injection in plan:
-            injected, converged_at, simulated = injector._replay(
-                program, injection, hung)
-            assert converged_at is None
-            assert injected.reason is TerminationReason.HANG
+            run = replay(injector.core, program, injection.cycle,
+                         injection.apply, hung)
+            assert run.converged_at is None
+            assert run.result.reason is TerminationReason.HANG

@@ -555,14 +555,14 @@ class TestGoldenRunCache:
         assert (cache.stats().recorded, cache.hits) == (2, 2)
 
     def test_default_capacity_holds_every_builtin_suite(self, tmp_path):
-        from repro.engine import cache_for_artifact_dir
+        from repro.engine import GoldenArtifactStore
         from repro.microarch.core import CoreClass
         from repro.workloads.suite import suite_for_core
 
         largest = max(len(suite_for_core(core_class))
                       for core_class in CoreClass)
         for cache in (GoldenRunCache(), GOLDEN_RUN_CACHE,
-                      cache_for_artifact_dir(tmp_path)):
+                      GoldenRunCache(store=GoldenArtifactStore(tmp_path))):
             assert cache.max_entries >= largest
 
     def test_repeated_default_suite_campaign_records_no_golden(self):

@@ -24,6 +24,7 @@ from repro.engine.checkpoint import record_checkpointed_golden
 from repro.engine.executors import (
     DENSE_WINDOW,
     golden_copy,
+    replay,
     run_gated,
     should_check,
 )
@@ -372,10 +373,11 @@ class TestHighLevelReplay:
         for injection in plan:
             # A fresh core on each side: a core reset for cycle 0 keeps
             # some state of its previous run, which can shift convergence.
-            engine = HighLevelInjector(core_cls())._replay(
-                program, injection, checkpointed)
+            run = replay(core_cls(), program, injection.cycle,
+                         injection.apply, checkpointed)
             oracle = self._oracle(core_cls(), program, injection,
                                   checkpointed)
+            engine = (run.result, run.converged_at, run.simulated_cycles)
             assert engine == oracle, injection
-            converged += engine[1] is not None
+            converged += run.converged_at is not None
         assert (converged == 0) is hung

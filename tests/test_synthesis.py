@@ -279,6 +279,30 @@ class TestSyntheticSweep:
                             golden_cache=cache, **QUICK)
         assert len(cache) == 0 and cache.misses == 0
 
+    def test_sharded_sweep_shards_share_caller_store(self, ino_core, tmp_path):
+        """Pool shards build their private caches on the caller cache's
+        store: a cold sharded sweep fills it, a warm one loads every golden
+        and records none, and both match the serial sweep."""
+        from repro.engine import GoldenArtifactStore
+
+        kwargs = dict(seed=3, per_family=1, injections_per_workload=2,
+                      families=["mixed", "control_heavy", "branch_chaotic"],
+                      **QUICK)
+        serial = run_synthetic_sweep(ino_core, **kwargs)
+        runs = [run_synthetic_sweep(
+                    ino_core, workers=2,
+                    golden_cache=GoldenRunCache(
+                        store=GoldenArtifactStore(tmp_path)), **kwargs)
+                for _ in ("cold", "warm")]
+        cold, warm = runs
+        workloads = len(serial.workload_names)
+        assert cold.cache_stats.artifacts_saved == workloads
+        assert warm.cache_stats.recorded == 0
+        assert warm.cache_stats.artifacts_loaded == workloads
+        assert warm.store_stats.entries == workloads
+        for other in runs:
+            _assert_sweeps_identical(serial, other)
+
     def test_seed_block_collisions_rejected(self, ino_core):
         from repro.workloads.synthesis.sweep import _FAMILY_SEED_STRIDE
 
