@@ -104,7 +104,7 @@ class BaseCore(ABC):
     fold is exact on any core whose stages reach their latches through
     ``latches.values`` items, and the logging run raises on any other
     access, so the flag is a cost decision: the first campaign on each
-    golden run pays one logged re-run of it, 2.5-3.5x a plain run.  On the
+    golden run pays one logged re-run of it, 3.5-4.5x a plain run.  On the
     out-of-order core that pays after a few campaigns, because dead flips
     hold three quarters of its replay cycles.  The in-order core waits: its
     dead flips hold about 12% of its replay cycles (most of its live

@@ -12,13 +12,13 @@ width masks precomputed at construction.  Two APIs read and write it:
 
 * the *flat list* itself -- :attr:`LatchState.values` is the live list, and
   every per-cycle core path indexes it directly by slot, a position bound
-  once: the in-order cycle reads the list once per cycle and indexes it by
-  module constants (registration order is slot order), the out-of-order
-  stages by slot tables resolved with :meth:`LatchState.slot` at
-  construction.  Writes through it are not masked, so such a writer masks
-  every value that could exceed the structure's width.  The batched
-  lockstep replay (:mod:`repro.engine.batch`) runs the in-order cycle over
-  a list whose lane-local slots hold per-lane numpy columns;
+  once: each core's cycle reads the list once per cycle and indexes it by
+  module constants bound at import (registration order is slot order);
+  the out-of-order core addresses a queue field as its entry's base slot
+  plus the field's offset.  Writes through it are not masked, so such a
+  writer masks every value that could exceed the structure's width.  The
+  batched lockstep replay (:mod:`repro.engine.batch`) runs the in-order
+  cycle over a list whose lane-local slots hold per-lane numpy columns;
 * the *name-keyed* API (:meth:`~LatchState.get`, :meth:`~LatchState.set`,
   :meth:`~LatchState.flip_flat`, ...) -- one ``name -> slot`` dict lookup per
   access, for fault injection, the resilience hooks and tests.

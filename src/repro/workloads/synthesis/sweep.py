@@ -88,9 +88,12 @@ class SyntheticSweepResult:
 
     ``cache_stats`` aggregates the golden-run cache traffic of this sweep
     across the serial path or every pool worker (a
-    :class:`~repro.engine.GoldenCacheStats` fleet merge); ``store_stats``
-    is a census of the persistent artifact store when the caller's
-    ``golden_cache`` has one.  Either is None when unavailable.
+    :class:`~repro.engine.GoldenCacheStats` fleet merge).  When the
+    caller's ``golden_cache`` has a persistent artifact store,
+    ``store_stats`` holds this sweep's traffic to it (``loaded``,
+    ``saved``, ``errors``, summed over the pool shards' copies of the
+    store on a sharded sweep) and a census of its directory (``entries``,
+    ``size_bytes``).  Either is None when unavailable.
     """
 
     core_name: str
@@ -174,11 +177,13 @@ class SweepShardResult:
 
     ``cache_stats`` snapshots the shard's private golden-run cache so the
     parent can merge a fleet-wide readout (loads vs recordings across all
-    workers)."""
+    workers); ``store_traffic`` is the shard's ``(loaded, saved, errors)``
+    on its copy of the artifact store."""
 
     index: int
     results: list
     cache_stats: GoldenCacheStats | None = None
+    store_traffic: tuple[int, int, int] = (0, 0, 0)
 
 
 @dataclass
@@ -206,22 +211,41 @@ def evaluate_sweep_shard(spec: SweepSpec, shard: SweepShard) -> SweepShardResult
     shared across processes.
     """
     cache = GoldenRunCache(store=spec.store)
+    before = _store_traffic(spec.store)
     results = [_run_campaign(spec.core, unit.program, seed=unit.campaign_seed,
                              injections=spec.injections, config=spec.config,
                              cache=cache)
                for unit in shard.units]
-    return SweepShardResult(index=shard.index, results=results,
-                            cache_stats=cache.stats())
+    return SweepShardResult(
+        index=shard.index, results=results, cache_stats=cache.stats(),
+        store_traffic=_traffic_delta(_store_traffic(spec.store), before))
+
+
+def _store_traffic(store: GoldenArtifactStore | None) -> tuple[int, int, int]:
+    """``(loaded, saved, errors)`` of ``store`` so far (zeros: no store).
+
+    A pool worker's store is its own unpickled copy of the caller's, so its
+    counters never reach the caller's object: shards report deltas."""
+    if store is None:
+        return (0, 0, 0)
+    return (store.loaded, store.saved, store.errors)
+
+
+def _traffic_delta(after: tuple[int, int, int],
+                   before: tuple[int, int, int]) -> tuple[int, int, int]:
+    return tuple(a - b for a, b in zip(after, before))
 
 
 def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
                        config: EngineConfig | None, workers: int,
                        store: GoldenArtifactStore | None
-                       ) -> tuple[list, GoldenCacheStats | None]:
+                       ) -> tuple[list, GoldenCacheStats | None,
+                                  tuple[int, int, int]]:
     """Fan campaigns out over the process pool; results in unit order.
 
-    Returns ``(campaign_results, merged_cache_stats)``: the shards' private
-    golden-cache snapshots merge (in shard order) into one fleet readout.
+    Returns ``(campaign_results, merged_cache_stats, store_traffic)``: the
+    shards' private golden-cache snapshots merge (in shard order) into one
+    fleet readout, and their store traffic sums.
     """
     inner = replace(config or EngineConfig(), workers=1)
     spec = SweepSpec(core=core, injections=injections, config=inner,
@@ -231,9 +255,11 @@ def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
     executor = ParallelExecutor(workers=workers)
     by_index: dict[int, list] = {}
     stats_by_index: dict[int, GoldenCacheStats | None] = {}
+    traffic = (0, 0, 0)
     for shard_result in executor.stream(spec, shards, evaluate_sweep_shard):
         by_index[shard_result.index] = shard_result.results
         stats_by_index[shard_result.index] = shard_result.cache_stats
+        traffic = tuple(map(sum, zip(traffic, shard_result.store_traffic)))
     merged_stats: GoldenCacheStats | None = None
     for index in range(len(shards)):
         shard_stats = stats_by_index.get(index)
@@ -242,7 +268,7 @@ def _run_units_sharded(core: BaseCore, units: list[SweepUnit], injections: int,
         merged_stats = (shard_stats if merged_stats is None
                         else merged_stats.merged_with(shard_stats))
     return ([result for index in range(len(shards))
-             for result in by_index[index]], merged_stats)
+             for result in by_index[index]], merged_stats, traffic)
 
 
 # ---------------------------------------------------------------------- validation
@@ -330,7 +356,7 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
                 campaign_seed=base_seed + offset))
 
     if workers > 1 and len(units) > 1:
-        results, cache_stats = _run_units_sharded(
+        results, cache_stats, traffic = _run_units_sharded(
             core, units, injections_per_workload, config, workers, store)
     else:
         if golden_cache is not None and golden_cache.max_entries < len(units):
@@ -342,12 +368,18 @@ def run_synthetic_sweep(core: BaseCore, seed: int = 0, per_family: int = 4,
                 RuntimeWarning, stacklevel=2)
         cache = golden_cache if golden_cache is not None else GoldenRunCache()
         before = cache.stats()
+        traffic_before = _store_traffic(store)
         results = [_run_campaign(core, unit.program, seed=unit.campaign_seed,
                                  injections=injections_per_workload,
                                  config=config, cache=cache)
                    for unit in units]
         cache_stats = _stats_delta(cache.stats(), before)
-    store_stats = store.stats() if store is not None else None
+        traffic = _traffic_delta(_store_traffic(store), traffic_before)
+    store_stats = None
+    if store is not None:
+        loaded, saved, errors = traffic
+        store_stats = replace(store.stats(), loaded=loaded, saved=saved,
+                              errors=errors)
 
     # Fold in (family, member) order -- deterministic however shards landed.
     vulnerability = VulnerabilityMap(core.name, core.flip_flop_count)

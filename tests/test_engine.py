@@ -51,7 +51,7 @@ from repro.faultinjection import (
 )
 from repro.faultinjection.injector import injection_watchdog
 from repro.isa.program import DataSegment
-from repro.microarch import InOrderCore, OutOfOrderCore
+from repro.microarch import InOrderCore, OutOfOrderCore, ooo
 from repro.microarch.events import TerminationReason
 from repro.obs.phases import COUNT_INERT
 from repro.workloads import workload_by_name
@@ -1060,7 +1060,7 @@ class _AliasReadingCore(OutOfOrderCore):
         self._alias = self.latches.values
 
     def _fetch(self):
-        if self.cycle % 2 and self._alias[self._slots.rob_count] % 2:
+        if self.cycle % 2 and self._alias[ooo.ROB_COUNT] % 2:
             return
         super()._fetch()
 
@@ -1072,7 +1072,7 @@ class _UnloggedReadCore(OutOfOrderCore):
 
     def _fetch(self):
         checkpoint_map = list.__getitem__(self.latches.values,
-                                          self._ckpt[0].map)
+                                          ooo._CKPT[0] + ooo.C_MAP)
         if self.cycle % 2 and checkpoint_map.bit_count() % 2:
             return
         super()._fetch()

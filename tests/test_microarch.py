@@ -16,7 +16,7 @@ from repro.microarch import (
     TerminationReason,
     TrapKind,
 )
-from repro.microarch import inorder
+from repro.microarch import inorder, ooo
 from repro.microarch.flipflop import FlipFlopRegistry
 from repro.microarch.state import LatchState
 from repro.workloads import full_suite, suite_for_core
@@ -85,54 +85,66 @@ class TestLatchState:
 
 
 class TestSlotTables:
-    """The cores address latches through slot tables built at construction."""
+    """The cores address latches by module slot constants: scalar slots,
+    and, for the out-of-order queues, per-entry base slots plus field
+    offsets."""
 
     @staticmethod
-    def assert_entry(entry, latches, name: str) -> None:
-        for field, slot in zip(entry._fields, entry):
-            assert slot == latches.slot(f"{name}.{field}")
+    def assert_entry(base, fields, latches, name: str) -> None:
+        for offset, (field, _) in enumerate(fields):
+            assert base + offset == latches.slot(f"{name}.{field}")
 
-    def test_rob_table_covers_every_pointer_value(self, ooo_core):
+    def test_rob_bases_cover_every_pointer_value(self, ooo_core):
         registry, latches = ooo_core.registry, ooo_core.latches
-        pointers = ("rob.head", "rob.tail", "iq.e00.rob", "rat.r00.rob")
+        pointers = ("rob.head", "rob.tail", "iq.e00.rob", "stq.e0.rob",
+                    "rat.r00.rob")
         assert {registry.structure(name).width for name in pointers} == {6}
-        assert len(ooo_core._rob) == 64
-        for i in range(64):
-            self.assert_entry(ooo_core._rob[i], latches, f"rob.e{i % 40:02d}")
+        assert len(ooo._ROB) == 64
+        for i, base in enumerate(ooo._ROB):
+            self.assert_entry(base, ooo._ROB_FIELDS, latches,
+                              f"rob.e{i % 40:02d}")
 
-    def test_fetch_buffer_table_covers_every_pointer_value(self, ooo_core):
+    def test_fetch_buffer_bases_cover_every_pointer_value(self, ooo_core):
         registry, latches = ooo_core.registry, ooo_core.latches
         assert registry.structure("fb.head").width == 3
         assert registry.structure("fb.tail").width == 3
-        assert len(ooo_core._fb) == 8
-        for i in range(8):
-            self.assert_entry(ooo_core._fb[i], latches, f"fb.e{i % 6}")
+        assert len(ooo._FB) == 8
+        for i, base in enumerate(ooo._FB):
+            self.assert_entry(base, ooo._FB_FIELDS, latches, f"fb.e{i % 6}")
 
-    def test_other_tables_name_their_entries(self, ooo_core):
+    def test_other_bases_name_their_entries(self, ooo_core):
         latches = ooo_core.latches
-        for table, name, count in ((ooo_core._iq, "iq.e{:02d}", 16),
-                                   (ooo_core._stq, "stq.e{}", 8),
-                                   (ooo_core._rat, "rat.r{:02d}", 32),
-                                   (ooo_core._ckpt, "ckpt.c{}", 4)):
-            assert len(table) == count
-            for i, entry in enumerate(table):
-                self.assert_entry(entry, latches, name.format(i))
+        for bases, fields, name, count in (
+                (ooo._IQ, ooo._IQ_FIELDS, "iq.e{:02d}", 16),
+                (ooo._STQ, ooo._STQ_FIELDS, "stq.e{}", 8),
+                (ooo._RAT, ooo._RAT_FIELDS, "rat.r{:02d}", 32),
+                (ooo._CKPT, ooo._CKPT_FIELDS, "ckpt.c{}", 4)):
+            assert len(bases) == count
+            for i, base in enumerate(bases):
+                self.assert_entry(base, fields, latches, name.format(i))
+
+    def test_field_offsets_follow_registration_order(self):
+        for prefix, fields in (("F_", ooo._FB_FIELDS),
+                               ("R_", ooo._ROB_FIELDS),
+                               ("Q_", ooo._IQ_FIELDS),
+                               ("S_", ooo._STQ_FIELDS),
+                               ("A_", ooo._RAT_FIELDS),
+                               ("C_", ooo._CKPT_FIELDS)):
+            for offset, (field, _) in enumerate(fields):
+                assert getattr(ooo, prefix + field.upper()) == offset
 
     @pytest.mark.parametrize("core_fixture", ["ino_core", "ooo_core"])
     def test_scalar_slots_match_names(self, core_fixture, request):
-        """The out-of-order core's ``_slots`` fields and the in-order
-        module's slot constants (``F_PC`` for ``f.pc``) name their latch."""
+        """Each core module's slot constants (``F_PC`` for ``f.pc``,
+        ``ROB_HEAD`` for ``rob.head``) name their latch."""
         core = request.getfixturevalue(core_fixture)
-        names = [structure.name for structure in core.registry.structures]
-        if core_fixture == "ino_core":
-            by_field = {name.replace(".", "_").upper(): name
-                        for name in names}
-            slots = {field: getattr(inorder, field) for field in by_field
-                     if hasattr(inorder, field)}
-            assert len(slots) == 55
-        else:
-            by_field = {name.replace(".", "_"): name for name in names}
-            slots = core._slots._asdict()
+        module, count = {"ino_core": (inorder, 55),
+                         "ooo_core": (ooo, 19)}[core_fixture]
+        by_field = {structure.name.replace(".", "_").upper(): structure.name
+                    for structure in core.registry.structures}
+        slots = {field: getattr(module, field) for field in by_field
+                 if hasattr(module, field)}
+        assert len(slots) == count
         for field, slot in slots.items():
             assert slot == core.latches.slot(by_field[field])
 

@@ -282,7 +282,9 @@ class TestSyntheticSweep:
     def test_sharded_sweep_shards_share_caller_store(self, ino_core, tmp_path):
         """Pool shards build their private caches on the caller cache's
         store: a cold sharded sweep fills it, a warm one loads every golden
-        and records none, and both match the serial sweep."""
+        and records none, and both match the serial sweep.  The store
+        readout counts the shards' traffic, not the caller's store object's
+        (which pool shards never touch)."""
         from repro.engine import GoldenArtifactStore
 
         kwargs = dict(seed=3, per_family=1, injections_per_workload=2,
@@ -300,6 +302,9 @@ class TestSyntheticSweep:
         assert warm.cache_stats.recorded == 0
         assert warm.cache_stats.artifacts_loaded == workloads
         assert warm.store_stats.entries == workloads
+        assert cold.store_stats.saved == workloads
+        assert (warm.store_stats.loaded, warm.store_stats.saved) == (
+            workloads, 0)
         for other in runs:
             _assert_sweeps_identical(serial, other)
 
