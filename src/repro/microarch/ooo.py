@@ -823,8 +823,8 @@ class OutOfOrderCore(BaseCore):
                 v[stq + field] = value
         v[STQ_TAIL] = (stq_head + len(surviving)) % STQ_ENTRIES
         v[STQ_COUNT] = len(surviving)
-        # The squashed ops still executing stay in flight: writeback drops
-        # each one when it completes into its invalidated ROB entry.
+        # Squashed ops still executing stay in flight; writeback drops each
+        # one that completes while its ROB entry is still invalid.
         v[ROB_TAIL] = (rob_index + 1) % ROB_ENTRIES
         v[ROB_COUNT] = branch_age + 1
         v[FETCH_PC] = actual_next

@@ -94,7 +94,7 @@ class TestSlotTables:
         for offset, (field, _) in enumerate(fields):
             assert base + offset == latches.slot(f"{name}.{field}")
 
-    def test_rob_bases_cover_every_pointer_value(self, ooo_core):
+    def test_rob_table_covers_every_pointer_value(self, ooo_core):
         registry, latches = ooo_core.registry, ooo_core.latches
         pointers = ("rob.head", "rob.tail", "iq.e00.rob", "stq.e0.rob",
                     "rat.r00.rob")
@@ -104,7 +104,7 @@ class TestSlotTables:
             self.assert_entry(base, ooo._ROB_FIELDS, latches,
                               f"rob.e{i % 40:02d}")
 
-    def test_fetch_buffer_bases_cover_every_pointer_value(self, ooo_core):
+    def test_fetch_buffer_table_covers_every_pointer_value(self, ooo_core):
         registry, latches = ooo_core.registry, ooo_core.latches
         assert registry.structure("fb.head").width == 3
         assert registry.structure("fb.tail").width == 3
@@ -112,7 +112,7 @@ class TestSlotTables:
         for i, base in enumerate(ooo._FB):
             self.assert_entry(base, ooo._FB_FIELDS, latches, f"fb.e{i % 6}")
 
-    def test_other_bases_name_their_entries(self, ooo_core):
+    def test_other_tables_name_their_entries(self, ooo_core):
         latches = ooo_core.latches
         for bases, fields, name, count in (
                 (ooo._IQ, ooo._IQ_FIELDS, "iq.e{:02d}", 16),
