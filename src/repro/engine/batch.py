@@ -34,14 +34,14 @@ structures into two planes:
 There is one in-order pipeline.  The wavefront steps a :class:`_LaneCore`,
 an :class:`InOrderCore` whose latch list holds ints in the control plane and
 ints or columns in the lane plane, so :class:`InOrderCore`'s own cycle
-(:meth:`~InOrderCore._step_cycle`, all seven stages in one body) advances
-every lane at once, at a scalar core's cost while every value is an int.
-The lane core overrides only two of the cycle's hooks: execute runs the
-scalar unit on int operands and otherwise takes the outcome of a vectorised
-pre-pass (which demotes lanes whose control would diverge), and output
-keeps per-lane "equals lane 0" flags.  This module is the orchestration
-around it: admission, the pre-pass and demotion, tandems, retirement and
-eviction.
+(the body of :meth:`~InOrderCore._advance`, all seven stages in one loop,
+stepped here one cycle per call) advances every lane at once, at a scalar
+core's cost while every value is an int.  The lane core overrides only two
+of the cycle's hooks: execute runs the scalar unit on int operands and
+otherwise takes the outcome of a vectorised pre-pass (which demotes lanes
+whose control would diverge), and output keeps per-lane "equals lane 0"
+flags.  This module is the orchestration around it: admission, the
+pre-pass and demotion, tandems, retirement and eviction.
 
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep

@@ -8,6 +8,8 @@ semantics are applied from the outside, on the cycles they concern.  A run
 is stepped by :meth:`BaseCore._advance` from one such cycle to the next (an
 injection, a convergence probe, a snapshot or fingerprint capture), with
 nothing called in between; a per-cycle hook exists only to observe a run.
+Each core implements :meth:`~BaseCore._advance` itself, so a core can step
+a whole segment of cycles in one loop.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class BaseCore(ABC):
 
     Concrete cores must populate ``self.registry`` with every sequential
     structure before calling :meth:`_finalize_state`, implement
-    :meth:`_reset_microarchitecture` and :meth:`_step_cycle`, and advance the
-    documented counters (``_retired``) as instructions commit.
+    :meth:`_reset_microarchitecture` and :meth:`_advance` (the loop that
+    steps the pipeline), and advance the documented counters (``_retired``)
+    as instructions commit.
     """
 
     hint_plane_inert: bool = False
@@ -196,8 +199,16 @@ class BaseCore(ABC):
         """Reset all core-specific state for a new run of ``program``."""
 
     @abstractmethod
-    def _step_cycle(self) -> None:
-        """Advance the core by one clock cycle."""
+    def _advance(self, stop: int) -> None:
+        """Step cycles until the core reaches the start of cycle ``stop`` or
+        terminates -- the one stepping loop every run goes through.
+
+        A cycle with recovery stall pending is charged to the stall instead
+        of stepping the pipeline: hardware recovery makes no architectural
+        progress.  Nothing is called between cycles, so a caller that must
+        act at the start of a cycle (apply an injection, probe or capture
+        the state) advances to that cycle, acts, and advances again.
+        """
 
     @abstractmethod
     def _snapshot_microarchitecture(self) -> dict:
@@ -342,24 +353,6 @@ class BaseCore(ABC):
         self._trap = None
         self.latches.clear()
         self._reset_microarchitecture(program)
-
-    def _advance(self, stop: int) -> None:
-        """Step cycles until the core reaches the start of cycle ``stop`` or
-        terminates -- the one stepping loop every run goes through.
-
-        A cycle with recovery stall pending is charged to the stall instead
-        of stepping the pipeline: hardware recovery makes no architectural
-        progress.  Nothing is called between cycles, so a caller that must
-        act at the start of a cycle (apply an injection, probe or capture
-        the state) advances to that cycle, acts, and advances again.
-        """
-        step_cycle = self._step_cycle
-        while self._cycle < stop and self._termination is None:
-            if self._pending_recovery > 0:
-                self._pending_recovery -= 1
-            else:
-                step_cycle()
-            self._cycle += 1
 
     def step(self) -> bool:
         """Advance one cycle.  Returns False once the run has terminated."""

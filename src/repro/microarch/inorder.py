@@ -32,7 +32,7 @@ from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.branch_predictor import BimodalPredictor
 from repro.microarch.core import BaseCore, CoreClass
 from repro.microarch.events import TerminationReason, TrapKind
-from repro.microarch.execute import ExecuteResult, ExecuteTrap, execute_operation
+from repro.microarch.execute import ExecuteTrap, execute_operation
 from repro.microarch.flipflop import FlipFlopRegistry
 from repro.microarch.memory import MemoryFault, MemorySystem
 
@@ -292,18 +292,11 @@ class InOrderCore(BaseCore):
                 self._redirect_target)
 
     # ------------------------------------------------------------------ hooks
-    # The cycle writes registers and computes through these (fetch indexes
-    # Program.words, decode _FIELDS); the batched lockstep replay's lane
-    # core overrides _execute and emit_output and inherits the cycle.
-    def _write_register(self, index: int, value: int) -> None:
-        index &= 0x1F
-        if index != 0:
-            self.registers[index] = value & _WORD_MASK
-
-    def _execute(self, opcode: Opcode, rs1_value: int, rs2_value: int,
-                 imm: int, pc: int) -> ExecuteResult:
-        """The execute stage's compute (raises :class:`ExecuteTrap`)."""
-        return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
+    # The cycle computes through _execute and emits through emit_output
+    # (fetch indexes Program.words, decode _FIELDS); the batched lockstep
+    # replay's lane core overrides both and inherits the cycle.
+    _execute = staticmethod(execute_operation)
+    """The execute stage's compute (raises :class:`ExecuteTrap`)."""
 
     # ------------------------------------------------------------------ the cycle
     # One body runs the seven stages back to front, so every latch is drained
@@ -318,220 +311,249 @@ class InOrderCore(BaseCore):
     # move, a constant, a masked execute/memory/register result, or an
     # explicitly masked pc increment.  The batched lockstep replay runs this
     # same cycle with per-lane numpy columns in the lane-local latches.
-    def _step_cycle(self) -> None:
-        v = self.latches.values
-
-        # WB: commit results, outputs, halts and traps.
-        if v[W_VALID]:
-            if v[W_TRAP]:
-                kind = _TRAP_FROM_CODE.get(v[W_TRAPKIND],
-                                           TrapKind.ILLEGAL_INSTRUCTION)
-                self.force_termination(
-                    TerminationReason.DETECTED
-                    if kind is TrapKind.SOFTWARE_ASSERTION
-                    else TerminationReason.TRAP, kind)
-                v[W_VALID] = 0
-                return
-            if v[W_WEN]:
-                self._write_register(v[W_RD], v[W_RESULT])
-            if v[W_OUTPENDING]:
-                self.emit_output(v[W_OUTVAL])
-            self._retired += 1
-            if v[W_OP] == _HALT:
-                self.force_termination(TerminationReason.HALTED)
-            v[W_VALID] = 0
-            v[W_WEN] = 0
-            v[W_OUTPENDING] = 0
-        if self._termination is not None:
+    #
+    # A segment reads the latch list, registers, memory, program words and
+    # the three hooks once, in its prologue, and then runs the body once per
+    # cycle.  That is sound because nothing replaces those objects inside a
+    # segment: reset, restore, deserialize and clear, the lane core's
+    # restore, adopt and release, and every injection run only between
+    # _advance calls, and the dead-flip access log swaps the latch list in
+    # before its run (its per-cycle hook would see any later swap, since a
+    # hooked run advances one cycle per call).  Recovery is scheduled only
+    # between calls too, so a pending stall is charged once, up front.
+    def _advance(self, stop: int) -> None:
+        cycle = self._cycle
+        if cycle >= stop or self._termination is not None:
             return
+        pending = self._pending_recovery
+        if pending > 0:
+            stall = min(pending, stop - cycle)
+            self._pending_recovery = pending - stall
+            cycle += stall
+        v = self.latches.values
+        registers = self.registers
+        memory = self.memory
+        words = self._program.words
+        update_predictor = self._predictor.update
+        emit_output = self.emit_output
+        execute = self._execute
+        while cycle < stop:
+            # The cycle counts as stepped from here: a trap or a halt ends
+            # it, and the segment, at its break.
+            cycle += 1
 
-        # XC -> WB
-        if v[X_VALID]:
-            op = v[W_OP] = v[X_OP]
-            rd = v[W_RD] = v[X_RD]
-            v[W_RESULT] = v[X_RESULT]
-            trap = v[W_TRAP] = v[X_TRAP]
-            v[W_TRAPKIND] = v[X_TRAPKIND]
-            v[W_OUTVAL] = v[X_OUTVAL]
-            v[W_OUTPENDING] = v[X_OUTPENDING]
-            v[W_VALID] = 1
-            v[W_WEN] = 1 if not trap and _WRITES_RD[op] and rd != 0 else 0
-            # Status-register bookkeeping (hint-only state).
-            v[W_S_ICC] = v[X_ICC]
-            v[X_VALID] = 0
-        else:
-            v[W_VALID] = 0
-            v[W_WEN] = 0
-            v[W_OUTPENDING] = 0
+            # WB: commit results, outputs, halts and traps.
+            if v[W_VALID]:
+                if v[W_TRAP]:
+                    kind = _TRAP_FROM_CODE.get(v[W_TRAPKIND],
+                                               TrapKind.ILLEGAL_INSTRUCTION)
+                    self.force_termination(
+                        TerminationReason.DETECTED
+                        if kind is TrapKind.SOFTWARE_ASSERTION
+                        else TerminationReason.TRAP, kind)
+                    v[W_VALID] = 0
+                    break
+                if v[W_WEN]:
+                    rd = v[W_RD] & 0x1F
+                    value = v[W_RESULT]
+                    if rd:
+                        registers[rd] = value & _WORD_MASK
+                if v[W_OUTPENDING]:
+                    emit_output(v[W_OUTVAL])
+                self._retired += 1
+                halted = v[W_OP] == _HALT
+                v[W_VALID] = 0
+                v[W_WEN] = 0
+                v[W_OUTPENDING] = 0
+                if halted:
+                    self.force_termination(TerminationReason.HALTED)
+                    break
 
-        # ME -> XC: data memory access.
-        if v[M_VALID]:
-            op = v[X_OP] = v[M_OP]
-            v[X_RD] = v[M_RD]
-            trap = v[X_TRAP] = v[M_TRAP]
-            v[X_TRAPKIND] = v[M_TRAPKIND]
-            v[X_VALID] = 1
-            v[X_OUTPENDING] = 0
-            result = v[M_RESULT]
-            if not trap:
-                address = v[M_ADDR]
-                memory = self.memory
-                try:
-                    if op == _LW:
-                        result = memory.load_word(address)
-                    elif op == _LB:
-                        result = memory.load_byte(address)
-                    elif op == _SW:
-                        memory.store_word(address, v[M_STOREVAL])
-                    elif op == _SB:
-                        memory.store_byte(address, v[M_STOREVAL])
-                    elif op == _OUT:
-                        v[X_OUTVAL] = v[M_STOREVAL]
-                        v[X_OUTPENDING] = 1
-                except MemoryFault:
-                    v[X_TRAP] = 1
-                    v[X_TRAPKIND] = _MEMORY_FAULT
-                # Track data-cache controller hint state.
-                v[DC_CTRL_STATE] = ((v[DC_CTRL_STATE] + 1)
-                                    & DC_CTRL_STATE_MASK)
-            v[X_RESULT] = result
-            v[M_VALID] = 0
-        else:
-            v[X_VALID] = 0
-            v[X_OUTPENDING] = 0
-
-        # EX -> ME: ALU, branch resolution.
-        redirect = False
-        if v[E_VALID]:
-            op = v[M_OP] = v[E_OP]
-            v[M_RD] = v[E_RD]
-            trap = v[M_TRAP] = v[E_TRAP]
-            v[M_TRAPKIND] = v[E_TRAPKIND]
-            v[M_VALID] = 1
-            v[M_BRANCH_TAKEN] = 0
-            if not trap:
-                pc = v[E_PC]
-                imm = v[E_IMM]
-                if imm & _IMM_SIGN:
-                    imm -= _IMM_MASK + 1
-                opcode = _OPCODE[op]
-                if opcode is None:
-                    v[M_TRAP] = 1
-                    v[M_TRAPKIND] = _ILLEGAL
-                else:
-                    try:
-                        result = self._execute(opcode, v[E_RS1VAL],
-                                               v[E_RS2VAL], imm, pc)
-                    except ExecuteTrap as exc:
-                        v[M_TRAP] = 1
-                        v[M_TRAPKIND] = _TRAP_CODES[exc.kind]
-                    else:
-                        v[M_RESULT] = result.value
-                        if result.memory_address is not None:
-                            v[M_ADDR] = result.memory_address
-                        if result.store_value is not None:
-                            v[M_STOREVAL] = result.store_value
-                        if result.output_value is not None:
-                            # The store-value path carries the OUT payload.
-                            v[M_STOREVAL] = result.output_value
-                        if _INFO[op].is_branch:
-                            self._predictor.update(pc, result.branch_taken)
-                        if result.branch_taken:
-                            redirect = True
-                            v[M_BRANCH_TAKEN] = 1
-                            self._redirect_target = result.branch_target
-            v[E_VALID] = 0
-        else:
-            v[M_VALID] = 0
-
-        if redirect:
-            # Squash RA and DE, refetch from the branch target.
-            v[E_VALID] = 0
-            v[A_VALID] = 0
-            v[D_VALID] = 0
-            target = self._redirect_target
-            v[F_PC] = target
-            v[F_NPC] = (target + WORD_BYTES) & _WORD_MASK
-        else:
-            # RA -> EX: register read, stalled by the scoreboard while an
-            # older uncommitted instruction (ME, XC, WB) writes a source.
-            stall = False
-            if v[A_VALID]:
-                op = v[A_OP]
-                info = _INFO[op]
-                if info is not None and not v[A_TRAP]:
-                    busy = 0
-                    if v[M_VALID] and not v[M_TRAP] and _WRITES_RD[v[M_OP]]:
-                        busy = 1 << v[M_RD]
-                    if v[X_VALID] and not v[X_TRAP] and _WRITES_RD[v[X_OP]]:
-                        busy |= 1 << v[X_RD]
-                    if v[W_VALID] and not v[W_TRAP] and _WRITES_RD[v[W_OP]]:
-                        busy |= 1 << v[W_RD]
-                    busy &= ~1  # r0 is never written
-                    stall = busy and (
-                        (info.reads_rs1 and busy >> v[A_RS1] & 1)
-                        or (info.reads_rs2 and busy >> v[A_RS2] & 1))
-                if stall:
-                    # Keep the RA latch (and DE, FE), feed EX a bubble.
-                    v[E_VALID] = 0
-                else:
-                    registers = self.registers
-                    v[E_OP] = op
-                    v[E_RD] = v[A_RD]
-                    v[E_IMM] = v[A_IMM]
-                    v[E_PC] = v[A_PC]
-                    v[E_TRAP] = v[A_TRAP]
-                    v[E_TRAPKIND] = v[A_TRAPKIND]
-                    v[E_RS1VAL] = registers[v[A_RS1] & 0x1F]
-                    v[E_RS2VAL] = registers[v[A_RS2] & 0x1F]
-                    v[E_VALID] = 1
-                    v[A_VALID] = 0
+            # XC -> WB
+            if v[X_VALID]:
+                op = v[W_OP] = v[X_OP]
+                rd = v[W_RD] = v[X_RD]
+                v[W_RESULT] = v[X_RESULT]
+                trap = v[W_TRAP] = v[X_TRAP]
+                v[W_TRAPKIND] = v[X_TRAPKIND]
+                v[W_OUTVAL] = v[X_OUTVAL]
+                v[W_OUTPENDING] = v[X_OUTPENDING]
+                v[W_VALID] = 1
+                v[W_WEN] = 1 if not trap and _WRITES_RD[op] and rd != 0 else 0
+                # Status-register bookkeeping (hint-only state).
+                v[W_S_ICC] = v[X_ICC]
+                v[X_VALID] = 0
             else:
+                v[W_VALID] = 0
+                v[W_WEN] = 0
+                v[W_OUTPENDING] = 0
+
+            # ME -> XC: data memory access.
+            if v[M_VALID]:
+                op = v[X_OP] = v[M_OP]
+                v[X_RD] = v[M_RD]
+                trap = v[X_TRAP] = v[M_TRAP]
+                v[X_TRAPKIND] = v[M_TRAPKIND]
+                v[X_VALID] = 1
+                v[X_OUTPENDING] = 0
+                result = v[M_RESULT]
+                if not trap:
+                    address = v[M_ADDR]
+                    try:
+                        if op == _LW:
+                            result = memory.load_word(address)
+                        elif op == _LB:
+                            result = memory.load_byte(address)
+                        elif op == _SW:
+                            memory.store_word(address, v[M_STOREVAL])
+                        elif op == _SB:
+                            memory.store_byte(address, v[M_STOREVAL])
+                        elif op == _OUT:
+                            v[X_OUTVAL] = v[M_STOREVAL]
+                            v[X_OUTPENDING] = 1
+                    except MemoryFault:
+                        v[X_TRAP] = 1
+                        v[X_TRAPKIND] = _MEMORY_FAULT
+                    # Track data-cache controller hint state.
+                    v[DC_CTRL_STATE] = ((v[DC_CTRL_STATE] + 1)
+                                        & DC_CTRL_STATE_MASK)
+                v[X_RESULT] = result
+                v[M_VALID] = 0
+            else:
+                v[X_VALID] = 0
+                v[X_OUTPENDING] = 0
+
+            # EX -> ME: ALU, branch resolution.
+            redirect = False
+            if v[E_VALID]:
+                op = v[M_OP] = v[E_OP]
+                v[M_RD] = v[E_RD]
+                trap = v[M_TRAP] = v[E_TRAP]
+                v[M_TRAPKIND] = v[E_TRAPKIND]
+                v[M_VALID] = 1
+                v[M_BRANCH_TAKEN] = 0
+                if not trap:
+                    pc = v[E_PC]
+                    imm = v[E_IMM]
+                    if imm & _IMM_SIGN:
+                        imm -= _IMM_MASK + 1
+                    opcode = _OPCODE[op]
+                    if opcode is None:
+                        v[M_TRAP] = 1
+                        v[M_TRAPKIND] = _ILLEGAL
+                    else:
+                        try:
+                            result = execute(opcode, v[E_RS1VAL],
+                                             v[E_RS2VAL], imm, pc)
+                        except ExecuteTrap as exc:
+                            v[M_TRAP] = 1
+                            v[M_TRAPKIND] = _TRAP_CODES[exc.kind]
+                        else:
+                            v[M_RESULT] = result.value
+                            if result.memory_address is not None:
+                                v[M_ADDR] = result.memory_address
+                            if result.store_value is not None:
+                                v[M_STOREVAL] = result.store_value
+                            if result.output_value is not None:
+                                # The store-value path carries the OUT payload.
+                                v[M_STOREVAL] = result.output_value
+                            if _INFO[op].is_branch:
+                                update_predictor(pc, result.branch_taken)
+                            if result.branch_taken:
+                                redirect = True
+                                v[M_BRANCH_TAKEN] = 1
+                                self._redirect_target = result.branch_target
                 v[E_VALID] = 0
+            else:
+                v[M_VALID] = 0
 
-            if not stall:
-                # DE -> RA: decode.
-                if v[D_VALID]:
-                    v[A_PC] = v[D_PC]
-                    v[A_VALID] = 1
-                    if v[D_FETCHFAULT]:
-                        fields = None
-                        code = _FETCH_FAULT
+            if redirect:
+                # Squash RA and DE, refetch from the branch target.
+                v[E_VALID] = 0
+                v[A_VALID] = 0
+                v[D_VALID] = 0
+                target = self._redirect_target
+                v[F_PC] = target
+                v[F_NPC] = (target + WORD_BYTES) & _WORD_MASK
+            else:
+                # RA -> EX: register read, stalled by the scoreboard while an
+                # older uncommitted instruction (ME, XC, WB) writes a source.
+                stall = False
+                if v[A_VALID]:
+                    op = v[A_OP]
+                    info = _INFO[op]
+                    if info is not None and not v[A_TRAP]:
+                        busy = 0
+                        if v[M_VALID] and not v[M_TRAP] and _WRITES_RD[v[M_OP]]:
+                            busy = 1 << v[M_RD]
+                        if v[X_VALID] and not v[X_TRAP] and _WRITES_RD[v[X_OP]]:
+                            busy |= 1 << v[X_RD]
+                        if v[W_VALID] and not v[W_TRAP] and _WRITES_RD[v[W_OP]]:
+                            busy |= 1 << v[W_RD]
+                        busy &= ~1  # r0 is never written
+                        stall = busy and (
+                            (info.reads_rs1 and busy >> v[A_RS1] & 1)
+                            or (info.reads_rs2 and busy >> v[A_RS2] & 1))
+                    if stall:
+                        # Keep the RA latch (and DE, FE), feed EX a bubble.
+                        v[E_VALID] = 0
                     else:
-                        fields = _FIELDS[v[D_INST]]
-                        code = _ILLEGAL
-                    if fields is None:
-                        v[A_TRAP] = 1
-                        v[A_TRAPKIND] = code
-                        fields = (0, 0, 0, 0, 0)
+                        v[E_OP] = op
+                        v[E_RD] = v[A_RD]
+                        v[E_IMM] = v[A_IMM]
+                        v[E_PC] = v[A_PC]
+                        v[E_TRAP] = v[A_TRAP]
+                        v[E_TRAPKIND] = v[A_TRAPKIND]
+                        v[E_RS1VAL] = registers[v[A_RS1] & 0x1F]
+                        v[E_RS2VAL] = registers[v[A_RS2] & 0x1F]
+                        v[E_VALID] = 1
+                        v[A_VALID] = 0
+                else:
+                    v[E_VALID] = 0
+
+                if not stall:
+                    # DE -> RA: decode.
+                    if v[D_VALID]:
+                        v[A_PC] = v[D_PC]
+                        v[A_VALID] = 1
+                        if v[D_FETCHFAULT]:
+                            fields = None
+                            code = _FETCH_FAULT
+                        else:
+                            fields = _FIELDS[v[D_INST]]
+                            code = _ILLEGAL
+                        if fields is None:
+                            v[A_TRAP] = 1
+                            v[A_TRAPKIND] = code
+                            fields = (0, 0, 0, 0, 0)
+                        else:
+                            v[A_TRAP] = 0
+                            v[A_TRAPKIND] = 0
+                        v[A_OP], v[A_RD], v[A_RS1], v[A_RS2], v[A_IMM] = fields
+                        v[D_VALID] = 0
                     else:
-                        v[A_TRAP] = 0
-                        v[A_TRAPKIND] = 0
-                    v[A_OP], v[A_RD], v[A_RS1], v[A_RS2], v[A_IMM] = fields
-                    v[D_VALID] = 0
-                else:
-                    v[A_VALID] = 0
+                        v[A_VALID] = 0
 
-                # FE -> DE: instruction fetch.
-                pc = v[F_PC]
-                words = self._program.words
-                index = pc >> 2
-                v[D_PC] = pc
-                v[D_VALID] = 1
-                if pc & 3 or index >= len(words):
-                    # Fetch fault: send a trap-carrying bubble down the
-                    # pipeline.  It only terminates the run if an older
-                    # instruction (a HALT already in flight, say) does not
-                    # commit or redirect first.
-                    v[D_INST] = 0
-                    v[D_FETCHFAULT] = 1
-                else:
-                    v[D_FETCHFAULT] = 0
-                    v[D_INST] = words[index]
-                    v[F_PC] = (pc + WORD_BYTES) & _WORD_MASK
-                    v[F_NPC] = (pc + 2 * WORD_BYTES) & _WORD_MASK
-                    v[IC_CTRL_STATE] = ((v[IC_CTRL_STATE] + 1)
-                                        & IC_CTRL_STATE_MASK)
+                    # FE -> DE: instruction fetch.
+                    pc = v[F_PC]
+                    index = pc >> 2
+                    v[D_PC] = pc
+                    v[D_VALID] = 1
+                    if pc & 3 or index >= len(words):
+                        # Fetch fault: send a trap-carrying bubble down the
+                        # pipeline.  It only terminates the run if an older
+                        # instruction (a HALT already in flight, say) does not
+                        # commit or redirect first.
+                        v[D_INST] = 0
+                        v[D_FETCHFAULT] = 1
+                    else:
+                        v[D_FETCHFAULT] = 0
+                        v[D_INST] = words[index]
+                        v[F_PC] = (pc + WORD_BYTES) & _WORD_MASK
+                        v[F_NPC] = (pc + 2 * WORD_BYTES) & _WORD_MASK
+                        v[IC_CTRL_STATE] = ((v[IC_CTRL_STATE] + 1)
+                                            & IC_CTRL_STATE_MASK)
 
-        # Peripheral hint state toggles so vanish-class flip-flops see traffic.
-        v[IRQ_PENDING] = (v[IRQ_PENDING] + 1) & IRQ_PENDING_MASK
+            # Peripheral hint state toggles so vanish-class flops see traffic.
+            v[IRQ_PENDING] = (v[IRQ_PENDING] + 1) & IRQ_PENDING_MASK
+        self._cycle = cycle

@@ -417,6 +417,17 @@ class OutOfOrderCore(BaseCore):
                 self._fetch_stalled)
 
     # ------------------------------------------------------------------ the cycle
+    # A segment steps the cycle body below once per cycle that has no
+    # recovery stall pending.
+    def _advance(self, stop: int) -> None:
+        step_cycle = self._step_cycle
+        while self._cycle < stop and self._termination is None:
+            if self._pending_recovery > 0:
+                self._pending_recovery -= 1
+            else:
+                step_cycle()
+            self._cycle += 1
+
     # One body runs the stages back to front, so every structure drains
     # before the stage behind refills it: commit, writeback (complete an
     # op, broadcast its result, resolve a branch), issue, rename/dispatch,

@@ -11,7 +11,7 @@ class LeakyCore(BaseCore):  # noqa: F821 - resolved structurally by the rule
         super().__init__()
         self._scratch = []
 
-    def _step_cycle(self):
+    def _advance(self, stop):
         self._scratch.append(1)
 
     def _snapshot_microarchitecture(self):

@@ -16,7 +16,7 @@ class StickyCore(BaseCore):  # noqa: F821 - resolved structurally by the rule
     def _reset_microarchitecture(self, program):
         self.registers = [0]
 
-    def _step_cycle(self):
+    def _advance(self, stop):
         self.registers[0] += 1
         self._redirect += 4
 

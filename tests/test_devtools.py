@@ -288,7 +288,7 @@ class TestStateCoverage:
                     super().__init__()
                     self.{attr} = []
 
-                def _step_cycle(self):
+                def _advance(self, stop):
                     self.{attr}.append(1)
             """)
         if covered:

@@ -914,15 +914,19 @@ def _hint_plane_differences(core_cls, program):
 class _PredictorReadingCore(InOrderCore):
     """A mutant that consults the bimodal predictor: on odd cycles the whole
     pipeline stalls (the cycle does nothing) while the counter the fetch pc
-    indexes predicts taken."""
+    indexes predicts taken.  It steps one cycle per segment so it can look
+    at every cycle."""
 
-    def _step_cycle(self):
-        if self.cycle % 2:
-            pc = self.latches.get("f.pc")
-            counter = self.latches.get("f.bp.table") >> 2 * ((pc >> 2) % 32)
-            if counter & 0b10:
-                return
-        super()._step_cycle()
+    def _advance(self, stop):
+        while self._cycle < stop and self._termination is None:
+            if self._cycle % 2 and self._pending_recovery <= 0:
+                pc = self.latches.get("f.pc")
+                counter = (self.latches.get("f.bp.table")
+                           >> 2 * ((pc >> 2) % 32))
+                if counter & 0b10:
+                    self._cycle += 1
+                    continue
+            super()._advance(self._cycle + 1)
 
 
 def _hint_structure_differences(core_cls, program):

@@ -345,3 +345,63 @@ def test_run_result_watchdog_hang():
     result = core.run(program, max_cycles=500)
     assert result.reason is TerminationReason.HANG
     assert result.cycles == 500
+
+
+class _SquashedOp(ooo._InFlightOp):
+    """An in-flight op a mispredict squashed.  Writeback reads an op's
+    opcode only after its ROB entry's valid check passes, so each read is
+    a squashed op completing into a valid entry."""
+
+    @property
+    def opcode(self):
+        self.completions.append((self.pc, self.rob_index))
+        return self.__dict__["opcode"]
+
+
+class _SquashProbeCore(OutOfOrderCore):
+    """Tags every executing op that a mispredict squashes, and records each
+    one that later completes into a valid ROB entry."""
+
+    def __init__(self):
+        super().__init__()
+        # audit: allow[state-coverage] the probe observes one run from reset and is never snapshotted
+        self.squashed = 0
+        self.completions = []
+
+    def _resolve_branch(self, v, op, taken, target):
+        super()._resolve_branch(v, op, taken, target)
+        for executing in self._in_flight:
+            if (type(executing) is ooo._InFlightOp
+                    and not v[ooo._ROB[executing.rob_index] + ooo.R_VALID]):
+                executing.__class__ = _SquashedOp
+                executing.completions = self.completions
+                self.squashed += 1
+
+
+class TestSquashedOps:
+    """A mispredict squash leaves the squashed ops executing; writeback must
+    drop each one, never complete it into its ROB entry once a younger
+    instruction re-allocated that entry."""
+
+    @pytest.fixture(scope="class")
+    def probed(self):
+        program = next(w for w in suite_for_core(OutOfOrderCore())
+                       if w.name == "inner_product").program()
+        core = _SquashProbeCore()
+        return core, core.run(program), OutOfOrderCore().run(program)
+
+    def test_probe_sees_squashes_and_changes_nothing(self, probed):
+        core, result, golden = probed
+        assert core.squashed > 0
+        assert result == golden
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "writeback checks only the ROB entry's valid bit, so a squashed op "
+        "completes into a re-allocated entry (4 times in inner_product's "
+        "golden run); dropping squashed ops changes the out-of-order golden "
+        "runs, so the fix re-pins tests/test_ooo_pins.py and "
+        "perfbench/reference/ooo.json and waits for a change to the "
+        "benchmark"))
+    def test_no_squashed_op_completes_into_a_reallocated_entry(self, probed):
+        core, _, _ = probed
+        assert core.completions == []

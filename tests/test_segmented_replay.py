@@ -65,7 +65,9 @@ class _Converged(Exception):
 
 def _oracle_loop(core, max_cycles: int, hook) -> RunResult:
     """Step ``core`` one cycle at a time to termination or ``max_cycles``,
-    calling ``hook(core, cycle)`` at the start of every cycle."""
+    calling ``hook(core, cycle)`` at the start of every cycle.  A cycle
+    with recovery stall pending is charged here, so the pipeline is only
+    ever asked to step a one-cycle segment with no stall."""
     while core._termination is None:
         if core._cycle >= max_cycles:
             core._termination = TerminationReason.HANG
@@ -76,9 +78,9 @@ def _oracle_loop(core, max_cycles: int, hook) -> RunResult:
             break
         if core._pending_recovery > 0:
             core._pending_recovery -= 1
+            core._cycle += 1
         else:
-            core._step_cycle()
-        core._cycle += 1
+            core._advance(core._cycle + 1)
     return RunResult(
         program_name=core._program.name, core_name=core.name,
         reason=core._termination, trap=core._trap, cycles=core._cycle,
