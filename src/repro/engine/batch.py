@@ -38,10 +38,13 @@ ints or columns in the lane plane, so :class:`InOrderCore`'s own cycle
 stepped here one cycle per call) advances every lane at once, at a scalar
 core's cost while every value is an int.  The lane core overrides only two
 of the cycle's hooks: execute runs the scalar unit on int operands and
-otherwise takes the outcome of a vectorised pre-pass (which demotes lanes
-whose control would diverge), and output keeps per-lane "equals lane 0"
-flags.  This module is the orchestration around it: admission, the
-pre-pass and demotion, tandems, retirement and eviction.
+otherwise takes the outcome of a pre-pass, which runs the same scalar unit
+once per distinct operand pair and demotes lanes whose control would
+diverge, and output keeps per-lane "equals lane 0" flags.  There is one
+execute unit, :func:`~repro.microarch.execute.execute_operation`; this
+module holds no opcode semantics.  It is the orchestration around the lane
+core: admission, the pre-pass and demotion, tandems, retirement and
+eviction.
 
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep
@@ -109,7 +112,6 @@ from repro.engine.executors import (
     run_gated,
 )
 from repro.faultinjection.outcomes import classify_outcome
-from repro.isa.instructions import LUI_SHIFT, Opcode
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot
 from repro.microarch.events import RunResult, TerminationReason, TrapKind
@@ -117,8 +119,7 @@ from repro.microarch.execute import (ExecuteResult, ExecuteTrap,
                                      execute_operation)
 from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
                                      E_TRAP, E_VALID, InOrderCore)
-from repro.microarch.memory import (BatchedWordStore, collapsed, released,
-                                    with_lane)
+from repro.microarch.memory import BatchedWordStore, released, with_lane
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
@@ -135,8 +136,6 @@ from repro.obs.phases import (
     SPAN_CHUNK,
 )
 from repro.obs.trace import now_us
-
-_WORD = 0xFFFFFFFF
 
 _MIN_WAVEFRONT_LANES = 2
 """Smallest batchable population worth building a wavefront for."""
@@ -193,7 +192,8 @@ class _LaneCore(InOrderCore):
     computation on a column makes the lanes differ.  While the execute
     operands are ints the inherited cycle runs exactly as the scalar
     core's, the execute unit included; a column operand takes the
-    wavefront's vectorised pre-pass outcome instead.
+    wavefront's pre-pass outcome instead, which the same unit computed lane
+    by lane.
 
     Free lane slots mirror lane 0 in every column: :meth:`release` copies
     lane 0 into a slot its replay left and turns the columns whose lanes
@@ -433,7 +433,6 @@ class _StreamingWavefront:
         self._pool = pool
         self.lanes = width + 1
         self._core = _LaneCore(core.name, self.lanes)
-        self._zeros = np.zeros(self.lanes, dtype=np.int64)
         self._fp_interval = checkpointed.fingerprint_interval
         # _golden_batchable already turned hung golden runs away, so the
         # grid alone decides the gate, as it does in run_gated.
@@ -604,14 +603,13 @@ class _StreamingWavefront:
             args={"site": tandem.record.planned.injection.flat_index,
                   "disposition": disposition})
 
-    def _demote_divergent(self, values: np.ndarray) -> None:
-        """Demote occupied lanes whose ``values`` entry differs from lane 0's.
+    def _demote_divergent(self, mask: np.ndarray) -> None:
+        """Demote the occupied lanes set in the boolean ``mask``.
 
         Called from the execute pre-pass *before* any stage mutates state,
         so the extracted snapshot is the lane's pristine start-of-cycle
         state -- exactly what a scalar replay would hold here.
         """
-        mask = values != values[0]
         mask &= self._occupied
         if mask.any():
             for lane in np.nonzero(mask)[0]:
@@ -744,18 +742,20 @@ class _StreamingWavefront:
 
     # ------------------------------------------------------------------ execute pre-pass
     def _execute_prepass(self) -> ExecuteResult | TrapKind | None:
-        """Compute the execute stage for the whole wavefront *before* any
-        mutation, demoting lanes whose control-bearing outputs (branch
-        decision/target, memory address, trap predicate) diverge from the
-        reference lane.
+        """Run the execute unit for every lane *before* any mutation, and
+        demote the lanes whose control -- the trap kind, or the branch
+        decision, branch target and memory address -- differs from the
+        reference lane's.
 
         Only a column operand needs it: with two int operands every lane
         computes the same thing, so this returns ``None`` and
-        :meth:`_LaneCore._execute` runs the scalar unit.  Otherwise it
-        returns what :meth:`_LaneCore._execute` hands the execute stage: an
-        :class:`ExecuteResult` whose values are ints or per-lane columns
-        (ints where the lanes agree) and whose control fields are lane 0's
-        scalars, or the :class:`TrapKind` it raises.  ``None`` too when the
+        :meth:`_LaneCore._execute` runs the scalar unit.  Otherwise the
+        scalar unit runs once per distinct operand pair, and this returns
+        what :meth:`_LaneCore._execute` hands the execute stage: lane 0's
+        :class:`ExecuteResult` with its values as ints where the lanes agree
+        and int64 columns where they do not, or the :class:`TrapKind` it
+        raises.  A demoted lane takes lane 0's outcome, so the slot it
+        leaves mirrors lane 0 like every free slot.  ``None`` too when the
         stage will not execute this cycle.
 
         Running ahead of the older stages is exact: they never touch the
@@ -769,120 +769,55 @@ class _StreamingWavefront:
         b = v[E_RS2VAL]
         if type(a) is int and type(b) is int:
             return None  # every lane agrees: the stage runs the scalar unit
-        unit = _LANE_UNITS[v[E_OP]]
-        if unit is None:
-            return None
-        if type(a) is int:
-            a = np.full(self.lanes, a, dtype=np.int64)
-        if type(b) is int:
-            b = np.full(self.lanes, b, dtype=np.int64)
+        lanes = self.lanes
+        pairs = list(zip([a] * lanes if type(a) is int else a.tolist(),
+                         [b] * lanes if type(b) is int else b.tolist()))
+        op = v[E_OP]
         imm = v[E_IMM]
         if imm & 0x4000:  # sign-extend the 15-bit immediate
             imm -= 0x8000
-        outcome = unit(self, a, b, imm, v[E_PC])
-        if type(outcome) is ExecuteResult:
-            outcome.value = collapsed(outcome.value)
-            outcome.store_value = collapsed(outcome.store_value)
-            outcome.output_value = collapsed(outcome.output_value)
+        pc = v[E_PC]
+        outcomes = {}
+        for pair in dict.fromkeys(pairs):
+            try:
+                outcomes[pair] = execute_operation(op, pair[0], pair[1],
+                                                   imm, pc)
+            except ExecuteTrap as exc:
+                outcomes[pair] = exc.kind
+        reference = outcomes[pairs[0]]
+        control = _control(reference)
+        divergent = [pair for pair, outcome in outcomes.items()
+                     if _control(outcome) != control]
+        if divergent:
+            self._demote_divergent(np.array([pair in divergent
+                                             for pair in pairs]))
+            for pair in divergent:
+                outcomes[pair] = reference
+        if type(reference) is TrapKind:
+            return reference
+        results = [outcomes[pair] for pair in pairs]
+        reference.value = _merged([r.value for r in results])
+        reference.store_value = _merged([r.store_value for r in results])
+        reference.output_value = _merged([r.output_value for r in results])
+        return reference
+
+
+def _control(outcome: ExecuteResult | TrapKind):
+    """What of an execute outcome steers the pipeline: the trap kind, or
+    the branch decision, branch target and memory address."""
+    if type(outcome) is TrapKind:
         return outcome
+    return (outcome.branch_taken, outcome.branch_target,
+            outcome.memory_address)
 
 
-# ---------------------------------------------------------------------- pre-pass units
-# The pre-pass twin of repro.microarch.execute's table: one unit per opcode
-# value, called (when an operand is a column) with the wavefront, the int64
-# operand columns (an int operand broadcast), the sign-extended immediate
-# and the pc.  A unit returns an ExecuteResult whose values are per-lane
-# columns and whose control fields are lane 0's, or the TrapKind the stage
-# raises; the pre-pass turns the columns whose lanes agree into ints.  Before it reads a control-bearing column (a
-# trap predicate, memory address, branch decision or jump target) into a
-# scalar, it demotes the lanes that disagree with lane 0 (_agreed).
-def _signed(values: np.ndarray) -> np.ndarray:
-    """Sign-extend 32-bit values held in int64 lanes (branch-free)."""
-    return values - ((values >> 31) << 32)
-
-
-def _agreed(wave: _StreamingWavefront, column: np.ndarray) -> int:
-    """Demote the lanes whose ``column`` entry differs from lane 0's and
-    return lane 0's."""
-    wave._demote_divergent(column)
-    return int(column[0])
-
-
-def _lane_divide(wave, a, b, remainder: bool):
-    if _agreed(wave, b == 0):
-        return TrapKind.DIVIDE_BY_ZERO
-    sa = _signed(a)
-    sb = _signed(b)
-    safe = np.where(sb == 0, np.int64(1), sb)
-    # Matches the scalar semantics bit-for-bit: execute_operation computes
-    # int(a / b), i.e. float64 division truncated toward zero, and float64
-    # is exact for all 32-bit operand pairs.
-    quotient = np.trunc(sa / safe).astype(np.int64)
-    if remainder:
-        return ExecuteResult((sa - quotient * safe) & _WORD)
-    return ExecuteResult(quotient & _WORD)
-
-
-def _lane_assert(wave, failed):
-    if _agreed(wave, failed):
-        return TrapKind.SOFTWARE_ASSERTION
-    return ExecuteResult(wave._zeros)
-
-
-def _lane_branch(wave, taken, imm: int, pc: int) -> ExecuteResult:
-    return ExecuteResult(wave._zeros, bool(_agreed(wave, taken)),
-                         (pc + 4 + 4 * imm) & _WORD)
-
-
-def _lane_jump(wave, target: int, pc: int) -> ExecuteResult:
-    return ExecuteResult(
-        np.full(wave.lanes, (pc + 4) & _WORD, dtype=np.int64), True, target)
-
-
-_V = ExecuteResult
-_LANE_SEMANTICS = {
-    Opcode.ADD: lambda w, a, b, imm, pc: _V((a + b) & _WORD),
-    Opcode.SUB: lambda w, a, b, imm, pc: _V((a - b) & _WORD),
-    Opcode.MUL: lambda w, a, b, imm, pc: _V((_signed(a) * _signed(b)) & _WORD),
-    Opcode.DIV: lambda w, a, b, imm, pc: _lane_divide(w, a, b, False),
-    Opcode.REM: lambda w, a, b, imm, pc: _lane_divide(w, a, b, True),
-    Opcode.AND: lambda w, a, b, imm, pc: _V(a & b),
-    Opcode.OR: lambda w, a, b, imm, pc: _V(a | b),
-    Opcode.XOR: lambda w, a, b, imm, pc: _V(a ^ b),
-    Opcode.SLL: lambda w, a, b, imm, pc: _V((a << (b & 31)) & _WORD),
-    Opcode.SRL: lambda w, a, b, imm, pc: _V(a >> (b & 31)),
-    Opcode.SRA: lambda w, a, b, imm, pc: _V((_signed(a) >> (b & 31)) & _WORD),
-    Opcode.SLT: lambda w, a, b, imm, pc: _V((_signed(a) < _signed(b)).astype(np.int64)),
-    Opcode.SLTU: lambda w, a, b, imm, pc: _V((a < b).astype(np.int64)),
-    Opcode.ADDI: lambda w, a, b, imm, pc: _V((a + imm) & _WORD),
-    Opcode.ANDI: lambda w, a, b, imm, pc: _V(a & (imm & _WORD)),
-    Opcode.ORI: lambda w, a, b, imm, pc: _V(a | (imm & _WORD)),
-    Opcode.XORI: lambda w, a, b, imm, pc: _V(a ^ (imm & _WORD)),
-    Opcode.SLTI: lambda w, a, b, imm, pc: _V((_signed(a) < imm).astype(np.int64)),
-    Opcode.SLLI: lambda w, a, b, imm, pc: _V((a << (imm & 31)) & _WORD),
-    Opcode.SRLI: lambda w, a, b, imm, pc: _V(a >> (imm & 31)),
-    Opcode.SRAI: lambda w, a, b, imm, pc: _V((_signed(a) >> (imm & 31)) & _WORD),
-    Opcode.LUI: lambda w, a, b, imm, pc: _V(
-        np.full(w.lanes, (imm << LUI_SHIFT) & _WORD, dtype=np.int64)),
-    Opcode.LW: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD)),
-    Opcode.LB: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD)),
-    Opcode.SW: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD), b),
-    Opcode.SB: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, _agreed(w, (a + imm) & _WORD), b),
-    Opcode.BEQ: lambda w, a, b, imm, pc: _lane_branch(w, a == b, imm, pc),
-    Opcode.BNE: lambda w, a, b, imm, pc: _lane_branch(w, a != b, imm, pc),
-    Opcode.BLT: lambda w, a, b, imm, pc: _lane_branch(w, _signed(a) < _signed(b), imm, pc),
-    Opcode.BGE: lambda w, a, b, imm, pc: _lane_branch(w, _signed(a) >= _signed(b), imm, pc),
-    Opcode.BLTU: lambda w, a, b, imm, pc: _lane_branch(w, a < b, imm, pc),
-    Opcode.BGEU: lambda w, a, b, imm, pc: _lane_branch(w, a >= b, imm, pc),
-    Opcode.JAL: lambda w, a, b, imm, pc: _lane_jump(w, (4 * imm) & _WORD, pc),
-    Opcode.JALR: lambda w, a, b, imm, pc: _lane_jump(w, _agreed(w, (a + imm) & _WORD & ~0x3), pc),
-    Opcode.OUT: lambda w, a, b, imm, pc: _V(w._zeros, False, 0, None, None, a),
-    Opcode.HALT: lambda w, a, b, imm, pc: _V(w._zeros),
-    Opcode.NOP: lambda w, a, b, imm, pc: _V(w._zeros),
-    Opcode.ASSERT_EQ: lambda w, a, b, imm, pc: _lane_assert(w, a != b),
-    Opcode.ASSERT_RANGE: lambda w, a, b, imm, pc: _lane_assert(w, a > b),
-}
-_LANE_UNITS = [_LANE_SEMANTICS.get(value) for value in range(128)]
+def _merged(values: list):
+    """Per-lane ``values`` as one value where the lanes agree, else as an
+    int64 column."""
+    first = values[0]
+    if values.count(first) == len(values):
+        return first
+    return np.array(values, dtype=np.int64)
 
 
 def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,

@@ -10,6 +10,11 @@ opcode field, one function ``(a, b, imm, pc)`` computing that opcode
 (``None`` for a value no opcode has), and :func:`execute_operation` indexes
 it by the opcode's value.  Each function returns an :class:`ExecuteResult`,
 a slotted record built positionally.
+
+It is the only copy of these semantics.  Its callers are the two cores'
+execute stages, the functional simulator, and the batched lockstep replay's
+execute pre-pass (:mod:`repro.engine.batch`), which runs it once per
+distinct operand pair of its lanes.
 """
 
 from __future__ import annotations

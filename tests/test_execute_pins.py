@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ import pytest
 from repro.isa.instructions import Opcode
 from repro.microarch.events import TrapKind
 from repro.microarch.execute import ExecuteTrap, execute_operation
+from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
+                                     E_TRAP, E_VALID)
 
 EDGE_OPERANDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
 EDGE_IMMEDIATES = (-16384, -1, 0, 16383)
@@ -132,17 +135,30 @@ def test_a_value_no_opcode_has_is_illegal(value):
 
 
 class _Wavefront:
-    """What the batched pre-pass units use of a wavefront; demotions are
-    recorded, not performed."""
+    """What the execute pre-pass uses of a wavefront: the lane core's
+    execute latches and the lane count.  Demotions are recorded, not
+    performed, and every lane counts as occupied."""
 
-    def __init__(self, lanes: int):
+    def __init__(self, opcode, a, b, imm: int, pc: int, lanes: int):
+        values = [0] * (max(E_VALID, E_TRAP, E_OP, E_IMM, E_PC, E_RS1VAL,
+                            E_RS2VAL) + 1)
+        values[E_VALID] = 1
+        values[E_OP] = int(opcode)
+        values[E_IMM] = imm & 0x7FFF  # the latch holds the raw 15 bits
+        values[E_PC] = pc
+        values[E_RS1VAL] = a
+        values[E_RS2VAL] = b
+        self._core = SimpleNamespace(latches=SimpleNamespace(values=values))
         self.lanes = lanes
-        self._zeros = np.zeros(lanes, dtype=np.int64)
         self.demoted: set[int] = set()
 
-    def _demote_divergent(self, values) -> None:
-        self.demoted.update(int(lane) for lane, value in enumerate(values)
-                            if value != values[0])
+    def _demote_divergent(self, mask) -> None:
+        self.demoted.update(np.flatnonzero(mask).tolist())
+
+    def prepass(self):
+        from repro.engine.batch import _StreamingWavefront
+
+        return _StreamingWavefront._execute_prepass(self)
 
 
 def _control(outcome):
@@ -151,36 +167,64 @@ def _control(outcome):
     return outcome[1:4]
 
 
+def _lane(value, lane: int):
+    """Lane ``lane``'s entry of a pre-pass value (None, an int or a column)."""
+    if value is None or type(value) is int:
+        return value
+    return int(value[lane])
+
+
 @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.name)
 def test_batched_prepass_matches_the_scalar_unit(opcode):
     """Every lane the pre-pass keeps computes what the scalar unit computes
-    for its operands, and it demotes exactly the lanes whose trap, branch
-    decision, target or address differs from lane 0's."""
-    from repro.engine.batch import _LANE_UNITS
-
+    for its operands, it demotes exactly the lanes whose trap, branch
+    decision, target or address differs from lane 0's, and every demoted
+    lane's entry of a returned column is lane 0's, so the slot it leaves
+    mirrors lane 0."""
+    operands = np.arange(4, dtype=np.int64)
+    for skipped, latch in ((0, E_VALID), (1, E_TRAP)):
+        wave = _Wavefront(opcode, operands, operands, 0, 0, 4)
+        wave._core.latches.values[latch] = skipped
+        assert wave.prepass() is None  # the stage will not execute
     grid = list(_grid())
     pairs = sorted({(a, b) for a, b, _, _ in grid})
     for imm, pc in sorted({(imm, pc) for _, _, imm, pc in grid}):
+        a, b = pairs[0]
+        assert _Wavefront(opcode, a, b, imm, pc, 4).prepass() is None
         for lead in (0, len(pairs) // 2, len(pairs) - 1):
             lanes = pairs[lead:] + pairs[:lead]
             a = np.array([pair[0] for pair in lanes], dtype=np.int64)
             b = np.array([pair[1] for pair in lanes], dtype=np.int64)
-            wave = _Wavefront(len(lanes))
-            result = _LANE_UNITS[opcode](wave, a, b, imm, pc)
+            wave = _Wavefront(opcode, a, b, imm, pc, len(lanes))
+            result = wave.prepass()
             scalar = [_outcome(opcode, x, y, imm, pc) for x, y in lanes]
             assert wave.demoted == {
                 lane for lane, outcome in enumerate(scalar)
                 if _control(outcome) != _control(scalar[0])}
+            if isinstance(result, TrapKind):
+                for lane, outcome in enumerate(scalar):
+                    if lane not in wave.demoted:
+                        assert outcome[:2] == ("trap", result.value)
+                continue
+            for column in (result.value, result.store_value,
+                           result.output_value):
+                if type(column) is np.ndarray:
+                    assert column.dtype == np.int64
+                    assert (column != column[0]).any()
+                    for lane in wave.demoted:
+                        assert column[lane] == column[0]
             for lane, outcome in enumerate(scalar):
                 if lane in wave.demoted:
                     continue
-                if isinstance(result, TrapKind):
-                    assert outcome[:2] == ("trap", result.value)
-                    continue
-                store = result.store_value
-                output = result.output_value
                 assert outcome == (
-                    int(result.value[lane]), result.branch_taken,
+                    _lane(result.value, lane), result.branch_taken,
                     result.branch_target, result.memory_address,
-                    None if store is None else int(store[lane]),
-                    None if output is None else int(output[lane]))
+                    _lane(result.store_value, lane),
+                    _lane(result.output_value, lane))
+
+
+def test_prepass_traps_an_illegal_opcode_with_column_operands():
+    column = np.arange(4, dtype=np.int64)
+    wave = _Wavefront(0x7F, column, column, 0, 0, 4)
+    assert wave.prepass() is TrapKind.ILLEGAL_INSTRUCTION
+    assert not wave.demoted
