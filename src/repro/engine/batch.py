@@ -34,17 +34,38 @@ structures into two planes:
 There is one in-order pipeline.  The wavefront steps a :class:`_LaneCore`,
 an :class:`InOrderCore` whose latch list holds ints in the control plane and
 ints or columns in the lane plane, so :class:`InOrderCore`'s own cycle
-(the body of :meth:`~InOrderCore._advance`, all seven stages in one loop,
-stepped here one cycle per call) advances every lane at once, at a scalar
-core's cost while every value is an int.  The lane core overrides only two
-of the cycle's hooks: execute runs the scalar unit on int operands and
-otherwise takes the outcome of a pre-pass, which runs the same scalar unit
-once per distinct operand pair and demotes lanes whose control would
-diverge, and output keeps per-lane "equals lane 0" flags.  There is one
-execute unit, :func:`~repro.microarch.execute.execute_operation`; this
-module holds no opcode semantics.  It is the orchestration around the lane
-core: admission, the pre-pass and demotion, tandems, retirement and
-eviction.
+(:meth:`~InOrderCore._advance`, all seven stages in one loop) advances every
+lane at once, at a scalar core's cost while every value is an int.  The
+lane core overrides only two of the cycle's hooks: execute runs the scalar
+unit on int operands and otherwise takes the outcome of a pre-pass, which
+runs the same scalar unit once per distinct operand pair and demotes lanes
+whose control would diverge, and output keeps per-lane "equals lane 0"
+flags.  There is one execute unit,
+:func:`~repro.microarch.execute.execute_operation`; this module holds no
+opcode semantics.  It is the orchestration around the lane core:
+admission, the pre-pass and demotion, tandems, retirement and eviction.
+
+The sweep stops only at events -- the next admission cycle, the next grid
+cycle while a lane is seated, golden termination -- and steps the lane core
+a segment at a time between them.  While no tandem is live and the core is
+*quiet* -- ``e.rs1val``, ``e.rs2val``, ``m.result``, ``x.result``,
+``w.result``, every register and every memory word are ints, and so is
+``m.storeval`` under a valid, untrapped SW, SB or OUT in the M latch -- one
+``_advance(stop)`` call runs the whole stretch with no pre-pass.  That is
+exact because quiet is closed under the cycle: int operands give int
+results and store values, int memory loads ints, copies of ints stay ints,
+a stale ``m.storeval`` column is overwritten by the next storing
+instruction's EX before its ME reads it, and ``x.outval``, ``w.outval`` and
+hint columns reach only output and hint state.  No execute operand becomes
+a column inside the segment, so the pre-pass would have returned ``None``
+on every cycle of it (and the lane core raises if one ever does).  A loud
+core steps cycle by cycle behind the pre-pass up to the same stop, and
+every cycle with a tandem live is stepped singly with the tandems.  On a
+seed-0 ``campaign-ino-batched`` pass (2-CPU shared host, phase timers on,
+6 alternating runs per side), 65% of the 535,346 shared cycles run in
+multi-cycle segments, and the lockstep phase less its scalar fallbacks
+went 3.33-5.26 -> 2.75-3.37 us per shared cycle against stepping every
+cycle behind the pre-pass.
 
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep
@@ -112,13 +133,16 @@ from repro.engine.executors import (
     run_gated,
 )
 from repro.faultinjection.outcomes import classify_outcome
+from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, CoreSnapshot
 from repro.microarch.events import RunResult, TerminationReason, TrapKind
 from repro.microarch.execute import (ExecuteResult, ExecuteTrap,
                                      execute_operation)
 from repro.microarch.inorder import (E_IMM, E_OP, E_PC, E_RS1VAL, E_RS2VAL,
-                                     E_TRAP, E_VALID, InOrderCore)
+                                     E_TRAP, E_VALID, M_OP, M_RESULT,
+                                     M_STOREVAL, M_TRAP, M_VALID, W_RESULT,
+                                     X_RESULT, InOrderCore)
 from repro.microarch.memory import BatchedWordStore, released, with_lane
 from repro.obs import Instrumentation
 from repro.obs.metrics import NULL_METRICS
@@ -126,6 +150,7 @@ from repro.obs.phases import (
     COUNT_EVICTED,
     CYCLES_FALLBACK,
     CYCLES_LOCKSTEP,
+    CYCLES_LOCKSTEP_SEGMENTED,
     CYCLES_SCALAR,
     CYCLES_TANDEM,
     CYCLES_WAVEFRONT_SHARED,
@@ -154,6 +179,9 @@ _DATA_LATCHES = frozenset((
     "w.result", "w.outval",      # committing result / OUT payload
 ))
 """Architectural value latches that may differ per lane under uniform control."""
+
+_STORING_OPS = frozenset(map(int, (Opcode.SW, Opcode.SB, Opcode.OUT)))
+"""Opcodes whose memory stage reads ``m.storeval``."""
 
 
 def batched_replay_supported(core: BaseCore) -> bool:
@@ -232,7 +260,14 @@ class _LaneCore(InOrderCore):
     def _execute(self, opcode, rs1_value, rs2_value, imm, pc) -> ExecuteResult:
         outcome = self.prepass
         if outcome is None:
-            return execute_operation(opcode, rs1_value, rs2_value, imm, pc)
+            if type(rs1_value) is int and type(rs2_value) is int:
+                return execute_operation(opcode, rs1_value, rs2_value, imm,
+                                         pc)
+            # A segment began on a state the quiet rule should have refused.
+            raise RuntimeError(
+                f"lockstep lane core: column execute operand at pc {pc:#x} "
+                f"without a pre-pass outcome, in the segment stepped from "
+                f"cycle {self._cycle}")
         if isinstance(outcome, TrapKind):
             raise ExecuteTrap(outcome)
         return outcome
@@ -438,6 +473,7 @@ class _StreamingWavefront:
         # grid alone decides the gate, as it does in run_gated.
         self._gate = bool(checkpointed.fingerprints)
         self.shared_cycles = 0
+        self.segmented_cycles = 0
         self._tandems: list[_Tandem] = []
         self._base_snapshot: CoreSnapshot | None = None
 
@@ -479,6 +515,12 @@ class _StreamingWavefront:
         Returns ``(finished, deferred)``: finished records carry a
         :class:`Replay`; deferred ones found no free lane slot at their
         injection cycle and need another pass (or the scalar path).
+
+        The sweep acts only at events: an admission cycle, a grid cycle
+        while a lane is seated, golden termination, and every cycle while a
+        tandem is live.  Between events it advances the lane core in one
+        :meth:`~InOrderCore._advance` segment while the core is quiet
+        (:meth:`_quiet`), else cycle by cycle behind the execute pre-pass.
         """
         finished: list[_LaneRecord] = []
         deferred: list[_LaneRecord] = []
@@ -487,11 +529,14 @@ class _StreamingWavefront:
         self._load_reference(self._base_at(records[0].planned.injection.cycle))
         core = self._core
         golden = self._golden
+        gate = self._gate
+        interval = self._fp_interval
         index = 0
         total = len(records)
         while not core.terminated:
             cycle = core.cycle
-            if self._occupied_count == 0 and not self._tandems:
+            idle = self._occupied_count == 0 and not self._tandems
+            if idle:
                 if index >= total:
                     break  # pass exhausted without reaching golden termination
                 target = records[index].planned.injection.cycle
@@ -510,14 +555,35 @@ class _StreamingWavefront:
                 index += 1
             if self._tandems:
                 self._service_tandems(finished)
-            if (self._gate and self._occupied_count
-                    and cycle % self._fp_interval == 0):
+            if gate and self._occupied_count and cycle % interval == 0:
                 self._retire_converged(cycle, finished)
-            core.prepass = self._execute_prepass()
-            core.step()
-            self.shared_cycles += 1
             if self._tandems:
-                self._step_tandems(finished)
+                self._step_loud(cycle, cycle + 1, finished)
+                continue
+            stop = golden.cycles
+            if index < total:
+                stop = min(stop, records[index].planned.injection.cycle)
+            if self._occupied_count:
+                if gate:
+                    stop = min(stop, cycle - cycle % interval + interval)
+            elif not idle:
+                # Retirement or a tandem's exit emptied the wavefront at
+                # this cycle.  The teleport check runs only at the top of an
+                # iteration, before those, so an emptied wavefront steps
+                # this one cycle and teleports at the next.  Keep that step:
+                # the shared and replayed cycles count it, and
+                # tests/test_wavefront_pins.py pins them.
+                stop = cycle + 1
+            stop = max(stop, cycle + 1)
+            if self._quiet():
+                core.prepass = None
+                core._advance(stop)
+                stepped = core.cycle - cycle
+                self.shared_cycles += stepped
+                if stepped > 1:
+                    self.segmented_cycles += stepped
+            else:
+                self._step_loud(cycle, stop, finished)
         if core.terminated:
             if (core.cycle != golden.cycles
                     or core._termination is not golden.reason
@@ -534,6 +600,43 @@ class _StreamingWavefront:
                 self._hard_evict(tandem, finished)
         deferred.extend(records[index:])
         return finished, deferred
+
+    def _quiet(self) -> bool:
+        """True when the lane core is quiet (see the module docstring): no
+        execute operand can become a column before the next event, so the
+        core may run there in one segment without the pre-pass."""
+        core = self._core
+        v = core.latches.values
+        if (type(v[E_RS1VAL]) is not int or type(v[E_RS2VAL]) is not int
+                or type(v[M_RESULT]) is not int
+                or type(v[X_RESULT]) is not int
+                or type(v[W_RESULT]) is not int
+                or (type(v[M_STOREVAL]) is not int and v[M_VALID]
+                    and not v[M_TRAP] and v[M_OP] in _STORING_OPS)):
+            return False
+        registers = core.registers
+        return (list(map(type, registers)).count(int) == len(registers)
+                and not core.memory.has_columns())
+
+    def _step_loud(self, cycle: int, stop: int,
+                   finished: list[_LaneRecord]) -> None:
+        """Step the lane core from ``cycle`` towards ``stop`` one cycle at a
+        time behind the execute pre-pass.  Stops early when the run
+        terminates or a tandem is live (a demotion spawned one), and
+        co-steps the live tandems with the last cycle stepped."""
+        core = self._core
+        prepass = self._execute_prepass
+        advance = core._advance
+        start = cycle
+        while cycle < stop:
+            core.prepass = prepass()
+            cycle += 1
+            advance(cycle)
+            if self._tandems or core._termination is not None:
+                break
+        self.shared_cycles += cycle - start
+        if self._tandems:
+            self._step_tandems(finished)
 
     # ------------------------------------------------------------------ lane lifecycle
     def _admit(self, record: _LaneRecord, deferred: list[_LaneRecord]) -> None:
@@ -878,6 +981,8 @@ def execute_chunk_batched(spec: CampaignSpec, chunk: ChunkSpec,
                     span.note(finished=len(finished),
                               shared_cycles=wavefront.shared_cycles)
                 metrics.inc(CYCLES_WAVEFRONT_SHARED, wavefront.shared_cycles)
+                metrics.inc(CYCLES_LOCKSTEP_SEGMENTED,
+                            wavefront.segmented_cycles)
                 for record in finished:
                     metrics.inc(CYCLES_LOCKSTEP, record.lockstep_cycles)
                     metrics.inc(CYCLES_TANDEM, record.tandem_cycles)

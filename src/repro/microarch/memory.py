@@ -298,6 +298,10 @@ class BatchedWordStore:
             self._columns[address] = None
 
     # ------------------------------------------------------------------ export
+    def has_columns(self) -> bool:
+        """True when some word differs between lanes."""
+        return bool(self._columns)
+
     def columns(self) -> list:
         """Every word whose lanes differ, as ``(lanes,)`` columns."""
         words = self._words

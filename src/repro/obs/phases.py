@@ -64,6 +64,12 @@ CYCLES_LOCKSTEP = "cycles.lockstep.lanes"
 CYCLES_WAVEFRONT_SHARED = "cycles.lockstep.shared"
 """Reference-lane cycles of wavefront sweeps (shared by every lane)."""
 
+CYCLES_LOCKSTEP_SEGMENTED = "cycles.lockstep.segmented"
+"""The shared cycles a wavefront ran in multi-cycle segments (one
+:meth:`~repro.microarch.inorder.InOrderCore._advance` call each, no
+pre-pass); a part of :data:`CYCLES_WAVEFRONT_SHARED`, not a replayed-cycle
+counter of its own."""
+
 CYCLES_TANDEM = "cycles.tandem.window"
 """Cycles tandem cores co-stepped alongside wavefronts."""
 
