@@ -111,7 +111,11 @@ injections and undetected hint-plane flips never arrive from
 :class:`~repro.engine.engine.InjectionEngine`, which folds them as golden
 copies unsimulated (:func:`~repro.engine.executors.is_inert`); a direct
 caller may still pass them, and a suppressed lane then joins and retires at
-the first eligible grid cycle, like the scalar no-op replay converges.
+the first eligible grid cycle, like the scalar no-op replay converges.  An
+injection whose flip is dead on arrival
+(:func:`~repro.engine.executors.dead_on_arrival`, asked of the reference
+lane when the sweep reaches its cycle) takes no lane and no tandem: it
+finishes at admission as a golden copy, as its scalar replay does.
 """
 
 from __future__ import annotations
@@ -127,6 +131,7 @@ from repro.engine.executors import (
     CampaignSpec,
     PlannedInjection,
     Replay,
+    dead_on_arrival,
     fold_replay,
     golden_copy,
     replay_planned_injection,
@@ -551,7 +556,7 @@ class _StreamingWavefront:
                     f"passed the golden termination cycle {golden.cycles}")
             while (index < total
                    and records[index].planned.injection.cycle == cycle):
-                self._admit(records[index], deferred)
+                self._admit(records[index], finished, deferred)
                 index += 1
             if self._tandems:
                 self._service_tandems(finished)
@@ -639,10 +644,22 @@ class _StreamingWavefront:
             self._step_tandems(finished)
 
     # ------------------------------------------------------------------ lane lifecycle
-    def _admit(self, record: _LaneRecord, deferred: list[_LaneRecord]) -> None:
+    def _admit(self, record: _LaneRecord, finished: list[_LaneRecord],
+               deferred: list[_LaneRecord]) -> None:
         planned = record.planned
         record.resumed_from = self._core.cycle
         record.segment_start = self._core.cycle
+        if dead_on_arrival(self._core, self._golden, planned):
+            # The reference lane stands where the scalar replay would ask:
+            # the flip is overwritten before it is read, so no lane or
+            # tandem is needed.
+            folded = golden_copy(self._golden)
+            record.replay = Replay(
+                result=folded, outcome=classify_outcome(self._golden, folded),
+                resumed_from=record.resumed_from, simulated_cycles=0,
+                dead_on_arrival=True)
+            finished.append(record)
+            return
         if planned.suppressed:
             # The hardened cell absorbed the strike: a no-op lane.
             if not self._join_lane(record, flat_index=None):

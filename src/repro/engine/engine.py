@@ -18,7 +18,9 @@ campaigns.  It composes three pieces:
    golden copies at plan time and never simulated.  The dead-flip facts
    come from one logged re-run of the golden run
    (:mod:`repro.engine.liveness`), made by the first plan that needs them
-   and kept in memory beside the golden run;
+   and kept in memory beside the golden run.  A live replay still ends at
+   its injection cycle when the core there shows the flip dead on arrival
+   (:func:`~repro.engine.executors.dead_on_arrival`);
 3. a **pluggable executor** (serial or process-pool parallel) that replays
    the remaining *live* injections and streams per-chunk aggregates back
    into a :class:`CampaignResult`.
@@ -268,7 +270,12 @@ class InjectionEngine:
         (:func:`repro.engine.liveness.dead_cycles`: one logged re-run of the
         golden run, cached on it in memory), and dead flips are folded too.
         Only the live injections reach the executor, so they alone decide
-        the pool threshold and the chunking.
+        the pool threshold and the chunking.  There the run-time clause,
+        :func:`~repro.engine.executors.dead_on_arrival`, ends a replay at
+        its injection cycle as a golden copy when the core shows the flip
+        overwritten before it is read; those replays are counted under
+        :data:`~repro.obs.phases.COUNT_DEAD_ON_ARRIVAL` and add only the
+        cycles up to the injection.
 
         Chunk results stream back in completion order but are buffered and
         *merged in chunk-index order*, so the aggregated metrics (float

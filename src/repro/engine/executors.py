@@ -53,6 +53,7 @@ from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
     COUNT_CONVERGED,
+    COUNT_DEAD_ON_ARRIVAL,
     COUNT_FINGERPRINT_CHECKS,
     COUNT_FINGERPRINT_FULL,
     COUNT_REPLAYS,
@@ -335,6 +336,10 @@ def is_inert(core: BaseCore, golden: RunResult, planned: PlannedInjection,
     is a write, or there is none.  ``dead_cycles`` holds those facts, one
     mask per latch slot (:func:`repro.engine.liveness.dead_cycles`); None
     folds no dead flips.
+
+    These clauses are decided at plan time.  The run-time clause,
+    :func:`dead_on_arrival`, needs the core's state at the injection cycle,
+    so the replay asks it there and stops at once as a golden copy.
     """
     if golden.reason is TerminationReason.HANG:
         return False
@@ -352,6 +357,26 @@ def is_inert(core: BaseCore, golden: RunResult, planned: PlannedInjection,
     return bool(mask >> injection.cycle & 1)
 
 
+def dead_on_arrival(core: BaseCore, golden: RunResult,
+                    planned: PlannedInjection) -> bool:
+    """Whether ``planned`` provably runs as the golden run, judged at run
+    time from ``core``, which stands at the start of the injection cycle
+    with the flip not yet applied: the run-time clause of :func:`is_inert`.
+
+    It holds under :func:`is_inert`'s conditions -- a golden run that did
+    not hang, an unsuppressed strike the protection does not detect --
+    when the core says the flipped latch is overwritten before anything
+    reads it (:meth:`~repro.microarch.core.BaseCore.flip_is_dead`).  The
+    core's state there is the golden run's, so the scalar replay and the
+    lockstep wavefront (which asks its reference lane) fold exactly the
+    same injections.
+    """
+    return (golden.reason is not TerminationReason.HANG
+            and not planned.suppressed
+            and not planned.protection.detects
+            and core.flip_is_dead(planned.injection.flat_index))
+
+
 @dataclass(frozen=True)
 class Replay:
     """Everything one injected replay produced.
@@ -364,7 +389,10 @@ class Replay:
         resumed_from: cycle of the restored snapshot (0 = ran from reset).
         simulated_cycles: cycles actually simulated.
         converged_at: grid cycle at which the run re-converged with the
-            golden run, or None when it simulated to termination.
+            golden run, or None when it simulated to termination or was
+            folded.
+        dead_on_arrival: True when the replay ended at its injection cycle
+            as a golden copy (:func:`dead_on_arrival`).
     """
 
     result: RunResult
@@ -372,6 +400,7 @@ class Replay:
     resumed_from: int
     simulated_cycles: int
     converged_at: int | None = None
+    dead_on_arrival: bool = False
 
     @property
     def saved_cycles(self) -> int:
@@ -383,7 +412,8 @@ class Replay:
 
 def replay(core: BaseCore, program: Program, cycle: int, inject: Inject,
            checkpointed: CheckpointedGoldenRun,
-           obs: Instrumentation | None = None) -> Replay:
+           obs: Instrumentation | None = None,
+           dead: Callable[[BaseCore], bool] | None = None) -> Replay:
     """Run one injected run, fast-forwarding from the nearest golden
     snapshot and finishing through :func:`run_gated`; ``inject`` is applied
     at the start of ``cycle``.
@@ -395,6 +425,11 @@ def replay(core: BaseCore, program: Program, cycle: int, inject: Inject,
     golden run's fingerprint grid alone (see :func:`run_gated`).  Flip-flop
     replays (:func:`replay_planned_injection`) and the high-level campaigns
     of :mod:`repro.faultinjection.levels` both run through here.
+
+    ``dead`` is asked once the core stands at the start of ``cycle``, where
+    ``inject`` would apply: True ends the replay there as a golden copy
+    (``Replay.dead_on_arrival``), unconverged, having simulated only the
+    cycles up to the injection.
 
     ``obs`` (an :class:`~repro.obs.Instrumentation`) adds a
     ``snapshot.fastforward`` span around the restore and fingerprint-probe
@@ -410,13 +445,25 @@ def replay(core: BaseCore, program: Program, cycle: int, inject: Inject,
     else:
         core.restore(program, snapshot)
     resumed_from = 0 if snapshot is None else snapshot.cycle
+    golden = checkpointed.golden
+    if dead is not None:
+        watchdog = injection_watchdog(golden)
+        inject_at(core, cycle, None, watchdog)
+        if (core.cycle == cycle < watchdog and not core.terminated
+                and dead(core)):
+            folded = golden_copy(golden)
+            return Replay(result=folded,
+                          outcome=classify_outcome(golden, folded),
+                          resumed_from=resumed_from,
+                          simulated_cycles=cycle - resumed_from,
+                          dead_on_arrival=True)
     probe_metrics = (obs.metrics if obs is not None and obs.detailed
                      else NULL_METRICS)
     injected, converged_at = run_gated(core, checkpointed, cycle, inject,
                                        metrics=probe_metrics)
     stopped = injected.cycles if converged_at is None else converged_at
     return Replay(result=injected,
-                  outcome=classify_outcome(checkpointed.golden, injected),
+                  outcome=classify_outcome(golden, injected),
                   resumed_from=resumed_from,
                   simulated_cycles=stopped - resumed_from,
                   converged_at=converged_at)
@@ -426,11 +473,15 @@ def replay_planned_injection(core: BaseCore, program: Program,
                              planned: PlannedInjection,
                              checkpointed: CheckpointedGoldenRun,
                              obs: Instrumentation | None = None) -> Replay:
-    """:func:`replay` one planned flip-flop injection."""
+    """:func:`replay` one planned flip-flop injection, ending it at the
+    injection cycle when the flip is :func:`dead_on_arrival` there."""
     inject = build_injection(planned.injection, planned.protection,
                              planned.suppressed)
+    golden = checkpointed.golden
     return replay(core, program, planned.injection.cycle, inject,
-                  checkpointed, obs)
+                  checkpointed, obs,
+                  dead=lambda arrived: dead_on_arrival(arrived, golden,
+                                                       planned))
 
 
 def fold_replay(result: ChunkResult, planned: PlannedInjection,
@@ -448,6 +499,8 @@ def fold_replay(result: ChunkResult, planned: PlannedInjection,
     if replay.converged_at is not None:
         metrics.inc(COUNT_CONVERGED)
         metrics.inc(CYCLES_SAVED, replay.saved_cycles)
+    if replay.dead_on_arrival:
+        metrics.inc(COUNT_DEAD_ON_ARRIVAL)
     if obs.detailed:
         metrics.observe(HISTOGRAM_REPLAY_CYCLES, replay.simulated_cycles)
     result.record(planned.injection.flat_index, replay.outcome)

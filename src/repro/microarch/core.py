@@ -116,6 +116,16 @@ class BaseCore(ABC):
     campaign pass over 8 input sets (``campaign-ino-batched``) measured 6-9%
     slower on seeds 0 and 1."""
 
+    def flip_is_dead(self, flat_index: int) -> bool:
+        """Whether a flip of flip-flop ``flat_index``, applied now (at the
+        start of a cycle, before it steps), is overwritten before anything
+        reads it, judged from the core's own state alone.  Such an
+        undetected flip runs as the golden run, so the injection engine
+        ends its replay here (:func:`repro.engine.executors.dead_on_arrival`).
+        A fact about the model, not an option; False unless a core proves
+        otherwise."""
+        return False
+
     def __init__(self, name: str, clock_mhz: float, core_class: CoreClass):
         self.name = name
         self.clock_mhz = clock_mhz

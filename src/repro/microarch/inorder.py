@@ -230,6 +230,43 @@ IC_CTRL_STATE_MASK, DC_CTRL_STATE_MASK, IRQ_PENDING_MASK = (
     for slot in (IC_CTRL_STATE, DC_CTRL_STATE, IRQ_PENDING))
 """Width masks of the three hint counters the cycle advances (wrapping)."""
 
+_ONE = frozenset((1,))
+_ZERO = frozenset((0,))
+READ_GUARDS: dict[int, tuple[tuple[int, frozenset[int]], ...] | None] = {
+    # Bubble rule: a latch's payload is read only while its valid bit is 1,
+    # and the stage that sets the valid bit writes the whole payload with it.
+    # (A trapping EX leaves m.result stale; ME and XC copy it along, but a
+    # trapped instruction commits nothing.)
+    **{slot: ((D_VALID, _ONE),) for slot in (D_INST, D_PC, D_FETCHFAULT)},
+    **{slot: ((A_VALID, _ONE),) for slot in (
+        A_OP, A_RD, A_RS1, A_RS2, A_IMM, A_PC, A_TRAP, A_TRAPKIND)},
+    **{slot: ((E_VALID, _ONE),) for slot in (
+        E_OP, E_RD, E_RS1VAL, E_RS2VAL, E_IMM, E_PC, E_TRAP, E_TRAPKIND)},
+    **{slot: ((M_VALID, _ONE),) for slot in (
+        M_OP, M_RD, M_RESULT, M_TRAP, M_TRAPKIND)},
+    **{slot: ((X_VALID, _ONE),) for slot in (
+        X_OP, X_RD, X_RESULT, X_TRAP, X_TRAPKIND)},
+    # Write-only latches.
+    F_NPC: None,
+    M_BRANCH_TAKEN: None,
+    # Payloads behind a pending bit or an opcode: XC -> WB copies x.outval
+    # into w.outval every cycle, but writeback emits it only while
+    # w.outpending is set; the ME stage uses m.storeval and m.addr only for
+    # the opcodes that need them, and their EX writes them.
+    X_OUTVAL: ((X_VALID, _ONE), (X_OUTPENDING, _ONE)),
+    W_OUTVAL: ((W_VALID, _ONE), (W_OUTPENDING, _ONE)),
+    M_STOREVAL: ((M_VALID, _ONE), (M_TRAP, _ZERO),
+                 (M_OP, frozenset((_SW, _SB, _OUT)))),
+    M_ADDR: ((M_VALID, _ONE), (M_TRAP, _ZERO),
+             (M_OP, frozenset((_LW, _LB, _SW, _SB)))),
+}
+"""When the cycle reads each payload latch, by slot: the guard is a
+conjunction of ``(slot, values)`` terms, each holding while that latch's
+value is one of ``values`` (``None``: never).  A payload whose guard fails
+at the start of a cycle is overwritten before anything reads it, so a flip
+into it there is dead on arrival (:meth:`InOrderCore.flip_is_dead`).  Every
+guard reads control-plane latches only."""
+
 
 class InOrderCore(BaseCore):
     """Cycle-level model of the simple in-order core."""
@@ -245,6 +282,19 @@ class InOrderCore(BaseCore):
     # Every other hint structure is never touched after reset.
     # tests/test_engine.py::TestHintPlane flips every hint bit and checks it.
     hint_plane_inert = True
+
+    def flip_is_dead(self, flat_index: int) -> bool:
+        """True when ``flat_index`` lies in a payload latch whose
+        :data:`READ_GUARDS` guard fails now, so the cycle overwrites it
+        before reading it.  tests/test_engine.py::TestDeadOnArrival replays
+        such flips and checks them."""
+        slot = self.latches.slot(self.registry.site(flat_index).structure.name)
+        if slot not in READ_GUARDS:
+            return False
+        guard = READ_GUARDS[slot]
+        v = self.latches.values
+        return guard is None or not all(v[term] in values
+                                        for term, values in guard)
 
     def __init__(self, name: str = "InO-core"):
         super().__init__(name=name, clock_mhz=INO_CLOCK_MHZ,

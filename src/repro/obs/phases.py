@@ -92,6 +92,13 @@ COUNT_INERT = "count.inert"
 :func:`repro.engine.executors.is_inert`).  Not a cycle counter: inert
 injections simulate nothing, so they add no replayed or saved cycles."""
 
+COUNT_DEAD_ON_ARRIVAL = "count.dead_on_arrival"
+"""Replays ended as golden copies at their injection cycle because the core
+there showed the flip dead on arrival (see
+:func:`repro.engine.executors.dead_on_arrival`).  The cycles up to the
+injection count as replayed; a folded replay is not a converged one and
+saves no cycles."""
+
 COUNT_FINGERPRINT_FULL = "count.fingerprint.full"
 """State digests computed by convergence probes (recorded only under
 ``EngineConfig(metrics=True)``)."""

@@ -38,7 +38,8 @@ from repro.engine import (
     replay_planned_injection,
     run_suite_campaign,
 )
-from repro.engine.executors import CampaignSpec, is_inert
+from repro.engine import batch
+from repro.engine.executors import CampaignSpec, is_inert, replay
 from repro.engine.liveness import LogGapError, _AccessLog, record_dead_cycles
 from repro.faultinjection import (
     FlipFlopInjector,
@@ -49,11 +50,12 @@ from repro.faultinjection import (
     exhaustive_site_plan,
     uniform_injection_plan,
 )
-from repro.faultinjection.injector import injection_watchdog
+from repro.faultinjection.injector import build_injection, injection_watchdog
+from repro.isa.assembler import assemble
 from repro.isa.program import DataSegment
-from repro.microarch import InOrderCore, OutOfOrderCore, ooo
+from repro.microarch import InOrderCore, OutOfOrderCore, inorder, ooo
 from repro.microarch.events import TerminationReason
-from repro.obs.phases import COUNT_INERT
+from repro.obs.phases import COUNT_DEAD_ON_ARRIVAL, COUNT_INERT
 from repro.workloads import workload_by_name
 
 CORE_CLASSES = (InOrderCore, OutOfOrderCore)
@@ -349,7 +351,9 @@ class TestConvergenceBitExactness:
         assert gated.replayed_cycles + gated.saved_cycles == full.replayed_cycles
 
     def test_parallel_gated_matches_serial_full_replay(self, program):
-        seed, count = 29, 24
+        # Seed 29 folds every converging replay dead on arrival; seed 30
+        # still leaves three that converge.
+        seed, count = 30, 24
         full = InjectionEngine(
             InOrderCore(), program, protection=MixedProtection(), seed=seed,
             config=EngineConfig(convergence_interval=0),
@@ -888,13 +892,14 @@ def _probe_cycles(golden):
 
 def _flip_differences(core, program, checkpointed, flips):
     """Yield each ``(flat_index, cycle)`` of ``flips`` whose single-bit
-    replay does not return the golden :class:`RunResult`."""
+    replay does not return the golden :class:`RunResult`.  The replay
+    simulates the flip: it bypasses the dead-on-arrival fold, which would
+    return the golden result for exactly the flips some checks replay."""
     for flat_index, cycle in flips:
-        planned = PlannedInjection(
-            injection=Injection(flat_index=flat_index, cycle=cycle),
-            protection=SiteProtection(), suppressed=False)
-        replay = replay_planned_injection(core, program, planned, checkpointed)
-        if replay.result != checkpointed.golden:
+        injection = Injection(flat_index=flat_index, cycle=cycle)
+        inject = build_injection(injection, SiteProtection(), False)
+        result = replay(core, program, cycle, inject, checkpointed).result
+        if result != checkpointed.golden:
             yield flat_index, cycle
 
 
@@ -1194,6 +1199,240 @@ class TestDeadFold:
                 dead = next((write for at, write in slot_accesses
                              if at >= cycle), True)
                 assert masks[slot] >> cycle & 1 == dead, (slot, cycle)
+
+
+_OUT_HEAVY = assemble("""
+    .data
+buf:
+    .word 3, 1, 4, 1, 5, 9, 2, 6
+    .text
+main:
+    la a0, buf
+    li t0, 0
+    li t1, 8
+    li s0, 0
+loop:
+    bge t0, t1, done
+    slli t2, t0, 2
+    add t2, a0, t2
+    lw t3, 0(t2)
+    add s0, s0, t3
+    out s0
+    sw s0, 0(t2)
+    lb t4, 0(t2)
+    out t4
+    sb t0, 1(t2)
+    out t3
+    addi t0, t0, 1
+    j loop
+done:
+    out s0
+    halt
+""", name="out-heavy")
+"""Three OUTs, a word and a byte store and two loads per iteration, so the
+output, store and address latches are live far more often than in the
+suites' programs (which emit two to four values at the end)."""
+
+
+def _rule_cycles(core, program):
+    """``(dead, live)``: per :data:`inorder.READ_GUARDS` slot, the golden
+    run's cycles at whose start ``core`` says a flip there is dead on
+    arrival, and the others, grouped by the values the slot's guard reads
+    there."""
+    dead = {slot: {} for slot in inorder.READ_GUARDS}
+    live = {slot: {} for slot in inorder.READ_GUARDS}
+    first_bit = {slot: core.registry.structures[slot].first_index
+                 for slot in inorder.READ_GUARDS}
+
+    def observe(observed, cycle):
+        v = observed.latches.values
+        for slot, guard in inorder.READ_GUARDS.items():
+            table = dead if observed.flip_is_dead(first_bit[slot]) else live
+            state = tuple(v[term] for term, _ in guard or ())
+            table[slot].setdefault(state, []).append(cycle)
+
+    core.run(program, cycle_hook=observe)
+    return dead, live
+
+
+def _rule_flips(core, cycles, count, slots=None):
+    """``count`` seeded ``(flat_index, cycle)`` flips per slot of ``slots``
+    (default: every rule slot), each into a random bit of the slot at one
+    of its ``cycles``, taken from its guard states in turn so that rare
+    states (an LB in the M latch, say) are flipped too."""
+    rng = random.Random(0)
+    flips = []
+    for slot in inorder.READ_GUARDS if slots is None else slots:
+        bits = core.registry.structures[slot].bit_indices()
+        states = list(cycles[slot].values())
+        if states:
+            flips.extend((rng.choice(bits),
+                          rng.choice(states[k % len(states)]))
+                         for k in range(count))
+    return flips
+
+
+def _dead_on_arrival_differences(core_cls, program, dead=True, count=48,
+                                 slots=None):
+    """Yield each of ``count`` seeded flips per rule slot that ``core_cls``
+    calls dead on arrival (``dead``; else not) whose ungated, unfolded
+    replay does not return the golden :class:`RunResult`."""
+    checkpointed = record_checkpointed_golden(core_cls(), program,
+                                              fingerprint_interval=0)
+    core = core_cls()
+    cycles = _rule_cycles(core, program)[0 if dead else 1]
+    yield from _flip_differences(core, program, checkpointed,
+                                 _rule_flips(core, cycles, count, slots))
+
+
+class _OutvalEmittingCore(InOrderCore):
+    """A mutant whose writeback emits ``w.outval`` for every instruction it
+    commits, pending OUT or not.  It steps one cycle per segment so it can
+    look at every cycle."""
+
+    def _advance(self, stop):
+        while self._cycle < stop and self._termination is None:
+            v = self.latches.values
+            if (v[inorder.W_VALID] and not v[inorder.W_TRAP]
+                    and not v[inorder.W_OUTPENDING]
+                    and self._pending_recovery <= 0):
+                self.emit_output(v[inorder.W_OUTVAL])
+            super()._advance(self._cycle + 1)
+
+
+class _StorevalCopyingCore(InOrderCore):
+    """A mutant whose memory stage sends ``m.storeval`` to the output for
+    every untrapped instruction, as it does for an OUT."""
+
+    def _advance(self, stop):
+        while self._cycle < stop and self._termination is None:
+            v = self.latches.values
+            copy = (v[inorder.M_VALID] and not v[inorder.M_TRAP]
+                    and self._pending_recovery <= 0)
+            storeval = v[inorder.M_STOREVAL]
+            super()._advance(self._cycle + 1)
+            if copy and self._termination is None:
+                v[inorder.X_OUTVAL] = storeval
+                v[inorder.X_OUTPENDING] = 1
+
+
+class TestDeadOnArrival:
+    """``InOrderCore.flip_is_dead``: a replay ends at its injection cycle
+    as a golden copy when the core's own start-of-cycle state shows that
+    the flipped payload latch is overwritten before anything reads it
+    (``inorder.READ_GUARDS``).  Every such flip must provably run as the
+    golden run, and the lockstep wavefront must fold exactly the flips the
+    scalar replay folds."""
+
+    @pytest.mark.parametrize("name", ["fft", "vpr", "out-heavy"])
+    def test_every_dead_flip_runs_as_golden(self, name):
+        program = (_OUT_HEAVY if name == "out-heavy"
+                   else workload_by_name(name).program())
+        assert list(_dead_on_arrival_differences(InOrderCore, program)) == []
+
+    def test_guarded_flips_change_runs(self):
+        """The rules are not vacuous: under every guard, some flip made
+        while the guard holds changes the run."""
+        core = InOrderCore()
+        changed = set()
+        for program in (workload_by_name("fft").program(), _OUT_HEAVY):
+            changed.update(
+                inorder.READ_GUARDS[core.latches.slot(
+                    core.registry.site(flat_index).structure.name)]
+                for flat_index, _ in _dead_on_arrival_differences(
+                    InOrderCore, program, dead=False, count=8))
+        guards = set(inorder.READ_GUARDS.values()) - {None}
+        assert changed == guards
+
+    @pytest.mark.parametrize("mutant, latch", [
+        (_OutvalEmittingCore, "w.outval"),
+        (_StorevalCopyingCore, "m.storeval")])
+    def test_check_catches_a_core_that_reads_a_dead_latch(self, mutant,
+                                                          latch):
+        slot = InOrderCore().latches.slot(latch)
+        assert next(_dead_on_arrival_differences(mutant, _OUT_HEAVY,
+                                                 slots=[slot]),
+                    None) is not None
+
+    def test_rules_read_only_the_control_plane(self):
+        """Payloads are architectural and never their own guard, so the
+        guard reads the same before the flip as after it.  Guards are
+        control-plane latches, uniform across a lockstep wavefront, so its
+        reference lane answers for every lane."""
+        structures = InOrderCore().registry.structures
+        guard_slots = set()
+        for slot, guard in inorder.READ_GUARDS.items():
+            terms = {term for term, _ in guard or ()}
+            assert structures[slot].architectural
+            assert slot not in terms
+            guard_slots |= terms
+        assert guard_slots
+        for slot in guard_slots:
+            assert structures[slot].architectural
+            assert structures[slot].name not in batch._DATA_LATCHES
+
+    def test_replay_ends_at_the_injection_cycle(self, program):
+        checkpointed = record_checkpointed_golden(InOrderCore(), program)
+        cycle = checkpointed.golden.cycles // 2
+        outval = InOrderCore().registry.structure("x.outval").first_index
+        planned = PlannedInjection(
+            injection=Injection(flat_index=outval, cycle=cycle),
+            protection=SiteProtection(), suppressed=False)
+        folded = replay_planned_injection(InOrderCore(), program, planned,
+                                          checkpointed)
+        assert folded.dead_on_arrival
+        assert folded.converged_at is None and folded.saved_cycles == 0
+        assert folded.simulated_cycles == cycle - folded.resumed_from
+        assert folded.result == checkpointed.golden
+        assert folded.result.output is not checkpointed.golden.output
+        detected = replay_planned_injection(
+            InOrderCore(), program,
+            replace(planned, protection=SiteProtection(technique="parity",
+                                                       detects=True)),
+            checkpointed)
+        assert not detected.dead_on_arrival
+        assert detected.outcome is OutcomeCategory.ED
+        hung = record_checkpointed_golden(InOrderCore(), program,
+                                          max_cycles=cycle + 100)
+        assert not replay_planned_injection(InOrderCore(), program, planned,
+                                            hung).dead_on_arrival
+
+    @pytest.mark.parametrize("name, seed", [("vpr", 5), ("fft", 2)])
+    def test_batched_folds_what_scalar_folds(self, name, seed):
+        """At ``batch_width`` 0 and 16, gate on and off: the same outcomes,
+        per-site tallies and dead-on-arrival count, which is the number of
+        live planned flips the golden run's state calls dead."""
+        program = workload_by_name(name).program()
+        results = [
+            InjectionEngine(InOrderCore(), program,
+                            protection=MixedProtection(), seed=seed,
+                            config=EngineConfig(batch_width=width,
+                                                convergence_interval=interval),
+                            golden_cache=GoldenRunCache()).run(injections=96)
+            for width in (0, 16) for interval in (None, 0)]
+        counts = [result.metrics["counters"].get(COUNT_DEAD_ON_ARRIVAL, 0)
+                  for result in results]
+        engine = InjectionEngine(InOrderCore(), program,
+                                 protection=MixedProtection(), seed=seed,
+                                 golden_cache=GoldenRunCache())
+        golden = engine.golden().golden
+        dead = {slot: {cycle for cycles in states.values()
+                       for cycle in cycles}
+                for slot, states in _rule_cycles(InOrderCore(),
+                                                 program)[0].items()}
+        expected = 0
+        for planned in engine.resolve_plan(uniform_injection_plan(
+                engine.core.flip_flop_count, golden.cycles, 96, seed=seed)):
+            slot = engine.core.latches.slot(engine.core.registry.site(
+                planned.injection.flat_index).structure.name)
+            expected += (not is_inert(engine.core, golden, planned)
+                         and not planned.protection.detects
+                         and planned.injection.cycle in dead.get(slot, ()))
+        assert expected > 0
+        assert counts == [expected] * 4
+        for result in results[1:]:
+            assert result.outcomes == results[0].outcomes
+            assert result.per_site == results[0].per_site
 
 
 class TestInertFold:

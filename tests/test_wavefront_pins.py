@@ -31,19 +31,19 @@ PINS = {
     ("mcf", 3): ({"vanished": 285, "output_mismatch": 6,
                   "unexpected_termination": 29, "hang": 0,
                   "error_detected": 0},
-                 "3a2fc0ef7805bef0", 146937, 81541, 79, 188, 562272),
+                 "3a2fc0ef7805bef0", 73824, 13406, 42, 59, 205176),
     ("mcf", 8): ({"vanished": 296, "output_mismatch": 6,
                   "unexpected_termination": 18, "hang": 0,
                   "error_detected": 0},
-                 "58a1fbe5f32c0c67", 207353, 98015, 80, 198, 659376),
+                 "58a1fbe5f32c0c67", 104828, 2481, 41, 69, 273448),
     ("vpr", 11): ({"vanished": 275, "output_mismatch": 15,
                    "unexpected_termination": 30, "hang": 0,
                    "error_detected": 0},
-                  "95894d8e963940e4", 32802, 20368, 82, 153, 88967),
+                  "95894d8e963940e4", 10368, 1836, 43, 49, 26399),
     ("vpr", 5): ({"vanished": 270, "output_mismatch": 31,
                   "unexpected_termination": 19, "hang": 0,
                   "error_detected": 0},
-                 "7c9a4421954b420b", 36435, 19696, 105, 164, 86876),
+                 "7c9a4421954b420b", 16575, 6101, 40, 59, 28789),
 }
 
 
