@@ -41,7 +41,7 @@ def bench_synthetic_frontier(benchmark):
             core, seed=SEED, per_family=PER_FAMILY,
             injections_per_workload=INJECTIONS_PER_WORKLOAD,
             target_cycles=TARGET_CYCLES, targets=targets, combinations=pool,
-            sweep_workers=2, exploration_workers=2)
+            sweep_workers=2)
         elapsed = time.perf_counter() - started
 
         store_path = _harness.bench_output_dir() / "FRONTIER_synthetic_ino.json"

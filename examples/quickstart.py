@@ -4,15 +4,14 @@ Builds a CLEAR framework instance for the in-order core, asks for the paper's
 headline result -- a 50x SDC improvement using the best-practice combination
 of selective LEAP-DICE hardening, logic parity and micro-architectural
 (flush) recovery -- compares it against selective hardening alone, and then
-sweeps a sample of the 586 cross-layer combinations into a Pareto frontier
-(sharded over worker processes with ``--workers``).
+sweeps ``--sample`` evenly spaced InO combinations (of the 586 cross-layer
+combinations) into a Pareto frontier.
 
 With ``--frontier-store PATH`` the swept frontier is persisted as versioned
 JSON; when the file already holds a previous run, the two are merged and
 compared -- the cross-run comparison workflow of ``repro.analysis.store``.
 
-Run with:  python examples/quickstart.py [--workers N] [--sample N]
-           [--frontier-store PATH]
+Run with:  python examples/quickstart.py [--sample N] [--frontier-store PATH]
 """
 
 from __future__ import annotations
@@ -27,12 +26,10 @@ from repro.reporting import format_frontier_comparison
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the combination sweep "
-                             "(1 = serial; results are identical either way)")
     parser.add_argument("--sample", type=int, default=48,
-                        help="combinations to sweep into the Pareto frontier "
-                             "(0 = the full 417-combination InO pool)")
+                        help="evenly spaced combinations to sweep into the "
+                             "Pareto frontier (0 = the full 417-combination "
+                             "InO pool)")
     parser.add_argument("--frontier-store", type=str, default=None,
                         help="persist the swept frontier here; an existing "
                              "store is loaded and merged for comparison")
@@ -60,12 +57,11 @@ def main() -> None:
     print(f"  SDC improvement      : {dice_only.sdc_improvement:.1f}x")
 
     pool = enumerate_combinations("InO")
-    if args.sample:
-        pool = pool[::max(1, len(pool) // args.sample)]
-    frontier = framework.explorer.explore_frontier(
-        sdc_targets()[:4], pool, workers=args.workers)
+    if 0 < args.sample < len(pool):
+        pool = [pool[i * len(pool) // args.sample] for i in range(args.sample)]
+    frontier = framework.explorer.explore_frontier(sdc_targets()[:4], pool)
     print(f"\nPareto frontier over {frontier.seen} swept (combination, target) "
-          f"points ({len(pool)} combinations, workers={args.workers}):")
+          f"points ({len(pool)} combinations):")
     print(f"  non-dominated points : {len(frontier)}")
     cheapest = frontier.cheapest_at_least(50)
     if cheapest is not None:
@@ -77,8 +73,7 @@ def main() -> None:
         previous = load_frontier(store_path) if store_path.exists() else None
         save_frontier(store_path, frontier,
                       metadata={"label": "current", "core": framework.core.name,
-                                "combinations": len(pool),
-                                "workers": args.workers})
+                                "combinations": len(pool)})
         print(f"\nFrontier persisted to {store_path}")
         if previous is not None:
             merged = merge_frontiers([previous.frontier, frontier])

@@ -122,7 +122,7 @@ def _explore(core, sweep, args) -> None:
         pool = pool[::max(1, len(pool) // args.sample)]
     started = time.perf_counter()
     frontier = frontier_from_sweep(core, sweep, targets=sdc_targets()[:4],
-                                   combinations=pool, workers=args.workers)
+                                   combinations=pool)
     elapsed = time.perf_counter() - started
     print()
     print(format_frontier(

@@ -4,16 +4,16 @@ The cross-layer sweep produces one point per (combination, target): an
 achieved improvement plus energy/area/execution-time overheads.  Exploration
 questions ("what does 50x cost at minimum?", the Fig. 1(d) cloud, the
 Fig. 9/10 bounds envelopes) only ever consult the *non-dominated* subset, so
-:class:`ParetoFrontier` folds points in as they stream out of the sharded
-evaluators and keeps just that subset: a point is dropped the moment any
+:class:`ParetoFrontier` folds points in as they stream out of the
+explorer and keeps just that subset: a point is dropped the moment any
 kept point is at least as good on every axis (higher-or-equal improvement,
 lower-or-equal cost on every cost axis) and strictly better on one.
 
 The final frontier is independent of insertion order -- dominance is a
 partial order, exact-duplicate coordinates are folded, and coordinate ties
-are broken deterministically (lexicographically smallest label wins) -- which
-is what allows results to stream in whatever order process-pool shards
-complete while still reproducing the same frontier, labels included.
+are broken deterministically (lexicographically smallest label wins) -- so a
+frontier merged from several stored runs, or folded from points in any
+order, is the same frontier, labels included.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class ParetoFrontier:
         Exact coordinate duplicates of a kept point are folded with a
         deterministic tie-break -- the lexicographically smallest label wins
         (first offer wins among equal labels) -- so the surviving point,
-        label and payload included, does not depend on the order process-pool
-        shards happen to complete in.
+        label and payload included, does not depend on the order points are
+        offered in -- merged stores and order-free folds see one frontier.
         """
         self._seen += 1
         coordinates = point._coordinates()

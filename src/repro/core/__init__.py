@@ -11,8 +11,6 @@ from repro.core.exploration import (
     CrossLayerExplorer,
     EvaluatedDesign,
     ExplorationRecord,
-    ExplorationShard,
-    ExplorationSpec,
     high_level_descriptor,
 )
 from repro.core.framework import ClearFramework
@@ -45,8 +43,6 @@ __all__ = [
     "CrossLayerExplorer",
     "EvaluatedDesign",
     "ExplorationRecord",
-    "ExplorationShard",
-    "ExplorationSpec",
     "high_level_descriptor",
     "ClearFramework",
     "LowLevelChoice",

@@ -18,10 +18,9 @@ The engine is *incremental and streaming*:
   estimate and cost are computed once and reused across the target sweep;
 * high-level :class:`TechniqueDescriptor`s are immutable and constructed
   once per process (:func:`high_level_descriptor`), not per evaluation;
-* large sweeps shard the combination pool over the engine's pluggable
-  Serial/ProcessPool executors (:meth:`CrossLayerExplorer.stream_records`)
-  and stream lightweight :class:`ExplorationRecord` aggregates back, which
-  feed the dominance-pruned :class:`~repro.analysis.pareto.ParetoFrontier`;
+* sweeps stream lightweight :class:`ExplorationRecord` aggregates
+  (:meth:`CrossLayerExplorer.stream_records`), which feed the
+  dominance-pruned :class:`~repro.analysis.pareto.ParetoFrontier`;
 * :meth:`CrossLayerExplorer.cheapest_meeting_target` orders candidates by
   their fixed-cost energy lower bound and stops as soon as the incumbent
   beats every remaining bound, instead of evaluating all 586 combinations.
@@ -53,7 +52,6 @@ from repro.core.combinations import (
 )
 from repro.core.heuristics import SelectionPolicy, SelectiveHardeningPlanner
 from repro.core.improvement import MAX_TARGET, ResilienceTarget, sdc_targets
-from repro.engine.executors import ParallelExecutor, guided_slices
 from repro.faultinjection.vulnerability import VulnerabilityMap
 from repro.microarch.flipflop import FlipFlopRegistry
 from repro.physical.cells import RecoveryKind
@@ -149,8 +147,8 @@ class ExplorationRecord:
     """Streamed lightweight aggregate of one (combination, target) evaluation.
 
     Carries everything frontier construction and reporting need -- costs,
-    achieved improvements, pool coordinates -- without shipping the full
-    :class:`ProtectedDesign` across process boundaries.
+    achieved improvements, pool coordinates -- without materialising the
+    full :class:`ProtectedDesign`.
     """
 
     combination_index: int
@@ -173,75 +171,6 @@ class ExplorationRecord:
         return ParetoPoint(improvement=improvement, energy_pct=self.energy_pct,
                            area_pct=self.area_pct, exec_time_pct=self.exec_time_pct,
                            label=f"{self.label} @ {self.target_label}", payload=self)
-
-
-# ---------------------------------------------------------------------- sharding
-@dataclass
-class ExplorationSpec:
-    """Everything a worker needs to evaluate combination shards.
-
-    Pickled once per worker by the pool initializer; each worker rebuilds
-    one explorer from it lazily and keeps its schedule caches warm across
-    the shards it is handed.
-    """
-
-    registry: FlipFlopRegistry
-    vulnerability: VulnerabilityMap
-    timing: TimingModel
-    cost_model: DesignCostModel
-    benchmarks: list[str] | None
-    combinations: list[CrossLayerCombination]
-    targets: list[ResilienceTarget]
-
-
-@dataclass(frozen=True)
-class ExplorationShard:
-    """A contiguous slice of the combination pool (all targets per entry).
-
-    Whole combinations are sharded -- never (combination, target) pairs --
-    so each worker answers a combination's full target sweep from a single
-    cached schedule.
-    """
-
-    index: int
-    combination_indices: range
-
-
-@dataclass
-class ExplorationShardResult:
-    """Streamed aggregate for one executed exploration shard."""
-
-    index: int
-    records: list[ExplorationRecord]
-
-
-_SPEC_EXPLORER: tuple[ExplorationSpec, "CrossLayerExplorer"] | None = None
-
-
-def _explorer_for_spec(spec: ExplorationSpec) -> "CrossLayerExplorer":
-    """One explorer per worker process, rebuilt only when the spec changes.
-
-    The memo holds the spec itself (not a derived key), so identity cannot
-    alias across garbage-collected specs in the serial-fallback path.
-    """
-    global _SPEC_EXPLORER
-    if _SPEC_EXPLORER is None or _SPEC_EXPLORER[0] is not spec:
-        explorer = CrossLayerExplorer(spec.registry, spec.vulnerability,
-                                      timing=spec.timing, cost_model=spec.cost_model,
-                                      benchmarks=spec.benchmarks)
-        _SPEC_EXPLORER = (spec, explorer)
-    return _SPEC_EXPLORER[1]
-
-
-def evaluate_exploration_shard(spec: ExplorationSpec,
-                               shard: ExplorationShard) -> ExplorationShardResult:
-    """Evaluate one shard of combinations over every target (worker entry)."""
-    explorer = _explorer_for_spec(spec)
-    records = [explorer.record(spec.combinations[ci], target,
-                               combination_index=ci, target_index=ti)
-               for ci in shard.combination_indices
-               for ti, target in enumerate(spec.targets)]
-    return ExplorationShardResult(index=shard.index, records=records)
 
 
 class CrossLayerExplorer:
@@ -409,44 +338,26 @@ class CrossLayerExplorer:
 
     def stream_records(self, targets: list[ResilienceTarget],
                        combinations: list[CrossLayerCombination] | None = None,
-                       workers: int = 1) -> Iterator[ExplorationRecord]:
-        """Stream every (combination, target) evaluation, optionally sharded.
+                       ) -> Iterator[ExplorationRecord]:
+        """Stream every (combination, target) evaluation in pool order.
 
-        With ``workers > 1`` the combination pool is cut by
-        :func:`~repro.engine.executors.guided_slices` and sharded over the
-        engine's :class:`ParallelExecutor` (process pool, serial fallback),
-        and records arrive in shard *completion* order; each record carries
-        its pool coordinates, so order-sensitive consumers can sort while
-        streaming consumers (the Pareto frontier, incumbent searches) fold
-        results as they land.
+        Combinations come first, then targets within each combination, so
+        each combination's target sweep is answered from one cached
+        schedule; every record carries its pool coordinates.
         """
         pool = combinations if combinations is not None \
             else enumerate_combinations(self.family)
-        if workers <= 1:
-            for ci, combination in enumerate(pool):
-                for ti, target in enumerate(targets):
-                    yield self.record(combination, target,
-                                      combination_index=ci, target_index=ti)
-            return
-        spec = ExplorationSpec(registry=self.registry, vulnerability=self.vulnerability,
-                               timing=self.timing, cost_model=self.cost_model,
-                               benchmarks=self.benchmarks, combinations=list(pool),
-                               targets=list(targets))
-        shards = [ExplorationShard(index=index, combination_indices=indices)
-                  for index, indices in enumerate(
-                      guided_slices(len(pool), workers))]
-        executor = ParallelExecutor(workers=workers)
-        # audit: allow[completion-order-fold] records carry their pool coordinates (combination_index/target_index) and the ParetoFrontier fold is insertion-order invariant (pinned by test_exploration order tests)
-        for shard_result in executor.stream(spec, shards, evaluate_exploration_shard):
-            yield from shard_result.records
+        for ci, combination in enumerate(pool):
+            for ti, target in enumerate(targets):
+                yield self.record(combination, target,
+                                  combination_index=ci, target_index=ti)
 
     def explore_frontier(self, targets: list[ResilienceTarget] | None = None,
                          combinations: list[CrossLayerCombination] | None = None,
-                         workers: int = 1, metric: str = "sdc") -> ParetoFrontier:
+                         metric: str = "sdc") -> ParetoFrontier:
         """Stream the sweep into a dominance-pruned Pareto frontier."""
         frontier = ParetoFrontier()
-        for record in self.stream_records(targets or sdc_targets(), combinations,
-                                          workers=workers):
+        for record in self.stream_records(targets or sdc_targets(), combinations):
             frontier.add(record.pareto_point(metric))
         return frontier
 

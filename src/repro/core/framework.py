@@ -121,11 +121,10 @@ class ClearFramework:
         return self.explorer.cheapest_meeting_target(target, combinations, prune=prune)
 
     def explore_frontier(self, targets: list[ResilienceTarget] | None = None,
-                         workers: int = 1, metric: str = "sdc") -> ParetoFrontier:
+                         metric: str = "sdc") -> ParetoFrontier:
         """Sweep the full combination pool into a streaming Pareto frontier.
 
-        ``workers > 1`` shards the pool over the engine's process-pool
-        executor; results are identical regardless of worker count.
+        The sweep runs in process: every combination's target sweep is
+        answered from one cached protection schedule.
         """
-        return self.explorer.explore_frontier(targets=targets, workers=workers,
-                                              metric=metric)
+        return self.explorer.explore_frontier(targets=targets, metric=metric)

@@ -4,11 +4,10 @@ An executor takes one shared *payload* (pickled once per worker via the pool
 initializer), a list of shard objects (each carrying a stable ``index``) and
 a module-level shard function, and *streams* per-shard results back as they
 complete, so consumers can fold aggregates incrementally instead of
-materialising every raw result.  Three consumers ride this layer: the
+materialising every raw result.  Two consumers ride this layer: the
 injection engine (payload = :class:`CampaignSpec`, shards =
-:class:`ChunkSpec`), the cross-layer exploration engine (payload =
-``ExplorationSpec``, shards of whole combinations) and the synthetic
-workload sweep (payload = ``SweepSpec``, shards of whole campaigns).
+:class:`ChunkSpec`) and the synthetic workload sweep (payload =
+``SweepSpec``, shards of whole campaigns).
 
 Two executors ship here:
 
@@ -183,7 +182,7 @@ def guided_slices(count: int, workers: int,
     order; only the last may be shorter than ``min_chunk``.
 
     Callers wrap the slices in their own shard type (:class:`ChunkSpec`,
-    ``ExplorationShard``, ``SweepShard``) and fold results by shard index,
+    ``SweepShard``) and fold results by shard index,
     so the partition never affects what a run computes.
     """
     workers = max(1, workers)

@@ -2,19 +2,18 @@
 
 This module closes the loop between the synthesis subsystem and the
 cross-layer exploration engine: one seeded call goes profile -> synthetic
-injection campaigns -> :class:`VulnerabilityMap` -> sharded schedule
-evaluation -> :class:`ParetoFrontier`, making the paper's Fig. 1(d)-style
+injection campaigns -> :class:`VulnerabilityMap` -> schedule evaluation
+-> :class:`ParetoFrontier`, making the paper's Fig. 1(d)-style
 cost/improvement cloud computable for *any* synthesized scenario family,
 not just the 18 fixed benchmarks.
 
-Both stages ride the engine's payload+shard executor layer --
-``sweep_workers`` fans the injection campaigns out per workload,
-``exploration_workers`` shards the combination pool -- and both are
-bit-identical across serial and process-pool execution, so the resulting
-frontier (labels included, thanks to the deterministic coordinate
-tie-break) is a pure function of the seed and parameters.  Frontiers can be
-persisted alongside their sweep metadata (:mod:`repro.analysis.store`) for
-cross-run comparison.
+The injection campaigns ride the engine's payload+shard executor layer --
+``sweep_workers`` fans them out per workload, bit-identically across
+serial and process-pool execution -- and the combination pool is then
+evaluated in process, so the resulting frontier (labels included, thanks
+to the deterministic coordinate tie-break) is a pure function of the seed
+and parameters.  Frontiers can be persisted alongside their sweep metadata
+(:mod:`repro.analysis.store`) for cross-run comparison.
 """
 
 from __future__ import annotations
@@ -69,11 +68,11 @@ def explorer_for_sweep(core: BaseCore, sweep: SyntheticSweepResult,
 def frontier_from_sweep(core: BaseCore, sweep: SyntheticSweepResult,
                         targets: list[ResilienceTarget] | None = None,
                         combinations: list | None = None,
-                        workers: int = 1, metric: str = "sdc") -> ParetoFrontier:
+                        metric: str = "sdc") -> ParetoFrontier:
     """Stream a sweep-driven combination evaluation into a Pareto frontier."""
     explorer = explorer_for_sweep(core, sweep)
     return explorer.explore_frontier(targets=targets, combinations=combinations,
-                                     workers=workers, metric=metric)
+                                     metric=metric)
 
 
 def explore_synthetic_frontier(core: BaseCore, seed: int = 0,
@@ -84,7 +83,6 @@ def explore_synthetic_frontier(core: BaseCore, seed: int = 0,
                                targets: list[ResilienceTarget] | None = None,
                                combinations: list | None = None,
                                sweep_workers: int = 1,
-                               exploration_workers: int = 1,
                                metric: str = "sdc",
                                store_path: str | Path | None = None,
                                **profile_overrides) -> SyntheticFrontierResult:
@@ -98,8 +96,7 @@ def explore_synthetic_frontier(core: BaseCore, seed: int = 0,
     metadata on the way out.
 
     Every stage derives its randomness from ``seed`` alone, so the returned
-    frontier is bit-identical for any ``sweep_workers`` /
-    ``exploration_workers`` choice.
+    frontier is bit-identical for any ``sweep_workers`` choice.
     """
     sweep = run_synthetic_sweep(core, seed=seed, per_family=per_family,
                                 injections_per_workload=injections_per_workload,
@@ -107,8 +104,7 @@ def explore_synthetic_frontier(core: BaseCore, seed: int = 0,
                                 workers=sweep_workers, **profile_overrides)
     swept_targets = targets if targets is not None else sdc_targets()
     frontier = frontier_from_sweep(core, sweep, targets=swept_targets,
-                                   combinations=combinations,
-                                   workers=exploration_workers, metric=metric)
+                                   combinations=combinations, metric=metric)
     metadata = {
         "kind": "synthetic-frontier",
         "core": core.name,

@@ -394,47 +394,23 @@ class TestExplorerEquivalence:
         assert first.design is second.design          # one design, any target
         assert first.sdc_improvement == second.sdc_improvement
 
-    def test_stream_records_independent_of_workers(self, ino_framework):
+    def test_stream_records_in_pool_order(self, ino_framework):
+        """The sweep yields one record per (combination, target) pair in
+        row-major pool order, each equal to a standalone ``record`` call;
+        an empty pool yields nothing."""
         explorer = ino_framework.explorer
         combos = enumerate_combinations("InO")[:12]
         targets = sdc_targets()[:3]
-        key = lambda r: (r.combination_index, r.target_index)
-        serial = sorted(explorer.stream_records(targets, combos, workers=1), key=key)
-        sharded = sorted(explorer.stream_records(targets, combos, workers=2),
-                         key=key)
-        assert serial == sharded
-        assert len(serial) == len(combos) * len(targets)
-
-    def test_shard_combinations_covers_pool(self, ino_framework, monkeypatch):
-        """The sharded sweep cuts the pool into in-order guided slices that
-        cover every combination exactly once (an empty pool, no shard)."""
-        import repro.core.exploration as exploration
-        from repro.engine import SerialExecutor
-
-        seen = []
-
-        class _RecordingExecutor(SerialExecutor):
-            def __init__(self, workers):
-                super().__init__()
-
-            def stream(self, payload, shards, fn):
-                seen.append(list(shards))
-                return super().stream(payload, shards, fn)
-
-        monkeypatch.setattr(exploration, "ParallelExecutor", _RecordingExecutor)
-        explorer = ino_framework.explorer
-        combos = enumerate_combinations("InO")[:17]
-        records = list(explorer.stream_records(sdc_targets()[:1], combos,
-                                               workers=2))
-        shards = seen.pop()
-        indices = [i for shard in shards for i in shard.combination_indices]
-        assert indices == list(range(17))
-        assert [shard.index for shard in shards] == list(range(len(shards)))
-        assert len(shards) > 1
-        assert sorted(r.combination_index for r in records) == list(range(17))
-        assert list(explorer.stream_records(sdc_targets()[:1], [],
-                                            workers=4)) == []
-        assert seen.pop() == []
+        records = list(explorer.stream_records(targets, combos))
+        assert len(records) == len(combos) * len(targets)
+        assert [(r.combination_index, r.target_index) for r in records] == [
+            (ci, ti) for ci in range(len(combos)) for ti in range(len(targets))]
+        for r in records:
+            assert r == explorer.record(combos[r.combination_index],
+                                        targets[r.target_index],
+                                        combination_index=r.combination_index,
+                                        target_index=r.target_index)
+        assert list(explorer.stream_records(targets, [])) == []
 
     def test_cheapest_pruned_matches_exhaustive(self, ino_framework):
         explorer = ino_framework.explorer
@@ -463,7 +439,7 @@ class TestExplorerEquivalence:
     def test_explore_frontier_dominance(self, ino_framework):
         explorer = ino_framework.explorer
         combos = enumerate_combinations("InO")[:20]
-        frontier = explorer.explore_frontier(sdc_targets()[:3], combos, workers=1)
+        frontier = explorer.explore_frontier(sdc_targets()[:3], combos)
         points = frontier.points()
         assert 0 < len(points) <= frontier.seen == 60
         for a in points:
@@ -519,10 +495,10 @@ class TestParetoFrontier:
     @given(data=st.data())
     def test_frontier_invariant_under_insertion_order(self, data):
         """The frontier -- labels and payloads included -- is a pure function
-        of the offered point *set*, not of shard completion order.
+        of the offered point *set*, not of insertion order.
 
         Regression: the old "first one wins" duplicate folding leaked the
-        insertion order into the surviving label under workers=N streaming.
+        insertion order into the surviving label.
         """
         coordinate = st.sampled_from((1.0, 2.0, 5.0, 50.0))
         base_points = data.draw(st.lists(

@@ -299,7 +299,8 @@ class TestDenseVulnerabilityProperties:
                            st.integers(min_value=1, max_value=9)))
     def test_pickled_map_recorded_after_a_query_equals_a_fresh_map(
             self, drawn, benchmarks, extra):
-        """Exploration specs ship maps to workers pickled, memo included."""
+        """A map pickled after a query -- memo included -- round-trips to a
+        map that answers later writes exactly as a freshly built one does."""
         vulnerability, records = drawn
         vulnerability.probabilities(benchmarks)
         copy = pickle.loads(pickle.dumps(vulnerability))
