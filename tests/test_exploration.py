@@ -394,22 +394,39 @@ class TestExplorerEquivalence:
         assert first.design is second.design          # one design, any target
         assert first.sdc_improvement == second.sdc_improvement
 
-    def test_stream_records_in_pool_order(self, ino_framework):
-        """The sweep yields one record per (combination, target) pair in
-        row-major pool order, each equal to a standalone ``record`` call;
-        an empty pool yields nothing."""
+    def test_stream_records_independent_of_workers(self, ino_framework):
+        """A record depends only on its (combination, target) pair, not on
+        which explorer evaluates it or in what order: a fresh explorer, as
+        another process would build it, walking the pool backwards with
+        standalone ``record`` calls reproduces the sweep exactly."""
         explorer = ino_framework.explorer
         combos = enumerate_combinations("InO")[:12]
         targets = sdc_targets()[:3]
         records = list(explorer.stream_records(targets, combos))
         assert len(records) == len(combos) * len(targets)
+        fresh = CrossLayerExplorer(
+            ino_framework.core.registry, ino_framework.vulnerability,
+            timing=ino_framework.timing, cost_model=ino_framework.cost_model,
+            benchmarks=ino_framework.benchmark_names())
+        for r in reversed(records):
+            assert r == fresh.record(combos[r.combination_index],
+                                     targets[r.target_index],
+                                     combination_index=r.combination_index,
+                                     target_index=r.target_index)
+
+    def test_shard_combinations_covers_pool(self, ino_framework):
+        """The sweep covers the pool in one pass: every combination exactly
+        once, targets within each, in row-major pool order; an empty pool
+        yields nothing."""
+        explorer = ino_framework.explorer
+        combos = enumerate_combinations("InO")[:17]
+        targets = sdc_targets()[:2]
+        records = list(explorer.stream_records(targets, combos))
         assert [(r.combination_index, r.target_index) for r in records] == [
             (ci, ti) for ci in range(len(combos)) for ti in range(len(targets))]
-        for r in records:
-            assert r == explorer.record(combos[r.combination_index],
-                                        targets[r.target_index],
-                                        combination_index=r.combination_index,
-                                        target_index=r.target_index)
+        labels = [explorer.record(c, targets[0]).label for c in combos]
+        assert len(set(labels)) == len(combos)
+        assert [r.label for r in records[::len(targets)]] == labels
         assert list(explorer.stream_records(targets, [])) == []
 
     def test_cheapest_pruned_matches_exhaustive(self, ino_framework):
