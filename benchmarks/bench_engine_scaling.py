@@ -26,7 +26,9 @@ never-reconverging runs each wavefront hard-evicts to the scalar path, so
 throughput is quoted at a size where the wavefront is actually saturated.
 Serial throughput is N-independent (each injection replays in isolation),
 but the serial-converged reference is re-measured at the batched size anyway
-so the comparison is same-N by construction.
+so the comparison is same-N by construction.  The reference and each batched
+row are the fastest of ``BATCH_ROUNDS`` campaigns: on a shared 2-CPU host
+single runs of the batched/serial ratio spread 1.1-2.1x.
 
 Within each group the ``speedup`` column is relative to the group's first
 row (the group's serial baseline).  All strategies must report bit-identical
@@ -55,6 +57,8 @@ WORKLOAD = "mcf"          # 7.4k golden cycles on the InO-core
 INJECTIONS = 30
 BATCH_INJECTIONS = 120
 BATCH_WIDTHS = (8, 16, 32)
+BATCH_ROUNDS = 5
+"""The batched group's rows are each the fastest of this many campaigns."""
 PARALLEL_WORKERS = max(2, min(os.cpu_count() or 1, 4))
 MIN_SAVED_CYCLE_FRACTION = 0.30
 """Acceptance floor: convergence gating must remove at least this fraction
@@ -77,6 +81,11 @@ def bench_engine_scaling(benchmark):
             result = engine.run(injections=injections)
             elapsed = time.perf_counter() - start
             return checkpointed, result, elapsed
+
+        def best_campaign(config, injections):
+            return min((run_campaign(config, injections)
+                        for _ in range(BATCH_ROUNDS)),
+                       key=lambda run: run[2])
 
         rows = []
 
@@ -123,7 +132,7 @@ def bench_engine_scaling(benchmark):
                          f"{rate / baseline_rate:.2f}x"])
 
         # ------------------------------------------------- batched strategies
-        checkpointed, scalar_ref, elapsed = run_campaign(
+        checkpointed, scalar_ref, elapsed = best_campaign(
             EngineConfig(), BATCH_INJECTIONS)
         reference_rate = BATCH_INJECTIONS / elapsed
         rows.append([f"serial, converged (N={BATCH_INJECTIONS})", "-",
@@ -133,7 +142,7 @@ def bench_engine_scaling(benchmark):
                      f"{100 * scalar_ref.saved_cycle_fraction:.0f}%",
                      "0%", f"{elapsed:.2f}s", f"{reference_rate:.1f}", "1.00x"])
         for width in BATCH_WIDTHS:
-            checkpointed, result, elapsed = run_campaign(
+            checkpointed, result, elapsed = best_campaign(
                 EngineConfig(batch_width=width), BATCH_INJECTIONS)
             assert result.outcomes == scalar_ref.outcomes \
                 and result.per_site == scalar_ref.per_site, \
@@ -163,6 +172,7 @@ def bench_engine_scaling(benchmark):
                   context={"workload": WORKLOAD, "injections": INJECTIONS,
                            "batch_injections": BATCH_INJECTIONS,
                            "batch_widths": list(BATCH_WIDTHS),
+                           "batch_rounds": BATCH_ROUNDS,
                            "parallel_workers": PARALLEL_WORKERS,
                            "min_saved_cycle_fraction": MIN_SAVED_CYCLE_FRACTION,
                            "min_batch_speedup": MIN_BATCH_SPEEDUP},

@@ -118,8 +118,8 @@ def _explore(core, sweep, args) -> None:
     """Sweep-driven frontier exploration plus the persistence round trip."""
     family = "OoO" if args.core == "ooo" else "InO"
     pool = enumerate_combinations(family)
-    if args.sample:
-        pool = pool[::max(1, len(pool) // args.sample)]
+    if 0 < args.sample < len(pool):
+        pool = [pool[i * len(pool) // args.sample] for i in range(args.sample)]
     started = time.perf_counter()
     frontier = frontier_from_sweep(core, sweep, targets=sdc_targets()[:4],
                                    combinations=pool)

@@ -47,11 +47,12 @@ admission, the pre-pass and demotion, tandems, retirement and eviction.
 
 The sweep stops only at events -- the next admission cycle, the next grid
 cycle while a lane is seated, golden termination -- and steps the lane core
-a segment at a time between them.  While no tandem is live and the core is
-*quiet* -- ``e.rs1val``, ``e.rs2val``, ``m.result``, ``x.result``,
-``w.result``, every register and every memory word are ints, and so is
-``m.storeval`` under a valid, untrapped SW, SB or OUT in the M latch -- one
-``_advance(stop)`` call runs the whole stretch with no pre-pass.  That is
+a segment at a time between them; an empty wavefront teleports instead
+(below).  While no tandem is live and the core is *quiet* -- ``e.rs1val``,
+``e.rs2val``, ``m.result``, ``x.result``, ``w.result``, every register and
+every memory word are ints, and so is ``m.storeval`` under a valid,
+untrapped SW, SB or OUT in the M latch -- one ``_advance(stop)`` call runs
+the whole stretch with no pre-pass.  That is
 exact because quiet is closed under the cycle: int operands give int
 results and store values, int memory loads ints, copies of ints stay ints,
 a stale ``m.storeval`` column is overwritten by the next storing
@@ -70,8 +71,13 @@ cycle behind the pre-pass.
 One wavefront *streams* over the whole chunk: it sweeps the golden timeline
 once, and each planned injection joins a free lane slot when the sweep
 reaches its injection cycle (a joining lane is bit-identical to the
-reference lane by construction).  Idle gaps with no occupied lanes teleport
-forward via the golden snapshot grid.  A lane leaves the wavefront by:
+reference lane by construction).  Whenever no lane is seated and no tandem
+is live, however that came about, the sweep restores the golden snapshot
+nearest the next admission if one lies ahead instead of re-running the
+golden run to it.  On a seed-0 ``campaign-ino-batched`` pass (1,137 of its
+2,203 records dead on arrival, taking no lane) that cut lane-core cycles
+stepped with nobody seated 441,151 -> 141,368 and the shared cycles
+625,964 -> 326,181; no record changed.  A lane leaves the wavefront by:
 
 * **Convergence retirement** (architectural): at the fingerprint-grid
   cadence, a lane whose architectural state -- value latches, registers,
@@ -540,16 +546,6 @@ class _StreamingWavefront:
         total = len(records)
         while not core.terminated:
             cycle = core.cycle
-            idle = self._occupied_count == 0 and not self._tandems
-            if idle:
-                if index >= total:
-                    break  # pass exhausted without reaching golden termination
-                target = records[index].planned.injection.cycle
-                if target > cycle:
-                    snapshot = self._checkpointed.nearest(target)
-                    if snapshot is not None and snapshot.cycle > cycle:
-                        self._load_reference(snapshot)
-                        cycle = core.cycle
             if cycle > golden.cycles:
                 raise RuntimeError(
                     "batched lockstep replay desynchronised: reference lane "
@@ -571,14 +567,14 @@ class _StreamingWavefront:
             if self._occupied_count:
                 if gate:
                     stop = min(stop, cycle - cycle % interval + interval)
-            elif not idle:
-                # Retirement or a tandem's exit emptied the wavefront at
-                # this cycle.  The teleport check runs only at the top of an
-                # iteration, before those, so an emptied wavefront steps
-                # this one cycle and teleports at the next.  Keep that step:
-                # the shared and replayed cycles count it, and
-                # tests/test_wavefront_pins.py pins them.
-                stop = cycle + 1
+            elif index == total:
+                break  # pass exhausted without reaching golden termination
+            else:
+                # Idle, whatever emptied it: teleport (module docstring).
+                base = self._base_at(stop)
+                if base.cycle > cycle:
+                    self._load_reference(base)
+                    continue
             stop = max(stop, cycle + 1)
             if self._quiet():
                 core.prepass = None

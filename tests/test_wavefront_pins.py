@@ -35,7 +35,7 @@ PINS = {
     ("mcf", 8): ({"vanished": 296, "output_mismatch": 6,
                   "unexpected_termination": 18, "hang": 0,
                   "error_detected": 0},
-                 "58a1fbe5f32c0c67", 104828, 2481, 41, 69, 273448),
+                 "58a1fbe5f32c0c67", 104559, 2481, 41, 69, 273448),
     ("vpr", 11): ({"vanished": 275, "output_mismatch": 15,
                    "unexpected_termination": 30, "hang": 0,
                    "error_detected": 0},
@@ -43,7 +43,7 @@ PINS = {
     ("vpr", 5): ({"vanished": 270, "output_mismatch": 31,
                   "unexpected_termination": 19, "hang": 0,
                   "error_detected": 0},
-                 "7c9a4421954b420b", 16575, 6101, 40, 59, 28789),
+                 "7c9a4421954b420b", 16574, 6101, 40, 59, 28789),
 }
 
 

@@ -15,9 +15,17 @@ stores, and its plan aims at ``m.storeval``, the operand latches and
 ``x.outval``/``w.outval`` columns all ride along there.  A quiet check that
 ignored registers, memory or the live store would let a column reach an
 execute operand inside a segment, which the lane core refuses loudly.
+
+An idle wavefront -- no lane seated, no tandem live -- restores the golden
+snapshot nearest its next admission instead of stepping the golden run up
+to it.  ``_NeverTeleportingWavefront`` keeps stepping, and must finish the
+same records; a spy on ``_LaneCore._advance`` checks that no idle stretch
+starts before such a snapshot, however the wavefront emptied.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 import pytest
@@ -64,6 +72,18 @@ class _PerCycleWavefront(_StreamingWavefront):
         return False
 
 
+class _NeverTeleportingWavefront(_StreamingWavefront):
+    """A wavefront that re-runs the golden run over every idle gap: after
+    the snapshot it starts from, it is offered no snapshot ahead of it."""
+
+    _start = None
+
+    def _base_at(self, cycle: int):
+        if self._start is None:
+            self._start = super()._base_at(cycle)
+        return self._start
+
+
 def _store_reload_plan(core: InOrderCore, golden_cycles: int
                        ) -> list[Injection]:
     registry = core.registry
@@ -108,9 +128,9 @@ def _sweep(wavefront_type, core, program, checkpointed, planned):
     return rows, shared, segmented
 
 
-@pytest.mark.parametrize("program_name, seed", [
-    ("mcf", 3), ("vpr", 11), ("gzip", 5), ("store_reload", 0)])
-def test_segmented_sweep_matches_per_cycle_sweep(program_name, seed):
+def _campaign(program_name, seed, injections=160):
+    """(core, program, checkpointed golden, planned injections) of a
+    uniform batched plan, plus the store/reload plan on its program."""
     core = InOrderCore()
     program = _program(program_name)
     engine = InjectionEngine(core, program, seed=seed,
@@ -118,11 +138,17 @@ def test_segmented_sweep_matches_per_cycle_sweep(program_name, seed):
                              golden_cache=GoldenRunCache())
     checkpointed = engine.golden()
     cycles = checkpointed.golden.cycles
-    plan = uniform_injection_plan(core.flip_flop_count, cycles, 160,
+    plan = uniform_injection_plan(core.flip_flop_count, cycles, injections,
                                   seed=seed)
     if program_name == "store_reload":
         plan += _store_reload_plan(core, cycles)
-    planned = engine.resolve_plan(plan)
+    return core, program, checkpointed, engine.resolve_plan(plan)
+
+
+@pytest.mark.parametrize("program_name, seed", [
+    ("mcf", 3), ("vpr", 11), ("gzip", 5), ("store_reload", 0)])
+def test_segmented_sweep_matches_per_cycle_sweep(program_name, seed):
+    core, program, checkpointed, planned = _campaign(program_name, seed)
 
     rows, shared, segmented = _sweep(_StreamingWavefront, core, program,
                                      checkpointed, planned)
@@ -134,6 +160,67 @@ def test_segmented_sweep_matches_per_cycle_sweep(program_name, seed):
     assert shared == per_cycle_shared
     assert per_cycle_segmented == 0
     assert 0 < segmented < shared
+
+
+@pytest.mark.parametrize("program_name, seed, injections", [
+    ("mcf", 3, 40), ("mcf", 8, 160), ("vpr", 11, 16), ("gzip", 5, 160)])
+def test_teleporting_sweep_matches_golden_rerun(program_name, seed,
+                                                injections):
+    """Restoring a golden snapshot over an idle gap changes no record,
+    only the reference lane's shared cycles."""
+    core, program, checkpointed, planned = _campaign(program_name, seed,
+                                                     injections)
+
+    rows, shared, _ = _sweep(_StreamingWavefront, core, program,
+                             checkpointed, planned)
+    rerun_rows, rerun_shared, _ = _sweep(_NeverTeleportingWavefront, core,
+                                         program, checkpointed, planned)
+
+    assert None not in rows and None not in rerun_rows
+    assert rows == rerun_rows
+    assert shared < rerun_shared
+
+
+@pytest.mark.parametrize("program_name, seed", [
+    ("mcf", 3), ("mcf", 8), ("vpr", 11), ("gzip", 5)])
+def test_idle_stretches_pass_no_golden_snapshot(program_name, seed,
+                                                monkeypatch):
+    """Every lane-core stretch stepped with no lane seated and no tandem
+    live starts at or after the golden snapshot nearest the admission it
+    steps towards: an idle wavefront restores that snapshot rather than
+    re-run the golden run up to it, whether a retirement, a tandem's exit
+    or a dead-on-arrival admission emptied it."""
+    core, program, checkpointed, planned = _campaign(program_name, seed)
+    sweeps = []  # (wavefront, its records' injection cycles), latest last
+    idle = []
+    advance = _LaneCore._advance
+
+    def spy(lane_core, stop):
+        wavefront, admissions = sweeps[-1]
+        if not wavefront._occupied_count and not wavefront._tandems:
+            start = lane_core.cycle
+            later = admissions[bisect.bisect_right(admissions, start):]
+            idle.append((start, stop, later[0] if later else None))
+        return advance(lane_core, stop)
+
+    class _Spied(_StreamingWavefront):
+        def sweep(self, records):
+            sweeps.append((self, [record.planned.injection.cycle
+                                  for record in records]))
+            return super().sweep(records)
+
+    monkeypatch.setattr(_LaneCore, "_advance", spy)
+    rows, _, _ = _sweep(_Spied, core, program, checkpointed, planned)
+
+    assert None not in rows
+    assert idle, "the plan leaves no idle stretch to check"
+    for start, stop, admission in idle:
+        assert admission is not None, f"idle stretch {start}->{stop}"
+        assert stop <= admission
+        nearest = checkpointed.nearest(admission)
+        assert nearest is None or nearest.cycle <= start, (
+            f"idle stretch {start}->{stop} re-runs the golden run past the "
+            f"snapshot at {nearest.cycle} (next admission {admission})")
 
 
 def test_lane_core_refuses_a_column_operand_without_a_prepass():
